@@ -1033,16 +1033,18 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
-    fn tmpdir() -> std::path::PathBuf {
+    /// A scratch directory of this test's own: tests run in parallel and
+    /// remove their directory when done, so they must not share one.
+    fn tmpdir(test: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
-        p.push(format!("tucker_cli_test_{}", std::process::id()));
+        p.push(format!("tucker_cli_test_{}_{test}", std::process::id()));
         std::fs::create_dir_all(&p).unwrap();
         p
     }
 
     #[test]
     fn full_pipeline_roundtrip() {
-        let dir = tmpdir();
+        let dir = tmpdir("full_pipeline_roundtrip");
         let tns = dir.join("x.tns").display().to_string();
         let tkr = dir.join("x.tkr").display().to_string();
         let rec = dir.join("r.tns").display().to_string();
@@ -1071,7 +1073,7 @@ mod tests {
 
     #[test]
     fn f32_pipeline_with_mixed_method() {
-        let dir = tmpdir();
+        let dir = tmpdir("f32_pipeline_with_mixed_method");
         let tns = dir.join("s.tns").display().to_string();
         let tkr = dir.join("s.tkr").display().to_string();
         run(&parse(&toks(&format!(
@@ -1091,7 +1093,7 @@ mod tests {
 
     #[test]
     fn randomized_requires_ranks() {
-        let dir = tmpdir();
+        let dir = tmpdir("randomized_requires_ranks");
         let tns = dir.join("t.tns").display().to_string();
         let tkr = dir.join("t.tkr").display().to_string();
         run(&parse(&toks(&format!("generate {tns} --kind random --dims 6x6x6"))).unwrap())
@@ -1104,10 +1106,43 @@ mod tests {
         std::fs::remove_dir_all(dir).ok();
     }
 
+    /// `--ranks` of the wrong length or with a zero must fail typed — not
+    /// index out of bounds — in every command that takes it.
+    #[test]
+    fn wrong_length_or_zero_ranks_are_rejected_by_compress_simulate_update() {
+        let dir = tmpdir("badranks");
+        let tns = dir.join("t.tns").display().to_string();
+        let delta = dir.join("d.tns").display().to_string();
+        let tkr = dir.join("t.tkr").display().to_string();
+        let store = dir.join("store.tkr").display().to_string();
+        let cli = |cmd: String| run(&parse(&toks(&cmd)).unwrap());
+        cli(format!("generate {tns} --kind random --dims 6x6x6")).unwrap();
+        cli(format!("generate {delta} --kind random --dims 2x6x6 --seed 5")).unwrap();
+        cli(format!("compress {tns} {store} --ranks 3x3x3")).unwrap();
+        for ranks in ["4x4", "4x4x4x4", "4x0x4"] {
+            for cmd in [
+                format!("compress {tns} {tkr} --ranks {ranks}"),
+                format!("compress {tns} {tkr} --ranks {ranks} --svd randomized"),
+                format!("simulate {tns} --grid 2x1x1 --ranks {ranks}"),
+                format!("simulate {tns} --grid 2x1x1 --ranks {ranks} --svd gram"),
+                format!("update {store} {delta} --ranks {ranks}"),
+                format!("update {store} {delta} --ranks {ranks} --extend"),
+            ] {
+                // (A zero never gets past `--ranks` parsing.)
+                let e = cli(cmd.clone()).expect_err(&cmd);
+                let typed = e.contains("invalid configuration: ranks")
+                    || e.contains("dimensions must be positive");
+                assert!(typed, "{cmd}: {e}");
+            }
+        }
+        // The store was never touched by the rejected updates.
+        assert!(read_tucker_hdr(&store).unwrap().generation == 0);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
     #[test]
     fn svd_randomized_compress_and_simulate() {
-        let dir = tmpdir().join("svd_rand");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir("svd_rand");
         let tns = dir.join("r.tns").display().to_string();
         let tkr = dir.join("r.tkr").display().to_string();
         run(&parse(&toks(&format!(
@@ -1157,8 +1192,7 @@ mod tests {
 
     #[test]
     fn simulate_eight_ranks_emits_chrome_trace_with_phase_spans() {
-        let dir = tmpdir().join("sim8");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir("sim8");
         let trace = dir.join("sim.trace.json").display().to_string();
         let timeline = dir.join("sim.timeline.txt").display().to_string();
         run(&parse(&toks(&format!(
@@ -1182,8 +1216,7 @@ mod tests {
 
     #[test]
     fn simulate_gram_method_traces_gram_phase() {
-        let dir = tmpdir().join("simgram");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir("simgram");
         let trace = dir.join("gram.trace.json").display().to_string();
         run(&parse(&toks(&format!(
             "simulate --grid 1x2x2 --kind random --dims 12x12x12 --tol 1e-2 \
@@ -1258,7 +1291,7 @@ mod tests {
 
     #[test]
     fn simulate_crash_checkpoint_resume_cycle() {
-        let dir = tmpdir().join("ckpt_cycle");
+        let dir = tmpdir("ckpt_cycle");
         let ck = dir.display().to_string();
         // Crash partway through a checkpointed run...
         let r = run(&parse(&toks(&format!(
@@ -1279,7 +1312,7 @@ mod tests {
 
     #[test]
     fn simulate_resume_model_check_skips_checkpointed_modes() {
-        let dir = tmpdir().join("ckpt_modelcheck");
+        let dir = tmpdir("ckpt_modelcheck");
         let ck = dir.display().to_string();
         let metrics = dir.join("m.json").display().to_string();
         let r = run(&parse(&toks(&format!(
@@ -1303,8 +1336,7 @@ mod tests {
 
     #[test]
     fn simulate_metrics_and_model_check_pass_on_even_grid() {
-        let dir = tmpdir().join("simmetrics");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir("simmetrics");
         let metrics = dir.join("m.json").display().to_string();
         run(&parse(&toks(&format!(
             "simulate --grid 2x2x2 --kind random --dims 16x16x16 --ranks 4x4x4 \
@@ -1350,8 +1382,7 @@ mod tests {
 
     #[test]
     fn order_auto_compresses_and_roundtrips() {
-        let dir = tmpdir().join("orderauto");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir("orderauto");
         let tns = dir.join("x.tns").display().to_string();
         let tkr = dir.join("x.tkr").display().to_string();
         run(&parse(&toks(&format!(
@@ -1385,8 +1416,7 @@ mod tests {
 
     #[test]
     fn query_serves_verified_slabs_from_a_store() {
-        let dir = tmpdir().join("querycli");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir("querycli");
         let tns = dir.join("q.tns").display().to_string();
         let tkr = dir.join("q.tkr").display().to_string();
         let out = dir.join("slab.tns").display().to_string();
@@ -1459,8 +1489,7 @@ mod tests {
 
     #[test]
     fn error_cmd_accepts_compressed_store_blockwise() {
-        let dir = tmpdir().join("errstore");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir("errstore");
         let tns = dir.join("e.tns").display().to_string();
         let tkr = dir.join("e.tkr").display().to_string();
         let rec = dir.join("e_rec.tns").display().to_string();
@@ -1482,8 +1511,7 @@ mod tests {
 
     #[test]
     fn serve_bench_quick_writes_json() {
-        let dir = tmpdir().join("servebench");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir("servebench");
         let out = dir.join("b.json").display().to_string();
         run(&parse(&toks(&format!("serve-bench --quick --out {out}"))).unwrap()).unwrap();
         let json = std::fs::read_to_string(&out).unwrap();
@@ -1494,8 +1522,7 @@ mod tests {
 
     #[test]
     fn serve_bench_shards_runs_failover_and_accepts_inject() {
-        let dir = tmpdir().join("failoverbench");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir("failoverbench");
         let out = dir.join("f.json").display().to_string();
         run(&parse(&toks(&format!(
             "serve-bench --quick --shards 2 --replicas 2 --inject crash:rank=1,op=2 --out {out}"
@@ -1518,7 +1545,7 @@ mod tests {
 
     #[test]
     fn serve_bench_trace_exports_observability_artifacts_deterministically() {
-        let dir = tmpdir().join("servetrace");
+        let dir = tmpdir("servetrace");
         let d1 = dir.join("run1").display().to_string();
         let d2 = dir.join("run2").display().to_string();
         run(&parse(&toks(&format!("serve-bench --quick --trace {d1}"))).unwrap()).unwrap();
@@ -1556,8 +1583,7 @@ mod tests {
 
     #[test]
     fn slo_report_passes_healthy_and_fails_naming_breached_objectives() {
-        let dir = tmpdir().join("sloreport");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir("sloreport");
         let out = dir.join("slo.json").display().to_string();
         // Default plan: one crashed replica, zero lost queries — within SLO.
         run(&parse(&toks("slo-report --quick")).unwrap()).unwrap();
@@ -1585,8 +1611,7 @@ mod tests {
 
     #[test]
     fn shard_cmd_splits_a_store_with_manifest() {
-        let dir = tmpdir().join("shardcmd");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir("shardcmd");
         let tns = dir.join("s.tns").display().to_string();
         let tkr = dir.join("s.tkr").display().to_string();
         let shards_dir = dir.join("shards").display().to_string();
@@ -1622,7 +1647,7 @@ mod tests {
 
     #[test]
     fn dimension_mismatch_in_error_cmd() {
-        let dir = tmpdir();
+        let dir = tmpdir("dimension_mismatch_in_error_cmd");
         let a = dir.join("a1.tns").display().to_string();
         let b = dir.join("b1.tns").display().to_string();
         run(&parse(&toks(&format!("generate {a} --kind random --dims 4x4"))).unwrap()).unwrap();

@@ -1,6 +1,6 @@
 //! Checkpoint/restart for the parallel ST-HOSVD.
 //!
-//! After each mode's truncation ([`hosvd_step`]) every rank serializes its
+//! After each mode's truncation ([`HosvdState::step`]) every rank serializes its
 //! share of the in-flight [`HosvdState`] — the partially truncated tensor
 //! block, the replicated factors and singular value profiles, the mode-order
 //! cursor and the bit-exact input norm — to a per-rank file in a checkpoint
@@ -34,16 +34,17 @@
 //! y        global dims, grid dims, coords, local dims (each nmodes x u64)
 //!          + local data (first-mode-fastest)
 //! ```
-//! The truncation threshold is *not* stored: it is a pure function of the
-//! config and `norm_x` ([`mode_threshold`]), recomputed on load.
+//! The rank rule is *not* stored: it is a pure function of the config and
+//! `norm_x` ([`RankRule::new`]), recomputed on load.
 
-use crate::config::{SthosvdConfig, Truncation};
-use crate::parallel::{hosvd_finish, hosvd_init, hosvd_step, HosvdState, ParallelOutput};
-use crate::truncate::mode_threshold;
+use crate::config::SthosvdConfig;
+use crate::mode_loop::RankRule;
+use crate::parallel::{DistBackend, HosvdState, ParallelOutput};
+use crate::tucker_io::{read_u32, read_u64, write_u32};
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use tucker_dtensor::DistTensor;
+use tucker_dtensor::{block_range, DistTensor};
 use tucker_linalg::{LinalgError, Matrix, Scalar};
 use tucker_mpisim::{Comm, Ctx};
 use tucker_tensor::io::IoScalar;
@@ -131,24 +132,8 @@ fn commit_file(dir: &Path, step: usize) -> PathBuf {
     dir.join(format!("step{step}.commit"))
 }
 
-fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
 fn write_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
 }
 
 fn write_usize_vec(w: &mut impl Write, v: &[usize]) -> io::Result<()> {
@@ -162,17 +147,31 @@ fn read_usize_vec(r: &mut impl Read, n: usize) -> io::Result<Vec<usize>> {
     (0..n).map(|_| read_u64(r).map(|x| x as usize)).collect()
 }
 
-fn write_scalar_vec<T: IoScalar>(w: &mut impl Write, v: &[T]) -> io::Result<()> {
-    write_u64(w, v.len() as u64)?;
+fn write_scalars<T: IoScalar>(w: &mut impl Write, v: &[T]) -> io::Result<()> {
     for &x in v {
         x.write_le(w)?;
     }
     Ok(())
 }
 
-fn read_scalar_vec<T: IoScalar>(r: &mut impl Read) -> io::Result<Vec<T>> {
+fn write_scalar_vec<T: IoScalar>(w: &mut impl Write, v: &[T]) -> io::Result<()> {
+    write_u64(w, v.len() as u64)?;
+    write_scalars(w, v)
+}
+
+/// Read `count` scalars — after checking that the file still holds that
+/// many, so a damaged count can neither overflow nor allocate beyond the
+/// file's own size.
+fn read_scalars<T: IoScalar>(r: &mut &[u8], count: usize) -> io::Result<Vec<T>> {
+    if count.checked_mul(T::TAG as usize).is_none_or(|bytes| bytes > r.len()) {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    (0..count).map(|_| T::read_le(r)).collect()
+}
+
+fn read_scalar_vec<T: IoScalar>(r: &mut &[u8]) -> io::Result<Vec<T>> {
     let n = read_u64(r)? as usize;
-    (0..n).map(|_| T::read_le(r)).collect()
+    read_scalars(r, n)
 }
 
 /// Serialize one rank's state. `rank`/`nranks` are recorded so a resume with
@@ -205,9 +204,7 @@ fn write_state<T: IoScalar>(
                 w.write_all(&[1u8])?;
                 write_u64(w, u.rows() as u64)?;
                 write_u64(w, u.cols() as u64)?;
-                for &x in u.data() {
-                    x.write_le(w)?;
-                }
+                write_scalars(w, u.data())?;
             }
         }
     }
@@ -216,10 +213,7 @@ fn write_state<T: IoScalar>(
     write_usize_vec(w, y.grid().dims())?;
     write_usize_vec(w, y.coords())?;
     write_usize_vec(w, y.local().dims())?;
-    for &x in y.local().data() {
-        x.write_le(w)?;
-    }
-    Ok(())
+    write_scalars(w, y.local().data())
 }
 
 fn bad(path: &Path, reason: impl Into<String>) -> CheckpointError {
@@ -228,9 +222,11 @@ fn bad(path: &Path, reason: impl Into<String>) -> CheckpointError {
 
 /// Deserialize one rank's state, validating it against the live run: the
 /// input tensor `x` supplies grid/coords (which the file must agree with)
-/// and `cfg` supplies the mode order and truncation threshold.
+/// and `cfg` supplies the mode order and the rank rule. Every shape word is
+/// checked against `x` before anything is sized from it (v1 files carry no
+/// CRC, so the words may be arbitrary).
 fn read_state<T: Scalar + IoScalar>(
-    r: &mut impl Read,
+    r: &mut &[u8],
     path: &Path,
     expect_step: usize,
     rank: usize,
@@ -238,47 +234,36 @@ fn read_state<T: Scalar + IoScalar>(
     x: &DistTensor<T>,
     cfg: &SthosvdConfig,
 ) -> Result<HosvdState<T>, CheckpointError> {
+    let ensure = |ok: bool, reason: &str| if ok { Ok(()) } else { Err(bad(path, reason)) };
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad(path, "not a TKCP checkpoint file"));
-    }
+    ensure(&magic == MAGIC, "not a TKCP checkpoint file")?;
     let version = read_u32(r)?;
-    if version != VERSION && version != VERSION_V1 {
-        return Err(bad(path, "unsupported checkpoint version"));
-    }
-    if read_u32(r)? != T::TAG {
-        return Err(bad(path, "checkpoint precision differs from the run's scalar type"));
-    }
-    if read_u64(r)? as usize != rank {
-        return Err(bad(path, "checkpoint was written by a different rank"));
-    }
-    if read_u64(r)? as usize != nranks {
-        return Err(bad(path, "checkpoint was written by a different world size"));
-    }
+    ensure(version == VERSION || version == VERSION_V1, "unsupported checkpoint version")?;
+    ensure(read_u32(r)? == T::TAG, "checkpoint precision differs from the run's scalar type")?;
+    ensure(read_u64(r)? as usize == rank, "checkpoint was written by a different rank")?;
+    ensure(read_u64(r)? as usize == nranks, "checkpoint was written by a different world size")?;
     let nmodes = read_u64(r)? as usize;
-    if nmodes != x.global_dims().len() {
-        return Err(bad(path, "checkpoint mode count differs from the input tensor"));
-    }
+    ensure(nmodes == x.global_dims().len(), "checkpoint mode count differs from the input tensor")?;
     let done = read_u64(r)? as usize;
-    if done != expect_step {
-        return Err(bad(path, format!("file records step {done}, commit marker says {expect_step}")));
-    }
+    ensure(
+        done == expect_step,
+        &format!("file records step {done}, commit marker says {expect_step}"),
+    )?;
     let order = read_usize_vec(r, nmodes)?;
-    if order != cfg.mode_order.resolve(nmodes) {
-        return Err(bad(path, "checkpoint mode order differs from the current config"));
-    }
+    ensure(
+        order == cfg.mode_order.resolve(nmodes),
+        "checkpoint mode order differs from the current config",
+    )?;
     let norm_x = T::read_le(r)?;
     let tails_sq: Vec<T> = read_scalar_vec(r)?;
-    if tails_sq.len() != done {
-        return Err(bad(path, "tail count does not match the completed step count"));
-    }
+    ensure(tails_sq.len() == done, "tail count does not match the completed step count")?;
     let mut singular_values = Vec::with_capacity(nmodes);
     for _ in 0..nmodes {
         singular_values.push(read_scalar_vec(r)?);
     }
     let mut factors: Vec<Option<Matrix<T>>> = Vec::with_capacity(nmodes);
-    for _ in 0..nmodes {
+    for &i_n in x.global_dims() {
         let mut present = [0u8; 1];
         r.read_exact(&mut present)?;
         factors.push(match present[0] {
@@ -286,10 +271,11 @@ fn read_state<T: Scalar + IoScalar>(
             1 => {
                 let rows = read_u64(r)? as usize;
                 let cols = read_u64(r)? as usize;
-                let mut data = Vec::with_capacity(rows * cols);
-                for _ in 0..rows * cols {
-                    data.push(T::read_le(r)?);
-                }
+                ensure(
+                    rows == i_n && cols <= rows,
+                    &format!("factor shape {rows}x{cols} for a mode of {i_n}"),
+                )?;
+                let data = read_scalars(r, rows.saturating_mul(cols))?;
                 Some(Matrix::from_col_major(rows, cols, data))
             }
             b => return Err(bad(path, format!("bad factor presence byte {b}"))),
@@ -298,27 +284,22 @@ fn read_state<T: Scalar + IoScalar>(
     let global_dims = read_usize_vec(r, nmodes)?;
     let grid_dims = read_usize_vec(r, nmodes)?;
     let coords = read_usize_vec(r, nmodes)?;
-    if grid_dims != x.grid().dims() {
-        return Err(bad(path, "checkpoint grid differs from the current run"));
-    }
-    if coords != x.coords() {
-        return Err(bad(path, "checkpoint coordinates differ from this rank's"));
-    }
+    ensure(grid_dims == x.grid().dims(), "checkpoint grid differs from the current run")?;
+    ensure(coords == x.coords(), "checkpoint coordinates differ from this rank's")?;
     let local_dims = read_usize_vec(r, nmodes)?;
-    let len: usize = local_dims.iter().product();
-    let mut data = Vec::with_capacity(len);
-    for _ in 0..len {
-        data.push(T::read_le(r)?);
-    }
-    let threshold = match &cfg.truncation {
-        Truncation::Tolerance(eps) => mode_threshold(*eps, norm_x, nmodes),
-        _ => T::ZERO,
-    };
+    // Modes only shrink, and a rank's block is a function of the global
+    // dims: the local element count is at most the input block's.
+    let fits = (0..nmodes).all(|n| {
+        global_dims[n] <= x.global_dims()[n]
+            && local_dims[n] == block_range(global_dims[n], grid_dims[n], coords[n]).len()
+    });
+    ensure(fits, "working tensor shape does not fit the input tensor")?;
+    let data = read_scalars(r, local_dims.iter().product())?;
     Ok(HosvdState {
         order,
         done,
         norm_x,
-        threshold,
+        rule: RankRule::new(&cfg.truncation, norm_x, nmodes)?,
         y: x.with_local(global_dims, Tensor::from_data(&local_dims, data)),
         factors,
         singular_values,
@@ -357,10 +338,7 @@ fn decode_state<T: Scalar + IoScalar>(
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
     let payload = if version >= VERSION {
-        let Some(body_len) = bytes.len().checked_sub(4) else {
-            return Err(bad(path, "truncated checkpoint: missing CRC-32 trailer"));
-        };
-        let (body, trailer) = bytes.split_at(body_len);
+        let (body, trailer) = bytes.split_at(bytes.len() - 4);
         let stored = u32::from_le_bytes(trailer.try_into().expect("4 bytes"));
         let computed = crate::crc32::crc32(body);
         if stored != computed {
@@ -468,6 +446,8 @@ pub fn sthosvd_parallel_checkpointed<T: Scalar + IoScalar>(
     cfg: &SthosvdConfig,
     opts: &CheckpointOptions,
 ) -> Result<ParallelOutput<T>, CheckpointError> {
+    // Before the directory scan: a resumed run never passes through
+    // `init`'s validation.
     cfg.validate()?;
     let mut world = Comm::world(ctx);
     // All ranks scan the same (static) directory and reach the same verdict;
@@ -476,13 +456,13 @@ pub fn sthosvd_parallel_checkpointed<T: Scalar + IoScalar>(
     let resume_from = if opts.resume { latest_step(&opts.dir)? } else { None };
     let mut state = match resume_from {
         Some(step) => load_step(&opts.dir, step, ctx.rank(), world.size(), x, cfg)?,
-        None => hosvd_init(ctx, &mut world, x, cfg),
+        None => HosvdState::init(&mut DistBackend { ctx, world: &mut world }, x, cfg)?,
     };
     while !state.is_complete() {
-        hosvd_step(ctx, &mut world, &mut state, cfg)?;
+        state.step(&mut DistBackend { ctx, world: &mut world }, cfg)?;
         save_step(ctx, &mut world, &opts.dir, &state)?;
     }
-    Ok(hosvd_finish(state))
+    Ok(state.finish())
 }
 
 #[cfg(test)]
@@ -502,7 +482,7 @@ mod tests {
             order: vec![0, 1, 2],
             done: 1,
             norm_x: 123.456789,
-            threshold: 0.0,
+            rule: RankRule::new(&crate::config::Truncation::None, 123.456789, 3).unwrap(),
             y,
             factors: vec![Some(Matrix::from_col_major(4, 2, (0..8).map(|i| i as f64 * 0.3).collect())), None, None],
             singular_values: vec![vec![3.0, 1.0, 0.5, 0.1], Vec::new(), Vec::new()],
@@ -609,6 +589,72 @@ mod tests {
         v9.extend_from_slice(&crc.to_le_bytes());
         let e = decode_state::<f64>(&v9, Path::new("<mem>"), 1, 1, 2, &x, &cfg).unwrap_err();
         assert!(e.to_string().contains("unsupported checkpoint version"), "{e}");
+    }
+
+    /// v1 files carry no CRC, so their shape words reach the reader
+    /// unchecked: each must be validated against the live run before
+    /// anything is sized from it.
+    #[test]
+    fn hostile_v1_shape_words_are_rejected_before_allocating() {
+        let p = Path::new("<mem>");
+        let cfg = SthosvdConfig::with_ranks(vec![2]);
+        let grid = ProcessorGrid::new(&[1]);
+        let x = DistTensor::from_fn(&[4], &grid, 0, |g| g[0] as f64);
+        // A hand-built 100-byte v1 file for this one-mode run at step 0,
+        // ending in one factor's shape words and 7 bytes of "data".
+        let file = |rows: u64, cols: u64| {
+            let mut b = Vec::new();
+            b.extend_from_slice(MAGIC);
+            b.extend_from_slice(&VERSION_V1.to_le_bytes());
+            b.extend_from_slice(&8u32.to_le_bytes());
+            // rank, nranks, nmodes, done, order[0]
+            for w in [0u64, 1, 1, 0, 0] {
+                b.extend_from_slice(&w.to_le_bytes());
+            }
+            b.extend_from_slice(&2.5f64.to_le_bytes()); // norm_x
+            b.extend_from_slice(&0u64.to_le_bytes()); // no tails
+            b.extend_from_slice(&0u64.to_le_bytes()); // no singular values
+            b.push(1); // factor 0 present
+            b.extend_from_slice(&rows.to_le_bytes());
+            b.extend_from_slice(&cols.to_le_bytes());
+            b.extend_from_slice(&[0xAB; 7]);
+            assert_eq!(b.len(), 100);
+            b
+        };
+        // Terabyte-sized and overflowing products, and a shape that merely
+        // disagrees with the input tensor: all typed, none allocated.
+        for (rows, cols) in [(1 << 20, 1 << 20), (1 << 32, 1 << 32), (u64::MAX, 2), (4, 5), (3, 2)] {
+            let e = decode_state::<f64>(&file(rows, cols), p, 0, 0, 1, &x, &cfg).unwrap_err();
+            match e {
+                CheckpointError::Corrupt { reason, .. } => {
+                    assert!(reason.contains("factor shape"), "{rows}x{cols}: {reason}")
+                }
+                other => panic!("{rows}x{cols}: expected Corrupt, got {other}"),
+            }
+        }
+        // A plausible shape whose payload the file does not hold is a
+        // truncated file, again without allocating for it.
+        let e = decode_state::<f64>(&file(4, 2), p, 0, 0, 1, &x, &cfg).unwrap_err();
+        assert!(matches!(e, CheckpointError::Io(_)), "{e}");
+
+        // The working tensor's dims get the same treatment: patch each of
+        // the three global and three local dim words of a real v1 file.
+        let (state, x) = demo_state(1);
+        let cfg = SthosvdConfig::with_ranks(vec![2, 2, 2]);
+        let mut v1 = Vec::new();
+        write_state(&mut v1, &state, 1, 2).unwrap();
+        v1[4..8].copy_from_slice(&VERSION_V1.to_le_bytes());
+        assert!(decode_state::<f64>(&v1, p, 1, 1, 2, &x, &cfg).is_ok());
+        let y_data = state.y.local().len() * 8;
+        for word in (0..3).chain(9..12) {
+            let at = v1.len() - y_data - (12 - word) * 8;
+            for hostile in [1u64 << 40, u64::MAX] {
+                let mut damaged = v1.clone();
+                damaged[at..at + 8].copy_from_slice(&hostile.to_le_bytes());
+                let e = decode_state::<f64>(&damaged, p, 1, 1, 2, &x, &cfg).unwrap_err();
+                assert!(e.to_string().contains("does not fit the input tensor"), "word {word}: {e}");
+            }
+        }
     }
 
     #[test]

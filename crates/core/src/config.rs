@@ -163,9 +163,23 @@ impl SthosvdConfig {
         self
     }
 
+    /// The fixed per-mode ranks — the randomized range finder sketches
+    /// `R_n + oversampling` columns, so it needs them before any singular
+    /// value exists — or the typed error for every other truncation.
+    pub fn fixed_ranks(&self) -> Result<&[usize], LinalgError> {
+        match &self.truncation {
+            Truncation::Ranks(r) => Ok(r),
+            other => Err(LinalgError::InvalidConfig {
+                param: "truncation",
+                value: format!("{other:?}"),
+                expected: "fixed ranks (--ranks) when method is randomized",
+            }),
+        }
+    }
+
     /// Validate the sketch-related knobs with typed errors instead of
-    /// silently clamping out-of-range values. Called by every driver entry
-    /// point (sequential, parallel, checkpointed) before any work starts.
+    /// silently clamping out-of-range values. Called by the mode loop's
+    /// `init` (and the checkpointed driver's resume) before any work starts.
     ///
     /// Per-mode *algorithmic* caps (sketch width at `min(I_n, I^*/I_n)`,
     /// sample count at the unfolding's column count) are not configuration
@@ -177,13 +191,8 @@ impl SthosvdConfig {
         if !uses_sketch {
             return Ok(());
         }
-        if self.method == SvdMethod::Randomized && !matches!(self.truncation, Truncation::Ranks(_))
-        {
-            return Err(LinalgError::InvalidConfig {
-                param: "truncation",
-                value: format!("{:?}", self.truncation),
-                expected: "fixed ranks (--ranks) when method is randomized",
-            });
+        if self.method == SvdMethod::Randomized {
+            self.fixed_ranks()?;
         }
         if r.oversampling == 0 || r.oversampling > 512 {
             return Err(LinalgError::InvalidConfig {

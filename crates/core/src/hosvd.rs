@@ -7,45 +7,29 @@
 //! hold, but the flop count is strictly larger — which is exactly why
 //! TuckerMPI (and this reproduction) use ST-HOSVD as the workhorse.
 
-use crate::config::{SthosvdConfig, SvdMethod, Truncation};
-use crate::svd_driver::{mode_svd, mode_svd_sketched_gram};
-use crate::truncate::{choose_rank, mode_threshold};
+use crate::config::SthosvdConfig;
+use crate::mode_loop::{factor_mode, ModeBackend, RankRule};
+use crate::svd_driver::DenseBackend;
 use crate::tucker::TuckerTensor;
-use tucker_linalg::{Matrix, Result, Scalar};
-use tucker_tensor::{ttm, Tensor};
+use tucker_linalg::{Result, Scalar};
+use tucker_tensor::Tensor;
 
-/// Truncated HOSVD: factor every mode from the original tensor, then form
-/// the core with a single TTM chain. Accepts the same configuration as
-/// [`crate::sthosvd`] (the `mode_order` only affects the TTM chain order).
+/// Truncated HOSVD: the pieces of the ST-HOSVD mode loop under another
+/// schedule — factor every mode from the original tensor, then form the
+/// core with a single TTM chain. Accepts the same configuration as
+/// [`crate::sthosvd`] (`mode_order` is ignored). HOSVD's tail estimate is
+/// looser than ST-HOSVD's, so none is returned; callers use
+/// [`TuckerTensor::relative_error_via_core`] instead.
 pub fn hosvd<T: Scalar>(x: &Tensor<T>, cfg: &SthosvdConfig) -> Result<TuckerTensor<T>> {
     cfg.validate()?;
-    let nmodes = x.ndims();
-    let norm_x = x.norm();
-    let threshold = match &cfg.truncation {
-        Truncation::Tolerance(eps) => mode_threshold(*eps, norm_x, nmodes),
-        _ => T::ZERO,
-    };
-
-    let mut factors: Vec<Matrix<T>> = Vec::with_capacity(nmodes);
-    let mut tails = Vec::with_capacity(nmodes);
-    for n in 0..nmodes {
-        let (u, sigma) = match cfg.method {
-            SvdMethod::SketchedGram => mode_svd_sketched_gram(x, n, &cfg.randomized)?,
-            _ => mode_svd(x, n, cfg.method, cfg.tslq)?,
-        };
-        let r_n = match &cfg.truncation {
-            Truncation::Tolerance(_) => choose_rank(&sigma, threshold),
-            Truncation::Ranks(r) => r[n].min(x.dims()[n]),
-            Truncation::None => x.dims()[n],
-        };
-        tails.push(sigma[r_n..].iter().map(|&s| s * s).sum::<T>());
-        factors.push(u.truncate_cols(r_n));
-    }
-    let _ = tails; // HOSVD's tail estimate is looser than ST-HOSVD's; callers
-                   // use TuckerTensor::relative_error_via_core instead.
+    let b = &mut DenseBackend;
+    let rule = RankRule::new(&cfg.truncation, x.norm(), x.ndims())?;
+    let factors = (0..x.ndims())
+        .map(|n| Ok(factor_mode(b, x, n, &rule, cfg)?.u_n))
+        .collect::<Result<Vec<_>>>()?;
     let mut core = x.clone();
     for (n, f) in factors.iter().enumerate() {
-        core = ttm(&core, n, f.as_ref(), true);
+        core = b.truncate(&core, n, f)?;
     }
     Ok(TuckerTensor { core, factors })
 }

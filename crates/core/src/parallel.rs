@@ -12,34 +12,25 @@
 //! Phase timers label the paper's breakdown categories: `LQ`/`Gram`,
 //! `SVD`/`EVD`, `TTM` (plus the nested `Redistribute`).
 
-use crate::config::{SthosvdConfig, SvdMethod, Truncation};
+use crate::config::{SthosvdConfig, SvdMethod};
+use crate::mode_loop::{self, LoopOutput, LoopState, ModeBackend, ModeStep};
 use crate::model::{evd_flops, svd_flops};
-use crate::truncate::{choose_rank, estimated_error, mode_threshold};
 use crate::tucker::TuckerTensor;
 use tucker_dtensor::{
     parallel_gram, parallel_gram_mixed, parallel_sketch_svd, parallel_sketched_gram,
     parallel_tensor_lq, parallel_ttm, parallel_ttm_op, DistTensor,
 };
 use tucker_linalg::gram_svd::gram_svd_from_gram;
-use tucker_linalg::randomized::{resolve_sketch_rows, sketch_block_count};
 use tucker_linalg::mixed::gram_svd_mixed_from_gram;
+use tucker_linalg::randomized::{resolve_sketch_rows, sketch_block_count};
 use tucker_linalg::svd::svd_left;
 use tucker_linalg::{LinalgError, Matrix, Result, Scalar};
 use tucker_mpisim::{Comm, Ctx};
 
-/// Result of a parallel ST-HOSVD on one rank.
-pub struct ParallelOutput<T> {
-    /// Factor matrices (replicated on every rank), indexed by mode.
-    pub factors: Vec<Matrix<T>>,
-    /// This rank's block of the core tensor (same grid as the input).
-    pub core: DistTensor<T>,
-    /// Per-mode singular value profiles (replicated).
-    pub singular_values: Vec<Vec<T>>,
-    /// `‖X‖` in working precision.
-    pub norm_x: T,
-    /// Tail-based error estimate.
-    pub estimated_error: T,
-}
+/// Result of a parallel ST-HOSVD on one rank: replicated factors and
+/// singular value profiles, and this rank's block of the core tensor (same
+/// grid as the input).
+pub type ParallelOutput<T> = LoopOutput<T, DistTensor<T>>;
 
 impl<T: Scalar> ParallelOutput<T> {
     /// Multilinear ranks.
@@ -110,222 +101,128 @@ impl<T: Scalar> ParallelOutput<T> {
     }
 }
 
-/// In-flight state of a parallel ST-HOSVD: everything needed to process the
-/// next mode, and exactly what a checkpoint must persist to resume after a
-/// crash ([`crate::checkpoint`]).
-///
-/// The loop in [`sthosvd_parallel`] is `init → step × N → finish`; a
-/// checkpointed run serializes this struct between steps.
-#[derive(Debug)]
-pub struct HosvdState<T> {
-    /// Resolved mode-processing order (a permutation of `0..N`).
-    pub order: Vec<usize>,
-    /// Number of modes already truncated — the cursor into `order`.
-    pub done: usize,
-    /// `‖X‖` in working precision (fixed at init; restored bit-exactly on
-    /// resume so rank decisions never drift).
-    pub norm_x: T,
-    /// Per-mode tail threshold `ε²‖X‖²/N` (zero for fixed-rank/no
-    /// truncation). Deterministically recomputable from the config and
-    /// `norm_x`, so it is *not* checkpointed.
-    pub threshold: T,
-    /// The partially truncated distributed tensor (modes `order[..done]`
-    /// already shrunk).
-    pub y: DistTensor<T>,
-    /// Factor matrices of processed modes, indexed by mode.
-    pub factors: Vec<Option<Matrix<T>>>,
-    /// Singular value profiles of processed modes, indexed by mode.
-    pub singular_values: Vec<Vec<T>>,
-    /// Discarded tail energies `Σ σ²`, in processing order.
-    pub tails_sq: Vec<T>,
+/// In-flight state of a parallel ST-HOSVD — what [`crate::checkpoint`]
+/// serializes between steps.
+pub type HosvdState<T> = LoopState<T, DistTensor<T>>;
+
+/// Run `f` under both a flat label ("LQ") and a per-mode label ("LQ#n"):
+/// the flat one feeds whole-run breakdowns, the per-mode one feeds the
+/// paper's stacked per-mode bars (Figs. 2, 3b, 8b–10).
+fn mode_phase<R>(ctx: &mut Ctx, label: &str, n: usize, f: impl FnOnce(&mut Ctx) -> R) -> R {
+    ctx.phase(label, |c| c.phase(&format!("{label}#{n}"), f))
 }
 
-impl<T: Scalar> HosvdState<T> {
-    /// Have all modes been processed?
-    pub fn is_complete(&self) -> bool {
-        self.done == self.order.len()
-    }
+/// The distributed backend of the mode loop: a [`DistTensor`] block per
+/// simulated rank. Besides the parallel kernels it owns everything about a
+/// distributed step that is not the loop: phase labels, modeled flop
+/// charges, the per-mode gauges and the kernel-collector drain.
+pub struct DistBackend<'a> {
+    /// This rank's runtime handle.
+    pub ctx: &'a mut Ctx,
+    /// The world communicator.
+    pub world: &'a mut Comm,
 }
 
-/// Set up the state for a fresh run: resolve the mode order and compute the
-/// input norm (one all-reduce) and the truncation threshold.
-pub fn hosvd_init<T: Scalar>(
-    ctx: &mut Ctx,
-    world: &mut Comm,
-    x: &DistTensor<T>,
-    cfg: &SthosvdConfig,
-) -> HosvdState<T> {
-    let nmodes = x.global_dims().len();
-    let order = cfg.mode_order.resolve(nmodes);
-    if ctx.metrics_enabled() {
-        // Arm the thread-local kernel collector of tucker-linalg; every
-        // hosvd_step drains it into this rank's metrics registry.
-        tucker_linalg::perf::enable();
-    }
-    let norm_x = x.norm(ctx, world);
-    let threshold = match &cfg.truncation {
-        Truncation::Tolerance(eps) => mode_threshold(*eps, norm_x, nmodes),
-        _ => T::ZERO,
-    };
-    HosvdState {
-        order,
-        done: 0,
-        norm_x,
-        threshold,
-        y: x.clone(),
-        factors: (0..nmodes).map(|_| None).collect(),
-        singular_values: (0..nmodes).map(|_| Vec::new()).collect(),
-        tails_sq: Vec::with_capacity(nmodes),
-    }
-}
+impl<T: Scalar> ModeBackend<T> for DistBackend<'_> {
+    type Tensor = DistTensor<T>;
 
-/// Process one mode: SVD of the unfolding, rank choice, truncation TTM.
-/// Advances `state.done` by one.
-pub fn hosvd_step<T: Scalar>(
-    ctx: &mut Ctx,
-    world: &mut Comm,
-    state: &mut HosvdState<T>,
-    cfg: &SthosvdConfig,
-) -> Result<()> {
-    assert!(!state.is_complete(), "hosvd_step called on a finished state");
-    if ctx.metrics_enabled() && !tucker_linalg::perf::is_enabled() {
-        // A resumed (checkpointed) run enters here without passing through
-        // `hosvd_init`; arm the kernel collector before any local kernels.
-        tucker_linalg::perf::enable();
+    fn norm(&mut self, x: &DistTensor<T>) -> T {
+        x.norm(self.ctx, self.world)
     }
-    let n = state.order[state.done];
-    let y = &state.y;
-    let m = y.global_dims()[n];
-    // Unfolding width I^*/I_n of the *current* (partially truncated)
-    // tensor — the sketch drivers' problem size, reported as gauges below.
-    let jstar_cols: usize = y.global_dims().iter().product::<usize>() / m;
-    // Inner phases use both a flat label ("LQ") and a per-mode label
-    // ("LQ#n"): the flat one feeds whole-run breakdowns, the per-mode one
-    // feeds the paper's stacked per-mode bars (Figs. 2, 3b, 8b–10).
-    let (u, sigma) = match cfg.method {
-        SvdMethod::Gram => {
-            let g = ctx.phase("Gram", |c| {
-                c.phase(&format!("Gram#{n}"), |c2| parallel_gram(c2, world, y, n))
-            })?;
-            ctx.phase("EVD", |c| {
-                c.phase(&format!("EVD#{n}"), |c2| {
-                    c2.charge_flops(evd_flops(m), T::BYTES);
+
+    fn dims<'a>(&'a self, y: &'a DistTensor<T>) -> &'a [usize] {
+        y.global_dims()
+    }
+
+    fn mode_factor(
+        &mut self,
+        y: &DistTensor<T>,
+        n: usize,
+        cfg: &SthosvdConfig,
+    ) -> Result<(Matrix<T>, Vec<T>)> {
+        let DistBackend { ctx, world } = self;
+        if ctx.metrics_enabled() {
+            // Arm the thread-local kernel collector of tucker-linalg for
+            // this step's local kernels; `record` drains it.
+            tucker_linalg::perf::enable();
+        }
+        let m = y.global_dims()[n];
+        let rnd = &cfg.randomized;
+        match cfg.method {
+            SvdMethod::Gram | SvdMethod::SketchedGram => {
+                let g = mode_phase(ctx, "Gram", n, |c| match cfg.method {
+                    SvdMethod::SketchedGram => {
+                        let cols = y.global_dims().iter().product::<usize>() / m;
+                        let samples = resolve_sketch_rows(rnd.sketch_rows, m, cols);
+                        parallel_sketched_gram(c, world, y, n, samples, rnd.seed)
+                    }
+                    _ => parallel_gram(c, world, y, n),
+                })?;
+                mode_phase(ctx, "EVD", n, |c| {
+                    c.charge_flops(evd_flops(m), T::BYTES);
                     gram_svd_from_gram(&g)
                 })
-            })?
-        }
-        SvdMethod::Randomized => {
-            let Truncation::Ranks(r) = &cfg.truncation else {
-                return Err(LinalgError::InvalidConfig {
-                    param: "truncation",
-                    value: format!("{:?}", cfg.truncation),
-                    expected: "fixed ranks (--ranks) when method is randomized",
-                });
-            };
-            ctx.phase("Sketch", |c| {
-                c.phase(&format!("Sketch#{n}"), |c2| {
-                    parallel_sketch_svd(c2, world, y, n, r[n].min(m), &cfg.randomized)
-                })
-            })?
-        }
-        SvdMethod::SketchedGram => {
-            let samples = resolve_sketch_rows(cfg.randomized.sketch_rows, m, jstar_cols);
-            let g = ctx.phase("Gram", |c| {
-                c.phase(&format!("Gram#{n}"), |c2| {
-                    parallel_sketched_gram(c2, world, y, n, samples, cfg.randomized.seed)
-                })
-            })?;
-            ctx.phase("EVD", |c| {
-                c.phase(&format!("EVD#{n}"), |c2| {
-                    c2.charge_flops(evd_flops(m), T::BYTES);
-                    gram_svd_from_gram(&g)
-                })
-            })?
-        }
-        SvdMethod::GramMixed => {
-            let g = ctx.phase("Gram", |c| {
-                c.phase(&format!("Gram#{n}"), |c2| parallel_gram_mixed(c2, world, y, n))
-            })?;
-            ctx.phase("EVD", |c| {
-                c.phase(&format!("EVD#{n}"), |c2| {
+            }
+            SvdMethod::GramMixed => {
+                let g = mode_phase(ctx, "Gram", n, |c| parallel_gram_mixed(c, world, y, n))?;
+                mode_phase(ctx, "EVD", n, |c| {
                     // The eigendecomposition runs in f64.
-                    c2.charge_flops(evd_flops(m), 8);
+                    c.charge_flops(evd_flops(m), 8);
                     gram_svd_mixed_from_gram(&g)
                 })
-            })?
-        }
-        SvdMethod::Qr => {
-            let l = ctx.phase("LQ", |c| {
-                c.phase(&format!("LQ#{n}"), |c2| {
-                    parallel_tensor_lq(c2, world, y, n, cfg.tree, cfg.tslq)
-                })
-            })?;
-            ctx.phase("SVD", |c| {
-                c.phase(&format!("SVD#{n}"), |c2| {
-                    c2.charge_flops(svd_flops(m), T::BYTES);
+            }
+            SvdMethod::Randomized => {
+                let rank = cfg.fixed_ranks()?[n].min(m);
+                mode_phase(ctx, "Sketch", n, |c| parallel_sketch_svd(c, world, y, n, rank, rnd))
+            }
+            SvdMethod::Qr => {
+                let l = mode_phase(ctx, "LQ", n, |c| {
+                    parallel_tensor_lq(c, world, y, n, cfg.tree, cfg.tslq)
+                })?;
+                mode_phase(ctx, "SVD", n, |c| {
+                    c.charge_flops(svd_flops(m), T::BYTES);
                     svd_left(l.as_ref())
                 })
-            })?
+            }
         }
-    };
-    let r_n = match &cfg.truncation {
-        Truncation::Tolerance(_) => choose_rank(&sigma, state.threshold),
-        Truncation::Ranks(r) => r[n].min(m),
-        Truncation::None => m,
     }
-    // The randomized sketch exposes only k = rank + oversampling directions.
-    .min(u.cols());
-    let sketch_width = u.cols();
-    let tail: T = sigma[r_n..].iter().map(|&s| s * s).sum();
-    let u_n = u.truncate_cols(r_n);
-    let truncated = ctx
-        .phase("TTM", |c| c.phase(&format!("TTM#{n}"), |c2| parallel_ttm(c2, y, n, &u_n)))?;
-    state.y = truncated;
-    state.tails_sq.push(tail);
-    let norm_x = state.norm_x;
-    if let Some(reg) = ctx.metrics_mut() {
+
+    fn truncate(&mut self, y: &DistTensor<T>, n: usize, u_n: &Matrix<T>) -> Result<DistTensor<T>> {
+        Ok(mode_phase(self.ctx, "TTM", n, |c| parallel_ttm(c, y, n, u_n))?)
+    }
+
+    fn record(&mut self, mode: &ModeStep<T>, norm_x: T, cfg: &SthosvdConfig) {
+        let Some(reg) = self.ctx.metrics_mut() else { return };
+        let &ModeStep { mode: n, cols, ref u_n, ref sigma, tail_sq } = mode;
+        let (rows, rank) = u_n.shape();
+        let mut gauge = |name: &str, v: f64| reg.gauge_set(&format!("sthosvd/mode{n}/{name}"), v);
         // Per-mode SVD quality: what was kept, what it cost in accuracy, and
         // how close the smallest retained singular value sits to the
         // ε·‖X‖ noise floor that separates Gram-SVD from QR-SVD (paper §2.3).
-        reg.gauge_set(&format!("sthosvd/mode{n}/retained_rank"), r_n as f64);
-        // Unfolding width I*/I_n at this step: the problem size every mode
-        // driver faced (the partially truncated tensor shrinks as modes
-        // complete, so this is not derivable from the input dims alone).
-        reg.gauge_set(&format!("sthosvd/mode{n}/unfolding_cols"), jstar_cols as f64);
-        let trunc_err = (tail.max(T::ZERO).sqrt() / norm_x).to_f64();
-        reg.gauge_set(&format!("sthosvd/mode{n}/truncation_error"), trunc_err);
-        if r_n > 0 {
-            let sigma_min = sigma[r_n - 1].to_f64();
-            reg.gauge_set(&format!("sthosvd/mode{n}/sigma_min"), sigma_min);
-            let floor = (T::EPSILON * norm_x).to_f64();
-            reg.gauge_set(&format!("sthosvd/mode{n}/sigma_floor_rel"), sigma_min / floor);
+        gauge("retained_rank", rank as f64);
+        gauge("unfolding_cols", cols as f64);
+        gauge("truncation_error", (tail_sq.max(T::ZERO).sqrt() / norm_x).to_f64());
+        if rank > 0 {
+            let sigma_min = sigma[rank - 1].to_f64();
+            gauge("sigma_min", sigma_min);
+            gauge("sigma_floor_rel", sigma_min / (T::EPSILON * norm_x).to_f64());
         }
         // Sketch geometry of the randomized/sketched mode drivers: how wide
         // the sketch was, how many virtual column blocks were folded, and
         // (for the sampled Gram estimator) how many rows were kept.
+        let rnd = &cfg.randomized;
         match cfg.method {
             SvdMethod::Randomized => {
-                reg.gauge_set(&format!("sthosvd/mode{n}/sketch_cols"), sketch_width as f64);
-                reg.gauge_set(
-                    &format!("sthosvd/mode{n}/sketch_power_iters"),
-                    cfg.randomized.power_iterations as f64,
-                );
-                reg.gauge_set(
-                    &format!("sthosvd/mode{n}/sketch_blocks"),
-                    sketch_block_count(jstar_cols) as f64,
-                );
+                gauge("sketch_cols", sigma.len() as f64);
+                gauge("sketch_power_iters", rnd.power_iterations as f64);
+                gauge("sketch_blocks", sketch_block_count(cols) as f64);
             }
             SvdMethod::SketchedGram => {
-                reg.gauge_set(
-                    &format!("sthosvd/mode{n}/sketch_rows"),
-                    resolve_sketch_rows(cfg.randomized.sketch_rows, m, jstar_cols) as f64,
-                );
+                gauge("sketch_rows", resolve_sketch_rows(rnd.sketch_rows, rows, cols) as f64)
             }
             _ => {}
         }
-        // Fold this step's local-kernel totals into the registry and re-arm
-        // the collector for the next step (also self-arms a resumed run
-        // whose `hosvd_init` happened in a previous process).
+        // Fold this step's local-kernel totals into the registry.
         if let Some(kernels) = tucker_linalg::perf::drain() {
             for (site, ks) in kernels {
                 reg.counter_add(&format!("kernel/{site}/calls"), ks.calls);
@@ -334,24 +231,6 @@ pub fn hosvd_step<T: Scalar>(
                 *reg.wall_secs.entry(format!("kernel/{site}")).or_insert(0.0) += ks.secs;
             }
         }
-        tucker_linalg::perf::enable();
-    }
-    state.factors[n] = Some(u_n);
-    state.singular_values[n] = sigma;
-    state.done += 1;
-    Ok(())
-}
-
-/// Turn a completed state into the final per-rank output.
-pub fn hosvd_finish<T: Scalar>(state: HosvdState<T>) -> ParallelOutput<T> {
-    assert!(state.is_complete(), "hosvd_finish called before all modes were processed");
-    let est = estimated_error(&state.tails_sq, state.norm_x);
-    ParallelOutput {
-        factors: state.factors.into_iter().map(|f| f.expect("every mode processed")).collect(),
-        core: state.y,
-        singular_values: state.singular_values,
-        norm_x: state.norm_x,
-        estimated_error: est,
     }
 }
 
@@ -362,74 +241,104 @@ pub fn sthosvd_parallel<T: Scalar>(
     x: &DistTensor<T>,
     cfg: &SthosvdConfig,
 ) -> Result<ParallelOutput<T>> {
-    cfg.validate()?;
     let mut world = Comm::world(ctx);
-    let mut state = hosvd_init(ctx, &mut world, x, cfg);
-    while !state.is_complete() {
-        hosvd_step(ctx, &mut world, &mut state, cfg)?;
-    }
-    Ok(hosvd_finish(state))
+    mode_loop::run(&mut DistBackend { ctx, world: &mut world }, x, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ModeOrder;
+    use crate::config::{ModeOrder, Truncation};
     use crate::sthosvd::sthosvd_with_info;
+    use crate::test_util::low_rank_tensor;
     use tucker_dtensor::{ProcessorGrid, ReductionTree};
     use tucker_mpisim::{CostModel, Simulator};
-    use tucker_tensor::{ttm, Tensor};
-
-    fn low_rank_tensor(dims: &[usize], ranks: &[usize], noise: f64) -> Tensor<f64> {
-        let mut g = Tensor::zeros(ranks);
-        {
-            let data = g.data_mut();
-            for (k, v) in data.iter_mut().enumerate() {
-                *v = 1.0 / (1.0 + k as f64);
-            }
-        }
-        let mut y = g;
-        for (n, (&d, &r)) in dims.iter().zip(ranks).enumerate() {
-            let u = Matrix::from_fn(d, r, |i, j| (((i + 1) * (j + 2) * (n + 3)) as f64 * 0.37).sin());
-            y = ttm(&y, n, u.as_ref(), false);
-        }
-        if noise > 0.0 {
-            let data = y.data_mut();
-            for (k, v) in data.iter_mut().enumerate() {
-                *v += noise * ((k as f64) * 1.618).sin();
-            }
-        }
-        y
-    }
+    use tucker_tensor::Tensor;
 
     fn run_parallel(
         x: &Tensor<f64>,
         grid_dims: &[usize],
         cfg: &SthosvdConfig,
     ) -> (Vec<usize>, f64, TuckerTensor<f64>) {
+        let (ranks, est, tk, _) = run_parallel_full(x, grid_dims, cfg).unwrap();
+        (ranks, est, tk)
+    }
+
+    /// Rank 0's view of a parallel run: ranks, error estimate, gathered
+    /// decomposition, and the per-mode singular value counts.
+    #[allow(clippy::type_complexity)]
+    fn run_parallel_full(
+        x: &Tensor<f64>,
+        grid_dims: &[usize],
+        cfg: &SthosvdConfig,
+    ) -> Result<(Vec<usize>, f64, TuckerTensor<f64>, Vec<usize>)> {
         let p: usize = grid_dims.iter().product();
         let out = Simulator::new(p).with_cost(CostModel::zero()).run(|ctx| {
             let dt = DistTensor::scatter_from(x, &ProcessorGrid::new(grid_dims), ctx.rank());
-            let r = sthosvd_parallel(ctx, &dt, cfg).unwrap();
+            let r = sthosvd_parallel(ctx, &dt, cfg)?;
             let mut world = Comm::world(ctx);
             let tk = r.to_tucker(ctx, &mut world);
-            (r.ranks(), r.estimated_error, tk)
+            let sv_lens = r.singular_values.iter().map(Vec::len).collect();
+            Ok((r.ranks(), r.estimated_error.to_f64(), tk, sv_lens))
         });
-        let (ranks, est, tk) = out.results.into_iter().next().unwrap();
-        (ranks, est.to_f64(), tk)
+        out.results.into_iter().next().unwrap()
     }
 
+    /// Every SVD method under every truncation it allows: the distributed
+    /// backend makes the sequential backend's rank decisions and reaches its
+    /// error, and on a 1x1x1 grid exposes as many singular values per mode.
     #[test]
     fn matches_sequential_both_methods() {
         let x = low_rank_tensor(&[6, 8, 4], &[2, 3, 2], 1e-4);
-        for method in [SvdMethod::Gram, SvdMethod::Qr] {
-            let cfg = SthosvdConfig::with_tolerance(1e-2).method(method);
-            let seq = sthosvd_with_info(&x, &cfg).unwrap();
-            let (ranks, _, tk) = run_parallel(&x, &[2, 2, 1], &cfg);
-            assert_eq!(ranks, seq.tucker.ranks(), "{method:?}");
-            let err_par = tk.relative_error(&x).to_f64();
-            let err_seq = seq.tucker.relative_error(&x).to_f64();
-            assert!((err_par - err_seq).abs() < 1e-10, "{method:?}: {err_par} vs {err_seq}");
+        let truncations = [
+            Truncation::Tolerance(1e-2),
+            Truncation::Ranks(vec![2, 3, 2]),
+            Truncation::None,
+        ];
+        for method in [
+            SvdMethod::Gram,
+            SvdMethod::Qr,
+            SvdMethod::Randomized,
+            SvdMethod::SketchedGram,
+            SvdMethod::GramMixed,
+        ] {
+            for truncation in &truncations {
+                let base = SthosvdConfig::with_tolerance(0.0).method(method);
+                let cfg = SthosvdConfig { truncation: truncation.clone(), ..base };
+                if cfg.validate().is_err() {
+                    assert_eq!(method, SvdMethod::Randomized, "only randomized is restricted");
+                    continue;
+                }
+                let seq = sthosvd_with_info(&x, &cfg).unwrap();
+                let err_seq = seq.tucker.relative_error(&x).to_f64();
+                for grid in [[2usize, 2, 1], [1, 1, 1]] {
+                    let what = format!("{method:?} {truncation:?} grid {grid:?}");
+                    let (ranks, _, tk, sv_lens) = run_parallel_full(&x, &grid, &cfg).unwrap();
+                    assert_eq!(ranks, seq.tucker.ranks(), "{what}");
+                    let err_par = tk.relative_error(&x).to_f64();
+                    assert!((err_par - err_seq).abs() < 1e-10, "{what}: {err_par} vs {err_seq}");
+                    if grid == [1, 1, 1] {
+                        let seq_lens: Vec<usize> =
+                            seq.singular_values.iter().map(Vec::len).collect();
+                        assert_eq!(sv_lens, seq_lens, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ranks_of_the_wrong_length_or_zero_are_typed_errors() {
+        let x = low_rank_tensor(&[6, 8, 4], &[2, 3, 2], 1e-4);
+        for ranks in [vec![2, 2], vec![2, 2, 2, 2], vec![2, 0, 2]] {
+            for method in [SvdMethod::Qr, SvdMethod::Randomized] {
+                let cfg = SthosvdConfig::with_ranks(ranks.clone()).method(method);
+                let e = run_parallel_full(&x, &[2, 2, 1], &cfg).err();
+                assert!(
+                    matches!(e, Some(LinalgError::InvalidConfig { param: "ranks", .. })),
+                    "{ranks:?} {method:?}: {e:?}"
+                );
+            }
         }
     }
 

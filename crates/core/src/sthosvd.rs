@@ -1,17 +1,13 @@
-//! Sequential ST-HOSVD (Alg. 1 of the paper).
-//!
-//! For each mode (in the configured order): compute the SVD of the current
-//! unfolding by Gram-SVD or QR-SVD, pick the truncation rank from the
-//! singular value tail, and truncate the working tensor with a TTM. The
-//! working tensor — and hence all later modes' costs — shrinks as the
-//! algorithm proceeds.
+//! Sequential ST-HOSVD (Alg. 1 of the paper): the mode loop of
+//! [`crate::mode_loop`] over the dense-local backend. The working tensor —
+//! and hence all later modes' costs — shrinks as the algorithm proceeds.
 
-use crate::config::{SthosvdConfig, SvdMethod, Truncation};
-use crate::svd_driver::{mode_svd, mode_svd_randomized, mode_svd_sketched_gram};
-use crate::truncate::{choose_rank, estimated_error, mode_threshold};
+use crate::config::SthosvdConfig;
+use crate::mode_loop::{self, LoopOutput};
+use crate::svd_driver::DenseBackend;
 use crate::tucker::TuckerTensor;
-use tucker_linalg::{LinalgError, Matrix, Result, Scalar};
-use tucker_tensor::{ttm, Tensor};
+use tucker_linalg::{Result, Scalar};
+use tucker_tensor::Tensor;
 
 /// ST-HOSVD result with diagnostic information.
 pub struct SthosvdOutput<T> {
@@ -27,6 +23,18 @@ pub struct SthosvdOutput<T> {
     pub estimated_error: T,
 }
 
+impl<T> SthosvdOutput<T> {
+    /// Wrap a finished mode loop, given how its core becomes dense.
+    pub fn from_loop<Y>(out: LoopOutput<T, Y>, dense: impl FnOnce(Y) -> Tensor<T>) -> Self {
+        SthosvdOutput {
+            tucker: TuckerTensor { core: dense(out.core), factors: out.factors },
+            singular_values: out.singular_values,
+            norm_x: out.norm_x,
+            estimated_error: out.estimated_error,
+        }
+    }
+}
+
 /// Run ST-HOSVD, returning the decomposition only.
 pub fn sthosvd<T: Scalar>(x: &Tensor<T>, cfg: &SthosvdConfig) -> Result<TuckerTensor<T>> {
     Ok(sthosvd_with_info(x, cfg)?.tucker)
@@ -38,91 +46,16 @@ pub fn sthosvd_with_info<T: Scalar>(
     x: &Tensor<T>,
     cfg: &SthosvdConfig,
 ) -> Result<SthosvdOutput<T>> {
-    cfg.validate()?;
-    let nmodes = x.ndims();
-    let order = cfg.mode_order.resolve(nmodes);
-    let norm_x = x.norm();
-    let threshold = match &cfg.truncation {
-        Truncation::Tolerance(eps) => mode_threshold(*eps, norm_x, nmodes),
-        _ => T::ZERO,
-    };
-
-    let mut y = x.clone();
-    let mut factors: Vec<Option<Matrix<T>>> = (0..nmodes).map(|_| None).collect();
-    let mut singular_values: Vec<Vec<T>> = (0..nmodes).map(|_| Vec::new()).collect();
-    let mut tails_sq: Vec<T> = Vec::with_capacity(nmodes);
-
-    for &n in &order {
-        let i_n = y.dims()[n];
-        let (u, sigma) = match cfg.method {
-            SvdMethod::Randomized => {
-                let Truncation::Ranks(r) = &cfg.truncation else {
-                    return Err(LinalgError::DimensionMismatch {
-                        op: "sthosvd",
-                        details: "SvdMethod::Randomized requires Truncation::Ranks".into(),
-                    });
-                };
-                mode_svd_randomized(&y, n, r[n].min(i_n), &cfg.randomized)?
-            }
-            SvdMethod::SketchedGram => mode_svd_sketched_gram(&y, n, &cfg.randomized)?,
-            _ => mode_svd(&y, n, cfg.method, cfg.tslq)?,
-        };
-        let r_n = match &cfg.truncation {
-            Truncation::Tolerance(_) => choose_rank(&sigma, threshold),
-            Truncation::Ranks(r) => r[n].min(i_n),
-            Truncation::None => i_n,
-        }
-        // The randomized sketch may expose fewer than I_n directions.
-        .min(u.cols());
-        let tail: T = sigma[r_n..].iter().map(|&s| s * s).sum();
-        tails_sq.push(tail);
-        let u_n = u.truncate_cols(r_n);
-        y = ttm(&y, n, u_n.as_ref(), true);
-        factors[n] = Some(u_n);
-        singular_values[n] = sigma;
-    }
-
-    let est = estimated_error(&tails_sq, norm_x);
-    Ok(SthosvdOutput {
-        tucker: TuckerTensor {
-            core: y,
-            factors: factors.into_iter().map(|f| f.expect("every mode processed")).collect(),
-        },
-        singular_values,
-        norm_x,
-        estimated_error: est,
-    })
+    Ok(SthosvdOutput::from_loop(mode_loop::run(&mut DenseBackend, x, cfg)?, |core| core))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{ModeOrder, SvdMethod};
-
-    /// A low-multilinear-rank tensor plus small noise.
-    fn low_rank_tensor(dims: &[usize], ranks: &[usize], noise: f64) -> Tensor<f64> {
-        // Core of prescribed ranks with decaying entries, rotated by smooth
-        // (non-orthogonal is fine for rank tests) factors.
-        let mut g = Tensor::zeros(ranks);
-        {
-            let data = g.data_mut();
-            for (k, v) in data.iter_mut().enumerate() {
-                *v = 1.0 / (1.0 + k as f64);
-            }
-        }
-        let mut y = g;
-        for (n, (&d, &r)) in dims.iter().zip(ranks).enumerate() {
-            let u = Matrix::from_fn(d, r, |i, j| (((i + 1) * (j + 2) * (n + 3)) as f64 * 0.37).sin());
-            y = ttm(&y, n, u.as_ref(), false);
-        }
-        if noise > 0.0 {
-            let data = y.data_mut();
-            for (k, v) in data.iter_mut().enumerate() {
-                *v += noise * ((k as f64) * 1.618).sin();
-            }
-        }
-        y
-    }
+    use crate::test_util::low_rank_tensor;
+    use tucker_linalg::LinalgError;
+    use tucker_tensor::ttm;
 
     #[test]
     fn exact_low_rank_is_recovered() {
@@ -182,6 +115,22 @@ mod tests {
         let cfg = SthosvdConfig::with_ranks(vec![10, 10, 10]);
         let tk = sthosvd(&x, &cfg).unwrap();
         assert_eq!(tk.ranks(), vec![4, 5, 3]);
+    }
+
+    #[test]
+    fn ranks_of_the_wrong_length_or_zero_are_typed_errors() {
+        let x = low_rank_tensor(&[4, 5, 3], &[2, 2, 2], 0.0);
+        for ranks in [vec![2, 2], vec![2, 2, 2, 2], vec![2, 0, 2], vec![]] {
+            for method in [SvdMethod::Qr, SvdMethod::Gram, SvdMethod::Randomized] {
+                let cfg = SthosvdConfig::with_ranks(ranks.clone()).method(method);
+                for e in [sthosvd(&x, &cfg).err(), crate::hosvd(&x, &cfg).err()] {
+                    assert!(
+                        matches!(e, Some(LinalgError::InvalidConfig { param: "ranks", .. })),
+                        "{ranks:?} {method:?}: {e:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,36 +1,46 @@
-//! Sequential mode-`n` SVD dispatch: Gram-SVD vs QR-SVD on a tensor
-//! unfolding, respecting the natural block layout (paper Alg. 2 and
-//! [6, Alg. 2]).
+//! The dense-local backend of the mode loop: Gram-SVD, QR-SVD and the
+//! sketch drivers on a tensor unfolding, respecting the natural block
+//! layout (paper Alg. 2 and [6, Alg. 2]), plus the sequential TTM.
 
-use crate::config::SvdMethod;
-use tucker_linalg::gram_svd::gram_svd_from_gram;
+use crate::config::{SthosvdConfig, SvdMethod};
+use crate::mode_loop::ModeBackend;
 use tucker_linalg::blocked_qr::{lq_factor_blocked, DEFAULT_BLOCK};
+use tucker_linalg::gram_svd::gram_svd_from_gram;
 use tucker_linalg::mixed::{gram_svd_mixed_from_gram, syrk_lower_f64_acc};
-use tucker_linalg::randomized::{
-    randomized_svd_left_blocked, resolve_sketch_rows, sketched_gram, RandomizedSvdConfig,
-};
+use tucker_linalg::randomized::{randomized_svd_left_blocked, resolve_sketch_rows, sketched_gram};
 use tucker_linalg::svd::svd_left;
 use tucker_linalg::tslq::{tslq_blocks, TslqOptions};
-use tucker_linalg::{syrk_lower, LinalgError, Matrix, Result, Scalar};
-use tucker_tensor::{Tensor, Unfolding};
+use tucker_linalg::{syrk_lower, MatRef, Matrix, Result, Scalar};
+use tucker_tensor::{ttm, Tensor, Unfolding};
 
-/// Gram matrix of the mode-`n` unfolding, accumulated block by block
-/// (TuckerMPI [6, Alg. 2]: successive `syrk` calls on the row-major blocks,
-/// or a single call when the unfolding is one contiguous matrix).
-pub fn gram_of_unfolding<T: Scalar>(y: &Tensor<T>, n: usize) -> Matrix<T> {
+/// Gram matrix of the mode-`n` unfolding in accumulator precision `A`,
+/// block by block (TuckerMPI [6, Alg. 2]: successive `syrk` calls on the
+/// row-major blocks, or a single call when the unfolding is one contiguous
+/// matrix).
+fn accumulate_gram<T: Scalar, A: Scalar>(
+    y: &Tensor<T>,
+    n: usize,
+    syrk: fn(MatRef<'_, T>) -> Matrix<A>,
+) -> Matrix<A> {
     let unf = Unfolding::new(y, n);
     if let Some(whole) = unf.whole() {
-        return syrk_lower(whole);
+        return syrk(whole);
     }
     let m = unf.rows();
-    let mut acc = Matrix::<T>::zeros(m, m);
+    let mut acc = Matrix::<A>::zeros(m, m);
     for blk in unf.blocks() {
-        let g = syrk_lower(blk);
+        let g = syrk(blk);
         for (a, b) in acc.data_mut().iter_mut().zip(g.data()) {
             *a += *b;
         }
     }
     acc
+}
+
+/// Gram matrix `X_(n) X_(n)ᵀ` of the mode-`n` unfolding in working
+/// precision.
+pub fn gram_of_unfolding<T: Scalar>(y: &Tensor<T>, n: usize) -> Matrix<T> {
+    accumulate_gram(y, n, syrk_lower)
 }
 
 /// LQ factor of the mode-`n` unfolding (paper Alg. 2): direct `gelq`/`geqr`
@@ -50,110 +60,83 @@ pub fn lq_of_unfolding<T: Scalar>(y: &Tensor<T>, n: usize, opts: TslqOptions) ->
     }
 }
 
-/// Left singular vectors (full `I_n x I_n`) and singular values (descending)
-/// of the mode-`n` unfolding, by the configured method.
-pub fn mode_svd<T: Scalar>(
-    y: &Tensor<T>,
-    n: usize,
-    method: SvdMethod,
-    tslq: TslqOptions,
-) -> Result<(Matrix<T>, Vec<T>)> {
-    match method {
-        SvdMethod::Gram => {
-            let g = gram_of_unfolding(y, n);
-            gram_svd_from_gram(&g)
-        }
-        SvdMethod::Qr => {
-            let l = lq_of_unfolding(y, n, tslq);
-            svd_left(l.as_ref())
-        }
-        SvdMethod::Randomized => Err(LinalgError::DimensionMismatch {
-            op: "mode_svd",
-            details: "the randomized method needs a target rank; use mode_svd_randomized".into(),
-        }),
-        SvdMethod::SketchedGram => Err(LinalgError::DimensionMismatch {
-            op: "mode_svd",
-            details: "the sketched-Gram method needs sketch parameters; \
-                      use mode_svd_sketched_gram"
-                .into(),
-        }),
-        SvdMethod::GramMixed => {
-            let g = gram_of_unfolding_mixed(y, n);
-            gram_svd_mixed_from_gram(&g)
-        }
+/// Run `f` on the mode-`n` unfolding as one matrix. Middle-mode unfoldings
+/// have no single strided view, so they are materialized (one extra copy of
+/// the working tensor) — acceptable because the sketch drivers' own GEMMs
+/// dominate the copy.
+fn with_unfolding<T: Scalar, R>(y: &Tensor<T>, n: usize, f: impl FnOnce(MatRef<'_, T>) -> R) -> R {
+    let unf = Unfolding::new(y, n);
+    match unf.whole() {
+        Some(whole) => f(whole),
+        None => f(unf.to_matrix().as_ref()),
     }
 }
 
-/// Gram matrix of the mode-`n` unfolding with `f64` accumulation over
-/// `T`-precision blocks (the mixed-precision path).
-pub fn gram_of_unfolding_mixed<T: Scalar>(y: &Tensor<T>, n: usize) -> Matrix<f64> {
-    let unf = Unfolding::new(y, n);
-    if let Some(whole) = unf.whole() {
-        return syrk_lower_f64_acc(whole);
+/// The dense-local backend: a [`Tensor`] in this process's memory.
+pub struct DenseBackend;
+
+impl<T: Scalar> ModeBackend<T> for DenseBackend {
+    type Tensor = Tensor<T>;
+
+    fn norm(&mut self, x: &Tensor<T>) -> T {
+        x.norm()
     }
-    let m = unf.rows();
-    let mut acc = Matrix::<f64>::zeros(m, m);
-    for blk in unf.blocks() {
-        let g = syrk_lower_f64_acc(blk);
-        for (a, b) in acc.data_mut().iter_mut().zip(g.data()) {
-            *a += *b;
+
+    fn dims<'a>(&'a self, y: &'a Tensor<T>) -> &'a [usize] {
+        y.dims()
+    }
+
+    /// `U` is the full `I_n × I_n` for the deterministic methods and
+    /// `I_n × min(R_n + oversampling, I_n)` for the randomized one.
+    fn mode_factor(
+        &mut self,
+        y: &Tensor<T>,
+        n: usize,
+        cfg: &SthosvdConfig,
+    ) -> Result<(Matrix<T>, Vec<T>)> {
+        let rnd = &cfg.randomized;
+        match cfg.method {
+            SvdMethod::Gram => gram_svd_from_gram(&gram_of_unfolding(y, n)),
+            SvdMethod::Qr => svd_left(lq_of_unfolding(y, n, cfg.tslq).as_ref()),
+            // `f64` accumulation over `T`-precision blocks.
+            SvdMethod::GramMixed => {
+                gram_svd_mixed_from_gram(&accumulate_gram(y, n, syrk_lower_f64_acc))
+            }
+            // The *canonical blocked* driver: per-virtual-block partial
+            // products folded in global block order with a counter-based Ω
+            // fill, which is what the distributed driver
+            // (`tucker-dtensor::sketch`) reproduces bit-identically for any
+            // task count or grid shape.
+            SvdMethod::Randomized => {
+                let rank = cfg.fixed_ranks()?[n].min(y.dims()[n]);
+                with_unfolding(y, n, |a| randomized_svd_left_blocked(a, rank, rnd))
+            }
+            // Estimate the Gram matrix from a stratified column sample
+            // (`sketch_rows`, `0` = auto) and eigendecompose the estimate;
+            // at full sampling this coincides with `Gram`.
+            SvdMethod::SketchedGram => {
+                let g = with_unfolding(y, n, |a| {
+                    let samples = resolve_sketch_rows(rnd.sketch_rows, a.rows(), a.cols());
+                    sketched_gram(a, samples, rnd.seed)
+                });
+                gram_svd_from_gram(&g)
+            }
         }
     }
-    acc
-}
 
-/// Randomized mode-`n` SVD for a known target rank (paper §5's suggested
-/// competitor). Returns `(U, sigma)` of width
-/// `min(rank + oversampling, I_n)`.
-///
-/// Runs the *canonical blocked* driver
-/// ([`randomized_svd_left_blocked`]): per-virtual-block partial products
-/// folded in global block order with a counter-based Ω fill, which is what
-/// the distributed driver (`tucker-dtensor::sketch`) reproduces
-/// bit-identically for any task count or grid shape.
-///
-/// Middle-mode unfoldings have no single strided view, so the unfolding is
-/// materialized (one extra copy of the working tensor) — acceptable
-/// because the sketch's own GEMMs dominate the copy.
-pub fn mode_svd_randomized<T: Scalar>(
-    y: &Tensor<T>,
-    n: usize,
-    rank: usize,
-    cfg: &RandomizedSvdConfig,
-) -> Result<(Matrix<T>, Vec<T>)> {
-    let unf = Unfolding::new(y, n);
-    if let Some(whole) = unf.whole() {
-        randomized_svd_left_blocked(whole, rank, cfg)
-    } else {
-        let a = unf.to_matrix();
-        randomized_svd_left_blocked(a.as_ref(), rank, cfg)
+    fn truncate(&mut self, y: &Tensor<T>, n: usize, u_n: &Matrix<T>) -> Result<Tensor<T>> {
+        Ok(ttm(y, n, u_n.as_ref(), true))
     }
-}
-
-/// Sketched approximate-matmul Gram mode-`n` SVD: estimates the Gram
-/// matrix from a stratified column sample (`cfg.sketch_rows`, `0` = auto)
-/// and eigendecomposes the estimate. At full sampling this coincides with
-/// [`SvdMethod::Gram`].
-pub fn mode_svd_sketched_gram<T: Scalar>(
-    y: &Tensor<T>,
-    n: usize,
-    cfg: &RandomizedSvdConfig,
-) -> Result<(Matrix<T>, Vec<T>)> {
-    let unf = Unfolding::new(y, n);
-    let samples = resolve_sketch_rows(cfg.sketch_rows, unf.rows(), unf.cols());
-    let g = if let Some(whole) = unf.whole() {
-        sketched_gram(whole, samples, cfg.seed)
-    } else {
-        let a = unf.to_matrix();
-        sketched_gram(a.as_ref(), samples, cfg.seed)
-    };
-    gram_svd_from_gram(&g)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tucker_linalg::svd::singular_values;
+
+    fn mode_svd(y: &Tensor<f64>, n: usize, method: SvdMethod) -> Result<(Matrix<f64>, Vec<f64>)> {
+        DenseBackend.mode_factor(y, n, &SthosvdConfig::no_truncation().method(method))
+    }
 
     fn test_tensor(dims: &[usize]) -> Tensor<f64> {
         Tensor::from_fn(dims, |i| {
@@ -196,8 +179,8 @@ mod tests {
     fn both_methods_agree_on_singular_values() {
         let y = test_tensor(&[5, 4, 4]);
         for n in 0..3 {
-            let (_, s_gram) = mode_svd(&y, n, SvdMethod::Gram, TslqOptions::default()).unwrap();
-            let (_, s_qr) = mode_svd(&y, n, SvdMethod::Qr, TslqOptions::default()).unwrap();
+            let (_, s_gram) = mode_svd(&y, n, SvdMethod::Gram).unwrap();
+            let (_, s_qr) = mode_svd(&y, n, SvdMethod::Qr).unwrap();
             let reference = singular_values(Unfolding::new(&y, n).to_matrix().as_ref()).unwrap();
             for i in 0..s_gram.len() {
                 // Well-conditioned values: all three agree.
@@ -213,7 +196,7 @@ mod tests {
     fn u_is_orthonormal_both_methods() {
         let y = test_tensor(&[6, 3, 4]);
         for method in [SvdMethod::Gram, SvdMethod::Qr] {
-            let (u, s) = mode_svd(&y, 0, method, TslqOptions::default()).unwrap();
+            let (u, s) = mode_svd(&y, 0, method).unwrap();
             assert_eq!(u.shape(), (6, 6));
             assert_eq!(s.len(), 6);
             assert!(u.orthonormality_error() < 1e-10, "{method:?}");

@@ -198,15 +198,15 @@ impl Write for CrcSink<'_> {
     }
 }
 
-fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
+pub(crate) fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
+pub(crate) fn read_u32(r: &mut impl Read) -> io::Result<u32> {
     let mut b = [0u8; 4];
     r.read_exact(&mut b)?;
     Ok(u32::from_le_bytes(b))
 }
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
+pub(crate) fn read_u64(r: &mut impl Read) -> io::Result<u64> {
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
     Ok(u64::from_le_bytes(b))

@@ -11,12 +11,12 @@
 
 use crate::coo::CooTensor;
 use crate::error::StreamResult;
-use tucker_core::svd_driver::{mode_svd, mode_svd_randomized, mode_svd_sketched_gram};
-use tucker_core::truncate::{estimated_error, mode_threshold};
-use tucker_core::{choose_rank, SthosvdConfig, SthosvdOutput, SvdMethod, Truncation, TuckerTensor};
+use tucker_core::mode_loop::{self, ModeBackend};
+use tucker_core::svd_driver::DenseBackend;
+use tucker_core::{SthosvdConfig, SthosvdOutput};
 use tucker_linalg::gram_svd::gram_svd_from_gram;
-use tucker_linalg::{LinalgError, Matrix, Scalar};
-use tucker_tensor::ttm;
+use tucker_linalg::{Matrix, Result, Scalar};
+use tucker_tensor::Tensor;
 
 /// How the leading mode's Gram matrix is accumulated from the events.
 #[derive(Clone, Copy, Debug)]
@@ -35,85 +35,73 @@ pub enum SparseGram {
     },
 }
 
-/// ST-HOSVD over a sparse COO tensor. Mode `0` is processed sparsely
-/// (Gram accumulation + sparse TTM); later modes run the dense drivers on
-/// the already-truncated working tensor, exactly as [`tucker_core::sthosvd`]
-/// would.
+/// The COO backend's working tensor: `None` while it is still the events,
+/// dense (and already reduced) after the first truncation.
+type Work<T> = Option<Tensor<T>>;
+
+/// The COO backend of the mode loop: sparse kernels while the working
+/// tensor is the events, the dense backend afterwards.
+struct CooBackend<'a, T> {
+    events: &'a CooTensor<T>,
+    gram: SparseGram,
+}
+
+impl<T: Scalar> ModeBackend<T> for CooBackend<'_, T> {
+    type Tensor = Work<T>;
+
+    fn norm(&mut self, _x: &Work<T>) -> T {
+        self.events.norm()
+    }
+
+    fn dims<'a>(&'a self, y: &'a Work<T>) -> &'a [usize] {
+        y.as_ref().map_or(self.events.dims(), Tensor::dims)
+    }
+
+    fn mode_factor(
+        &mut self,
+        y: &Work<T>,
+        n: usize,
+        cfg: &SthosvdConfig,
+    ) -> Result<(Matrix<T>, Vec<T>)> {
+        match (y, self.gram) {
+            (Some(y), _) => DenseBackend.mode_factor(y, n, cfg),
+            // The same symmetric eigensolver the dense Gram-SVD driver uses,
+            // whatever `cfg.method` says about the later, dense modes.
+            (None, SparseGram::Exact) => gram_svd_from_gram(&self.events.mode_gram(n)),
+            (None, SparseGram::Sketched { samples, seed }) => {
+                gram_svd_from_gram(&self.events.mode_gram_sketched(n, samples, seed))
+            }
+        }
+    }
+
+    fn truncate(&mut self, y: &Work<T>, n: usize, u_n: &Matrix<T>) -> Result<Work<T>> {
+        Ok(Some(match y {
+            None => self.events.ttm_t(n, u_n),
+            Some(y) => DenseBackend.truncate(y, n, u_n)?,
+        }))
+    }
+}
+
+/// ST-HOSVD over a sparse COO tensor. The first processed mode is handled
+/// sparsely (Gram accumulation + sparse TTM); later modes run the dense
+/// drivers on the already-truncated working tensor, exactly as
+/// [`tucker_core::sthosvd`] would.
 pub fn sparse_sthosvd<T: Scalar>(
     x: &CooTensor<T>,
     cfg: &SthosvdConfig,
     gram: SparseGram,
 ) -> StreamResult<SthosvdOutput<T>> {
-    cfg.validate()?;
-    let dims = x.dims().to_vec();
-    let nmodes = dims.len();
-    let norm_x = x.norm();
-    let threshold = match &cfg.truncation {
-        Truncation::Tolerance(eps) => mode_threshold(*eps, norm_x, nmodes),
-        _ => T::ZERO,
-    };
-    let rank_for = |sigma: &[T], n: usize, i_n: usize| match &cfg.truncation {
-        Truncation::Tolerance(_) => choose_rank(sigma, threshold),
-        Truncation::Ranks(r) => r[n].min(i_n),
-        Truncation::None => i_n,
-    };
-
-    let mut factors: Vec<Matrix<T>> = Vec::with_capacity(nmodes);
-    let mut singular_values: Vec<Vec<T>> = Vec::with_capacity(nmodes);
-    let mut tails_sq: Vec<T> = Vec::with_capacity(nmodes);
-
-    // Mode 0, sparsely: Gram from events, eigensolve, sparse truncating TTM.
-    let g0 = match gram {
-        SparseGram::Exact => x.mode_gram(0),
-        SparseGram::Sketched { samples, seed } => x.mode_gram_sketched(0, samples, seed),
-    };
-    let (u0, sigma0) = gram_svd_from_gram(&g0)?;
-    let r0 = rank_for(&sigma0, 0, dims[0]).min(u0.cols()).max(1);
-    tails_sq.push(sigma0[r0..].iter().map(|&s| s * s).sum());
-    let u0 = u0.truncate_cols(r0);
-    let mut y = x.ttm_t(0, &u0);
-    factors.push(u0);
-    singular_values.push(sigma0);
-
-    // Remaining modes: the working tensor is dense and already reduced.
-    for n in 1..nmodes {
-        let i_n = dims[n];
-        let (u, sigma) = match cfg.method {
-            SvdMethod::Randomized => {
-                let Truncation::Ranks(r) = &cfg.truncation else {
-                    return Err(LinalgError::DimensionMismatch {
-                        op: "sparse_sthosvd",
-                        details: "SvdMethod::Randomized requires Truncation::Ranks".into(),
-                    }
-                    .into());
-                };
-                mode_svd_randomized(&y, n, r[n].min(i_n), &cfg.randomized)?
-            }
-            SvdMethod::SketchedGram => mode_svd_sketched_gram(&y, n, &cfg.randomized)?,
-            _ => mode_svd(&y, n, cfg.method, cfg.tslq)?,
-        };
-        let r_n = rank_for(&sigma, n, i_n).min(u.cols()).max(1);
-        tails_sq.push(sigma[r_n..].iter().map(|&s| s * s).sum());
-        let u_n = u.truncate_cols(r_n);
-        y = ttm(&y, n, u_n.as_ref(), true);
-        factors.push(u_n);
-        singular_values.push(sigma);
-    }
-
-    let est = estimated_error(&tails_sq, norm_x);
-    Ok(SthosvdOutput {
-        tucker: TuckerTensor { core: y, factors },
-        singular_values,
-        norm_x,
-        estimated_error: est,
-    })
+    let out = mode_loop::run(&mut CooBackend { events: x, gram }, &None, cfg)?;
+    // Only a tensor without modes ends the loop untruncated.
+    Ok(SthosvdOutput::from_loop(out, |core| core.unwrap_or_else(|| x.densify())))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tucker_core::sthosvd_with_info;
-    use tucker_tensor::Tensor;
+    use crate::error::StreamError;
+    use tucker_core::{sthosvd_with_info, SvdMethod};
+    use tucker_linalg::LinalgError;
 
     /// Sparse-ish low-rank tensor: a rank-(2,2,2) signal sampled at ~half
     /// of the positions (zeros elsewhere), as a COO event stream.
@@ -139,18 +127,36 @@ mod tests {
     fn sparse_driver_matches_dense_gram_sthosvd() {
         let coo = sparse_low_rank();
         let x: Tensor<f64> = coo.densify();
-        let cfg = SthosvdConfig::with_ranks(vec![4, 4, 4]).method(SvdMethod::Gram);
-        let sparse = sparse_sthosvd(&coo, &cfg, SparseGram::Exact).unwrap();
-        let dense = sthosvd_with_info(&x, &cfg).unwrap();
-        assert_eq!(sparse.tucker.ranks(), dense.tucker.ranks());
-        let es = sparse.tucker.relative_error(&x);
-        let ed = dense.tucker.relative_error(&x);
-        assert!((es - ed).abs() < 1e-10, "sparse {es} vs dense {ed}");
-        // Leading singular values agree (same Gram up to summation order;
-        // the sub-√ε tail is noise under either accumulation).
-        let s1 = dense.singular_values[0][0];
-        for (a, b) in sparse.singular_values[0].iter().zip(&dense.singular_values[0]).take(4) {
-            assert!((a - b).abs() < 1e-8 * s1, "sigma {a} vs {b}");
+        for cfg in [SthosvdConfig::with_ranks(vec![4, 4, 4]), SthosvdConfig::with_tolerance(0.35)] {
+            let cfg = cfg.method(SvdMethod::Gram);
+            let sparse = sparse_sthosvd(&coo, &cfg, SparseGram::Exact).unwrap();
+            let dense = sthosvd_with_info(&x, &cfg).unwrap();
+            assert_eq!(sparse.tucker.ranks(), dense.tucker.ranks(), "{:?}", cfg.truncation);
+            let (es, ed) = (sparse.estimated_error, dense.estimated_error);
+            assert!((es - ed).abs() < 1e-10, "estimated: sparse {es} vs dense {ed}");
+            let es = sparse.tucker.relative_error(&x);
+            let ed = dense.tucker.relative_error(&x);
+            assert!((es - ed).abs() < 1e-10, "sparse {es} vs dense {ed}");
+            // Leading singular values agree (same Gram up to summation order;
+            // the sub-√ε tail is noise under either accumulation).
+            let s1 = dense.singular_values[0][0];
+            for (a, b) in sparse.singular_values[0].iter().zip(&dense.singular_values[0]).take(4) {
+                assert!((a - b).abs() < 1e-8 * s1, "sigma {a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn ranks_of_the_wrong_length_or_zero_are_typed_errors() {
+        let coo = sparse_low_rank();
+        for ranks in [vec![4, 4], vec![4, 4, 4, 4], vec![4, 0, 4]] {
+            let cfg = SthosvdConfig::with_ranks(ranks.clone());
+            let e = sparse_sthosvd(&coo, &cfg, SparseGram::Exact).err();
+            let typed = matches!(
+                e,
+                Some(StreamError::Linalg(LinalgError::InvalidConfig { param: "ranks", .. }))
+            );
+            assert!(typed, "{ranks:?}: {e:?}");
         }
     }
 

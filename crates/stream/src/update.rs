@@ -25,10 +25,9 @@
 //! queries that do not touch the appended range reproduce exactly.
 
 use crate::error::{StreamError, StreamResult};
-use tucker_core::truncate::mode_threshold;
+use tucker_core::mode_loop::RankRule;
 use tucker_core::{
-    choose_rank, read_tucker, read_tucker_header, sthosvd, write_tucker_atomic, SthosvdConfig,
-    Truncation, TuckerTensor,
+    read_tucker, read_tucker_header, sthosvd, write_tucker_atomic, SthosvdConfig, TuckerTensor,
 };
 use tucker_linalg::{
     gemm_into, randomized_svd_left_blocked, svd_left, syev, Matrix, Scalar, Trans,
@@ -149,7 +148,7 @@ pub struct StreamState<T> {
 impl<T: Scalar> StreamState<T> {
     /// Compress the initial tensor and start streaming from generation 0.
     pub fn from_initial(x: &Tensor<T>, cfg: StreamConfig) -> StreamResult<Self> {
-        check_time_mode(cfg.time_mode, x.ndims())?;
+        check_config::<T>(&cfg, x.ndims())?;
         let tucker = sthosvd(x, &cfg.svd)?;
         let history = cfg.keep_history.then(|| x.clone());
         Ok(StreamState { cfg, tucker, generation: 0, history, extended: false })
@@ -163,7 +162,7 @@ impl<T: Scalar> StreamState<T> {
         cfg: StreamConfig,
         history: Option<Tensor<T>>,
     ) -> StreamResult<Self> {
-        check_time_mode(cfg.time_mode, tucker.factors.len())?;
+        check_config::<T>(&cfg, tucker.factors.len())?;
         if let Some(h) = &history {
             if h.dims() != tucker.original_dims().as_slice() {
                 return Err(StreamError::ShapeMismatch {
@@ -222,16 +221,21 @@ impl<T: Scalar> StreamState<T> {
         Ok(())
     }
 
-    /// Project the slab onto the non-time factors and measure the relative
-    /// energy it leaves outside them.
-    fn project(&self, slab: &Tensor<T>) -> (Tensor<T>, f64) {
-        let t = self.cfg.time_mode;
+    /// Project the slab onto the current non-time factors.
+    fn project_non_time(&self, slab: &Tensor<T>) -> Tensor<T> {
         let mut p = slab.clone();
         for (m, u) in self.tucker.factors.iter().enumerate() {
-            if m != t {
+            if m != self.cfg.time_mode {
                 p = ttm(&p, m, u.as_ref(), true);
             }
         }
+        p
+    }
+
+    /// Project the slab onto the non-time factors and measure the relative
+    /// energy it leaves outside them.
+    fn project(&self, slab: &Tensor<T>) -> (Tensor<T>, f64) {
+        let p = self.project_non_time(slab);
         let ns = slab.norm().to_f64();
         let np = p.norm().to_f64();
         let drift = if ns > 0.0 { ((ns * ns - np * np).max(0.0)).sqrt() / ns } else { 0.0 };
@@ -276,14 +280,19 @@ impl<T: Scalar> StreamState<T> {
             }
         };
 
+        Ok(self.commit(path, drift, appended))
+    }
+
+    /// Bump the generation and describe the append that just landed.
+    fn commit(&mut self, path: UpdatePath, drift: f64, appended: usize) -> UpdateReport {
         self.generation += 1;
-        Ok(UpdateReport {
+        UpdateReport {
             path,
             drift,
             appended,
             generation: self.generation,
             ranks: self.tucker.ranks(),
-        })
+        }
     }
 
     /// Stack `p`'s time-mode unfolding under `core`'s, SVD, and lift the
@@ -296,7 +305,7 @@ impl<T: Scalar> StreamState<T> {
         debug_assert_eq!(g_t.cols(), p_t.cols(), "stacked unfoldings must share columns");
         let k = vstack(&g_t, &p_t);
         let (w, sigma) = svd_left(k.as_ref())?;
-        let r_new = self.pick_rank(&sigma, t, k.as_ref().frob_norm()).min(w.cols()).max(1);
+        let r_new = self.pick_rank(&sigma, t, k.as_ref().frob_norm())?;
         let w = w.truncate_cols(r_new);
 
         // New core: W'ᵀ K folded back with the time rank replaced.
@@ -366,13 +375,7 @@ impl<T: Scalar> StreamState<T> {
         let aug_ranks: Vec<usize> = self.tucker.factors.iter().map(|u| u.cols()).collect();
         let mut padded = Tensor::zeros(&aug_ranks);
         embed_leading_block(&old_core, &mut padded);
-        let mut p = slab.clone();
-        for (m, u) in self.tucker.factors.iter().enumerate() {
-            if m != t {
-                p = ttm(&p, m, u.as_ref(), true);
-            }
-        }
-        self.stack_time_mode(padded, p)?;
+        self.stack_time_mode(padded, self.project_non_time(slab))?;
 
         // 3. Re-truncate the non-time modes from the core's own unfoldings
         // so refresh cannot grow ranks without bound.
@@ -382,10 +385,7 @@ impl<T: Scalar> StreamState<T> {
             }
             let g_n = Unfolding::new(&self.tucker.core, n).to_matrix();
             let (v, sigma) = svd_left(g_n.as_ref())?;
-            let r_keep = self
-                .pick_rank(&sigma, n, self.tucker.core.norm())
-                .min(v.cols())
-                .max(1);
+            let r_keep = self.pick_rank(&sigma, n, self.tucker.core.norm())?;
             if r_keep >= g_n.rows() {
                 continue;
             }
@@ -397,17 +397,11 @@ impl<T: Scalar> StreamState<T> {
         Ok(())
     }
 
-    /// Rank selection mirroring the batch driver: fixed ranks clamp to the
-    /// configured target; tolerances budget the discarded tail against the
-    /// given norm.
-    fn pick_rank(&self, sigma: &[T], n: usize, norm: T) -> usize {
-        match &self.cfg.svd.truncation {
-            Truncation::Ranks(r) => r[n].min(sigma.len()),
-            Truncation::Tolerance(eps) => {
-                choose_rank(sigma, mode_threshold(*eps, norm, self.tucker.factors.len()))
-            }
-            Truncation::None => sigma.len(),
-        }
+    /// The batch driver's rank rule on a full SVD's `sigma`, with
+    /// tolerances budgeting the discarded tail against the given norm.
+    fn pick_rank(&self, sigma: &[T], n: usize, norm: T) -> StreamResult<usize> {
+        let rule = RankRule::new(&self.cfg.svd.truncation, norm, self.tucker.factors.len())?;
+        Ok(rule.rank(sigma, n))
     }
 
     /// Append by *pure row extension*: solve the least-squares coordinates
@@ -450,14 +444,7 @@ impl<T: Scalar> StreamState<T> {
         let c = gemm_into(pg.as_ref(), Trans::No, pinv.as_ref(), Trans::No);
         self.tucker.factors[t] = vstack(&self.tucker.factors[t], &c);
         self.extended = true;
-        self.generation += 1;
-        Ok(UpdateReport {
-            path: UpdatePath::Extend,
-            drift,
-            appended: slab.dims()[t],
-            generation: self.generation,
-            ranks: self.tucker.ranks(),
-        })
+        Ok(self.commit(UpdatePath::Extend, drift, slab.dims()[t]))
     }
 
     /// Recompute the decomposition of the retained history from scratch —
@@ -491,13 +478,17 @@ impl<T: Scalar + IoScalar> StreamState<T> {
     }
 }
 
-fn check_time_mode(t: usize, nmodes: usize) -> StreamResult<()> {
-    if t >= nmodes {
+/// Check a [`StreamConfig`] against a tensor of `nmodes` modes before any
+/// append can mutate the state: the time mode exists, and the rank rule
+/// resolves (the norm only enters per append).
+fn check_config<T: Scalar>(cfg: &StreamConfig, nmodes: usize) -> StreamResult<()> {
+    if cfg.time_mode >= nmodes {
         return Err(StreamError::ShapeMismatch {
             what: "time mode",
-            details: format!("mode {t} out of range for {nmodes} modes"),
+            details: format!("mode {} out of range for {nmodes} modes", cfg.time_mode),
         });
     }
+    RankRule::new(&cfg.svd.truncation, T::ZERO, nmodes)?;
     Ok(())
 }
 
@@ -583,6 +574,7 @@ fn hstack<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
 mod tests {
     use super::*;
     use tucker_core::SvdMethod;
+    use tucker_linalg::LinalgError;
 
     /// Smooth time-evolving low-rank tensor: same spatial subspaces at
     /// every time step, so appends are subspace-preserving.
@@ -750,6 +742,23 @@ mod tests {
             st.append(&bad),
             Err(StreamError::ShapeMismatch { what: "appended slab", .. })
         ));
+    }
+
+    #[test]
+    fn ranks_of_the_wrong_length_or_zero_are_typed_errors() {
+        let x = smooth_tensor(&[10, 8, 12], 0);
+        let tucker = sthosvd(&x, &cfg3().svd).unwrap();
+        for ranks in [vec![4, 4], vec![4, 4, 4, 4], vec![4, 0, 4]] {
+            let cfg = StreamConfig::new(2, SthosvdConfig::with_ranks(ranks.clone()));
+            let adopted = StreamState::from_parts(tucker.clone(), 0, cfg.clone(), None).err();
+            for e in [StreamState::from_initial(&x, cfg).err(), adopted] {
+                let typed = matches!(
+                    e,
+                    Some(StreamError::Linalg(LinalgError::InvalidConfig { param: "ranks", .. }))
+                );
+                assert!(typed, "{ranks:?}: {e:?}");
+            }
+        }
     }
 
     #[test]

@@ -451,6 +451,19 @@ print(f"BENCH_pr10.json gate: {r['update_speedup']:.1f}x update speedup, "
       f"err drift {r['err_ratio']:.4f}, lossless hot-swap OK")
 PY2
 
+# Benchmark smoke: every workload of benchmark/ at quarter shapes, traced.
+# Its oracles — the traced replay of the mode loop bit-identical to the
+# driver's output, grid ranks equal to sequential ranks, the scheduled
+# Fast/Refresh/Full stream paths — and its every-metric-present check gate
+# every PR. (Builds tuckerbench and tucker into benchmark/target.)
+if ! benchmark/run.sh --smoke >"$ckpt/benchmark_smoke.log" 2>&1; then
+    tail -n 40 "$ckpt/benchmark_smoke.log" >&2
+    echo "benchmark smoke: failed" >&2
+    exit 1
+fi
+grep -q "^tuckerbench: ok" "$ckpt/benchmark_smoke.log"
+echo "benchmark smoke: all workloads correct, every metric present OK"
+
 # Bench regression guard: fresh virtual-time runs of the committed serve
 # and failover benchmarks must stay within 20% of every checked-in gated
 # metric (full mode also re-runs the wall-clock benches).

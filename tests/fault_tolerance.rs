@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 use tucker_rs::core::checkpoint::{latest_step, save_step};
 use tucker_rs::core::{
-    hosvd_init, hosvd_step, sthosvd_parallel, sthosvd_parallel_checkpointed, CheckpointOptions,
+    sthosvd_parallel, sthosvd_parallel_checkpointed, CheckpointOptions, DistBackend, HosvdState,
     SthosvdConfig, SvdMethod,
 };
 use tucker_rs::dtensor::{DistTensor, ProcessorGrid};
@@ -102,8 +102,9 @@ fn crash_then_resume_is_bit_identical_to_uninterrupted() {
         .run(|ctx| {
             let dt = DistTensor::scatter_from(&x, &ProcessorGrid::new(&GRID), ctx.rank());
             let mut world = Comm::world(ctx);
-            let mut state = hosvd_init(ctx, &mut world, &dt, &cfg);
-            hosvd_step(ctx, &mut world, &mut state, &cfg).unwrap();
+            let mut state =
+                HosvdState::init(&mut DistBackend { ctx, world: &mut world }, &dt, &cfg).unwrap();
+            state.step(&mut DistBackend { ctx, world: &mut world }, &cfg).unwrap();
             save_step(ctx, &mut world, &probe1, &state).unwrap();
             ctx.op_index()
         })
