@@ -470,23 +470,7 @@ fn serve_bench_cmd(a: &Args) -> Result<(), String> {
 
 /// The replicated-tier benchmark behind `serve-bench --shards`.
 fn failover_bench_cmd(a: &Args) -> Result<(), String> {
-    let parse_count = |key: &str, default: &str| -> Result<usize, String> {
-        let n: usize = a
-            .opt(key)
-            .unwrap_or(default)
-            .parse()
-            .map_err(|_| format!("bad --{key}"))?;
-        if n == 0 {
-            return Err(format!("--{key} must be positive"));
-        }
-        Ok(n)
-    };
-    let shards = parse_count("shards", "2")?;
-    let replicas = parse_count("replicas", "2")?;
-    let plan = match a.opt("inject") {
-        Some(spec) => Some(FaultPlan::parse(spec).map_err(|e| format!("bad --inject: {e}"))?),
-        None => None,
-    };
+    let (shards, replicas, plan) = tier_options(a)?;
     let r = run_failover_bench(a.flag("quick"), shards, replicas, plan.as_ref())
         .map_err(|e| e.to_string())?;
     let json = r.to_json();
@@ -513,10 +497,10 @@ fn failover_bench_cmd(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Shared option parsing for the observed tier workload behind
-/// `serve-bench --trace` and `slo-report`: shard/replica counts (default
-/// 2×2) and an optional `--inject` fault plan (default: crash one replica
-/// mid-workload, so every trace contains a real failover story).
+/// Shared option parsing for the tier workloads behind `serve-bench
+/// --shards`, `serve-bench --trace` and `slo-report`: shard/replica counts
+/// (default 2×2) and an optional `--inject` fault plan (default: crash one
+/// replica mid-workload, so every trace contains a real failover story).
 fn tier_options(a: &Args) -> Result<(usize, usize, Option<FaultPlan>), String> {
     let parse_count = |key: &str, default: &str| -> Result<usize, String> {
         let n: usize =

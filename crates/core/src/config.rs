@@ -61,20 +61,23 @@ pub enum ModeOrder {
 }
 
 impl ModeOrder {
-    /// Resolve to an explicit permutation for `n` modes.
+    /// Does this order name each of the modes `0..n` exactly once?
+    /// (`Forward` and `Backward` do for every `n`.)
+    pub fn is_permutation_of(&self, n: usize) -> bool {
+        let ModeOrder::Custom(p) = self else { return true };
+        let mut seen = vec![false; n];
+        p.len() == n && p.iter().all(|&m| m < n && !std::mem::replace(&mut seen[m], true))
+    }
+
+    /// Resolve to an explicit permutation for `n` modes. Panics unless
+    /// [`ModeOrder::is_permutation_of`] holds; the drivers check that first
+    /// and return a typed error.
     pub fn resolve(&self, n: usize) -> Vec<usize> {
+        assert!(self.is_permutation_of(n), "mode order {self:?} must be a permutation of 0..{n}");
         match self {
             ModeOrder::Forward => (0..n).collect(),
             ModeOrder::Backward => (0..n).rev().collect(),
-            ModeOrder::Custom(p) => {
-                assert_eq!(p.len(), n, "mode order length mismatch");
-                let mut seen = vec![false; n];
-                for &m in p {
-                    assert!(m < n && !seen[m], "mode order must be a permutation");
-                    seen[m] = true;
-                }
-                p.clone()
-            }
+            ModeOrder::Custom(p) => p.clone(),
         }
     }
 }

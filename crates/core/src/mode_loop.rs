@@ -170,6 +170,13 @@ impl<T: Scalar, Y: Clone> LoopState<T, Y> {
     ) -> Result<Self> {
         cfg.validate()?;
         let nmodes = b.dims(x).len();
+        if !cfg.mode_order.is_permutation_of(nmodes) {
+            return Err(LinalgError::InvalidConfig {
+                param: "mode_order",
+                value: format!("{:?} for a {nmodes}-mode tensor", cfg.mode_order),
+                expected: "each mode exactly once",
+            });
+        }
         let norm_x = b.norm(x);
         Ok(LoopState {
             order: cfg.mode_order.resolve(nmodes),

@@ -340,6 +340,16 @@ mod tests {
                 );
             }
         }
+        // Likewise a mode order that is too short, too long, or repeats a mode.
+        for order in [vec![0, 1], vec![0, 1, 2, 0], vec![0, 0, 1]] {
+            let cfg = SthosvdConfig::with_ranks(vec![2, 2, 2]).order(ModeOrder::Custom(order));
+            let e = run_parallel_full(&x, &[2, 2, 1], &cfg).err();
+            assert!(
+                matches!(e, Some(LinalgError::InvalidConfig { param: "mode_order", .. })),
+                "{:?}: {e:?}",
+                cfg.mode_order
+            );
+        }
     }
 
     #[test]

@@ -39,6 +39,7 @@ pub mod comm;
 pub mod cost;
 pub mod error;
 pub mod fault;
+pub mod json;
 pub mod metrics;
 pub mod runtime;
 pub mod stats;
@@ -49,7 +50,8 @@ pub use comm::Comm;
 pub use cost::CostModel;
 pub use error::{MpiSimError, SimFailure};
 pub use fault::{CrashInfo, CrashRegistry, Fault, FaultKind, FaultPlan, MAX_SEND_RETRIES};
-pub use metrics::{json_f64, Histogram, MetricsRegistry};
+pub use json::{json_escape, json_escape_into, json_f64, json_f64_into};
+pub use metrics::{Histogram, MetricsRegistry};
 pub use runtime::{Ctx, SimOutput, Simulator, ThreadTopology};
 pub use stats::{Breakdown, PhaseCritical, PhaseStat, RankStats};
 pub use trace::{

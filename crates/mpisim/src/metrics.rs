@@ -23,6 +23,7 @@
 //! (per-mode decomposition quality). All maps are `BTreeMap`s, so iteration
 //! and JSON field order are name-sorted and run-independent.
 
+use crate::json::{json_escape, json_f64};
 use std::collections::BTreeMap;
 
 /// Pre-interned metric names for one collective kind.
@@ -229,17 +230,17 @@ impl MetricsRegistry {
         let counters: Vec<String> = self
             .counters
             .iter()
-            .map(|(k, v)| format!("\"{}\":{}", crate::trace::json_escape(k), v))
+            .map(|(k, v)| format!("\"{}\":{}", json_escape(k), v))
             .collect();
         let gauges: Vec<String> = self
             .gauges
             .iter()
-            .map(|(k, v)| format!("\"{}\":{}", crate::trace::json_escape(k), json_f64(*v)))
+            .map(|(k, v)| format!("\"{}\":{}", json_escape(k), json_f64(*v)))
             .collect();
         let hists: Vec<String> = self
             .histograms
             .iter()
-            .map(|(k, h)| format!("\"{}\":{}", crate::trace::json_escape(k), h.json()))
+            .map(|(k, h)| format!("\"{}\":{}", json_escape(k), h.json()))
             .collect();
         format!(
             "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}}}}",
@@ -285,20 +286,6 @@ impl MetricsRegistry {
             ));
         }
         out
-    }
-}
-
-/// Render an `f64` as a JSON number. Finite values use Rust's shortest
-/// round-trip formatting (deterministic for identical bit patterns);
-/// non-finite values, which JSON cannot carry, become `null`. Public so
-/// downstream deterministic exporters (the serving tier's SLO report and
-/// structured log) render floats under the exact same contract.
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v:?}");
-        s
-    } else {
-        "null".to_string()
     }
 }
 

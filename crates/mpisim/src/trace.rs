@@ -14,6 +14,7 @@
 //! [`text_timeline`], a plain-text per-rank event listing for terminals and
 //! test assertions.
 
+use crate::json::json_escape;
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
@@ -234,23 +235,6 @@ pub fn tail_report(traces: &[RankTrace], n: usize) -> String {
         out.push_str(&format!("rank {} (last {} of {} events):\n", t.rank, t.tail(n).len(), t.events.len()));
         for e in t.tail(n) {
             out.push_str(&format!("  #{:<6} vt {:>12.9}s  {}\n", e.seq, e.vt, fmt_kind(&e.kind)));
-        }
-    }
-    out
-}
-
-/// Minimal JSON string escaping for event names. Shared with the metrics
-/// registry's JSON encoder.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
         }
     }
     out

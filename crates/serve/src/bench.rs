@@ -28,6 +28,27 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 use tucker_mpisim::FaultPlan;
 
+/// The workload every harness here runs: the [`WorkloadConfig`] default, or
+/// — `quick`, for CI smoke runs — `48×40×36` at ranks `12×10×9` with 120
+/// requests.
+fn bench_workload(quick: bool) -> WorkloadConfig {
+    if quick {
+        WorkloadConfig {
+            dims: vec![48, 40, 36],
+            ranks: vec![12, 10, 9],
+            requests: 120,
+            ..WorkloadConfig::default()
+        }
+    } else {
+        WorkloadConfig::default()
+    }
+}
+
+/// Comma-joined integers for the JSON records' array fields.
+fn ints(v: &[usize]) -> String {
+    v.iter().map(|d| d.to_string()).collect::<Vec<_>>().join(",")
+}
+
 /// Everything `BENCH_pr5.json` records.
 #[derive(Clone, Debug)]
 pub struct ServeBenchResult {
@@ -64,9 +85,6 @@ pub struct ServeBenchResult {
 impl ServeBenchResult {
     /// Deterministic JSON (keys in fixed order).
     pub fn to_json(&self) -> String {
-        let ints = |v: &[usize]| {
-            v.iter().map(|d| d.to_string()).collect::<Vec<_>>().join(",")
-        };
         format!(
             concat!(
                 "{{\"bench\":\"serve\",\"shape\":[{shape}],\"ranks\":[{ranks}],",
@@ -102,16 +120,7 @@ fn crc_by_index(report: &RunReport) -> BTreeMap<usize, u32> {
 /// Run the serving benchmark. `quick` shrinks the store and trace for CI
 /// smoke runs; the full configuration backs the committed artifact.
 pub fn run_serve_bench(quick: bool) -> Result<ServeBenchResult, ServeError> {
-    let wl = if quick {
-        WorkloadConfig {
-            dims: vec![48, 40, 36],
-            ranks: vec![12, 10, 9],
-            requests: 120,
-            ..WorkloadConfig::default()
-        }
-    } else {
-        WorkloadConfig::default()
-    };
+    let wl = bench_workload(quick);
     let trace = synthetic_trace(&wl);
     let tucker = synthetic_store::<f64>(&wl.dims, &wl.ranks);
     // One worker for both strategies: the queue backs up enough for real
@@ -240,9 +249,6 @@ pub struct FailoverBenchResult {
 impl FailoverBenchResult {
     /// Deterministic JSON (keys in fixed order).
     pub fn to_json(&self) -> String {
-        let ints = |v: &[usize]| {
-            v.iter().map(|d| d.to_string()).collect::<Vec<_>>().join(",")
-        };
         format!(
             concat!(
                 "{{\"bench\":\"failover\",\"shape\":[{shape}],\"ranks\":[{ranks}],",
@@ -296,16 +302,7 @@ pub fn run_failover_bench(
     replicas: usize,
     plan: Option<&FaultPlan>,
 ) -> Result<FailoverBenchResult, ServeError> {
-    let wl = if quick {
-        WorkloadConfig {
-            dims: vec![48, 40, 36],
-            ranks: vec![12, 10, 9],
-            requests: 120,
-            ..WorkloadConfig::default()
-        }
-    } else {
-        WorkloadConfig::default()
-    };
+    let wl = bench_workload(quick);
     assert!(shards >= 1 && replicas >= 1, "need at least one shard and replica");
     let trace = synthetic_trace(&wl);
     let tucker = synthetic_store::<f64>(&wl.dims, &wl.ranks);
@@ -389,11 +386,9 @@ pub fn run_failover_bench(
 /// (for its metrics, observer, and trace lanes) alongside the report.
 ///
 /// This is the shared workload behind `serve-bench --trace`, `tucker
-/// slo-report`, and [`run_observability_bench`]: the quick shape is
-/// `48×40×36` at ranks `12×10×9` with 120 requests, the full shape is the
-/// workload default. `plan = None` arms the default mid-workload crash of
-/// rank `1 % world` so every artifact produced from this workload contains
-/// a real failover story.
+/// slo-report`, and [`run_observability_bench`]. `plan = None` arms the
+/// default mid-workload crash of rank `1 % world` so every artifact
+/// produced from this workload contains a real failover story.
 pub fn run_tier_workload(
     quick: bool,
     shards: usize,
@@ -401,16 +396,7 @@ pub fn run_tier_workload(
     plan: Option<&FaultPlan>,
     obs: ObsConfig,
 ) -> Result<(Router<f64>, TierReport), ServeError> {
-    let wl = if quick {
-        WorkloadConfig {
-            dims: vec![48, 40, 36],
-            ranks: vec![12, 10, 9],
-            requests: 120,
-            ..WorkloadConfig::default()
-        }
-    } else {
-        WorkloadConfig::default()
-    };
+    let wl = bench_workload(quick);
     assert!(shards >= 1 && replicas >= 1, "need at least one shard and replica");
     let mut trace = synthetic_trace(&wl);
     assign_tenants(&mut trace, 4, 0.3, wl.seed);
@@ -453,9 +439,6 @@ impl ObservabilityBenchResult {
     /// `overhead_pct` are wall-clock and therefore machine-dependent; the
     /// gate is the paired ratio, which is stable across machines.
     pub fn to_json(&self) -> String {
-        let ints = |v: &[usize]| {
-            v.iter().map(|d| d.to_string()).collect::<Vec<_>>().join(",")
-        };
         format!(
             concat!(
                 "{{\"bench\":\"observability\",\"shape\":[{shape}],\"ranks\":[{ranks}],",
@@ -530,10 +513,11 @@ pub fn run_observability_bench(quick: bool) -> Result<ObservabilityBenchResult, 
     };
     let overhead_pct = (median(&mut ratios) - 1.0) * 100.0;
     let (router, report) = last_on.expect("rounds >= 1");
+    let wl = bench_workload(quick);
     let obs = router.observer();
     Ok(ObservabilityBenchResult {
-        shape: if quick { vec![48, 40, 36] } else { WorkloadConfig::default().dims },
-        ranks: if quick { vec![12, 10, 9] } else { WorkloadConfig::default().ranks },
+        shape: wl.dims,
+        ranks: wl.ranks,
         queries: report.completions.len() + report.failures.len() + report.rejections.len(),
         off_ms: median(&mut offs) * 1e3,
         on_ms: median(&mut ons) * 1e3,

@@ -20,20 +20,22 @@
 //! [`Engine::run`] simulates a bounded-queue multi-worker executor in
 //! *virtual time*: requests carry arrival timestamps, workers advance a
 //! modeled clock by each batch's predicted service time (§3.5-style
-//! `γ·flops` plus transfer terms from [`CostModel`]), and admission control
-//! rejects arrivals that find the queue full (or a tenant over quota)
-//! with a typed [`ServeError::Overloaded`] / [`ServeError::QuotaExceeded`].
-//! Everything — batching decisions, latencies,
-//! throughput — is a pure function of the request trace and config, so
-//! benchmark artifacts are machine-independent and reproducible.
+//! `γ·flops` plus transfer terms from [`CostModel`]), and the `admission`
+//! module — shared with the replicated tier — rejects arrivals that find
+//! the queue full (or a tenant over quota) with a typed
+//! [`ServeError::Overloaded`] / [`ServeError::QuotaExceeded`] and picks the
+//! next event. Everything — batching decisions, latencies, throughput — is
+//! a pure function of the request trace and config, so benchmark artifacts
+//! are machine-independent and reproducible.
 
+use crate::admission::{Admission, Event, Step};
 use crate::cache::{CacheStats, ContractionCache, PartialKey};
 use crate::error::ServeError;
 use crate::obs::{EngineSpan, EngineStep};
 use crate::plan::{plan, OrderPolicy, QueryPlan};
 use crate::query::Query;
 use crate::store::TuckerStore;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use tucker_core::crc32::Crc32;
 use tucker_mpisim::{CostModel, MetricsRegistry};
@@ -410,24 +412,11 @@ impl<T: IoScalar> Engine<T> {
     pub fn run(&mut self, requests: &[Request], rc: &RunConfig) -> Result<RunReport, ServeError> {
         assert!(rc.workers > 0, "run: need at least one worker");
         assert!(rc.batch_limit > 0, "run: batch limit must be positive");
-        let mut order: Vec<usize> = (0..requests.len()).collect();
-        order.sort_by(|&a, &b| {
-            requests[a]
-                .arrival
-                .partial_cmp(&requests[b].arrival)
-                .expect("finite arrivals")
-                .then(a.cmp(&b))
-        });
         let dims = self.store.dims().to_vec();
-
+        let mut adm = Admission::new(requests, rc.queue_capacity, rc.tenant_quota);
         let mut workers = vec![0.0f64; rc.workers];
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let mut queued_by_tenant: BTreeMap<usize, usize> = BTreeMap::new();
         let mut completions = Vec::new();
-        let mut rejections = Vec::new();
         let mut busy_seconds = 0.0;
-        let mut makespan = 0.0f64;
-        let mut next = 0usize;
 
         loop {
             // Earliest-free worker.
@@ -437,115 +426,42 @@ impl<T: IoScalar> Engine<T> {
                 .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite").then(a.0.cmp(&b.0)))
                 .map(|(i, &t)| (i, t))
                 .expect("workers non-empty");
-            let next_arrival = order.get(next).map(|&i| requests[i].arrival);
-            let can_dispatch = !queue.is_empty()
-                && match next_arrival {
-                    Some(t) => free <= t,
-                    None => true,
-                };
-            if can_dispatch {
-                let head = queue.pop_front().expect("non-empty");
-                *queued_by_tenant.entry(requests[head].tenant).or_insert(1) -= 1;
-                let t0 = free.max(requests[head].arrival);
-                // Batch: queued requests sharing the head's partial spec
-                // that have already arrived by dispatch time.
-                let head_spec = self.share_spec(requests[head].query.normalized(&dims)[0]);
-                let mut batch = vec![head];
-                let mut i = 0;
-                while i < queue.len() && batch.len() < rc.batch_limit {
-                    let cand = queue[i];
-                    if requests[cand].arrival <= t0
-                        && self.share_spec(requests[cand].query.normalized(&dims)[0]) == head_spec
-                    {
-                        let picked = queue.remove(i).expect("in range");
-                        *queued_by_tenant.entry(requests[picked].tenant).or_insert(1) -= 1;
-                        batch.push(picked);
-                    } else {
-                        i += 1;
-                    }
-                }
-                let queries: Vec<Query> =
-                    batch.iter().map(|&i| requests[i].query.clone()).collect();
-                let out = self.execute_batch(&queries)?;
-                let service: f64 =
-                    out.shared_seconds + out.outputs.iter().map(|o| o.cost.seconds).sum::<f64>();
-                let finish = t0 + service;
-                workers[w] = finish;
-                busy_seconds += service;
-                makespan = makespan.max(finish);
-                for (&idx, o) in batch.iter().zip(&out.outputs) {
-                    completions.push(Completion {
-                        index: idx,
-                        arrival: requests[idx].arrival,
-                        dispatch: t0,
-                        finish,
-                        batch_size: batch.len(),
-                        elems: o.tensor.len(),
-                        crc: tensor_crc(&o.tensor),
-                    });
-                }
-            } else if let Some(t) = next_arrival {
-                let idx = order[next];
-                next += 1;
-                makespan = makespan.max(t);
-                let tenant = requests[idx].tenant;
-                let tenant_queued = queued_by_tenant.get(&tenant).copied().unwrap_or(0);
-                if rc.tenant_quota.is_some_and(|quota| tenant_queued >= quota) {
-                    self.metrics.counter_add("serve/query/rejected", 1);
-                    self.metrics.counter_add("serve/query/quota_rejected", 1);
-                    rejections.push(Rejection {
-                        index: idx,
-                        arrival: t,
-                        error: ServeError::QuotaExceeded {
-                            tenant,
-                            queued: tenant_queued,
-                            quota: rc.tenant_quota.expect("checked above"),
-                        },
-                    });
-                } else if queue.len() < rc.queue_capacity {
-                    queue.push_back(idx);
-                    *queued_by_tenant.entry(tenant).or_insert(0) += 1;
-                } else {
-                    // Full queue. Shed low first: a high-priority arrival
-                    // evicts the newest queued low-priority request;
-                    // otherwise the arrival itself is rejected.
-                    let evict = if requests[idx].priority == Priority::High {
-                        queue.iter().rposition(|&q| requests[q].priority == Priority::Low)
-                    } else {
-                        None
-                    };
-                    self.metrics.counter_add("serve/query/rejected", 1);
-                    if let Some(pos) = evict {
-                        let victim = queue.remove(pos).expect("in range");
-                        *queued_by_tenant.entry(requests[victim].tenant).or_insert(1) -= 1;
-                        self.metrics.counter_add("serve/query/shed_low", 1);
-                        rejections.push(Rejection {
-                            index: victim,
-                            arrival: requests[victim].arrival,
-                            error: ServeError::Overloaded {
-                                queued: rc.queue_capacity,
-                                capacity: rc.queue_capacity,
-                            },
-                        });
-                        queue.push_back(idx);
-                        *queued_by_tenant.entry(tenant).or_insert(0) += 1;
-                    } else {
-                        rejections.push(Rejection {
-                            index: idx,
-                            arrival: t,
-                            error: ServeError::Overloaded {
-                                queued: queue.len(),
-                                capacity: rc.queue_capacity,
-                            },
-                        });
-                    }
-                }
-            } else {
+            let (head, t0) = match adm.next_event(free, &mut self.metrics) {
+                Some(Event { at, step: Step::Dispatch { head } }) => (head, at),
+                Some(_) => continue,
                 // Graceful drain complete: no arrivals left, queue empty.
-                break;
+                None => break,
+            };
+            // Batch: queued requests sharing the head's partial spec
+            // that have already arrived by dispatch time.
+            let spec_of = |r: &Request| self.share_spec(r.query.normalized(&dims)[0]);
+            let head_spec = spec_of(&requests[head]);
+            let mut batch = vec![head];
+            adm.pull_into_batch(&mut batch, rc.batch_limit, |cand| {
+                cand.arrival <= t0 && spec_of(cand) == head_spec
+            });
+            let queries: Vec<Query> = batch.iter().map(|&i| requests[i].query.clone()).collect();
+            let out = self.execute_batch(&queries)?;
+            let service: f64 =
+                out.shared_seconds + out.outputs.iter().map(|o| o.cost.seconds).sum::<f64>();
+            let finish = t0 + service;
+            workers[w] = finish;
+            busy_seconds += service;
+            adm.note_finish(finish);
+            for (&idx, o) in batch.iter().zip(&out.outputs) {
+                completions.push(Completion {
+                    index: idx,
+                    arrival: requests[idx].arrival,
+                    dispatch: t0,
+                    finish,
+                    batch_size: batch.len(),
+                    elems: o.tensor.len(),
+                    crc: tensor_crc(&o.tensor),
+                });
             }
         }
         completions.sort_by_key(|c| c.index);
+        let (rejections, makespan) = adm.finish();
         Ok(RunReport { completions, rejections, busy_seconds, makespan })
     }
 }
@@ -672,48 +588,53 @@ pub struct RunReport {
     pub makespan: f64,
 }
 
-impl RunReport {
-    /// Sorted end-to-end latencies (finish − arrival), seconds.
-    pub fn latencies_sorted(&self) -> Vec<f64> {
-        let mut l: Vec<f64> = self.completions.iter().map(|c| c.finish - c.arrival).collect();
-        l.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        l
-    }
+/// The latency accessors of a run report: [`RunReport`] and the tier's
+/// [`TierReport`](crate::router::TierReport) both hold `completions` with
+/// `arrival` and `finish`, and a `makespan`.
+macro_rules! latency_report {
+    ($report:ty) => {
+        impl $report {
+            /// Sorted end-to-end latencies (finish − arrival), seconds.
+            pub fn latencies_sorted(&self) -> Vec<f64> {
+                let mut l: Vec<f64> =
+                    self.completions.iter().map(|c| c.finish - c.arrival).collect();
+                l.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+                l
+            }
 
-    /// Latency quantile (`q` clamped to `[0, 1]`) with linear interpolation
-    /// between order statistics: quantile `q` sits at fractional position
-    /// `q·(n−1)` of the sorted samples, and values between two samples are
-    /// blended by the fractional part. Returns `None` when nothing
-    /// completed (e.g. a rejection-only overload run) — callers must not
-    /// read that as "p99 = 0" — or when the interpolated value is not
-    /// finite.
-    pub fn latency_quantile(&self, q: f64) -> Option<f64> {
-        interpolated_quantile(&self.latencies_sorted(), q)
-    }
+            /// Latency quantile (`q` clamped to `[0, 1]`) with linear
+            /// interpolation between order statistics: quantile `q` sits at
+            /// fractional position `q·(n−1)` of the sorted samples, and
+            /// values between two samples are blended by the fractional
+            /// part. Returns `None` when nothing completed (e.g. a
+            /// rejection-only overload run) — callers must not read that as
+            /// "p99 = 0" — or when the interpolated value is not finite.
+            pub fn latency_quantile(&self, q: f64) -> Option<f64> {
+                let sorted = self.latencies_sorted();
+                if sorted.is_empty() {
+                    return None;
+                }
+                let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+                let lo = pos.floor() as usize;
+                let hi = pos.ceil() as usize;
+                let v = sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64);
+                v.is_finite().then_some(v)
+            }
 
-    /// Completed requests per virtual second.
-    pub fn throughput(&self) -> f64 {
-        if self.makespan > 0.0 {
-            self.completions.len() as f64 / self.makespan
-        } else {
-            0.0
+            /// Completed requests per virtual second.
+            pub fn throughput(&self) -> f64 {
+                if self.makespan > 0.0 {
+                    self.completions.len() as f64 / self.makespan
+                } else {
+                    0.0
+                }
+            }
         }
-    }
+    };
 }
+pub(crate) use latency_report;
 
-/// Linearly interpolated quantile over sorted samples; `None` when empty
-/// or not finite. Shared by [`RunReport`] and the tier's
-/// [`TierReport`](crate::router::TierReport).
-pub(crate) fn interpolated_quantile(sorted: &[f64], q: f64) -> Option<f64> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let v = sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64);
-    v.is_finite().then_some(v)
-}
+latency_report!(RunReport);
 
 #[cfg(test)]
 mod tests {

@@ -25,8 +25,6 @@ pub enum ServeError {
         /// The per-tenant queue quota.
         quota: usize,
     },
-    /// The executor is draining for shutdown and accepts no new work.
-    Draining,
     /// A replicated query exhausted its retry budget: every attempt on the
     /// shard's replicas failed (crashed, dropped, or failed integrity).
     ReplicasExhausted {
@@ -62,7 +60,6 @@ impl fmt::Display for ServeError {
             ServeError::QuotaExceeded { tenant, queued, quota } => {
                 write!(f, "tenant {tenant} over quota: {queued}/{quota} requests queued")
             }
-            ServeError::Draining => write!(f, "executor is draining; no new requests accepted"),
             ServeError::ReplicasExhausted { shard, attempts, dead } => {
                 write!(
                     f,

@@ -9,13 +9,16 @@
 //! - [`query`] — the [`Query`] selection model and its CLI slab-spec parser;
 //! - [`plan`] — the §3.5-style cost model choosing contraction order;
 //! - [`cache`] — deterministic byte-budgeted LRU of partial contractions;
-//! - [`engine`] — batched execution plus a deterministic virtual-time
-//!   serving loop with bounded-queue admission control, per-tenant quotas,
-//!   and shed-low-first priorities;
+//! - `admission` — the one admission policy (bounded queue, per-tenant
+//!   quotas, shed-low-first priorities) and virtual-time event order that
+//!   both serving loops below drive;
+//! - [`engine`] — batched execution plus the single-store serving loop:
+//!   worker clocks and share-spec batching over `admission`;
 //! - [`replica`] — mode-0 sharding ([`ShardMap`]) and the replicated rank
 //!   tier with mpisim fault interpretation and a shared crash registry;
-//! - [`router`] — consistent-hash routing, failover with capped
-//!   exponential backoff, per-query timeouts, mode-0 reassembly, and
+//! - [`router`] — the tier serving loop over `admission`:
+//!   consistent-hash routing, failover with capped exponential backoff,
+//!   per-query timeouts, mode-0 reassembly, and
 //!   generation-numbered live hot-swap ([`StoreUpdate`]): a newly
 //!   published decomposition is installed tier-wide at an event boundary,
 //!   in-flight queries complete against their dispatch-time generation,
@@ -33,6 +36,7 @@
 //! to slicing `TuckerTensor::reconstruct()` — see the determinism argument
 //! in [`store`] and the equivalence proptests under `tests/`.
 
+mod admission;
 pub mod bench;
 pub mod cache;
 pub mod engine;

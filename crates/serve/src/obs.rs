@@ -40,8 +40,8 @@
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use tucker_mpisim::{
-    json_f64, Breakdown, EventKind, Histogram, MetricsRegistry, PhaseStat, RankStats, RankTrace,
-    TraceEvent,
+    json_escape, json_escape_into, json_f64, json_f64_into, Breakdown, EventKind, Histogram,
+    MetricsRegistry, PhaseStat, RankStats, RankTrace, TraceEvent,
 };
 
 /// SplitMix64 finalizer: the ring/routing hash and the trace-id mixer.
@@ -449,7 +449,7 @@ impl Observer {
         // append in place, so a line costs exactly one allocation.
         let mut line = String::with_capacity(160 + msg.len());
         line.push_str("{\"schema\":\"serve-log-v1\",\"vt\":");
-        push_f64(&mut line, vt);
+        json_f64_into(&mut line, vt);
         line.push_str(",\"level\":\"");
         line.push_str(level.as_str());
         line.push_str("\",\"event\":\"");
@@ -470,16 +470,16 @@ impl Observer {
                 Field::U(u) => {
                     let _ = write!(line, "{u}");
                 }
-                Field::F(f) => push_f64(&mut line, *f),
+                Field::F(f) => json_f64_into(&mut line, *f),
                 Field::S(s) => {
                     line.push('"');
-                    esc_into(&mut line, s);
+                    json_escape_into(&mut line, s);
                     line.push('"');
                 }
             }
         }
         line.push_str(",\"msg\":\"");
-        esc_into(&mut line, msg);
+        json_escape_into(&mut line, msg);
         line.push_str("\"}");
         self.log.push(line);
     }
@@ -610,47 +610,6 @@ impl Observer {
     }
 }
 
-/// Minimal JSON string escaping for log fields (mirrors the trace
-/// exporter's contract: control chars, quotes, and backslashes).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    esc_into(&mut out, s);
-    out
-}
-
-/// [`esc`] in place: append `s` escaped onto `out`. The scan-first fast
-/// path covers virtually every log field, so the hot path is one
-/// `push_str`.
-fn esc_into(out: &mut String, s: &str) {
-    if s.bytes().all(|b| b != b'"' && b != b'\\' && b >= 0x20) {
-        out.push_str(s);
-        return;
-    }
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Append `v` as JSON — the same contract as [`json_f64`] (shortest
-/// round-trip, `null` for non-finite) without the intermediate `String`.
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v:?}");
-    } else {
-        out.push_str("null");
-    }
-}
-
 /// Service-level objectives for one tier run, all latencies in
 /// milliseconds of virtual time.
 #[derive(Clone, Copy, Debug)]
@@ -735,7 +694,7 @@ impl SloReport {
             .map(|o| {
                 format!(
                     "  {{\"name\":\"{}\",\"observed\":{},\"objective\":{},\"burn_rate\":{},\"breached\":{}}}",
-                    esc(&o.name),
+                    json_escape(&o.name),
                     json_f64(o.observed),
                     json_f64(o.objective),
                     json_f64(o.burn_rate),

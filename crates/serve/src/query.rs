@@ -115,8 +115,11 @@ impl Query {
             if count == 0 {
                 return Err(ServeError::BadQuery(format!("mode {n}: empty selection")));
             }
-            let last = start + (count - 1) * step;
-            if last >= d {
+            // Checked: `Strided` fields come straight from the caller, and a
+            // wrapped `last` would pass the bounds test in a release build.
+            let last = (count - 1).checked_mul(step).and_then(|span| start.checked_add(span));
+            if last.is_none_or(|last| last >= d) {
+                let last = last.map_or("past usize::MAX".to_string(), |last| last.to_string());
                 return Err(ServeError::BadQuery(format!(
                     "mode {n}: index {last} out of bounds for dimension {d}"
                 )));
@@ -218,6 +221,14 @@ mod tests {
         assert!(q.validate(&[4, 10, 2]).is_err(), "rank mismatch");
         assert!(q.validate(&[3, 10]).is_err(), "index 3 of 3");
         assert!(q.validate(&[4, 7]).is_err(), "range end past extent");
+        // Arithmetic that wraps must be a typed error in debug and release.
+        for (start, step) in [(1, 1 << 63), (usize::MAX - 1, 1), (usize::MAX, usize::MAX)] {
+            let q = Query { sel: vec![ModeSel::Strided { start, step, count: 3 }, ModeSel::All] };
+            assert!(
+                matches!(q.validate(&[10, 10]), Err(ServeError::BadQuery(_))),
+                "start {start} step {step} must not wrap into bounds"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The query router: consistent-hash replica selection, failover with
-//! capped exponential backoff, per-query timeouts, and the tier-level
-//! admission loop.
+//! capped exponential backoff, per-query timeouts, and the tier's serving
+//! loop — the `admission` module decides who gets in and which event is next;
+//! this module paces the head against the replica clocks, applies store
+//! updates at event boundaries, and serves each dispatch with failover.
 //!
 //! ## Routing
 //!
@@ -31,12 +33,12 @@
 //! in ascending shard (= ascending global row) order, reproducing the
 //! unsharded element order exactly.
 
-use crate::engine::{tensor_crc, EngineConfig, Priority, Rejection, Request};
+use crate::admission::{Admission, Event, Outcome, Step};
+use crate::engine::{tensor_crc, EngineConfig, Rejection, Request};
 use crate::error::ServeError;
 use crate::obs::{mix64, Field, LogLevel, ObsConfig, Observer, SpanName, TraceContext};
 use crate::query::{ModeSel, Query};
 use crate::replica::{Attempt, ReplicaTier};
-use std::collections::{BTreeMap, VecDeque};
 use tucker_core::TuckerTensor;
 use tucker_mpisim::{FaultPlan, MetricsRegistry};
 use tucker_tensor::io::IoScalar;
@@ -71,7 +73,7 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Tier serving-loop shape: the engine's admission semantics plus failover.
+/// Tier serving-loop shape: the admission bounds plus the failover policy.
 #[derive(Clone, Copy, Debug)]
 pub struct TierRunConfig {
     /// Bounded admission queue capacity.
@@ -166,31 +168,7 @@ pub struct TierReport {
     pub failover_recovery_vt: Option<f64>,
 }
 
-impl TierReport {
-    /// Sorted end-to-end latencies (finish − arrival), seconds.
-    pub fn latencies_sorted(&self) -> Vec<f64> {
-        let mut l: Vec<f64> =
-            self.completions.iter().map(|c| c.finish - c.arrival).collect();
-        l.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        l
-    }
-
-    /// Latency quantile (`q` clamped to `[0, 1]`) with linear interpolation
-    /// between order statistics; `None` when nothing completed or when the
-    /// interpolated value is not finite.
-    pub fn latency_quantile(&self, q: f64) -> Option<f64> {
-        crate::engine::interpolated_quantile(&self.latencies_sorted(), q)
-    }
-
-    /// Completed requests per virtual second.
-    pub fn throughput(&self) -> f64 {
-        if self.makespan > 0.0 {
-            self.completions.len() as f64 / self.makespan
-        } else {
-            0.0
-        }
-    }
-}
+crate::engine::latency_report!(TierReport);
 
 /// Per-query failover bookkeeping.
 #[derive(Default)]
@@ -648,6 +626,43 @@ impl<T: IoScalar> Router<T> {
         ))
     }
 
+    /// Log what admission did with the arrival at `at` (nothing for a
+    /// plain enqueue): the rejected or shed request, its tenant, and the
+    /// occupancy or evictor that explains it.
+    fn log_admission(&mut self, requests: &[Request], at: f64, outcome: Outcome) {
+        if !self.obs.logging(LogLevel::Warn) {
+            return;
+        }
+        let (event, index, detail, msg) = match outcome {
+            Outcome::Queued => return,
+            Outcome::QuotaRejected { index, queued } => {
+                ("quota_rejected", index, ("queued", queued), "tenant over its admission quota")
+            }
+            Outcome::ShedLow { victim, evicted_for } => (
+                "shed_low",
+                victim,
+                ("evicted_for", evicted_for),
+                "low-priority request shed for a high-priority arrival",
+            ),
+            Outcome::Rejected { index, queued } => {
+                ("rejected", index, ("queued", queued), "admission queue full")
+            }
+        };
+        let tenant = requests[index].tenant;
+        self.obs.log(
+            LogLevel::Warn,
+            at,
+            event,
+            Some(TraceContext::mint(index, tenant)),
+            &[
+                ("query", Field::U(index as u64)),
+                ("tenant", Field::U(tenant as u64)),
+                (detail.0, Field::U(detail.1 as u64)),
+            ],
+            msg,
+        );
+    }
+
     /// Apply one scheduled update, logging and counting the outcome. A
     /// swap rejected by validation leaves the tier serving its old
     /// generation; the run continues either way.
@@ -688,9 +703,9 @@ impl<T: IoScalar> Router<T> {
         }
     }
 
-    /// Run a request trace through the tier in virtual time, with the
-    /// engine's admission semantics (bounded queue, per-tenant quotas,
-    /// shed-low-first) in front of failover-serving dispatch. Admitted
+    /// Run a request trace through the tier in virtual time: the shared
+    /// admission policy (bounded queue, per-tenant quotas, shed-low-first)
+    /// in front of failover-serving dispatch. Admitted
     /// queries either complete bit-identically to the unsharded engine or
     /// fail typed; the loop itself never aborts.
     pub fn run(&mut self, requests: &[Request], rc: &TierRunConfig) -> TierReport {
@@ -715,277 +730,156 @@ impl<T: IoScalar> Router<T> {
         updates: &[StoreUpdate<T>],
     ) -> TierReport {
         assert!(rc.retry.max_attempts > 0, "run: need at least one attempt");
-        let mut upd_order: Vec<usize> = (0..updates.len()).collect();
-        upd_order.sort_by(|&a, &b| {
-            updates[a].at.partial_cmp(&updates[b].at).expect("finite update times").then(a.cmp(&b))
-        });
-        let mut upd_next = 0usize;
-        let mut order: Vec<usize> = (0..requests.len()).collect();
-        order.sort_by(|&a, &b| {
-            requests[a]
-                .arrival
-                .partial_cmp(&requests[b].arrival)
-                .expect("finite arrivals")
-                .then(a.cmp(&b))
-        });
+        let mut upd_order: Vec<&StoreUpdate<T>> = updates.iter().collect();
+        // Stable: updates scheduled for the same time land in slice order.
+        upd_order.sort_by(|a, b| a.at.partial_cmp(&b.at).expect("finite update times"));
+        let mut pending = upd_order.into_iter().peekable();
 
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let mut queued_by_tenant: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut adm = Admission::new(requests, rc.queue_capacity, rc.tenant_quota);
         let mut completions = Vec::new();
-        let mut rejections = Vec::new();
         let mut failures = Vec::new();
         let mut busy_seconds = 0.0;
-        let mut makespan = 0.0f64;
         let mut recovery: Option<f64> = None;
-        let mut next = 0usize;
 
         loop {
-            let next_arrival = order.get(next).map(|&i| requests[i].arrival);
-            let can_dispatch = !queue.is_empty() && {
-                let head = *queue.front().expect("non-empty");
-                let free = self.ready_time(&requests[head]);
-                match next_arrival {
-                    Some(t) => free <= t,
-                    None => true,
-                }
+            let ready = adm.head().map_or(0.0, |head| self.ready_time(head));
+            let Some(Event { at, step }) = adm.next_event(ready, &mut self.metrics) else {
+                break;
             };
             // Install every store update whose time has passed before the
-            // next event (a dispatch at its start time, or an arrival).
-            let event_time = if can_dispatch {
-                let head = *queue.front().expect("non-empty");
-                Some(self.ready_time(&requests[head]).max(requests[head].arrival))
-            } else {
-                next_arrival
-            };
-            if let Some(t) = event_time {
-                while upd_next < upd_order.len() && updates[upd_order[upd_next]].at <= t {
-                    self.apply_update(&updates[upd_order[upd_next]], t);
-                    upd_next += 1;
-                }
+            // event (a dispatch at its start time, or an arrival) is acted on.
+            let mut swapped = false;
+            while let Some(u) = pending.next_if(|u| u.at <= at) {
+                self.apply_update(u, at);
+                swapped = true;
             }
-            if can_dispatch {
-                let head = queue.pop_front().expect("non-empty");
-                *queued_by_tenant.entry(requests[head].tenant).or_insert(1) -= 1;
-                let t0 = self.ready_time(&requests[head]).max(requests[head].arrival);
-                let tenant = requests[head].tenant;
-                let ctx = TraceContext::mint(head, tenant);
-                let wait = (t0 - requests[head].arrival).max(0.0);
-                if self.obs.tracing() {
-                    let lane = self.obs.router_lane();
-                    self.obs.span(lane, requests[head].arrival, SpanName::Queue { index: head }, wait);
-                    self.obs.attr(head, "queue", wait, 0.0, 0, 0);
+            let head = match step {
+                Step::Dispatch { head } => head,
+                Step::Arrival(outcome) => {
+                    self.log_admission(requests, at, outcome);
+                    continue;
                 }
-                if self.obs.logging(LogLevel::Debug) {
-                    self.obs.log(
-                        LogLevel::Debug,
-                        t0,
-                        "dispatch",
-                        Some(ctx),
-                        &[
-                            ("query", Field::U(head as u64)),
-                            ("tenant", Field::U(tenant as u64)),
-                            ("queue_wait", Field::F(wait)),
-                        ],
-                        "dispatching admitted query",
-                    );
-                }
-                match self.serve_one(head, &requests[head], t0, rc) {
-                    Ok((c, stats)) => {
-                        makespan = makespan.max(c.finish);
-                        busy_seconds += stats.busy;
-                        if let Some(first) = stats.first_failure {
-                            let rec = (c.finish - first).max(0.0);
-                            recovery = Some(match recovery {
-                                Some(r) => r.max(rec),
-                                None => rec,
-                            });
-                        }
-                        // Per-tenant SLO inputs are recorded unconditionally
-                        // (pure virtual-time functions of the trace, so they
-                        // are identical with observability on or off).
-                        let latency = c.finish - c.arrival;
-                        self.metrics.observe(
-                            &format!("serve/tenant/t{tenant}/latency_ns"),
-                            (latency * 1e9) as u64,
-                        );
-                        self.metrics.counter_add(&format!("serve/tenant/t{tenant}/completed"), 1);
-                        let slow = latency > self.obs.config().slow_query_threshold;
-                        if slow {
-                            self.metrics.counter_add("serve/query/slow", 1);
-                            self.obs.note_slow();
-                        }
-                        self.obs.finish_query(head, latency);
-                        if self.obs.logging(LogLevel::Info) {
-                            self.obs.log(
-                                LogLevel::Info,
-                                c.finish,
-                                "complete",
-                                Some(ctx),
-                                &[
-                                    ("query", Field::U(head as u64)),
-                                    ("tenant", Field::U(tenant as u64)),
-                                    ("shards", Field::U(c.shards as u64)),
-                                    ("attempts", Field::U(c.attempts as u64)),
-                                    ("failovers", Field::U(c.failovers as u64)),
-                                    ("latency", Field::F(latency)),
-                                    ("crc", Field::U(c.crc as u64)),
-                                ],
-                                "query served",
-                            );
-                        }
-                        if slow && self.obs.logging(LogLevel::Warn) {
-                            self.obs.log(
-                                LogLevel::Warn,
-                                c.finish,
-                                "slow_query",
-                                Some(ctx),
-                                &[
-                                    ("query", Field::U(head as u64)),
-                                    ("tenant", Field::U(tenant as u64)),
-                                    ("latency", Field::F(latency)),
-                                    (
-                                        "threshold",
-                                        Field::F(self.obs.config().slow_query_threshold),
-                                    ),
-                                ],
-                                "latency over the slow-query threshold",
-                            );
-                        }
-                        completions.push(c);
-                    }
-                    Err(error) => {
-                        self.metrics.counter_add("serve/query/failed", 1);
-                        self.metrics.counter_add(&format!("serve/tenant/t{tenant}/failed"), 1);
-                        if self.obs.logging(LogLevel::Error) {
-                            let why = error.to_string();
-                            self.obs.log(
-                                LogLevel::Error,
-                                t0,
-                                "query_failed",
-                                Some(ctx),
-                                &[
-                                    ("query", Field::U(head as u64)),
-                                    ("tenant", Field::U(tenant as u64)),
-                                    ("error", Field::S(&why)),
-                                ],
-                                "admitted query lost",
-                            );
-                        }
-                        failures.push(TierFailure {
-                            index: head,
-                            arrival: requests[head].arrival,
-                            error,
+            };
+            // A swap re-shards mode 0, which can change the replica clocks
+            // pacing the head: it starts when the new layout is ready for it.
+            let t0 = if swapped { self.ready_time(&requests[head]) } else { at };
+            let tenant = requests[head].tenant;
+            let ctx = TraceContext::mint(head, tenant);
+            let wait = (t0 - requests[head].arrival).max(0.0);
+            if self.obs.tracing() {
+                let lane = self.obs.router_lane();
+                self.obs.span(lane, requests[head].arrival, SpanName::Queue { index: head }, wait);
+                self.obs.attr(head, "queue", wait, 0.0, 0, 0);
+            }
+            if self.obs.logging(LogLevel::Debug) {
+                self.obs.log(
+                    LogLevel::Debug,
+                    t0,
+                    "dispatch",
+                    Some(ctx),
+                    &[
+                        ("query", Field::U(head as u64)),
+                        ("tenant", Field::U(tenant as u64)),
+                        ("queue_wait", Field::F(wait)),
+                    ],
+                    "dispatching admitted query",
+                );
+            }
+            match self.serve_one(head, &requests[head], t0, rc) {
+                Ok((c, stats)) => {
+                    adm.note_finish(c.finish);
+                    busy_seconds += stats.busy;
+                    if let Some(first) = stats.first_failure {
+                        let rec = (c.finish - first).max(0.0);
+                        recovery = Some(match recovery {
+                            Some(r) => r.max(rec),
+                            None => rec,
                         });
                     }
-                }
-            } else if let Some(t) = next_arrival {
-                let idx = order[next];
-                next += 1;
-                makespan = makespan.max(t);
-                let tenant = requests[idx].tenant;
-                let tenant_queued = queued_by_tenant.get(&tenant).copied().unwrap_or(0);
-                if rc.tenant_quota.is_some_and(|quota| tenant_queued >= quota) {
-                    self.metrics.counter_add("serve/query/rejected", 1);
-                    self.metrics.counter_add("serve/query/quota_rejected", 1);
-                    if self.obs.logging(LogLevel::Warn) {
+                    // Per-tenant SLO inputs are recorded unconditionally
+                    // (pure virtual-time functions of the trace, so they
+                    // are identical with observability on or off).
+                    let latency = c.finish - c.arrival;
+                    self.metrics.observe(
+                        &format!("serve/tenant/t{tenant}/latency_ns"),
+                        (latency * 1e9) as u64,
+                    );
+                    self.metrics.counter_add(&format!("serve/tenant/t{tenant}/completed"), 1);
+                    let slow = latency > self.obs.config().slow_query_threshold;
+                    if slow {
+                        self.metrics.counter_add("serve/query/slow", 1);
+                        self.obs.note_slow();
+                    }
+                    self.obs.finish_query(head, latency);
+                    if self.obs.logging(LogLevel::Info) {
+                        self.obs.log(
+                            LogLevel::Info,
+                            c.finish,
+                            "complete",
+                            Some(ctx),
+                            &[
+                                ("query", Field::U(head as u64)),
+                                ("tenant", Field::U(tenant as u64)),
+                                ("shards", Field::U(c.shards as u64)),
+                                ("attempts", Field::U(c.attempts as u64)),
+                                ("failovers", Field::U(c.failovers as u64)),
+                                ("latency", Field::F(latency)),
+                                ("crc", Field::U(c.crc as u64)),
+                            ],
+                            "query served",
+                        );
+                    }
+                    if slow && self.obs.logging(LogLevel::Warn) {
                         self.obs.log(
                             LogLevel::Warn,
-                            t,
-                            "quota_rejected",
-                            Some(TraceContext::mint(idx, tenant)),
+                            c.finish,
+                            "slow_query",
+                            Some(ctx),
                             &[
-                                ("query", Field::U(idx as u64)),
+                                ("query", Field::U(head as u64)),
                                 ("tenant", Field::U(tenant as u64)),
-                                ("queued", Field::U(tenant_queued as u64)),
+                                ("latency", Field::F(latency)),
+                                (
+                                    "threshold",
+                                    Field::F(self.obs.config().slow_query_threshold),
+                                ),
                             ],
-                            "tenant over its admission quota",
+                            "latency over the slow-query threshold",
                         );
                     }
-                    rejections.push(Rejection {
-                        index: idx,
-                        arrival: t,
-                        error: ServeError::QuotaExceeded {
-                            tenant,
-                            queued: tenant_queued,
-                            quota: rc.tenant_quota.expect("checked above"),
-                        },
-                    });
-                } else if queue.len() < rc.queue_capacity {
-                    queue.push_back(idx);
-                    *queued_by_tenant.entry(tenant).or_insert(0) += 1;
-                } else {
-                    // Full queue: shed low-priority first, exactly like the
-                    // single-store engine.
-                    let evict = if requests[idx].priority == Priority::High {
-                        queue.iter().rposition(|&q| requests[q].priority == Priority::Low)
-                    } else {
-                        None
-                    };
-                    self.metrics.counter_add("serve/query/rejected", 1);
-                    if let Some(pos) = evict {
-                        let victim = queue.remove(pos).expect("in range");
-                        *queued_by_tenant.entry(requests[victim].tenant).or_insert(1) -= 1;
-                        self.metrics.counter_add("serve/query/shed_low", 1);
-                        if self.obs.logging(LogLevel::Warn) {
-                            self.obs.log(
-                                LogLevel::Warn,
-                                t,
-                                "shed_low",
-                                Some(TraceContext::mint(victim, requests[victim].tenant)),
-                                &[
-                                    ("query", Field::U(victim as u64)),
-                                    ("tenant", Field::U(requests[victim].tenant as u64)),
-                                    ("evicted_for", Field::U(idx as u64)),
-                                ],
-                                "low-priority request shed for a high-priority arrival",
-                            );
-                        }
-                        rejections.push(Rejection {
-                            index: victim,
-                            arrival: requests[victim].arrival,
-                            error: ServeError::Overloaded {
-                                queued: rc.queue_capacity,
-                                capacity: rc.queue_capacity,
-                            },
-                        });
-                        queue.push_back(idx);
-                        *queued_by_tenant.entry(tenant).or_insert(0) += 1;
-                    } else {
-                        if self.obs.logging(LogLevel::Warn) {
-                            self.obs.log(
-                                LogLevel::Warn,
-                                t,
-                                "rejected",
-                                Some(TraceContext::mint(idx, tenant)),
-                                &[
-                                    ("query", Field::U(idx as u64)),
-                                    ("tenant", Field::U(tenant as u64)),
-                                    ("queued", Field::U(queue.len() as u64)),
-                                ],
-                                "admission queue full",
-                            );
-                        }
-                        rejections.push(Rejection {
-                            index: idx,
-                            arrival: t,
-                            error: ServeError::Overloaded {
-                                queued: queue.len(),
-                                capacity: rc.queue_capacity,
-                            },
-                        });
-                    }
+                    completions.push(c);
                 }
-            } else {
-                break;
+                Err(error) => {
+                    self.metrics.counter_add("serve/query/failed", 1);
+                    self.metrics.counter_add(&format!("serve/tenant/t{tenant}/failed"), 1);
+                    if self.obs.logging(LogLevel::Error) {
+                        let why = error.to_string();
+                        self.obs.log(
+                            LogLevel::Error,
+                            t0,
+                            "query_failed",
+                            Some(ctx),
+                            &[
+                                ("query", Field::U(head as u64)),
+                                ("tenant", Field::U(tenant as u64)),
+                                ("error", Field::S(&why)),
+                            ],
+                            "admitted query lost",
+                        );
+                    }
+                    failures.push(TierFailure {
+                        index: head,
+                        arrival: requests[head].arrival,
+                        error,
+                    });
+                }
             }
         }
+        let (rejections, makespan) = adm.finish();
         // Updates scheduled past the last event still land, so the tier's
         // final generation reflects the whole schedule.
-        while upd_next < upd_order.len() {
-            let u = &updates[upd_order[upd_next]];
-            let at = u.at.max(makespan);
-            self.apply_update(u, at);
-            upd_next += 1;
+        for u in pending {
+            self.apply_update(u, u.at.max(makespan));
         }
         if let Some(r) = recovery {
             self.metrics.gauge_set("serve/failover_recovery_vt", r);

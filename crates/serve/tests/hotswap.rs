@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use tucker_mpisim::FaultPlan;
 use tucker_serve::workload::{synthetic_store, synthetic_trace, WorkloadConfig};
 use tucker_serve::{
-    EngineConfig, Priority, Query, Request, Router, StoreUpdate, TierRunConfig,
+    EngineConfig, Priority, Query, Request, Router, ShardMap, StoreUpdate, TierRunConfig,
 };
 use tucker_stream::{StreamConfig, StreamState};
 use tucker_core::SthosvdConfig;
@@ -142,5 +142,49 @@ proptest! {
         prop_assert_eq!(after.completions.len(), 1);
         prop_assert_eq!(after.completions[0].elems, grow);
         prop_assert_eq!(after.completions[0].generation, rep.generation);
+    }
+}
+
+/// A swap re-shards mode 0, so the replica that will serve the queue's head
+/// can change at the very event the swap lands on. The head is paced by the
+/// layout it is served under: on a backed-up one-replica-per-shard tier
+/// every query dispatches exactly when the previous query on its shard
+/// finishes — not earlier, and not held back by the shard it used to live on.
+#[test]
+fn dispatch_at_a_swap_is_paced_by_the_new_shard_layout() {
+    let rows = 40;
+    let old = synthetic_store::<f64>(&[rows, 24, 20], &[10, 8, 6]);
+    let new = synthetic_store::<f64>(&[2 * rows, 24, 20], &[10, 8, 6]);
+    // Single-row queries hopping across the old shard boundaries, arriving
+    // far faster than they are served, so the replica clocks pace dispatch.
+    let row_of = |index: usize| index * 7 % rows;
+    let trace: Vec<Request> = (0..60)
+        .map(|i| {
+            let q = Query::parse(&format!("{},*,{}", row_of(i), i % 20)).unwrap();
+            Request::new(i as f64 * 2e-6, q)
+        })
+        .collect();
+    for (shards, swap_after) in [(2, 10), (2, 25), (3, 10), (3, 40)] {
+        let updates = vec![StoreUpdate {
+            at: trace[swap_after].arrival + 1e-7,
+            tucker: new.clone(),
+            generation: 1,
+        }];
+        let mut router = Router::new(&old, shards, 1, EngineConfig::default(), &FaultPlan::none());
+        let report = router.run_with_updates(&trace, &TierRunConfig::default(), &updates);
+        assert_eq!(report.completions.len(), trace.len());
+        // FIFO dispatch: submission order is dispatch order.
+        let mut free = vec![0.0f64; shards];
+        for c in &report.completions {
+            let served_rows = if c.generation == 0 { rows } else { 2 * rows };
+            let shard = ShardMap::new(served_rows, shards).owner(row_of(c.index));
+            assert_eq!(
+                c.dispatch,
+                free[shard].max(c.arrival),
+                "{shards} shards, swap after #{swap_after}: request {} on shard {shard}",
+                c.index
+            );
+            free[shard] = c.finish;
+        }
     }
 }

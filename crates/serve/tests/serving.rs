@@ -5,9 +5,10 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use tucker_core::tucker_io::TuckerIoError;
-use tucker_serve::workload::{synthetic_store, synthetic_trace, WorkloadConfig};
+use tucker_mpisim::FaultPlan;
+use tucker_serve::workload::{assign_tenants, synthetic_store, synthetic_trace, WorkloadConfig};
 use tucker_serve::{
-    Engine, EngineConfig, Request, RunConfig, ServeError, TuckerStore,
+    Engine, EngineConfig, Request, Router, RunConfig, ServeError, TierRunConfig, TuckerStore,
 };
 
 fn small_workload() -> WorkloadConfig {
@@ -155,4 +156,79 @@ fn open_queue_run_matches_direct_execution() {
         assert_eq!(tucker_serve::tensor_crc(&out.tensor), c.crc);
         assert_eq!(out.tensor.len(), c.elems);
     }
+}
+
+/// The tier's admission policy and event order are the engine's: a healthy
+/// 1×1 tier and a one-worker, unbatched engine produce the same virtual
+/// timeline bit for bit, with or without pressure on the queue.
+/// (`busy_seconds` is not compared: the engine sums service times, the tier
+/// sums `finish − start`, equal only to rounding.)
+#[test]
+fn one_by_one_tier_is_the_single_engine() {
+    let wl = WorkloadConfig {
+        dims: vec![40, 24, 20],
+        ranks: vec![10, 8, 6],
+        requests: 200,
+        ..WorkloadConfig::default()
+    };
+    let tucker = synthetic_store::<f64>(&wl.dims, &wl.ranks);
+    let mut base = synthetic_trace(&wl);
+    assign_tenants(&mut base, 4, 0.3, 7);
+    // (queue capacity, tenant quota, arrival scale, cache on)
+    let settings = [
+        (usize::MAX, None, 1.0, true),
+        (usize::MAX, None, 1.0, false),
+        (4, Some(2), 0.002, true),
+        (8, None, 0.02, true),
+        (3, Some(1), 0.0005, false),
+    ];
+    let (mut quota_rejected, mut shed_low) = (0, 0);
+    for (queue_capacity, tenant_quota, scale, cache) in settings {
+        let what =
+            format!("capacity {queue_capacity} quota {tenant_quota:?} x{scale} cache {cache}");
+        let trace: Vec<Request> =
+            base.iter().map(|r| Request { arrival: r.arrival * scale, ..r.clone() }).collect();
+        let cfg = EngineConfig {
+            cache_budget: if cache { EngineConfig::default().cache_budget } else { 0 },
+            ..EngineConfig::default()
+        };
+        let mut engine = Engine::new(TuckerStore::from_tucker(tucker.clone()), cfg.clone());
+        let e = engine
+            .run(&trace, &RunConfig { workers: 1, batch_limit: 1, queue_capacity, tenant_quota })
+            .expect("engine run");
+        let mut router = Router::new(&tucker, 1, 1, cfg, &FaultPlan::none());
+        let t = router.run(
+            &trace,
+            &TierRunConfig { queue_capacity, tenant_quota, ..TierRunConfig::default() },
+        );
+
+        assert!(t.failures.is_empty(), "{what}: a healthy tier fails nothing");
+        assert_eq!(e.completions.len() + e.rejections.len(), trace.len(), "{what}");
+        let timeline = |index: usize, crc: u32, dispatch: f64, finish: f64| {
+            (index, crc, dispatch.to_bits(), finish.to_bits())
+        };
+        let engine_done: Vec<_> =
+            e.completions.iter().map(|c| timeline(c.index, c.crc, c.dispatch, c.finish)).collect();
+        let tier_done: Vec<_> =
+            t.completions.iter().map(|c| timeline(c.index, c.crc, c.dispatch, c.finish)).collect();
+        assert_eq!(engine_done, tier_done, "{what}: completions");
+        let engine_rejected: Vec<_> =
+            e.rejections.iter().map(|r| (r.index, r.error.to_string())).collect();
+        let tier_rejected: Vec<_> =
+            t.rejections.iter().map(|r| (r.index, r.error.to_string())).collect();
+        assert_eq!(engine_rejected, tier_rejected, "{what}: rejections");
+        assert_eq!(e.makespan.to_bits(), t.makespan.to_bits(), "{what}: makespan");
+        for counter in
+            ["serve/query/rejected", "serve/query/quota_rejected", "serve/query/shed_low"]
+        {
+            assert_eq!(
+                engine.metrics().counter(counter),
+                router.metrics().counter(counter),
+                "{what}: {counter}"
+            );
+        }
+        quota_rejected += engine.metrics().counter("serve/query/quota_rejected");
+        shed_low += engine.metrics().counter("serve/query/shed_low");
+    }
+    assert!(quota_rejected > 0 && shed_low > 0, "the squeezed settings must reach every arm");
 }

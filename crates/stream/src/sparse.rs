@@ -100,7 +100,7 @@ pub fn sparse_sthosvd<T: Scalar>(
 mod tests {
     use super::*;
     use crate::error::StreamError;
-    use tucker_core::{sthosvd_with_info, SvdMethod};
+    use tucker_core::{sthosvd_with_info, ModeOrder, SvdMethod};
     use tucker_linalg::LinalgError;
 
     /// Sparse-ish low-rank tensor: a rank-(2,2,2) signal sampled at ~half
@@ -157,6 +157,16 @@ mod tests {
                 Some(StreamError::Linalg(LinalgError::InvalidConfig { param: "ranks", .. }))
             );
             assert!(typed, "{ranks:?}: {e:?}");
+        }
+        // Likewise a mode order that is too short, too long, or repeats a mode.
+        for order in [vec![0, 1], vec![0, 1, 2, 0], vec![0, 0, 1]] {
+            let cfg = SthosvdConfig::with_ranks(vec![4, 4, 4]).order(ModeOrder::Custom(order));
+            let e = sparse_sthosvd(&coo, &cfg, SparseGram::Exact).err();
+            let typed = matches!(
+                e,
+                Some(StreamError::Linalg(LinalgError::InvalidConfig { param: "mode_order", .. }))
+            );
+            assert!(typed, "{:?}: {e:?}", cfg.mode_order);
         }
     }
 

@@ -464,6 +464,20 @@ fi
 grep -q "^tuckerbench: ok" "$ckpt/benchmark_smoke.log"
 echo "benchmark smoke: all workloads correct, every metric present OK"
 
+# Committed serve/failover artifact gate: both benches are pure virtual
+# time, so a fresh full run must reproduce BENCH_pr5.json and
+# BENCH_pr7.json byte for byte — the exact admission decisions and
+# event timeline of both serving loops.
+target/release/bench serve --out "$ckpt/bench_pr5_full.json" >/dev/null
+target/release/bench failover --out "$ckpt/bench_pr7_full.json" >/dev/null
+for n in 5 7; do
+    cmp "BENCH_pr$n.json" "$ckpt/bench_pr${n}_full.json" || {
+        echo "artifact gate: BENCH_pr$n.json is not what a fresh full run writes" >&2
+        exit 1
+    }
+done
+echo "artifact gate: BENCH_pr5.json and BENCH_pr7.json reproduce byte for byte OK"
+
 # Bench regression guard: fresh virtual-time runs of the committed serve
 # and failover benchmarks must stay within 20% of every checked-in gated
 # metric (full mode also re-runs the wall-clock benches).
