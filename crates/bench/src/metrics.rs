@@ -1,39 +1,26 @@
-//! Opt-in metrics export for the figure binaries, the counters-and-gauges
+//! Opt-in metrics export for the `figs` entries, the counters-and-gauges
 //! companion of [`crate::tracing::BenchTracer`] (DESIGN.md §11).
 //!
-//! Every `src/bin/` binary that drives the simulated machine accepts
-//! `--metrics <dir>` (or the `TUCKER_METRICS_DIR` environment variable):
-//! when set, each simulated run collects its per-rank metrics registries and
-//! writes them — together with the cost-model conformance report, when the
-//! caller computed one — as `<label>.metrics.json` under the directory.
+//! Every entry that drives the simulated machine honours `figs --metrics
+//! <dir>`: when set, each simulated run collects its per-rank metrics
+//! registries and writes them — together with the cost-model conformance
+//! report, when the caller computed one — as `<label>.metrics.json` under
+//! the directory.
 //! Without the flag, collection stays off and the runs are untouched.
 
 use std::path::PathBuf;
 use tucker_core::ModelCheckReport;
 use tucker_mpisim::{MetricsRegistry, Simulator};
 
-/// Metrics-export destination parsed once at binary start-up.
+/// Metrics-export destination (`None`: never export).
 pub struct MetricsSink {
     dir: Option<PathBuf>,
 }
 
 impl MetricsSink {
-    /// Read `--metrics <dir>` from the process arguments, falling back to
-    /// the `TUCKER_METRICS_DIR` environment variable.
-    pub fn from_env_args() -> Self {
-        let mut dir = std::env::var_os("TUCKER_METRICS_DIR").map(PathBuf::from);
-        let args: Vec<String> = std::env::args().collect();
-        for w in args.windows(2) {
-            if w[0] == "--metrics" {
-                dir = Some(PathBuf::from(&w[1]));
-            }
-        }
+    /// Export under `dir`, or never.
+    pub fn new(dir: Option<PathBuf>) -> Self {
         MetricsSink { dir }
-    }
-
-    /// A sink that never exports (for tests).
-    pub fn disabled() -> Self {
-        MetricsSink { dir: None }
     }
 
     pub fn enabled(&self) -> bool {
@@ -103,7 +90,7 @@ mod tests {
 
     #[test]
     fn disabled_sink_is_a_no_op() {
-        let sink = MetricsSink::disabled();
+        let sink = MetricsSink::new(None);
         assert!(!sink.enabled());
         let sim = sink.apply(Simulator::new(1));
         let out = sim.run(|_ctx| ());

@@ -1,7 +1,10 @@
-//! The `bench serve` harness: naive-vs-batched serving on a seeded
-//! synthetic workload, in virtual time.
+//! The deterministic serving harness behind `tucker serve-bench` and
+//! `tucker slo-report`: naive-vs-batched serving, the replicated tier under
+//! failover, and the shared tier workload, on a seeded synthetic trace in
+//! virtual time. `tests/serve_fixtures.rs` pins the full-size records byte
+//! for byte.
 //!
-//! Three runs over the same request trace:
+//! [`run_serve_bench`] makes three runs over the same request trace:
 //!
 //! 1. **naive** — cache off, batch limit 1: every query contracts its own
 //!    mode-0 partial.
@@ -18,15 +21,13 @@
 //! ([`CostModel`](tucker_mpisim::CostModel)), so the emitted numbers are
 //! machine-independent.
 
-use crate::engine::{Engine, EngineConfig, Request, RunConfig, RunReport};
-use crate::error::ServeError;
-use crate::obs::ObsConfig;
-use crate::router::{Router, TierReport, TierRunConfig};
-use crate::store::TuckerStore;
-use crate::workload::{assign_tenants, synthetic_store, synthetic_trace, WorkloadConfig};
 use std::collections::BTreeMap;
-use std::time::Instant;
 use tucker_mpisim::FaultPlan;
+use tucker_serve::{
+    assign_tenants, synthetic_store, synthetic_trace, Engine, EngineConfig, ObsConfig, Request,
+    Router, RunConfig, RunReport, ServeError, TierReport, TierRunConfig, TuckerStore,
+    WorkloadConfig,
+};
 
 /// The workload every harness here runs: the [`WorkloadConfig`] default, or
 /// — `quick`, for CI smoke runs — `48×40×36` at ranks `12×10×9` with 120
@@ -49,7 +50,7 @@ fn ints(v: &[usize]) -> String {
     v.iter().map(|d| d.to_string()).collect::<Vec<_>>().join(",")
 }
 
-/// Everything `BENCH_pr5.json` records.
+/// Everything the `serve-bench` record holds.
 #[derive(Clone, Debug)]
 pub struct ServeBenchResult {
     /// Synthetic tensor dimensions.
@@ -118,7 +119,7 @@ fn crc_by_index(report: &RunReport) -> BTreeMap<usize, u32> {
 }
 
 /// Run the serving benchmark. `quick` shrinks the store and trace for CI
-/// smoke runs; the full configuration backs the committed artifact.
+/// smoke runs; the full configuration backs the committed fixture.
 pub fn run_serve_bench(quick: bool) -> Result<ServeBenchResult, ServeError> {
     let wl = bench_workload(quick);
     let trace = synthetic_trace(&wl);
@@ -151,7 +152,7 @@ pub fn run_serve_bench(quick: bool) -> Result<ServeBenchResult, ServeError> {
     // a tiny queue — must reject (typed), never corrupt admitted work.
     let burst: Vec<_> = trace
         .iter()
-        .map(|r| crate::engine::Request::new(r.arrival * 0.02, r.query.clone()))
+        .map(|r| Request::new(r.arrival * 0.02, r.query.clone()))
         .collect();
     let mut overload =
         Engine::new(TuckerStore::from_tucker(tucker), EngineConfig::default());
@@ -200,7 +201,7 @@ pub fn run_serve_bench(quick: bool) -> Result<ServeBenchResult, ServeError> {
     })
 }
 
-/// Everything `BENCH_pr7.json` records: the replicated tier under three
+/// Everything the `serve-bench --shards` record holds: the replicated tier under three
 /// regimes — healthy, one replica crashed mid-workload, and overload with
 /// tenants and priorities.
 #[derive(Clone, Debug)]
@@ -283,7 +284,7 @@ impl FailoverBenchResult {
     }
 }
 
-/// Run the replicated-tier benchmark behind `BENCH_pr7.json`.
+/// Run the replicated-tier benchmark behind `serve-bench --shards`.
 ///
 /// Four runs over the same seeded trace:
 ///
@@ -386,7 +387,7 @@ pub fn run_failover_bench(
 /// (for its metrics, observer, and trace lanes) alongside the report.
 ///
 /// This is the shared workload behind `serve-bench --trace`, `tucker
-/// slo-report`, and [`run_observability_bench`]. `plan = None` arms the
+/// slo-report`, and `figs overhead_obs`. `plan = None` arms the
 /// default mid-workload crash of rank `1 % world` so every artifact
 /// produced from this workload contains a real failover story.
 pub fn run_tier_workload(
@@ -408,124 +409,6 @@ pub fn run_tier_workload(
     router.enable_obs(obs);
     let report = router.run(&trace, &TierRunConfig::default());
     Ok((router, report))
-}
-
-/// Everything `BENCH_pr9.json` records: the cost of full observability
-/// (tracing + structured logging at `debug`) on the serving loop.
-#[derive(Clone, Debug)]
-pub struct ObservabilityBenchResult {
-    /// Synthetic tensor dimensions.
-    pub shape: Vec<usize>,
-    /// Stored ranks.
-    pub ranks: Vec<usize>,
-    /// Requests in the trace.
-    pub queries: usize,
-    /// Median wall-clock per run, observability off, milliseconds.
-    pub off_ms: f64,
-    /// Median wall-clock per run, observability on, milliseconds.
-    pub on_ms: f64,
-    /// `(median paired on/off ratio − 1) × 100` — the gated number, < 2%.
-    pub overhead_pct: f64,
-    /// Spans recorded by the instrumented run.
-    pub spans: u64,
-    /// Structured log lines emitted by the instrumented run.
-    pub log_lines: usize,
-    /// Whether every completion CRC agreed between the off and on runs.
-    pub bit_identical: bool,
-}
-
-impl ObservabilityBenchResult {
-    /// Deterministic JSON (keys in fixed order). `off_ms`/`on_ms`/
-    /// `overhead_pct` are wall-clock and therefore machine-dependent; the
-    /// gate is the paired ratio, which is stable across machines.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"bench\":\"observability\",\"shape\":[{shape}],\"ranks\":[{ranks}],",
-                "\"queries\":{queries},\"off_ms\":{off:.4},\"on_ms\":{on:.4},",
-                "\"overhead_pct\":{ov:.4},\"spans\":{spans},",
-                "\"log_lines\":{lines},\"bit_identical\":{bit}}}"
-            ),
-            shape = ints(&self.shape),
-            ranks = ints(&self.ranks),
-            queries = self.queries,
-            off = self.off_ms,
-            on = self.on_ms,
-            ov = self.overhead_pct,
-            spans = self.spans,
-            lines = self.log_lines,
-            bit = self.bit_identical,
-        )
-    }
-}
-
-/// Measure the serving-loop cost of observability on the 2×2 failover
-/// workload: paired off/on rounds (off first, then on, per round) with a
-/// discarded warmup pair; the reported overhead is the *median* of the
-/// per-round on/off wall-clock ratios, which cancels machine speed and
-/// most scheduler noise. Results must be bit-identical between the two
-/// configurations — tracing and logging are pure side-buffers.
-pub fn run_observability_bench(quick: bool) -> Result<ObservabilityBenchResult, ServeError> {
-    let (shards, replicas) = (2, 2);
-    let rounds = if quick { 3 } else { 25 };
-
-    // Warmup pair: page in the store, warm allocators and branch caches.
-    let (_, warm_off) = run_tier_workload(quick, shards, replicas, None, ObsConfig::default())?;
-    let (_, warm_on) = run_tier_workload(quick, shards, replicas, None, ObsConfig::full())?;
-    assert_eq!(warm_off.completions.len(), warm_on.completions.len());
-
-    let mut ratios = Vec::with_capacity(rounds);
-    let mut offs = Vec::with_capacity(rounds);
-    let mut ons = Vec::with_capacity(rounds);
-    let mut last_on: Option<(Router<f64>, TierReport)> = None;
-    let mut baseline: Option<BTreeMap<usize, u32>> = None;
-    let mut bit_identical = true;
-    for _ in 0..rounds {
-        let t0 = Instant::now();
-        let (_, off_report) =
-            run_tier_workload(quick, shards, replicas, None, ObsConfig::default())?;
-        let off_s = t0.elapsed().as_secs_f64();
-
-        let t1 = Instant::now();
-        let on = run_tier_workload(quick, shards, replicas, None, ObsConfig::full())?;
-        let on_s = t1.elapsed().as_secs_f64();
-
-        let off_crc: BTreeMap<usize, u32> =
-            off_report.completions.iter().map(|c| (c.index, c.crc)).collect();
-        let on_crc: BTreeMap<usize, u32> =
-            on.1.completions.iter().map(|c| (c.index, c.crc)).collect();
-        bit_identical &= off_crc == on_crc;
-        match &baseline {
-            Some(b) => bit_identical &= *b == off_crc,
-            None => baseline = Some(off_crc),
-        }
-
-        ratios.push(on_s / off_s.max(1e-12));
-        offs.push(off_s);
-        ons.push(on_s);
-        last_on = Some(on);
-    }
-    assert!(bit_identical, "observability must not perturb results");
-
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        v[v.len() / 2]
-    };
-    let overhead_pct = (median(&mut ratios) - 1.0) * 100.0;
-    let (router, report) = last_on.expect("rounds >= 1");
-    let wl = bench_workload(quick);
-    let obs = router.observer();
-    Ok(ObservabilityBenchResult {
-        shape: wl.dims,
-        ranks: wl.ranks,
-        queries: report.completions.len() + report.failures.len() + report.rejections.len(),
-        off_ms: median(&mut offs) * 1e3,
-        on_ms: median(&mut ons) * 1e3,
-        overhead_pct,
-        spans: obs.span_count(),
-        log_lines: obs.log_lines().len(),
-        bit_identical,
-    })
 }
 
 #[cfg(test)]
@@ -574,27 +457,6 @@ mod tests {
         ] {
             assert!(j.contains(key), "missing {key} in {j}");
         }
-    }
-
-    #[test]
-    fn quick_observability_bench_is_bit_identical_and_instrumented() {
-        let r = run_observability_bench(true).expect("observability bench runs");
-        assert_eq!(r.queries, 120);
-        assert!(r.bit_identical, "tracing+logging must not perturb results");
-        assert!(r.spans > 0, "instrumented run must record spans");
-        assert!(r.log_lines > 0, "instrumented run must emit log lines");
-        let j = r.to_json();
-        for key in [
-            "\"bench\":\"observability\"",
-            "\"overhead_pct\":",
-            "\"bit_identical\":true",
-            "\"spans\":",
-            "\"log_lines\":",
-        ] {
-            assert!(j.contains(key), "missing {key} in {j}");
-        }
-        // No overhead gate in quick mode — 3 rounds on a loaded CI box are
-        // too noisy; the committed artifact is produced by the full run.
     }
 
     #[test]

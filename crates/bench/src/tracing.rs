@@ -1,38 +1,24 @@
-//! Opt-in event tracing for the figure binaries.
+//! Opt-in event tracing for the `figs` entries.
 //!
-//! Every `src/bin/` binary that drives the simulated machine accepts
-//! `--trace <dir>` (or the `TUCKER_TRACE_DIR` environment variable): when
-//! set, each simulated run records its collective/phase event stream with
-//! validation on, and writes a Chrome-trace JSON plus a per-rank text
-//! timeline under the directory, one pair per experiment label. Without the
-//! flag, tracing stays off and the runs are untouched (see DESIGN.md
+//! Every entry that drives the simulated machine honours `figs --trace
+//! <dir>`: when set, each simulated run records its collective/phase event
+//! stream with validation on, and writes a Chrome-trace JSON plus a per-rank
+//! text timeline under the directory, one pair per experiment label. Without
+//! the flag, tracing stays off and the runs are untouched (see DESIGN.md
 //! §Observability).
 
 use std::path::PathBuf;
 use tucker_mpisim::{chrome_trace_json, text_timeline, RankTrace, Simulator, TraceConfig};
 
-/// Trace-export destination parsed once at binary start-up.
+/// Trace-export destination (`None`: never export).
 pub struct BenchTracer {
     dir: Option<PathBuf>,
 }
 
 impl BenchTracer {
-    /// Read `--trace <dir>` from the process arguments, falling back to the
-    /// `TUCKER_TRACE_DIR` environment variable.
-    pub fn from_env_args() -> Self {
-        let mut dir = std::env::var_os("TUCKER_TRACE_DIR").map(PathBuf::from);
-        let args: Vec<String> = std::env::args().collect();
-        for w in args.windows(2) {
-            if w[0] == "--trace" {
-                dir = Some(PathBuf::from(&w[1]));
-            }
-        }
+    /// Export under `dir`, or never.
+    pub fn new(dir: Option<PathBuf>) -> Self {
         BenchTracer { dir }
-    }
-
-    /// A tracer that never exports (for tests).
-    pub fn disabled() -> Self {
-        BenchTracer { dir: None }
     }
 
     pub fn enabled(&self) -> bool {
@@ -97,7 +83,7 @@ mod tests {
 
     #[test]
     fn disabled_tracer_is_a_no_op() {
-        let tracer = BenchTracer::disabled();
+        let tracer = BenchTracer::new(None);
         assert!(!tracer.enabled());
         let sim = tracer.apply(Simulator::new(1));
         let out = sim.run(|_ctx| ());

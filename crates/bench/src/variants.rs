@@ -26,6 +26,14 @@ impl Precision {
             Precision::Double => "double",
         }
     }
+
+    /// Bytes per scalar: 4 / 8.
+    pub fn bytes(self) -> usize {
+        match self {
+            Precision::Single => 4,
+            Precision::Double => 8,
+        }
+    }
 }
 
 /// One of the paper's four variants.

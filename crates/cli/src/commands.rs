@@ -18,9 +18,10 @@ use tucker_mpisim::{
     chrome_trace_json, text_timeline, CostModel, FaultPlan, MetricsRegistry, Simulator,
     ThreadTopology, TraceConfig,
 };
+use tucker_bench::{run_failover_bench, run_serve_bench, run_tier_workload};
 use tucker_serve::{
-    evaluate_slo, run_failover_bench, run_serve_bench, run_tier_workload, AnyStore, Engine,
-    EngineConfig, ObsConfig, OrderPolicy, Query, SloPolicy, TuckerStore,
+    evaluate_slo, AnyStore, Engine, EngineConfig, ObsConfig, OrderPolicy, Query, SloPolicy,
+    TuckerStore,
 };
 use tucker_stream::{StreamConfig, StreamState};
 use tucker_tensor::io::{read_tensor, read_tensor_header, write_tensor, StoredPrecision, TensorChunks};
@@ -444,9 +445,8 @@ fn shard_typed<T: tucker_tensor::io::IoScalar>(
 
 /// Run the deterministic serving benchmark and emit its JSON record: the
 /// naive-vs-batched engine comparison by default, or — with `--shards` —
-/// the replicated tier's healthy/failover/overload benchmark
-/// (`BENCH_pr7.json`), with `--inject` arming an mpisim fault plan against
-/// world ranks.
+/// the replicated tier's healthy/failover/overload benchmark, with
+/// `--inject` arming an mpisim fault plan against world ranks.
 fn serve_bench_cmd(a: &Args) -> Result<(), String> {
     if a.opt("trace").is_some() {
         return serve_trace_cmd(a);

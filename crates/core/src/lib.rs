@@ -52,8 +52,7 @@ pub use truncate::choose_rank;
 pub use tucker::TuckerTensor;
 pub use tucker_io::{
     read_tucker, read_tucker_any, read_tucker_checksums, read_tucker_header, write_tucker,
-    write_tucker_atomic, write_tucker_generation, write_tucker_v1, AnyTucker, Section,
-    TuckerHeader, TuckerIoError,
+    write_tucker_atomic, AnyTucker, Section, TuckerHeader, TuckerIoError,
 };
 
 #[cfg(test)]

@@ -42,7 +42,7 @@ pub const VERSION: u32 = 2;
 /// Legacy checksum-free container version, still readable.
 pub const VERSION_V1: u32 = 1;
 /// Generation-stamped container version written by the streaming update
-/// path ([`write_tucker_generation`] / [`write_tucker_atomic`]).
+/// path ([`write_tucker_atomic`]).
 pub const VERSION_GEN: u32 = 3;
 
 /// A region of a TUCK file protected by its own checksum.
@@ -279,18 +279,6 @@ pub fn write_tucker<T: IoScalar>(path: impl AsRef<Path>, tk: &TuckerTensor<T>) -
     write_checksummed(&mut w, tk, VERSION, 0)
 }
 
-/// Write a generation-stamped (v3, checksummed) store — the streaming
-/// update path. Readers below v3 reject the file typed; v1/v2 stores read
-/// back as generation 0.
-pub fn write_tucker_generation<T: IoScalar>(
-    path: impl AsRef<Path>,
-    tk: &TuckerTensor<T>,
-    generation: u64,
-) -> IoResult<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    write_checksummed(&mut w, tk, VERSION_GEN, generation)
-}
-
 /// Atomically publish a generation-stamped store: write a sibling temp
 /// file, sync it to disk, and `rename(2)` it over `path`. A reader (or a
 /// serving tier re-opening the store) sees either the complete old file or
@@ -322,16 +310,6 @@ pub fn write_tucker_atomic<T: IoScalar>(
         std::fs::remove_file(&tmp).ok();
         return Err(e.into());
     }
-    Ok(())
-}
-
-/// Write the legacy v1 (checksum-free) layout. Kept for compatibility
-/// testing and for producing files consumable by pre-v2 readers.
-pub fn write_tucker_v1<T: IoScalar>(path: impl AsRef<Path>, tk: &TuckerTensor<T>) -> IoResult<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(&header_bytes(tk, VERSION_V1, 0))?;
-    write_payload(&mut w, tk)?;
-    w.flush()?;
     Ok(())
 }
 
@@ -490,6 +468,27 @@ mod tests {
     use super::*;
     use crate::config::SthosvdConfig;
     use crate::sthosvd::sthosvd;
+
+    /// A generation-stamped (v3) store written in place, without the
+    /// temp-file-and-rename of [`write_tucker_atomic`].
+    fn write_tucker_generation<T: IoScalar>(
+        path: impl AsRef<Path>,
+        tk: &TuckerTensor<T>,
+        generation: u64,
+    ) -> IoResult<()> {
+        let mut w = BufWriter::new(File::create(path)?);
+        write_checksummed(&mut w, tk, VERSION_GEN, generation)
+    }
+
+    /// The legacy v1 (checksum-free) layout, which no writer produces any
+    /// more but every reader must still accept.
+    fn write_tucker_v1<T: IoScalar>(path: impl AsRef<Path>, tk: &TuckerTensor<T>) -> IoResult<()> {
+        let mut w = BufWriter::new(File::create(path)?);
+        w.write_all(&header_bytes(tk, VERSION_V1, 0))?;
+        write_payload(&mut w, tk)?;
+        w.flush()?;
+        Ok(())
+    }
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();

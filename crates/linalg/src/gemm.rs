@@ -145,10 +145,10 @@ const REF_MC: usize = 128;
 const REF_KC: usize = 256;
 const REF_NC: usize = 1024;
 
-/// The pre-PR3 cache-blocked dot-product GEMM, kept as the recorded perf
-/// baseline (`bench kernels` measures the new engine against it in the same
-/// run) and as an independently-coded oracle for the property tests. Same
-/// contract as [`gemm`].
+/// The pre-PR3 cache-blocked dot-product GEMM, kept as an
+/// independently-coded oracle for the property tests (the tiled engine's
+/// last recorded margin over it is in EXPERIMENTS.md). Same contract as
+/// [`gemm`].
 pub fn gemm_reference<T: Scalar>(
     alpha: T,
     a: MatRef<'_, T>,

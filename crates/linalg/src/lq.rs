@@ -24,9 +24,9 @@ pub fn gelqf<T: Scalar>(a: &mut MatMut<'_, T>) -> Vec<T> {
 }
 
 /// The pre-PR6 unblocked LQ: QR of the transposed `n x m` view, one reflector
-/// at a time. Kept as the serial reference — `bench kernels` measures the
-/// blocked path against it in the same run, and the degenerate-shape
-/// delegation in [`crate::blocked_qr::gelqf_blocked`] must match it bitwise.
+/// at a time. Kept as the serial reference: the tests compare the blocked
+/// path against it, and the degenerate-shape delegation in
+/// [`crate::blocked_qr::gelqf_blocked`] must match it bitwise.
 pub fn gelqf_unblocked<T: Scalar>(a: &mut MatMut<'_, T>) -> Vec<T> {
     // The nested geqrf's perf frame is depth-guarded, so the call is
     // attributed to "lq" only.

@@ -27,17 +27,14 @@
 //!   into the mpisim Chrome-trace export), the deterministic `serve-log-v1`
 //!   structured log, SLO evaluation ([`evaluate_slo`]), and per-query
 //!   critical-path attribution;
-//! - [`workload`] — seeded synthetic request traces;
-//! - [`bench`] — the `bench serve` / `serve-bench --shards` /
-//!   `bench observability` harnesses behind `BENCH_pr5.json`,
-//!   `BENCH_pr7.json`, and `BENCH_pr9.json`.
+//! - [`workload`] — seeded synthetic request traces (the `serve-bench`
+//!   harness over them lives in `tucker-bench`).
 //!
 //! The engine's default path ([`OrderPolicy::Exact`]) is **bit-identical**
 //! to slicing `TuckerTensor::reconstruct()` — see the determinism argument
 //! in [`store`] and the equivalence proptests under `tests/`.
 
 mod admission;
-pub mod bench;
 pub mod cache;
 pub mod engine;
 pub mod error;
@@ -49,10 +46,6 @@ pub mod router;
 pub mod store;
 pub mod workload;
 
-pub use bench::{
-    run_failover_bench, run_observability_bench, run_serve_bench, run_tier_workload,
-    FailoverBenchResult, ObservabilityBenchResult, ServeBenchResult,
-};
 pub use cache::{CacheStats, ContractionCache, PartialKey};
 pub use engine::{
     tensor_crc, BatchOutput, Completion, Engine, EngineConfig, Priority, QueryCost, QueryOutput,

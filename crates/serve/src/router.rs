@@ -542,19 +542,15 @@ impl<T: IoScalar> Router<T> {
                     }
                     return Ok((tensor, finish));
                 }
-                Attempt::Crashed { at } => {
-                    self.metrics.counter_add("serve/replica/crashes", 1);
+                lost @ (Attempt::Crashed { at } | Attempt::Dropped { at }) => {
+                    let (counter, outcome) = match lost {
+                        Attempt::Crashed { .. } => ("serve/replica/crashes", "crash"),
+                        _ => ("serve/retry/dropped", "drop"),
+                    };
+                    self.metrics.counter_add(counter, 1);
                     self.metrics.counter_add("serve/retry/failovers", 1);
                     stats.note_failure(at);
-                    self.note_failed_attempt(index, actx, shard, rank, k, at, None, backoff, "crash");
-                    t = at + backoff;
-                    backoff = (backoff * 2.0).min(policy.backoff_cap);
-                }
-                Attempt::Dropped { at } => {
-                    self.metrics.counter_add("serve/retry/dropped", 1);
-                    self.metrics.counter_add("serve/retry/failovers", 1);
-                    stats.note_failure(at);
-                    self.note_failed_attempt(index, actx, shard, rank, k, at, None, backoff, "drop");
+                    self.note_failed_attempt(index, actx, shard, rank, k, at, None, backoff, outcome);
                     t = at + backoff;
                     backoff = (backoff * 2.0).min(policy.backoff_cap);
                 }

@@ -1,7 +1,7 @@
 //! Seeded synthetic stores and request traces for serving benchmarks.
 //!
 //! Everything here is a pure function of the seed (SplitMix64), so the
-//! `bench serve` artifact is reproducible bit-for-bit across machines. The
+//! `serve-bench` record is reproducible bit-for-bit across machines. The
 //! query mix is deliberately skewed toward shapes that *share* mode-0
 //! partials — hot slices and fibers over a few popular blocks — which is
 //! the workload regime batching and caching exist for; the mix fractions
