@@ -1090,19 +1090,28 @@ mod tests {
         std::fs::remove_dir_all(dir).ok();
     }
 
+    fn cli(cmd: String) -> Result<(), String> {
+        run(&parse(&toks(&cmd)).unwrap())
+    }
+
+    /// What a must-be-rejected `compress` / `simulate` / `update` needs: a
+    /// 6x6x6 tensor, a 2x6x6 delta slab, a store path never written, and a
+    /// committed generation-0 store of the tensor.
+    fn rejection_fixture(test: &str) -> (std::path::PathBuf, [String; 4]) {
+        let dir = tmpdir(test);
+        let [tns, delta, tkr, store] =
+            ["t.tns", "d.tns", "t.tkr", "store.tkr"].map(|f| dir.join(f).display().to_string());
+        cli(format!("generate {tns} --kind random --dims 6x6x6")).unwrap();
+        cli(format!("generate {delta} --kind random --dims 2x6x6 --seed 5")).unwrap();
+        cli(format!("compress {tns} {store} --ranks 3x3x3")).unwrap();
+        (dir, [tns, delta, tkr, store])
+    }
+
     /// `--ranks` of the wrong length or with a zero must fail typed — not
     /// index out of bounds — in every command that takes it.
     #[test]
     fn wrong_length_or_zero_ranks_are_rejected_by_compress_simulate_update() {
-        let dir = tmpdir("badranks");
-        let tns = dir.join("t.tns").display().to_string();
-        let delta = dir.join("d.tns").display().to_string();
-        let tkr = dir.join("t.tkr").display().to_string();
-        let store = dir.join("store.tkr").display().to_string();
-        let cli = |cmd: String| run(&parse(&toks(&cmd)).unwrap());
-        cli(format!("generate {tns} --kind random --dims 6x6x6")).unwrap();
-        cli(format!("generate {delta} --kind random --dims 2x6x6 --seed 5")).unwrap();
-        cli(format!("compress {tns} {store} --ranks 3x3x3")).unwrap();
+        let (dir, [tns, delta, tkr, store]) = rejection_fixture("badranks");
         for ranks in ["4x4", "4x4x4x4", "4x0x4"] {
             for cmd in [
                 format!("compress {tns} {tkr} --ranks {ranks}"),
@@ -1120,6 +1129,28 @@ mod tests {
             }
         }
         // The store was never touched by the rejected updates.
+        assert!(read_tucker_hdr(&store).unwrap().generation == 0);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// `--tol` reaches the rank rule from outside: NaN fails every comparison
+    /// there and a negative value squares to a positive budget, so both used
+    /// to exit 0 at rank 1. Every command that takes it must refuse.
+    #[test]
+    fn non_finite_or_negative_tol_is_rejected_by_compress_simulate_update() {
+        let (dir, [tns, delta, tkr, store]) = rejection_fixture("badtol");
+        for tol in ["nan", "-1", "inf"] {
+            for cmd in [
+                format!("compress {tns} {tkr} --tol {tol}"),
+                format!("compress {tns} {tkr} --tol {tol} --svd gram --order backward"),
+                format!("simulate {tns} --grid 2x1x1 --tol {tol}"),
+                format!("update {store} {delta} --tol {tol}"),
+            ] {
+                let e = cli(cmd.clone()).expect_err(&cmd);
+                assert!(e.contains("invalid configuration: tolerance"), "{cmd}: {e}");
+            }
+        }
+        assert!(!std::path::Path::new(&tkr).exists(), "a rejected compress wrote a store");
         assert!(read_tucker_hdr(&store).unwrap().generation == 0);
         std::fs::remove_dir_all(dir).ok();
     }

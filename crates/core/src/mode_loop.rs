@@ -55,9 +55,19 @@ impl<T: Scalar> RankRule<T> {
     /// Resolve `truncation` for a tensor of `nmodes` modes and norm `norm`.
     /// Fixed ranks must name every mode with a rank of at least one;
     /// [`SthosvdConfig::validate`] cannot see the mode count, so that check
-    /// happens here, where a run first meets its tensor.
+    /// happens here, where a run first meets its tensor. A tolerance must be
+    /// finite and non-negative: NaN fails every comparison in `choose_rank`
+    /// and a negative one squares to a positive budget, so either would
+    /// silently truncate to rank 1.
     pub fn new(truncation: &Truncation, norm: T, nmodes: usize) -> Result<Self> {
         let threshold = match truncation {
+            Truncation::Tolerance(eps) if !(eps.is_finite() && *eps >= 0.0) => {
+                return Err(LinalgError::InvalidConfig {
+                    param: "tolerance",
+                    value: eps.to_string(),
+                    expected: "a finite tolerance ≥ 0",
+                })
+            }
             Truncation::Tolerance(eps) => mode_threshold(*eps, norm, nmodes),
             Truncation::Ranks(r) if r.len() != nmodes || r.contains(&0) => {
                 return Err(LinalgError::InvalidConfig {
@@ -238,4 +248,25 @@ pub fn run<T: Scalar, B: ModeBackend<T>>(
         state.step(b, cfg)?;
     }
     Ok(state.finish())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tolerance_must_be_finite_and_non_negative() {
+        for eps in [f64::NAN, -1.0, -f64::MIN_POSITIVE, f64::INFINITY, f64::NEG_INFINITY] {
+            let e = RankRule::<f64>::new(&Truncation::Tolerance(eps), 1.0, 3).err();
+            assert!(
+                matches!(e, Some(LinalgError::InvalidConfig { param: "tolerance", .. })),
+                "{eps}: {e:?}"
+            );
+        }
+        // Lossless (0) and everything-fits (> 1) tolerances stay legal.
+        for eps in [0.0, 1e-4, 2.0] {
+            let rule = RankRule::<f64>::new(&Truncation::Tolerance(eps), 1.0, 3).unwrap();
+            assert!(rule.rank(&[3.0, 2.0, 1.0], 0) >= 1, "{eps}");
+        }
+    }
 }

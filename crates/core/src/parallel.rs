@@ -228,7 +228,6 @@ impl<T: Scalar> ModeBackend<T> for DistBackend<'_> {
                 reg.counter_add(&format!("kernel/{site}/calls"), ks.calls);
                 reg.counter_add(&format!("kernel/{site}/flops"), ks.flops);
                 reg.counter_add(&format!("kernel/{site}/pack_bytes"), ks.pack_bytes);
-                *reg.wall_secs.entry(format!("kernel/{site}")).or_insert(0.0) += ks.secs;
             }
         }
     }
@@ -249,7 +248,7 @@ pub fn sthosvd_parallel<T: Scalar>(
 mod tests {
     use super::*;
     use crate::config::{ModeOrder, Truncation};
-    use crate::sthosvd::sthosvd_with_info;
+    use crate::sthosvd::{sthosvd_with_info, SthosvdOutput};
     use crate::test_util::low_rank_tensor;
     use tucker_dtensor::{ProcessorGrid, ReductionTree};
     use tucker_mpisim::{CostModel, Simulator};
@@ -260,36 +259,62 @@ mod tests {
         grid_dims: &[usize],
         cfg: &SthosvdConfig,
     ) -> (Vec<usize>, f64, TuckerTensor<f64>) {
-        let (ranks, est, tk, _) = run_parallel_full(x, grid_dims, cfg).unwrap();
-        (ranks, est, tk)
+        let out = run_parallel_full(x, grid_dims, cfg).unwrap();
+        (out.tucker.ranks(), out.estimated_error, out.tucker)
     }
 
-    /// Rank 0's view of a parallel run: ranks, error estimate, gathered
-    /// decomposition, and the per-mode singular value counts.
-    #[allow(clippy::type_complexity)]
-    fn run_parallel_full(
-        x: &Tensor<f64>,
+    /// Rank 0's view of a parallel run, its core gathered.
+    fn run_parallel_full<T: Scalar>(
+        x: &Tensor<T>,
         grid_dims: &[usize],
         cfg: &SthosvdConfig,
-    ) -> Result<(Vec<usize>, f64, TuckerTensor<f64>, Vec<usize>)> {
+    ) -> Result<SthosvdOutput<T>> {
         let p: usize = grid_dims.iter().product();
         let out = Simulator::new(p).with_cost(CostModel::zero()).run(|ctx| {
             let dt = DistTensor::scatter_from(x, &ProcessorGrid::new(grid_dims), ctx.rank());
             let r = sthosvd_parallel(ctx, &dt, cfg)?;
             let mut world = Comm::world(ctx);
-            let tk = r.to_tucker(ctx, &mut world);
-            let sv_lens = r.singular_values.iter().map(Vec::len).collect();
-            Ok((r.ranks(), r.estimated_error.to_f64(), tk, sv_lens))
+            Ok(SthosvdOutput::from_loop(r, |core| core.gather(ctx, &mut world)))
         });
         out.results.into_iter().next().unwrap()
     }
 
+    /// The contract of the all-ones grid: the distributed backend's local
+    /// phase *is* the dense backend, so the run returns `sthosvd`'s bits.
+    fn assert_one_rank_grid_is_sequential<T: Scalar>(x: &Tensor<T>, cfg: &SthosvdConfig) {
+        let what = format!(
+            "{:?} {:?} {:?} {}-byte grid [1, 1, 1]",
+            cfg.method,
+            cfg.truncation,
+            cfg.mode_order,
+            T::BYTES
+        );
+        let bits = |v: &[T]| -> Vec<u64> { v.iter().map(|s| s.to_f64().to_bits()).collect() };
+        let seq = sthosvd_with_info(x, cfg).unwrap();
+        let par = run_parallel_full(x, &[1, 1, 1], cfg).unwrap();
+        assert_eq!(par.tucker.ranks(), seq.tucker.ranks(), "{what}");
+        assert_eq!(bits(par.tucker.core.data()), bits(seq.tucker.core.data()), "{what}: core bits");
+        for n in 0..3 {
+            let (u_par, u_seq) = (&par.tucker.factors[n], &seq.tucker.factors[n]);
+            assert_eq!(bits(u_par.data()), bits(u_seq.data()), "{what}: factor {n} bits");
+            let (s_par, s_seq) = (&par.singular_values[n], &seq.singular_values[n]);
+            assert_eq!(bits(s_par), bits(s_seq), "{what}: sigma {n} bits");
+        }
+        assert_eq!(
+            bits(&[par.norm_x, par.estimated_error]),
+            bits(&[seq.norm_x, seq.estimated_error]),
+            "{what}: norm and estimated error bits"
+        );
+    }
+
     /// Every SVD method under every truncation it allows: the distributed
     /// backend makes the sequential backend's rank decisions and reaches its
-    /// error, and on a 1x1x1 grid exposes as many singular values per mode.
+    /// error, and on a 1x1x1 grid it returns the sequential run bit for bit
+    /// — in both precisions and both mode orders.
     #[test]
     fn matches_sequential_both_methods() {
         let x = low_rank_tensor(&[6, 8, 4], &[2, 3, 2], 1e-4);
+        let x32: Tensor<f32> = x.cast();
         let truncations = [
             Truncation::Tolerance(1e-2),
             Truncation::Ranks(vec![2, 3, 2]),
@@ -309,22 +334,34 @@ mod tests {
                     assert_eq!(method, SvdMethod::Randomized, "only randomized is restricted");
                     continue;
                 }
+                let what = format!("{method:?} {truncation:?} grid [2, 2, 1]");
                 let seq = sthosvd_with_info(&x, &cfg).unwrap();
                 let err_seq = seq.tucker.relative_error(&x).to_f64();
-                for grid in [[2usize, 2, 1], [1, 1, 1]] {
-                    let what = format!("{method:?} {truncation:?} grid {grid:?}");
-                    let (ranks, _, tk, sv_lens) = run_parallel_full(&x, &grid, &cfg).unwrap();
-                    assert_eq!(ranks, seq.tucker.ranks(), "{what}");
-                    let err_par = tk.relative_error(&x).to_f64();
-                    assert!((err_par - err_seq).abs() < 1e-10, "{what}: {err_par} vs {err_seq}");
-                    if grid == [1, 1, 1] {
-                        let seq_lens: Vec<usize> =
-                            seq.singular_values.iter().map(Vec::len).collect();
-                        assert_eq!(sv_lens, seq_lens, "{what}");
-                    }
+                let par = run_parallel_full(&x, &[2, 2, 1], &cfg).unwrap();
+                assert_eq!(par.tucker.ranks(), seq.tucker.ranks(), "{what}");
+                let err_par = par.tucker.relative_error(&x).to_f64();
+                assert!((err_par - err_seq).abs() < 1e-10, "{what}: {err_par} vs {err_seq}");
+                for order in [ModeOrder::Forward, ModeOrder::Backward] {
+                    let cfg = cfg.clone().order(order);
+                    assert_one_rank_grid_is_sequential(&x, &cfg);
+                    assert_one_rank_grid_is_sequential(&x32, &cfg);
                 }
             }
         }
+    }
+
+    /// A guard that needs no clock: on an all-ones grid every mode's local
+    /// Gram makes one `syrk` call per contiguous view of its unfolding — for
+    /// 16³ → 4³ that is 1 + 16 + 1, not 256 + 16 + 1 one-column calls.
+    #[test]
+    fn one_rank_gram_makes_one_syrk_call_per_contiguous_view() {
+        let x = low_rank_tensor(&[16, 16, 16], &[4, 4, 4], 1e-4);
+        let cfg = SthosvdConfig::with_ranks(vec![4, 4, 4]).method(SvdMethod::Gram);
+        let out = Simulator::new(1).with_cost(CostModel::zero()).with_metrics(true).run(|ctx| {
+            let dt = DistTensor::scatter_from(&x, &ProcessorGrid::new(&[1, 1, 1]), ctx.rank());
+            sthosvd_parallel(ctx, &dt, &cfg).unwrap();
+        });
+        assert_eq!(out.metrics[0].counter("kernel/syrk/calls"), 18);
     }
 
     #[test]

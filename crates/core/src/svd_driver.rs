@@ -1,63 +1,27 @@
 //! The dense-local backend of the mode loop: Gram-SVD, QR-SVD and the
-//! sketch drivers on a tensor unfolding, respecting the natural block
-//! layout (paper Alg. 2 and [6, Alg. 2]), plus the sequential TTM.
+//! sketch drivers on a tensor unfolding, plus the sequential TTM. The Gram
+//! and LQ kernels are [`Unfolding`]'s — the same ones the distributed
+//! backend runs as its local phase, so a 1×…×1 grid returns these bits.
 
 use crate::config::{SthosvdConfig, SvdMethod};
 use crate::mode_loop::ModeBackend;
-use tucker_linalg::blocked_qr::{lq_factor_blocked, DEFAULT_BLOCK};
 use tucker_linalg::gram_svd::gram_svd_from_gram;
 use tucker_linalg::mixed::{gram_svd_mixed_from_gram, syrk_lower_f64_acc};
 use tucker_linalg::randomized::{randomized_svd_left_blocked, resolve_sketch_rows, sketched_gram};
 use tucker_linalg::svd::svd_left;
-use tucker_linalg::tslq::{tslq_blocks, TslqOptions};
+use tucker_linalg::tslq::TslqOptions;
 use tucker_linalg::{syrk_lower, MatRef, Matrix, Result, Scalar};
 use tucker_tensor::{ttm, Tensor, Unfolding};
-
-/// Gram matrix of the mode-`n` unfolding in accumulator precision `A`,
-/// block by block (TuckerMPI [6, Alg. 2]: successive `syrk` calls on the
-/// row-major blocks, or a single call when the unfolding is one contiguous
-/// matrix).
-fn accumulate_gram<T: Scalar, A: Scalar>(
-    y: &Tensor<T>,
-    n: usize,
-    syrk: fn(MatRef<'_, T>) -> Matrix<A>,
-) -> Matrix<A> {
-    let unf = Unfolding::new(y, n);
-    if let Some(whole) = unf.whole() {
-        return syrk(whole);
-    }
-    let m = unf.rows();
-    let mut acc = Matrix::<A>::zeros(m, m);
-    for blk in unf.blocks() {
-        let g = syrk(blk);
-        for (a, b) in acc.data_mut().iter_mut().zip(g.data()) {
-            *a += *b;
-        }
-    }
-    acc
-}
 
 /// Gram matrix `X_(n) X_(n)ᵀ` of the mode-`n` unfolding in working
 /// precision.
 pub fn gram_of_unfolding<T: Scalar>(y: &Tensor<T>, n: usize) -> Matrix<T> {
-    accumulate_gram(y, n, syrk_lower)
+    Unfolding::new(y, n).gram(syrk_lower)
 }
 
-/// LQ factor of the mode-`n` unfolding (paper Alg. 2): direct `gelq`/`geqr`
-/// when the unfolding is a single contiguous matrix (first/last mode),
-/// flat-tree TSLQ over the row-major blocks otherwise.
+/// LQ factor of the mode-`n` unfolding (paper Alg. 2).
 pub fn lq_of_unfolding<T: Scalar>(y: &Tensor<T>, n: usize, opts: TslqOptions) -> Matrix<T> {
-    let unf = Unfolding::new(y, n);
-    if let Some(whole) = unf.whole() {
-        // Blocked compact-WY LQ (PR 6): the unfolding is transposed once
-        // into a column-major workspace and only `L` is extracted, so the
-        // trailing updates run through the register-tiled GEMM engine
-        // (~4x the unblocked reflector streams on the hot 256 × 16384
-        // shape; measured in the kernels bench).
-        lq_factor_blocked(whole, DEFAULT_BLOCK)
-    } else {
-        tslq_blocks(unf.rows(), unf.blocks(), opts)
-    }
+    Unfolding::new(y, n).lq(opts)
 }
 
 /// Run `f` on the mode-`n` unfolding as one matrix. Middle-mode unfoldings
@@ -100,7 +64,7 @@ impl<T: Scalar> ModeBackend<T> for DenseBackend {
             SvdMethod::Qr => svd_left(lq_of_unfolding(y, n, cfg.tslq).as_ref()),
             // `f64` accumulation over `T`-precision blocks.
             SvdMethod::GramMixed => {
-                gram_svd_mixed_from_gram(&accumulate_gram(y, n, syrk_lower_f64_acc))
+                gram_svd_mixed_from_gram(&Unfolding::new(y, n).gram(syrk_lower_f64_acc))
             }
             // The *canonical blocked* driver: per-virtual-block partial
             // products folded in global block order with a counter-based Ω

@@ -1,15 +1,19 @@
 //! Parallel Gram matrix of a tensor unfolding — TuckerMPI's kernel for the
 //! Gram-SVD path ([6, Alg. 4], paper §2.3 and §3.5 eq. 11).
 //!
+//! Local phase: if `P_n = 1` the local unfolding already spans all `J_n`
+//! rows and the sequential driver's [`Unfolding::gram`] runs on it as is;
+//! otherwise the fiber redistribution produces a column-major stripe for one
+//! `syrk`. Then a world all-reduce of the `J_n²` Gram matrix.
+//!
 //! Cost per rank: `γ · J_n·J*/P*` flops for the local `syrk`, plus the fiber
-//! redistribution (`β·J*/P*`, `α·P_n`) and a world all-reduce of the `J_n²`
-//! Gram matrix.
+//! redistribution (`β·J*/P*`, `α·P_n`) and the all-reduce.
 
 use crate::dist::DistTensor;
 use crate::guard::{check_finite, NumericalFault};
 use crate::redistribute::redistribute_to_columns;
 use tucker_linalg::mixed::syrk_lower_f64_acc;
-use tucker_linalg::{syrk_lower, Matrix, Scalar};
+use tucker_linalg::{syrk_lower, MatRef, Matrix, Scalar};
 use tucker_mpisim::{Comm, Ctx};
 use tucker_tensor::Unfolding;
 
@@ -25,33 +29,7 @@ pub fn parallel_gram<T: Scalar>(
     dt: &DistTensor<T>,
     n: usize,
 ) -> Result<Matrix<T>, NumericalFault> {
-    let m = dt.global_dims()[n];
-    let p_n = dt.grid().dims()[n];
-
-    let local_g = if p_n == 1 {
-        // Mode-n fiber is a single rank: the local unfolding already has all
-        // J_n rows; accumulate syrk over its natural row-major blocks.
-        let unf = Unfolding::new(dt.local(), n);
-        ctx.charge_syrk_flops(m as f64 * m as f64 * unf.cols() as f64, T::BYTES);
-        let mut acc = Matrix::<T>::zeros(m, m);
-        for blk in unf.blocks() {
-            let g = syrk_lower(blk);
-            for (a, b) in acc.data_mut().iter_mut().zip(g.data()) {
-                *a += *b;
-            }
-        }
-        acc
-    } else {
-        let z = ctx.phase("Redistribute", |c| redistribute_to_columns(c, dt, n));
-        check_finite(ctx.rank(), "Gram/redistribute", n, z.data())?;
-        ctx.charge_syrk_flops(m as f64 * m as f64 * z.cols() as f64, T::BYTES);
-        syrk_lower(z.as_ref())
-    };
-
-    let summed =
-        ctx.phase("Gram/allreduce", |c| world.allreduce_sum_vec(c, local_g.into_data()));
-    check_finite(ctx.rank(), "Gram/allreduce", n, &summed)?;
-    Ok(Matrix::from_col_major(m, m, summed))
+    gram_in(ctx, world, dt, n, syrk_lower)
 }
 
 /// Mixed-precision parallel Gram (the paper's §5 future work): the local
@@ -64,26 +42,30 @@ pub fn parallel_gram_mixed<T: Scalar>(
     dt: &DistTensor<T>,
     n: usize,
 ) -> Result<Matrix<f64>, NumericalFault> {
+    gram_in(ctx, world, dt, n, syrk_lower_f64_acc)
+}
+
+/// The parallel Gram in accumulator precision `A`, whose width the `syrk`
+/// flops are charged at.
+fn gram_in<T: Scalar, A: Scalar>(
+    ctx: &mut Ctx,
+    world: &mut Comm,
+    dt: &DistTensor<T>,
+    n: usize,
+    syrk: fn(MatRef<'_, T>) -> Matrix<A>,
+) -> Result<Matrix<A>, NumericalFault> {
     let m = dt.global_dims()[n];
     let p_n = dt.grid().dims()[n];
 
     let local_g = if p_n == 1 {
         let unf = Unfolding::new(dt.local(), n);
-        // f64 arithmetic on the accumulate path.
-        ctx.charge_syrk_flops(m as f64 * m as f64 * unf.cols() as f64, 8);
-        let mut acc = Matrix::<f64>::zeros(m, m);
-        for blk in unf.blocks() {
-            let g = syrk_lower_f64_acc(blk);
-            for (a, b) in acc.data_mut().iter_mut().zip(g.data()) {
-                *a += *b;
-            }
-        }
-        acc
+        ctx.charge_syrk_flops(m as f64 * m as f64 * unf.cols() as f64, A::BYTES);
+        unf.gram(syrk)
     } else {
         let z = ctx.phase("Redistribute", |c| redistribute_to_columns(c, dt, n));
         check_finite(ctx.rank(), "Gram/redistribute", n, z.data())?;
-        ctx.charge_syrk_flops(m as f64 * m as f64 * z.cols() as f64, 8);
-        syrk_lower_f64_acc(z.as_ref())
+        ctx.charge_syrk_flops(m as f64 * m as f64 * z.cols() as f64, A::BYTES);
+        syrk(z.as_ref())
     };
 
     let summed =

@@ -2,9 +2,10 @@
 //! the QR-SVD path.
 //!
 //! Local phase: if `P_n = 1` the local unfolding already spans all `J_n`
-//! rows and the sequential flat-tree TensorLQ (Alg. 2) runs directly on the
-//! natural block layout; otherwise the fiber redistribution produces a
-//! column-major local stripe and a single `gelq` factors it.
+//! rows and the sequential TensorLQ (Alg. 2) — [`Unfolding::lq`], the same
+//! call the sequential driver makes — runs on it as is; otherwise the fiber
+//! redistribution produces a column-major local stripe and a single `gelq`
+//! factors it in place.
 //!
 //! Reduction phase: a TSQR tree over *packed lower triangles*. The default
 //! is the paper's butterfly (all-reduce flavour: `log P` exchange steps, the
@@ -20,7 +21,7 @@ use crate::guard::{check_finite, NumericalFault};
 use crate::redistribute::redistribute_to_columns;
 use tucker_linalg::lq::{gelqf, lq_l_padded};
 use tucker_linalg::tplqt::tplqt_pair;
-use tucker_linalg::tslq::{tslq_blocks, TslqOptions};
+use tucker_linalg::tslq::TslqOptions;
 use tucker_linalg::{Matrix, Scalar};
 use tucker_mpisim::{Comm, Ctx};
 use tucker_tensor::Unfolding;
@@ -67,7 +68,7 @@ pub fn parallel_tensor_lq<T: Scalar>(
         let unf = Unfolding::new(dt.local(), n);
         debug_assert_eq!(unf.rows(), m);
         ctx.charge_flops(lq_flops(m, unf.cols()), T::BYTES);
-        tslq_blocks(m, unf.blocks(), tslq_opts)
+        unf.lq(tslq_opts)
     } else {
         let z = ctx.phase("Redistribute", |c| redistribute_to_columns(c, dt, n));
         check_finite(ctx.rank(), "LQ/redistribute", n, z.data())?;

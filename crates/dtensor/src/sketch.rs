@@ -38,12 +38,11 @@
 use crate::dist::{block_owner, block_range, DistTensor};
 use crate::grid::ProcessorGrid;
 use crate::guard::{check_finite, NumericalFault};
-use tucker_linalg::gram_svd::gram_svd_from_gram;
-use tucker_linalg::qr::{form_q, geqrf};
 use tucker_linalg::randomized::{
-    fold_partial, sampled_column, sketch_block_count, sketch_block_range, RandomizedSvdConfig,
+    fold_partial, orthonormalize, power_block, projected_gram_block, sampled_column, sketch_block,
+    sketch_block_count, sketch_block_range, solve_projected, RandomizedSvdConfig,
 };
-use tucker_linalg::{gaussian_block, gemm_into, syrk_lower, MatRef, Matrix, Scalar, Trans};
+use tucker_linalg::{syrk_lower, MatRef, Matrix, Scalar};
 use tucker_mpisim::{Comm, Ctx};
 use tucker_tensor::Unfolding;
 
@@ -253,18 +252,16 @@ fn allgather_fold<T: Scalar>(
 
 /// QR re-orthonormalization, redundant on every rank (inputs are already
 /// replicated and identical).
-fn orthonormalize_charged<T: Scalar>(ctx: &mut Ctx, mut y: Matrix<T>) -> Matrix<T> {
-    let (m, k) = (y.rows(), y.cols());
-    ctx.charge_flops(sketch_qr_flops(m as f64, k as f64), T::BYTES);
-    let kk = k.min(m);
-    let taus = geqrf(&mut y.as_mut());
-    form_q(y.as_ref(), &taus, kk)
+fn orthonormalize_charged<T: Scalar>(ctx: &mut Ctx, y: Matrix<T>) -> Matrix<T> {
+    ctx.charge_flops(sketch_qr_flops(y.rows() as f64, y.cols() as f64), T::BYTES);
+    orthonormalize(y)
 }
 
 /// Distributed randomized range-finder SVD of the mode-`n` unfolding:
 /// returns replicated `(U, sigma)` with `U` of size `I_n x k`,
 /// bit-identical to [`tucker_linalg::randomized_svd_left_blocked`] on the
-/// gathered tensor for any task count or grid shape.
+/// gathered tensor for any task count or grid shape — the same stage
+/// functions, allgather-folded instead of folded in a loop.
 pub fn parallel_sketch_svd<T: Scalar>(
     ctx: &mut Ctx,
     world: &mut Comm,
@@ -283,62 +280,45 @@ pub fn parallel_sketch_svd<T: Scalar>(
 
     let z = ctx.phase("Sketch/redistribute", |c| redistribute_to_slab(c, world, dt, n))?;
     let my_cols = slab_columns(cols, p, me);
-    let myv = slab_blocks(cols, p, me);
-
-    // Local view of global virtual block `v` inside my slab.
     let zref = z.as_ref();
-    let block_view = move |v: usize| -> (MatRef<'_, T>, std::ops::Range<usize>) {
-        let r = sketch_block_range(cols, v);
-        (zref.submatrix(0, r.start - my_cols.start, m, r.len()), r)
+
+    // One stage: the partial of every virtual block in my slab (each charged
+    // `flops_per_col` × its width), allgathered and folded into `rows x k`.
+    let mut fold = |ctx: &mut Ctx,
+                    rows: usize,
+                    flops_per_col: &[usize],
+                    stage: &dyn Fn(MatRef<'_, T>, usize) -> Matrix<T>| {
+        let myv = slab_blocks(cols, p, me);
+        let mut part: Vec<T> = Vec::with_capacity(myv.len() * rows * k);
+        for v in myv {
+            let r = sketch_block_range(cols, v);
+            let av = zref.submatrix(0, r.start - my_cols.start, m, r.len());
+            part.extend_from_slice(stage(av, r.start).data());
+            for f in flops_per_col {
+                ctx.charge_flops((f * r.len()) as f64, T::BYTES);
+            }
+        }
+        allgather_fold(ctx, world, part, rows, k, nv, n)
     };
 
-    // Sketch: per-block partials Y_v = A_v · Ω_v from my slab only; Ω_v is
-    // generated in place from the counter-based fill (no broadcast).
-    let mut part: Vec<T> = Vec::with_capacity(myv.len() * m * k);
-    for v in myv.clone() {
-        let (av, r) = block_view(v);
-        let omega = gaussian_block::<T>(cfg.seed, r.start, r.len(), k);
-        let yv = gemm_into(av, Trans::No, omega.as_ref(), Trans::No);
-        ctx.charge_flops(2.0 * (m * r.len() * k) as f64, T::BYTES);
-        part.extend_from_slice(yv.data());
-    }
-    let mut y = allgather_fold(ctx, world, part, m, k, nv, n)?;
-
+    // Sketch: Y = Σ_v A_v Ω_v, Ω_v generated in place (no broadcast).
+    let mut y = fold(ctx, m, &[2 * m * k], &|av, start| sketch_block(av, cfg.seed, start, k))?;
     // Power iterations: Y ← Σ_v A_v (A_vᵀ Q(Y)), Q redundant per rank.
     for _ in 0..cfg.power_iterations {
         let q = orthonormalize_charged(ctx, y);
-        let mut part: Vec<T> = Vec::with_capacity(myv.len() * m * k);
-        for v in myv.clone() {
-            let (av, r) = block_view(v);
-            let w = gemm_into(av, Trans::Yes, q.as_ref(), Trans::No); // |v| x k
-            let yv = gemm_into(av, Trans::No, w.as_ref(), Trans::No); // m x k
-            ctx.charge_flops(4.0 * (m * r.len() * k) as f64, T::BYTES);
-            part.extend_from_slice(yv.data());
-        }
-        y = allgather_fold(ctx, world, part, m, k, nv, n)?;
+        y = fold(ctx, m, &[4 * m * k], &|av, _| power_block(av, &q))?;
     }
     let q = orthonormalize_charged(ctx, y);
+    // Projected Gram H = Σ_v (Qᵀ A_v)(Qᵀ A_v)ᵀ — k x k, folded like Y: the
+    // projection GEMM, then the syrk.
+    let h = fold(ctx, k, &[2 * k * m, k * k], &|av, _| projected_gram_block(av, &q))?;
 
-    // Projected Gram H = Σ_v (Qᵀ A_v)(Qᵀ A_v)ᵀ — k x k, folded like Y.
-    let mut part: Vec<T> = Vec::with_capacity(myv.len() * k * k);
-    for v in myv.clone() {
-        let (av, r) = block_view(v);
-        let bv = gemm_into(q.as_ref(), Trans::Yes, av, Trans::No); // k x |v|
-        ctx.charge_flops((2 * k * m * r.len()) as f64, T::BYTES);
-        let hv = syrk_lower(bv.as_ref());
-        ctx.charge_flops((k * k * r.len()) as f64, T::BYTES);
-        part.extend_from_slice(hv.data());
-    }
-    let h = allgather_fold(ctx, world, part, k, k, nv, n)?;
-
-    // Small projected problem, solved redundantly: EVD of H gives U_H and
-    // sigma = sqrt(|lambda|); lift U = Q·U_H. 9k^3 mirrors the EVD cost
-    // model in tucker-core.
-    let (u_h, sigma) = gram_svd_from_gram(&h)?;
+    // Small projected problem, solved redundantly; 9k^3 mirrors the EVD
+    // cost model in tucker-core, 2mk² is the lift.
+    let out = solve_projected(&q, &h)?;
     ctx.charge_flops(9.0 * (k * k * k) as f64, T::BYTES);
-    let u = gemm_into(q.as_ref(), Trans::No, u_h.as_ref(), Trans::No);
     ctx.charge_flops(2.0 * (m * k * k) as f64, T::BYTES);
-    Ok((u, sigma))
+    Ok(out)
 }
 
 /// Distributed sketched approximate-matmul Gram estimate

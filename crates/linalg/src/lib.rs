@@ -28,6 +28,9 @@
 //!   eigensolver (`syev`)
 //! * [`gram_svd`] — the Gram-SVD algorithm used by TuckerMPI (§2.3 of the paper)
 //! * [`qr_svd`] — the numerically accurate QR-SVD algorithm (§3.1 of the paper)
+//! * [`randomized`] — the blocked randomized range finder: per-block stage
+//!   functions, folded in a loop by [`randomized_svd_left_blocked`] and
+//!   allgather-folded by `tucker-dtensor`; the sampled-Gram estimator
 
 pub mod error;
 pub mod scalar;
@@ -71,7 +74,6 @@ pub use random::{
     splitmix64_at, splitmix64_mix,
 };
 pub use randomized::{
-    fold_partial, randomized_svd_left, randomized_svd_left_blocked, resolve_sketch_rows,
-    sampled_column, sketch_block_count, sketch_block_range, sketched_gram, RandomizedSvdConfig,
-    SKETCH_COL_BLOCK,
+    fold_partial, randomized_svd_left_blocked, resolve_sketch_rows, sampled_column,
+    sketch_block_count, sketch_block_range, sketched_gram, RandomizedSvdConfig, SKETCH_COL_BLOCK,
 };

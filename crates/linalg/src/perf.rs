@@ -4,11 +4,11 @@
 //! kernels (and this crate must not depend on `tucker-mpisim`), so the
 //! instrumentation is inverted: each top-level kernel entry point
 //! ([`crate::gemm::gemm`], [`crate::gemm::gemm_into`],
-//! [`crate::syrk::syrk_lower`], [`crate::qr::geqrf`], [`crate::lq::gelqf`]
-//! and the blocked QR/LQ drivers) reports into a *thread-local* collector,
-//! and the caller that owns a rank thread (e.g. `tucker-core`'s ST-HOSVD
-//! driver) calls [`enable`] before the computation and [`drain`] after,
-//! folding the totals into its own metrics registry.
+//! [`crate::syrk::syrk_lower`], [`crate::qr::geqrf`], [`crate::lq::gelqf`],
+//! [`crate::tplqt::tplqt`] and the blocked QR/LQ drivers) reports into a
+//! *thread-local* collector, and the caller that owns a rank thread (e.g.
+//! `tucker-core`'s ST-HOSVD driver) calls [`enable`] before the computation
+//! and [`drain`] after, folding the totals into its own metrics registry.
 //!
 //! Attribution rules:
 //!
@@ -17,18 +17,15 @@
 //!   instrumented frame, so one logical kernel invocation is one record.
 //! * **Thread locality** — work dispatched to rayon workers is invisible to
 //!   the collector (the workers' thread-locals are disabled); the outermost
-//!   frame on the owning thread still records the full logical call,
-//!   including its wall time, so nothing is double-counted.
+//!   frame on the owning thread still records the full logical call, so
+//!   nothing is double-counted.
 //! * **Zero cost when disabled** — the fast path is a single thread-local
-//!   `Option` check; no timestamps are taken and no map is touched.
+//!   `Option` check; no map is touched.
 //!
-//! Wall-clock seconds are collected alongside the deterministic counters so
-//! callers can report effective GFLOP/s; they must never be mixed into
-//! deterministic output (see `tucker_mpisim::MetricsRegistry::wall_secs`).
+//! Every total is a deterministic model count — no clock is read here.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// Accumulated totals for one kernel call site.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -40,8 +37,6 @@ pub struct KernelStat {
     /// Bytes of packed-slab scratch traffic (zero for kernels that do not
     /// pack).
     pub pack_bytes: u64,
-    /// Wall-clock seconds — *not* deterministic; report-only.
-    pub secs: f64,
 }
 
 struct Collector {
@@ -70,9 +65,9 @@ pub fn drain() -> Option<BTreeMap<&'static str, KernelStat>> {
     COLLECTOR.with(|c| c.borrow_mut().take().map(|col| col.stats))
 }
 
-/// Run `f`, attributing `flops` and `pack_bytes` (plus measured wall time)
-/// to `site` when this is the outermost instrumented frame on a collecting
-/// thread. See the module docs for the attribution rules.
+/// Run `f`, attributing `flops` and `pack_bytes` to `site` when this is the
+/// outermost instrumented frame on a collecting thread. See the module docs
+/// for the attribution rules.
 pub(crate) fn with_kernel<R>(
     site: &'static str,
     flops: u64,
@@ -85,20 +80,16 @@ pub(crate) fn with_kernel<R>(
             col.depth == 1
         })
     });
-    let start = match outermost {
-        None => return f(),
-        Some(outer) => outer.then(Instant::now),
-    };
+    let Some(outermost) = outermost else { return f() };
     let out = f();
     COLLECTOR.with(|c| {
         if let Some(col) = c.borrow_mut().as_mut() {
             col.depth -= 1;
-            if let Some(t0) = start {
+            if outermost {
                 let e = col.stats.entry(site).or_default();
                 e.calls += 1;
                 e.flops += flops;
                 e.pack_bytes += pack_bytes;
-                e.secs += t0.elapsed().as_secs_f64();
             }
         }
     });
@@ -139,6 +130,7 @@ mod tests {
     use crate::lq::lq_factor;
     use crate::matrix::Matrix;
     use crate::syrk::syrk_lower;
+    use crate::tslq::{tslq_matrix, TslqOptions};
 
     fn pseudo(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
@@ -164,7 +156,6 @@ mod tests {
         assert_eq!(g.calls, 1, "gemm_into's nested serial gemm must not double-count");
         assert_eq!(g.flops, 2 * 7 * 5 * 9);
         assert!(g.pack_bytes > 0);
-        assert!(g.secs >= 0.0);
         assert!(drain().is_none(), "drain disables the collector");
     }
 
@@ -176,6 +167,18 @@ mod tests {
         assert_eq!(stats["lq"].calls, 1);
         assert_eq!(stats["lq"].flops, qr_flops(40, 6));
         assert!(!stats.contains_key("qr"), "nested geqrf attributed to the lq site");
+    }
+
+    #[test]
+    fn flat_tree_lq_counts_its_tplqt_steps() {
+        enable();
+        let _ = tslq_matrix(pseudo(8, 400, 9).as_ref(), 4, TslqOptions::default());
+        let stats = drain().expect("enabled");
+        // The head `gelqf` of two blocks, then one `tplqt` per remaining
+        // block: together the model count of one LQ of the whole matrix.
+        assert_eq!(stats["lq"].calls, 1 + 98);
+        let (got, want) = (stats["lq"].flops as f64, qr_flops(400, 8) as f64);
+        assert!((got - want).abs() <= 0.05 * want, "lq flops {got} vs model {want}");
     }
 
     #[test]

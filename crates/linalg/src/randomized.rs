@@ -14,13 +14,10 @@ use crate::gemm::{gemm_into, Trans};
 use crate::gram_svd::gram_svd_from_gram;
 use crate::matrix::Matrix;
 use crate::qr::{form_q, geqrf};
-use crate::qr_svd::qr_svd;
 use crate::random::{gaussian_block, splitmix64_at};
 use crate::scalar::Scalar;
 use crate::syrk::syrk_lower;
 use crate::view::MatRef;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Parameters of the randomized range finder.
 #[derive(Clone, Copy, Debug)]
@@ -86,23 +83,61 @@ pub fn fold_partial<T: Scalar>(acc: &mut Option<Matrix<T>>, part: Matrix<T>) {
     }
 }
 
-/// Canonical blocked randomized range-finder SVD — the sequential reference
-/// the distributed driver (`tucker-dtensor::sketch`) is bit-identical to.
+/// Sketch-stage partial `A_v·Ω_v` (`m x k`) of the virtual block whose first
+/// global column is `start`. Ω_v comes from the counter-based
+/// [`gaussian_block`] fill, so it is seekable in O(1): a distributed rank
+/// generates only its slice, no broadcast.
+pub fn sketch_block<T: Scalar>(av: MatRef<'_, T>, seed: u64, start: usize, k: usize) -> Matrix<T> {
+    let omega = gaussian_block::<T>(seed, start, av.cols(), k);
+    gemm_into(av, Trans::No, omega.as_ref(), Trans::No)
+}
+
+/// Power-iteration partial `A_v (A_vᵀ Q)` (`m x k`) of one virtual block.
+pub fn power_block<T: Scalar>(av: MatRef<'_, T>, q: &Matrix<T>) -> Matrix<T> {
+    let w = gemm_into(av, Trans::Yes, q.as_ref(), Trans::No); // |v| x k
+    gemm_into(av, Trans::No, w.as_ref(), Trans::No)
+}
+
+/// Projected-Gram partial `B_v B_vᵀ` (`k x k`, `B_v = Qᵀ A_v`) of one
+/// virtual block.
+pub fn projected_gram_block<T: Scalar>(av: MatRef<'_, T>, q: &Matrix<T>) -> Matrix<T> {
+    let bv = gemm_into(q.as_ref(), Trans::Yes, av, Trans::No); // k x |v|
+    syrk_lower(bv.as_ref())
+}
+
+/// QR re-orthonormalization of a folded sketch: the explicit `Q` of `Y`.
+pub fn orthonormalize<T: Scalar>(mut y: Matrix<T>) -> Matrix<T> {
+    let k = y.cols().min(y.rows());
+    let taus = geqrf(&mut y.as_mut());
+    form_q(y.as_ref(), &taus, k)
+}
+
+/// The small projected problem: EVD of the folded `k x k` Gram matrix
+/// `H = Σ_v B_v B_vᵀ` gives `U_H` and `sigma = sqrt(|lambda|)`; lift back
+/// `U = Q·U_H`.
+pub fn solve_projected<T: Scalar>(q: &Matrix<T>, h: &Matrix<T>) -> Result<(Matrix<T>, Vec<T>)> {
+    let (u_h, sigma) = gram_svd_from_gram(h)?;
+    Ok((gemm_into(q.as_ref(), Trans::No, u_h.as_ref(), Trans::No), sigma))
+}
+
+/// Canonical blocked randomized range-finder SVD: returns (`U` of size
+/// `m x k`, `sigma` of length `k`, descending) with
+/// `k = min(rank + oversampling, min(m, n))`. Callers truncate `U` to `rank`
+/// columns; the oversampled directions improve the subspace estimate.
 ///
-/// Differences from [`randomized_svd_left`]:
-/// * Ω comes from the counter-based [`gaussian_block`] fill, so each column
-///   block of the sketch is seekable in O(1) (a distributed rank generates
-///   only its slice, no broadcast).
+/// This is the sequential fold of the stage functions above; the
+/// distributed driver (`tucker-dtensor::sketch`) allgather-folds the same
+/// functions and is bit-identical to it:
 /// * All wide products are evaluated per [`SKETCH_COL_BLOCK`]-column virtual
 ///   block and folded in block order (see [`fold_partial`]).
 /// * The projected problem is solved through the small `k x k` Gram matrix
-///   `H = Σ_v B_v B_vᵀ` (`B_v = Qᵀ A_v`) and its symmetric EVD rather than a
-///   QR-SVD of the `k x n` projection `B`. `H` is tiny and replicable, which
-///   keeps the distributed solve redundant (every rank solves the same `H`)
-///   instead of requiring a bit-reproducible parallel LQ. The cost is a
-///   `‖A‖·√ε` floor on the *reported* singular values — the subspace `Q·U_H`
-///   itself is orthonormal to working precision, so reconstruction accuracy
-///   is unaffected; only tail estimates inherit the Gram floor.
+///   `H` and its symmetric EVD rather than a QR-SVD of the `k x n`
+///   projection `B`. `H` is tiny and replicable, which keeps the
+///   distributed solve redundant (every rank solves the same `H`) instead
+///   of requiring a bit-reproducible parallel LQ. The cost is a `‖A‖·√ε`
+///   floor on the *reported* singular values — the subspace `Q·U_H` itself
+///   is orthonormal to working precision, so reconstruction accuracy is
+///   unaffected; only tail estimates inherit the Gram floor.
 pub fn randomized_svd_left_blocked<T: Scalar>(
     a: MatRef<'_, T>,
     rank: usize,
@@ -110,45 +145,24 @@ pub fn randomized_svd_left_blocked<T: Scalar>(
 ) -> Result<(Matrix<T>, Vec<T>)> {
     let (m, n) = (a.rows(), a.cols());
     let k = (rank + cfg.oversampling).min(m.min(n)).max(1);
-    let nv = sketch_block_count(n);
+    // One stage: its per-block partials folded in virtual-block order.
+    let fold = |stage: &dyn Fn(MatRef<'_, T>, usize) -> Matrix<T>| {
+        let mut acc: Option<Matrix<T>> = None;
+        for v in 0..sketch_block_count(n) {
+            let r = sketch_block_range(n, v);
+            fold_partial(&mut acc, stage(a.submatrix(0, r.start, m, r.len()), r.start));
+        }
+        acc.expect("sketch_block_count is >= 1")
+    };
 
-    // Sketch: Y = Σ_v A_v Ω_v, folded in virtual-block order.
-    let mut acc: Option<Matrix<T>> = None;
-    for v in 0..nv {
-        let r = sketch_block_range(n, v);
-        let av = a.submatrix(0, r.start, m, r.len());
-        let omega = gaussian_block::<T>(cfg.seed, r.start, r.len(), k);
-        fold_partial(&mut acc, gemm_into(av, Trans::No, omega.as_ref(), Trans::No));
-    }
-    let mut y = acc.expect("sketch_block_count is >= 1");
-
-    // Power iterations: Y ← Σ_v A_v (A_vᵀ Q(Y)), re-orthonormalized.
+    let mut y = fold(&|av, start| sketch_block(av, cfg.seed, start, k));
     for _ in 0..cfg.power_iterations {
         let q = orthonormalize(y);
-        let mut next: Option<Matrix<T>> = None;
-        for v in 0..nv {
-            let r = sketch_block_range(n, v);
-            let av = a.submatrix(0, r.start, m, r.len());
-            let w = gemm_into(av, Trans::Yes, q.as_ref(), Trans::No); // |v| x k
-            fold_partial(&mut next, gemm_into(av, Trans::No, w.as_ref(), Trans::No));
-        }
-        y = next.expect("sketch_block_count is >= 1");
+        y = fold(&|av, _| power_block(av, &q));
     }
     let q = orthonormalize(y); // m x k, orthonormal columns
-
-    // Projected Gram: H = Σ_v (Qᵀ A_v)(Qᵀ A_v)ᵀ, then the small EVD.
-    let mut h: Option<Matrix<T>> = None;
-    for v in 0..nv {
-        let r = sketch_block_range(n, v);
-        let av = a.submatrix(0, r.start, m, r.len());
-        let bv = gemm_into(q.as_ref(), Trans::Yes, av, Trans::No); // k x |v|
-        fold_partial(&mut h, syrk_lower(bv.as_ref()));
-    }
-    let (u_h, sigma) = gram_svd_from_gram(&h.expect("sketch_block_count is >= 1"))?;
-
-    // Lift back: U = Q U_H.
-    let u = gemm_into(q.as_ref(), Trans::No, u_h.as_ref(), Trans::No);
-    Ok((u, sigma))
+    let h = fold(&|av, _| projected_gram_block(av, &q));
+    solve_projected(&q, &h)
 }
 
 /// Salt that separates the column-sampling stream from the Gaussian fill.
@@ -203,52 +217,6 @@ pub fn sketched_gram<T: Scalar>(a: MatRef<'_, T>, samples: usize, seed: u64) -> 
     syrk_lower(picked.as_ref())
 }
 
-/// Approximate leading left singular vectors and singular values:
-/// returns (`U` of size `m x k`, `sigma` of length `k`) with
-/// `k = min(rank + oversampling, min(m, n))`, values descending.
-///
-/// Callers truncate `U` to `rank` columns; the extra oversampled directions
-/// improve the subspace estimate.
-pub fn randomized_svd_left<T: Scalar>(
-    a: MatRef<'_, T>,
-    rank: usize,
-    cfg: &RandomizedSvdConfig,
-) -> Result<(Matrix<T>, Vec<T>)> {
-    let (m, n) = (a.rows(), a.cols());
-    let k = (rank + cfg.oversampling).min(m.min(n)).max(1);
-
-    // Gaussian test matrix (generated in f64, rounded — deterministic across
-    // precisions like every other generator in this workspace).
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let omega = crate::random::random_matrix::<T, _>(n, k, &mut rng);
-
-    // Sketch: Y = A Ω  (m x k).
-    let mut y = gemm_into(a, Trans::No, omega.as_ref(), Trans::No);
-
-    // Power iterations with QR re-orthonormalization for stability:
-    // Y ← A (Aᵀ Q(Y)).
-    for _ in 0..cfg.power_iterations {
-        let q = orthonormalize(y);
-        let at_q = gemm_into(a, Trans::Yes, q.as_ref(), Trans::No); // n x k
-        y = gemm_into(a, Trans::No, at_q.as_ref(), Trans::No); // m x k
-    }
-    let q = orthonormalize(y); // m x k, orthonormal columns
-
-    // Project: B = Qᵀ A (k x n, short-fat) and take its (QR-)SVD.
-    let b = gemm_into(q.as_ref(), Trans::Yes, a, Trans::No);
-    let (u_b, sigma) = qr_svd(b.as_ref())?;
-
-    // Lift back: U = Q U_B.
-    let u = gemm_into(q.as_ref(), Trans::No, u_b.as_ref(), Trans::No);
-    Ok((u, sigma))
-}
-
-fn orthonormalize<T: Scalar>(mut y: Matrix<T>) -> Matrix<T> {
-    let k = y.cols().min(y.rows());
-    let taus = geqrf(&mut y.as_mut());
-    form_q(y.as_ref(), &taus, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,7 +226,7 @@ mod tests {
     fn recovers_dominant_subspace() {
         let sv = [10.0, 5.0, 2.0, 1e-6, 1e-7, 1e-8];
         let a = matrix_with_singular_values_seeded::<f64>(&sv, 200, 1);
-        let (u, s) = randomized_svd_left(a.as_ref(), 3, &RandomizedSvdConfig::default()).unwrap();
+        let (u, s) = randomized_svd_left_blocked(a.as_ref(), 3, &RandomizedSvdConfig::default()).unwrap();
         assert!(u.orthonormality_error() < 1e-12);
         for i in 0..3 {
             assert!((s[i] - sv[i]).abs() / sv[i] < 1e-6, "sigma_{i}: {} vs {}", s[i], sv[i]);
@@ -282,7 +250,7 @@ mod tests {
         let a = matrix_with_singular_values_seeded::<f64>(&sv, 300, 2);
         let err = |q: usize| {
             let cfg = RandomizedSvdConfig { power_iterations: q, ..Default::default() };
-            let (u, _) = randomized_svd_left(a.as_ref(), 10, &cfg).unwrap();
+            let (u, _) = randomized_svd_left_blocked(a.as_ref(), 10, &cfg).unwrap();
             let uk = u.truncate_cols(10);
             let uta = gemm_into(uk.as_ref(), Trans::Yes, a.as_ref(), Trans::No);
             let p = gemm_into(uk.as_ref(), Trans::No, uta.as_ref(), Trans::No);
@@ -305,17 +273,21 @@ mod tests {
         let sv = [4.0, 2.0, 1.0];
         let a = matrix_with_singular_values_seeded::<f64>(&sv, 50, 3);
         let cfg = RandomizedSvdConfig::default();
-        let (u1, s1) = randomized_svd_left(a.as_ref(), 2, &cfg).unwrap();
-        let (u2, s2) = randomized_svd_left(a.as_ref(), 2, &cfg).unwrap();
+        let (u1, s1) = randomized_svd_left_blocked(a.as_ref(), 2, &cfg).unwrap();
+        let (u2, s2) = randomized_svd_left_blocked(a.as_ref(), 2, &cfg).unwrap();
         assert_eq!(u1, u2);
         assert_eq!(s1, s2);
+        // ... and the seed is what it is deterministic in.
+        let reseeded = RandomizedSvdConfig { seed: cfg.seed + 1, ..cfg };
+        let (u3, _) = randomized_svd_left_blocked(a.as_ref(), 2, &reseeded).unwrap();
+        assert_ne!(u1, u3);
     }
 
     #[test]
     fn rank_larger_than_matrix_is_capped() {
         let sv = [2.0, 1.0];
         let a = matrix_with_singular_values_seeded::<f64>(&sv, 10, 4);
-        let (u, s) = randomized_svd_left(a.as_ref(), 99, &RandomizedSvdConfig::default()).unwrap();
+        let (u, s) = randomized_svd_left_blocked(a.as_ref(), 99, &RandomizedSvdConfig::default()).unwrap();
         assert_eq!(u.cols(), 2);
         assert_eq!(s.len(), 2);
     }
@@ -411,7 +383,7 @@ mod tests {
         let sv = [3.0, 1.5, 0.7];
         let a64 = matrix_with_singular_values_seeded::<f64>(&sv, 80, 5);
         let a32 = Matrix::<f32>::from_fn(3, 80, |i, j| a64[(i, j)] as f32);
-        let (u, s) = randomized_svd_left(a32.as_ref(), 3, &RandomizedSvdConfig::default()).unwrap();
+        let (u, s) = randomized_svd_left_blocked(a32.as_ref(), 3, &RandomizedSvdConfig::default()).unwrap();
         assert!(u.orthonormality_error() < 1e-5);
         for i in 0..3 {
             assert!((s[i] as f64 - sv[i]).abs() / sv[i] < 1e-4);

@@ -28,6 +28,11 @@ pub fn tplqt<T: Scalar>(l: &mut Matrix<T>, b: &mut MatMut<'_, T>) {
     if k == 0 {
         return;
     }
+    // Model count 2·m²·k: `B` is treated as a full rectangle (see above).
+    crate::perf::with_kernel("lq", (2 * m * m * k) as u64, 0, || tplqt_impl(l, b, m, k))
+}
+
+fn tplqt_impl<T: Scalar>(l: &mut Matrix<T>, b: &mut MatMut<'_, T>, m: usize, k: usize) {
     let mut v = vec![T::ZERO; k];
     let mut w = vec![T::ZERO; m];
     for i in 0..m {

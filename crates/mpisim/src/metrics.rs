@@ -12,9 +12,7 @@
 //! is a pure function of the simulated program — counters count events,
 //! gauges carry modeled (virtual-clock) values, histogram buckets are
 //! `⌊log₂(value)⌋` — so two identical runs produce byte-identical JSON.
-//! Wall-clock kernel timings (needed for effective GFLOP/s) are kept in a
-//! separate side channel ([`MetricsRegistry::wall_secs`]) that is rendered
-//! only into human-readable reports, never into the deterministic JSON.
+//! No wall-clock reading ever enters the registry.
 //!
 //! Metric names are `/`-separated paths; the conventional namespaces are
 //! `comm/<kind>/…` (per-collective-kind traffic), `mem/…` (payload
@@ -137,10 +135,6 @@ pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
-    /// Wall-clock seconds per kernel call site — *excluded* from
-    /// [`MetricsRegistry::to_json`] because wall time is not deterministic.
-    /// Used by [`MetricsRegistry::kernel_report`] for effective GFLOP/s.
-    pub wall_secs: BTreeMap<String, f64>,
 }
 
 impl MetricsRegistry {
@@ -224,8 +218,7 @@ impl MetricsRegistry {
     }
 
     /// Deterministic JSON object: `{"counters":{…},"gauges":{…},
-    /// "histograms":{…}}`, all keys name-sorted. Wall-clock side-channel
-    /// data is deliberately excluded (see the module docs).
+    /// "histograms":{…}}`, all keys name-sorted.
     pub fn to_json(&self) -> String {
         let counters: Vec<String> = self
             .counters
@@ -248,44 +241,6 @@ impl MetricsRegistry {
             gauges.join(","),
             hists.join(",")
         )
-    }
-
-    /// Human-readable effective-throughput table for the kernel call sites:
-    /// one row per site with calls, flops, pack-buffer bytes and — when a
-    /// wall-clock reading is available in the side channel — effective
-    /// GFLOP/s. Returns an empty string when no kernel counters exist.
-    pub fn kernel_report(&self) -> String {
-        let mut sites: Vec<&str> = self
-            .counters
-            .keys()
-            .filter_map(|k| k.strip_prefix("kernel/").and_then(|r| r.strip_suffix("/calls")))
-            .collect();
-        sites.dedup();
-        if sites.is_empty() {
-            return String::new();
-        }
-        let mut out = String::from(
-            "  kernel site        calls        flops    pack bytes   eff GFLOP/s\n",
-        );
-        for site in sites {
-            let calls = self.counter(&format!("kernel/{site}/calls"));
-            let flops = self.counter(&format!("kernel/{site}/flops"));
-            let pack = self.counter(&format!("kernel/{site}/pack_bytes"));
-            let gflops = self
-                .wall_secs
-                .get(&format!("kernel/{site}"))
-                .filter(|&&s| s > 0.0)
-                .map(|s| flops as f64 / s / 1e9);
-            out.push_str(&format!(
-                "  {:<16} {:>8} {:>12} {:>13} {:>13}\n",
-                site,
-                calls,
-                flops,
-                pack,
-                gflops.map_or_else(|| "-".to_string(), |g| format!("{g:.2}")),
-            ));
-        }
-        out
     }
 }
 
@@ -362,15 +317,6 @@ mod tests {
         assert!(j.find("a/first").unwrap() < j.find("z/second").unwrap(), "{j}");
         assert!(j.contains("\"count\":1"), "{j}");
         assert!(j.contains("\"6\":1"), "80 bytes lands in log2 bucket 6: {j}");
-    }
-
-    #[test]
-    fn wall_secs_never_reach_json() {
-        let mut m = MetricsRegistry::default();
-        m.counter_add("kernel/gemm/calls", 1);
-        m.wall_secs.insert("kernel/gemm".to_string(), 0.123456);
-        assert!(!m.to_json().contains("0.123456"));
-        assert!(m.kernel_report().contains("gemm"));
     }
 
     #[test]

@@ -5,10 +5,16 @@
 //! blocks of shape `I_n x I_n^<` (paper §3.3). Mode 0 degenerates to one
 //! column-major matrix, mode N-1 to one row-major matrix — the two cases the
 //! paper's Alg. 2 fast-paths with direct `gelq`/`geqr` calls.
+//!
+//! Which kernel fits which layout is decided here and nowhere else:
+//! [`Unfolding::gram`] and [`Unfolding::lq`] are the local Gram and LQ of
+//! both the sequential driver and the distributed driver's `P_n = 1` phase.
 
 use crate::dense::Tensor;
 use crate::dims::{prod_after, prod_before};
-use tucker_linalg::{MatRef, Scalar};
+use tucker_linalg::blocked_qr::{lq_factor_blocked, DEFAULT_BLOCK};
+use tucker_linalg::tslq::{tslq_blocks, TslqOptions};
+use tucker_linalg::{MatRef, Matrix, Scalar};
 
 /// View of the mode-`n` unfolding of a tensor.
 #[derive(Clone, Copy)]
@@ -74,6 +80,36 @@ impl<'a, T: Scalar> Unfolding<'a, T> {
         }
     }
 
+    /// Gram matrix `X_(n) X_(n)ᵀ` in accumulator precision `A`
+    /// (TuckerMPI [6, Alg. 2]): one `syrk` call when the unfolding is one
+    /// contiguous matrix, successive calls on the row-major blocks summed in
+    /// block order otherwise.
+    pub fn gram<A: Scalar>(&self, syrk: fn(MatRef<'_, T>) -> Matrix<A>) -> Matrix<A> {
+        if let Some(whole) = self.whole() {
+            return syrk(whole);
+        }
+        let mut acc = Matrix::<A>::zeros(self.rows, self.rows);
+        for blk in self.blocks() {
+            let g = syrk(blk);
+            for (a, b) in acc.data_mut().iter_mut().zip(g.data()) {
+                *a += *b;
+            }
+        }
+        acc
+    }
+
+    /// LQ factor `L` (`I_n x I_n`, lower triangular) of the unfolding (paper
+    /// Alg. 2): the blocked compact-WY LQ, which transposes once into a
+    /// column-major workspace and extracts only `L`, when the unfolding is
+    /// one contiguous matrix (first/last mode); flat-tree TSLQ over the
+    /// row-major blocks otherwise.
+    pub fn lq(&self, opts: TslqOptions) -> Matrix<T> {
+        match self.whole() {
+            Some(whole) => lq_factor_blocked(whole, DEFAULT_BLOCK),
+            None => tslq_blocks(self.rows, self.blocks(), opts),
+        }
+    }
+
     /// Element `(i, c)` of the unfolding (test/reference use).
     pub fn get(&self, i: usize, c: usize) -> T {
         let within = c % self.before;
@@ -82,8 +118,8 @@ impl<'a, T: Scalar> Unfolding<'a, T> {
     }
 
     /// Copy the unfolding into an owned column-major matrix (reference use).
-    pub fn to_matrix(&self) -> tucker_linalg::Matrix<T> {
-        tucker_linalg::Matrix::from_fn(self.rows(), self.cols(), |i, c| self.get(i, c))
+    pub fn to_matrix(&self) -> Matrix<T> {
+        Matrix::from_fn(self.rows(), self.cols(), |i, c| self.get(i, c))
     }
 }
 
@@ -91,6 +127,7 @@ impl<'a, T: Scalar> Unfolding<'a, T> {
 mod tests {
     use super::*;
     use crate::dims::unfold_col_index;
+    use tucker_linalg::{gemm_into, syrk_lower, syrk_lower_f64_acc, Trans};
 
     fn test_tensor() -> Tensor<f64> {
         Tensor::from_fn(&[3, 4, 5], |i| (i[0] * 100 + i[1] * 10 + i[2]) as f64)
@@ -170,6 +207,50 @@ mod tests {
     fn middle_mode_has_no_whole_view() {
         let x = test_tensor();
         assert!(Unfolding::new(&x, 1).whole().is_none());
+    }
+
+    /// `gram` and `lq` in every mode of `x` against references on the
+    /// materialized unfolding, whichever layout route the mode takes — and
+    /// against the plain block walk, which must agree wherever a whole view
+    /// exists too.
+    fn check_gram_and_lq<T: Scalar>(x: &Tensor<T>) {
+        let llt = |l: &Matrix<T>| gemm_into(l.as_ref(), Trans::No, l.as_ref(), Trans::Yes);
+        for n in 0..x.ndims() {
+            let u = Unfolding::new(x, n);
+            let what = format!("dims {:?} mode {n}", x.dims());
+            let want = syrk_lower(u.to_matrix().as_ref());
+            let tol = T::from_f64(64.0) * T::EPSILON * want.max_abs().max(T::ONE);
+            assert!(u.gram(syrk_lower).max_abs_diff(&want) <= tol, "{what}: gram");
+            let g64 = u.gram(syrk_lower_f64_acc);
+            let g64 = Matrix::from_fn(u.rows(), u.rows(), |i, j| T::from_f64(g64[(i, j)]));
+            assert!(g64.max_abs_diff(&want) <= tol, "{what}: f64-accumulated gram");
+
+            let l = u.lq(TslqOptions::default());
+            assert_eq!(l.shape(), (u.rows(), u.rows()), "{what}");
+            for j in 0..l.cols() {
+                for i in 0..j {
+                    assert_eq!(l[(i, j)], T::ZERO, "{what}: L not lower triangular");
+                }
+            }
+            assert!(llt(&l).max_abs_diff(&want) <= tol, "{what}: L Lᵀ");
+            let walked = tslq_blocks(u.rows(), u.blocks(), TslqOptions::default());
+            assert!(llt(&walked).max_abs_diff(&llt(&l)) <= tol, "{what}: whole view vs blocks");
+        }
+    }
+
+    #[test]
+    fn gram_and_lq_match_the_materialized_unfolding_in_every_layout() {
+        let wave = |i: &[usize]| {
+            let phase: usize = i.iter().enumerate().map(|(k, &x)| (x + 1) * (2 * k + 3)).sum();
+            (phase as f64 * 0.17).sin()
+        };
+        // Three modes (column-major, blocked, row-major), two modes (both
+        // whole), extent-1 modes in each position, rows above the columns.
+        for dims in [&[4usize, 5, 3][..], &[5, 7], &[1, 4, 5], &[4, 1, 5], &[4, 5, 1], &[9, 2, 2]] {
+            let x = Tensor::from_fn(dims, wave);
+            check_gram_and_lq(&x);
+            check_gram_and_lq(&x.cast::<f32>());
+        }
     }
 
     #[test]

@@ -62,6 +62,20 @@ for row in mc["per_mode"]:
     assert row["bytes_rel_dev"] <= mc["tolerance"], f"byte deviation: {row}"
 print("metrics smoke: schema + passing model check OK")
 PY
+# A P_n = 1 mode runs the sequential local kernels (DESIGN.md §18): the
+# model check holds on a grid that has one, and on the all-ones grid a Gram
+# run makes one syrk call per contiguous view of each unfolding (1 + 16 + 1)
+# — not one per column of mode 0.
+"$tucker" simulate --grid 1x2x2 --kind random --dims 16x16x16 \
+    --ranks 4x4x4 --svd qr --model-check
+"$tucker" simulate --grid 1x1x1 --kind random --dims 16x16x16 \
+    --ranks 4x4x4 --svd gram --metrics "$metrics_json"
+python3 - "$metrics_json" <<'PY'
+import json, sys
+calls = json.load(open(sys.argv[1]))["per_rank"][0]["counters"]["kernel/syrk/calls"]
+assert calls == 18, f"1x1x1 gram run made {calls} syrk calls, want 18"
+print("metrics smoke: P_n = 1 model check + one syrk per contiguous view OK")
+PY
 
 # Serve smoke: build a store, serve three verified queries from it (each
 # checked bit-exact against a full reconstruction in-process), and stream
@@ -71,6 +85,11 @@ serve_tns="$ckpt/serve.tns"
 serve_tkr="$ckpt/serve.tkr"
 "$tucker" generate "$serve_tns" --kind random --dims 24x16x12 --seed 9
 "$tucker" compress "$serve_tns" "$serve_tkr" --ranks 6x5x4
+if out="$("$tucker" compress "$serve_tns" "$ckpt/nan.tkr" --tol nan 2>&1)" \
+        || ! grep -q "tolerance" <<<"$out"; then
+    echo "serve smoke: --tol nan must exit non-zero naming tolerance: $out" >&2
+    exit 1
+fi
 "$tucker" query "$serve_tkr" --slab '3,4,5' --verify
 "$tucker" query "$serve_tkr" --slab '*,4,*' --verify
 "$tucker" query "$serve_tkr" --slab '0:24:3,2:8,*' --verify --no-cache
