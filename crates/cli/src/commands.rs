@@ -292,11 +292,7 @@ fn compress(a: &Args) -> Result<(), String> {
     let input = a.pos(0, "in.tns")?.to_string();
     let output = a.pos(1, "out.tkr")?.to_string();
     let hdr = read_tensor_header(&input).map_err(io_err)?;
-    let bytes = match hdr.precision {
-        StoredPrecision::Single => 4,
-        StoredPrecision::Double => 8,
-    };
-    let cfg = build_config(a, &hdr.dims, None, bytes)?;
+    let cfg = build_config(a, &hdr.dims, None, hdr.precision.bytes() as usize)?;
     match hdr.precision {
         StoredPrecision::Single => compress_typed::<f32>(&input, &output, &cfg),
         StoredPrecision::Double => compress_typed::<f64>(&input, &output, &cfg),
@@ -827,16 +823,18 @@ fn do_update<T: Scalar + tucker_tensor::io::IoScalar>(
 fn info(a: &Args) -> Result<(), String> {
     let path = a.pos(0, "file")?;
     if let Ok(hdr) = read_tensor_header(path) {
-        let elems: usize = hdr.dims.iter().product();
-        let width = match hdr.precision {
-            StoredPrecision::Single => 4,
-            StoredPrecision::Double => 8,
-        };
+        let payload = hdr.payload_bytes().map_err(io_err)?;
+        if payload != hdr.held_bytes {
+            return Err(format!(
+                "{path}: truncated: header says {payload} bytes, file holds {}",
+                hdr.held_bytes
+            ));
+        }
         println!(
-            "tensor file: dims {:?}, {} precision, {elems} elements, {} bytes payload",
+            "tensor file: dims {:?}, {} precision, {} elements, {payload} bytes payload",
             hdr.dims,
-            if width == 4 { "single" } else { "double" },
-            elems * width
+            if hdr.precision == StoredPrecision::Single { "single" } else { "double" },
+            payload / hdr.precision.bytes() as u64
         );
         return Ok(());
     }

@@ -40,14 +40,15 @@
 use crate::config::SthosvdConfig;
 use crate::mode_loop::RankRule;
 use crate::parallel::{DistBackend, HosvdState, ParallelOutput};
-use crate::tucker_io::{read_u32, read_u64, write_u32};
-use std::fs::{self, File};
-use std::io::{self, BufWriter, Read, Write};
+use std::fs;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use tucker_dtensor::{block_range, DistTensor};
 use tucker_linalg::{LinalgError, Matrix, Scalar};
 use tucker_mpisim::{Comm, Ctx};
-use tucker_tensor::io::IoScalar;
+use tucker_tensor::codec::{
+    atomic_write, checked_len, write_scalars, write_u32, write_usizes, IoScalar, Source,
+};
 use tucker_tensor::Tensor;
 
 const MAGIC: &[u8; 4] = b"TKCP";
@@ -132,46 +133,15 @@ fn commit_file(dir: &Path, step: usize) -> PathBuf {
     dir.join(format!("step{step}.commit"))
 }
 
-fn write_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_usize_vec(w: &mut impl Write, v: &[usize]) -> io::Result<()> {
-    for &x in v {
-        write_u64(w, x as u64)?;
-    }
-    Ok(())
-}
-
-fn read_usize_vec(r: &mut impl Read, n: usize) -> io::Result<Vec<usize>> {
-    (0..n).map(|_| read_u64(r).map(|x| x as usize)).collect()
-}
-
-fn write_scalars<T: IoScalar>(w: &mut impl Write, v: &[T]) -> io::Result<()> {
-    for &x in v {
-        x.write_le(w)?;
-    }
-    Ok(())
-}
-
+/// A length word, then the run.
 fn write_scalar_vec<T: IoScalar>(w: &mut impl Write, v: &[T]) -> io::Result<()> {
-    write_u64(w, v.len() as u64)?;
+    write_usizes(w, &[v.len()])?;
     write_scalars(w, v)
 }
 
-/// Read `count` scalars — after checking that the file still holds that
-/// many, so a damaged count can neither overflow nor allocate beyond the
-/// file's own size.
-fn read_scalars<T: IoScalar>(r: &mut &[u8], count: usize) -> io::Result<Vec<T>> {
-    if count.checked_mul(T::TAG as usize).is_none_or(|bytes| bytes > r.len()) {
-        return Err(io::ErrorKind::UnexpectedEof.into());
-    }
-    (0..count).map(|_| T::read_le(r)).collect()
-}
-
-fn read_scalar_vec<T: IoScalar>(r: &mut &[u8]) -> io::Result<Vec<T>> {
-    let n = read_u64(r)? as usize;
-    read_scalars(r, n)
+fn read_scalar_vec<T: IoScalar>(r: &mut Source<&[u8]>) -> io::Result<Vec<T>> {
+    let n = r.usize()?;
+    r.scalars(n)
 }
 
 /// Serialize one rank's state. `rank`/`nranks` are recorded so a resume with
@@ -187,12 +157,9 @@ fn write_state<T: IoScalar>(
     w.write_all(MAGIC)?;
     write_u32(w, VERSION)?;
     write_u32(w, T::TAG)?;
-    write_u64(w, rank as u64)?;
-    write_u64(w, nranks as u64)?;
-    write_u64(w, nmodes as u64)?;
-    write_u64(w, state.done as u64)?;
-    write_usize_vec(w, &state.order)?;
-    state.norm_x.write_le(w)?;
+    write_usizes(w, &[rank, nranks, nmodes, state.done])?;
+    write_usizes(w, &state.order)?;
+    write_scalars(w, &[state.norm_x])?;
     write_scalar_vec(w, &state.tails_sq)?;
     for sigma in &state.singular_values {
         write_scalar_vec(w, sigma)?;
@@ -202,17 +169,16 @@ fn write_state<T: IoScalar>(
             None => w.write_all(&[0u8])?,
             Some(u) => {
                 w.write_all(&[1u8])?;
-                write_u64(w, u.rows() as u64)?;
-                write_u64(w, u.cols() as u64)?;
+                write_usizes(w, &[u.rows(), u.cols()])?;
                 write_scalars(w, u.data())?;
             }
         }
     }
     let y = &state.y;
-    write_usize_vec(w, y.global_dims())?;
-    write_usize_vec(w, y.grid().dims())?;
-    write_usize_vec(w, y.coords())?;
-    write_usize_vec(w, y.local().dims())?;
+    write_usizes(w, y.global_dims())?;
+    write_usizes(w, y.grid().dims())?;
+    write_usizes(w, y.coords())?;
+    write_usizes(w, y.local().dims())?;
     write_scalars(w, y.local().data())
 }
 
@@ -224,9 +190,10 @@ fn bad(path: &Path, reason: impl Into<String>) -> CheckpointError {
 /// input tensor `x` supplies grid/coords (which the file must agree with)
 /// and `cfg` supplies the mode order and the rank rule. Every shape word is
 /// checked against `x` before anything is sized from it (v1 files carry no
-/// CRC, so the words may be arbitrary).
+/// CRC, so the words may be arbitrary), and every run against the bytes the
+/// file still holds ([`Source`]).
 fn read_state<T: Scalar + IoScalar>(
-    r: &mut &[u8],
+    r: &mut Source<&[u8]>,
     path: &Path,
     expect_step: usize,
     rank: usize,
@@ -235,27 +202,25 @@ fn read_state<T: Scalar + IoScalar>(
     cfg: &SthosvdConfig,
 ) -> Result<HosvdState<T>, CheckpointError> {
     let ensure = |ok: bool, reason: &str| if ok { Ok(()) } else { Err(bad(path, reason)) };
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    ensure(&magic == MAGIC, "not a TKCP checkpoint file")?;
-    let version = read_u32(r)?;
+    ensure(&r.array()? == MAGIC, "not a TKCP checkpoint file")?;
+    let version = r.u32()?;
     ensure(version == VERSION || version == VERSION_V1, "unsupported checkpoint version")?;
-    ensure(read_u32(r)? == T::TAG, "checkpoint precision differs from the run's scalar type")?;
-    ensure(read_u64(r)? as usize == rank, "checkpoint was written by a different rank")?;
-    ensure(read_u64(r)? as usize == nranks, "checkpoint was written by a different world size")?;
-    let nmodes = read_u64(r)? as usize;
+    ensure(r.u32()? == T::TAG, "checkpoint precision differs from the run's scalar type")?;
+    ensure(r.usize()? == rank, "checkpoint was written by a different rank")?;
+    ensure(r.usize()? == nranks, "checkpoint was written by a different world size")?;
+    let nmodes = r.usize()?;
     ensure(nmodes == x.global_dims().len(), "checkpoint mode count differs from the input tensor")?;
-    let done = read_u64(r)? as usize;
+    let done = r.usize()?;
     ensure(
         done == expect_step,
         &format!("file records step {done}, commit marker says {expect_step}"),
     )?;
-    let order = read_usize_vec(r, nmodes)?;
+    let order = r.usizes(nmodes)?;
     ensure(
         order == cfg.mode_order.resolve(nmodes),
         "checkpoint mode order differs from the current config",
     )?;
-    let norm_x = T::read_le(r)?;
+    let norm_x = r.scalars::<T>(1)?[0];
     let tails_sq: Vec<T> = read_scalar_vec(r)?;
     ensure(tails_sq.len() == done, "tail count does not match the completed step count")?;
     let mut singular_values = Vec::with_capacity(nmodes);
@@ -264,29 +229,26 @@ fn read_state<T: Scalar + IoScalar>(
     }
     let mut factors: Vec<Option<Matrix<T>>> = Vec::with_capacity(nmodes);
     for &i_n in x.global_dims() {
-        let mut present = [0u8; 1];
-        r.read_exact(&mut present)?;
-        factors.push(match present[0] {
+        factors.push(match r.array::<1>()?[0] {
             0 => None,
             1 => {
-                let rows = read_u64(r)? as usize;
-                let cols = read_u64(r)? as usize;
+                let (rows, cols) = (r.usize()?, r.usize()?);
                 ensure(
                     rows == i_n && cols <= rows,
                     &format!("factor shape {rows}x{cols} for a mode of {i_n}"),
                 )?;
-                let data = read_scalars(r, rows.saturating_mul(cols))?;
+                let data = r.scalars(checked_len(&[rows, cols])?)?;
                 Some(Matrix::from_col_major(rows, cols, data))
             }
             b => return Err(bad(path, format!("bad factor presence byte {b}"))),
         });
     }
-    let global_dims = read_usize_vec(r, nmodes)?;
-    let grid_dims = read_usize_vec(r, nmodes)?;
-    let coords = read_usize_vec(r, nmodes)?;
+    let global_dims = r.usizes(nmodes)?;
+    let grid_dims = r.usizes(nmodes)?;
+    let coords = r.usizes(nmodes)?;
     ensure(grid_dims == x.grid().dims(), "checkpoint grid differs from the current run")?;
     ensure(coords == x.coords(), "checkpoint coordinates differ from this rank's")?;
-    let local_dims = read_usize_vec(r, nmodes)?;
+    let local_dims = r.usizes(nmodes)?;
     // Modes only shrink, and a rank's block is a function of the global
     // dims: the local element count is at most the input block's.
     let fits = (0..nmodes).all(|n| {
@@ -294,7 +256,7 @@ fn read_state<T: Scalar + IoScalar>(
             && local_dims[n] == block_range(global_dims[n], grid_dims[n], coords[n]).len()
     });
     ensure(fits, "working tensor shape does not fit the input tensor")?;
-    let data = read_scalars(r, local_dims.iter().product())?;
+    let data = r.scalars(checked_len(&local_dims)?)?;
     Ok(HosvdState {
         order,
         done,
@@ -318,7 +280,7 @@ fn encode_state<T: IoScalar>(
     let mut bytes = Vec::new();
     write_state(&mut bytes, state, rank, nranks)?;
     let crc = crate::crc32::crc32(&bytes);
-    bytes.extend_from_slice(&crc.to_le_bytes());
+    write_u32(&mut bytes, crc)?;
     Ok(bytes)
 }
 
@@ -336,10 +298,10 @@ fn decode_state<T: Scalar + IoScalar>(
     if bytes.len() < 8 || &bytes[..4] != MAGIC {
         return Err(bad(path, "not a TKCP checkpoint file"));
     }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+    let version = Source::from_slice(&bytes[4..]).u32()?;
     let payload = if version >= VERSION {
         let (body, trailer) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(trailer.try_into().expect("4 bytes"));
+        let stored = Source::from_slice(trailer).u32()?;
         let computed = crate::crc32::crc32(body);
         if stored != computed {
             return Err(bad(
@@ -354,21 +316,7 @@ fn decode_state<T: Scalar + IoScalar>(
     } else {
         bytes
     };
-    read_state(&mut &payload[..], path, expect_step, rank, nranks, x, cfg)
-}
-
-/// Write `bytes` to `path` atomically: a unique temporary in the same
-/// directory, flushed, then renamed over the target. A crash mid-write
-/// leaves at most a stray `.tmp`, never a torn file under the final name.
-fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = BufWriter::new(File::create(&tmp)?);
-        f.write_all(bytes)?;
-        f.flush()?;
-        f.into_inner().map_err(|e| io::Error::other(e.to_string()))?.sync_all()?;
-    }
-    fs::rename(&tmp, path)
+    read_state(&mut Source::from_slice(payload), path, expect_step, rank, nranks, x, cfg)
 }
 
 /// Persist a just-completed step with two-phase commit: every rank
@@ -386,10 +334,10 @@ pub fn save_step<T: Scalar + IoScalar>(
     let rank = ctx.rank();
     let nranks = world.size();
     let bytes = encode_state(state, rank, nranks)?;
-    atomic_write(&rank_file(dir, state.done, rank), &bytes)?;
+    atomic_write(&rank_file(dir, state.done, rank), |w| w.write_all(&bytes))?;
     world.barrier(ctx);
     if rank == 0 {
-        atomic_write(&commit_file(dir, state.done), format!("{}\n", state.done).as_bytes())?;
+        atomic_write(&commit_file(dir, state.done), |w| writeln!(w, "{}", state.done))?;
     }
     world.barrier(ctx);
     Ok(())
@@ -470,6 +418,7 @@ mod tests {
     use super::*;
     use crate::config::SthosvdConfig;
     use tucker_dtensor::ProcessorGrid;
+    use tucker_tensor::codec::write_u64;
 
     fn demo_state(rank: usize) -> (HosvdState<f64>, DistTensor<f64>) {
         let grid = ProcessorGrid::new(&[2, 1, 1]);
@@ -497,7 +446,7 @@ mod tests {
         let cfg = SthosvdConfig::with_ranks(vec![2, 2, 2]);
         let mut bytes = Vec::new();
         write_state(&mut bytes, &state, 1, 2).unwrap();
-        let got = read_state::<f64>(&mut bytes.as_slice(), Path::new("<mem>"), 1, 1, 2, &x, &cfg)
+        let got = read_state::<f64>(&mut Source::from_slice(&bytes), Path::new("<mem>"), 1, 1, 2, &x, &cfg)
             .unwrap();
         assert_eq!(got.order, state.order);
         assert_eq!(got.done, 1);
@@ -519,29 +468,29 @@ mod tests {
         let p = Path::new("<mem>");
 
         // Wrong rank.
-        let e = read_state::<f64>(&mut bytes.as_slice(), p, 1, 1, 2, &x, &cfg).unwrap_err();
+        let e = read_state::<f64>(&mut Source::from_slice(&bytes), p, 1, 1, 2, &x, &cfg).unwrap_err();
         assert!(e.to_string().contains("different rank"), "{e}");
         // Wrong world size.
-        let e = read_state::<f64>(&mut bytes.as_slice(), p, 1, 0, 4, &x, &cfg).unwrap_err();
+        let e = read_state::<f64>(&mut Source::from_slice(&bytes), p, 1, 0, 4, &x, &cfg).unwrap_err();
         assert!(e.to_string().contains("world size"), "{e}");
         // Wrong precision.
         let grid = ProcessorGrid::new(&[2, 1, 1]);
         let x32 = DistTensor::<f32>::from_fn(&[4, 3, 2], &grid, 0, |_| 0.0);
-        let e = read_state::<f32>(&mut bytes.as_slice(), p, 1, 0, 2, &x32, &cfg).unwrap_err();
+        let e = read_state::<f32>(&mut Source::from_slice(&bytes), p, 1, 0, 2, &x32, &cfg).unwrap_err();
         assert!(e.to_string().contains("precision"), "{e}");
         // Wrong step.
-        let e = read_state::<f64>(&mut bytes.as_slice(), p, 2, 0, 2, &x, &cfg).unwrap_err();
+        let e = read_state::<f64>(&mut Source::from_slice(&bytes), p, 2, 0, 2, &x, &cfg).unwrap_err();
         assert!(e.to_string().contains("commit marker"), "{e}");
         // Wrong mode order in the config.
         let cfg2 = cfg.clone().order(crate::config::ModeOrder::Backward);
-        let e = read_state::<f64>(&mut bytes.as_slice(), p, 1, 0, 2, &x, &cfg2).unwrap_err();
+        let e = read_state::<f64>(&mut Source::from_slice(&bytes), p, 1, 0, 2, &x, &cfg2).unwrap_err();
         assert!(e.to_string().contains("mode order"), "{e}");
         // Truncated file.
-        let e = read_state::<f64>(&mut &bytes[..bytes.len() / 2], p, 1, 0, 2, &x, &cfg)
+        let e = read_state::<f64>(&mut Source::from_slice(&bytes[..bytes.len() / 2]), p, 1, 0, 2, &x, &cfg)
             .unwrap_err();
         assert!(matches!(e, CheckpointError::Io(_)), "{e}");
         // Not a checkpoint at all.
-        let e = read_state::<f64>(&mut &b"garbage data"[..], p, 1, 0, 2, &x, &cfg).unwrap_err();
+        let e = read_state::<f64>(&mut Source::from_slice(b"garbage data"), p, 1, 0, 2, &x, &cfg).unwrap_err();
         assert!(e.to_string().contains("not a TKCP"), "{e}");
     }
 
@@ -577,16 +526,16 @@ mod tests {
         let v2 = encode_state(&state, 1, 2).unwrap();
         // A v1 file is the same payload, version field 1, no CRC trailer.
         let mut v1 = v2[..v2.len() - 4].to_vec();
-        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        write_u32(&mut &mut v1[4..8], VERSION_V1).unwrap();
         let got = decode_state::<f64>(&v1, Path::new("<mem>"), 1, 1, 2, &x, &cfg).unwrap();
         assert_eq!(got.norm_x.to_bits(), state.norm_x.to_bits());
         assert_eq!(got.y.local().data(), state.y.local().data());
         // Future versions stay rejected (with a valid trailer, so the
         // version check is what fires, not the CRC).
         let mut v9 = v2[..v2.len() - 4].to_vec();
-        v9[4..8].copy_from_slice(&9u32.to_le_bytes());
+        write_u32(&mut &mut v9[4..8], 9).unwrap();
         let crc = crate::crc32::crc32(&v9);
-        v9.extend_from_slice(&crc.to_le_bytes());
+        write_u32(&mut v9, crc).unwrap();
         let e = decode_state::<f64>(&v9, Path::new("<mem>"), 1, 1, 2, &x, &cfg).unwrap_err();
         assert!(e.to_string().contains("unsupported checkpoint version"), "{e}");
     }
@@ -605,18 +554,15 @@ mod tests {
         let file = |rows: u64, cols: u64| {
             let mut b = Vec::new();
             b.extend_from_slice(MAGIC);
-            b.extend_from_slice(&VERSION_V1.to_le_bytes());
-            b.extend_from_slice(&8u32.to_le_bytes());
+            write_u32(&mut b, VERSION_V1).unwrap();
+            write_u32(&mut b, 8).unwrap();
             // rank, nranks, nmodes, done, order[0]
-            for w in [0u64, 1, 1, 0, 0] {
-                b.extend_from_slice(&w.to_le_bytes());
-            }
-            b.extend_from_slice(&2.5f64.to_le_bytes()); // norm_x
-            b.extend_from_slice(&0u64.to_le_bytes()); // no tails
-            b.extend_from_slice(&0u64.to_le_bytes()); // no singular values
+            write_usizes(&mut b, &[0, 1, 1, 0, 0]).unwrap();
+            write_scalars(&mut b, &[2.5f64]).unwrap(); // norm_x
+            write_usizes(&mut b, &[0, 0]).unwrap(); // no tails, no singular values
             b.push(1); // factor 0 present
-            b.extend_from_slice(&rows.to_le_bytes());
-            b.extend_from_slice(&cols.to_le_bytes());
+            write_u64(&mut b, rows).unwrap();
+            write_u64(&mut b, cols).unwrap();
             b.extend_from_slice(&[0xAB; 7]);
             assert_eq!(b.len(), 100);
             b
@@ -643,14 +589,14 @@ mod tests {
         let cfg = SthosvdConfig::with_ranks(vec![2, 2, 2]);
         let mut v1 = Vec::new();
         write_state(&mut v1, &state, 1, 2).unwrap();
-        v1[4..8].copy_from_slice(&VERSION_V1.to_le_bytes());
+        write_u32(&mut &mut v1[4..8], VERSION_V1).unwrap();
         assert!(decode_state::<f64>(&v1, p, 1, 1, 2, &x, &cfg).is_ok());
         let y_data = state.y.local().len() * 8;
         for word in (0..3).chain(9..12) {
             let at = v1.len() - y_data - (12 - word) * 8;
             for hostile in [1u64 << 40, u64::MAX] {
                 let mut damaged = v1.clone();
-                damaged[at..at + 8].copy_from_slice(&hostile.to_le_bytes());
+                write_u64(&mut &mut damaged[at..at + 8], hostile).unwrap();
                 let e = decode_state::<f64>(&damaged, p, 1, 1, 2, &x, &cfg).unwrap_err();
                 assert!(e.to_string().contains("does not fit the input tensor"), "word {word}: {e}");
             }
@@ -673,19 +619,6 @@ mod tests {
         // Stray tmp files from a crash mid-publish are ignored too.
         fs::write(dir.join("step3.tmp"), b"x").unwrap();
         assert_eq!(latest_step(&dir).unwrap(), Some(1));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn atomic_write_replaces_and_leaves_no_tmp() {
-        let dir = std::env::temp_dir().join(format!("tkcp_atomic_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("step0.commit");
-        atomic_write(&p, b"first").unwrap();
-        atomic_write(&p, b"second").unwrap();
-        assert_eq!(fs::read(&p).unwrap(), b"second");
-        assert!(!dir.join("step0.tmp").exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -5,6 +5,8 @@
 //! Table-driven, one table lookup per byte; the table is built at compile
 //! time so the dependency-free constraint of this workspace holds.
 
+use tucker_tensor::codec::{write_scalars, IoScalar};
+
 /// Reflected polynomial of CRC-32/ISO-HDLC.
 const POLY: u32 = 0xEDB8_8320;
 
@@ -66,10 +68,30 @@ impl Crc32 {
     }
 }
 
+/// The hasher as a byte sink, so anything that can write a section can
+/// checksum it without buffering it.
+impl std::io::Write for Crc32 {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.update(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 /// One-shot convenience.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut h = Crc32::new();
     h.update(bytes);
+    h.finish()
+}
+
+/// CRC-32 of a scalar run's bytes exactly as [`write_scalars`] lays them
+/// out on disk.
+pub fn scalars_crc<T: IoScalar>(data: &[T]) -> u32 {
+    let mut h = Crc32::new();
+    write_scalars(&mut h, data).expect("hashing cannot fail");
     h.finish()
 }
 
@@ -93,6 +115,15 @@ mod tests {
             h.update(chunk);
         }
         assert_eq!(h.finish(), crc32(data));
+    }
+
+    #[test]
+    fn scalar_run_digest_is_the_digest_of_its_disk_bytes() {
+        let data: Vec<f32> = (0..5000).map(|i| i as f32 * 0.5 - 7.0).collect();
+        let mut bytes = Vec::new();
+        write_scalars(&mut bytes, &data).unwrap();
+        assert_eq!(scalars_crc(&data), crc32(&bytes));
+        assert_eq!(scalars_crc::<f64>(&[]), 0);
     }
 
     #[test]

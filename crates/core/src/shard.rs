@@ -119,41 +119,39 @@ pub fn read_shard_manifest(dir: impl AsRef<Path>) -> Result<ShardManifest, Tucke
     if lines.next() != Some("TKSM v1") {
         return Err(bad("not a TKSM v1 manifest"));
     }
-    let mut shards = None;
-    let mut dims = None;
-    let mut ranks = None;
-    let mut scalar = None;
+    // Every value is an `x`-separated list of numbers (of one, for the
+    // counts); 17 are enough to trip the 16-mode cap below.
+    let mut fields = std::collections::BTreeMap::new();
     for line in lines.filter(|l| !l.trim().is_empty()) {
-        let (key, val) = line
-            .split_once(' ')
-            .ok_or_else(|| bad(&format!("malformed line `{line}`")))?;
-        let dim_list = |v: &str| -> Result<Vec<usize>, TuckerIoError> {
-            v.split('x')
-                .map(|d| d.parse().map_err(|_| bad(&format!("bad number in `{line}`"))))
-                .collect()
-        };
-        match key {
-            "shards" => {
-                shards =
-                    Some(val.parse().map_err(|_| bad(&format!("bad number in `{line}`")))?)
-            }
-            "dims" => dims = Some(dim_list(val)?),
-            "ranks" => ranks = Some(dim_list(val)?),
-            "scalar" => {
-                scalar =
-                    Some(val.parse().map_err(|_| bad(&format!("bad number in `{line}`")))?)
-            }
-            other => return Err(bad(&format!("unknown key `{other}`"))),
+        let (key, val) =
+            line.split_once(' ').ok_or_else(|| bad(&format!("malformed line `{line}`")))?;
+        if !["shards", "dims", "ranks", "scalar"].contains(&key) {
+            return Err(bad(&format!("unknown key `{key}`")));
         }
+        let list: Result<Vec<usize>, _> = val.split('x').take(17).map(str::parse).collect();
+        fields.insert(key, list.map_err(|_| bad(&format!("bad number in `{line}`")))?);
     }
+    let list = |key: &str| fields.get(key).cloned().ok_or_else(|| bad(&format!("missing `{key}`")));
+    let one = |key: &str| match list(key)?[..] {
+        [v] => Ok(v),
+        _ => Err(bad(&format!("`{key}` takes one number"))),
+    };
     let m = ShardManifest {
-        shards: shards.ok_or_else(|| bad("missing `shards`"))?,
-        dims: dims.ok_or_else(|| bad("missing `dims`"))?,
-        ranks: ranks.ok_or_else(|| bad("missing `ranks`"))?,
-        scalar: scalar.ok_or_else(|| bad("missing `scalar`"))?,
+        shards: one("shards")?,
+        dims: list("dims")?,
+        ranks: list("ranks")?,
+        scalar: match one("scalar")? {
+            4 => 4,
+            8 => 8,
+            _ => return Err(bad("`scalar` must be 4 or 8")),
+        },
     };
     if m.dims.is_empty() || m.shards == 0 || m.shards > m.dims[0] {
         return Err(bad("inconsistent shard layout"));
+    }
+    // The same caps the binary headers enforce.
+    if m.dims.len() != m.ranks.len() || m.dims.len() > 16 {
+        return Err(bad("`dims` and `ranks` must list the same (at most 16) modes"));
     }
     Ok(m)
 }
@@ -166,7 +164,16 @@ pub fn read_shards<T: IoScalar>(
 ) -> Result<(ShardManifest, Vec<TuckerTensor<T>>), TuckerIoError> {
     let dir = dir.as_ref();
     let manifest = read_shard_manifest(dir)?;
-    let mut parts = Vec::with_capacity(manifest.shards);
+    // The count is a text field: it sizes nothing until the files back it.
+    let last = ShardManifest::file_name(manifest.shards - 1);
+    if !dir.join(&last).is_file() {
+        return Err(TuckerIoError::Format(format!(
+            "{}: manifest lists {} shards but {last} is missing",
+            dir.display(),
+            manifest.shards
+        )));
+    }
+    let mut parts = Vec::new();
     for s in 0..manifest.shards {
         let tk = read_tucker::<T>(dir.join(ShardManifest::file_name(s)))?;
         let want = manifest.range(s).len();
@@ -254,6 +261,30 @@ mod tests {
         assert!(read_shard_manifest(&dir).is_err());
         std::fs::write(dir.join("manifest.txt"), "nope").unwrap();
         assert!(read_shard_manifest(&dir).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn manifest_fields_are_validated_before_they_size_anything() {
+        let dir = std::env::temp_dir().join(format!("tksm-hostile-{}", std::process::id()));
+        write_shards(&dir, &sample(), 2).unwrap();
+        let good = std::fs::read_to_string(dir.join("manifest.txt")).unwrap();
+        assert_eq!(good, "TKSM v1\nshards 2\ndims 10x6x5\nranks 3x4x2\nscalar 8\n");
+        let long = vec!["2"; 17].join("x");
+        for (from, to, why) in [
+            // An 80-byte manifest that used to abort on a 72 PB allocation.
+            ("shards 2\ndims 10x", "shards 1000000000000000\ndims 1000000000000000x", "missing"),
+            ("shards 2", "shards 3", "missing"),
+            ("ranks 3x4x2", "ranks 3x4", "same"),
+            ("dims 10x6x5\nranks 3x4x2", &format!("dims {long}\nranks {long}"), "16"),
+            ("scalar 8", "scalar 16", "scalar"),
+        ] {
+            std::fs::write(dir.join("manifest.txt"), good.replace(from, to)).unwrap();
+            match read_shards::<f64>(&dir) {
+                Err(TuckerIoError::Format(msg)) => assert!(msg.contains(why), "{to}: {msg}"),
+                other => panic!("{to}: want Format, got {:?}", other.map(|(m, _)| m)),
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -26,14 +26,16 @@
 //! table (and, in v3, the generation word); each payload checksum covers
 //! that section's scalar bytes exactly as they appear on disk.
 
-use crate::crc32::Crc32;
+use crate::crc32::{crc32, scalars_crc, Crc32};
 use crate::tucker::TuckerTensor;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::path::Path;
 use tucker_linalg::Matrix;
-use tucker_tensor::io::IoScalar;
+use tucker_tensor::codec::{
+    atomic_write, checked_len, write_scalars, write_u32, write_u64, write_usizes, IoScalar, Source,
+};
 use tucker_tensor::Tensor;
 
 const MAGIC: &[u8; 4] = b"TUCK";
@@ -158,99 +160,30 @@ pub enum AnyTucker {
     F64(TuckerTensor<f64>),
 }
 
-/// `Read` adapter that feeds every byte it delivers through a CRC-32 hasher.
-struct CrcReader<R: Read> {
-    inner: R,
-    crc: Crc32,
-}
-
-impl<R: Read> CrcReader<R> {
-    fn new(inner: R) -> Self {
-        CrcReader { inner, crc: Crc32::new() }
-    }
-
-    /// Digest of everything read since the last call, resetting the hasher.
-    /// (Named to avoid colliding with `Read::take` in method resolution.)
-    fn take_crc(&mut self) -> u32 {
-        self.crc.take()
-    }
-}
-
-impl<R: Read> Read for CrcReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.crc.update(&buf[..n]);
-        Ok(n)
-    }
-}
-
-/// `Write` adapter that discards bytes into a CRC-32 hasher (used to
-/// checksum payload sections without buffering them).
-struct CrcSink<'a>(&'a mut Crc32);
-
-impl Write for CrcSink<'_> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.update(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-pub(crate) fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-pub(crate) fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-pub(crate) fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn section_crc<T: IoScalar>(data: &[T]) -> u32 {
-    let mut crc = Crc32::new();
-    {
-        let mut sink = CrcSink(&mut crc);
-        for &v in data {
-            v.write_le(&mut sink).expect("CRC sink cannot fail");
-        }
-    }
-    crc.finish()
-}
-
 /// Serialized header bytes (magic through shape table, plus the v3
 /// generation word) for `tk`.
-fn header_bytes<T: IoScalar>(tk: &TuckerTensor<T>, version: u32, generation: u64) -> Vec<u8> {
+fn header_bytes<T: IoScalar>(
+    tk: &TuckerTensor<T>,
+    version: u32,
+    generation: u64,
+) -> io::Result<Vec<u8>> {
     let mut h = Vec::with_capacity(24 + 16 * tk.factors.len());
     h.extend_from_slice(MAGIC);
-    h.extend_from_slice(&version.to_le_bytes());
-    h.extend_from_slice(&T::TAG.to_le_bytes());
-    h.extend_from_slice(&(tk.factors.len() as u32).to_le_bytes());
+    write_u32(&mut h, version)?;
+    write_u32(&mut h, T::TAG)?;
+    write_u32(&mut h, tk.factors.len() as u32)?;
     for u in &tk.factors {
-        h.extend_from_slice(&(u.rows() as u64).to_le_bytes());
-        h.extend_from_slice(&(u.cols() as u64).to_le_bytes());
+        write_usizes(&mut h, &[u.rows(), u.cols()])?;
     }
     if version >= VERSION_GEN {
-        h.extend_from_slice(&generation.to_le_bytes());
+        write_u64(&mut h, generation)?;
     }
-    h
+    Ok(h)
 }
 
-fn write_payload<T: IoScalar>(w: &mut impl Write, tk: &TuckerTensor<T>) -> io::Result<()> {
-    for u in &tk.factors {
-        for &v in u.data() {
-            v.write_le(w)?;
-        }
-    }
-    for &v in tk.core.data() {
-        v.write_le(w)?;
-    }
-    Ok(())
+/// The payload sections in file order: each factor, then the core.
+fn sections<T: IoScalar>(tk: &TuckerTensor<T>) -> impl Iterator<Item = &[T]> {
+    tk.factors.iter().map(|u| u.data()).chain([tk.core.data()])
 }
 
 /// Write the checksummed layout at `version` with the given generation
@@ -261,14 +194,11 @@ fn write_checksummed<T: IoScalar>(
     version: u32,
     generation: u64,
 ) -> IoResult<()> {
-    let header = header_bytes(tk, version, generation);
+    let header = header_bytes(tk, version, generation)?;
     w.write_all(&header)?;
-    write_u32(w, crate::crc32::crc32(&header))?;
-    for u in &tk.factors {
-        write_u32(w, section_crc(u.data()))?;
-    }
-    write_u32(w, section_crc(tk.core.data()))?;
-    write_payload(w, tk)?;
+    write_u32(w, crc32(&header))?;
+    sections(tk).try_for_each(|s| write_u32(w, scalars_crc(s)))?;
+    sections(tk).try_for_each(|s| write_scalars(w, s))?;
     w.flush()?;
     Ok(())
 }
@@ -279,87 +209,68 @@ pub fn write_tucker<T: IoScalar>(path: impl AsRef<Path>, tk: &TuckerTensor<T>) -
     write_checksummed(&mut w, tk, VERSION, 0)
 }
 
-/// Atomically publish a generation-stamped store: write a sibling temp
-/// file, sync it to disk, and `rename(2)` it over `path`. A reader (or a
-/// serving tier re-opening the store) sees either the complete old file or
-/// the complete new one, never a torn write — the hot-swap publish
-/// primitive.
+/// Atomically publish a generation-stamped store ([`atomic_write`]): a
+/// reader (or a serving tier re-opening the store) sees either the complete
+/// old file or the complete new one, never a torn write — the hot-swap
+/// publish primitive.
 pub fn write_tucker_atomic<T: IoScalar>(
     path: impl AsRef<Path>,
     tk: &TuckerTensor<T>,
     generation: u64,
 ) -> IoResult<()> {
-    let path = path.as_ref();
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp-{}", std::process::id()));
-    let tmp = std::path::PathBuf::from(tmp);
-    let file = File::create(&tmp)?;
-    let mut w = BufWriter::new(file);
-    if let Err(e) = write_checksummed(&mut w, tk, VERSION_GEN, generation) {
-        drop(w);
-        std::fs::remove_file(&tmp).ok();
-        return Err(e);
-    }
-    let file = w.into_inner().map_err(|e| TuckerIoError::Io(e.into_error()))?;
-    if let Err(e) = file.sync_all() {
-        std::fs::remove_file(&tmp).ok();
-        return Err(e.into());
-    }
-    drop(file);
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        std::fs::remove_file(&tmp).ok();
-        return Err(e.into());
-    }
-    Ok(())
+    atomic_write(path.as_ref(), |w| write_checksummed(w, tk, VERSION_GEN, generation))
 }
 
-/// Parse the header (magic through shape table) from `r`, leaving the cursor
-/// at the checksum table (v2) or the payload (v1).
-fn read_header_from(r: &mut impl Read) -> IoResult<TuckerHeader> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+/// A file whose delivered bytes run through a CRC-32 hasher, which each
+/// section boundary takes the digest of and resets.
+type Reader = Source<BufReader<File>, Crc32>;
+
+fn check(section: Section, stored: u32, computed: u32) -> IoResult<()> {
+    if stored == computed {
+        Ok(())
+    } else {
+        Err(TuckerIoError::ChecksumMismatch { section, stored, computed })
+    }
+}
+
+/// Open `path` and parse its header (magic through shape table and v3
+/// generation word). In a v2+ file the header checksum is verified and
+/// returned, leaving the source at the payload checksum table; in a v1
+/// file it is left at the payload.
+fn open(path: impl AsRef<Path>) -> IoResult<(Reader, TuckerHeader, Option<u32>)> {
+    let mut r = Source::open(path)?.tap(Crc32::new());
+    if &r.array()? != MAGIC {
         return Err(TuckerIoError::Format("not a TUCK file".into()));
     }
-    let version = read_u32(r)?;
+    let version = r.u32()?;
     if !(VERSION_V1..=VERSION_GEN).contains(&version) {
         return Err(TuckerIoError::UnsupportedVersion(version));
     }
-    let scalar = read_u32(r)?;
+    let scalar = r.u32()?;
     if scalar != 4 && scalar != 8 {
         return Err(TuckerIoError::Format(format!("unknown scalar width {scalar}")));
     }
-    let nmodes = read_u32(r)? as usize;
+    let nmodes = r.u32()? as usize;
     if nmodes > 16 {
         return Err(TuckerIoError::Format(format!("implausible mode count {nmodes}")));
     }
-    let mut shapes = Vec::with_capacity(nmodes);
-    for _ in 0..nmodes {
-        let rows = read_u64(r)? as usize;
-        let cols = read_u64(r)? as usize;
-        shapes.push((rows, cols));
-    }
-    let generation = if version >= VERSION_GEN { read_u64(r)? } else { 0 };
-    Ok(TuckerHeader { version, scalar, shapes, generation })
+    let shapes = r.usizes(2 * nmodes)?.chunks(2).map(|s| (s[0], s[1])).collect();
+    let generation = if version >= VERSION_GEN { r.u64()? } else { 0 };
+    let stored = if version >= VERSION {
+        let computed = r.tap_mut().take();
+        let stored = r.u32()?;
+        check(Section::Header, stored, computed)?;
+        Some(stored)
+    } else {
+        None
+    };
+    Ok((r, TuckerHeader { version, scalar, shapes, generation }, stored))
 }
 
 /// Read only the header — version, precision, and shapes — without touching
 /// the payload. In a v2 file the header checksum is verified.
 pub fn read_tucker_header(path: impl AsRef<Path>) -> IoResult<TuckerHeader> {
-    let mut r = CrcReader::new(BufReader::new(File::open(path)?));
-    let header = read_header_from(&mut r)?;
-    if header.version >= VERSION {
-        let computed = r.take_crc();
-        let stored = read_u32(&mut r)?;
-        if stored != computed {
-            return Err(TuckerIoError::ChecksumMismatch {
-                section: Section::Header,
-                stored,
-                computed,
-            });
-        }
-    }
-    Ok(header)
+    Ok(open(path)?.1)
 }
 
 /// Stored per-section CRC-32 table of a checksummed (v2+) TUCK file, in
@@ -369,86 +280,54 @@ pub fn read_tucker_header(path: impl AsRef<Path>) -> IoResult<TuckerHeader> {
 /// checksums are returned as stored, unverified — use [`read_tucker`] to
 /// verify them against the payload bytes.
 pub fn read_tucker_checksums(path: impl AsRef<Path>) -> IoResult<Option<Vec<u32>>> {
-    let mut r = CrcReader::new(BufReader::new(File::open(path)?));
-    let header = read_header_from(&mut r)?;
-    if header.version < VERSION {
-        return Ok(None);
-    }
-    let computed = r.take_crc();
-    let stored = read_u32(&mut r)?;
-    if stored != computed {
-        return Err(TuckerIoError::ChecksumMismatch { section: Section::Header, stored, computed });
-    }
-    let mut table = Vec::with_capacity(header.shapes.len() + 2);
-    table.push(stored);
+    let (mut r, header, stored) = open(path)?;
+    let Some(stored) = stored else { return Ok(None) };
+    let mut table = vec![stored];
     for _ in 0..header.shapes.len() + 1 {
-        table.push(read_u32(&mut r)?);
+        table.push(r.u32()?);
     }
     Ok(Some(table))
+}
+
+/// Read one payload section of `dims` and verify it against its stored
+/// checksum, if the file has one.
+fn read_section<T: IoScalar>(
+    r: &mut Reader,
+    dims: &[usize],
+    section: Section,
+    stored: Option<u32>,
+) -> IoResult<Vec<T>> {
+    let data = r.scalars(checked_len(dims)?)?;
+    let computed = r.tap_mut().take();
+    if let Some(stored) = stored {
+        check(section, stored, computed)?;
+    }
+    Ok(data)
 }
 
 /// Read a Tucker decomposition stored at precision `T`, verifying every
 /// section checksum when the file is v2.
 pub fn read_tucker<T: IoScalar>(path: impl AsRef<Path>) -> IoResult<TuckerTensor<T>> {
-    let mut r = CrcReader::new(BufReader::new(File::open(path)?));
-    let header = read_header_from(&mut r)?;
-    let header_crc = r.take_crc();
+    let (mut r, header, stored) = open(path)?;
     if header.scalar != T::TAG {
         return Err(TuckerIoError::PrecisionMismatch { file: header.scalar, requested: T::TAG });
     }
-    // v2: the checksum table sits between header and payload. The header is
-    // validated before any payload-sized allocation happens, so a corrupted
-    // shape table cannot drive a bogus huge read.
-    let checksums = if header.version >= VERSION {
-        let stored_header = read_u32(&mut r)?;
-        if stored_header != header_crc {
-            return Err(TuckerIoError::ChecksumMismatch {
-                section: Section::Header,
-                stored: stored_header,
-                computed: header_crc,
-            });
+    // v2: the checksum table sits between header and payload, and is not
+    // part of any section digest.
+    let mut table = vec![None; header.shapes.len() + 1];
+    if stored.is_some() {
+        for slot in &mut table {
+            *slot = Some(r.u32()?);
         }
-        let mut table = Vec::with_capacity(header.shapes.len() + 1);
-        for _ in 0..header.shapes.len() + 1 {
-            table.push(read_u32(&mut r)?);
-        }
-        r.take_crc(); // the table itself is not part of any section digest
-        Some(table)
-    } else {
-        None
-    };
-
+        r.tap_mut().take();
+    }
     let mut factors = Vec::with_capacity(header.shapes.len());
     for (n, &(rows, cols)) in header.shapes.iter().enumerate() {
-        let mut data = Vec::with_capacity(rows * cols);
-        for _ in 0..rows * cols {
-            data.push(T::read_le(&mut r)?);
-        }
-        if let Some(table) = &checksums {
-            let computed = r.take_crc();
-            if table[n] != computed {
-                return Err(TuckerIoError::ChecksumMismatch {
-                    section: Section::Factor(n),
-                    stored: table[n],
-                    computed,
-                });
-            }
-        }
+        let data = read_section(&mut r, &[rows, cols], Section::Factor(n), table[n])?;
         factors.push(Matrix::from_col_major(rows, cols, data));
     }
-    let core_dims: Vec<usize> = header.shapes.iter().map(|&(_, c)| c).collect();
-    let total: usize = core_dims.iter().product();
-    let mut data = Vec::with_capacity(total);
-    for _ in 0..total {
-        data.push(T::read_le(&mut r)?);
-    }
-    if let Some(table) = &checksums {
-        let computed = r.take_crc();
-        let stored = table[header.shapes.len()];
-        if stored != computed {
-            return Err(TuckerIoError::ChecksumMismatch { section: Section::Core, stored, computed });
-        }
-    }
+    let core_dims = header.ranks();
+    let data = read_section(&mut r, &core_dims, Section::Core, table[header.shapes.len()])?;
     Ok(TuckerTensor { core: Tensor::from_data(&core_dims, data), factors })
 }
 
@@ -484,8 +363,8 @@ mod tests {
     /// more but every reader must still accept.
     fn write_tucker_v1<T: IoScalar>(path: impl AsRef<Path>, tk: &TuckerTensor<T>) -> IoResult<()> {
         let mut w = BufWriter::new(File::create(path)?);
-        w.write_all(&header_bytes(tk, VERSION_V1, 0))?;
-        write_payload(&mut w, tk)?;
+        w.write_all(&header_bytes(tk, VERSION_V1, 0)?)?;
+        sections(tk).try_for_each(|s| write_scalars(&mut w, s))?;
         w.flush()?;
         Ok(())
     }
@@ -726,9 +605,9 @@ mod tests {
         let table = read_tucker_checksums(&p).unwrap().expect("v3 has checksums");
         assert_eq!(table.len(), tk.factors.len() + 2);
         for (n, u) in tk.factors.iter().enumerate() {
-            assert_eq!(table[n + 1], section_crc(u.data()));
+            assert_eq!(table[n + 1], scalars_crc(u.data()));
         }
-        assert_eq!(*table.last().unwrap(), section_crc(tk.core.data()));
+        assert_eq!(*table.last().unwrap(), scalars_crc(tk.core.data()));
         // v1 files have none.
         let p1 = tmp("tbl1.tkr");
         write_tucker_v1(&p1, &tk).unwrap();

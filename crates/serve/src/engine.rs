@@ -37,7 +37,7 @@ use crate::query::Query;
 use crate::store::TuckerStore;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use tucker_core::crc32::Crc32;
+use tucker_core::crc32::scalars_crc;
 use tucker_mpisim::{CostModel, MetricsRegistry};
 use tucker_tensor::io::IoScalar;
 use tucker_tensor::{hyperslab, ttm, SlabSel, Tensor};
@@ -468,21 +468,7 @@ impl<T: IoScalar> Engine<T> {
 
 /// CRC-32 fingerprint of a tensor's little-endian payload bytes.
 pub fn tensor_crc<T: IoScalar>(t: &Tensor<T>) -> u32 {
-    struct Sink(Crc32);
-    impl std::io::Write for Sink {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.update(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-    let mut sink = Sink(Crc32::new());
-    for &v in t.data() {
-        v.write_le(&mut sink).expect("CRC sink cannot fail");
-    }
-    sink.0.finish()
+    scalars_crc(t.data())
 }
 
 /// Scheduling class of a request. Under overload the bounded queue sheds

@@ -43,7 +43,7 @@ use tucker_core::shard_tucker;
 use tucker_core::TuckerTensor;
 use tucker_dtensor::{block_owner, block_range};
 use tucker_mpisim::{CrashRegistry, FaultKind, FaultPlan};
-use tucker_tensor::io::IoScalar;
+use tucker_tensor::codec::{write_scalars, IoScalar, Source};
 use tucker_tensor::{SlabSel, Tensor};
 
 /// The mode-0 shard partition: `rows` global rows over `shards` contiguous
@@ -347,13 +347,11 @@ fn flip_payload_bit<T: IoScalar>(t: &mut Tensor<T>, element: usize, bit: u32) {
         return;
     }
     let idx = element % t.len();
-    let width = std::mem::size_of::<T>() as u32 * 8;
-    let bit = bit % width;
-    let mut bytes = Vec::with_capacity(width as usize / 8);
-    t.data()[idx].write_le(&mut bytes).expect("vec write cannot fail");
-    bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
-    let flipped = T::read_le(&mut bytes.as_slice()).expect("vec read cannot fail");
-    t.data_mut()[idx] = flipped;
+    let mut bytes = Vec::with_capacity(8);
+    write_scalars(&mut bytes, &t.data()[idx..=idx]).expect("vec write cannot fail");
+    let bit = (bit % (T::TAG * 8)) as usize;
+    bytes[bit / 8] ^= 1 << (bit % 8);
+    t.data_mut()[idx] = Source::from_slice(&bytes).scalars(1).expect("one scalar was written")[0];
 }
 
 #[cfg(test)]

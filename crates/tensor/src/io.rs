@@ -14,10 +14,13 @@
 //! data    product(dims) scalars, first-mode-fastest
 //! ```
 
+use crate::codec::{checked_len, write_scalars, write_u32, write_usizes, Source};
 use crate::dense::Tensor;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::path::Path;
+
+pub use crate::codec::IoScalar;
 
 const MAGIC: &[u8; 4] = b"TNSR";
 const VERSION: u32 = 1;
@@ -31,6 +34,16 @@ pub enum StoredPrecision {
     Double,
 }
 
+impl StoredPrecision {
+    /// Bytes per stored scalar.
+    pub fn bytes(self) -> u32 {
+        match self {
+            StoredPrecision::Single => 4,
+            StoredPrecision::Double => 8,
+        }
+    }
+}
+
 /// Header of a tensor file (cheap to read without the payload).
 #[derive(Clone, Debug, PartialEq)]
 pub struct TensorHeader {
@@ -38,57 +51,16 @@ pub struct TensorHeader {
     pub precision: StoredPrecision,
     /// Dimensions.
     pub dims: Vec<usize>,
+    /// Bytes the file holds after the header — equal to
+    /// [`TensorHeader::payload_bytes`] in an intact file.
+    pub held_bytes: u64,
 }
 
-/// Element I/O for the two supported scalar types.
-pub trait IoScalar: tucker_linalg::Scalar {
-    /// Byte width tag stored in the header.
-    const TAG: u32;
-    /// Write one value.
-    fn write_le(self, w: &mut impl Write) -> io::Result<()>;
-    /// Read one value.
-    fn read_le(r: &mut impl Read) -> io::Result<Self>;
-}
-
-impl IoScalar for f32 {
-    const TAG: u32 = 4;
-    fn write_le(self, w: &mut impl Write) -> io::Result<()> {
-        w.write_all(&self.to_le_bytes())
+impl TensorHeader {
+    /// Payload bytes the header declares: element count × scalar width.
+    pub fn payload_bytes(&self) -> io::Result<u64> {
+        Ok(checked_len(&[checked_len(&self.dims)?, self.precision.bytes() as usize])? as u64)
     }
-    fn read_le(r: &mut impl Read) -> io::Result<Self> {
-        let mut b = [0u8; 4];
-        r.read_exact(&mut b)?;
-        Ok(f32::from_le_bytes(b))
-    }
-}
-
-impl IoScalar for f64 {
-    const TAG: u32 = 8;
-    fn write_le(self, w: &mut impl Write) -> io::Result<()> {
-        w.write_all(&self.to_le_bytes())
-    }
-    fn read_le(r: &mut impl Read) -> io::Result<Self> {
-        let mut b = [0u8; 8];
-        r.read_exact(&mut b)?;
-        Ok(f64::from_le_bytes(b))
-    }
-}
-
-fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-fn write_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
 }
 
 fn bad(msg: &str) -> io::Error {
@@ -102,65 +74,47 @@ pub fn write_tensor<T: IoScalar>(path: impl AsRef<Path>, x: &Tensor<T>) -> io::R
     write_u32(&mut w, VERSION)?;
     write_u32(&mut w, T::TAG)?;
     write_u32(&mut w, x.ndims() as u32)?;
-    for &d in x.dims() {
-        write_u64(&mut w, d as u64)?;
-    }
-    for &v in x.data() {
-        v.write_le(&mut w)?;
-    }
+    write_usizes(&mut w, x.dims())?;
+    write_scalars(&mut w, x.data())?;
     w.flush()
 }
 
-fn read_header(r: &mut impl Read) -> io::Result<TensorHeader> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+type FileSource = Source<BufReader<File>>;
+
+/// Open `path` and parse its header, leaving the source at the payload.
+fn open(path: impl AsRef<Path>) -> io::Result<(FileSource, TensorHeader)> {
+    let mut r = Source::open(path)?;
+    if &r.array()? != MAGIC {
         return Err(bad("not a TNSR file"));
     }
-    let version = read_u32(r)?;
-    if version != VERSION {
+    if r.u32()? != VERSION {
         return Err(bad("unsupported TNSR version"));
     }
-    let precision = match read_u32(r)? {
+    let precision = match r.u32()? {
         4 => StoredPrecision::Single,
         8 => StoredPrecision::Double,
         _ => return Err(bad("unknown scalar width")),
     };
-    let ndims = read_u32(r)? as usize;
+    let ndims = r.u32()? as usize;
     if ndims > 16 {
         return Err(bad("implausible mode count"));
     }
-    let mut dims = Vec::with_capacity(ndims);
-    for _ in 0..ndims {
-        dims.push(read_u64(r)? as usize);
-    }
-    Ok(TensorHeader { precision, dims })
+    let dims = r.usizes(ndims)?;
+    let held_bytes = r.left();
+    Ok((r, TensorHeader { precision, dims, held_bytes }))
 }
 
 /// Read only the header.
 pub fn read_tensor_header(path: impl AsRef<Path>) -> io::Result<TensorHeader> {
-    let mut r = BufReader::new(File::open(path)?);
-    read_header(&mut r)
+    Ok(open(path)?.1)
 }
 
 /// Read a tensor stored at precision `T` (errors if the file's width
 /// differs — use [`read_tensor_header`] to dispatch).
 pub fn read_tensor<T: IoScalar>(path: impl AsRef<Path>) -> io::Result<Tensor<T>> {
-    let mut r = BufReader::new(File::open(path)?);
-    let header = read_header(&mut r)?;
-    let want = match header.precision {
-        StoredPrecision::Single => 4,
-        StoredPrecision::Double => 8,
-    };
-    if want != T::TAG {
-        return Err(bad("file precision does not match the requested scalar type"));
-    }
-    let total: usize = header.dims.iter().product();
-    let mut data = Vec::with_capacity(total);
-    for _ in 0..total {
-        data.push(T::read_le(&mut r)?);
-    }
-    Ok(Tensor::from_data(&header.dims, data))
+    let mut chunks = TensorChunks::<T>::open(path)?;
+    let data = chunks.reader.scalars(chunks.remaining)?;
+    Ok(Tensor::from_data(&chunks.header.dims, data))
 }
 
 /// Streaming tensor reader: the payload is consumed in bounded chunks in
@@ -168,7 +122,7 @@ pub fn read_tensor<T: IoScalar>(path: impl AsRef<Path>) -> io::Result<Tensor<T>>
 /// `tucker error` uses this to compare tensors blockwise, and the serve
 /// smoke-checks use it to verify query outputs against large references.
 pub struct TensorChunks<T: IoScalar> {
-    reader: BufReader<File>,
+    reader: FileSource,
     header: TensorHeader,
     remaining: usize,
     _scalar: std::marker::PhantomData<T>,
@@ -178,16 +132,11 @@ impl<T: IoScalar> TensorChunks<T> {
     /// Open a tensor file for streaming at precision `T` (errors if the
     /// stored width differs — dispatch with [`read_tensor_header`] first).
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
-        let mut reader = BufReader::new(File::open(path)?);
-        let header = read_header(&mut reader)?;
-        let want = match header.precision {
-            StoredPrecision::Single => 4,
-            StoredPrecision::Double => 8,
-        };
-        if want != T::TAG {
+        let (reader, header) = open(path)?;
+        if header.precision.bytes() != T::TAG {
             return Err(bad("file precision does not match the requested scalar type"));
         }
-        let remaining = header.dims.iter().product();
+        let remaining = checked_len(&header.dims)?;
         Ok(TensorChunks { reader, header, remaining, _scalar: std::marker::PhantomData })
     }
 
@@ -201,16 +150,12 @@ impl<T: IoScalar> TensorChunks<T> {
         self.remaining
     }
 
-    /// Read up to `max_elems` elements into `buf` (cleared first), in layout
+    /// Read up to `max_elems` elements into `buf` (replacing its contents), in layout
     /// order. Returns the number read; 0 means the payload is exhausted.
     /// A short file surfaces as an I/O error, never a silent short chunk.
     pub fn next_chunk(&mut self, max_elems: usize, buf: &mut Vec<T>) -> io::Result<usize> {
-        buf.clear();
         let n = max_elems.min(self.remaining);
-        buf.reserve(n);
-        for _ in 0..n {
-            buf.push(T::read_le(&mut self.reader)?);
-        }
+        *buf = self.reader.scalars(n)?;
         self.remaining -= n;
         Ok(n)
     }

@@ -8,6 +8,7 @@
 //! zero-copy strided views, and [`ttm::ttm`] computes the tensor-times-matrix
 //! product block by block on it.
 
+pub mod codec;
 pub mod dims;
 pub mod dense;
 pub mod io;

@@ -276,6 +276,69 @@ for sec in "factor 1" "factor 2" "core"; do
 done
 echo "stream smoke: generation bump + untouched-section CRC preservation OK"
 
+# Hostile-file smoke (DESIGN.md §19): three crafted headers that used to
+# kill the process — a TNSR dim of 2^60 (capacity-overflow panic, exit 101),
+# TNSR dims 2^40 x 2^40 (the product wraps to 0), a TUCK v1 factor of
+# 2^36 x 4 (549 GB allocation, exit 134) — must make every command that
+# reads them exit 1 with a message, and leave the store they touch alone.
+hostile="$ckpt/hostile"
+mkdir -p "$hostile"
+python3 - "$hostile" <<'PY'
+import struct, sys
+d = sys.argv[1]
+tnsr = lambda dims: b"TNSR" + struct.pack("<III", 1, 8, len(dims)) + struct.pack(f"<{len(dims)}Q", *dims)
+open(f"{d}/one_dim.tns", "wb").write(tnsr([1 << 60]) + b"\0" * 4)
+open(f"{d}/wraps.tns", "wb").write(tnsr([1 << 40, 1 << 40]))
+open(f"{d}/factor.tkr", "wb").write(
+    b"TUCK" + struct.pack("<III", 1, 8, 1) + struct.pack("<QQ", 1 << 36, 4) + b"\0" * 8)
+PY
+refuses() {
+    local rc=0
+    "$tucker" "$@" >/dev/null 2>"$hostile/stderr" || rc=$?
+    if [ "$rc" -ne 1 ] || ! [ -s "$hostile/stderr" ]; then
+        echo "hostile smoke: 'tucker $*' exited $rc: $(cat "$hostile/stderr")" >&2
+        exit 1
+    fi
+}
+cp "$stream_tkr" "$hostile/store.tkr"
+for f in "$hostile/one_dim.tns" "$hostile/wraps.tns"; do
+    refuses info "$f"
+    refuses compress "$f" "$hostile/out.tkr"
+    refuses error "$f" "$stream_tns"
+    refuses error "$stream_tns" "$f"
+    refuses update "$hostile/store.tkr" "$f"
+done
+refuses info "$hostile/factor.tkr"
+refuses decompress "$hostile/factor.tkr" "$hostile/out.tns"
+refuses query "$hostile/factor.tkr" --slab '*'
+refuses update "$hostile/factor.tkr" "$stream_delta"
+refuses error "$stream_tns" "$hostile/factor.tkr"
+cmp "$stream_tkr" "$hostile/store.tkr"
+echo "hostile smoke: crafted TNSR/TUCK headers refused with exit 1 everywhere OK"
+
+# One codec (DESIGN.md §19): bytes become scalars and length words, files
+# become durable, and CRCs are sunk in one place each.
+codec=crates/tensor/src/codec.rs
+gate() { # gate <what> <expected files, one per line> <grep args...>
+    local what="$1" want="$2"
+    shift 2
+    local got
+    got="$(grep -rlE "$@" crates/*/src | sort || true)"
+    [ "$got" = "$want" ] || {
+        echo "codec gate: $what found in: $got (want only: $want)" >&2
+        exit 1
+    }
+}
+gate "byte conversion" "$codec" 'to_le_bytes|from_le_bytes'
+gate "sync_all" "$codec" 'sync_all'
+gate "fs::rename" "$codec" 'fs::rename'
+gate "a Write sink" "crates/core/src/crc32.rs" 'impl.*Write for'
+[ "$(grep -cE 'sync_all|fs::rename' "$codec")" = 2 ] || {
+    echo "codec gate: sync_all and fs::rename must each appear once in $codec" >&2
+    exit 1
+}
+echo "codec gate: one byte codec, one atomic writer, one CRC sink OK"
+
 # Benchmark smoke: every workload of benchmark/ at quarter shapes, traced.
 # Its oracles — the traced replay of the mode loop bit-identical to the
 # driver's output, grid ranks equal to sequential ranks, the scheduled
