@@ -24,7 +24,8 @@ pub use grids::{balanced_grid, strong_scaling_grids, table1_grid};
 pub use metrics::MetricsSink;
 pub use report::{write_csv, Table};
 pub use serve_bench::{
-    run_failover_bench, run_serve_bench, run_tier_workload, FailoverBenchResult, ServeBenchResult,
+    bench_dims, run_failover_bench, run_serve_bench, run_tier_workload, FailoverBenchResult,
+    ServeBenchResult,
 };
 pub use tracing::BenchTracer;
 pub use variants::{run_compression, run_variant, CompressionRow, Precision, Variant};

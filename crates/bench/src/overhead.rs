@@ -13,7 +13,7 @@ use std::time::Instant;
 use tucker_core::{SthosvdConfig, SvdMethod};
 use tucker_data::hash_noise;
 use tucker_dtensor::ReductionTree;
-use tucker_linalg::tslq::{tslq_matrix, TslqOptions};
+use tucker_linalg::tslq::{tslq_blocks, TslqOptions};
 use tucker_linalg::Matrix;
 use tucker_mpisim::{CostModel, Simulator};
 use tucker_serve::{ObsConfig, TierReport};
@@ -195,7 +195,8 @@ pub fn ablations(_: &Opts) -> EntryResult {
     let a = Matrix::<f64>::from_fn(rows, cols, |i, j| hash_noise(1, i * cols + j));
     for coalesce in [1usize, 4, 16, 64] {
         let secs = time_best(5, || {
-            std::hint::black_box(tslq_matrix(a.as_ref(), 16, TslqOptions { coalesce }));
+            let blocks = a.as_ref().col_panels(16);
+            std::hint::black_box(tslq_blocks(rows, blocks, TslqOptions { coalesce }));
         });
         t.row(vec![
             format!("tslq_coalesce_{rows}x{cols}_block16"),

@@ -45,6 +45,12 @@ fn bench_workload(quick: bool) -> WorkloadConfig {
     }
 }
 
+/// Shape of the store every harness here serves, for callers that size a
+/// tier against it before asking for one.
+pub fn bench_dims(quick: bool) -> Vec<usize> {
+    bench_workload(quick).dims
+}
+
 /// Comma-joined integers for the JSON records' array fields.
 fn ints(v: &[usize]) -> String {
     v.iter().map(|d| d.to_string()).collect::<Vec<_>>().join(",")

@@ -18,13 +18,14 @@ use tucker_mpisim::{
     chrome_trace_json, text_timeline, CostModel, FaultPlan, MetricsRegistry, Simulator,
     ThreadTopology, TraceConfig,
 };
-use tucker_bench::{run_failover_bench, run_serve_bench, run_tier_workload};
+use tucker_bench::{bench_dims, run_failover_bench, run_serve_bench, run_tier_workload};
 use tucker_serve::{
     evaluate_slo, AnyStore, Engine, EngineConfig, ObsConfig, OrderPolicy, Query, SloPolicy,
     TuckerStore,
 };
 use tucker_stream::{StreamConfig, StreamState};
 use tucker_tensor::io::{read_tensor, read_tensor_header, write_tensor, StoredPrecision, TensorChunks};
+use tucker_tensor::codec::checked_len;
 use tucker_tensor::{hyperslab, FrobAccumulator, Tensor};
 
 /// Usage text shown on errors and `tucker help`.
@@ -133,7 +134,30 @@ fn parse_threads(spec: &str) -> Result<ThreadTopology, String> {
 
 /// Build a synthetic tensor of the given kind (`generate` and file-less
 /// `simulate` share this).
+/// Refuse a `--dims` whose `f64` element or byte count wraps (the codec's
+/// overflow-checked product): a wrapped count is a small one, which
+/// allocates nothing and writes a file that claims 2^64 elements.
+fn check_dims_fit(dims: &[usize]) -> Result<(), String> {
+    match checked_len(dims).ok().and_then(|n| n.checked_mul(8)) {
+        Some(bytes) if isize::try_from(bytes).is_ok() => Ok(()),
+        _ => Err(format!("--dims {dims:?}: the element count overflows")),
+    }
+}
+
+/// Rank count of a grid given on the command line (`--grid`, or `--shards`
+/// by `--replicas`): the overflow-checked product, and at most one rank per
+/// element of the tensor it is laid over.
+fn rank_count(flag: &str, grid: &[usize], elements: usize) -> Result<usize, String> {
+    match checked_len(grid) {
+        Ok(p) if p <= elements => Ok(p),
+        _ => Err(format!(
+            "{flag} {grid:?} asks for more ranks than the tensor has elements ({elements})"
+        )),
+    }
+}
+
 fn synthetic_tensor(kind: &str, dims: &[usize], seed: u64) -> Result<Tensor<f64>, String> {
+    check_dims_fit(dims)?;
     match kind {
         "hcci" => {
             if dims.len() != 4 {
@@ -508,6 +532,11 @@ fn tier_options(a: &Args) -> Result<(usize, usize, Option<FaultPlan>), String> {
     };
     let shards = parse_count("shards", "2")?;
     let replicas = parse_count("replicas", "2")?;
+    let dims = bench_dims(a.flag("quick"));
+    if shards > dims[0] {
+        return Err(format!("--shards {shards} exceeds the store's mode-0 extent {}", dims[0]));
+    }
+    rank_count("--shards x --replicas", &[shards, replicas], dims.iter().product())?;
     let plan = match a.opt("inject") {
         Some(spec) => Some(FaultPlan::parse(spec).map_err(|e| format!("bad --inject: {e}"))?),
         None => None,
@@ -629,8 +658,9 @@ fn simulate(a: &Args) -> Result<(), String> {
             x.dims().len()
         ));
     }
+    // (An empty tensor gets the decomposition's own refusal, not this one.)
+    let p = rank_count("--grid", &grid_dims, x.len().max(1))?;
     let cfg = build_config(a, x.dims(), Some(&grid_dims), 8)?;
-    let p: usize = grid_dims.iter().product();
 
     let checkpoint = a.opt("checkpoint-dir").map(|dir| {
         CheckpointOptions::new(dir).resume(a.flag("resume"))
@@ -1150,6 +1180,73 @@ mod tests {
         }
         assert!(!std::path::Path::new(&tkr).exists(), "a rejected compress wrote a store");
         assert!(read_tucker_hdr(&store).unwrap().generation == 0);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// Sizes on the command line that wrap `usize`, or ask for more ranks or
+    /// shards than there is tensor: each used to panic (capacity overflow,
+    /// an empty slice, "need at least one rank") or — `generate` with a
+    /// product that wraps to 0 — exit 0 over a file claiming 2^64 elements.
+    #[test]
+    fn argv_sizes_that_wrap_or_exceed_the_tensor_are_rejected() {
+        let dir = tmpdir("argvsizes");
+        let out = dir.join("x.tns").display().to_string();
+        for (cmd, names) in [
+            (format!("generate {out} --dims 18446744073709551615x2"), "--dims"),
+            (format!("generate {out} --dims 4294967296x4294967296"), "--dims"),
+            (
+                "simulate --kind random --dims 4294967296x4294967296 --grid 1x1 --ranks 1x1".into(),
+                "--dims",
+            ),
+            (
+                "simulate --kind random --dims 8x8x8 --ranks 2x2x2 --grid 18446744073709551615x1x1"
+                    .into(),
+                "--grid",
+            ),
+            (
+                "simulate --kind random --dims 8x8x8 --ranks 2x2x2 --grid 4294967296x4294967296x1"
+                    .into(),
+                "--grid",
+            ),
+            ("serve-bench --quick --shards 18446744073709551615 --replicas 2".into(), "--shards"),
+            ("serve-bench --quick --shards 2 --replicas 9223372036854775808".into(), "--replicas"),
+        ] {
+            let e = cli(cmd.clone()).expect_err(&cmd);
+            assert!(e.contains(names), "{cmd}: {e}");
+        }
+        assert!(!std::path::Path::new(&out).exists(), "a rejected generate wrote a file");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// A valid TNSR file may hold a zero extent (`generate` refuses to make
+    /// one, a reader does not refuse to read one): `compress`, `simulate`
+    /// and `update` must say so instead of writing a store of rank 0 and
+    /// error NaN. An all-zero tensor is fine (its error is 0, pinned in
+    /// `tucker-core`), and its store serves.
+    #[test]
+    fn zero_extent_and_all_zero_tensors() {
+        let (dir, [_, _, tkr, store]) = rejection_fixture("degenerate");
+        let empty = dir.join("empty.tns").display().to_string();
+        write_tensor(&empty, &Tensor::<f64>::zeros(&[0, 6, 6])).unwrap();
+        for cmd in [
+            format!("compress {empty} {tkr}"),
+            format!("compress {empty} {tkr} --svd gram --ranks 1x1x1"),
+            format!("simulate {empty} --grid 1x1x1 --tol 1e-3"),
+            format!("update {store} {empty}"),
+        ] {
+            // (`update` never reaches the mode loop: an empty slab is a
+            // shape the stream refuses on its own.)
+            let e = cli(cmd.clone()).expect_err(&cmd);
+            let typed = e.contains("invalid configuration: dims") || e.contains("shape mismatch");
+            assert!(typed, "{cmd}: {e}");
+        }
+        assert!(!std::path::Path::new(&tkr).exists(), "a rejected compress wrote a store");
+        assert!(read_tucker_hdr(&store).unwrap().generation == 0);
+
+        let zero = dir.join("zero.tns").display().to_string();
+        write_tensor(&zero, &Tensor::<f64>::zeros(&[4, 4, 5])).unwrap();
+        cli(format!("compress {zero} {tkr}")).unwrap();
+        cli(format!("query {tkr} --slab 1,2,3 --verify")).unwrap();
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -22,7 +22,9 @@
 
 use crate::config::SvdMethod;
 use crate::model::{evd_flops, svd_flops};
-use tucker_dtensor::{sketch_cols, sketch_qr_flops, slab_exchange_counts, ReductionTree};
+use tucker_dtensor::{
+    lq_flops, prev_power_of_two, sketch_cols, sketch_qr_flops, slab_exchange_counts, ReductionTree,
+};
 use tucker_linalg::randomized::{resolve_sketch_rows, sketch_block_count, RandomizedSvdConfig};
 use tucker_mpisim::{PhaseStat, RankStats};
 
@@ -158,24 +160,6 @@ fn jf(v: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-/// LQ flop count of an `m x n` factorization — mirror of the charge in
-/// `tucker_dtensor::lq`.
-fn lq_flops(m: f64, n: f64) -> f64 {
-    if n >= m {
-        2.0 * m * m * n - 2.0 / 3.0 * m * m * m
-    } else {
-        2.0 * n * n * m - 2.0 / 3.0 * n * n * n
-    }
-}
-
-fn prev_power_of_two(p: usize) -> usize {
-    let mut f = 1;
-    while f * 2 <= p {
-        f *= 2;
-    }
-    f
 }
 
 /// Analytic per-mode counts, all totals over the whole machine.

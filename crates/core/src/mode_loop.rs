@@ -179,7 +179,15 @@ impl<T: Scalar, Y: Clone> LoopState<T, Y> {
         cfg: &SthosvdConfig,
     ) -> Result<Self> {
         cfg.validate()?;
-        let nmodes = b.dims(x).len();
+        let dims = b.dims(x);
+        let nmodes = dims.len();
+        if dims.contains(&0) {
+            return Err(LinalgError::InvalidConfig {
+                param: "dims",
+                value: format!("{dims:?}"),
+                expected: "every extent at least 1 (an empty tensor has nothing to decompose)",
+            });
+        }
         if !cfg.mode_order.is_permutation_of(nmodes) {
             return Err(LinalgError::InvalidConfig {
                 param: "mode_order",

@@ -279,6 +279,26 @@ mod tests {
         out.results.into_iter().next().unwrap()
     }
 
+    /// Degenerate inputs get one answer from both drivers: a zero extent is
+    /// a typed refusal, an all-zero tensor an exact fit (error 0, not 0 / 0).
+    #[test]
+    fn degenerate_tensors_agree_across_drivers() {
+        let cfg = SthosvdConfig::with_tolerance(1e-3);
+        let empty = Tensor::<f64>::zeros(&[0, 4, 5]);
+        let refusals =
+            [sthosvd_with_info(&empty, &cfg).err(), run_parallel_full(&empty, &[1, 1, 1], &cfg).err()];
+        for e in refusals {
+            assert!(matches!(e, Some(LinalgError::InvalidConfig { param: "dims", .. })), "{e:?}");
+        }
+        let zero = Tensor::<f64>::zeros(&[4, 4, 5]);
+        let fits =
+            [sthosvd_with_info(&zero, &cfg).unwrap(), run_parallel_full(&zero, &[1, 2, 1], &cfg).unwrap()];
+        for out in fits {
+            assert_eq!(out.tucker.ranks(), [1, 1, 1]);
+            assert_eq!(out.estimated_error, 0.0);
+        }
+    }
+
     /// The contract of the all-ones grid: the distributed backend's local
     /// phase *is* the dense backend, so the run returns `sthosvd`'s bits.
     fn assert_one_rank_grid_is_sequential<T: Scalar>(x: &Tensor<T>, cfg: &SthosvdConfig) {

@@ -40,8 +40,13 @@ pub fn mode_threshold<T: Scalar>(eps: f64, norm_x: T, num_modes: usize) -> T {
 
 /// Estimated relative approximation error from the per-mode discarded tails:
 /// `√(Σ_n Σ_{i≥R_n} σ_{n,i}²) / ‖X‖` — the error estimate ST-HOSVD reports
-/// without reconstructing (guaranteed ≤ ε in exact arithmetic).
+/// without reconstructing (guaranteed ≤ ε in exact arithmetic). A zero
+/// tensor is reproduced exactly by any decomposition: its error is 0, not
+/// `0 / 0`.
 pub fn estimated_error<T: Scalar>(tails_sq: &[T], norm_x: T) -> T {
+    if norm_x == T::ZERO {
+        return T::ZERO;
+    }
     let total: T = tails_sq.iter().copied().sum();
     total.max(T::ZERO).sqrt() / norm_x
 }
@@ -103,6 +108,12 @@ mod tests {
     fn estimated_error_combines_tails() {
         let e = estimated_error(&[0.04f64, 0.05], 10.0);
         assert!((e - 0.3 / 10.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn zero_norm_input_has_zero_error() {
+        assert_eq!(estimated_error(&[0.0f64, 0.0], 0.0), 0.0);
+        assert_eq!(estimated_error::<f32>(&[], 0.0), 0.0);
     }
 
     #[test]

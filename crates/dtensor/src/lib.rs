@@ -39,7 +39,8 @@ pub use dist::{block_owner, block_range, DistTensor};
 pub use gram::{parallel_gram, parallel_gram_mixed};
 pub use grid::ProcessorGrid;
 pub use guard::{check_finite, NumericalFault};
-pub use lq::{parallel_tensor_lq, ReductionTree};
+pub use lq::{parallel_tensor_lq, prev_power_of_two, ReductionTree};
+pub use tucker_linalg::perf::lq_flops;
 pub use redistribute::redistribute_to_columns;
 pub use sketch::{
     parallel_sketch_svd, parallel_sketched_gram, redistribute_to_slab, sketch_cols,

@@ -4,8 +4,8 @@
 //! Local phase: if `P_n = 1` the local unfolding already spans all `J_n`
 //! rows and the sequential TensorLQ (Alg. 2) — [`Unfolding::lq`], the same
 //! call the sequential driver makes — runs on it as is; otherwise the fiber
-//! redistribution produces a column-major local stripe and a single `gelq`
-//! factors it in place.
+//! redistribution produces a column-major local stripe and `lq_factor`
+//! takes its `L`.
 //!
 //! Reduction phase: a TSQR tree over *packed lower triangles*. The default
 //! is the paper's butterfly (all-reduce flavour: `log P` exchange steps, the
@@ -19,7 +19,8 @@
 use crate::dist::DistTensor;
 use crate::guard::{check_finite, NumericalFault};
 use crate::redistribute::redistribute_to_columns;
-use tucker_linalg::lq::{gelqf, lq_l_padded};
+use tucker_linalg::lq::lq_factor;
+use tucker_linalg::perf::lq_flops;
 use tucker_linalg::tplqt::tplqt_pair;
 use tucker_linalg::tslq::TslqOptions;
 use tucker_linalg::{Matrix, Scalar};
@@ -34,16 +35,6 @@ pub enum ReductionTree {
     Butterfly,
     /// Ablation: reduce to rank 0 over a binomial tree, then broadcast L.
     Binomial,
-}
-
-/// Flop count of an LQ factorization of an `m x n` matrix.
-fn lq_flops(m: usize, n: usize) -> f64 {
-    let (m, n) = (m as f64, n as f64);
-    if n >= m {
-        2.0 * m * m * n - 2.0 / 3.0 * m * m * m
-    } else {
-        2.0 * n * n * m - 2.0 / 3.0 * n * n * n
-    }
 }
 
 /// Parallel LQ of the mode-`n` unfolding: returns the `J_n x J_n` lower
@@ -67,15 +58,13 @@ pub fn parallel_tensor_lq<T: Scalar>(
     let mut l = if p_n == 1 {
         let unf = Unfolding::new(dt.local(), n);
         debug_assert_eq!(unf.rows(), m);
-        ctx.charge_flops(lq_flops(m, unf.cols()), T::BYTES);
+        ctx.charge_flops(lq_flops(m as f64, unf.cols() as f64), T::BYTES);
         unf.lq(tslq_opts)
     } else {
         let z = ctx.phase("Redistribute", |c| redistribute_to_columns(c, dt, n));
         check_finite(ctx.rank(), "LQ/redistribute", n, z.data())?;
-        ctx.charge_flops(lq_flops(m, z.cols()), T::BYTES);
-        let mut zm = z;
-        gelqf(&mut zm.as_mut());
-        lq_l_padded(zm.as_ref())
+        ctx.charge_flops(lq_flops(m as f64, z.cols() as f64), T::BYTES);
+        lq_factor(z.as_ref())
     };
 
     // Reduction phase (Alg. 3 lines 10–18) over packed triangles; its own
@@ -213,12 +202,11 @@ fn binomial_reduce<T: Scalar>(ctx: &mut Ctx, world: &mut Comm, l: &mut Matrix<T>
     *l = unpack_lower(m, &packed);
 }
 
-fn prev_power_of_two(p: usize) -> usize {
-    let mut f = 1;
-    while f * 2 <= p {
-        f *= 2;
-    }
-    f
+/// Largest power of two `≤ p` (`p ≥ 1`): the size of the butterfly's core.
+/// Shared with `tucker-core::conformance`, which predicts the tree's
+/// messages and merges from it.
+pub fn prev_power_of_two(p: usize) -> usize {
+    1 << p.ilog2()
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Blocked Householder QR/LQ via the compact WY representation
+//! Blocked Householder QR via the compact WY representation
 //! (`H_0 H_1 ··· H_{k-1} = I − V·T·Vᵀ`, LAPACK `larft`/`larfb`).
 //!
 //! The unblocked factorization applies each reflector with matrix-vector
@@ -8,11 +8,14 @@
 //! register-tiled GEMM engine of `crate::kernel`:
 //!
 //! * **Panels** are factored by halving recursion (width `nb` → `nb/2` →
-//!   … → 8, then unblocked), always on *column-contiguous* storage: the LQ
-//!   driver first transposes the short-fat input into an owned column-major
-//!   workspace (a cache-blocked O(mn) copy), so every reflector apply is a
-//!   single pass over contiguous columns instead of the two-pass row-major
-//!   streams of the transposed-view trick.
+//!   … → 8, then unblocked), always on *column-contiguous* storage:
+//!   [`crate::lq::lq_factor`], the LQ side's only entry point, transposes a
+//!   short-fat input with more than [`DEFAULT_BLOCK`] rows once into an
+//!   owned column-major workspace (a cache-blocked O(mn) copy), runs this
+//!   QR there and reads `L = Rᵀ` out of the triangle — `Q`, the `τ`s and
+//!   the tails are never copied back. Every reflector apply is a single
+//!   pass over contiguous columns instead of the two-pass row-major streams
+//!   of a transposed view.
 //! * The **`T` factor** (`larft`) gets its panel Gram matrix `VᵀV` from the
 //!   tiled SYRK; only the tiny `k × k` recurrence remains scalar.
 //! * **Trailing updates** `C ← C − V·Tᵀ·(VᵀC)` consume the factored panel in
@@ -27,8 +30,7 @@
 //!
 //! Degenerate shapes (a single panel, `nb ≤ 1`, or an empty trailing block)
 //! delegate to the unblocked path and are therefore *bitwise* identical to
-//! the serial reference, which keeps the TSLQ tree reductions reproducible
-//! regardless of which side of the blocking threshold a leaf lands on.
+//! the serial reference.
 
 use crate::gemm::{gemm, gemm_into, gemm_par, Trans};
 use crate::matrix::Matrix;
@@ -114,35 +116,6 @@ pub(crate) fn geqrf_blocked_impl<T: Scalar>(a: &mut MatMut<'_, T>, nb: usize) ->
     taus
 }
 
-/// Blocked in-place Householder LQ. Same output convention as
-/// [`crate::lq::gelqf`] (`L` in the lower triangle, reflector tails above).
-///
-/// The input is transposed into an owned column-major workspace, factored by
-/// the blocked QR above, and transposed back — two cache-blocked O(mn)
-/// copies that buy column-contiguous panels and GEMM trailing updates, which
-/// is what lifts the hot 256 × 16384 shape from memory-bound reflector
-/// streams to near-GEMM throughput.
-pub fn gelqf_blocked<T: Scalar>(a: &mut MatMut<'_, T>, nb: usize) -> Vec<T> {
-    let flops = crate::perf::qr_flops(a.cols(), a.rows());
-    crate::perf::with_kernel("lq", flops, 0, || gelqf_blocked_impl(a, nb))
-}
-
-/// Body of [`gelqf_blocked`], outside the perf frame.
-pub(crate) fn gelqf_blocked_impl<T: Scalar>(a: &mut MatMut<'_, T>, nb: usize) -> Vec<T> {
-    let k = a.rows().min(a.cols());
-    // Degenerate shapes (fewer reflectors than one panel — "rows < panel
-    // width" for the short-fat LQ — or blocking disabled) delegate to the
-    // transposed-view unblocked path: bitwise the serial reference.
-    if nb <= 1 || k <= nb {
-        let mut at = a.t_mut();
-        return crate::qr::geqrf_impl(&mut at);
-    }
-    let mut work = transposed_matrix(a.rb());
-    let taus = geqrf_blocked_impl(&mut work.as_mut(), nb);
-    transpose_into(work.as_ref(), a);
-    taus
-}
-
 /// Owned column-major transpose of a view (cache-blocked copy).
 pub(crate) fn transposed_matrix<T: Scalar>(a: MatRef<'_, T>) -> Matrix<T> {
     let (m, n) = (a.rows(), a.cols());
@@ -155,11 +128,10 @@ pub(crate) fn transposed_matrix<T: Scalar>(a: MatRef<'_, T>) -> Matrix<T> {
 /// straight-line copy touches one cache line per element; the tiles cut that
 /// to one line per [`TRANSPOSE_TILE`] elements on the strided side).
 ///
-/// When both sides are column-contiguous (the owned workspaces of the LQ
-/// driver always are) the tile interior runs on raw slices — the strided
-/// `get`/`set` path costs an indexing multiply and a bounds check per
-/// element, which made the two 32 MB copies of the hot LQ shape cost more
-/// than the panel factorizations they were buying.
+/// When both sides are column-contiguous the tile interior runs on raw
+/// slices — the strided `get`/`set` path costs an indexing multiply and a
+/// bounds check per element, which made the 32 MB copy of the hot LQ shape
+/// cost more than the panel factorizations it was buying.
 pub(crate) fn transpose_into<T: Scalar>(src: MatRef<'_, T>, dst: &mut MatMut<'_, T>) {
     let (m, n) = (src.rows(), src.cols());
     assert_eq!((dst.rows(), dst.cols()), (n, m), "transpose_into: shape mismatch");
@@ -324,35 +296,10 @@ fn larft_from_gram<T: Scalar>(g: &Matrix<T>, taus: &[T]) -> Matrix<T> {
     t
 }
 
-/// Convenience: blocked LQ factor `L` (zero-padded square), matching
-/// [`crate::lq::lq_factor`].
-///
-/// Unlike the in-place [`gelqf_blocked`], only `L` is needed here, so the
-/// copy-in and the transpose-back are skipped: the input is transposed once
-/// into the column-major QR workspace and `L = Rᵀ` is read straight out of
-/// its upper triangle — identical bits to extracting from the transposed-back
-/// factorization, at half the O(mn) copy traffic.
-pub fn lq_factor_blocked<T: Scalar>(a: crate::view::MatRef<'_, T>, nb: usize) -> Matrix<T> {
-    let (m, n) = (a.rows(), a.cols());
-    let k = m.min(n);
-    if nb <= 1 || k <= nb {
-        // Degenerate shapes keep the exact gelqf_blocked delegation chain so
-        // the result stays bitwise the unblocked reference.
-        let mut work = a.to_matrix();
-        gelqf_blocked(&mut work.as_mut(), nb);
-        return crate::lq::lq_l_padded(work.as_ref());
-    }
-    crate::perf::with_kernel("lq", crate::perf::qr_flops(n, m), 0, || {
-        let mut work = transposed_matrix(a); // n x m
-        let _taus = geqrf_blocked_impl(&mut work.as_mut(), nb);
-        Matrix::from_fn(m, m, |i, j| if j <= i && j < n { work[(j, i)] } else { T::ZERO })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lq::{gelqf_unblocked, lq_factor};
+    use crate::lq::lq_factor;
     use crate::qr::{form_q, qr_r};
     use crate::syrk::syrk_lower;
     use crate::view::MatRef;
@@ -428,13 +375,6 @@ mod tests {
             let tq_u = crate::qr::geqrf(&mut wq_u.as_mut());
             assert_eq!(wq_b.data(), wq_u.data(), "qr data {m}x{n} nb={nb}");
             assert_eq!(tq_b, tq_u, "qr taus {m}x{n} nb={nb}");
-
-            let mut wl_b = a.clone();
-            let tl_b = gelqf_blocked(&mut wl_b.as_mut(), nb);
-            let mut wl_u = a.clone();
-            let tl_u = gelqf_unblocked(&mut wl_u.as_mut());
-            assert_eq!(wl_b.data(), wl_u.data(), "lq data {m}x{n} nb={nb}");
-            assert_eq!(tl_b, tl_u, "lq taus {m}x{n} nb={nb}");
         }
     }
 
@@ -443,18 +383,22 @@ mod tests {
         // k an exact multiple of nb: the final panel has an empty trailing
         // block, which must be skipped cleanly.
         check_qr(&pseudo(48, 16, 14), 8);
-        let a = pseudo(8, 64, 15);
-        let l = lq_factor_blocked(a.as_ref(), 4);
+        let a = pseudo(2 * DEFAULT_BLOCK, 300, 15);
+        let l = lq_factor(a.as_ref());
         let llt = gemm_into(l.as_ref(), Trans::No, l.as_ref(), Trans::Yes);
         let aat = syrk_lower(a.as_ref());
-        assert!(llt.max_abs_diff(&aat) < 1e-11);
+        assert!(llt.max_abs_diff(&aat) < 1e-11 * aat.max_abs());
     }
 
     #[test]
     fn blocked_lq_gram_invariant() {
-        let a = pseudo(24, 200, 6);
-        let l = lq_factor_blocked(a.as_ref(), 8);
-        let unblocked = lq_factor(a.as_ref());
+        // More rows than one panel: compact-WY, against the unblocked QR
+        // of the transpose.
+        let a = pseudo(DEFAULT_BLOCK + 16, 300, 6);
+        let l = lq_factor(a.as_ref());
+        let mut at = transposed_matrix(a.as_ref());
+        crate::qr::geqrf(&mut at.as_mut());
+        let unblocked = Matrix::from_fn(a.rows(), a.rows(), |i, j| if j <= i { at[(j, i)] } else { 0.0 });
         assert!(l.max_abs_diff(&unblocked) < 1e-11);
         let llt = gemm_into(l.as_ref(), Trans::No, l.as_ref(), Trans::Yes);
         let aat = syrk_lower(a.as_ref());
@@ -463,12 +407,12 @@ mod tests {
 
     #[test]
     fn row_major_view_input() {
-        let data: Vec<f64> = (0..36 * 12).map(|x| ((x as f64) * 0.17).sin()).collect();
-        let a = MatRef::row_major(&data, 12, 36);
-        let l = lq_factor_blocked(a, 4);
+        let data: Vec<f64> = (0..216 * 72).map(|x| ((x as f64) * 0.17).sin()).collect();
+        let a = MatRef::row_major(&data, 72, 216);
+        let l = lq_factor(a);
         let llt = gemm_into(l.as_ref(), Trans::No, l.as_ref(), Trans::Yes);
         let aat = syrk_lower(a);
-        assert!(llt.max_abs_diff(&aat) < 1e-11);
+        assert!(llt.max_abs_diff(&aat) < 1e-11 * aat.max_abs());
     }
 
     #[test]
@@ -501,76 +445,5 @@ mod tests {
         let i = Matrix::<f64>::identity(3);
         let out = gemm_into(i.as_ref(), Trans::No, i.as_ref(), Trans::No);
         assert!(out.max_abs_diff(&i) < 1e-15);
-    }
-
-    #[test]
-    #[ignore = "manual tuning harness; run with --release -- --ignored --nocapture"]
-    fn tune_lq_components() {
-        let (m, n) = (16384usize, 256usize);
-        let nb = 32usize;
-        let a = pseudo(m, n, 22);
-        let time3 = |f: &mut dyn FnMut()| {
-            f();
-            let mut best = f64::INFINITY;
-            for _ in 0..3 {
-                let t0 = std::time::Instant::now();
-                f();
-                best = best.min(t0.elapsed().as_secs_f64());
-            }
-            best
-        };
-        // Panel factorization (first panel, the tallest).
-        let t_panel = time3(&mut || {
-            let mut p = Matrix::from_fn(m, nb, |i, j| a[(i, j)]);
-            std::hint::black_box(geqrf_blocked_impl(&mut p.as_mut(), nb / 4));
-        });
-        // larft (Gram + recurrence).
-        let v = Matrix::from_fn(m, nb, |i, j| if i == j { 1.0 } else if i > j { a[(i, j)] } else { 0.0 });
-        let taus = vec![0.5f64; nb];
-        let t_larft = time3(&mut || {
-            let g = syrk_lower(v.as_ref().t());
-            std::hint::black_box(larft_from_gram(&g, &taus));
-        });
-        // W = Vᵀ C (widest trailing GEMM).
-        let nc = n - nb;
-        let t_w = time3(&mut || {
-            let c = a.as_ref();
-            let c = c.submatrix(0, nb, m, nc);
-            std::hint::black_box(gemm_into(v.as_ref(), Trans::Yes, c, Trans::No));
-        });
-        // Rank-nb accumulate C -= V X.
-        let x = pseudo(nb, nc, 23);
-        let mut cwork = a.clone();
-        let t_rank = time3(&mut || {
-            let mut cm = cwork.as_mut();
-            let mut c = cm.submatrix_mut(0, nb, m, nc);
-            gemm_par(-1.0, v.as_ref(), x.as_ref(), &mut c);
-        });
-        // Transpose there and back (the LQ workspace overhead).
-        let wide = pseudo(n, m, 24);
-        let t_tr = time3(&mut || {
-            let mut back = wide.clone();
-            let w = transposed_matrix(wide.as_ref());
-            transpose_into(w.as_ref(), &mut back.as_mut());
-            std::hint::black_box(back);
-        });
-        println!("panel(16384x32) {:.2} ms | larft {:.2} ms | W gemm {:.2} ms | rank-nb {:.2} ms | transposes {:.2} ms", t_panel * 1e3, t_larft * 1e3, t_w * 1e3, t_rank * 1e3, t_tr * 1e3);
-    }
-
-    #[test]
-    #[ignore = "manual tuning harness; run with --release -- --ignored --nocapture"]
-    fn tune_lq_block_size() {
-        let (m, n) = (256usize, 16384usize);
-        let a = pseudo(m, n, 21);
-        let flops = 2.0 * (m * m) as f64 * n as f64;
-        for nb in [16usize, 24, 32, 48, 64, 96, 128, 160, 192] {
-            let mut best = f64::INFINITY;
-            for _ in 0..3 {
-                let t0 = std::time::Instant::now();
-                std::hint::black_box(lq_factor_blocked(a.as_ref(), nb));
-                best = best.min(t0.elapsed().as_secs_f64());
-            }
-            println!("nb={nb:3}  {:7.3} GF/s  ({:.1} ms)", flops / best / 1e9, best * 1e3);
-        }
     }
 }

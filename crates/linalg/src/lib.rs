@@ -19,10 +19,17 @@
 //!
 //! * [`gemm`] — general matrix multiply over strided views (`gemm`)
 //! * [`syrk_lower`] — symmetric rank-k update `C = A·Aᵀ` (`syrk`), the Gram kernel
-//! * [`qr::geqrf`] / [`lq::gelqf`] — Householder QR / LQ (`geqr`/`gelq`)
+//! * [`qr::geqrf`] / [`geqrf_blocked`] — Householder QR (`geqr`), unblocked
+//!   and compact-WY, in place
+//! * [`lq::lq_factor`] — the Q-less LQ (`gelq` minus `Q`): the only way a
+//!   matrix becomes its lower-triangular factor `L`. Two kernels, picked by
+//!   the row count: compact-WY on the transposed workspace above
+//!   [`blocked_qr::DEFAULT_BLOCK`] rows, the flat tree over column panels
+//!   up to it
 //! * [`tplqt::tplqt`] — structured LQ of `[L B]` with `L` lower triangular,
 //!   the LQ mirror of LAPACK's `tpqrt`, used by flat-tree and butterfly TSQR
-//! * [`tslq::tslq_blocks`] — sequential flat-tree tall-skinny LQ (Alg. 2 core)
+//! * [`tslq::tslq_blocks`] — sequential flat-tree tall-skinny LQ (Alg. 2
+//!   core) over any sequence of column blocks
 //! * [`svd`] — Golub–Kahan bidiagonalization + implicit-shift QR SVD (`gesvd`)
 //! * [`eig`] — Householder tridiagonalization + implicit-QL symmetric
 //!   eigensolver (`syev`)
@@ -59,7 +66,7 @@ pub use error::{LinalgError, Result};
 pub use scalar::Scalar;
 pub use matrix::Matrix;
 pub use view::{MatMut, MatRef};
-pub use blocked_qr::{gelqf_blocked, geqrf_blocked, lq_factor_blocked};
+pub use blocked_qr::geqrf_blocked;
 pub use gemm::{gemm, gemm_into, gemm_par, gemm_reference, Trans};
 pub use kernel::{gemm_prepacked, gemm_prepacked_batch, PackedA};
 pub use syrk::syrk_lower;

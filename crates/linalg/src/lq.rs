@@ -1,68 +1,60 @@
-//! Householder LQ factorization (LAPACK `gelqf`) of short-fat matrices.
+//! Q-less LQ of short-fat matrices: the one way a matrix becomes `L`.
 //!
-//! For an `m x n` unfolding with `m ≪ n`, `A = L·Q` reduces the SVD problem to
-//! the small lower-triangular `L` (paper §3.1). Since PR 6 the default path is
-//! the blocked compact-WY factorization in [`crate::blocked_qr`], which routes
-//! the trailing updates through the register-tiled GEMM engine; the original
-//! unblocked transposed-view implementation is preserved as
-//! [`gelqf_unblocked`] — the serial reference the benchmarks gate against and
-//! the bitwise oracle for degenerate shapes.
+//! For an `m x n` unfolding with `m ≪ n`, `A = L·Q` reduces the SVD problem
+//! to the small lower-triangular `L` (paper §3.1); `Q`, the `τ`s and the
+//! reflector tails are never wanted, so no entry point hands them out.
+//! [`lq_factor`] picks between two kernels by the row count alone:
+//!
+//! * `rows > DEFAULT_BLOCK` — compact-WY ([`crate::blocked_qr`]) on the
+//!   column-major transpose, `L = Rᵀ` read out of the triangle. A tall
+//!   triangle has enough panels for the GEMM trailing updates to pay.
+//! * otherwise — the flat tree [`tslq_blocks`] over [`PANEL_COLS`]-wide
+//!   column panels of the view: below one compact-WY panel every reflector
+//!   would stream over all `n` columns, and a cache-sized panel folded into
+//!   the running triangle by `tplqt` does the same flops at twice the rate.
+//!
+//! Both measurements are in EXPERIMENTS.md ("One Q-less LQ"): the flat tree
+//! halves the 48 x 76 032 HCCI mode-0 LQ, and forced onto triangles of 128
+//! rows and more it doubles `stream_append`'s set-up. Every single-panel
+//! factorization, the flat tree's head included, is [`l_of_transposed`].
 
+use crate::blocked_qr::{geqrf_blocked_impl, transposed_matrix, DEFAULT_BLOCK};
 use crate::matrix::Matrix;
+use crate::perf::{qr_flops, with_kernel};
 use crate::scalar::Scalar;
+use crate::tslq::{tslq_blocks, TslqOptions};
 use crate::view::{MatMut, MatRef};
 
-/// In-place Householder LQ: on return the lower triangle of `a` holds `L` and
-/// the strict upper triangle holds reflector tails. Returns the `tau`s.
-///
-/// Delegates to the blocked compact-WY path with the default panel width
-/// (degenerate shapes fall back to the unblocked reference bit-for-bit);
-/// the call is attributed to the `"lq"` perf site with the same model flop
-/// count as before, so `kernel/lq/*` attribution is unchanged.
-pub fn gelqf<T: Scalar>(a: &mut MatMut<'_, T>) -> Vec<T> {
-    crate::blocked_qr::gelqf_blocked(a, crate::blocked_qr::DEFAULT_BLOCK)
-}
+/// Column-panel width of the flat tree under [`lq_factor`]: 64 rows of it
+/// are 512 KiB at `f64`, L2-resident beside the running triangle.
+const PANEL_COLS: usize = 1024;
 
-/// The pre-PR6 unblocked LQ: QR of the transposed `n x m` view, one reflector
-/// at a time. Kept as the serial reference: the tests compare the blocked
-/// path against it, and the degenerate-shape delegation in
-/// [`crate::blocked_qr::gelqf_blocked`] must match it bitwise.
-pub fn gelqf_unblocked<T: Scalar>(a: &mut MatMut<'_, T>) -> Vec<T> {
-    // The nested geqrf's perf frame is depth-guarded, so the call is
-    // attributed to "lq" only.
-    let flops = crate::perf::qr_flops(a.cols(), a.rows());
-    crate::perf::with_kernel("lq", flops, 0, || {
-        let mut at = a.t_mut();
-        crate::qr::geqrf_impl(&mut at)
+/// LQ factor `L` (`m x m` lower triangular, zero-padded when `n < m` — the
+/// paper's §3.4 detail: the TSQR tree needs a square triangle) of a view,
+/// leaving the input untouched. One `"lq"` perf frame with the model count
+/// of the whole factorization; the kernels' own frames nest under it.
+pub fn lq_factor<T: Scalar>(a: MatRef<'_, T>) -> Matrix<T> {
+    let (m, n) = (a.rows(), a.cols());
+    with_kernel("lq", qr_flops(n, m), 0, || {
+        if m > DEFAULT_BLOCK {
+            l_of_transposed(&mut transposed_matrix(a).as_mut())
+        } else {
+            tslq_blocks(m, a.col_panels(PANEL_COLS), TslqOptions::default())
+        }
     })
 }
 
-/// Extract `L` (`m x min(m,n)`, lower triangular/trapezoidal) from a factored
-/// matrix.
-pub fn lq_l<T: Scalar>(a_fact: MatRef<'_, T>) -> Matrix<T> {
-    let m = a_fact.rows();
-    let n = a_fact.cols();
-    let k = m.min(n);
-    Matrix::from_fn(m, k, |i, j| if j <= i { a_fact.get(i, j) } else { T::ZERO })
-}
-
-/// Extract `L` zero-padded to a full `m x m` lower triangle.
-///
-/// When `n < m` the LQ factor is lower-trapezoidal; the parallel TSQR tree
-/// requires a square triangle, so the missing columns are padded with zeros
-/// (the paper's §3.4 "implementation detail": the zeros fill in after a few
-/// levels of the reduction tree).
-pub fn lq_l_padded<T: Scalar>(a_fact: MatRef<'_, T>) -> Matrix<T> {
-    let m = a_fact.rows();
-    let n = a_fact.cols();
-    Matrix::from_fn(m, m, |i, j| if j <= i && j < n { a_fact.get(i, j) } else { T::ZERO })
-}
-
-/// Convenience: LQ factor `L` of a view, leaving the input untouched.
-pub fn lq_factor<T: Scalar>(a: MatRef<'_, T>) -> Matrix<T> {
-    let mut work = a.to_matrix();
-    gelqf(&mut work.as_mut());
-    lq_l_padded(work.as_ref())
+/// `L` of `A` from `Aᵀ` (`n x m`, column-contiguous; destroyed): Householder
+/// QR of the transpose — `geqrf_blocked_impl` is the unblocked kernel while
+/// the triangle fits one panel (`m ≤ DEFAULT_BLOCK`), compact-WY above —
+/// then `L = Rᵀ` from its upper triangle, zero-padded to `m x m`.
+/// Column-contiguous storage makes each reflector one pass over contiguous
+/// memory, and a row-major panel *is* its transpose's column-major storage,
+/// so the flat tree factors its gathered head in place.
+pub(crate) fn l_of_transposed<T: Scalar>(at: &mut MatMut<'_, T>) -> Matrix<T> {
+    let (n, m) = (at.rows(), at.cols());
+    geqrf_blocked_impl(at, DEFAULT_BLOCK);
+    Matrix::from_fn(m, m, |i, j| if j <= i && j < n { at.get(j, i) } else { T::ZERO })
 }
 
 #[cfg(test)]

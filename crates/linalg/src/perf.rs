@@ -4,15 +4,15 @@
 //! kernels (and this crate must not depend on `tucker-mpisim`), so the
 //! instrumentation is inverted: each top-level kernel entry point
 //! ([`crate::gemm::gemm`], [`crate::gemm::gemm_into`],
-//! [`crate::syrk::syrk_lower`], [`crate::qr::geqrf`], [`crate::lq::gelqf`],
-//! [`crate::tplqt::tplqt`] and the blocked QR/LQ drivers) reports into a
+//! [`crate::syrk::syrk_lower`], [`crate::qr::geqrf`], [`crate::lq::lq_factor`],
+//! [`crate::tplqt::tplqt`] and the blocked QR driver) reports into a
 //! *thread-local* collector, and the caller that owns a rank thread (e.g.
 //! `tucker-core`'s ST-HOSVD driver) calls [`enable`] before the computation
 //! and [`drain`] after, folding the totals into its own metrics registry.
 //!
 //! Attribution rules:
 //!
-//! * **Depth guard** — nested kernel calls (`gelqf` → `geqrf`,
+//! * **Depth guard** — nested kernel calls (`lq_factor` → `tplqt`,
 //!   `gemm_into` → `gemm`, blocked QR panels) record only at the outermost
 //!   instrumented frame, so one logical kernel invocation is one record.
 //! * **Thread locality** — work dispatched to rayon workers is invisible to
@@ -108,12 +108,22 @@ pub(crate) fn gemm_pack_bytes<T: crate::scalar::Scalar>(m: usize, k: usize, n: u
     ((a_slab + b_slab) * std::mem::size_of::<T>()) as u64
 }
 
-/// Householder QR flop count for an `m x n` factorization (LAPACK-style
-/// leading terms: `2mn² − ⅔n³` tall, `2nm² − ⅔m³` wide).
+/// Householder LQ flop count for an `m x n` factorization (LAPACK-style
+/// leading terms: `2nm² − ⅔m³` short-fat, `2mn² − ⅔n³` tall). The one copy
+/// of the formula: the perf frames here, `tucker-dtensor`'s cost-model
+/// charge and `tucker-core`'s `--model-check` all count with it.
+pub fn lq_flops(m: f64, n: f64) -> f64 {
+    if n >= m {
+        2.0 * m * m * n - 2.0 / 3.0 * m * m * m
+    } else {
+        2.0 * n * n * m - 2.0 / 3.0 * n * n * n
+    }
+}
+
+/// Householder QR flop count for an `m x n` factorization: the LQ count of
+/// its transpose.
 pub(crate) fn qr_flops(m: usize, n: usize) -> u64 {
-    let (m, n) = (m as f64, n as f64);
-    let f = if m >= n { 2.0 * m * n * n - 2.0 / 3.0 * n * n * n } else { 2.0 * n * m * m - 2.0 / 3.0 * m * m * m };
-    f.max(0.0) as u64
+    lq_flops(n as f64, m as f64) as u64
 }
 
 /// Golub–Kahan bidiagonalization flop count for an `m x n` (`m ≥ n`)
@@ -130,7 +140,7 @@ mod tests {
     use crate::lq::lq_factor;
     use crate::matrix::Matrix;
     use crate::syrk::syrk_lower;
-    use crate::tslq::{tslq_matrix, TslqOptions};
+    use crate::tslq::{tslq_blocks, TslqOptions};
 
     fn pseudo(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
@@ -162,19 +172,24 @@ mod tests {
     #[test]
     fn lq_shadows_its_inner_qr() {
         enable();
-        let _ = lq_factor(pseudo(6, 40, 3).as_ref());
+        // One logical LQ is one frame on either kernel: the flat tree's
+        // head and `tplqt` steps (6 x 3000 is three panels) nest under it,
+        // and so does compact-WY's inner QR (70 rows).
+        let _ = lq_factor(pseudo(6, 3000, 3).as_ref());
+        let _ = lq_factor(pseudo(70, 90, 4).as_ref());
         let stats = drain().expect("enabled");
-        assert_eq!(stats["lq"].calls, 1);
-        assert_eq!(stats["lq"].flops, qr_flops(40, 6));
+        assert_eq!(stats["lq"].calls, 2);
+        assert_eq!(stats["lq"].flops, qr_flops(3000, 6) + qr_flops(90, 70));
         assert!(!stats.contains_key("qr"), "nested geqrf attributed to the lq site");
     }
 
     #[test]
     fn flat_tree_lq_counts_its_tplqt_steps() {
         enable();
-        let _ = tslq_matrix(pseudo(8, 400, 9).as_ref(), 4, TslqOptions::default());
+        let a = pseudo(8, 400, 9);
+        let _ = tslq_blocks(8, a.as_ref().col_panels(4), TslqOptions::default());
         let stats = drain().expect("enabled");
-        // The head `gelqf` of two blocks, then one `tplqt` per remaining
+        // The head of two blocks, then one `tplqt` per remaining
         // block: together the model count of one LQ of the whole matrix.
         assert_eq!(stats["lq"].calls, 1 + 98);
         let (got, want) = (stats["lq"].flops as f64, qr_flops(400, 8) as f64);

@@ -13,39 +13,19 @@ use crate::lq::lq_factor;
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 use crate::svd::svd_left;
-use crate::tslq::{tslq_matrix, TslqOptions};
 use crate::view::MatRef;
 
 /// Left singular vectors (`m x m`) and singular values (length `m`,
-/// descending) of `A`, via LQ preprocessing (one-shot `gelq`).
+/// descending) of `A`, via the Q-less LQ (`L` is zero-padded if `n < m`).
 pub fn qr_svd<T: Scalar>(a: MatRef<'_, T>) -> Result<(Matrix<T>, Vec<T>)> {
-    let l = lq_factor(a); // m x m, zero-padded if n < m
-    svd_left(l.as_ref())
-}
-
-/// Same as [`qr_svd`] but computing the LQ with a flat-tree TSQR over column
-/// blocks of the given width — the cache-friendly variant of Alg. 2 used when
-/// the unfolding does not fit in cache.
-pub fn qr_svd_flat_tree<T: Scalar>(
-    a: MatRef<'_, T>,
-    block_cols: usize,
-    opts: TslqOptions,
-) -> Result<(Matrix<T>, Vec<T>)> {
-    let l = tslq_matrix(a, block_cols, opts);
-    svd_left(l.as_ref())
-}
-
-/// Entry point for the parallel algorithm: SVD of an already-reduced
-/// triangular factor (every rank calls this redundantly on the butterfly
-/// TSQR result, paper §3.4 "SVD of L").
-pub fn qr_svd_from_l<T: Scalar>(l: &Matrix<T>) -> Result<(Matrix<T>, Vec<T>)> {
-    svd_left(l.as_ref())
+    svd_left(lq_factor(a).as_ref())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::random::matrix_with_singular_values_seeded;
+    use crate::tslq::{tslq_blocks, TslqOptions};
 
     #[test]
     fn matches_prescribed_singular_values() {
@@ -63,7 +43,8 @@ mod tests {
         let sv = [2.0, 1.0, 0.5, 0.25, 0.125];
         let a = matrix_with_singular_values_seeded::<f64>(&sv, 60, 2);
         let (_, s1) = qr_svd(a.as_ref()).unwrap();
-        let (_, s2) = qr_svd_flat_tree(a.as_ref(), 7, TslqOptions::default()).unwrap();
+        let l = tslq_blocks(5, a.as_ref().col_panels(7), TslqOptions::default());
+        let (_, s2) = svd_left(l.as_ref()).unwrap();
         for (x, y) in s1.iter().zip(&s2) {
             assert!((x - y).abs() < 1e-12);
         }
@@ -99,18 +80,6 @@ mod tests {
         // Padding produces trailing zero singular values.
         for &z in &s[3..] {
             assert!(z < 1e-12);
-        }
-    }
-
-    #[test]
-    fn from_l_equals_direct() {
-        let sv = [1.0, 0.9, 0.8];
-        let a = matrix_with_singular_values_seeded::<f64>(&sv, 30, 5);
-        let l = crate::lq::lq_factor(a.as_ref());
-        let (_, s1) = qr_svd_from_l(&l).unwrap();
-        let (_, s2) = qr_svd(a.as_ref()).unwrap();
-        for (x, y) in s1.iter().zip(&s2) {
-            assert!((x - y).abs() < 1e-13);
         }
     }
 }

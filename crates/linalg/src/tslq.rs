@@ -5,15 +5,20 @@
 //! layout of a tensor unfolding (a series of contiguous row-major column
 //! blocks, paper §3.3). The first blocks are combined until the working
 //! matrix is short-fat (the paper's "combine as many blocks as necessary"
-//! detail), factored once with `gelqf`, and every subsequent group of blocks
-//! is annihilated against the running triangle with [`crate::tplqt::tplqt`].
+//! detail), factored once by the single-panel kernel
+//! [`crate::lq::l_of_transposed`] — the gathered row-major head is already
+//! the column-major storage of its transpose — and every subsequent group of
+//! blocks is annihilated against the running triangle with
+//! [`crate::tplqt::tplqt`]. Nothing but `L` is kept.
 //!
 //! The `coalesce` option groups several blocks per `tplqt` call; `1`
 //! reproduces the paper's flat tree verbatim, larger values trade workspace
 //! for fewer, wider reduction steps (ablated in `tucker-bench`).
 
-use crate::lq::{gelqf, lq_l_padded};
+use crate::blocked_qr::transpose_into;
+use crate::lq::l_of_transposed;
 use crate::matrix::Matrix;
+use crate::perf::{qr_flops, with_kernel};
 use crate::scalar::Scalar;
 use crate::tplqt::tplqt;
 use crate::view::{MatMut, MatRef};
@@ -65,12 +70,10 @@ where
         return Matrix::zeros(m, m);
     }
     let mut head: Vec<T> = Vec::new();
-    let mut l = {
-        let cols = gather_rowmajor(&mut head, m, &head_blocks);
-        let mut hm = MatMut::row_major(&mut head, m, cols);
-        gelqf(&mut hm);
-        lq_l_padded(hm.rb())
-    };
+    let cols = gather_rowmajor(&mut head, m, &head_blocks);
+    let mut l = with_kernel("lq", qr_flops(cols, m), 0, || {
+        l_of_transposed(&mut MatMut::col_major(&mut head, cols, m))
+    });
     if exhausted {
         return l;
     }
@@ -105,41 +108,16 @@ fn gather_rowmajor<T: Scalar>(buf: &mut Vec<T>, m: usize, blocks: &[MatRef<'_, T
     let total: usize = blocks.iter().map(|b| b.cols()).sum();
     buf.clear();
     buf.resize(m * total, T::ZERO);
+    // Row-major `m x total` is the column-major storage of the transpose:
+    // each block lands as a transposed copy (a memcpy per row for the
+    // row-major blocks of an unfolding, cache-blocked tiles otherwise).
     let mut col0 = 0usize;
     for b in blocks {
-        let bc = b.cols();
-        if bc == 0 {
-            continue;
-        }
-        for i in 0..m {
-            let dst = &mut buf[i * total + col0..i * total + col0 + bc];
-            if b.row_contiguous() {
-                dst.copy_from_slice(b.row_slice(i));
-            } else {
-                for (j, d) in dst.iter_mut().enumerate() {
-                    *d = b.get(i, j);
-                }
-            }
-        }
-        col0 += bc;
+        let mut dst = MatMut::strided(&mut buf[col0..], b.cols(), m, 1, total);
+        transpose_into(*b, &mut dst);
+        col0 += b.cols();
     }
     total
-}
-
-/// Flat-tree LQ of a single matrix split into column blocks of width
-/// `block_cols` — convenience used by tests and the sequential driver when
-/// the unfolding is one contiguous matrix.
-pub fn tslq_matrix<T: Scalar>(a: MatRef<'_, T>, block_cols: usize, opts: TslqOptions) -> Matrix<T> {
-    let m = a.rows();
-    let n = a.cols();
-    let mut blocks = Vec::new();
-    let mut j = 0;
-    while j < n {
-        let w = block_cols.min(n - j);
-        blocks.push(a.submatrix(0, j, m, w));
-        j += w;
-    }
-    tslq_blocks(m, blocks, opts)
 }
 
 #[cfg(test)]
@@ -162,7 +140,7 @@ mod tests {
     }
 
     fn check_against_dense(a: &Matrix<f64>, block_cols: usize, coalesce: usize, tol: f64) {
-        let l_tree = tslq_matrix(a.as_ref(), block_cols, TslqOptions { coalesce });
+        let l_tree = tslq_blocks(a.rows(), a.as_ref().col_panels(block_cols), TslqOptions { coalesce });
         let l_dense = lq_factor(a.as_ref());
         assert!(gram(&l_tree).max_abs_diff(&gram(&l_dense)) < tol);
         // Also against the direct Gram matrix.
@@ -198,7 +176,7 @@ mod tests {
     #[test]
     fn total_columns_below_rows_pads() {
         let a = pseudo_matrix(10, 6, 6);
-        let l = tslq_matrix(a.as_ref(), 2, TslqOptions::default());
+        let l = tslq_blocks(10, a.as_ref().col_panels(2), TslqOptions::default());
         assert_eq!(l.shape(), (10, 10));
         assert!(gram(&l).max_abs_diff(&syrk_lower(a.as_ref())) < 1e-12);
     }
@@ -212,9 +190,9 @@ mod tests {
 
     #[test]
     fn blocked_head_path() {
-        // m > DEFAULT_BLOCK so the phase-1 gelqf takes the blocked compact-WY
-        // path (on a row-major workspace view); the tree must still agree
-        // with the dense factorization and the Gram matrix.
+        // m > DEFAULT_BLOCK so the head takes the Q-less compact-WY path (on
+        // the gathered workspace, no copy); the tree must still agree with
+        // the dense factorization and the Gram matrix.
         let m = crate::blocked_qr::DEFAULT_BLOCK + 16;
         check_against_dense(&pseudo_matrix(m, 3 * m, 8), m / 2, 1, 1e-10);
     }
@@ -228,7 +206,7 @@ mod tests {
     #[test]
     fn single_precision() {
         let a = Matrix::<f32>::from_fn(5, 40, |i, j| ((2 * i + 3 * j) as f32).sin());
-        let l = tslq_matrix(a.as_ref(), 4, TslqOptions::default());
+        let l = tslq_blocks(5, a.as_ref().col_panels(4), TslqOptions::default());
         let g = gemm_into(l.as_ref(), Trans::No, l.as_ref(), Trans::Yes);
         let aat = syrk_lower(a.as_ref());
         assert!(g.max_abs_diff(&aat) < 1e-3 * aat.max_abs());

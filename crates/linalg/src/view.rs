@@ -130,6 +130,15 @@ impl<'a, T: Scalar> MatRef<'a, T> {
         MatRef::strided(&self.data[r0 * self.rs + c0 * self.cs..], nr, nc, self.rs, self.cs)
     }
 
+    /// The view cut into column panels of `width` columns, left to right
+    /// (the last one narrower when `width` does not divide `cols`).
+    pub fn col_panels(self, width: usize) -> impl Iterator<Item = MatRef<'a, T>> {
+        assert!(width > 0, "col_panels: zero width");
+        (0..self.cols)
+            .step_by(width)
+            .map(move |j| self.submatrix(0, j, self.rows, width.min(self.cols - j)))
+    }
+
     /// Transposed view (swaps dimensions and strides; no data movement).
     pub fn t(&self) -> MatRef<'a, T> {
         MatRef { data: self.data, rows: self.cols, cols: self.rows, rs: self.cs, cs: self.rs }

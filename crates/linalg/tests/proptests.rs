@@ -8,7 +8,7 @@ use tucker_linalg::qr::qr;
 use tucker_linalg::svd::svd;
 use tucker_linalg::syrk_lower;
 use tucker_linalg::tplqt::tplqt;
-use tucker_linalg::tslq::{tslq_matrix, TslqOptions};
+use tucker_linalg::tslq::{tslq_blocks, TslqOptions};
 use tucker_linalg::{syev, syrk_lower_f64_acc, MatRef, Matrix, Scalar};
 
 fn matrix_strategy(max_dim: usize) -> impl Strategy<Value = Matrix<f64>> {
@@ -97,7 +97,7 @@ proptest! {
         block in 1usize..6,
         coalesce in 1usize..4,
     ) {
-        let l_tree = tslq_matrix(a.as_ref(), block, TslqOptions { coalesce });
+        let l_tree = tslq_blocks(a.rows(), a.as_ref().col_panels(block), TslqOptions { coalesce });
         let g_tree = gemm_into(l_tree.as_ref(), Trans::No, l_tree.as_ref(), Trans::Yes);
         let want = syrk_lower(a.as_ref());
         prop_assert!(g_tree.max_abs_diff(&want) < 1e-10 * want.max_abs().max(1.0));
@@ -334,7 +334,7 @@ proptest! {
 // ---- determinism across rayon task counts, plus orthonormality and
 // ---- backward-error bounds on random and rank-deficient inputs.
 
-use tucker_linalg::blocked_qr::{gelqf_blocked, geqrf_blocked, lq_factor_blocked};
+use tucker_linalg::blocked_qr::geqrf_blocked;
 use tucker_linalg::qr::{form_q, qr_r};
 
 /// Task counts every parallel code path must reproduce bitwise.
@@ -356,21 +356,17 @@ fn with_tasks<R>(tasks: usize, f: impl FnOnce() -> R) -> R {
 fn factorization_bits<T: Scalar>(
     a: &Matrix<T>,
     nb: usize,
-) -> (Vec<T>, Vec<T>, Vec<T>, Vec<T>, Vec<T>, Vec<T>, Vec<T>, Vec<T>) {
+) -> (Vec<T>, Vec<T>, Vec<T>, Vec<T>, Vec<T>, Vec<T>) {
     let mut wq = a.clone();
     let tq = geqrf_blocked(&mut wq.as_mut(), nb);
-    let mut wl = a.clone();
-    let tl = gelqf_blocked(&mut wl.as_mut(), nb);
     let out = svd(a.as_ref(), true, true).expect("svd");
     (
         wq.data().to_vec(),
         tq,
-        wl.data().to_vec(),
-        tl,
         out.s,
         out.u.expect("u").data().to_vec(),
         out.v.expect("v").data().to_vec(),
-        lq_factor_blocked(a.as_ref(), nb).data().to_vec(),
+        lq_factor(a.as_ref()).data().to_vec(),
     )
 }
 
@@ -414,14 +410,14 @@ fn check_qr_backward_error<T: Scalar>(a: &Matrix<T>, nb: usize, tol: f64) {
     );
 }
 
-fn check_lq_backward_error<T: Scalar>(a: &Matrix<T>, nb: usize, tol: f64) {
-    let l = lq_factor_blocked(a.as_ref(), nb);
+fn check_lq_backward_error<T: Scalar>(a: &Matrix<T>, tol: f64) {
+    let l = lq_factor(a.as_ref());
     let llt = gemm_into(l.as_ref(), Trans::No, l.as_ref(), Trans::Yes);
     let aat = syrk_lower(a.as_ref());
     let scale = aat.max_abs().to_f64().max(1.0) * (a.cols() as f64).max(1.0);
     assert!(
         llt.max_abs_diff(&aat).to_f64() < tol * scale,
-        "L Lᵀ != A Aᵀ ({}x{}, nb={nb})",
+        "L Lᵀ != A Aᵀ ({}x{})",
         a.rows(),
         a.cols()
     );
@@ -455,8 +451,8 @@ proptest! {
             if deficient { rank_deficient(m, n, r, seed) } else { seeded(m, n, seed) };
         check_qr_backward_error(&a64, nb, 1e-12);
         check_qr_backward_error(&a32, nb, 1e-4);
-        check_lq_backward_error(&a64, nb, 1e-12);
-        check_lq_backward_error(&a32, nb, 1e-4);
+        check_lq_backward_error(&a64, 1e-12);
+        check_lq_backward_error(&a32, 1e-4);
     }
 
     #[test]
@@ -498,8 +494,7 @@ proptest! {
 fn parallel_paths_bitwise_across_pools() {
     // 48 × 6000: the QR trailing block is ~6000 columns wide, so the
     // rank-nb gemm_par fans out over its fixed 256-column panels (n > 256,
-    // flops > 2²²), and the LQ side drives the same update through the
-    // transposed workspace.
+    // flops > 2²²); the LQ of the same matrix is the serial flat tree.
     let a64 = seeded::<f64>(48, 6000, 99);
     check_bitwise_across_pools(&a64, 16);
     let a32 = seeded::<f32>(48, 6000, 101);
@@ -509,4 +504,88 @@ fn parallel_paths_bitwise_across_pools() {
     // rows · ops ≥ 2¹⁴ threshold into the banded parallel rotation replay.
     let sq = seeded::<f64>(400, 400, 103);
     check_bitwise_across_pools(&sq, 16);
+}
+
+/// Rotate-multiply hash over the bit patterns of `l` (`to_f64` is exact for
+/// both precisions), the form the parent's `L`s are pinned in below.
+fn l_hash<T: Scalar>(l: &Matrix<T>) -> u64 {
+    l.data().iter().fold(0u64, |h, x| {
+        (h.rotate_left(5) ^ x.to_f64().to_bits()).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
+}
+
+/// `L` hashes of the parent commit's `lq_factor_blocked(a, DEFAULT_BLOCK)`
+/// for `a = seeded(rows, cols, rows·10⁴ + cols)`, every table shape below
+/// with `min(rows, cols) > 64`: `(rows, cols, f64, f32)`.
+const PARENT_L_HASHES: [(usize, usize, u64, u64); 11] = [
+    (65, 65, 0x0a23af541bb67baa, 0x7e7aacc31b210d6a),
+    (65, 1023, 0x3130ead5f3e4eeef, 0xd86ac85173057bfc),
+    (65, 1024, 0x22341640a157e061, 0xf4fd986402ec06e3),
+    (65, 1025, 0x78dbaf58d08626cf, 0x7ea6cc25aa159177),
+    (65, 2055, 0x124ef7e2b841d928, 0xf139439674214902),
+    (130, 129, 0x0b70c4e5959af3f0, 0x40616ed4326e2e7e),
+    (130, 130, 0xae067436c9ac59a8, 0x26feb5de49e732c1),
+    (130, 1023, 0x0966909296e6b7f9, 0xbf2e19c3f11b7a81),
+    (130, 1024, 0xc8e4e5fb1d9af56c, 0xb1e78af64d17f269),
+    (130, 1025, 0xb056ed6fa7441562, 0xd576342ea57947e5),
+    (130, 2055, 0x23739a7853966fbd, 0x093dbd0b550a4ada),
+];
+
+fn check_lq_factor_table<T: Scalar>(pick: fn(&(usize, usize, u64, u64)) -> u64) {
+    for rows in [1usize, 33, 64, 65, 130] {
+        for cols in [rows - 1, rows, 1023, 1024, 1025, 2 * 1024 + 7] {
+            let what = format!("{rows}x{cols} {}", T::PRECISION_NAME);
+            let a = seeded::<T>(rows, cols, (rows * 10_000 + cols) as u64);
+            let l = lq_factor(a.as_ref());
+
+            assert_eq!(l.shape(), (rows, rows), "{what}");
+            for j in 0..rows {
+                for i in 0..j {
+                    assert!(l[(i, j)] == T::ZERO, "{what}: L not lower triangular");
+                }
+            }
+            let wide = |x: &Matrix<T>| Matrix::from_fn(x.rows(), x.cols(), |i, j| x[(i, j)].to_f64());
+            let (l64, a64) = (wide(&l), wide(&a));
+            let llt = gemm_into(l64.as_ref(), Trans::No, l64.as_ref(), Trans::Yes);
+            let aat = gemm_into(a64.as_ref(), Trans::No, a64.as_ref(), Trans::Yes);
+            let tol = 64.0 * T::EPSILON.to_f64() * aat.frob_norm();
+            assert!(llt.max_abs_diff(&aat) <= tol, "{what}: L Lᵀ != A Aᵀ");
+
+            // Layout is not an input: the row-major copy and a strided
+            // window of a larger parent give the column-major bits.
+            let row_major: Vec<T> =
+                (0..rows * cols).map(|k| a[(k / cols.max(1), k % cols.max(1))]).collect();
+            assert_eq!(lq_factor(MatRef::row_major(&row_major, rows, cols)), l, "{what}: row-major");
+            let parent = Matrix::from_fn(rows + 3, cols + 5, |i, j| {
+                if (2..2 + rows).contains(&i) && (3..3 + cols).contains(&j) {
+                    a[(i - 2, j - 3)]
+                } else {
+                    T::ONE
+                }
+            });
+            let window = parent.as_ref().submatrix(2, 3, rows, cols);
+            assert_eq!(lq_factor(window), l, "{what}: strided submatrix");
+
+            for tasks in TASK_COUNTS {
+                let got = with_tasks(tasks, || lq_factor(a.as_ref()));
+                assert_eq!(got, l, "{what}: bits moved under a {tasks}-task budget");
+            }
+            if rows.min(cols) > 64 {
+                let golden = PARENT_L_HASHES
+                    .iter()
+                    .find(|g| (g.0, g.1) == (rows, cols))
+                    .unwrap_or_else(|| panic!("{what}: no golden"));
+                assert_eq!(l_hash(&l), pick(golden), "{what}: bits above the line moved");
+            }
+        }
+    }
+}
+
+/// `lq_factor` on both sides of every line it draws: the kernel switch at
+/// `DEFAULT_BLOCK` = 64 rows, the flat tree's 1024-column panel boundary,
+/// and the `cols < rows` padding.
+#[test]
+fn lq_factor_on_both_sides_of_every_line() {
+    check_lq_factor_table::<f64>(|g| g.2);
+    check_lq_factor_table::<f32>(|g| g.3);
 }

@@ -207,12 +207,12 @@ impl<T: Scalar> StreamState<T> {
         let dims = self.dims();
         let t = self.cfg.time_mode;
         let ok = slab.ndims() == dims.len()
-            && slab.dims().iter().enumerate().all(|(m, &d)| m == t || d == dims[m]);
+            && slab.dims().iter().enumerate().all(|(m, &d)| if m == t { d > 0 } else { d == dims[m] });
         if !ok {
             return Err(StreamError::ShapeMismatch {
                 what: "appended slab",
                 details: format!(
-                    "slab dims {:?} vs stream dims {:?} (time mode {t} free)",
+                    "slab dims {:?} vs stream dims {:?} (time mode {t} free, not empty)",
                     slab.dims(),
                     dims
                 ),

@@ -12,7 +12,7 @@
 
 use crate::dense::Tensor;
 use crate::dims::{prod_after, prod_before};
-use tucker_linalg::blocked_qr::{lq_factor_blocked, DEFAULT_BLOCK};
+use tucker_linalg::lq::lq_factor;
 use tucker_linalg::tslq::{tslq_blocks, TslqOptions};
 use tucker_linalg::{MatRef, Matrix, Scalar};
 
@@ -99,13 +99,12 @@ impl<'a, T: Scalar> Unfolding<'a, T> {
     }
 
     /// LQ factor `L` (`I_n x I_n`, lower triangular) of the unfolding (paper
-    /// Alg. 2): the blocked compact-WY LQ, which transposes once into a
-    /// column-major workspace and extracts only `L`, when the unfolding is
-    /// one contiguous matrix (first/last mode); flat-tree TSLQ over the
-    /// row-major blocks otherwise.
+    /// Alg. 2): `lq_factor`, which picks its kernel by the row count, when
+    /// the unfolding is one contiguous matrix (first/last mode); flat-tree
+    /// TSLQ over the row-major blocks otherwise.
     pub fn lq(&self, opts: TslqOptions) -> Matrix<T> {
         match self.whole() {
-            Some(whole) => lq_factor_blocked(whole, DEFAULT_BLOCK),
+            Some(whole) => lq_factor(whole),
             None => tslq_blocks(self.rows, self.blocks(), opts),
         }
     }

@@ -313,8 +313,36 @@ refuses decompress "$hostile/factor.tkr" "$hostile/out.tns"
 refuses query "$hostile/factor.tkr" --slab '*'
 refuses update "$hostile/factor.tkr" "$stream_delta"
 refuses error "$stream_tns" "$hostile/factor.tkr"
+# Sizes on the command line that wrap usize or exceed the tensor (each used
+# to panic, or exit 0 over a file claiming 2^64 elements), and two valid but
+# degenerate files: a zero extent is refused by the decomposition, an
+# all-zero tensor compresses at error 0.
+refuses generate "$hostile/argv.tns" --dims 18446744073709551615x2
+refuses generate "$hostile/argv.tns" --dims 4294967296x4294967296
+refuses simulate --kind random --dims 4294967296x4294967296 --grid 1x1 --ranks 1x1
+refuses simulate --kind random --dims 8x8x8 --ranks 2x2x2 --grid 18446744073709551615x1x1
+refuses simulate --kind random --dims 8x8x8 --ranks 2x2x2 --grid 4294967296x4294967296x1
+refuses serve-bench --quick --shards 18446744073709551615 --replicas 2
+python3 - "$hostile" <<'PY'
+import struct, sys
+d = sys.argv[1]
+tnsr = lambda dims: b"TNSR" + struct.pack("<III", 1, 8, len(dims)) + struct.pack(f"<{len(dims)}Q", *dims)
+open(f"{d}/empty.tns", "wb").write(tnsr([0, 16, 12]))
+open(f"{d}/zero.tns", "wb").write(tnsr([4, 4, 5]) + b"\0" * (8 * 80))
+PY
+refuses compress "$hostile/empty.tns" "$hostile/out.tkr"
+refuses simulate "$hostile/empty.tns" --grid 1x1x1 --tol 1e-3
+refuses update "$hostile/store.tkr" "$hostile/empty.tns"
+"$tucker" compress "$hostile/zero.tns" "$hostile/zero.tkr" | grep -q "estimated error 0.000e0" || {
+    echo "hostile smoke: an all-zero tensor must compress at estimated error 0" >&2
+    exit 1
+}
+[ ! -e "$hostile/argv.tns" ] && [ ! -e "$hostile/out.tkr" ] || {
+    echo "hostile smoke: a refused command left an output file" >&2
+    exit 1
+}
 cmp "$stream_tkr" "$hostile/store.tkr"
-echo "hostile smoke: crafted TNSR/TUCK headers refused with exit 1 everywhere OK"
+echo "hostile smoke: crafted headers, wrapping argv sizes and degenerate tensors refused with exit 1 OK"
 
 # One codec (DESIGN.md §19): bytes become scalars and length words, files
 # become durable, and CRCs are sunk in one place each.
@@ -338,6 +366,22 @@ gate "a Write sink" "crates/core/src/crc32.rs" 'impl.*Write for'
     exit 1
 }
 echo "codec gate: one byte codec, one atomic writer, one CRC sink OK"
+
+# One Q-less LQ (DESIGN.md §13): the in-place gelqf family is gone, and
+# outside crates/linalg a matrix becomes L through `lq_factor(` or, for a
+# block sequence, `tslq_blocks(` — the block size and the single-panel
+# kernel behind them never leave the crate.
+if grep -rnE 'gelqf|lq_factor_blocked|lq_l\b' crates/*/src; then
+    echo "lq gate: the in-place LQ family is back" >&2
+    exit 1
+fi
+leaks="$(grep -rnE 'blocked_qr|DEFAULT_BLOCK|l_of_transposed|lq_l_padded' crates/*/src \
+    | grep -v '^crates/linalg/' || true)"
+[ -z "$leaks" ] || {
+    echo "lq gate: kernel choice leaks out of crates/linalg: $leaks" >&2
+    exit 1
+}
+echo "lq gate: lq_factor is the one way a matrix becomes L OK"
 
 # Benchmark smoke: every workload of benchmark/ at quarter shapes, traced.
 # Its oracles — the traced replay of the mode loop bit-identical to the
