@@ -38,7 +38,7 @@ fn entries() -> Vec<Entry> {
         run: Box::new(move |_| fig.run()),
     }));
     all.extend([
-        entry("ablations", false, overhead::ablations, "DESIGN.md §5: TSLQ coalescing, butterfly vs binomial TSQR"),
+        entry("ablations", false, overhead::ablations, "DESIGN.md §5: butterfly vs binomial TSQR"),
         entry("overhead_metrics", false, overhead::overhead_metrics, "mpisim metrics off vs on, < 2% (**)"),
         entry("overhead_obs", false, overhead::overhead_obs, "serve ObsConfig::full off vs on, < 2% (**)"),
     ]);

@@ -11,10 +11,7 @@ use crate::Table;
 use std::collections::BTreeMap;
 use std::time::Instant;
 use tucker_core::{SthosvdConfig, SvdMethod};
-use tucker_data::hash_noise;
 use tucker_dtensor::ReductionTree;
-use tucker_linalg::tslq::{tslq_blocks, TslqOptions};
-use tucker_linalg::Matrix;
 use tucker_mpisim::{CostModel, Simulator};
 use tucker_serve::{ObsConfig, TierReport};
 
@@ -184,27 +181,10 @@ pub fn overhead_obs(opts: &Opts) -> EntryResult {
     report("serve ObsConfig::full", opts.quick, r.paired, &extra)
 }
 
-/// `figs ablations` (DESIGN.md §5): the flat-tree coalescing factor of the
-/// sequential TensorLQ (Alg. 2 "combine as many blocks as necessary": how
-/// many 16-column blocks to fold per `tplqt` call), and butterfly (the
-/// paper's choice) against binomial-tree-plus-broadcast TSQR reduction on 8
-/// simulated ranks.
+/// `figs ablations` (DESIGN.md §5): butterfly (the paper's choice) against
+/// binomial-tree-plus-broadcast TSQR reduction on 8 simulated ranks.
 pub fn ablations(_: &Opts) -> EntryResult {
     let mut t = Table::new(&["ablation", "variant", "best_ms", "modeled_s"]);
-    let (rows, cols) = (48, 12288);
-    let a = Matrix::<f64>::from_fn(rows, cols, |i, j| hash_noise(1, i * cols + j));
-    for coalesce in [1usize, 4, 16, 64] {
-        let secs = time_best(5, || {
-            let blocks = a.as_ref().col_panels(16);
-            std::hint::black_box(tslq_blocks(rows, blocks, TslqOptions { coalesce }));
-        });
-        t.row(vec![
-            format!("tslq_coalesce_{rows}x{cols}_block16"),
-            format!("coalesce_{coalesce}"),
-            format!("{:.3}", secs * 1e3),
-            "-".into(),
-        ]);
-    }
     for tree in [ReductionTree::Butterfly, ReductionTree::Binomial] {
         let cfg = SthosvdConfig::with_ranks(vec![3; 4]).method(SvdMethod::Qr).tree(tree);
         let mut modeled = 0.0;

@@ -136,12 +136,18 @@ fn parse_threads(spec: &str) -> Result<ThreadTopology, String> {
 /// `simulate` share this).
 /// Refuse a `--dims` whose `f64` element or byte count wraps (the codec's
 /// overflow-checked product): a wrapped count is a small one, which
-/// allocates nothing and writes a file that claims 2^64 elements.
+/// allocates nothing and writes a file that claims 2^64 elements. A count
+/// that fits `usize` may still not fit the machine, and the tensor's own
+/// `vec!` would abort the process on it, so the allocation is probed here
+/// (reserved, never touched, released at once).
 fn check_dims_fit(dims: &[usize]) -> Result<(), String> {
-    match checked_len(dims).ok().and_then(|n| n.checked_mul(8)) {
-        Some(bytes) if isize::try_from(bytes).is_ok() => Ok(()),
-        _ => Err(format!("--dims {dims:?}: the element count overflows")),
-    }
+    let bytes = match checked_len(dims).ok().and_then(|n| n.checked_mul(8)) {
+        Some(bytes) if isize::try_from(bytes).is_ok() => bytes,
+        _ => return Err(format!("--dims {dims:?}: the element count overflows")),
+    };
+    Vec::<u8>::new()
+        .try_reserve_exact(bytes)
+        .map_err(|_| format!("--dims {dims:?}: {bytes} bytes cannot be allocated"))
 }
 
 /// Rank count of a grid given on the command line (`--grid`, or `--shards`
@@ -1194,6 +1200,8 @@ mod tests {
         for (cmd, names) in [
             (format!("generate {out} --dims 18446744073709551615x2"), "--dims"),
             (format!("generate {out} --dims 4294967296x4294967296"), "--dims"),
+            // 2^62 bytes: fits `isize`, fits no address space.
+            (format!("generate {out} --dims 536870912x1073741824"), "cannot be allocated"),
             (
                 "simulate --kind random --dims 4294967296x4294967296 --grid 1x1 --ranks 1x1".into(),
                 "--dims",

@@ -8,14 +8,16 @@
 //! * `rows > DEFAULT_BLOCK` — compact-WY ([`crate::blocked_qr`]) on the
 //!   column-major transpose, `L = Rᵀ` read out of the triangle. A tall
 //!   triangle has enough panels for the GEMM trailing updates to pay.
-//! * otherwise — the flat tree [`tslq_blocks`] over [`PANEL_COLS`]-wide
-//!   column panels of the view: below one compact-WY panel every reflector
-//!   would stream over all `n` columns, and a cache-sized panel folded into
-//!   the running triangle by `tplqt` does the same flops at twice the rate.
+//! * otherwise — the flat tree [`tslq_blocks`], which cuts the view into
+//!   cache-sized column panels: below one compact-WY panel every reflector
+//!   would stream over all `n` columns, and a panel folded into the running
+//!   triangle by the blocked `tplqt` does the same flops at four times the
+//!   rate.
 //!
-//! Both measurements are in EXPERIMENTS.md ("One Q-less LQ"): the flat tree
+//! The measurements are in EXPERIMENTS.md: "One Q-less LQ" (the flat tree
 //! halves the 48 x 76 032 HCCI mode-0 LQ, and forced onto triangles of 128
-//! rows and more it doubles `stream_append`'s set-up. Every single-panel
+//! rows and more it doubles `stream_append`'s set-up) and "A GEMM-rate
+//! `tplqt`" (the blocked fold halves it again). Every single-panel
 //! factorization, the flat tree's head included, is [`l_of_transposed`].
 
 use crate::blocked_qr::{geqrf_blocked_impl, transposed_matrix, DEFAULT_BLOCK};
@@ -24,10 +26,6 @@ use crate::perf::{qr_flops, with_kernel};
 use crate::scalar::Scalar;
 use crate::tslq::{tslq_blocks, TslqOptions};
 use crate::view::{MatMut, MatRef};
-
-/// Column-panel width of the flat tree under [`lq_factor`]: 64 rows of it
-/// are 512 KiB at `f64`, L2-resident beside the running triangle.
-const PANEL_COLS: usize = 1024;
 
 /// LQ factor `L` (`m x m` lower triangular, zero-padded when `n < m` — the
 /// paper's §3.4 detail: the TSQR tree needs a square triangle) of a view,
@@ -39,7 +37,7 @@ pub fn lq_factor<T: Scalar>(a: MatRef<'_, T>) -> Matrix<T> {
         if m > DEFAULT_BLOCK {
             l_of_transposed(&mut transposed_matrix(a).as_mut())
         } else {
-            tslq_blocks(m, a.col_panels(PANEL_COLS), TslqOptions::default())
+            tslq_blocks(m, std::iter::once(a), TslqOptions::default())
         }
     })
 }

@@ -140,7 +140,7 @@ mod tests {
     use crate::lq::lq_factor;
     use crate::matrix::Matrix;
     use crate::syrk::syrk_lower;
-    use crate::tslq::{tslq_blocks, TslqOptions};
+    use crate::tslq::{tslq_blocks, TslqOptions, PANEL_COLS};
 
     fn pseudo(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
@@ -186,13 +186,15 @@ mod tests {
     #[test]
     fn flat_tree_lq_counts_its_tplqt_steps() {
         enable();
-        let a = pseudo(8, 400, 9);
+        let cols = 8 + 3 * PANEL_COLS;
+        let a = pseudo(8, cols, 9);
         let _ = tslq_blocks(8, a.as_ref().col_panels(4), TslqOptions::default());
         let stats = drain().expect("enabled");
-        // The head of two blocks, then one `tplqt` per remaining
-        // block: together the model count of one LQ of the whole matrix.
-        assert_eq!(stats["lq"].calls, 1 + 98);
-        let (got, want) = (stats["lq"].flops as f64, qr_flops(400, 8) as f64);
+        // The 8-column head, then one `tplqt` per group of `PANEL_COLS`
+        // columns (256 blocks each): together the model count of one LQ of
+        // the whole matrix.
+        assert_eq!(stats["lq"].calls, 1 + 3);
+        let (got, want) = (stats["lq"].flops as f64, qr_flops(cols, 8) as f64);
         assert!((got - want).abs() <= 0.05 * want, "lq flops {got} vs model {want}");
     }
 

@@ -107,6 +107,17 @@ pub trait Scalar:
     /// per type so the `i`/`j` loops unroll over literal tile sizes.
     fn gemm_microkernel(kb: usize, apanel: &[Self], bpanel: &[Self], acc: &mut [Self]);
 
+    /// `Σ x[c]·y[c]` over two equal-length slices: the `k`-long stream of
+    /// [`crate::tplqt::tplqt`]'s in-block reflector applies, which is its
+    /// only caller. Element `c` accumulates into lane `c mod L` (`L` = four
+    /// vector registers of the precision) and the lanes are summed by
+    /// halving, so the order is a function of the length alone.
+    fn dot(x: &[Self], y: &[Self]) -> Self;
+
+    /// `y[c] += alpha·x[c]` over two equal-length slices, [`Scalar::dot`]'s
+    /// companion.
+    fn axpy(alpha: Self, x: &[Self], y: &mut [Self]);
+
     /// Run `f` with two zero-initialized pack buffers of at least the given
     /// lengths, reusing a thread-local allocation across calls (the pack
     /// scratch of the blocked GEMM — per-call `vec!`s would dominate small
@@ -119,7 +130,7 @@ pub trait Scalar:
 }
 
 macro_rules! impl_scalar {
-    ($t:ty, $name:expr, $mr:expr, $nr:expr, $ukr:ident) => {
+    ($t:ty, $name:expr, $mr:expr, $nr:expr, $ukr:ident, $dot:ident, $axpy:ident) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -222,6 +233,26 @@ macro_rules! impl_scalar {
                 }
             }
 
+            fn dot(x: &[Self], y: &[Self]) -> Self {
+                #[cfg(target_arch = "x86_64")]
+                if simd::have_avx2_fma() {
+                    // SAFETY: the required target features were just
+                    // verified at runtime.
+                    return unsafe { simd::$dot(x, y) };
+                }
+                dot_portable::<$t, { 128 / std::mem::size_of::<$t>() }>(x, y)
+            }
+
+            fn axpy(alpha: Self, x: &[Self], y: &mut [Self]) {
+                #[cfg(target_arch = "x86_64")]
+                if simd::have_avx2_fma() {
+                    // SAFETY: as in `dot`.
+                    unsafe { simd::$axpy(alpha, x, y) };
+                    return;
+                }
+                axpy_portable(alpha, x, y)
+            }
+
             fn with_pack_scratch<R>(
                 a_len: usize,
                 b_len: usize,
@@ -261,8 +292,43 @@ macro_rules! impl_scalar {
 // same register budget, twice the flops per load, which is where single
 // precision's ~2× tile throughput comes from. On non-x86_64 targets the
 // portable fallback uses the same shapes so results are layout-identical.
-impl_scalar!(f32, "single", 16, 4, ukr_f32);
-impl_scalar!(f64, "double", 8, 4, ukr_f64);
+impl_scalar!(f32, "single", 16, 4, ukr_f32, dot_f32, axpy_f32);
+impl_scalar!(f64, "double", 8, 4, ukr_f64, dot_f64, axpy_f64);
+
+/// Sum `L` dot-product lanes by halving: `lanes[i] += lanes[i + h]` for
+/// `h = L/2, L/4, …, 1`. The one reduction order of [`Scalar::dot`].
+#[inline(always)]
+fn sum_lanes<T: Scalar, const L: usize>(mut lanes: [T; L]) -> T {
+    let mut h = L / 2;
+    while h > 0 {
+        for i in 0..h {
+            lanes[i] += lanes[i + h];
+        }
+        h /= 2;
+    }
+    lanes[0]
+}
+
+/// Portable body of [`Scalar::dot`]: `L` scalar lanes in the AVX2 kernel's
+/// order, `mul_add` unfused.
+fn dot_portable<T: Scalar, const L: usize>(x: &[T], y: &[T]) -> T {
+    assert_eq!(x.len(), y.len(), "dot: length mismatch");
+    let mut lanes = [T::ZERO; L];
+    for (xs, ys) in x.chunks(L).zip(y.chunks(L)) {
+        for ((lane, &a), &b) in lanes.iter_mut().zip(xs).zip(ys) {
+            *lane = a.mul_add(b, *lane);
+        }
+    }
+    sum_lanes(lanes)
+}
+
+/// Portable body of [`Scalar::axpy`].
+fn axpy_portable<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
+    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
+    for (yc, &xc) in y.iter_mut().zip(x) {
+        *yc = alpha.mul_add(xc, *yc);
+    }
+}
 
 /// Explicit-SIMD microkernels. The portable loop in `impl_scalar!` is the
 /// semantic reference; these compute the same tile with packed FMA ops
@@ -364,6 +430,75 @@ mod simd {
             }
         }
     }
+
+    /// The AVX2+FMA bodies of `Scalar::dot` / `Scalar::axpy` for one
+    /// precision: four accumulator registers of `$w` lanes each, so element
+    /// `c` lands in lane `c mod 4·$w` as in `dot_portable`; the remainder
+    /// past the last full `4·$w` chunk goes through the spilled lanes with
+    /// scalar FMAs (fused here, unfused in the portable body — the two
+    /// agree to rounding, not to the bit).
+    macro_rules! streams {
+        ($t:ty, $w:expr, $dot:ident, $axpy:ident,
+         $load:ident, $store:ident, $zero:ident, $set1:ident, $fma:ident) => {
+            /// # Safety
+            /// Caller must verify AVX2+FMA support (see [`have_avx2_fma`]).
+            #[target_feature(enable = "avx2", enable = "fma")]
+            pub(super) unsafe fn $dot(x: &[$t], y: &[$t]) -> $t {
+                const W: usize = $w;
+                assert_eq!(x.len(), y.len(), "dot: length mismatch");
+                let full = x.len() / (4 * W) * (4 * W);
+                let mut lanes = [0.0 as $t; 4 * W];
+                // SAFETY: every vector load reads `W` elements at an offset
+                // `c + r·W` with `c + 4·W <= full <= len` of both slices;
+                // the stores fill `lanes`, which holds exactly `4·W`.
+                unsafe {
+                    let (xp, yp) = (x.as_ptr(), y.as_ptr());
+                    let mut acc = [$zero(); 4];
+                    let mut c = 0;
+                    while c < full {
+                        for (r, a) in acc.iter_mut().enumerate() {
+                            *a = $fma($load(xp.add(c + r * W)), $load(yp.add(c + r * W)), *a);
+                        }
+                        c += 4 * W;
+                    }
+                    for (r, a) in acc.iter().enumerate() {
+                        $store(lanes.as_mut_ptr().add(r * W), *a);
+                    }
+                }
+                for ((lane, &a), &b) in lanes.iter_mut().zip(&x[full..]).zip(&y[full..]) {
+                    *lane = a.mul_add(b, *lane);
+                }
+                super::sum_lanes(lanes)
+            }
+
+            /// # Safety
+            /// Caller must verify AVX2+FMA support (see [`have_avx2_fma`]).
+            #[target_feature(enable = "avx2", enable = "fma")]
+            pub(super) unsafe fn $axpy(alpha: $t, x: &[$t], y: &mut [$t]) {
+                const W: usize = $w;
+                assert_eq!(x.len(), y.len(), "axpy: length mismatch");
+                let full = x.len() / W * W;
+                // SAFETY: every load and store covers `W` elements at an
+                // offset `c` with `c + W <= full <= len` of both slices.
+                unsafe {
+                    let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
+                    let av = $set1(alpha);
+                    let mut c = 0;
+                    while c < full {
+                        $store(yp.add(c), $fma(av, $load(xp.add(c)), $load(yp.add(c))));
+                        c += W;
+                    }
+                }
+                for (yc, &xc) in y[full..].iter_mut().zip(&x[full..]) {
+                    *yc = alpha.mul_add(xc, *yc);
+                }
+            }
+        };
+    }
+    streams!(f64, 4, dot_f64, axpy_f64,
+             _mm256_loadu_pd, _mm256_storeu_pd, _mm256_setzero_pd, _mm256_set1_pd, _mm256_fmadd_pd);
+    streams!(f32, 8, dot_f32, axpy_f32,
+             _mm256_loadu_ps, _mm256_storeu_ps, _mm256_setzero_ps, _mm256_set1_ps, _mm256_fmadd_ps);
 }
 
 #[cfg(test)]
@@ -421,5 +556,73 @@ mod tests {
         assert!(v.is_finite() && v != 1.5);
         // Bit index wraps modulo the scalar width.
         assert_eq!(Scalar::flip_bit(1.5f64, 64), Scalar::flip_bit(1.5f64, 0));
+    }
+
+    /// Products summed without rounding error to speak of: each `x·y` split
+    /// into its rounded value and the exact remainder by a fused
+    /// multiply-add, both accumulated with Neumaier's compensation.
+    fn exact_dot(x: &[f64], y: &[f64]) -> (f64, f64) {
+        let (mut sum, mut comp, mut abs) = (0.0f64, 0.0f64, 0.0f64);
+        let mut add = |sum: &mut f64, v: f64| {
+            let t = *sum + v;
+            comp += if sum.abs() >= v.abs() { (*sum - t) + v } else { (v - t) + *sum };
+            *sum = t;
+        };
+        for (&a, &b) in x.iter().zip(y) {
+            let p = a * b;
+            add(&mut sum, p);
+            add(&mut sum, f64::mul_add(a, b, -p));
+            abs += p.abs();
+        }
+        (sum + comp, abs)
+    }
+
+    /// The portable and the AVX2 bodies of `dot`/`axpy`, called directly —
+    /// the dispatch only ever reaches one of them on a given host — on both
+    /// sides of every lane boundary.
+    #[cfg(target_arch = "x86_64")]
+    fn check_streams<T: Scalar, const L: usize>(
+        dot_simd: unsafe fn(&[T], &[T]) -> T,
+        axpy_simd: unsafe fn(T, &[T], &mut [T]),
+    ) {
+        if !simd::have_avx2_fma() {
+            return;
+        }
+        let eps = T::EPSILON.to_f64();
+        for n in [0usize, 1, 7, 8, 31, 32, 33, 1024, 1027] {
+            let draw = |i: usize, salt: f64| T::from_f64(((i as f64 + salt) * 0.7391).sin() * 2.0);
+            let x: Vec<T> = (0..n).map(|i| draw(i, 0.25)).collect();
+            let y: Vec<T> = (0..n).map(|i| draw(i, 100.5)).collect();
+            let wide = |v: &[T]| v.iter().map(|e| e.to_f64()).collect::<Vec<f64>>();
+            let (exact, abs) = exact_dot(&wide(&x), &wide(&y));
+            // Each lane is a chain of ⌈n/L⌉ roundings, the halving adds log₂L.
+            let bound = 2.0 * eps * (n.div_ceil(L) + L.ilog2() as usize + 1) as f64 * abs;
+            let portable = dot_portable::<T, L>(&x, &y).to_f64();
+            // SAFETY: AVX2+FMA support was checked above.
+            let vector = unsafe { dot_simd(&x, &y) }.to_f64();
+            assert!((portable - exact).abs() <= bound, "portable dot, n = {n}");
+            assert!((vector - exact).abs() <= bound, "AVX2 dot, n = {n}");
+            assert_eq!(T::dot(&x, &y).to_f64(), vector, "dispatch, n = {n}");
+
+            // One fused, one not: they agree to a rounding of the product.
+            let alpha = T::from_f64(-0.37);
+            let (mut yp, mut yv) = (y.clone(), y.clone());
+            axpy_portable(alpha, &x, &mut yp);
+            // SAFETY: as above.
+            unsafe { axpy_simd(alpha, &x, &mut yv) };
+            for i in 0..n {
+                let want = alpha.to_f64() * x[i].to_f64() + y[i].to_f64();
+                let slack = 2.0 * eps * ((alpha * x[i]).abs().to_f64() + want.abs());
+                assert!((yp[i].to_f64() - want).abs() <= slack, "portable axpy, n = {n}, i = {i}");
+                assert!((yv[i].to_f64() - want).abs() <= slack, "AVX2 axpy, n = {n}, i = {i}");
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn portable_and_avx2_streams_agree() {
+        check_streams::<f64, 16>(simd::dot_f64, simd::axpy_f64);
+        check_streams::<f32, 32>(simd::dot_f32, simd::axpy_f32);
     }
 }

@@ -8,15 +8,45 @@
 //! (Alg. 3 lines 14/16).
 //!
 //! `L` is updated in place with the new triangular factor; `B` is consumed
-//! (on return it holds reflector junk). The pentagonal sub-structure of `B`
-//! is not exploited — the paper observes (§4.2.1) that `tpqrt` is not
-//! performance critical, and treating `B` as a full rectangle only affects
-//! the lower-order `O(m³)` term.
+//! (on return its contents are unspecified). The pentagonal sub-structure of
+//! `B` is not exploited: treating `B` as a full rectangle only affects the
+//! lower-order `O(m³)` term. The paper calls `tpqrt` not performance
+//! critical (§4.2.1) because MKL's runs at GEMM rate; here, since the flat
+//! tree became the LQ of every short-fat unfolding, this kernel *is* the
+//! LQ's time (three quarters of `hcci_qr_f64`), so it is blocked:
+//!
+//! Row `i`'s reflector is `H_i = I − τ_i v_i v_iᵀ` with `v_i = e_i ⊕ b_i`
+//! (`b_i` the tail left in row `i` of `B`). Rows are swept in blocks `I` of
+//! [`NB`]; inside a block the reflectors are generated and applied one at a
+//! time to the block's own rows. Their product is `I − V·T·Vᵀ` with the
+//! upper-triangular `T` of the forward `larft` recurrence, which needs only
+//! `v_aᵀv_c = b_a·b_c` (the `e` parts are orthogonal). The rows `R` below
+//! the block are then updated once, by two calls into the serial [`gemm`]:
+//!
+//! ```text
+//! Wᵀ = L[R,I]ᵀ + B_I·B_Rᵀ,   Wᵀ ← Tᵀ·Wᵀ,   L[R,I] −= W,   B_Rᵀ −= B_Iᵀ·Wᵀ
+//! ```
+//!
+//! Both products are posed on transposed views so that `C` is
+//! column-contiguous (`Wᵀ` is a small column-major matrix; `B_Rᵀ` of a
+//! row-contiguous `B` is `k × |R|` with leading dimension `k`) and the GEMM
+//! engine writes back through column slices; the second product's `A = B_Iᵀ`
+//! packs by `memcpy`. Every step is serial and in a fixed order, so the bits
+//! of `L` depend on the values of `[L B]` alone — not on `B`'s layout, nor on
+//! the thread budget.
 
-use crate::householder::make_reflector;
+use crate::blocked_qr::transpose_into;
+use crate::gemm::gemm;
+use crate::householder::norm2;
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
-use crate::view::MatMut;
+use crate::view::{MatMut, MatRef};
+
+/// Rows per compact-WY block: wide enough that the second product's inner
+/// dimension fills the microkernel's depth loop, narrow enough that the
+/// unblocked in-block work (`∝ NB` per row) stays a third of the flops at
+/// 48 rows (DESIGN.md §13).
+const NB: usize = 16;
 
 /// In-place structured LQ of `[L B]`: `L` (`m x m`, lower triangular) receives
 /// the LQ factor of the concatenation; `B` (`m x k`) is destroyed.
@@ -29,96 +59,149 @@ pub fn tplqt<T: Scalar>(l: &mut Matrix<T>, b: &mut MatMut<'_, T>) {
         return;
     }
     // Model count 2·m²·k: `B` is treated as a full rectangle (see above).
-    crate::perf::with_kernel("lq", (2 * m * m * k) as u64, 0, || tplqt_impl(l, b, m, k))
+    crate::perf::with_kernel("lq", (2 * m * m * k) as u64, 0, || {
+        if b.row_contiguous() {
+            let ld = b.row_stride();
+            assert!(m == 1 || ld >= k, "tplqt: rows of B overlap");
+            fold_rows(l, b.data_mut(), ld, k);
+        } else {
+            // One body: any other layout becomes the row-major matrix first
+            // (`B` is consumed either way).
+            let mut rows = vec![T::ZERO; m * k];
+            transpose_into(b.rb(), &mut MatMut::col_major(&mut rows, k, m));
+            fold_rows(l, &mut rows, k, k);
+        }
+    })
 }
 
-fn tplqt_impl<T: Scalar>(l: &mut Matrix<T>, b: &mut MatMut<'_, T>, m: usize, k: usize) {
-    let mut v = vec![T::ZERO; k];
-    let mut w = vec![T::ZERO; m];
-    for i in 0..m {
-        // Build the reflector from (L[i,i], B[i, :]). Row i of L left of the
-        // diagonal is final output and does not participate; right of the
-        // diagonal it is structurally zero.
-        for c in 0..k {
-            v[c] = b.get(i, c);
-        }
-        let alpha = l[(i, i)];
-        let (beta, tau) = make_reflector(alpha, &mut v);
-        l[(i, i)] = beta;
-        if tau == T::ZERO || i + 1 == m {
-            continue;
-        }
-        let nrows = m - i - 1;
-        // w_j = L[j, i] + B[j, :] · v   for j = i+1..m
-        for j in 0..nrows {
-            w[j] = l[(i + 1 + j, i)];
-        }
-        if b.col_stride() == 1 {
-            let rs = b.row_stride();
-            let data = b.data_mut();
-            for j in 0..nrows {
-                let row = &data[(i + 1 + j) * rs..(i + 1 + j) * rs + k];
-                let mut acc = w[j];
-                for c in 0..k {
-                    acc = row[c].mul_add(v[c], acc);
-                }
-                w[j] = acc;
+/// The blocked kernel on a row-contiguous `B`: row `i` is `b[i·ld..][..k]`.
+fn fold_rows<T: Scalar>(l: &mut Matrix<T>, b: &mut [T], ld: usize, k: usize) {
+    let m = l.rows();
+    let mut t = [T::ZERO; NB * NB];
+    let mut g = [T::ZERO; NB];
+    // `Wᵀ`, column-major `nb x |R|`.
+    let mut wt = vec![T::ZERO; NB * m.saturating_sub(NB)];
+    for i0 in (0..m).step_by(NB) {
+        let nb = NB.min(m - i0);
+        let nr = m - i0 - nb;
+
+        // Reflectors of the block, applied to the block's own rows.
+        for i in i0..i0 + nb {
+            let (v, below) = b[i * ld..].split_at_mut(k);
+            let (beta, tau) = make_reflector(l[(i, i)], v);
+            l[(i, i)] = beta;
+            t[(i - i0) * (NB + 1)] = tau;
+            if tau == T::ZERO {
+                continue;
             }
-            for j in 0..nrows {
-                let tw = tau * w[j];
-                l[(i + 1 + j, i)] -= tw;
-                let row = &mut data[(i + 1 + j) * rs..(i + 1 + j) * rs + k];
-                for c in 0..k {
-                    row[c] = (-tw).mul_add(v[c], row[c]);
-                }
-            }
-        } else if b.row_stride() == 1 {
-            let cs = b.col_stride();
-            let data = b.data_mut();
-            for c in 0..k {
-                let vc = v[c];
-                if vc == T::ZERO {
-                    continue;
-                }
-                let col = &data[c * cs + i + 1..c * cs + m];
-                for j in 0..nrows {
-                    w[j] = col[j].mul_add(vc, w[j]);
-                }
-            }
-            for j in 0..nrows {
-                let tw = tau * w[j];
-                l[(i + 1 + j, i)] -= tw;
-                w[j] = tw; // reuse as scaled weight for the update pass
-            }
-            for c in 0..k {
-                let vc = v[c];
-                if vc == T::ZERO {
-                    continue;
-                }
-                let col = &mut data[c * cs + i + 1..c * cs + m];
-                for j in 0..nrows {
-                    col[j] = (-w[j]).mul_add(vc, col[j]);
-                }
-            }
-            continue; // L update already folded in above
-        } else {
-            for j in 0..nrows {
-                let mut acc = w[j];
-                for c in 0..k {
-                    acc += b.get(i + 1 + j, c) * v[c];
-                }
-                w[j] = acc;
-            }
-            for j in 0..nrows {
-                let tw = tau * w[j];
-                l[(i + 1 + j, i)] -= tw;
-                for c in 0..k {
-                    let vc = v[c];
-                    b.update(i + 1 + j, c, |x| x - tw * vc);
-                }
+            for j in i + 1..i0 + nb {
+                let row = &mut below[(j - i) * ld - k..][..k];
+                let tw = tau * (l[(j, i)] + T::dot(row, v));
+                l[(j, i)] -= tw;
+                T::axpy(-tw, v, row);
             }
         }
+
+        if nr == 0 {
+            break;
+        }
+
+        // Forward larft: T[..a, a] = −τ_a · T[..a, ..a] · g, g_c = b_c·b_a.
+        let row = |i: usize| &b[i * ld..][..k];
+        for a in 1..nb {
+            for (c, gc) in g[..a].iter_mut().enumerate() {
+                *gc = T::dot(row(i0 + c), row(i0 + a));
+            }
+            let tau = t[a * (NB + 1)];
+            for r in 0..a {
+                let mut s = T::ZERO;
+                for c in r..a {
+                    s += t[c * NB + r] * g[c];
+                }
+                t[a * NB + r] = -tau * s;
+            }
+        }
+
+        // Wᵀ = L[R,I]ᵀ + B_I·B_Rᵀ.
+        let wt = &mut wt[..nb * nr];
+        for (j, col) in wt.chunks_exact_mut(nb).enumerate() {
+            for (a, w) in col.iter_mut().enumerate() {
+                *w = l[(i0 + nb + j, i0 + a)];
+            }
+        }
+        let (bi, br) = b[i0 * ld..].split_at_mut(nb * ld);
+        gemm(
+            T::ONE,
+            MatRef::strided(bi, nb, k, ld, 1),
+            MatRef::strided(br, k, nr, 1, ld),
+            T::ONE,
+            &mut MatMut::col_major(wt, nb, nr),
+        );
+        // Wᵀ ← Tᵀ·Wᵀ in place (bottom row first), L[R,I] −= W.
+        for (j, col) in wt.chunks_exact_mut(nb).enumerate() {
+            for a in (0..nb).rev() {
+                let mut s = T::ZERO;
+                for c in 0..=a {
+                    s += t[a * NB + c] * col[c];
+                }
+                col[a] = s;
+                l[(i0 + nb + j, i0 + a)] -= s;
+            }
+        }
+        // B_Rᵀ −= B_Iᵀ·Wᵀ.
+        gemm(
+            -T::ONE,
+            MatRef::strided(bi, k, nb, 1, ld),
+            MatRef::col_major(wt, nb, nr),
+            T::ONE,
+            &mut MatMut::strided(br, k, nr, 1, ld),
+        );
     }
+}
+
+/// [`crate::householder::make_reflector`] with the norm of the `k`-long tail
+/// taken as `sqrt(x·x)` through [`Scalar::dot`] when the sum of squares is
+/// safely inside the normal range, and by the scaled [`norm2`] (one division
+/// per element) otherwise. Same sign choice, same `safmin` rescaling.
+fn make_reflector<T: Scalar>(alpha: T, x: &mut [T]) -> (T, T) {
+    let norm = |x: &[T]| {
+        let ssq = T::dot(x, x);
+        // Above `lo` the squares that underflowed cost less than ε² of the
+        // sum; an overflowed sum is not finite.
+        let lo = T::MIN_POSITIVE / (T::EPSILON * T::EPSILON);
+        if ssq > lo && ssq.is_finite() {
+            ssq.sqrt()
+        } else {
+            norm2(x)
+        }
+    };
+    let mut xnorm = norm(x);
+    if xnorm == T::ZERO {
+        return (alpha, T::ZERO);
+    }
+    let mut alpha = alpha;
+    let mut beta = -alpha.hypot(xnorm).copysign(alpha);
+    let safmin = T::MIN_POSITIVE / T::EPSILON;
+    let rsafmn = T::ONE / safmin;
+    let mut rescalings = 0usize;
+    while beta.abs() < safmin && rescalings < 32 {
+        for v in x.iter_mut() {
+            *v *= rsafmn;
+        }
+        alpha *= rsafmn;
+        xnorm = norm(x);
+        beta = -alpha.hypot(xnorm).copysign(alpha);
+        rescalings += 1;
+    }
+    let tau = (beta - alpha) / beta;
+    let inv = T::ONE / (alpha - beta);
+    for v in x.iter_mut() {
+        *v *= inv;
+    }
+    for _ in 0..rescalings {
+        beta *= safmin;
+    }
+    (beta, tau)
 }
 
 /// Reduce two lower-triangular factors: `L_out = LQ-factor of [L_a  L_b]`,
@@ -128,9 +211,9 @@ fn tplqt_impl<T: Scalar>(l: &mut Matrix<T>, b: &mut MatMut<'_, T>, m: usize, k: 
 pub fn tplqt_pair<T: Scalar>(l_a: &mut Matrix<T>, l_b: &Matrix<T>) {
     let m = l_a.rows();
     assert_eq!(l_b.shape(), (m, m), "tplqt_pair: shape mismatch");
-    let mut scratch = l_b.clone();
-    let mut view = scratch.as_mut();
-    tplqt(l_a, &mut view);
+    // The row-major copy `tplqt` would make of a column-major `L_b`.
+    let mut rows = l_b.transposed();
+    tplqt(l_a, &mut MatMut::row_major(rows.data_mut(), m, m));
 }
 
 #[cfg(test)]
@@ -226,20 +309,12 @@ mod tests {
         let l0 = lower_tri(10, m);
         let b = pseudo_matrix(m, 9, 11);
         let mut l_cm = l0.clone();
-        let mut b_cm = b.clone();
-        let mut v = b_cm.as_mut();
-        tplqt(&mut l_cm, &mut v);
+        tplqt(&mut l_cm, &mut b.clone().as_mut());
 
         let mut l_rm = l0.clone();
-        let mut rm = vec![0.0f64; m * 9];
-        for i in 0..m {
-            for j in 0..9 {
-                rm[i * 9 + j] = b[(i, j)];
-            }
-        }
-        let mut v = MatMut::row_major(&mut rm, m, 9);
-        tplqt(&mut l_rm, &mut v);
-        assert!(l_cm.max_abs_diff(&l_rm) < 1e-12);
+        let mut rm = b.transposed();
+        tplqt(&mut l_rm, &mut MatMut::row_major(rm.data_mut(), m, 9));
+        assert_eq!(l_cm, l_rm, "one body: the layout of B is not an input");
     }
 
     #[test]

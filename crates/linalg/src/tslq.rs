@@ -3,17 +3,19 @@
 //!
 //! The input is presented as a sequence of column blocks — exactly the memory
 //! layout of a tensor unfolding (a series of contiguous row-major column
-//! blocks, paper §3.3). The first blocks are combined until the working
-//! matrix is short-fat (the paper's "combine as many blocks as necessary"
+//! blocks, paper §3.3). The leading blocks are combined until the working
+//! matrix is square (the paper's "combine as many blocks as necessary"
 //! detail), factored once by the single-panel kernel
 //! [`crate::lq::l_of_transposed`] — the gathered row-major head is already
 //! the column-major storage of its transpose — and every subsequent group of
 //! blocks is annihilated against the running triangle with
 //! [`crate::tplqt::tplqt`]. Nothing but `L` is kept.
 //!
-//! The `coalesce` option groups several blocks per `tplqt` call; `1`
-//! reproduces the paper's flat tree verbatim, larger values trade workspace
-//! for fewer, wider reduction steps (ablated in `tucker-bench`).
+//! The fold width is the kernel's, not the layout's: blocks wider than
+//! [`PANEL_COLS`] are cut into panels of that width and narrower ones are
+//! gathered until a group holds at least that many columns, so a whole view
+//! and an unfolding of 19-column blocks fold the same cache-sized panels.
+//! The `coalesce` option is a further floor in blocks per group.
 
 use crate::blocked_qr::transpose_into;
 use crate::lq::l_of_transposed;
@@ -23,10 +25,15 @@ use crate::scalar::Scalar;
 use crate::tplqt::tplqt;
 use crate::view::{MatMut, MatRef};
 
+/// Columns folded per `tplqt` call: 64 rows of it are 512 KiB at `f64`,
+/// L2-resident beside the running triangle, and the kernel's two products
+/// have a long enough dimension to run at the GEMM engine's rate.
+pub(crate) const PANEL_COLS: usize = 1024;
+
 /// Options for the flat-tree LQ.
 #[derive(Clone, Copy, Debug)]
 pub struct TslqOptions {
-    /// Number of column blocks annihilated per `tplqt` call (≥ 1).
+    /// Least number of column blocks annihilated per `tplqt` call (≥ 1).
     pub coalesce: usize,
 }
 
@@ -46,78 +53,77 @@ where
     I: IntoIterator<Item = MatRef<'a, T>>,
 {
     assert!(opts.coalesce >= 1, "tslq: coalesce must be >= 1");
-    let mut iter = blocks.into_iter();
+    let mut iter = blocks.into_iter().flat_map(|b| {
+        assert_eq!(b.rows(), m, "tslq: inconsistent block row count");
+        b.col_panels(PANEL_COLS)
+    });
 
-    // Phase 1: accumulate leading blocks until the working matrix has at
-    // least as many columns as rows, then factor it once.
-    let mut head_blocks: Vec<MatRef<'a, T>> = Vec::new();
+    // Phase 1: the head — the first `m` columns (all of them when there are
+    // fewer), factored once. It is the one step that runs the unblocked
+    // single-panel kernel, so it takes no more than the triangle needs and
+    // hands the rest of the block it was cut from to the fold.
+    let mut group: Vec<MatRef<'a, T>> = Vec::new();
     let mut head_cols = 0usize;
-    let mut exhausted = false;
+    let mut rest = None;
     while head_cols < m {
-        match iter.next() {
-            Some(b) => {
-                assert_eq!(b.rows(), m, "tslq: inconsistent block row count");
-                head_cols += b.cols();
-                head_blocks.push(b);
-            }
-            None => {
-                exhausted = true;
-                break;
-            }
-        }
+        let Some(b) = iter.next() else { break };
+        let take = b.cols().min(m - head_cols);
+        group.push(b.submatrix(0, 0, m, take));
+        rest = (take < b.cols()).then(|| b.submatrix(0, take, m, b.cols() - take));
+        head_cols += take;
     }
     if head_cols == 0 {
         return Matrix::zeros(m, m);
     }
-    let mut head: Vec<T> = Vec::new();
-    let cols = gather_rowmajor(&mut head, m, &head_blocks);
-    let mut l = with_kernel("lq", qr_flops(cols, m), 0, || {
-        l_of_transposed(&mut MatMut::col_major(&mut head, cols, m))
-    });
-    if exhausted {
-        return l;
-    }
-
-    // Phase 2: annihilate remaining blocks, `coalesce` at a time, against L.
     let mut scratch: Vec<T> = Vec::new();
-    let mut group: Vec<MatRef<'a, T>> = Vec::with_capacity(opts.coalesce);
+    let head = gather_rowmajor(&mut scratch, m, head_cols, &group);
+    let mut l = with_kernel("lq", qr_flops(head_cols, m), 0, || {
+        l_of_transposed(&mut MatMut::col_major(head, head_cols, m))
+    });
+    let mut iter = rest.into_iter().chain(iter);
+
+    // Phase 2: annihilate the remaining blocks against L, a group of at
+    // least `coalesce` blocks and `PANEL_COLS` columns at a time.
     loop {
         group.clear();
-        for _ in 0..opts.coalesce {
-            match iter.next() {
-                Some(b) => {
-                    assert_eq!(b.rows(), m, "tslq: inconsistent block row count");
-                    group.push(b);
-                }
-                None => break,
-            }
+        let mut group_cols = 0;
+        while group.len() < opts.coalesce || group_cols < PANEL_COLS {
+            let Some(b) = iter.next() else { break };
+            group_cols += b.cols();
+            group.push(b);
         }
         if group.is_empty() {
             break;
         }
-        let group_cols = gather_rowmajor(&mut scratch, m, &group);
-        let mut sview = MatMut::row_major(&mut scratch, m, group_cols);
-        tplqt(&mut l, &mut sview);
+        let panel = gather_rowmajor(&mut scratch, m, group_cols, &group);
+        tplqt(&mut l, &mut MatMut::row_major(panel, m, group_cols));
     }
     l
 }
 
-/// Concatenate blocks side by side into a row-major `m x Σcols` workspace
-/// (single allocation, reused across calls). Returns the total column count.
-fn gather_rowmajor<T: Scalar>(buf: &mut Vec<T>, m: usize, blocks: &[MatRef<'_, T>]) -> usize {
-    let total: usize = blocks.iter().map(|b| b.cols()).sum();
-    buf.clear();
-    buf.resize(m * total, T::ZERO);
+/// Concatenate blocks of `total` columns in all side by side into the front
+/// of `buf` as a row-major `m x total` matrix (one allocation, grown as needed
+/// and reused across calls; every element of the result is overwritten).
+fn gather_rowmajor<'b, T: Scalar>(
+    buf: &'b mut Vec<T>,
+    m: usize,
+    total: usize,
+    blocks: &[MatRef<'_, T>],
+) -> &'b mut [T] {
+    if buf.len() < m * total {
+        buf.resize(m * total, T::ZERO);
+    }
+    let out = &mut buf[..m * total];
     // Row-major `m x total` is the column-major storage of the transpose:
     // each block lands as a transposed copy (a memcpy per row for the
     // row-major blocks of an unfolding, cache-blocked tiles otherwise).
     let mut col0 = 0usize;
     for b in blocks {
-        let mut dst = MatMut::strided(&mut buf[col0..], b.cols(), m, 1, total);
+        let mut dst = MatMut::strided(&mut out[col0..], b.cols(), m, 1, total);
         transpose_into(*b, &mut dst);
         col0 += b.cols();
     }
-    total
+    out
 }
 
 #[cfg(test)]

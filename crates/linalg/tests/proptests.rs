@@ -9,7 +9,7 @@ use tucker_linalg::svd::svd;
 use tucker_linalg::syrk_lower;
 use tucker_linalg::tplqt::tplqt;
 use tucker_linalg::tslq::{tslq_blocks, TslqOptions};
-use tucker_linalg::{syev, syrk_lower_f64_acc, MatRef, Matrix, Scalar};
+use tucker_linalg::{syev, syrk_lower_f64_acc, MatMut, MatRef, Matrix, Scalar};
 
 fn matrix_strategy(max_dim: usize) -> impl Strategy<Value = Matrix<f64>> {
     (1..=max_dim, 1..=max_dim, any::<u64>()).prop_map(|(m, n, seed)| {
@@ -351,22 +351,27 @@ fn with_tasks<R>(tasks: usize, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// QR + LQ + SVD of `a` — the tuple every pool must reproduce bit for bit.
+/// QR + LQ + SVD of `a`, and `a` folded into its own `L` by `tplqt` — the
+/// tuple every pool must reproduce bit for bit.
 #[allow(clippy::type_complexity)]
 fn factorization_bits<T: Scalar>(
     a: &Matrix<T>,
     nb: usize,
-) -> (Vec<T>, Vec<T>, Vec<T>, Vec<T>, Vec<T>, Vec<T>) {
+) -> (Vec<T>, Vec<T>, Vec<T>, Vec<T>, Vec<T>, Vec<T>, Vec<T>) {
     let mut wq = a.clone();
     let tq = geqrf_blocked(&mut wq.as_mut(), nb);
     let out = svd(a.as_ref(), true, true).expect("svd");
+    let l = lq_factor(a.as_ref());
+    let mut folded = l.clone();
+    tplqt(&mut folded, &mut a.clone().as_mut());
     (
         wq.data().to_vec(),
         tq,
         out.s,
         out.u.expect("u").data().to_vec(),
         out.v.expect("v").data().to_vec(),
-        lq_factor(a.as_ref()).data().to_vec(),
+        l.data().to_vec(),
+        folded.data().to_vec(),
     )
 }
 
@@ -544,8 +549,7 @@ fn check_lq_factor_table<T: Scalar>(pick: fn(&(usize, usize, u64, u64)) -> u64) 
                     assert!(l[(i, j)] == T::ZERO, "{what}: L not lower triangular");
                 }
             }
-            let wide = |x: &Matrix<T>| Matrix::from_fn(x.rows(), x.cols(), |i, j| x[(i, j)].to_f64());
-            let (l64, a64) = (wide(&l), wide(&a));
+            let (l64, a64) = (widened(&l), widened(&a));
             let llt = gemm_into(l64.as_ref(), Trans::No, l64.as_ref(), Trans::Yes);
             let aat = gemm_into(a64.as_ref(), Trans::No, a64.as_ref(), Trans::Yes);
             let tol = 64.0 * T::EPSILON.to_f64() * aat.frob_norm();
@@ -588,4 +592,143 @@ fn check_lq_factor_table<T: Scalar>(pick: fn(&(usize, usize, u64, u64)) -> u64) 
 fn lq_factor_on_both_sides_of_every_line() {
     check_lq_factor_table::<f64>(|g| g.2);
     check_lq_factor_table::<f32>(|g| g.3);
+}
+
+// ---- PR23: the blocked `tplqt` on every edge it has — the 16-row block
+// ---- boundary, the dot/axpy lane boundaries, one body for every layout.
+
+fn widened<T: Scalar>(x: &Matrix<T>) -> Matrix<f64> {
+    Matrix::from_fn(x.rows(), x.cols(), |i, j| x[(i, j)].to_f64())
+}
+
+/// `L·Lᵀ + B·Bᵀ` in `f64`.
+fn gram_of_pair<T: Scalar>(l: &Matrix<T>, b: &Matrix<T>) -> Matrix<f64> {
+    let (l, b) = (widened(l), widened(b));
+    let mut g = gemm_into(l.as_ref(), Trans::No, l.as_ref(), Trans::Yes);
+    let bbt = gemm_into(b.as_ref(), Trans::No, b.as_ref(), Trans::Yes);
+    for (x, y) in g.data_mut().iter_mut().zip(bbt.data()) {
+        *x += *y;
+    }
+    g
+}
+
+/// `[L B]` folded by `tplqt` with `B` presented column-major.
+fn folded<T: Scalar>(l0: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
+    let mut l = l0.clone();
+    tplqt(&mut l, &mut b.clone().as_mut());
+    l
+}
+
+fn seeded_lower<T: Scalar>(m: usize, seed: u64) -> Matrix<T> {
+    let full = seeded::<T>(m, m, seed);
+    Matrix::from_fn(m, m, |i, j| if j <= i { full[(i, j)] } else { T::ZERO })
+}
+
+fn assert_lower_and_gram<T: Scalar>(l: &Matrix<T>, want: &Matrix<f64>, slack: f64, what: &str) {
+    for j in 0..l.cols() {
+        for i in 0..j {
+            assert!(l[(i, j)] == T::ZERO, "{what}: fill-in above the diagonal");
+        }
+    }
+    assert!(l.data().iter().all(|x| x.is_finite()), "{what}: non-finite L");
+    let l64 = widened(l);
+    let got = gemm_into(l64.as_ref(), Trans::No, l64.as_ref(), Trans::Yes);
+    let tol = slack * T::EPSILON.to_f64() * want.frob_norm();
+    assert!(got.max_abs_diff(want) <= tol, "{what}: L'L'ᵀ != LLᵀ + BBᵀ");
+}
+
+fn check_tplqt_table<T: Scalar>() {
+    for m in [1usize, 15, 16, 17, 33, 48, 64, 65, 130] {
+        for k in [1usize, 7, 16, 1023, 1024, 1025] {
+            let what = format!("tplqt {m}x{k} {}", T::PRECISION_NAME);
+            let l0 = seeded_lower::<T>(m, (m * 10_000 + k) as u64);
+            let b = seeded::<T>(m, k, (k * 10_000 + m) as u64);
+            let l = folded(&l0, &b);
+            assert_lower_and_gram(&l, &gram_of_pair(&l0, &b), 64.0, &what);
+
+            // One body: row-major, and a column-major and a row-major
+            // window (a leading dimension of its own) of a larger parent,
+            // give the column-major bits. A transposed column-major matrix
+            // *is* the row-major storage of the original.
+            let mut got = l0.clone();
+            tplqt(&mut got, &mut MatMut::row_major(b.transposed().data_mut(), m, k));
+            assert_eq!(got, l, "{what}: row-major");
+
+            let mut parent = Matrix::from_fn(m + 3, k + 5, |i, j| {
+                let inside = (2..2 + m).contains(&i) && (3..3 + k).contains(&j);
+                if inside { b[(i - 2, j - 3)] } else { T::ONE }
+            });
+            let mut rows = parent.transposed();
+            let mut got = l0.clone();
+            tplqt(&mut got, &mut parent.as_mut().submatrix_mut(2, 3, m, k));
+            assert_eq!(got, l, "{what}: column-major window");
+            let mut got = l0.clone();
+            let mut parent = MatMut::row_major(rows.data_mut(), m + 3, k + 5);
+            tplqt(&mut got, &mut parent.submatrix_mut(2, 3, m, k));
+            assert_eq!(got, l, "{what}: row-major window");
+
+            for tasks in TASK_COUNTS {
+                let got = with_tasks(tasks, || folded(&l0, &b));
+                assert_eq!(got, l, "{what}: bits moved under a {tasks}-task budget");
+            }
+        }
+    }
+}
+
+#[test]
+fn tplqt_on_both_sides_of_every_block_and_lane_boundary() {
+    check_tplqt_table::<f64>();
+    check_tplqt_table::<f32>();
+}
+
+/// `τ = 0` inside a block (a zero row of `B`) leaves `T`'s column zero, and
+/// an all-zero `B` leaves `L` as it was.
+fn check_tplqt_zero_rows<T: Scalar>() {
+    let (m, k) = (33, 40);
+    let l0 = seeded_lower::<T>(m, 5);
+    let mut b = seeded::<T>(m, k, 6);
+    for i in [0, 5, 20, 32] {
+        for j in 0..k {
+            b[(i, j)] = T::ZERO;
+        }
+    }
+    assert_lower_and_gram(&folded(&l0, &b), &gram_of_pair(&l0, &b), 64.0, "zero rows");
+    assert_eq!(folded(&l0, &Matrix::zeros(m, k)), l0, "an all-zero B moved L");
+}
+
+#[test]
+fn tplqt_zero_rows_and_zero_b() {
+    check_tplqt_zero_rows::<f64>();
+    check_tplqt_zero_rows::<f32>();
+}
+
+/// Rows of `[L B]` scaled by `2^±big` (≈ 1e±150 in `f64`, 1e±18 in `f32`;
+/// one row past the point where the sum of squares overflows, one below
+/// `safmin`): `L` stays finite and, with the row scaling undone, is the
+/// factor of the unscaled pair — Householder LQ commutes with row scaling.
+fn check_tplqt_row_scaling<T: Scalar>(big: i32, over: i32, under: i32) {
+    let (m, k) = (33, 40);
+    let l0 = seeded_lower::<T>(m, 7);
+    let b0 = seeded::<T>(m, k, 8);
+    let scale = |i: usize| {
+        let e = match i {
+            3 => over,
+            7 => under,
+            _ if i.is_multiple_of(2) => big,
+            _ => -big,
+        };
+        T::from_f64(2f64.powi(e))
+    };
+    let l = Matrix::from_fn(m, m, |i, j| l0[(i, j)] * scale(i));
+    let b = Matrix::from_fn(m, k, |i, j| b0[(i, j)] * scale(i));
+    let out = folded(&l, &b);
+    assert!(out.data().iter().all(|x| x.is_finite()), "{}: non-finite L", T::PRECISION_NAME);
+    let unscaled = Matrix::from_fn(m, m, |i, j| out[(i, j)] / scale(i));
+    assert_lower_and_gram(&unscaled, &gram_of_pair(&l0, &b0), 256.0, "row scaling");
+}
+
+#[test]
+fn tplqt_survives_extreme_row_scaling() {
+    check_tplqt_row_scaling::<f64>(498, 511, -1000);
+    check_tplqt_row_scaling::<f32>(60, 63, -120);
 }

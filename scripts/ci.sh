@@ -313,12 +313,14 @@ refuses decompress "$hostile/factor.tkr" "$hostile/out.tns"
 refuses query "$hostile/factor.tkr" --slab '*'
 refuses update "$hostile/factor.tkr" "$stream_delta"
 refuses error "$stream_tns" "$hostile/factor.tkr"
-# Sizes on the command line that wrap usize or exceed the tensor (each used
-# to panic, or exit 0 over a file claiming 2^64 elements), and two valid but
-# degenerate files: a zero extent is refused by the decomposition, an
-# all-zero tensor compresses at error 0.
+# Sizes on the command line that wrap usize, exceed the tensor or fit no
+# address space (each used to panic, abort in the allocator, or exit 0 over
+# a file claiming 2^64 elements), and two valid but degenerate files: a zero
+# extent is refused by the decomposition, an all-zero tensor compresses at
+# error 0.
 refuses generate "$hostile/argv.tns" --dims 18446744073709551615x2
 refuses generate "$hostile/argv.tns" --dims 4294967296x4294967296
+refuses generate "$hostile/argv.tns" --dims 536870912x1073741824
 refuses simulate --kind random --dims 4294967296x4294967296 --grid 1x1 --ranks 1x1
 refuses simulate --kind random --dims 8x8x8 --ranks 2x2x2 --grid 18446744073709551615x1x1
 refuses simulate --kind random --dims 8x8x8 --ranks 2x2x2 --grid 4294967296x4294967296x1
@@ -381,7 +383,19 @@ leaks="$(grep -rnE 'blocked_qr|DEFAULT_BLOCK|l_of_transposed|lq_l_padded' crates
     echo "lq gate: kernel choice leaks out of crates/linalg: $leaks" >&2
     exit 1
 }
-echo "lq gate: lq_factor is the one way a matrix becomes L OK"
+# The flat tree's fold has one body (DESIGN.md §13): `tplqt` walks no
+# element stream of `B` through the view, and the only hand-vectorised code
+# in the workspace is the microkernel and the dot/axpy pair beside it.
+if grep -nE 'b\.get\(|b\.update\(' crates/linalg/src/tplqt.rs; then
+    echo "lq gate: tplqt.rs streams B element by element again" >&2
+    exit 1
+fi
+simd="$(grep -rl 'target_feature' crates/*/src | tr '\n' ' ')"
+[ "$simd" = "crates/linalg/src/scalar.rs " ] || {
+    echo "lq gate: target_feature outside crates/linalg/src/scalar.rs: $simd" >&2
+    exit 1
+}
+echo "lq gate: lq_factor is the one way a matrix becomes L, tplqt has one body OK"
 
 # Benchmark smoke: every workload of benchmark/ at quarter shapes, traced.
 # Its oracles — the traced replay of the mode loop bit-identical to the

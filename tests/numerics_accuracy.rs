@@ -3,10 +3,24 @@
 //! values accurately down to its floor and degenerates into noise below it.
 
 use tucker_rs::data::{fig1_matrix, geometric_profile};
+use tucker_rs::linalg::random::matrix_with_singular_values_seeded;
 use tucker_rs::linalg::{gram_svd, qr_svd, Matrix, Scalar};
 
-fn series<T: Scalar>(qr: bool) -> Vec<f64> {
-    let a = fig1_matrix::<T>(17);
+/// The paper's 80 x 80 Fig. 1 matrix: 80 rows, so its LQ is compact-WY.
+fn fig1<T: Scalar>() -> (Vec<f64>, Matrix<T>) {
+    (geometric_profile(80, 0.0, -18.0), fig1_matrix::<T>(17))
+}
+
+/// The same spectrum on the shape the HCCI workloads factor: 48 x 4096 is
+/// short-fat, so its LQ is the flat tree (a head and four folds of the
+/// blocked `tplqt`) and its Gram one `syrk` over a long inner dimension.
+fn short_fat<T: Scalar>() -> (Vec<f64>, Matrix<T>) {
+    let truth = geometric_profile(48, 0.0, -18.0);
+    let a = matrix_with_singular_values_seeded::<T>(&truth, 4096, 17);
+    (truth, a)
+}
+
+fn series<T: Scalar>(a: &Matrix<T>, qr: bool) -> Vec<f64> {
     let (_, s) = if qr { qr_svd(a.as_ref()).unwrap() } else { gram_svd(a.as_ref()).unwrap() };
     s.iter().map(|v| v.to_f64()).collect()
 }
@@ -22,13 +36,11 @@ fn accuracy_floor(computed: &[f64], truth: &[f64]) -> f64 {
     0.0
 }
 
-#[test]
-fn fig1_floors_are_ordered_as_theory_predicts() {
-    let truth = geometric_profile(80, 0.0, -18.0);
-    let f_qr_d = accuracy_floor(&series::<f64>(true), &truth);
-    let f_qr_s = accuracy_floor(&series::<f32>(true), &truth);
-    let f_gram_d = accuracy_floor(&series::<f64>(false), &truth);
-    let f_gram_s = accuracy_floor(&series::<f32>(false), &truth);
+fn check_floors_are_ordered(truth: &[f64], single: &Matrix<f32>, double: &Matrix<f64>) {
+    let f_qr_d = accuracy_floor(&series(double, true), truth);
+    let f_qr_s = accuracy_floor(&series(single, true), truth);
+    let f_gram_d = accuracy_floor(&series(double, false), truth);
+    let f_gram_s = accuracy_floor(&series(single, false), truth);
 
     // Ordering: Gram single loses first, then QR single / Gram double,
     // QR double last (Fig. 1).
@@ -44,14 +56,12 @@ fn fig1_floors_are_ordered_as_theory_predicts() {
     assert!(f_qr_d <= 1e-14, "QR double floor {f_qr_d:.1e} should be near eps_d");
 }
 
-#[test]
-fn values_above_floor_are_order_of_magnitude_accurate() {
-    let truth = geometric_profile(80, 0.0, -18.0);
+fn check_values_above_floor(truth: &[f64], single: &Matrix<f32>, double: &Matrix<f64>) {
     for (s, floor) in [
-        (series::<f32>(false), 1e-3),
-        (series::<f32>(true), 1e-6),
-        (series::<f64>(false), 1e-7),
-        (series::<f64>(true), 1e-14),
+        (series(single, false), 1e-3),
+        (series(single, true), 1e-6),
+        (series(double, false), 1e-7),
+        (series(double, true), 1e-14),
     ] {
         for (t, g) in truth.iter().zip(&s) {
             if *t > floor {
@@ -63,11 +73,35 @@ fn values_above_floor_are_order_of_magnitude_accurate() {
 }
 
 #[test]
+fn fig1_floors_are_ordered_as_theory_predicts() {
+    let (truth, double) = fig1::<f64>();
+    check_floors_are_ordered(&truth, &fig1::<f32>().1, &double);
+}
+
+#[test]
+fn values_above_floor_are_order_of_magnitude_accurate() {
+    let (truth, double) = fig1::<f64>();
+    check_values_above_floor(&truth, &fig1::<f32>().1, &double);
+}
+
+#[test]
+fn short_fat_floors_are_ordered_as_theory_predicts() {
+    let (truth, double) = short_fat::<f64>();
+    check_floors_are_ordered(&truth, &short_fat::<f32>().1, &double);
+}
+
+#[test]
+fn short_fat_values_above_floor_are_order_of_magnitude_accurate() {
+    let (truth, double) = short_fat::<f64>();
+    check_values_above_floor(&truth, &short_fat::<f32>().1, &double);
+}
+
+#[test]
 fn gram_noise_is_absolute_not_relative() {
     // Below the floor, Gram-computed values plateau near sqrt(eps)*||A||
     // rather than continuing to decay — the signature of Thm 2.
-    let truth = geometric_profile(80, 0.0, -18.0);
-    let s = series::<f32>(false);
+    let (truth, a) = fig1::<f32>();
+    let s = series(&a, false);
     let tail: Vec<f64> =
         truth.iter().zip(&s).filter(|(t, _)| **t < 1e-8).map(|(_, g)| *g).collect();
     assert!(tail.len() > 20);
