@@ -174,7 +174,9 @@ fn write_state<T: IoScalar>(
             }
         }
     }
-    let y = &state.y;
+    let y = state.y.as_ref().ok_or_else(|| {
+        io::Error::new(io::ErrorKind::InvalidInput, "no mode processed yet: nothing to checkpoint")
+    })?;
     write_usizes(w, y.global_dims())?;
     write_usizes(w, y.grid().dims())?;
     write_usizes(w, y.coords())?;
@@ -262,7 +264,7 @@ fn read_state<T: Scalar + IoScalar>(
         done,
         norm_x,
         rule: RankRule::new(&cfg.truncation, norm_x, nmodes)?,
-        y: x.with_local(global_dims, Tensor::from_data(&local_dims, data)),
+        y: Some(x.with_local(global_dims, Tensor::from_data(&local_dims, data))),
         factors,
         singular_values,
         tails_sq,
@@ -407,7 +409,7 @@ pub fn sthosvd_parallel_checkpointed<T: Scalar + IoScalar>(
         None => HosvdState::init(&mut DistBackend { ctx, world: &mut world }, x, cfg)?,
     };
     while !state.is_complete() {
-        state.step(&mut DistBackend { ctx, world: &mut world }, cfg)?;
+        state.step(&mut DistBackend { ctx, world: &mut world }, x, cfg)?;
         save_step(ctx, &mut world, &opts.dir, &state)?;
     }
     Ok(state.finish())
@@ -419,6 +421,11 @@ mod tests {
     use crate::config::SthosvdConfig;
     use tucker_dtensor::ProcessorGrid;
     use tucker_tensor::codec::write_u64;
+
+    /// The working tensor of a state that has taken a step.
+    fn local(state: &HosvdState<f64>) -> &DistTensor<f64> {
+        state.y.as_ref().unwrap()
+    }
 
     fn demo_state(rank: usize) -> (HosvdState<f64>, DistTensor<f64>) {
         let grid = ProcessorGrid::new(&[2, 1, 1]);
@@ -432,7 +439,7 @@ mod tests {
             done: 1,
             norm_x: 123.456789,
             rule: RankRule::new(&crate::config::Truncation::None, 123.456789, 3).unwrap(),
-            y,
+            y: Some(y),
             factors: vec![Some(Matrix::from_col_major(4, 2, (0..8).map(|i| i as f64 * 0.3).collect())), None, None],
             singular_values: vec![vec![3.0, 1.0, 0.5, 0.1], Vec::new(), Vec::new()],
             tails_sq: vec![0.26],
@@ -455,8 +462,8 @@ mod tests {
         assert_eq!(got.singular_values, state.singular_values);
         assert_eq!(got.factors[0].as_ref().unwrap().data(), state.factors[0].as_ref().unwrap().data());
         assert!(got.factors[1].is_none() && got.factors[2].is_none());
-        assert_eq!(got.y.global_dims(), state.y.global_dims());
-        assert_eq!(got.y.local().data(), state.y.local().data());
+        assert_eq!(local(&got).global_dims(), local(&state).global_dims());
+        assert_eq!(local(&got).local().data(), local(&state).local().data());
     }
 
     #[test]
@@ -503,7 +510,7 @@ mod tests {
         // Clean bytes decode bit-exactly.
         let got = decode_state::<f64>(&bytes, p, 1, 1, 2, &x, &cfg).unwrap();
         assert_eq!(got.norm_x.to_bits(), state.norm_x.to_bits());
-        assert_eq!(got.y.local().data(), state.y.local().data());
+        assert_eq!(local(&got).local().data(), local(&state).local().data());
         // Any single flipped bit anywhere in the file is caught by the CRC
         // with a typed Corrupt naming the mismatch (sampled positions).
         for pos in [8usize, bytes.len() / 2, bytes.len() - 5, bytes.len() - 1] {
@@ -529,7 +536,7 @@ mod tests {
         write_u32(&mut &mut v1[4..8], VERSION_V1).unwrap();
         let got = decode_state::<f64>(&v1, Path::new("<mem>"), 1, 1, 2, &x, &cfg).unwrap();
         assert_eq!(got.norm_x.to_bits(), state.norm_x.to_bits());
-        assert_eq!(got.y.local().data(), state.y.local().data());
+        assert_eq!(local(&got).local().data(), local(&state).local().data());
         // Future versions stay rejected (with a valid trailer, so the
         // version check is what fires, not the CRC).
         let mut v9 = v2[..v2.len() - 4].to_vec();
@@ -591,7 +598,7 @@ mod tests {
         write_state(&mut v1, &state, 1, 2).unwrap();
         write_u32(&mut &mut v1[4..8], VERSION_V1).unwrap();
         assert!(decode_state::<f64>(&v1, p, 1, 1, 2, &x, &cfg).is_ok());
-        let y_data = state.y.local().len() * 8;
+        let y_data = local(&state).local().len() * 8;
         for word in (0..3).chain(9..12) {
             let at = v1.len() - y_data - (12 - word) * 8;
             for hostile in [1u64 << 40, u64::MAX] {

@@ -144,8 +144,10 @@ pub struct LoopState<T, Y> {
     /// config and `norm_x`, so it is *not* checkpointed.
     pub rule: RankRule<T>,
     /// The partially truncated tensor (modes `order[..done]` already
-    /// shrunk).
-    pub y: Y,
+    /// shrunk). `None` until the first truncation: before it the working
+    /// tensor *is* the input, which [`LoopState::step`] borrows — the loop
+    /// never holds a copy of `x`.
+    pub y: Option<Y>,
     /// Factor matrices of processed modes, indexed by mode.
     pub factors: Vec<Option<Matrix<T>>>,
     /// Singular value profiles of processed modes, indexed by mode — the
@@ -201,7 +203,8 @@ impl<T: Scalar, Y: Clone> LoopState<T, Y> {
             done: 0,
             norm_x,
             rule: RankRule::new(&cfg.truncation, norm_x, nmodes)?,
-            y: x.clone(),
+            // A tensor without modes is its own core.
+            y: (nmodes == 0).then(|| x.clone()),
             factors: (0..nmodes).map(|_| None).collect(),
             singular_values: (0..nmodes).map(|_| Vec::new()).collect(),
             tails_sq: Vec::with_capacity(nmodes),
@@ -213,17 +216,20 @@ impl<T: Scalar, Y: Clone> LoopState<T, Y> {
         self.done == self.order.len()
     }
 
-    /// Process one mode: SVD of the unfolding, rank choice, truncation.
-    /// Advances `done` by one.
+    /// Process one mode of the run on `x` (the tensor given to
+    /// [`LoopState::init`], read only while no mode has been truncated):
+    /// SVD of the unfolding, rank choice, truncation. Advances `done` by one.
     pub fn step<B: ModeBackend<T, Tensor = Y>>(
         &mut self,
         b: &mut B,
+        x: &Y,
         cfg: &SthosvdConfig,
     ) -> Result<()> {
         assert!(!self.is_complete(), "step called on a finished state");
         let n = self.order[self.done];
-        let mode = factor_mode(b, &self.y, n, &self.rule, cfg)?;
-        self.y = b.truncate(&self.y, n, &mode.u_n)?;
+        let y = self.y.as_ref().unwrap_or(x);
+        let mode = factor_mode(b, y, n, &self.rule, cfg)?;
+        self.y = Some(b.truncate(y, n, &mode.u_n)?);
         b.record(&mode, self.norm_x, cfg);
         self.tails_sq.push(mode.tail_sq);
         self.factors[n] = Some(mode.u_n);
@@ -237,7 +243,7 @@ impl<T: Scalar, Y: Clone> LoopState<T, Y> {
         assert!(self.is_complete(), "finish called before all modes were processed");
         LoopOutput {
             factors: self.factors.into_iter().map(|f| f.expect("every mode processed")).collect(),
-            core: self.y,
+            core: self.y.expect("a complete state owns its working tensor"),
             singular_values: self.singular_values,
             norm_x: self.norm_x,
             estimated_error: estimated_error(&self.tails_sq, self.norm_x),
@@ -253,7 +259,7 @@ pub fn run<T: Scalar, B: ModeBackend<T>>(
 ) -> Result<LoopOutput<T, B::Tensor>> {
     let mut state = LoopState::init(b, x, cfg)?;
     while !state.is_complete() {
-        state.step(b, cfg)?;
+        state.step(b, x, cfg)?;
     }
     Ok(state.finish())
 }

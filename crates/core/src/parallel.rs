@@ -371,17 +371,19 @@ mod tests {
     }
 
     /// A guard that needs no clock: on an all-ones grid every mode's local
-    /// Gram makes one `syrk` call per contiguous view of its unfolding — for
-    /// 16³ → 4³ that is 1 + 16 + 1, not 256 + 16 + 1 one-column calls.
+    /// Gram is one `syrk` call on the whole unfolding, whatever its layout —
+    /// for 16³ → 4³ that is 3 calls (not 1 + 16 + 1 per contiguous view, nor
+    /// 256 + 16 + 1 one-column calls) of `I_n²·cols_n` model flops each.
     #[test]
-    fn one_rank_gram_makes_one_syrk_call_per_contiguous_view() {
+    fn one_rank_gram_makes_one_syrk_call_per_mode() {
         let x = low_rank_tensor(&[16, 16, 16], &[4, 4, 4], 1e-4);
         let cfg = SthosvdConfig::with_ranks(vec![4, 4, 4]).method(SvdMethod::Gram);
         let out = Simulator::new(1).with_cost(CostModel::zero()).with_metrics(true).run(|ctx| {
             let dt = DistTensor::scatter_from(&x, &ProcessorGrid::new(&[1, 1, 1]), ctx.rank());
             sthosvd_parallel(ctx, &dt, &cfg).unwrap();
         });
-        assert_eq!(out.metrics[0].counter("kernel/syrk/calls"), 18);
+        assert_eq!(out.metrics[0].counter("kernel/syrk/calls"), 3);
+        assert_eq!(out.metrics[0].counter("kernel/syrk/flops"), 16 * 16 * (256 + 64 + 16));
     }
 
     #[test]

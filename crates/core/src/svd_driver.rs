@@ -6,17 +6,17 @@
 use crate::config::{SthosvdConfig, SvdMethod};
 use crate::mode_loop::ModeBackend;
 use tucker_linalg::gram_svd::gram_svd_from_gram;
-use tucker_linalg::mixed::{gram_svd_mixed_from_gram, syrk_lower_f64_acc};
+use tucker_linalg::mixed::gram_svd_mixed_from_gram;
 use tucker_linalg::randomized::{randomized_svd_left_blocked, resolve_sketch_rows, sketched_gram};
 use tucker_linalg::svd::svd_left;
 use tucker_linalg::tslq::TslqOptions;
-use tucker_linalg::{syrk_lower, MatRef, Matrix, Result, Scalar};
+use tucker_linalg::{MatRef, Matrix, Result, Scalar};
 use tucker_tensor::{ttm, Tensor, Unfolding};
 
 /// Gram matrix `X_(n) X_(n)ᵀ` of the mode-`n` unfolding in working
 /// precision.
 pub fn gram_of_unfolding<T: Scalar>(y: &Tensor<T>, n: usize) -> Matrix<T> {
-    Unfolding::new(y, n).gram(syrk_lower)
+    Unfolding::new(y, n).gram()
 }
 
 /// LQ factor of the mode-`n` unfolding (paper Alg. 2).
@@ -63,9 +63,7 @@ impl<T: Scalar> ModeBackend<T> for DenseBackend {
             SvdMethod::Gram => gram_svd_from_gram(&gram_of_unfolding(y, n)),
             SvdMethod::Qr => svd_left(lq_of_unfolding(y, n, cfg.tslq).as_ref()),
             // `f64` accumulation over `T`-precision blocks.
-            SvdMethod::GramMixed => {
-                gram_svd_mixed_from_gram(&Unfolding::new(y, n).gram(syrk_lower_f64_acc))
-            }
+            SvdMethod::GramMixed => gram_svd_mixed_from_gram(&Unfolding::new(y, n).gram::<f64>()),
             // The *canonical blocked* driver: per-virtual-block partial
             // products folded in global block order with a counter-based Ω
             // fill, which is what the distributed driver
@@ -96,6 +94,7 @@ impl<T: Scalar> ModeBackend<T> for DenseBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tucker_linalg::syrk_lower;
     use tucker_linalg::svd::singular_values;
 
     fn mode_svd(y: &Tensor<f64>, n: usize, method: SvdMethod) -> Result<(Matrix<f64>, Vec<f64>)> {

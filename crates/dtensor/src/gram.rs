@@ -12,8 +12,7 @@
 use crate::dist::DistTensor;
 use crate::guard::{check_finite, NumericalFault};
 use crate::redistribute::redistribute_to_columns;
-use tucker_linalg::mixed::syrk_lower_f64_acc;
-use tucker_linalg::{syrk_lower, MatRef, Matrix, Scalar};
+use tucker_linalg::{syrk_lower_panels, Matrix, Scalar};
 use tucker_mpisim::{Comm, Ctx};
 use tucker_tensor::Unfolding;
 
@@ -29,7 +28,7 @@ pub fn parallel_gram<T: Scalar>(
     dt: &DistTensor<T>,
     n: usize,
 ) -> Result<Matrix<T>, NumericalFault> {
-    gram_in(ctx, world, dt, n, syrk_lower)
+    gram_in(ctx, world, dt, n)
 }
 
 /// Mixed-precision parallel Gram (the paper's §5 future work): the local
@@ -42,7 +41,7 @@ pub fn parallel_gram_mixed<T: Scalar>(
     dt: &DistTensor<T>,
     n: usize,
 ) -> Result<Matrix<f64>, NumericalFault> {
-    gram_in(ctx, world, dt, n, syrk_lower_f64_acc)
+    gram_in(ctx, world, dt, n)
 }
 
 /// The parallel Gram in accumulator precision `A`, whose width the `syrk`
@@ -52,7 +51,6 @@ fn gram_in<T: Scalar, A: Scalar>(
     world: &mut Comm,
     dt: &DistTensor<T>,
     n: usize,
-    syrk: fn(MatRef<'_, T>) -> Matrix<A>,
 ) -> Result<Matrix<A>, NumericalFault> {
     let m = dt.global_dims()[n];
     let p_n = dt.grid().dims()[n];
@@ -60,12 +58,12 @@ fn gram_in<T: Scalar, A: Scalar>(
     let local_g = if p_n == 1 {
         let unf = Unfolding::new(dt.local(), n);
         ctx.charge_syrk_flops(m as f64 * m as f64 * unf.cols() as f64, A::BYTES);
-        unf.gram(syrk)
+        unf.gram()
     } else {
         let z = ctx.phase("Redistribute", |c| redistribute_to_columns(c, dt, n));
         check_finite(ctx.rank(), "Gram/redistribute", n, z.data())?;
         ctx.charge_syrk_flops(m as f64 * m as f64 * z.cols() as f64, A::BYTES);
-        syrk(z.as_ref())
+        syrk_lower_panels(m, &[z.as_ref()])
     };
 
     let summed =
@@ -78,6 +76,7 @@ fn gram_in<T: Scalar, A: Scalar>(
 mod tests {
     use super::*;
     use crate::grid::ProcessorGrid;
+    use tucker_linalg::syrk_lower;
     use tucker_mpisim::{CostModel, Simulator};
     use tucker_tensor::Tensor;
 

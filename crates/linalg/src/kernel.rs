@@ -1,6 +1,6 @@
 //! The register-tiled GEMM engine shared by every dense kernel in this
-//! crate (`gemm`, `syrk_lower`, `mixed::syrk_lower_f64_acc`, and the TTM
-//! call sites in the tensor crates).
+//! crate (`gemm`, the lower-triangle driver under `syrk_lower` and
+//! `mixed::syrk_lower_f64_acc`, and the TTM call sites in the tensor crates).
 //!
 //! Layout is the classic Goto/BLIS loop nest: a `jc` loop over `NC`-wide
 //! column blocks of C, a `pc` loop over `KC`-deep slabs of the inner
@@ -10,8 +10,8 @@
 //! per-precision `MR×NR` register tile ([`Scalar::gemm_microkernel`]).
 //! The packed operands live in thread-local scratch
 //! ([`Scalar::with_pack_scratch`]) rather than per-call allocations, and the
-//! accumulator tile is written back to C through contiguous column slices
-//! whenever C's columns are contiguous.
+//! packers and the write-back of the accumulator tile walk slices of
+//! whichever direction of their operand is contiguous.
 //!
 //! Determinism contract: for a given output element `(i, j)` the
 //! floating-point accumulation order depends only on the `pc` blocking of
@@ -37,91 +37,104 @@ pub const NC: usize = 512;
 /// Upper bound on `MR·NR` across implemented precisions (stack accumulator).
 const MAX_TILE: usize = 64;
 
-fn round_up(x: usize, to: usize) -> usize {
+pub(crate) fn round_up(x: usize, to: usize) -> usize {
     x.div_ceil(to) * to
 }
 
-/// Pack `a[r0..r0+mb, p0..p0+kb]` into `MR`-row panels: panel `ip` holds
-/// rows `r0 + ip·MR ..`, stored column-by-column so the microkernel reads
-/// `buf[ip·MR·kb + l·MR + i]`. Rows past `mb` in the last panel are zeroed
+/// `dst[i] = src[i]` across precisions. With `S == T` the round trip through
+/// `f64` folds away and this is the slice copy it looks like — staged
+/// through a register-sized buffer, loads before stores, because once this is
+/// inlined the optimizer no longer knows that `dst` and `src` cannot overlap
+/// and would move one element at a time.
+#[inline(always)]
+fn convert<S: Scalar, T: Scalar>(dst: &mut [T], src: &[S]) {
+    let mut staged = [T::ZERO; 16];
+    for (d, s) in dst.chunks_mut(16).zip(src.chunks(16)) {
+        for (t, &v) in staged.iter_mut().zip(s) {
+            *t = T::from_f64(v.to_f64());
+        }
+        d.copy_from_slice(&staged[..d.len()]);
+    }
+}
+
+/// Pack all of `a` (`mb × kb`) into `w`-row panels `depth ≥ l0 + kb` columns
+/// deep, filling columns `l0..l0 + kb` of each: panel `ip` holds rows
+/// `ip·w ..`, stored column by column, so the microkernel reads
+/// `buf[ip·w·depth + l·w + i]`. Rows past `mb` in the last panel are zeroed
 /// (the microkernel always processes full tiles; zero rows add exact zeros).
-pub(crate) fn pack_a<T: Scalar>(
-    a: MatRef<'_, T>,
-    r0: usize,
-    p0: usize,
-    mb: usize,
-    kb: usize,
+/// A source contiguous in either direction is walked through its slices;
+/// only a doubly-strided view pays `get` per element. Every arm stores the
+/// same values, so the layout a caller happens to hold never shows in a
+/// result. Elements are widened (or rounded) to `T` as they are copied.
+#[inline(always)]
+fn pack_panels<S: Scalar, T: Scalar>(
+    a: MatRef<'_, S>,
+    w: usize,
     buf: &mut [T],
+    depth: usize,
+    l0: usize,
 ) {
-    let mr = T::MR;
-    let panels = mb.div_ceil(mr);
-    debug_assert!(buf.len() >= panels * mr * kb);
-    for ip in 0..panels {
-        let rows = mr.min(mb - ip * mr);
-        let panel = &mut buf[ip * mr * kb..(ip * mr * kb) + mr * kb];
+    let (mb, kb) = (a.rows(), a.cols());
+    let panels = mb.div_ceil(w);
+    debug_assert!(l0 + kb <= depth && buf.len() >= panels * w * depth);
+    for (ip, panel) in buf.chunks_exact_mut(w * depth).take(panels).enumerate() {
+        let rows = w.min(mb - ip * w);
+        let panel = &mut panel[l0 * w..(l0 + kb) * w];
         if a.col_contiguous() {
-            // Column-major source: each packed column is a contiguous copy.
-            for l in 0..kb {
-                let src = &a.col_slice(p0 + l)[r0 + ip * mr..r0 + ip * mr + rows];
-                let dst = &mut panel[l * mr..l * mr + mr];
-                dst[..rows].copy_from_slice(src);
-                for v in &mut dst[rows..] {
-                    *v = T::ZERO;
+            // Each packed column is a contiguous copy; column `l` of the
+            // view starts `l` strides into its buffer.
+            let (data, cs) = (a.data(), a.col_stride());
+            for (l, dst) in panel.chunks_exact_mut(w).enumerate() {
+                let src = &data[l * cs + ip * w..][..rows];
+                if rows == w {
+                    // A full panel: `w` is a constant at every call site, so
+                    // this is straight-line moves, not a `memcpy` call (the
+                    // mode-0 SYRK reads 16 ms without this arm, 11 with it).
+                    convert(dst, &src[..w]);
+                } else {
+                    convert(&mut dst[..rows], src);
+                    dst[rows..].fill(T::ZERO);
+                }
+            }
+        } else if a.row_contiguous() {
+            // Each source row is read once, front to back, and scattered
+            // down its lane of the panel.
+            if rows < w {
+                panel.fill(T::ZERO);
+            }
+            for i in 0..rows {
+                for (dst, &s) in panel.chunks_exact_mut(w).zip(a.row_slice(ip * w + i)) {
+                    dst[i] = T::from_f64(s.to_f64());
                 }
             }
         } else {
-            for l in 0..kb {
-                let dst = &mut panel[l * mr..l * mr + mr];
+            for (l, dst) in panel.chunks_exact_mut(w).enumerate() {
                 for (i, v) in dst.iter_mut().enumerate() {
-                    *v = if i < rows { a.get(r0 + ip * mr + i, p0 + l) } else { T::ZERO };
+                    *v = if i < rows { T::from_f64(a.get(ip * w + i, l).to_f64()) } else { T::ZERO };
                 }
             }
         }
     }
 }
 
-/// Pack `b[p0..p0+kb, c0..c0+nb]` into `NR`-column panels: panel `jp` holds
-/// columns `c0 + jp·NR ..`, stored row-by-row so the microkernel reads
-/// `buf[jp·NR·kb + l·NR + j]`. Columns past `nb` are zeroed.
-pub(crate) fn pack_b<T: Scalar>(
-    b: MatRef<'_, T>,
-    p0: usize,
-    c0: usize,
-    kb: usize,
-    nb: usize,
-    buf: &mut [T],
-) {
-    let nr = T::NR;
-    let panels = nb.div_ceil(nr);
-    debug_assert!(buf.len() >= panels * nr * kb);
-    for jp in 0..panels {
-        let cols = nr.min(nb - jp * nr);
-        let panel = &mut buf[jp * nr * kb..(jp * nr * kb) + nr * kb];
-        if b.row_contiguous() {
-            // Row-major source (e.g. a transposed column-major view): each
-            // packed row is a contiguous copy.
-            for l in 0..kb {
-                let src = &b.row_slice(p0 + l)[c0 + jp * nr..c0 + jp * nr + cols];
-                let dst = &mut panel[l * nr..l * nr + nr];
-                dst[..cols].copy_from_slice(src);
-                for v in &mut dst[cols..] {
-                    *v = T::ZERO;
-                }
-            }
-        } else {
-            for l in 0..kb {
-                let dst = &mut panel[l * nr..l * nr + nr];
-                for (j, v) in dst.iter_mut().enumerate() {
-                    *v = if j < cols { b.get(p0 + l, c0 + jp * nr + j) } else { T::ZERO };
-                }
-            }
-        }
-    }
+/// Pack the A-side block `a` into `MR`-row panels ([`pack_panels`]).
+pub(crate) fn pack_a<S: Scalar, T: Scalar>(a: MatRef<'_, S>, buf: &mut [T], depth: usize, l0: usize) {
+    pack_panels(a, T::MR, buf, depth, l0);
+}
+
+/// Pack the B-side block `b` (`kb × nb`) into `NR`-column panels stored row
+/// by row, so the microkernel reads `buf[jp·NR·depth + l·NR + j]`: the
+/// `NR`-row panels of `bᵀ`. Columns past `nb` are zeroed.
+pub(crate) fn pack_b<S: Scalar, T: Scalar>(b: MatRef<'_, S>, buf: &mut [T], depth: usize, l0: usize) {
+    pack_panels(b.t(), T::NR, buf, depth, l0);
 }
 
 /// Run the microkernel over every `MR×NR` tile of an `mb×nb` block and
 /// accumulate `alpha ·` (packed A · packed B) into `c[r0.., c0..]`. Edge
 /// tiles compute a full padded register tile and store only the live part.
+/// With `lower`, tiles that lie strictly above the diagonal of `c` are
+/// skipped (the symmetric driver mirrors them in afterwards). The tile lands
+/// through slices of whichever direction of `c` is contiguous.
 #[allow(clippy::too_many_arguments)]
 fn macro_kernel<T: Scalar>(
     alpha: T,
@@ -133,38 +146,47 @@ fn macro_kernel<T: Scalar>(
     c: &mut MatMut<'_, T>,
     r0: usize,
     c0: usize,
+    lower: bool,
 ) {
     let (mr, nr) = (T::MR, T::NR);
     debug_assert!(mr * nr <= MAX_TILE);
-    let col_fast = c.col_contiguous();
+    let add = |dst: &mut T, v: T| {
+        if alpha == T::ONE {
+            *dst += v;
+        } else {
+            *dst = v.mul_add(alpha, *dst);
+        }
+    };
     for jp in 0..nb.div_ceil(nr) {
         let cols = nr.min(nb - jp * nr);
         let bpanel = &bpack[jp * nr * kb..(jp * nr * kb) + nr * kb];
         for ip in 0..mb.div_ceil(mr) {
             let rows = mr.min(mb - ip * mr);
+            let (ri, ci) = (r0 + ip * mr, c0 + jp * nr);
+            if lower && ri + rows <= ci {
+                continue;
+            }
             let apanel = &apack[ip * mr * kb..(ip * mr * kb) + mr * kb];
             let mut acc = [T::ZERO; MAX_TILE];
             T::gemm_microkernel(kb, apanel, bpanel, &mut acc[..mr * nr]);
-            let (ri, ci) = (r0 + ip * mr, c0 + jp * nr);
-            if col_fast {
+            if c.col_contiguous() {
                 for j in 0..cols {
                     let col = &mut c.col_slice_mut(ci + j)[ri..ri + rows];
-                    let tile = &acc[j * mr..j * mr + rows];
-                    if alpha == T::ONE {
-                        for (dst, &v) in col.iter_mut().zip(tile) {
-                            *dst += v;
-                        }
-                    } else {
-                        for (dst, &v) in col.iter_mut().zip(tile) {
-                            *dst = v.mul_add(alpha, *dst);
-                        }
+                    for (dst, &v) in col.iter_mut().zip(&acc[j * mr..j * mr + rows]) {
+                        add(dst, v);
+                    }
+                }
+            } else if c.row_contiguous() {
+                for i in 0..rows {
+                    let row = &mut c.row_slice_mut(ri + i)[ci..ci + cols];
+                    for (dst, &v) in row.iter_mut().zip(acc[i..].iter().step_by(mr)) {
+                        add(dst, v);
                     }
                 }
             } else {
                 for j in 0..cols {
                     for i in 0..rows {
-                        let v = acc[j * mr + i];
-                        c.update(ri + i, ci + j, |old| v.mul_add(alpha, old));
+                        c.update(ri + i, ci + j, |old| acc[j * mr + i].mul_add(alpha, old));
                     }
                 }
             }
@@ -196,17 +218,77 @@ pub(crate) fn gemm_blocked<T: Scalar>(
             let mut pc = 0;
             while pc < k {
                 let kb = KC.min(k - pc);
-                pack_b(b, pc, jc, kb, nb, bpack);
+                pack_b(b.submatrix(pc, jc, kb, nb), bpack, kb, 0);
                 let mut ic = 0;
                 while ic < m {
                     let mb = MC.min(m - ic);
-                    pack_a(a, ic, pc, mb, kb, apack);
-                    macro_kernel(alpha, apack, bpack, mb, nb, kb, c, ic, jc);
+                    pack_a(a.submatrix(ic, pc, mb, kb), apack, kb, 0);
+                    macro_kernel(alpha, apack, bpack, mb, nb, kb, c, ic, jc, false);
                     ic += mb;
                 }
                 pc += kb;
             }
             jc += nb;
+        }
+    });
+}
+
+/// The lower triangle of `C += A·Aᵀ`, restricted to the columns `c` covers:
+/// `A` is the column panels `panels` laid side by side (one view, or the
+/// row-major blocks of an unfolding in order), each `m` rows tall, and `c`
+/// is rows `j0..m` of columns `j0..j0 + c.cols()` of the `m × m` result
+/// (`j0 = 0` and all `m` columns for the whole triangle). Tiles strictly
+/// above the diagonal are not computed; the caller mirrors.
+///
+/// Per `KC`-deep slab of `A`'s columns — filled from as many consecutive
+/// panels as it takes, straight from their rows — the slab is packed once
+/// as `MR`-row panels and once as `NR`-column panels of `Aᵀ`, widened from
+/// `S` to the accumulator precision `T` on the way, and the macro-kernel
+/// runs over the blocks that touch the triangle. The slabs start at column
+/// 0 of the first panel and the tile sums are [`gemm_blocked`]'s, so each
+/// entry carries the bits of `gemm(A, Aᵀ)` over the concatenated columns —
+/// whatever the panel boundaries, the layout of each panel, or `j0`.
+pub(crate) fn syrk_blocked<S: Scalar, T: Scalar>(
+    panels: &[MatRef<'_, S>],
+    j0: usize,
+    c: &mut MatMut<'_, T>,
+) {
+    let (mb, nb) = (c.rows(), c.cols());
+    let n: usize = panels.iter().map(|p| p.cols()).sum();
+    debug_assert!(nb <= mb && panels.iter().all(|p| p.rows() == j0 + mb));
+    if nb == 0 || n == 0 {
+        return;
+    }
+    let depth = KC.min(n);
+    T::with_pack_scratch(round_up(mb, T::MR) * depth, depth * round_up(nb, T::NR), |apack, bpack| {
+        // The next unread column: `off` within `panels[next]`.
+        let (mut next, mut off) = (0, 0);
+        let mut pc = 0;
+        while pc < n {
+            let kb = KC.min(n - pc);
+            let mut l = 0;
+            while l < kb {
+                let take = (kb - l).min(panels[next].cols() - off);
+                if take > 0 {
+                    let piece = panels[next].submatrix(j0, off, mb, take);
+                    pack_a(piece, apack, kb, l);
+                    pack_b(piece.submatrix(0, 0, nb, take).t(), bpack, kb, l);
+                    l += take;
+                    off += take;
+                }
+                if off == panels[next].cols() {
+                    (next, off) = (next + 1, 0);
+                }
+            }
+            for jc in (0..nb).step_by(NC) {
+                // Row blocks that end at or above column `jc` hold no entry
+                // of the triangle.
+                for ic in (jc / MC * MC..mb).step_by(MC) {
+                    let (h, w) = (MC.min(mb - ic), NC.min(nb - jc));
+                    macro_kernel(T::ONE, &apack[ic * kb..], &bpack[jc * kb..], h, w, kb, c, ic, jc, true);
+                }
+            }
+            pc += kb;
         }
     });
 }
@@ -244,7 +326,7 @@ impl<T: Scalar> PackedA<T> {
                     let off = buf.len();
                     offsets.push(off);
                     buf.resize(off + len, T::ZERO);
-                    pack_a(a, ic, pc, mb, kb, &mut buf[off..]);
+                    pack_a(a.submatrix(ic, pc, mb, kb), &mut buf[off..], kb, 0);
                     ic += mb;
                 }
                 pc += kb;
@@ -296,12 +378,12 @@ pub fn gemm_prepacked<T: Scalar>(
             let mut pc = 0;
             while pc < k {
                 let kb = KC.min(k - pc);
-                pack_b(b, pc, jc, kb, nb, bpack);
+                pack_b(b.submatrix(pc, jc, kb, nb), bpack, kb, 0);
                 let mut ic_idx = 0;
                 let mut ic = 0;
                 while ic < m {
                     let mb = MC.min(m - ic);
-                    macro_kernel(alpha, a.block(pc_idx, ic_idx), bpack, mb, nb, kb, c, ic, jc);
+                    macro_kernel(alpha, a.block(pc_idx, ic_idx), bpack, mb, nb, kb, c, ic, jc, false);
                     ic += mb;
                     ic_idx += 1;
                 }
@@ -396,6 +478,53 @@ mod tests {
         let mut pre = Matrix::zeros(130, 60);
         gemm_prepacked(1.5, &packed, b.as_ref(), &mut pre.as_mut());
         assert_eq!(plain.data(), pre.data());
+    }
+
+    /// Both packers on one `rows × cols` block seen through a
+    /// column-contiguous, a row-contiguous and a doubly-strided view, into
+    /// panels `depth` deep at offset `l0`: every arm must store exactly what
+    /// `get` reads, zero the padding, and leave the rest of the buffer alone.
+    fn check_packers<S: Scalar, T: Scalar>() {
+        const UNTOUCHED: f64 = 7.0;
+        fn check<S: Scalar, T: Scalar>(a: MatRef<'_, S>, w: usize, pack: fn(MatRef<'_, S>, &mut [T], usize, usize)) {
+            let (mb, kb) = (a.rows(), a.cols());
+            for (depth, l0) in [(kb, 0), (kb + 5, 3)] {
+                let mut buf = vec![T::from_f64(UNTOUCHED); mb.div_ceil(w) * w * depth + 9];
+                pack(a, &mut buf, depth, l0);
+                for (at, &got) in buf.iter().enumerate() {
+                    let (ip, l, i) = (at / (w * depth), at % (w * depth) / w, at % w);
+                    let want = if ip >= mb.div_ceil(w) || l < l0 || l >= l0 + kb {
+                        T::from_f64(UNTOUCHED)
+                    } else if ip * w + i < mb {
+                        T::from_f64(a.get(ip * w + i, l - l0).to_f64())
+                    } else {
+                        T::ZERO
+                    };
+                    assert_eq!(got.to_f64().to_bits(), want.to_f64().to_bits(), "{mb}x{kb} w={w} at {at}");
+                }
+            }
+        }
+        for kb in [1usize, 20, 256] {
+            for rows in [1, T::MR - 1, T::MR, 2 * T::MR + 3, T::NR + 1, 3 * T::NR] {
+                let draw = |i: usize, j: usize| S::from_f64(((i * 31 + j * 7) as f64 * 0.113).sin());
+                let cm = Matrix::<S>::from_fn(rows, kb, draw);
+                let rm = Matrix::<S>::from_fn(kb, rows, |j, i| draw(i, j));
+                let wide = Matrix::<S>::from_fn(2 * rows + 1, 3 * kb, |i, j| draw(i / 2, j / 3));
+                let window = MatRef::strided(wide.data(), rows, kb, 2, 3 * wide.rows());
+                for a in [cm.as_ref(), rm.as_ref().t(), window] {
+                    // The same block as an A operand and, transposed, as a B operand.
+                    check::<S, T>(a, T::MR, pack_a);
+                    check::<S, T>(a, T::NR, |b, buf, depth, l0| pack_b(b.t(), buf, depth, l0));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_packer_arm_stores_what_get_reads() {
+        check_packers::<f64, f64>();
+        check_packers::<f32, f32>();
+        check_packers::<f32, f64>();
     }
 
     #[test]

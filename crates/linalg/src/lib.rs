@@ -69,7 +69,7 @@ pub use view::{MatMut, MatRef};
 pub use blocked_qr::geqrf_blocked;
 pub use gemm::{gemm, gemm_into, gemm_par, gemm_reference, Trans};
 pub use kernel::{gemm_prepacked, gemm_prepacked_batch, PackedA};
-pub use syrk::syrk_lower;
+pub use syrk::{syrk_lower, syrk_lower_panels};
 pub use svd::{svd_left, SvdOutput};
 pub use eig::{syev, EigOutput};
 pub use gram_svd::gram_svd;

@@ -17,43 +17,11 @@ use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 use crate::view::MatRef;
 
-/// `A·Aᵀ` of a `T`-precision matrix, accumulated in `f64`.
-///
-/// Runs on the same register-tiled engine as [`crate::syrk_lower`]: `A` is
-/// widened to `f64` one [`crate::kernel::KC`]-column chunk at a time (so the
-/// transient copy stays cache-sized instead of doubling the whole operand),
-/// and each chunk is accumulated into the block-lower triangle of C through
-/// the shared `f64` microkernel.
+/// `A·Aᵀ` of a `T`-precision matrix, accumulated in `f64`: the driver of
+/// [`crate::syrk_lower`] with the `f64` microkernel, `A` widened slab by
+/// slab as it is packed (no widened copy of the operand exists).
 pub fn syrk_lower_f64_acc<T: Scalar>(a: MatRef<'_, T>) -> Matrix<f64> {
-    let m = a.rows();
-    let n = a.cols();
-    let mut c = Matrix::<f64>::zeros(m, m);
-    if m > 0 && n > 0 {
-        let chunk_cols = crate::kernel::KC.min(n);
-        let mut a64 = Matrix::<f64>::zeros(m, chunk_cols);
-        let mut cm = c.as_mut();
-        let mut p0 = 0;
-        while p0 < n {
-            let kb = chunk_cols.min(n - p0);
-            for l in 0..kb {
-                let dst = a64.col_mut(l);
-                if a.col_contiguous() {
-                    for (d, &s) in dst.iter_mut().zip(a.col_slice(p0 + l)) {
-                        *d = s.to_f64();
-                    }
-                } else {
-                    for (i, d) in dst.iter_mut().enumerate() {
-                        *d = a.get(i, p0 + l).to_f64();
-                    }
-                }
-            }
-            let chunk = a64.as_ref().submatrix(0, 0, m, kb);
-            crate::syrk::syrk_lower_acc(chunk, &mut cm);
-            p0 += kb;
-        }
-    }
-    crate::syrk::mirror_lower(&mut c);
-    c
+    crate::syrk::syrk_lower_panels(a.rows(), &[a])
 }
 
 /// Mixed-precision Gram-SVD: left singular vectors and singular values of a

@@ -108,6 +108,14 @@ pub(crate) fn gemm_pack_bytes<T: crate::scalar::Scalar>(m: usize, k: usize, n: u
     ((a_slab + b_slab) * std::mem::size_of::<T>()) as u64
 }
 
+/// Packed-slab scratch footprint of one [`crate::syrk::syrk_lower_panels`]
+/// call on `m` rows and `n` columns: one `KC`-deep slab held twice, as
+/// `MR`-row panels and as `NR`-column panels of the transpose.
+pub(crate) fn syrk_pack_bytes<T: crate::scalar::Scalar>(m: usize, n: usize) -> u64 {
+    use crate::kernel::{round_up, KC};
+    ((round_up(m, T::MR) + round_up(m, T::NR)) * KC.min(n) * std::mem::size_of::<T>()) as u64
+}
+
 /// Householder LQ flop count for an `m x n` factorization (LAPACK-style
 /// leading terms: `2nm² − ⅔m³` short-fat, `2mn² − ⅔n³` tall). The one copy
 /// of the formula: the perf frames here, `tucker-dtensor`'s cost-model

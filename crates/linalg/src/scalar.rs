@@ -89,6 +89,15 @@ pub trait Scalar:
     /// of a normal value yields a non-finite one the numerical guards catch.
     fn flip_bit(self, bit: u32) -> Self;
 
+    /// Whether `self`, a plain sum of squares `Σx²`, can be used as computed
+    /// instead of a scaled (one division per element) sum: above
+    /// `MIN_POSITIVE/ε²` the squares that underflowed cost less than `ε²` of
+    /// it, and below `MAX·ε` neither it nor a further sum of up to `1/ε` such
+    /// partial sums has overflowed. False for NaN.
+    fn sumsq_is_safe(self) -> bool {
+        self > Self::MIN_POSITIVE / (Self::EPSILON * Self::EPSILON) && self < Self::MAX * Self::EPSILON
+    }
+
     /// Microkernel register-tile rows. Together with [`Scalar::NR`] this
     /// sizes the accumulator block of the GEMM microkernel: `MR·NR` live
     /// accumulators plus one packed A column must fit the vector register

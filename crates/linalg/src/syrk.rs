@@ -6,14 +6,13 @@
 //! the QR-SVD path's LQ factorization costs (`2·n·m²`), which is exactly the
 //! trade the paper quantifies in §3.5.
 //!
-//! Since PR 3 the kernel shares the register-tiled engine in
-//! [`crate::kernel`]: C is decomposed into `SB×SB` block tiles, only the
-//! block-lower triangle is computed (as `A_row · A_colᵀ` through the packed
-//! microkernel), and the strict upper triangle is mirrored afterwards.
-//! Because every tile runs the same engine over the same ascending
-//! inner-dimension blocking, the parallel tile schedule is bit-identical to
-//! the serial one, and `C[i,j] == C[j,i]` exactly (the products commute
-//! term by term).
+//! The kernel is the lower-triangle driver of the register-tiled engine
+//! ([`crate::kernel::syrk_blocked`], DESIGN.md §10): per `KC`-deep slab the
+//! operand is packed once as row panels and once as column panels of its
+//! transpose, only the micro-tiles that touch the lower triangle are
+//! computed, and the strict upper triangle is mirrored afterwards. Every
+//! entry is summed over the same ascending slabs whatever the layout, the
+//! panel boundaries or the task count, and `C[i,j] == C[j,i]` exactly.
 
 use crate::kernel;
 use crate::matrix::Matrix;
@@ -21,95 +20,49 @@ use crate::scalar::Scalar;
 use crate::view::{MatMut, MatRef};
 use rayon::prelude::*;
 
-/// Side length of the block tiles the output triangle is decomposed into.
+/// Width of the column panels of `C` the parallel schedule hands out, and
+/// the row count above which it is used.
 const SB: usize = 128;
 
-/// Flop count above which the parallel tile schedule is used.
+/// Flop count above which the parallel schedule is used.
 const PAR_FLOP_THRESHOLD: usize = 1 << 22;
 
-/// Lower triangle of `A·Aᵀ`, symmetrized into a full matrix.
-///
-/// `A` is `m x n`; the result is `m x m`. Works on any strided view.
+/// `A·Aᵀ`, symmetric. `A` is `m x n`; the result is `m x m`. Works on any
+/// strided view.
 pub fn syrk_lower<T: Scalar>(a: MatRef<'_, T>) -> Matrix<T> {
-    let m = a.rows();
-    let n = a.cols();
+    syrk_lower_panels(a.rows(), &[a])
+}
+
+/// `A·Aᵀ` in accumulator precision `T`, where `A` is the `m`-row column
+/// panels `panels` laid side by side — one view, or the row-major blocks of
+/// a tensor unfolding in order. One zeroed `C`, one `"syrk"` perf frame; the
+/// driver's `KC`-deep slabs run across panel boundaries, so the bits are
+/// those of `gemm(A, Aᵀ)` over the concatenated columns and do not depend on
+/// how the columns are cut into panels.
+pub fn syrk_lower_panels<S: Scalar, T: Scalar>(m: usize, panels: &[MatRef<'_, S>]) -> Matrix<T> {
+    assert!(panels.iter().all(|p| p.rows() == m), "syrk: panel row count mismatch");
+    let n: usize = panels.iter().map(|p| p.cols()).sum();
     let flops = m.saturating_mul(m).saturating_mul(n);
-    let pack = crate::perf::gemm_pack_bytes::<T>(SB.min(m), n, SB.min(m));
-    crate::perf::with_kernel("syrk", flops as u64, pack, || {
+    crate::perf::with_kernel("syrk", flops as u64, crate::perf::syrk_pack_bytes::<T>(m, n), || {
         let mut c = Matrix::zeros(m, m);
         if flops >= PAR_FLOP_THRESHOLD && rayon::current_num_threads() > 1 && m > SB {
-            syrk_parallel(a, &mut c);
+            // Column panels of `C` are disjoint chunks of its buffer; each
+            // runs the same driver below its own stretch of the diagonal.
+            c.data_mut().par_chunks_mut(SB * m).enumerate().for_each(|(p, chunk)| {
+                let (j0, w) = (p * SB, chunk.len() / m);
+                let mut cols = MatMut::col_major(chunk, m, w);
+                kernel::syrk_blocked(panels, j0, &mut cols.submatrix_mut(j0, 0, m - j0, w));
+            });
         } else {
-            syrk_lower_acc(a, &mut c.as_mut());
+            kernel::syrk_blocked(panels, 0, &mut c.as_mut());
         }
         mirror_lower(&mut c);
         c
     })
 }
 
-/// `C += A·Aᵀ` on the block-lower triangle of C only (serial). The strict
-/// upper triangle outside the diagonal blocks is left untouched; callers
-/// mirror it when they need the full matrix. Shared with the
-/// mixed-precision accumulator in `mixed.rs`.
-pub(crate) fn syrk_lower_acc<T: Scalar>(a: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
-    let m = a.rows();
-    let n = a.cols();
-    debug_assert_eq!((c.rows(), c.cols()), (m, m));
-    if m == 0 || n == 0 {
-        return;
-    }
-    let at = a.t();
-    let mut jb = 0;
-    while jb < m {
-        let nb = SB.min(m - jb);
-        let mut ib = jb;
-        while ib < m {
-            let mb = SB.min(m - ib);
-            let mut csub = c.submatrix_mut(ib, jb, mb, nb);
-            kernel::gemm_blocked(T::ONE, a.submatrix(ib, 0, mb, n), at.submatrix(0, jb, n, nb), &mut csub);
-            ib += mb;
-        }
-        jb += nb;
-    }
-}
-
-/// Parallel tile schedule: every block-lower tile is computed independently
-/// (same engine, full inner dimension) and copied into C. Bit-identical to
-/// [`syrk_lower_acc`] on a zeroed C.
-fn syrk_parallel<T: Scalar>(a: MatRef<'_, T>, c: &mut Matrix<T>) {
-    let m = a.rows();
-    let n = a.cols();
-    let at = a.t();
-    let mut tiles: Vec<(usize, usize, usize, usize)> = Vec::new();
-    let mut jb = 0;
-    while jb < m {
-        let nb = SB.min(m - jb);
-        let mut ib = jb;
-        while ib < m {
-            let mb = SB.min(m - ib);
-            tiles.push((ib, jb, mb, nb));
-            ib += mb;
-        }
-        jb += nb;
-    }
-    let mut slots: Vec<Option<Matrix<T>>> = tiles.iter().map(|_| None).collect();
-    slots.par_chunks_mut(1).zip(tiles.par_chunks(1)).for_each(|(slot, t)| {
-        let (ib, jb, mb, nb) = t[0];
-        let mut tile = Matrix::zeros(mb, nb);
-        let mut tm = tile.as_mut();
-        kernel::gemm_blocked(T::ONE, a.submatrix(ib, 0, mb, n), at.submatrix(0, jb, n, nb), &mut tm);
-        slot[0] = Some(tile);
-    });
-    for ((ib, jb, mb, nb), slot) in tiles.into_iter().zip(slots) {
-        let tile = slot.expect("every tile was computed");
-        for j in 0..nb {
-            c.col_mut(jb + j)[ib..ib + mb].copy_from_slice(tile.col(j));
-        }
-    }
-}
-
 /// Copy the strict lower triangle into the strict upper one.
-pub(crate) fn mirror_lower<T: Scalar>(c: &mut Matrix<T>) {
+fn mirror_lower<T: Scalar>(c: &mut Matrix<T>) {
     let m = c.rows();
     for j in 0..m {
         for i in j + 1..m {
@@ -149,15 +102,60 @@ mod tests {
 
     #[test]
     fn parallel_path_matches_serial_bitwise() {
-        // m > SB with enough flops to trigger the tile schedule.
+        // m > SB with enough flops to trigger the column-panel schedule.
         let a = pseudo_matrix(200, 2000, 3);
         rayon::set_current_thread_limit(Some(4));
         let par = syrk_lower(a.as_ref());
+        rayon::set_current_thread_limit(Some(1));
+        let ser = syrk_lower(a.as_ref());
         rayon::set_current_thread_limit(None);
-        let mut ser = Matrix::zeros(200, 200);
-        syrk_lower_acc(a.as_ref(), &mut ser.as_mut());
-        mirror_lower(&mut ser);
         assert_eq!(par.data(), ser.data());
+    }
+
+    /// The driver's contract on one `m × n` matrix: from a column-major, a
+    /// row-major and a doubly-strided view, and cut into two panels at an
+    /// odd column, the lower triangle carries the bits of the square
+    /// `gemm(A, Aᵀ)` it replaced, the mirror is exact, and accumulating in
+    /// `f64` is the driver on the widened matrix.
+    fn check_driver<T: Scalar>(m: usize, n: usize) {
+        let a = Matrix::<T>::from_fn(m, n, |i, j| T::from_f64(((i * 37 + j * 11) as f64 * 0.071).sin()));
+        let mut want = Matrix::zeros(m, m);
+        kernel::gemm_blocked(T::ONE, a.as_ref(), a.as_ref().t(), &mut want.as_mut());
+        let wide = Matrix::<f64>::from_fn(m, n, |i, j| a[(i, j)].to_f64());
+        let want64 = syrk_lower(wide.as_ref());
+
+        let rows_first = a.transposed();
+        let spaced = Matrix::<T>::from_fn(2 * m + 1, n, |i, j| a[(i.min(2 * m - 1) / 2, j)]);
+        let window = MatRef::strided(spaced.data(), m, n, 2, 2 * m + 1);
+        for (name, view) in [("column-major", a.as_ref()), ("row-major", rows_first.as_ref().t()), ("strided", window)] {
+            let what = format!("{} {m}x{n} {name}", T::PRECISION_NAME);
+            let cut = n / 3;
+            let halves = [view.submatrix(0, 0, m, cut), view.submatrix(0, cut, m, n - cut)];
+            for got in [syrk_lower(view), syrk_lower_panels(m, &halves)] {
+                for j in 0..m {
+                    for i in j..m {
+                        assert_eq!(got[(i, j)], want[(i, j)], "{what}: ({i},{j}) vs gemm");
+                        assert_eq!(got[(j, i)], got[(i, j)], "{what}: mirror of ({i},{j})");
+                    }
+                }
+            }
+            assert_eq!(crate::syrk_lower_f64_acc(view).data(), want64.data(), "{what}: f64 accumulation");
+        }
+    }
+
+    #[test]
+    fn lower_triangle_has_the_bits_of_the_square_gemm() {
+        // Both sides of MR, NR, MC, SB and of one, two and many KC slabs
+        // (the twenty-slab case only below SB: this is a debug build).
+        for m in [1, 7, 8, 33, 48, 64, 65, 130, 200] {
+            for n in [1, 255, 256, 257, 5000] {
+                if n > 257 && m > SB {
+                    continue;
+                }
+                check_driver::<f64>(m, n);
+                check_driver::<f32>(m, n);
+            }
+        }
     }
 
     #[test]

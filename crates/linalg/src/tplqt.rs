@@ -161,15 +161,12 @@ fn fold_rows<T: Scalar>(l: &mut Matrix<T>, b: &mut [T], ld: usize, k: usize) {
 
 /// [`crate::householder::make_reflector`] with the norm of the `k`-long tail
 /// taken as `sqrt(x·x)` through [`Scalar::dot`] when the sum of squares is
-/// safely inside the normal range, and by the scaled [`norm2`] (one division
-/// per element) otherwise. Same sign choice, same `safmin` rescaling.
+/// safely inside the normal range ([`Scalar::sumsq_is_safe`]), and by the
+/// scaled [`norm2`] (one division per element) otherwise. Same sign choice, same `safmin` rescaling.
 fn make_reflector<T: Scalar>(alpha: T, x: &mut [T]) -> (T, T) {
     let norm = |x: &[T]| {
         let ssq = T::dot(x, x);
-        // Above `lo` the squares that underflowed cost less than ε² of the
-        // sum; an overflowed sum is not finite.
-        let lo = T::MIN_POSITIVE / (T::EPSILON * T::EPSILON);
-        if ssq > lo && ssq.is_finite() {
+        if ssq.sumsq_is_safe() {
             ssq.sqrt()
         } else {
             norm2(x)

@@ -267,6 +267,17 @@ impl<'a, T: Scalar> MatMut<'a, T> {
         &mut self.data[start..start + self.rows]
     }
 
+    /// Row `i` as a mutable slice, when rows are contiguous: the write path
+    /// into a row-major C (a TTM output block).
+    pub fn row_slice_mut(&mut self, i: usize) -> &mut [T] {
+        assert!(self.row_contiguous() && i < self.rows);
+        if self.cols == 0 {
+            return &mut [];
+        }
+        let start = i * self.rs;
+        &mut self.data[start..start + self.cols]
+    }
+
     /// Immutable reborrow.
     pub fn rb(&self) -> MatRef<'_, T> {
         MatRef { data: self.data, rows: self.rows, cols: self.cols, rs: self.rs, cs: self.cs }

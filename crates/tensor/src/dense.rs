@@ -88,7 +88,7 @@ impl<T: Scalar> Tensor<T> {
     pub fn norm(&self) -> T {
         let (scale, ssq) = self
             .data
-            .par_chunks(1 << 16)
+            .par_chunks(NORM_CHUNK)
             .map(sumsq_scaled)
             .reduce(|| (T::ZERO, T::ONE), combine_scaled);
         scale * ssq.sqrt()
@@ -112,11 +112,22 @@ impl<T: Scalar> Tensor<T> {
     /// `‖X - Y‖ / ‖X‖` (this tensor is the reference).
     pub fn relative_error_to(&self, other: &Tensor<T>) -> T {
         assert_eq!(self.dims, other.dims, "relative_error_to: shape mismatch");
-        let mut diff = self.clone();
-        for (d, o) in diff.data.iter_mut().zip(&other.data) {
-            *d -= *o;
-        }
-        diff.norm() / self.norm()
+        // `norm` of the difference, chunk for chunk, through one chunk-sized
+        // buffer: the difference itself (a third tensor) is never held.
+        let mut diff = vec![T::ZERO; NORM_CHUNK.min(self.len())];
+        let (scale, ssq) = self
+            .data
+            .chunks(NORM_CHUNK)
+            .zip(other.data.chunks(NORM_CHUNK))
+            .map(|(x, y)| {
+                let d = &mut diff[..x.len()];
+                for ((d, &x), &y) in d.iter_mut().zip(x).zip(y) {
+                    *d = x - y;
+                }
+                sumsq_scaled(d)
+            })
+            .fold((T::ZERO, T::ONE), combine_scaled);
+        scale * ssq.sqrt() / self.norm()
     }
 
     /// Round every entry to another precision.
@@ -128,7 +139,34 @@ impl<T: Scalar> Tensor<T> {
     }
 }
 
+/// Elements per partial sum of [`Tensor::norm`].
+const NORM_CHUNK: usize = 1 << 16;
+
+/// Sum of squares of `chunk` as a `(scale, ssq)` pair, `Σv² = scale²·ssq`.
+///
+/// One pass of eight independent lanes (`lanes[i mod 8] += v·v`, unfused,
+/// then a fixed pairwise sum — the order is a function of the length alone,
+/// so the bits are the same on every host and wherever the chunk sits) is
+/// the answer, as `(1, s)`, whenever `s` lands safely inside the normal
+/// range. An `s` that underflowed or overflowed is recomputed by LAPACK's
+/// scaled `lassq` loop (a compare, a division and a dependent add per
+/// element); a NaN `s` means a NaN element and is returned as it is.
 pub(crate) fn sumsq_scaled<T: Scalar>(chunk: &[T]) -> (T, T) {
+    let mut lanes = [T::ZERO; 8];
+    let mut octets = chunk.chunks_exact(8);
+    for octet in &mut octets {
+        for (lane, &v) in lanes.iter_mut().zip(octet) {
+            *lane += v * v;
+        }
+    }
+    for (lane, &v) in lanes.iter_mut().zip(octets.remainder()) {
+        *lane += v * v;
+    }
+    let s = ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6])) + ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
+    let nan = s.partial_cmp(&s).is_none();
+    if s.sumsq_is_safe() || nan {
+        return (T::ONE, s);
+    }
     let mut scale = T::ZERO;
     let mut ssq = T::ONE;
     for &v in chunk {
@@ -208,6 +246,44 @@ mod tests {
         let t = Tensor::<f32>::from_fn(&[10, 10], |_| 1.0e20);
         assert!(t.norm().is_finite());
         assert!((t.norm() / 1.0e21 - 1.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn norm_keeps_tiny_zero_and_non_finite_values() {
+        // Squares that underflow fall back to the scaled loop, not to 0.
+        let tiny32 = Tensor::<f32>::from_fn(&[10, 10], |_| 1.0e-25);
+        assert!((tiny32.norm() / 1.0e-24 - 1.0).abs() < 1e-5, "{}", tiny32.norm());
+        let tiny64 = Tensor::<f64>::from_fn(&[10, 10], |_| 1.0e-170);
+        assert!((tiny64.norm() / 1.0e-169 - 1.0).abs() < 1e-12, "{}", tiny64.norm());
+        assert_eq!(Tensor::<f64>::zeros(&[4, 5]).norm(), 0.0);
+        assert_eq!(Tensor::<f32>::zeros(&[4, 5]).norm(), 0.0);
+        // One bad value anywhere — first lane, remainder, a later chunk.
+        for at in [0, 13, (1 << 16) + 5] {
+            for (bad, nan) in [(f64::NAN, true), (f64::INFINITY, false), (f64::NEG_INFINITY, false)] {
+                let mut x = Tensor::<f64>::from_fn(&[70, 1000], |i| (i[0] + i[1]) as f64 * 1e-3);
+                x.data_mut()[at] = bad;
+                let n = x.norm();
+                assert!(if nan { n.is_nan() } else { n == f64::INFINITY }, "{bad} at {at}: {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_sum_depends_on_the_chunk_alone() {
+        // The same 1003 values at four offsets of a longer buffer (so at
+        // four alignments, with different neighbours): one bit pattern.
+        let vals: Vec<f32> = (0..1003).map(|i| (i as f32 * 0.37).sin()).collect();
+        let want = sumsq_scaled(&vals);
+        assert_eq!(want.0, 1.0);
+        for offset in [0usize, 1, 5, 64] {
+            let mut buf = vec![9.5f32; offset];
+            buf.extend_from_slice(&vals);
+            buf.extend_from_slice(&[-3.25; 7]);
+            assert_eq!(sumsq_scaled(&buf[offset..offset + vals.len()]), want, "offset {offset}");
+        }
+        // Lane `i mod 8`, then the fixed pairwise sum.
+        let eight: Vec<f64> = (1..=11).map(|i| i as f64).collect();
+        assert_eq!(sumsq_scaled(&eight), (1.0, 506.0));
     }
 
     #[test]

@@ -103,6 +103,28 @@ mod tests {
     }
 
     #[test]
+    fn pieces_agree_with_one_norm_to_rounding() {
+        fn check<T: Scalar>() {
+            let x = Tensor::<T>::from_fn(&[70, 41, 50], |i| {
+                T::from_f64(((i[0] * 3 + i[1] * 17 + i[2] * 101) as f64 * 0.013).sin())
+            });
+            let whole = x.norm();
+            // The blocks `tucker error` reads (the cut `Tensor::norm` makes
+            // itself, so the bits agree), and two cuts that share no boundary
+            // with it: each lane of a chunk is a running sum of up to 8192
+            // squares, good to a few ε, so two cuts differ by that much.
+            for piece in [1usize << 16, 50_000, 100_000] {
+                let mut acc = FrobAccumulator::new();
+                x.data().chunks(piece).for_each(|c| acc.push(c));
+                let err = ((acc.norm() - whole) / whole).abs();
+                assert!(err <= T::from_f64(16.0) * T::EPSILON, "{} pieces of {piece}: {err}", T::PRECISION_NAME);
+            }
+        }
+        check::<f32>();
+        check::<f64>();
+    }
+
+    #[test]
     fn empty_is_zero() {
         assert_eq!(FrobAccumulator::<f64>::new().norm(), 0.0);
     }

@@ -14,7 +14,7 @@ use crate::dense::Tensor;
 use crate::dims::{prod_after, prod_before};
 use tucker_linalg::lq::lq_factor;
 use tucker_linalg::tslq::{tslq_blocks, TslqOptions};
-use tucker_linalg::{MatRef, Matrix, Scalar};
+use tucker_linalg::{syrk_lower_panels, MatRef, Matrix, Scalar};
 
 /// View of the mode-`n` unfolding of a tensor.
 #[derive(Clone, Copy)]
@@ -81,21 +81,15 @@ impl<'a, T: Scalar> Unfolding<'a, T> {
     }
 
     /// Gram matrix `X_(n) X_(n)ᵀ` in accumulator precision `A`
-    /// (TuckerMPI [6, Alg. 2]): one `syrk` call when the unfolding is one
-    /// contiguous matrix, successive calls on the row-major blocks summed in
-    /// block order otherwise.
-    pub fn gram<A: Scalar>(&self, syrk: fn(MatRef<'_, T>) -> Matrix<A>) -> Matrix<A> {
-        if let Some(whole) = self.whole() {
-            return syrk(whole);
+    /// (TuckerMPI [6, Alg. 2]): one `syrk` over the unfolding's column
+    /// panels — the whole view, or the row-major blocks in order, which the
+    /// kernel reads as one matrix (its inner-dimension slabs run across
+    /// block boundaries).
+    pub fn gram<A: Scalar>(&self) -> Matrix<A> {
+        match self.whole() {
+            Some(whole) => syrk_lower_panels(self.rows, &[whole]),
+            None => syrk_lower_panels(self.rows, &self.blocks().collect::<Vec<_>>()),
         }
-        let mut acc = Matrix::<A>::zeros(self.rows, self.rows);
-        for blk in self.blocks() {
-            let g = syrk(blk);
-            for (a, b) in acc.data_mut().iter_mut().zip(g.data()) {
-                *a += *b;
-            }
-        }
-        acc
     }
 
     /// LQ factor `L` (`I_n x I_n`, lower triangular) of the unfolding (paper
@@ -219,8 +213,8 @@ mod tests {
             let what = format!("dims {:?} mode {n}", x.dims());
             let want = syrk_lower(u.to_matrix().as_ref());
             let tol = T::from_f64(64.0) * T::EPSILON * want.max_abs().max(T::ONE);
-            assert!(u.gram(syrk_lower).max_abs_diff(&want) <= tol, "{what}: gram");
-            let g64 = u.gram(syrk_lower_f64_acc);
+            assert!(u.gram::<T>().max_abs_diff(&want) <= tol, "{what}: gram");
+            let g64 = u.gram::<f64>();
             let g64 = Matrix::from_fn(u.rows(), u.rows(), |i, j| T::from_f64(g64[(i, j)]));
             assert!(g64.max_abs_diff(&want) <= tol, "{what}: f64-accumulated gram");
 
@@ -249,6 +243,47 @@ mod tests {
             let x = Tensor::from_fn(dims, wave);
             check_gram_and_lq(&x);
             check_gram_and_lq(&x.cast::<f32>());
+        }
+    }
+
+    /// Run `f` under a thread-local rayon task budget.
+    fn with_tasks<R>(tasks: usize, f: impl FnOnce() -> R) -> R {
+        let prev = rayon::current_thread_limit();
+        rayon::set_current_thread_limit(Some(tasks));
+        let out = f();
+        rayon::set_current_thread_limit(prev);
+        out
+    }
+
+    /// A middle-mode Gram is one `syrk` whose `KC`-deep slabs run across
+    /// the row-major blocks: whatever the block width — slab boundaries
+    /// inside a block, on a block boundary, spanning several blocks — and
+    /// whatever the task budget, it carries the bits of `syrk` on the
+    /// materialized unfolding, in both accumulator precisions.
+    fn check_block_sequence<T: Scalar>(dims: &[usize]) {
+        let x = Tensor::<T>::from_fn(dims, |i| {
+            T::from_f64(((i[0] * 7 + i[1] * 131 + i[2] * 17) as f64 * 0.029).sin())
+        });
+        let u = Unfolding::new(&x, 1);
+        assert_eq!((u.block_cols(), u.whole().is_none()), (dims[0], dims[0] > 1 && dims[2] > 1));
+        let dense = u.to_matrix();
+        let (want, want64) = (syrk_lower(dense.as_ref()), syrk_lower_f64_acc(dense.as_ref()));
+        for tasks in [1, 2, 7] {
+            let (got, got64) = with_tasks(tasks, || (u.gram::<T>(), u.gram::<f64>()));
+            assert_eq!(got.data(), want.data(), "dims {dims:?}, {tasks} tasks");
+            assert_eq!(got64.data(), want64.data(), "dims {dims:?}, {tasks} tasks, f64 accumulation");
+        }
+    }
+
+    #[test]
+    fn gram_slabs_span_block_boundaries_bit_for_bit() {
+        // `before` = 1 (one column-major view), 19 and 33 (slab boundaries
+        // inside blocks), 20 (no boundary on a block edge until column
+        // 1280), 400 (blocks wider than a slab) — and 130 rows, above the
+        // row count where the column-panel schedule starts.
+        for dims in [[1, 12, 300], [19, 12, 30], [20, 48, 70], [33, 9, 17], [400, 5, 3], [20, 130, 13]] {
+            check_block_sequence::<f64>(&dims);
+            check_block_sequence::<f32>(&dims);
         }
     }
 

@@ -63,19 +63,10 @@ for row in mc["per_mode"]:
 print("metrics smoke: schema + passing model check OK")
 PY
 # A P_n = 1 mode runs the sequential local kernels (DESIGN.md §18): the
-# model check holds on a grid that has one, and on the all-ones grid a Gram
-# run makes one syrk call per contiguous view of each unfolding (1 + 16 + 1)
-# — not one per column of mode 0.
+# model check holds on a grid that has one (the gram gate below counts the
+# all-ones grid's syrk calls).
 "$tucker" simulate --grid 1x2x2 --kind random --dims 16x16x16 \
     --ranks 4x4x4 --svd qr --model-check
-"$tucker" simulate --grid 1x1x1 --kind random --dims 16x16x16 \
-    --ranks 4x4x4 --svd gram --metrics "$metrics_json"
-python3 - "$metrics_json" <<'PY'
-import json, sys
-calls = json.load(open(sys.argv[1]))["per_rank"][0]["counters"]["kernel/syrk/calls"]
-assert calls == 18, f"1x1x1 gram run made {calls} syrk calls, want 18"
-print("metrics smoke: P_n = 1 model check + one syrk per contiguous view OK")
-PY
 
 # Serve smoke: build a store, serve three verified queries from it (each
 # checked bit-exact against a full reconstruction in-process), and stream
@@ -396,6 +387,29 @@ simd="$(grep -rl 'target_feature' crates/*/src | tr '\n' ' ')"
     exit 1
 }
 echo "lq gate: lq_factor is the one way a matrix becomes L, tplqt has one body OK"
+
+# One syrk per Gram (DESIGN.md §10): an unfolding's row-major blocks reach
+# the kernel as one panel sequence — its slabs run across block boundaries —
+# so nothing outside crates/linalg loops over `.blocks()` to call syrk, and
+# on the all-ones grid a 16³ → 4³ Gram run makes one call per mode (not
+# 1 + 16 + 1 per contiguous view, nor one per column of mode 0) of
+# I_n²·cols_n model flops: 16²·(256 + 64 + 16).
+loops="$(grep -rlE 'for .* in .*\.blocks\(\)' crates/*/src | grep -v '^crates/linalg/' \
+    | xargs -r grep -l 'syrk' || true)"
+[ -z "$loops" ] || {
+    echo "gram gate: a .blocks() loop feeds syrk block by block in: $loops" >&2
+    exit 1
+}
+"$tucker" simulate --grid 1x1x1 --kind random --dims 16x16x16 \
+    --ranks 4x4x4 --svd gram --metrics "$metrics_json"
+python3 - "$metrics_json" <<'PY'
+import json, sys
+counters = json.load(open(sys.argv[1]))["per_rank"][0]["counters"]
+calls, flops = counters["kernel/syrk/calls"], counters["kernel/syrk/flops"]
+assert calls == 3, f"1x1x1 gram run made {calls} syrk calls, want one per mode"
+assert flops == 16 * 16 * (256 + 64 + 16), f"1x1x1 gram run counted {flops} syrk flops"
+print("gram gate: one syrk call per mode, model flops unchanged OK")
+PY
 
 # Benchmark smoke: every workload of benchmark/ at quarter shapes, traced.
 # Its oracles — the traced replay of the mode loop bit-identical to the

@@ -104,7 +104,7 @@ fn crash_then_resume_is_bit_identical_to_uninterrupted() {
             let mut world = Comm::world(ctx);
             let mut state =
                 HosvdState::init(&mut DistBackend { ctx, world: &mut world }, &dt, &cfg).unwrap();
-            state.step(&mut DistBackend { ctx, world: &mut world }, &cfg).unwrap();
+            state.step(&mut DistBackend { ctx, world: &mut world }, &dt, &cfg).unwrap();
             save_step(ctx, &mut world, &probe1, &state).unwrap();
             ctx.op_index()
         })

@@ -12,6 +12,10 @@
 //! and never a single allocation above the file's length + 64 KiB, which
 //! the counting allocator below observes. This binary exists so that it can
 //! install one.
+//!
+//! **No copy of the input.** The same allocator watches a decomposition:
+//! the mode loop borrows its input until the first truncation (DESIGN.md
+//! §18), so no single allocation reaches the tensor's own size.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -24,7 +28,8 @@ use tucker_rs::core::tucker_io::{
     write_tucker_atomic, AnyTucker,
 };
 use tucker_rs::core::{
-    read_shards, write_shards, DistBackend, HosvdState, SthosvdConfig, TuckerTensor,
+    read_shards, sthosvd, sthosvd_parallel, write_shards, DistBackend, HosvdState, SthosvdConfig,
+    SvdMethod, TuckerTensor,
 };
 use tucker_rs::dtensor::{DistTensor, ProcessorGrid};
 use tucker_rs::linalg::Matrix;
@@ -185,7 +190,7 @@ fn checkpoint_fixture(dir: &Path) -> HosvdState<f64> {
         let mut world = Comm::world(ctx);
         let mut state =
             HosvdState::init(&mut DistBackend { ctx, world: &mut world }, &x, &cfg).unwrap();
-        state.step(&mut DistBackend { ctx, world: &mut world }, &cfg).unwrap();
+        state.step(&mut DistBackend { ctx, world: &mut world }, &x, &cfg).unwrap();
         save_step(ctx, &mut world, dir, &state).unwrap();
         state
     });
@@ -215,11 +220,12 @@ fn tkcp_bytes(s: &HosvdState<f64>, version: u32) -> Vec<u8> {
             }
         }
     }
-    b.extend(u64s(s.y.global_dims()));
-    b.extend(u64s(s.y.grid().dims()));
-    b.extend(u64s(s.y.coords()));
-    b.extend(u64s(s.y.local().dims()));
-    b.extend(run(s.y.local().data()));
+    let y = s.y.as_ref().unwrap();
+    b.extend(u64s(y.global_dims()));
+    b.extend(u64s(y.grid().dims()));
+    b.extend(u64s(y.coords()));
+    b.extend(u64s(y.local().dims()));
+    b.extend(run(y.local().data()));
     if version >= 2 {
         b.extend(crc32(&b).to_le_bytes());
     }
@@ -476,7 +482,7 @@ fn fuzz_tkcp(name: &str, version: u32) {
     fuzz(name, &tkcp_bytes(&state, version), 12 + 8 * 7, reseal, &p, || {
         let Ok(s) = load_step(&dir, 1, 0, 1, &x, &cfg) else { return false };
         assert_eq!((s.done, s.factors.len(), s.tails_sq.len()), (1, 3, 1));
-        assert_eq!(s.y.local().dims().len(), 3);
+        assert_eq!(s.y.unwrap().local().dims().len(), 3);
         true
     });
     std::fs::remove_dir_all(dir).unwrap();
@@ -610,4 +616,34 @@ fn manifest_with_a_giant_shard_count_is_refused() {
         let e = read_shards::<f64>(p.parent().unwrap()).map(|(m, _)| m).unwrap_err();
         assert!(e.to_string().contains("shard999999999999999.tkr is missing"), "{e}");
     });
+}
+
+// ------------------------------------------------------ no copy of the input
+
+/// Largest single allocation `f` makes on this thread.
+fn peak_of<R>(f: impl FnOnce() -> R) -> usize {
+    PEAK.with(|p| p.set(0));
+    f();
+    PEAK.with(|p| p.get())
+}
+
+/// Truncating every mode to half its extent, the largest thing a
+/// decomposition allocates is the first truncated tensor (half the input);
+/// pack scratch and LQ panels are smaller still. An allocation of the
+/// input's size is a copy of the input.
+#[test]
+fn sthosvd_never_allocates_the_size_of_its_input() {
+    let x = Tensor::<f64>::from_fn(&[64, 64, 64], |i| ((i[0] * 5 + i[1] * 3 + i[2]) as f64 * 0.3).sin());
+    let input_bytes = std::mem::size_of_val(x.data());
+    for method in [SvdMethod::Gram, SvdMethod::Qr] {
+        let cfg = SthosvdConfig::with_ranks(vec![32, 32, 32]).method(method);
+        let dense = peak_of(|| sthosvd(&x, &cfg).unwrap());
+        assert!(dense < input_bytes, "{method:?}, dense: {dense} of {input_bytes} bytes at once");
+        let one_rank = Simulator::new(1).run(|ctx| {
+            let dt = DistTensor::scatter_from(&x, &ProcessorGrid::new(&[1, 1, 1]), 0);
+            peak_of(|| sthosvd_parallel(ctx, &dt, &cfg).unwrap())
+        });
+        let grid = one_rank.results[0];
+        assert!(grid < input_bytes, "{method:?}, 1x1x1 grid: {grid} of {input_bytes} bytes at once");
+    }
 }
