@@ -9,7 +9,7 @@
 //! Without the flag, collection stays off and the runs are untouched.
 
 use std::path::PathBuf;
-use tucker_core::ModelCheckReport;
+use tucker_core::{metrics_json, ModelCheckReport};
 use tucker_mpisim::{MetricsRegistry, Simulator};
 
 /// Metrics-export destination (`None`: never export).
@@ -49,15 +49,8 @@ impl MetricsSink {
             eprintln!("metrics export: cannot create {}: {e}", dir.display());
             return;
         }
-        let per_rank: Vec<String> = metrics.iter().map(|r| r.to_json()).collect();
-        let json = format!(
-            "{{\"schema\":\"tucker-metrics-v1\",\"ranks\":{},\"per_rank\":[{}],\"model_check\":{}}}\n",
-            metrics.len(),
-            per_rank.join(","),
-            report.map_or("null".to_string(), |r| r.to_json()),
-        );
         let path = dir.join(format!("{label}.metrics.json"));
-        if let Err(e) = std::fs::write(&path, json) {
+        if let Err(e) = std::fs::write(&path, metrics_json(metrics, report)) {
             eprintln!("metrics export: {}: {e}", path.display());
         }
     }

@@ -7,16 +7,15 @@ use tucker_core::tucker_io::{
     AnyTucker, TuckerHeader,
 };
 use tucker_core::{
-    check_model, optimize_mode_order, sthosvd_parallel, sthosvd_parallel_checkpointed,
-    sthosvd_with_info, CheckConfig, CheckpointOptions, ModeOrder, ModelCheckReport, OrderSearch,
-    SthosvdConfig, SvdMethod, TuckerTensor,
+    check_model, metrics_json, optimize_mode_order, sthosvd_parallel,
+    sthosvd_parallel_checkpointed, sthosvd_with_info, CheckConfig, CheckpointOptions, ModeOrder,
+    OrderSearch, SthosvdConfig, SvdMethod, TuckerTensor,
 };
 use tucker_data::{hcci_surrogate, hash_noise, sp_surrogate, video_surrogate};
 use tucker_dtensor::{DistTensor, ProcessorGrid};
 use tucker_linalg::{RandomizedSvdConfig, Scalar};
 use tucker_mpisim::{
-    chrome_trace_json, text_timeline, CostModel, FaultPlan, MetricsRegistry, Simulator,
-    ThreadTopology, TraceConfig,
+    chrome_trace_json, text_timeline, CostModel, FaultPlan, Simulator, ThreadTopology, TraceConfig,
 };
 use tucker_bench::{bench_dims, run_failover_bench, run_serve_bench, run_tier_workload};
 use tucker_serve::{
@@ -781,19 +780,6 @@ fn simulate(a: &Args) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Assemble the `--metrics` JSON document: per-rank registries plus the
-/// conformance report (when `--model-check` ran). Purely concatenative —
-/// every piece is already deterministic JSON.
-fn metrics_json(per_rank: &[MetricsRegistry], report: Option<&ModelCheckReport>) -> String {
-    let ranks: Vec<String> = per_rank.iter().map(|r| r.to_json()).collect();
-    format!(
-        "{{\"schema\":\"tucker-metrics-v1\",\"ranks\":{},\"per_rank\":[{}],\"model_check\":{}}}\n",
-        per_rank.len(),
-        ranks.join(","),
-        report.map_or("null".to_string(), |r| r.to_json()),
-    )
 }
 
 /// `tucker update`: append a delta slab along the time-like mode and

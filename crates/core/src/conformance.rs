@@ -26,7 +26,7 @@ use tucker_dtensor::{
     lq_flops, prev_power_of_two, sketch_cols, sketch_qr_flops, slab_exchange_counts, ReductionTree,
 };
 use tucker_linalg::randomized::{resolve_sketch_rows, sketch_block_count, RandomizedSvdConfig};
-use tucker_mpisim::{PhaseStat, RankStats};
+use tucker_mpisim::{json_f64 as jf, MetricsRegistry, PhaseStat, RankStats};
 
 /// Everything the analytic side needs to know about the run being checked.
 #[derive(Clone, Debug)]
@@ -153,13 +153,18 @@ impl ModelCheckReport {
     }
 }
 
-/// JSON number rendering (shortest round-trip; non-finite → null).
-fn jf(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
+/// The `tucker-metrics-v1` document behind `tucker simulate --metrics` and
+/// `figs --metrics`: per-rank registries plus the conformance report, when
+/// one was computed. Purely concatenative — every piece is already
+/// deterministic JSON.
+pub fn metrics_json(per_rank: &[MetricsRegistry], report: Option<&ModelCheckReport>) -> String {
+    let ranks: Vec<String> = per_rank.iter().map(|r| r.to_json()).collect();
+    format!(
+        "{{\"schema\":\"tucker-metrics-v1\",\"ranks\":{},\"per_rank\":[{}],\"model_check\":{}}}\n",
+        per_rank.len(),
+        ranks.join(","),
+        report.map_or("null".to_string(), |r| r.to_json()),
+    )
 }
 
 /// Analytic per-mode counts, all totals over the whole machine.

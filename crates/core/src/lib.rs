@@ -42,7 +42,7 @@ pub mod tucker_io;
 
 pub use checkpoint::{sthosvd_parallel_checkpointed, CheckpointError, CheckpointOptions};
 pub use config::{ModeOrder, SthosvdConfig, SvdMethod, Truncation};
-pub use conformance::{check_model, CheckConfig, ModeCheck, ModelCheckReport};
+pub use conformance::{check_model, metrics_json, CheckConfig, ModeCheck, ModelCheckReport};
 pub use parallel::{sthosvd_parallel, DistBackend, HosvdState, ParallelOutput};
 pub use shard::{read_shard_manifest, read_shards, shard_tucker, write_shards, ShardManifest};
 pub use sthosvd::{sthosvd, sthosvd_with_info, SthosvdOutput};

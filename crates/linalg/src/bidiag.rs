@@ -1,4 +1,4 @@
-//! Blocked Golub–Kahan Householder bidiagonalization.
+//! Golub–Kahan Householder bidiagonalization.
 //!
 //! Reduces an `m x n` matrix (`m ≥ n`) to upper bidiagonal form
 //! `B = U_lᵀ A V_r` by alternating left and right Householder reflectors, and
@@ -7,16 +7,12 @@
 //! SVD of the small triangular factor `L` in QR-SVD (paper §3.1 and §3.4
 //! "SVD of L").
 //!
-//! The reduction is blocked in the LAPACK `gebrd`/`labrd` style: each panel
-//! of [`BIDIAG_BLOCK`] columns is reduced with delayed trailing updates,
-//! accumulating `X = A·V·diag(taup)` and `Y = Aᵀ·U·diag(tauq)` one column at
-//! a time (the two large band GEMVs per column go through the register-tiled
-//! [`crate::gemm::gemm`] engine), and the trailing submatrix is then updated
-//! in two rank-`nb` GEMMs, `A₂₂ ← A₂₂ − U_p·Y₂ᵀ − X₂·V_p`, routed through
-//! [`crate::gemm::gemm_par`]. The final `≤ 2·nb` columns fall back to the
-//! unblocked column-at-a-time loop. Both phases are deterministic for any
-//! rayon pool size: the only parallel kernel is `gemm_par`, whose fixed
-//! column panels make it bit-identical across thread counts.
+//! The reduction is LAPACK's unblocked `gebd2`: one left and one right
+//! reflector per column, each applied to the whole trailing block before the
+//! next column is read. The inputs are the small triangles of QR-SVD (tens to
+//! a few hundred rows), where this serial loop is faster than the blocked
+//! `gebrd`/`labrd` form: at these sizes the blocked form's delayed-update
+//! bookkeeping costs more than its rank-`nb` GEMMs save (DESIGN.md §13).
 //!
 //! Failure paths are typed: a wide input is a
 //! [`LinalgError::DimensionMismatch`] and a non-finite band (NaN/Inf input,
@@ -25,15 +21,9 @@
 //! instead of aborting the run.
 
 use crate::error::{LinalgError, Result};
-use crate::gemm::{gemm, gemm_par};
 use crate::householder::{apply_reflector_left, make_reflector};
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
-
-/// Panel width of the blocked reduction. A fixed constant (never derived
-/// from the pool size) so the factorization is identical for every thread
-/// count.
-pub(crate) const BIDIAG_BLOCK: usize = 16;
 
 /// Result of a bidiagonalization.
 pub struct Bidiag<T> {
@@ -66,31 +56,7 @@ pub fn bidiagonalize<T: Scalar>(a: &mut Matrix<T>, want_u: bool, want_v: bool) -
     let mut rtaus = vec![T::ZERO; n.saturating_sub(1)];
 
     crate::perf::with_kernel("bidiag", crate::perf::bidiag_flops(m, n), 0, || {
-        let nb = BIDIAG_BLOCK;
-        let mut i0 = 0;
-        // Blocked phase: reduce an nb-column panel with delayed updates, then
-        // apply the aggregate trailing update as two GEMMs. Stop while the
-        // trailing block is still large enough for the GEMMs to pay off.
-        while n - i0 > 2 * nb {
-            let (x, y) = labrd_panel(a, i0, nb, &mut d, &mut e, &mut ltaus, &mut rtaus);
-            let m2 = m - i0 - nb;
-            let n2 = n - i0 - nb;
-            // The update reads the panel reflector blocks while writing A22,
-            // so copy them out first (they are O(nb·(m+n)), tiny next to the
-            // O(nb·m2·n2) update itself).
-            let up = Matrix::from_fn(m2, nb, |r, c| a[(i0 + nb + r, i0 + c)]);
-            let vp = Matrix::from_fn(nb, n2, |r, c| a[(i0 + r, i0 + nb + c)]);
-            let y2 = y.as_ref();
-            let y2 = y2.submatrix(nb, 0, n2, nb);
-            let x2 = x.as_ref();
-            let x2 = x2.submatrix(nb, 0, m2, nb);
-            let mut am = a.as_mut();
-            let mut a22 = am.submatrix_mut(i0 + nb, i0 + nb, m2, n2);
-            gemm_par(-T::ONE, up.as_ref(), y2.t(), &mut a22);
-            gemm_par(-T::ONE, x2, vp.as_ref(), &mut a22);
-            i0 += nb;
-        }
-        bidiag_unblocked_range(a, i0, &mut d, &mut e, &mut ltaus, &mut rtaus);
+        gebd2(a, &mut d, &mut e, &mut ltaus, &mut rtaus)
     });
 
     for i in 0..n {
@@ -107,8 +73,8 @@ pub fn bidiagonalize<T: Scalar>(a: &mut Matrix<T>, want_u: bool, want_v: bool) -
     let mut buf = vec![T::ZERO; m.max(n).max(1)];
 
     // Backward accumulation of the thin U_l = H^l_0 · · · H^l_{n-1} · I(m x n).
-    // Reads only the reflector tails stored in `a` (never the diagonal, which
-    // the blocked panels overwrite with the implicit leading 1).
+    // Reads only the reflector tails stored in `a`; the implicit leading 1 is
+    // supplied here.
     let u = want_u.then(|| {
         let mut u = Matrix::<T>::zeros(m, n);
         for i in 0..n {
@@ -152,191 +118,14 @@ pub fn bidiagonalize<T: Scalar>(a: &mut Matrix<T>, want_u: bool, want_v: bool) -
     Ok(Bidiag { d, e, u, v })
 }
 
-/// LAPACK `labrd`: reduce the `nb`-column panel starting at `(i0, i0)` to
-/// bidiagonal form with delayed trailing updates, returning the accumulators
-/// `X` (`(m-i0) x nb`) and `Y` (`(n-i0) x nb`) for the caller's trailing
-/// GEMMs. Fills the global `d[g]`, `e[g+1]`, `ltaus[g]`, `rtaus[g]` entries
-/// for each panel column `g = i0 + i`, and leaves the implicit `1` of each
-/// reflector at `a[(g, g)]` / `a[(g, g+1)]` (the band values live in `d`/`e`,
-/// not in `a`).
-///
-/// Requires `n - i0 > 2 * nb` (checked by the caller's loop condition), so
-/// every panel column has a nonempty right tail and trailing block.
-fn labrd_panel<T: Scalar>(
-    a: &mut Matrix<T>,
-    i0: usize,
-    nb: usize,
-    d: &mut [T],
-    e: &mut [T],
-    ltaus: &mut [T],
-    rtaus: &mut [T],
-) -> (Matrix<T>, Matrix<T>) {
-    let (m, n) = a.shape();
-    let ml = m - i0; // local rows (X rows): global row r <-> local r - i0
-    let nl = n - i0; // local cols (Y rows): global col c <-> local c - i0
-    let mut x = Matrix::<T>::zeros(ml, nb);
-    let mut y = Matrix::<T>::zeros(nl, nb);
-    let mut buf = vec![T::ZERO; ml.max(nl)];
-    let mut tmp = vec![T::ZERO; nb];
-
-    for i in 0..nb {
-        let g = i0 + i;
-
-        // Bring column g up to date with the i delayed reflector pairs:
-        // A(g.., g) -= A(g.., i0..g)·Y(i, ..i)ᵀ + X(g.., ..i)·A(i0..g, g).
-        for j in 0..i {
-            let yv = y[(i, j)];
-            let av = a[(i0 + j, g)];
-            for r in g..m {
-                let delta = a[(r, i0 + j)] * yv + x[(r - i0, j)] * av;
-                a[(r, g)] -= delta;
-            }
-        }
-
-        // Left reflector annihilating A(g+1.., g).
-        let tail = m - g - 1;
-        for r in 0..tail {
-            buf[r + 1] = a[(g + 1 + r, g)];
-        }
-        let (beta, ltau) = make_reflector(a[(g, g)], &mut buf[1..=tail]);
-        d[g] = beta;
-        ltaus[g] = ltau;
-        for r in 0..tail {
-            a[(g + 1 + r, g)] = buf[r + 1];
-        }
-        a[(g, g)] = T::ONE; // v's implicit head, read by the GEMVs below
-
-        // Y(i+1.., i) = tauq · (A(g.., g+1..)ᵀ·v − corrections). The band
-        // GEMV is the panel's dominant read and goes through the tiled
-        // engine; the corrections are O(nb·(m+n)) scalar loops.
-        {
-            let av = a.as_ref();
-            let v = av.submatrix(g, g, m - g, 1);
-            let block = av.submatrix(g, g + 1, m - g, n - g - 1);
-            let mut ym = y.as_mut();
-            let mut ycol = ym.submatrix_mut(i + 1, i, nl - i - 1, 1);
-            gemm(T::ONE, block.t(), v, T::ZERO, &mut ycol);
-        }
-        for j in 0..i {
-            let mut acc = T::ZERO;
-            for r in g..m {
-                acc += a[(r, i0 + j)] * a[(r, g)];
-            }
-            tmp[j] = acc;
-        }
-        for c in i + 1..nl {
-            let mut acc = T::ZERO;
-            for j in 0..i {
-                acc += y[(c, j)] * tmp[j];
-            }
-            y[(c, i)] -= acc;
-        }
-        for j in 0..i {
-            let mut acc = T::ZERO;
-            for r in g..m {
-                acc += x[(r - i0, j)] * a[(r, g)];
-            }
-            tmp[j] = acc;
-        }
-        for c in i + 1..nl {
-            let gc = i0 + c;
-            let mut acc = T::ZERO;
-            for j in 0..i {
-                acc += a[(i0 + j, gc)] * tmp[j];
-            }
-            y[(c, i)] -= acc;
-        }
-        for c in i + 1..nl {
-            y[(c, i)] *= ltau;
-        }
-
-        // Bring row g up to date:
-        // A(g, g+1..) -= Y(i+1.., ..=i)·A(g, i0..=g) + A(i0..g, g+1..)ᵀ·X(i, ..i).
-        for c in i + 1..nl {
-            let gc = i0 + c;
-            let mut acc = T::ZERO;
-            for j in 0..=i {
-                acc += y[(c, j)] * a[(g, i0 + j)];
-            }
-            for j in 0..i {
-                acc += a[(i0 + j, gc)] * x[(i, j)];
-            }
-            a[(g, gc)] -= acc;
-        }
-
-        // Right reflector annihilating A(g, g+2..).
-        let rtail = n - g - 2;
-        for r in 0..rtail {
-            buf[r + 1] = a[(g, g + 2 + r)];
-        }
-        let (rbeta, rtau) = make_reflector(a[(g, g + 1)], &mut buf[1..=rtail]);
-        e[g + 1] = rbeta;
-        rtaus[g] = rtau;
-        for r in 0..rtail {
-            a[(g, g + 2 + r)] = buf[r + 1];
-        }
-        a[(g, g + 1)] = T::ONE; // u's implicit head
-
-        // X(i+1.., i) = taup · (A(g+1.., g+1..)·u − corrections).
-        {
-            let av = a.as_ref();
-            let u = av.submatrix(g, g + 1, 1, n - g - 1);
-            let block = av.submatrix(g + 1, g + 1, m - g - 1, n - g - 1);
-            let mut xm = x.as_mut();
-            let mut xcol = xm.submatrix_mut(i + 1, i, ml - i - 1, 1);
-            gemm(T::ONE, block, u.t(), T::ZERO, &mut xcol);
-        }
-        for j in 0..=i {
-            let mut acc = T::ZERO;
-            for c in i + 1..nl {
-                acc += y[(c, j)] * a[(g, i0 + c)];
-            }
-            tmp[j] = acc;
-        }
-        for r in i + 1..ml {
-            let gr = i0 + r;
-            let mut acc = T::ZERO;
-            for j in 0..=i {
-                acc += a[(gr, i0 + j)] * tmp[j];
-            }
-            x[(r, i)] -= acc;
-        }
-        for j in 0..i {
-            let gj = i0 + j;
-            let mut acc = T::ZERO;
-            for c in i + 1..nl {
-                acc += a[(gj, i0 + c)] * a[(g, i0 + c)];
-            }
-            tmp[j] = acc;
-        }
-        for r in i + 1..ml {
-            let mut acc = T::ZERO;
-            for j in 0..i {
-                acc += x[(r, j)] * tmp[j];
-            }
-            x[(r, i)] -= acc;
-        }
-        for r in i + 1..ml {
-            x[(r, i)] *= rtau;
-        }
-    }
-    (x, y)
-}
-
-/// The original unblocked column-at-a-time reduction, restricted to global
-/// columns `start..n` (with `start = 0` this is the whole factorization).
-/// The trailing submatrix is fully up to date when each column is processed.
-fn bidiag_unblocked_range<T: Scalar>(
-    a: &mut Matrix<T>,
-    start: usize,
-    d: &mut [T],
-    e: &mut [T],
-    ltaus: &mut [T],
-    rtaus: &mut [T],
-) {
+/// LAPACK `gebd2`, the column-at-a-time reduction: fills `d`, `e` and the
+/// reflector scalars, and leaves each reflector's tail in `a` below the
+/// diagonal (left) or right of the superdiagonal (right). The trailing
+/// submatrix is fully up to date when each column is processed.
+fn gebd2<T: Scalar>(a: &mut Matrix<T>, d: &mut [T], e: &mut [T], ltaus: &mut [T], rtaus: &mut [T]) {
     let (m, n) = a.shape();
     let mut buf = vec![T::ZERO; m.max(n).max(1)];
-    for i in start..n {
+    for i in 0..n {
         // Left reflector annihilating A[i+1.., i].
         let tail = m - i - 1;
         for r in 0..tail {
@@ -440,8 +229,6 @@ mod tests {
 
     #[test]
     fn blocked_path_square() {
-        // n > 2 * BIDIAG_BLOCK exercises the labrd panels + trailing GEMMs.
-        const { assert!(48 > 2 * BIDIAG_BLOCK) };
         check(&pseudo_matrix(48, 48, 5), 1e-11);
     }
 

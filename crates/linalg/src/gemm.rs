@@ -98,7 +98,7 @@ pub fn gemm<T: Scalar>(alpha: T, a: MatRef<'_, T>, b: MatRef<'_, T>, beta: T, c:
 ///
 /// This is the accumulate counterpart of [`gemm_into`] for callers that
 /// update a submatrix in place — the compact-WY trailing updates of the
-/// blocked QR/LQ and the band updates of the blocked bidiagonalization.
+/// blocked QR/LQ.
 /// Each panel is produced by the serial register-tiled [`gemm`] over the
 /// full inner dimension, and the panel boundaries are a fixed constant
 /// ([`PAR_COL_CHUNK`]) independent of the pool size, so the result is

@@ -28,9 +28,15 @@ pub fn gram_svd<T: Scalar>(a: MatRef<'_, T>) -> Result<(Matrix<T>, Vec<T>)> {
 /// the entry point for the parallel algorithm, where the Gram matrix is
 /// produced by local `syrk`s and an all-reduce.
 pub fn gram_svd_from_gram<T: Scalar>(g: &Matrix<T>) -> Result<(Matrix<T>, Vec<T>)> {
+    left_from_gram(g)
+}
+
+/// Eigendecomposition of a Gram matrix in its own precision `G`, returned as
+/// `(U, σ)` in `T`: `σᵢ = √|λᵢ|`, sorted descending by σ (equivalently
+/// `|λ|`). With `T = G` the cast through `f64` is exact.
+pub(crate) fn left_from_gram<G: Scalar, T: Scalar>(g: &Matrix<G>) -> Result<(Matrix<T>, Vec<T>)> {
     let out = syev(g)?;
     let m = g.rows();
-    // σᵢ = sqrt(|λᵢ|), sorted descending by σ (equivalently |λ|).
     let mut order: Vec<usize> = (0..m).collect();
     order.sort_by(|&i, &j| {
         out.values[j]
@@ -38,11 +44,13 @@ pub fn gram_svd_from_gram<T: Scalar>(g: &Matrix<T>) -> Result<(Matrix<T>, Vec<T>
             .partial_cmp(&out.values[i].abs())
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    let mut u = Matrix::zeros(m, m);
+    let mut u = Matrix::<T>::zeros(m, m);
     let mut sigma = Vec::with_capacity(m);
     for (dst, &src) in order.iter().enumerate() {
-        sigma.push(out.values[src].abs().sqrt());
-        u.col_mut(dst).copy_from_slice(out.vectors.col(src));
+        sigma.push(T::from_f64(out.values[src].abs().sqrt().to_f64()));
+        for (d, &s) in u.col_mut(dst).iter_mut().zip(out.vectors.col(src)) {
+            *d = T::from_f64(s.to_f64());
+        }
     }
     Ok((u, sigma))
 }

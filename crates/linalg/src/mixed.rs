@@ -11,7 +11,6 @@
 //! (`~ε_s‖A‖`), at Gram-like structure: one `syrk` pass (in f64 arithmetic)
 //! and a small dense eigenproblem, no LQ.
 
-use crate::eig::syev;
 use crate::error::Result;
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
@@ -37,24 +36,7 @@ pub fn gram_svd_mixed<T: Scalar>(a: MatRef<'_, T>) -> Result<(Matrix<T>, Vec<T>)
 /// the entry point for the parallel algorithm (local mixed `syrk`s, `f64`
 /// all-reduce, redundant `f64` eigendecomposition).
 pub fn gram_svd_mixed_from_gram<T: Scalar>(g: &Matrix<f64>) -> Result<(Matrix<T>, Vec<T>)> {
-    let out = syev(g)?;
-    let m = g.rows();
-    let mut order: Vec<usize> = (0..m).collect();
-    order.sort_by(|&i, &j| {
-        out.values[j]
-            .abs()
-            .partial_cmp(&out.values[i].abs())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut u = Matrix::<T>::zeros(m, m);
-    let mut sigma = Vec::with_capacity(m);
-    for (dst, &src) in order.iter().enumerate() {
-        sigma.push(T::from_f64(out.values[src].abs().sqrt()));
-        for (d, &s) in u.col_mut(dst).iter_mut().zip(out.vectors.col(src)) {
-            *d = T::from_f64(s);
-        }
-    }
-    Ok((u, sigma))
+    crate::gram_svd::left_from_gram(g)
 }
 
 #[cfg(test)]

@@ -11,20 +11,10 @@ use crate::bidiag::bidiagonalize;
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
-use crate::view::{MatMut, MatRef};
-use rayon::prelude::*;
+use crate::view::MatRef;
 
 /// Maximum implicit-QR sweeps per singular value before giving up.
 const MAX_SWEEPS: usize = 75;
-
-/// Deferred-rotation list length that triggers an eager flush onto U/V,
-/// bounding the memory held by the back-transformation log.
-const OP_FLUSH: usize = 1 << 16;
-
-/// Rows per parallel band in [`apply_col_ops`]. A fixed constant: band
-/// boundaries never influence any row's arithmetic, so the value only tunes
-/// granularity, not results.
-const ROW_BAND: usize = 128;
 
 /// SVD result: `A ≈ U · diag(s) · Vᵀ`.
 pub struct SvdOutput<T> {
@@ -82,11 +72,9 @@ pub fn singular_values<T: Scalar>(a: MatRef<'_, T>) -> Result<Vec<T>> {
 /// rotations into the columns of `v`. On return `d` holds the non-negative
 /// (unsorted) singular values.
 ///
-/// The rotations are not applied inline: the d/e iteration never reads U or
-/// V, so the sweep records every column operation into a log and the
-/// back-transformation replays the log onto U/V in parallel row bands
-/// ([`apply_col_ops`]), flushing eagerly past [`OP_FLUSH`] entries. The
-/// replay is bit-identical to inline application for every thread count.
+/// Each rotation is applied to its two columns the moment it is generated:
+/// a column of `u`/`v` is contiguous, so the pair stays in cache, and the
+/// whole iteration is serial.
 ///
 /// Failure paths are typed ([`LinalgError::NoConvergence`] on a stalled
 /// value, [`LinalgError::NonFinite`] on a NaN/Inf band); on error the
@@ -121,28 +109,9 @@ pub fn bdsqr<T: Scalar>(
     }
     let eps = T::EPSILON;
 
-    let record_u = u.is_some();
-    let record_v = v.is_some();
-    let mut uops: Vec<ColOp<T>> = Vec::new();
-    let mut vops: Vec<ColOp<T>> = Vec::new();
-
     for k in (0..n).rev() {
         let mut its = 0usize;
         loop {
-            // Bound the log: past OP_FLUSH entries, replay onto the targets
-            // and start a fresh batch.
-            if uops.len() >= OP_FLUSH {
-                if let Some(uu) = u.as_deref_mut() {
-                    apply_col_ops(uu, &uops);
-                }
-                uops.clear();
-            }
-            if vops.len() >= OP_FLUSH {
-                if let Some(vv) = v.as_deref_mut() {
-                    apply_col_ops(vv, &vops);
-                }
-                vops.clear();
-            }
             // Find a split point: the block [l..=k] has nonzero superdiagonal
             // entries; either e[l] is negligible (clean split) or d[l-1] is
             // negligible (requires cancellation of e[l]). e[0] is zero, so
@@ -179,8 +148,8 @@ pub fn bdsqr<T: Scalar>(
                     d[i] = h;
                     c = g / h;
                     s = -f / h;
-                    if record_u {
-                        uops.push(ColOp::Rot { j: lm1 as u32, i: i as u32, c, s });
+                    if let Some(uu) = u.as_deref_mut() {
+                        rotate_cols(uu, lm1, i, c, s);
                     }
                 }
             }
@@ -190,8 +159,8 @@ pub fn bdsqr<T: Scalar>(
                 // Converged: 1x1 block.
                 if z < T::ZERO {
                     d[k] = -z;
-                    if record_v {
-                        vops.push(ColOp::Neg { j: k as u32 });
+                    if let Some(vv) = v.as_deref_mut() {
+                        negate_col(vv, k);
                     }
                 }
                 break;
@@ -228,8 +197,8 @@ pub fn bdsqr<T: Scalar>(
                 g = g * c - x * s;
                 h = y * s;
                 y *= c;
-                if record_v {
-                    vops.push(ColOp::Rot { j: j as u32, i: i as u32, c, s });
+                if let Some(vv) = v.as_deref_mut() {
+                    rotate_cols(vv, j, i, c, s);
                 }
                 zz = f.hypot(h);
                 d[j] = zz;
@@ -240,20 +209,14 @@ pub fn bdsqr<T: Scalar>(
                 }
                 f = c * g + s * y;
                 x = c * y - s * g;
-                if record_u {
-                    uops.push(ColOp::Rot { j: j as u32, i: i as u32, c, s });
+                if let Some(uu) = u.as_deref_mut() {
+                    rotate_cols(uu, j, i, c, s);
                 }
             }
             e[l] = T::ZERO;
             e[k] = f;
             d[k] = x;
         }
-    }
-    if let Some(uu) = u {
-        apply_col_ops(uu, &uops);
-    }
-    if let Some(vv) = v {
-        apply_col_ops(vv, &vops);
     }
     // A degenerate shift (zero pivot) can drive the chase non-finite without
     // exhausting the sweep budget; keep that failure typed too.
@@ -263,71 +226,6 @@ pub fn bdsqr<T: Scalar>(
         }
     }
     Ok(())
-}
-
-/// A deferred column operation on U or V, recorded during the bidiagonal
-/// iteration and replayed by [`apply_col_ops`].
-#[derive(Clone, Copy)]
-enum ColOp<T> {
-    /// Givens rotation of columns `(j, i)`, same convention as
-    /// [`rotate_cols`].
-    Rot { j: u32, i: u32, c: T, s: T },
-    /// Negate column `j`.
-    Neg { j: u32 },
-}
-
-/// Replay a column-operation log onto `mat`.
-///
-/// Column rotations act on each row independently, so the matrix is
-/// transposed into row-major scratch, the whole log is streamed over fixed
-/// [`ROW_BAND`]-row bands in parallel, and the result transposed back. Every
-/// row applies the ops in log order with the exact expressions of
-/// [`rotate_cols`], so the result is bit-identical to serial inline
-/// application regardless of thread count or band partition. Small problems
-/// skip the transposes and apply in place.
-fn apply_col_ops<T: Scalar>(mat: &mut Matrix<T>, ops: &[ColOp<T>]) {
-    if ops.is_empty() {
-        return;
-    }
-    let (rows, cols) = mat.shape();
-    if rows == 0 || cols == 0 {
-        return;
-    }
-    if rows.saturating_mul(ops.len()) < 1 << 14 {
-        for op in ops {
-            match *op {
-                ColOp::Rot { j, i, c, s } => rotate_cols(mat, j as usize, i as usize, c, s),
-                ColOp::Neg { j } => negate_col(mat, j as usize),
-            }
-        }
-        return;
-    }
-    let mut scratch = vec![T::ZERO; rows * cols];
-    {
-        let mut rm = MatMut::strided(&mut scratch, cols, rows, 1, cols);
-        crate::blocked_qr::transpose_into(mat.as_ref(), &mut rm);
-    }
-    scratch.par_chunks_mut(ROW_BAND * cols).for_each(|band| {
-        for row in band.chunks_mut(cols) {
-            for op in ops {
-                match *op {
-                    ColOp::Rot { j, i, c, s } => {
-                        let (j, i) = (j as usize, i as usize);
-                        let xj = row[j];
-                        let xi = row[i];
-                        row[j] = c * xj + s * xi;
-                        row[i] = c * xi - s * xj;
-                    }
-                    ColOp::Neg { j } => {
-                        let j = j as usize;
-                        row[j] = -row[j];
-                    }
-                }
-            }
-        }
-    });
-    let rm = MatRef::strided(&scratch, cols, rows, 1, cols);
-    crate::blocked_qr::transpose_into(rm, &mut mat.as_mut());
 }
 
 /// Apply a Givens rotation to columns `(j, i)` of `m`:
@@ -398,18 +296,18 @@ mod tests {
         })
     }
 
-    fn check_full_svd(a: &Matrix<f64>, tol: f64) {
+    fn check_full_svd<T: Scalar>(a: &Matrix<T>, tol: f64) {
         let out = svd(a.as_ref(), true, true).unwrap();
         let u = out.u.unwrap();
         let v = out.v.unwrap();
         let k = a.rows().min(a.cols());
         assert_eq!(u.shape(), (a.rows(), k));
         assert_eq!(v.shape(), (a.cols(), k));
-        assert!(u.orthonormality_error() < tol, "U not orthonormal");
-        assert!(v.orthonormality_error() < tol, "V not orthonormal");
+        assert!(u.orthonormality_error().to_f64() < tol, "U not orthonormal");
+        assert!(v.orthonormality_error().to_f64() < tol, "V not orthonormal");
         // Non-negative descending.
         for i in 0..k {
-            assert!(out.s[i] >= 0.0);
+            assert!(out.s[i] >= T::ZERO);
             if i > 0 {
                 assert!(out.s[i - 1] >= out.s[i]);
             }
@@ -423,7 +321,8 @@ mod tests {
             }
         }
         let recon = gemm_into(us.as_ref(), Trans::No, v.as_ref(), Trans::Yes);
-        assert!(recon.max_abs_diff(a) < tol * a.max_abs().max(1.0), "A != U Σ Vᵀ");
+        let scale = a.max_abs().to_f64().max(1.0);
+        assert!(recon.max_abs_diff(a).to_f64() < tol * scale, "A != U Σ Vᵀ");
     }
 
     #[test]
@@ -573,11 +472,17 @@ mod tests {
     }
 
     #[test]
-    fn blocked_bidiag_and_banded_backtransform_paths() {
-        // 64 > 2 * BIDIAG_BLOCK exercises the labrd panels, and the rotation
-        // log is large enough for the banded parallel back-transformation.
+    fn large_squares_and_lq_triangles() {
         check_full_svd(&pseudo_matrix(64, 64, 11), 1e-11);
         check_full_svd(&pseudo_matrix(90, 40, 12), 1e-11);
+        // The triangles the drivers hand the SVD: `L` of a short-fat matrix,
+        // on both sides of the LQ's flat-tree/compact-WY row split.
+        for (m, seed) in [(130, 14), (456, 15)] {
+            let a = pseudo_matrix(m, 4096, seed);
+            check_full_svd(&crate::lq::lq_factor(a.as_ref()), 1e-12);
+            let a32 = Matrix::<f32>::from_fn(m, 4096, |i, j| a[(i, j)] as f32);
+            check_full_svd(&crate::lq::lq_factor(a32.as_ref()), 2e-4);
+        }
     }
 
     #[test]

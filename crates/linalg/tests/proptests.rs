@@ -491,10 +491,8 @@ proptest! {
 
 /// Deterministic large-shape determinism check: sizes chosen so the
 /// *parallel* code paths actually engage — the 2D-tiled `gemm_into` inside
-/// the WY trailing update needs ≥ 2²² flops, and the deferred-rotation
-/// back-transformation of the SVD switches to banded parallel replay once
-/// `rows · ops ≥ 2¹⁴`. Proptest-sized inputs stay on the serial fast paths,
-/// so this case is pinned explicitly.
+/// the WY trailing update needs ≥ 2²² flops. Proptest-sized inputs stay on
+/// the serial fast paths, so this case is pinned explicitly.
 #[test]
 fn parallel_paths_bitwise_across_pools() {
     // 48 × 6000: the QR trailing block is ~6000 columns wide, so the
@@ -504,9 +502,9 @@ fn parallel_paths_bitwise_across_pools() {
     check_bitwise_across_pools(&a64, 16);
     let a32 = seeded::<f32>(48, 6000, 101);
     check_bitwise_across_pools(&a32, 16);
-    // 400 × 400: the blocked bidiagonalization's A₂₂ update is wide enough
-    // for gemm_par, and the U/V back-transformations cross the
-    // rows · ops ≥ 2¹⁴ threshold into the banded parallel rotation replay.
+    // 400 × 400: the compact-WY QR and LQ trailing updates (rank 16 over
+    // ~400 × 400) cross the 2²²-flop line into the parallel GEMM. The SVD of
+    // the same matrix is serial; it rides along as a determinism check.
     let sq = seeded::<f64>(400, 400, 103);
     check_bitwise_across_pools(&sq, 16);
 }

@@ -28,8 +28,8 @@ fi
     --ranks 4x4x4 --checkpoint-dir "$ckpt" --resume
 echo "chaos smoke: crash -> resume cycle OK"
 
-# Factorization determinism: the PR6 proptests (blocked QR/LQ/bidiag-SVD
-# bit-identical across task budgets, backward error on rank-deficient
+# Factorization determinism: the linalg proptests (blocked QR, LQ and the
+# SVD bit-identical across task budgets, backward error on rank-deficient
 # inputs) run as part of the workspace tests above; re-run the suite
 # explicitly under --locked so a filtered workspace run cannot skip it.
 cargo test -q -p tucker-linalg --test proptests --locked
@@ -387,6 +387,15 @@ simd="$(grep -rl 'target_feature' crates/*/src | tr '\n' ' ')"
     exit 1
 }
 echo "lq gate: lq_factor is the one way a matrix becomes L, tplqt has one body OK"
+
+# One serial SVD (DESIGN.md §13): the small SVD of L is the unblocked
+# Golub–Kahan reduction and an implicit-QR sweep that rotates U/V in place;
+# neither half reaches for the thread pool.
+if grep -nE 'rayon|par_|gemm_par' crates/linalg/src/svd.rs crates/linalg/src/bidiag.rs; then
+    echo "svd gate: the SVD of L went parallel again" >&2
+    exit 1
+fi
+echo "svd gate: svd.rs and bidiag.rs are serial OK"
 
 # One syrk per Gram (DESIGN.md §10): an unfolding's row-major blocks reach
 # the kernel as one panel sequence — its slabs run across block boundaries —
