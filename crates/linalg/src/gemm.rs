@@ -263,8 +263,9 @@ pub fn gemm_into<T: Scalar>(a: MatRef<'_, T>, ta: Trans, b: MatRef<'_, T>, tb: T
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     assert_eq!(b.rows(), k, "gemm_into: inner dimension mismatch");
     let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
-    // The serial path's nested `gemm` and the rayon-worker tile calls are
-    // both guarded; this outermost frame records the logical multiply once.
+    // The serial path's nested `gemm` and the tile calls this thread drains
+    // are guarded, pool workers never collect: this outermost frame records
+    // the logical multiply once.
     crate::perf::with_kernel("gemm", flops as u64, crate::perf::gemm_pack_bytes::<T>(m, k, n), || {
         let mut c = Matrix::<T>::zeros(m, n);
         let threads = rayon::current_num_threads();

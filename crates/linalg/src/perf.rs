@@ -15,10 +15,15 @@
 //! * **Depth guard** — nested kernel calls (`lq_factor` → `tplqt`,
 //!   `gemm_into` → `gemm`, blocked QR panels) record only at the outermost
 //!   instrumented frame, so one logical kernel invocation is one record.
-//! * **Thread locality** — work dispatched to rayon workers is invisible to
-//!   the collector (the workers' thread-locals are disabled); the outermost
-//!   frame on the owning thread still records the full logical call, so
-//!   nothing is double-counted.
+//! * **Thread locality** — a parallel call's items run on the calling thread
+//!   and on pool workers. The items the caller drains itself run inside its
+//!   outermost frame, so the depth guard drops their nested records; the
+//!   workers never enable a collector, so theirs go nowhere. Either way the
+//!   outermost frame records the full logical call once, whichever thread
+//!   ran which item — which holds because every item body that reaches an
+//!   instrumented kernel does so under such a frame (tiled `gemm_into`,
+//!   `gemm_par`); the items of a general-mode TTM and of a column-panel
+//!   SYRK call uninstrumented drivers.
 //! * **Zero cost when disabled** — the fast path is a single thread-local
 //!   `Option` check; no map is touched.
 //!
@@ -211,8 +216,9 @@ mod tests {
         enable();
         let a = pseudo(8, 600, 4);
         let _ = syrk_lower(a.as_ref());
-        // Large enough for gemm_into's parallel path: the rayon workers are
-        // invisible, the top-level call still records exactly once.
+        // Large enough for gemm_into's parallel path: the tiles this thread
+        // runs are nested frames, the workers' go unrecorded, and the
+        // top-level call records exactly once.
         let b = pseudo(600, 2000, 5);
         let big = pseudo(200, 600, 6);
         let _ = gemm_into(big.as_ref(), Trans::No, b.as_ref(), Trans::No);

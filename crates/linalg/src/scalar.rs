@@ -127,10 +127,16 @@ pub trait Scalar:
     /// companion.
     fn axpy(alpha: Self, x: &[Self], y: &mut [Self]);
 
-    /// Run `f` with two zero-initialized pack buffers of at least the given
+    /// Run `f` with two initialized pack buffers of at least the given
     /// lengths, reusing a thread-local allocation across calls (the pack
     /// scratch of the blocked GEMM — per-call `vec!`s would dominate small
-    /// multiplies). Falls back to fresh buffers on re-entrant use.
+    /// multiplies). Each buffer is allocated once per thread, on first use,
+    /// with room for a full `KC × NC` slab ([`crate::kernel`]), and again
+    /// only for a request above that: a scratch reallocated request by
+    /// request moves mid-run and can split the hole a tensor-sized
+    /// allocation later needs. Only the prefix requests have reached is
+    /// initialized, so pages no request touched cost no memory. Falls back
+    /// to fresh buffers on re-entrant use.
     fn with_pack_scratch<R>(
         a_len: usize,
         b_len: usize,
@@ -272,15 +278,20 @@ macro_rules! impl_scalar {
                     static SCRATCH: RefCell<(Vec<$t>, Vec<$t>)> =
                         const { RefCell::new((Vec::new(), Vec::new())) };
                 }
+                use crate::kernel::{round_up, KC, NC};
+                let fit = |buf: &mut Vec<$t>, len: usize| {
+                    if buf.capacity() < len {
+                        *buf = Vec::with_capacity(len.max(KC * round_up(NC, $nr)));
+                    }
+                    if buf.len() < len {
+                        buf.resize(len, 0.0);
+                    }
+                };
                 SCRATCH.with(|cell| match cell.try_borrow_mut() {
                     Ok(mut s) => {
                         let (a, b) = &mut *s;
-                        if a.len() < a_len {
-                            a.resize(a_len, 0.0);
-                        }
-                        if b.len() < b_len {
-                            b.resize(b_len, 0.0);
-                        }
+                        fit(a, a_len);
+                        fit(b, b_len);
                         f(&mut a[..a_len], &mut b[..b_len])
                     }
                     // Re-entrant call (a kernel invoked from inside another
@@ -626,6 +637,23 @@ mod tests {
                 assert!((yv[i].to_f64() - want).abs() <= slack, "AVX2 axpy, n = {n}, i = {i}");
             }
         }
+    }
+
+    /// The scratch a thread packs into is allocated once: a first, small
+    /// request already reserves a full `KC × NC` slab, so the largest
+    /// request of a full-size `gemm_blocked` lands in the same two buffers.
+    fn check_scratch_allocated_once<T: Scalar>() {
+        use crate::kernel::{KC, NC};
+        let at = |a_len, b_len| T::with_pack_scratch(a_len, b_len, |a, b| (a.as_ptr(), b.as_ptr()));
+        let small = at(8, 8);
+        assert_eq!(at(KC * NC, KC * NC), small, "{}", T::PRECISION_NAME);
+        assert_eq!(at(0, 1), small, "{}", T::PRECISION_NAME);
+    }
+
+    #[test]
+    fn pack_scratch_is_allocated_once_per_thread() {
+        check_scratch_allocated_once::<f64>();
+        check_scratch_allocated_once::<f32>();
     }
 
     #[test]

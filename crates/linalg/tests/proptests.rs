@@ -9,7 +9,8 @@ use tucker_linalg::svd::svd;
 use tucker_linalg::syrk_lower;
 use tucker_linalg::tplqt::tplqt;
 use tucker_linalg::tslq::{tslq_blocks, TslqOptions};
-use tucker_linalg::{syev, syrk_lower_f64_acc, MatMut, MatRef, Matrix, Scalar};
+use tucker_linalg::{perf, syev, syrk_lower_f64_acc, MatMut, MatRef, Matrix, Scalar};
+use tucker_tensor::{ttm, Tensor};
 
 fn matrix_strategy(max_dim: usize) -> impl Strategy<Value = Matrix<f64>> {
     (1..=max_dim, 1..=max_dim, any::<u64>()).prop_map(|(m, n, seed)| {
@@ -507,6 +508,57 @@ fn parallel_paths_bitwise_across_pools() {
     // the same matrix is serial; it rides along as a determinism check.
     let sq = seeded::<f64>(400, 400, 103);
     check_bitwise_across_pools(&sq, 16);
+    // The serve tier's TTMs, whose items the calling thread now shares with
+    // the pool: an element query's one-row factor over its [1, 24, 24]
+    // partial (24 one-column blocks), a slab's 96 rows over [32, 24, 24]
+    // (24 blocks of 96 × 32), and the big slab's last mode (one tiled
+    // 4096 × 24 × 32 `gemm_into`).
+    check_ttm_across_pools::<f64>();
+    check_ttm_across_pools::<f32>();
+}
+
+fn check_ttm_across_pools<T: Scalar>() {
+    for (dims, mode, rows) in [([1, 24, 24], 1, 1), ([32, 24, 24], 1, 96), ([128, 32, 24], 2, 32)] {
+        let len = dims.iter().product();
+        let x = Tensor::from_data(&dims, seeded::<T>(len, 1, len as u64).into_data());
+        let u = seeded::<T>(rows, dims[mode], 7 + rows as u64);
+        let want = ttm(&x, mode, u.as_ref(), false);
+        for tasks in TASK_COUNTS {
+            let got = with_tasks(tasks, || ttm(&x, mode, u.as_ref(), false));
+            assert!(
+                got.data() == want.data(),
+                "ttm of {dims:?} ×{mode} {rows} rows changed bits under a {tasks}-task budget ({})",
+                T::PRECISION_NAME
+            );
+        }
+    }
+}
+
+/// Items a call drains on its own thread run inside the call's outermost
+/// perf frame, and the pool's workers never collect: each logical kernel
+/// records once, whichever thread ran which item. A general-mode `ttm`
+/// (its blocks run uninstrumented `gemm_prepacked`), a tiled `gemm_into`
+/// (tiles are nested `gemm` frames) and a column-panel `syrk` must leave
+/// the same totals at one and at two threads.
+#[test]
+fn kernel_counters_equal_across_pools() {
+    let x = Tensor::from_data(&[32, 24, 24], seeded::<f64>(32 * 24 * 24, 1, 5).into_data());
+    let u = seeded::<f64>(96, 24, 6);
+    let (a, b) = (seeded::<f64>(64, 600, 7), seeded::<f64>(600, 64, 8));
+    let s = seeded::<f64>(130, 256, 9);
+    let totals = |tasks| {
+        with_tasks(tasks, || {
+            perf::enable();
+            let _ = ttm(&x, 1, u.as_ref(), false);
+            let _ = gemm_into(a.as_ref(), Trans::No, b.as_ref(), Trans::No);
+            let _ = syrk_lower(s.as_ref());
+            perf::drain().expect("enabled")
+        })
+    };
+    let one = totals(1);
+    assert_eq!((one["gemm"].calls, one["syrk"].calls), (1, 1));
+    assert_eq!(one.len(), 2, "ttm's blocks record nothing: {one:?}");
+    assert_eq!(totals(2), one);
 }
 
 /// Rotate-multiply hash over the bit patterns of `l` (`to_f64` is exact for

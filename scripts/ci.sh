@@ -8,6 +8,10 @@ cd "$(dirname "$0")/.."
 cargo build --release --workspace --locked
 cargo test -q --workspace --locked
 cargo clippy --all-targets --workspace --locked -- -D warnings
+# The rayon shim is outside the workspace (vendor/README.md); its pool tests
+# (panics, nesting, concurrent callers, no thread per call, parked workers)
+# run here.
+cargo test -q --offline --manifest-path vendor/rayon/Cargo.toml
 
 # Chaos smoke: an injected crash must fail with a typed, rank-attributed
 # error, and --resume from the committed checkpoints must then succeed.
@@ -396,6 +400,26 @@ if grep -nE 'rayon|par_|gemm_par' crates/linalg/src/svd.rs crates/linalg/src/bid
     exit 1
 fi
 echo "svd gate: svd.rs and bidiag.rs are serial OK"
+
+# One thread pool (DESIGN.md §10): `for_each` runs on the calling thread and
+# the shim's persistent, parked workers, so no OS thread is started per
+# parallel call. The one `spawn` in vendor/rayon/src starts the pool, and no
+# kernel crate starts threads of its own (mpisim's rank threads are the only
+# others).
+if grep -rn 'thread::scope' vendor/rayon/src; then
+    echo "pool gate: vendor/rayon starts scoped threads again" >&2
+    exit 1
+fi
+spawns="$(grep -rowE 'spawn' vendor/rayon/src | wc -l)"
+[ "$spawns" = 1 ] || {
+    echo "pool gate: $spawns spawn sites in vendor/rayon/src, want 1 (the pool start)" >&2
+    exit 1
+}
+if grep -rnE 'thread::(scope|spawn)' crates/{linalg,tensor,dtensor,core,serve,stream}/src; then
+    echo "pool gate: a kernel crate starts threads of its own" >&2
+    exit 1
+fi
+echo "pool gate: one pool start, no thread per call OK"
 
 # One syrk per Gram (DESIGN.md §10): an unfolding's row-major blocks reach
 # the kernel as one panel sequence — its slabs run across block boundaries —
