@@ -97,8 +97,8 @@ pub fn gemm<T: Scalar>(alpha: T, a: MatRef<'_, T>, b: MatRef<'_, T>, beta: T, c:
 /// when the problem is large enough (and `C`'s columns are contiguous).
 ///
 /// This is the accumulate counterpart of [`gemm_into`] for callers that
-/// update a submatrix in place — the compact-WY trailing updates of the
-/// blocked QR/LQ.
+/// update a submatrix in place — the two trailing products of the blocked
+/// `tplqt` fold, the flat-tree LQ's kernel.
 /// Each panel is produced by the serial register-tiled [`gemm`] over the
 /// full inner dimension, and the panel boundaries are a fixed constant
 /// ([`PAR_COL_CHUNK`]) independent of the pool size, so the result is

@@ -19,15 +19,14 @@
 //!
 //! * [`gemm`] — general matrix multiply over strided views (`gemm`)
 //! * [`syrk_lower`] — symmetric rank-k update `C = A·Aᵀ` (`syrk`), the Gram kernel
-//! * [`qr::geqrf`] / [`geqrf_blocked`] — Householder QR (`geqr`), unblocked
-//!   and compact-WY, in place
+//! * [`qr::geqrf`] — unblocked Householder QR (`geqr`) in place: the
+//!   randomized range finder's bases and the random orthogonal factors
 //! * [`lq::lq_factor`] — the Q-less LQ (`gelq` minus `Q`): the only way a
-//!   matrix becomes its lower-triangular factor `L`. Two kernels, picked by
-//!   the row count: compact-WY on the transposed workspace above
-//!   [`blocked_qr::DEFAULT_BLOCK`] rows, the flat tree over column panels
-//!   up to it
+//!   matrix becomes its lower-triangular factor `L`, the flat tree over
+//!   column panels at every row count
 //! * [`tplqt::tplqt`] — structured LQ of `[L B]` with `L` lower triangular,
-//!   the LQ mirror of LAPACK's `tpqrt`, used by flat-tree and butterfly TSQR
+//!   the LQ mirror of LAPACK's `tpqrt` (compact-WY over 16-row blocks), used
+//!   by flat-tree and butterfly TSQR
 //! * [`tslq::tslq_blocks`] — sequential flat-tree tall-skinny LQ (Alg. 2
 //!   core) over any sequence of column blocks
 //! * [`svd`] — Golub–Kahan bidiagonalization + implicit-shift QR SVD (`gesvd`)
@@ -52,7 +51,6 @@ pub mod lq;
 pub mod tplqt;
 pub mod tslq;
 pub mod bidiag;
-pub mod blocked_qr;
 pub mod svd;
 pub mod eig;
 pub mod gram_svd;
@@ -66,7 +64,6 @@ pub use error::{LinalgError, Result};
 pub use scalar::Scalar;
 pub use matrix::Matrix;
 pub use view::{MatMut, MatRef};
-pub use blocked_qr::geqrf_blocked;
 pub use gemm::{gemm, gemm_into, gemm_par, gemm_reference, Trans};
 pub use kernel::{gemm_prepacked, gemm_prepacked_batch, PackedA};
 pub use syrk::{syrk_lower, syrk_lower_panels};

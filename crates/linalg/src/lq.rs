@@ -3,56 +3,32 @@
 //! For an `m x n` unfolding with `m ≪ n`, `A = L·Q` reduces the SVD problem
 //! to the small lower-triangular `L` (paper §3.1); `Q`, the `τ`s and the
 //! reflector tails are never wanted, so no entry point hands them out.
-//! [`lq_factor`] picks between two kernels by the row count alone:
-//!
-//! * `rows > DEFAULT_BLOCK` — compact-WY ([`crate::blocked_qr`]) on the
-//!   column-major transpose, `L = Rᵀ` read out of the triangle. A tall
-//!   triangle has enough panels for the GEMM trailing updates to pay.
-//! * otherwise — the flat tree [`tslq_blocks`], which cuts the view into
-//!   cache-sized column panels: below one compact-WY panel every reflector
-//!   would stream over all `n` columns, and a panel folded into the running
-//!   triangle by the blocked `tplqt` does the same flops at four times the
-//!   rate.
+//! [`lq_factor`] is the paper's flat tree (Alg. 2) at every shape:
+//! [`tslq_blocks`] cuts the view into cache-sized column panels and folds
+//! each into the running triangle with the blocked `tplqt`, whose trailing
+//! products are GEMMs — so a tall triangle gets the GEMM rate from the fold
+//! itself and needs no second kernel.
 //!
 //! The measurements are in EXPERIMENTS.md: "One Q-less LQ" (the flat tree
-//! halves the 48 x 76 032 HCCI mode-0 LQ, and forced onto triangles of 128
-//! rows and more it doubles `stream_append`'s set-up) and "A GEMM-rate
-//! `tplqt`" (the blocked fold halves it again). Every single-panel
-//! factorization, the flat tree's head included, is [`l_of_transposed`].
+//! halves the 48 x 76 032 HCCI mode-0 LQ), "A GEMM-rate `tplqt`" (the
+//! blocked fold halves it again) and "One LQ kernel" (the fold against the
+//! compact-WY QR it replaced above 64 rows).
 
-use crate::blocked_qr::{geqrf_blocked_impl, transposed_matrix, DEFAULT_BLOCK};
 use crate::matrix::Matrix;
 use crate::perf::{qr_flops, with_kernel};
 use crate::scalar::Scalar;
 use crate::tslq::{tslq_blocks, TslqOptions};
-use crate::view::{MatMut, MatRef};
+use crate::view::MatRef;
 
 /// LQ factor `L` (`m x m` lower triangular, zero-padded when `n < m` — the
 /// paper's §3.4 detail: the TSQR tree needs a square triangle) of a view,
 /// leaving the input untouched. One `"lq"` perf frame with the model count
-/// of the whole factorization; the kernels' own frames nest under it.
+/// of the whole factorization; the folds' own frames nest under it.
 pub fn lq_factor<T: Scalar>(a: MatRef<'_, T>) -> Matrix<T> {
     let (m, n) = (a.rows(), a.cols());
     with_kernel("lq", qr_flops(n, m), 0, || {
-        if m > DEFAULT_BLOCK {
-            l_of_transposed(&mut transposed_matrix(a).as_mut())
-        } else {
-            tslq_blocks(m, std::iter::once(a), TslqOptions::default())
-        }
+        tslq_blocks(m, std::iter::once(a), TslqOptions::default())
     })
-}
-
-/// `L` of `A` from `Aᵀ` (`n x m`, column-contiguous; destroyed): Householder
-/// QR of the transpose — `geqrf_blocked_impl` is the unblocked kernel while
-/// the triangle fits one panel (`m ≤ DEFAULT_BLOCK`), compact-WY above —
-/// then `L = Rᵀ` from its upper triangle, zero-padded to `m x m`.
-/// Column-contiguous storage makes each reflector one pass over contiguous
-/// memory, and a row-major panel *is* its transpose's column-major storage,
-/// so the flat tree factors its gathered head in place.
-pub(crate) fn l_of_transposed<T: Scalar>(at: &mut MatMut<'_, T>) -> Matrix<T> {
-    let (n, m) = (at.rows(), at.cols());
-    geqrf_blocked_impl(at, DEFAULT_BLOCK);
-    Matrix::from_fn(m, m, |i, j| if j <= i && j < n { at.get(j, i) } else { T::ZERO })
 }
 
 #[cfg(test)]
@@ -129,6 +105,38 @@ mod tests {
         let p_cm = gemm_into(l_cm.as_ref(), Trans::No, l_cm.as_ref(), Trans::Yes);
         let p_rm = gemm_into(l_rm.as_ref(), Trans::No, l_rm.as_ref(), Trans::Yes);
         assert!(p_cm.max_abs_diff(&p_rm) < 1e-12);
+    }
+
+    #[test]
+    fn row_major_view_input() {
+        let data: Vec<f64> = (0..216 * 72).map(|x| ((x as f64) * 0.17).sin()).collect();
+        let a = MatRef::row_major(&data, 72, 216);
+        let l = lq_factor(a);
+        let llt = gemm_into(l.as_ref(), Trans::No, l.as_ref(), Trans::Yes);
+        let aat = syrk_lower(a);
+        assert!(llt.max_abs_diff(&aat) < 1e-11 * aat.max_abs());
+    }
+
+    #[test]
+    fn zero_size_trailing_block() {
+        // 128 rows are eight whole `tplqt` blocks: the last one has no rows
+        // below it to update.
+        let a = pseudo_matrix(128, 300, 15);
+        check_llt_equals_aat(&a, 1e-11 * syrk_lower(a.as_ref()).max_abs());
+    }
+
+    #[test]
+    fn residual_is_at_rounding_level_on_tall_triangles() {
+        // `max|LLᵀ − AAᵀ| / max|AAᵀ|` reads 5–8e-16 on these shapes; the
+        // bound leaves a 2.5× margin.
+        for (m, seed) in [(65, 21), (130, 22), (456, 23)] {
+            let a = pseudo_matrix(m, 4096, seed);
+            let l = lq_factor(a.as_ref());
+            let llt = gemm_into(l.as_ref(), Trans::No, l.as_ref(), Trans::Yes);
+            let aat = syrk_lower(a.as_ref());
+            let rel = llt.max_abs_diff(&aat) / aat.max_abs();
+            assert!(rel <= 2e-15, "{m} x 4096: residual {rel:e}");
+        }
     }
 
     #[test]

@@ -4,16 +4,16 @@
 //! kernels (and this crate must not depend on `tucker-mpisim`), so the
 //! instrumentation is inverted: each top-level kernel entry point
 //! ([`crate::gemm::gemm`], [`crate::gemm::gemm_into`],
-//! [`crate::syrk::syrk_lower`], [`crate::qr::geqrf`], [`crate::lq::lq_factor`],
-//! [`crate::tplqt::tplqt`] and the blocked QR driver) reports into a
+//! [`crate::syrk::syrk_lower`], [`crate::qr::geqrf`], [`crate::lq::lq_factor`]
+//! and [`crate::tplqt::tplqt`]) reports into a
 //! *thread-local* collector, and the caller that owns a rank thread (e.g.
 //! `tucker-core`'s ST-HOSVD driver) calls [`enable`] before the computation
 //! and [`drain`] after, folding the totals into its own metrics registry.
 //!
 //! Attribution rules:
 //!
-//! * **Depth guard** — nested kernel calls (`lq_factor` → `tplqt`,
-//!   `gemm_into` → `gemm`, blocked QR panels) record only at the outermost
+//! * **Depth guard** — nested kernel calls (`lq_factor` → `tplqt` →
+//!   `gemm_par`, `gemm_into` → `gemm`) record only at the outermost
 //!   instrumented frame, so one logical kernel invocation is one record.
 //! * **Thread locality** — a parallel call's items run on the calling thread
 //!   and on pool workers. The items the caller drains itself run inside its
@@ -185,15 +185,15 @@ mod tests {
     #[test]
     fn lq_shadows_its_inner_qr() {
         enable();
-        // One logical LQ is one frame on either kernel: the flat tree's
-        // head and `tplqt` steps (6 x 3000 is three panels) nest under it,
-        // and so does compact-WY's inner QR (70 rows).
+        // One logical LQ is one frame: the flat tree's `tplqt` steps (6 x
+        // 3000 is three panels) nest under it, and so do the fold's
+        // `gemm_par` products (300 rows cross their parallel line).
         let _ = lq_factor(pseudo(6, 3000, 3).as_ref());
-        let _ = lq_factor(pseudo(70, 90, 4).as_ref());
+        let _ = lq_factor(pseudo(300, 1024, 4).as_ref());
         let stats = drain().expect("enabled");
         assert_eq!(stats["lq"].calls, 2);
-        assert_eq!(stats["lq"].flops, qr_flops(3000, 6) + qr_flops(90, 70));
-        assert!(!stats.contains_key("qr"), "nested geqrf attributed to the lq site");
+        assert_eq!(stats["lq"].flops, qr_flops(3000, 6) + qr_flops(1024, 300));
+        assert_eq!(stats.len(), 1, "nested frames attributed elsewhere: {stats:?}");
     }
 
     #[test]
@@ -203,10 +203,10 @@ mod tests {
         let a = pseudo(8, cols, 9);
         let _ = tslq_blocks(8, a.as_ref().col_panels(4), TslqOptions::default());
         let stats = drain().expect("enabled");
-        // The 8-column head, then one `tplqt` per group of `PANEL_COLS`
-        // columns (256 blocks each): together the model count of one LQ of
+        // One `tplqt` per group of `PANEL_COLS` columns (256 blocks each),
+        // then the last 8 columns: together the model count of one LQ of
         // the whole matrix.
-        assert_eq!(stats["lq"].calls, 1 + 3);
+        assert_eq!(stats["lq"].calls, 3 + 1);
         let (got, want) = (stats["lq"].flops as f64, qr_flops(cols, 8) as f64);
         assert!((got - want).abs() <= 0.05 * want, "lq flops {got} vs model {want}");
     }

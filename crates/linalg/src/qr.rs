@@ -1,11 +1,9 @@
-//! Householder QR factorization (LAPACK `geqrf`) and explicit Q formation
-//! (`orgqr`), operating in place on strided views.
+//! Unblocked Householder QR factorization (LAPACK `geqrf`) and explicit Q
+//! formation (`orgqr`), operating in place on strided views.
 //!
-//! The layout dispatch inside [`crate::householder::apply_reflector_left`]
-//! makes the same routine efficient for column-major inputs (the classic
-//! `geqr` case) and, via a transposed view, for the LQ factorization of
-//! row-major unfoldings — the `geqr`-vs-`gelq` distinction the paper tunes
-//! around in §4.2.1 collapses to a stride choice here.
+//! The tall-skinny bases of the randomized range finder and the random
+//! orthogonal factors of the generators go through here; no LQ does — a
+//! matrix becomes `L` through [`crate::lq::lq_factor`] alone.
 
 use crate::householder::{apply_reflector_left, make_reflector};
 use crate::matrix::Matrix;
@@ -18,37 +16,30 @@ use crate::view::{MatMut, MatRef};
 pub fn geqrf<T: Scalar>(a: &mut MatMut<'_, T>) -> Vec<T> {
     let m = a.rows();
     let n = a.cols();
-    crate::perf::with_kernel("qr", crate::perf::qr_flops(m, n), 0, || geqrf_impl(a))
-}
-
-/// Body of [`geqrf`], split out of the perf-collector frame. This is the
-/// panel kernel of the blocked drivers in [`crate::blocked_qr`] and the
-/// serial reference their degenerate-shape delegation must match bitwise.
-pub(crate) fn geqrf_impl<T: Scalar>(a: &mut MatMut<'_, T>) -> Vec<T> {
-    let m = a.rows();
-    let n = a.cols();
-    let k = m.min(n);
-    let mut taus = vec![T::ZERO; k];
-    let mut v = vec![T::ZERO; m];
-    for i in 0..k {
-        let tail = m - i - 1;
-        for r in 0..tail {
-            v[r + 1] = a.get(i + 1 + r, i);
+    crate::perf::with_kernel("qr", crate::perf::qr_flops(m, n), 0, || {
+        let k = m.min(n);
+        let mut taus = vec![T::ZERO; k];
+        let mut v = vec![T::ZERO; m];
+        for i in 0..k {
+            let tail = m - i - 1;
+            for r in 0..tail {
+                v[r + 1] = a.get(i + 1 + r, i);
+            }
+            let alpha = a.get(i, i);
+            let (beta, tau) = make_reflector(alpha, &mut v[1..=tail]);
+            taus[i] = tau;
+            a.set(i, i, beta);
+            for r in 0..tail {
+                a.set(i + 1 + r, i, v[r + 1]);
+            }
+            if tau != T::ZERO && i + 1 < n {
+                v[0] = T::ONE;
+                let mut trailing = a.submatrix_mut(i, i + 1, m - i, n - i - 1);
+                apply_reflector_left(&v[..m - i], tau, &mut trailing);
+            }
         }
-        let alpha = a.get(i, i);
-        let (beta, tau) = make_reflector(alpha, &mut v[1..=tail]);
-        taus[i] = tau;
-        a.set(i, i, beta);
-        for r in 0..tail {
-            a.set(i + 1 + r, i, v[r + 1]);
-        }
-        if tau != T::ZERO && i + 1 < n {
-            v[0] = T::ONE;
-            let mut trailing = a.submatrix_mut(i, i + 1, m - i, n - i - 1);
-            apply_reflector_left(&v[..m - i], tau, &mut trailing);
-        }
-    }
-    taus
+        taus
+    })
 }
 
 /// Extract `R` (`min(m,n) x n`, upper triangular/trapezoidal) from a factored

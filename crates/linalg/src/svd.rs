@@ -476,7 +476,7 @@ mod tests {
         check_full_svd(&pseudo_matrix(64, 64, 11), 1e-11);
         check_full_svd(&pseudo_matrix(90, 40, 12), 1e-11);
         // The triangles the drivers hand the SVD: `L` of a short-fat matrix,
-        // on both sides of the LQ's flat-tree/compact-WY row split.
+        // below and above the rows where the fold's products go parallel.
         for (m, seed) in [(130, 14), (456, 15)] {
             let a = pseudo_matrix(m, 4096, seed);
             check_full_svd(&crate::lq::lq_factor(a.as_ref()), 1e-12);

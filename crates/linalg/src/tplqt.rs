@@ -12,8 +12,8 @@
 //! `B` is not exploited: treating `B` as a full rectangle only affects the
 //! lower-order `O(m³)` term. The paper calls `tpqrt` not performance
 //! critical (§4.2.1) because MKL's runs at GEMM rate; here, since the flat
-//! tree became the LQ of every short-fat unfolding, this kernel *is* the
-//! LQ's time (three quarters of `hcci_qr_f64`), so it is blocked:
+//! tree is the LQ of every matrix, this kernel *is* the LQ's time, so it is
+//! blocked:
 //!
 //! Row `i`'s reflector is `H_i = I − τ_i v_i v_iᵀ` with `v_i = e_i ⊕ b_i`
 //! (`b_i` the tail left in row `i` of `B`). Rows are swept in blocks `I` of
@@ -21,7 +21,7 @@
 //! time to the block's own rows. Their product is `I − V·T·Vᵀ` with the
 //! upper-triangular `T` of the forward `larft` recurrence, which needs only
 //! `v_aᵀv_c = b_a·b_c` (the `e` parts are orthogonal). The rows `R` below
-//! the block are then updated once, by two calls into the serial [`gemm`]:
+//! the block are then updated once, by two calls into [`gemm_par`]:
 //!
 //! ```text
 //! Wᵀ = L[R,I]ᵀ + B_I·B_Rᵀ,   Wᵀ ← Tᵀ·Wᵀ,   L[R,I] −= W,   B_Rᵀ −= B_Iᵀ·Wᵀ
@@ -31,16 +31,19 @@
 //! column-contiguous (`Wᵀ` is a small column-major matrix; `B_Rᵀ` of a
 //! row-contiguous `B` is `k × |R|` with leading dimension `k`) and the GEMM
 //! engine writes back through column slices; the second product's `A = B_Iᵀ`
-//! packs by `memcpy`. Every step is serial and in a fixed order, so the bits
-//! of `L` depend on the values of `[L B]` alone — not on `B`'s layout, nor on
+//! packs by `memcpy`. `gemm_par` splits `C` into fixed 256-column panels
+//! over the pool once more than 256 rows lie below the block (`|R| > 256`,
+//! so only on triangles above 272 rows) and the product passes 2²² flops,
+//! and is the serial `gemm` otherwise; either way its bits are the serial
+//! call's. Everything else is serial and in a fixed order, so the bits of
+//! `L` depend on the values of `[L B]` alone — not on `B`'s layout, nor on
 //! the thread budget.
 
-use crate::blocked_qr::transpose_into;
-use crate::gemm::gemm;
+use crate::gemm::gemm_par;
 use crate::householder::norm2;
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
-use crate::view::{MatMut, MatRef};
+use crate::view::{transpose_into, MatMut, MatRef};
 
 /// Rows per compact-WY block: wide enough that the second product's inner
 /// dimension fills the microkernel's depth loop, narrow enough that the
@@ -130,11 +133,10 @@ fn fold_rows<T: Scalar>(l: &mut Matrix<T>, b: &mut [T], ld: usize, k: usize) {
             }
         }
         let (bi, br) = b[i0 * ld..].split_at_mut(nb * ld);
-        gemm(
+        gemm_par(
             T::ONE,
             MatRef::strided(bi, nb, k, ld, 1),
             MatRef::strided(br, k, nr, 1, ld),
-            T::ONE,
             &mut MatMut::col_major(wt, nb, nr),
         );
         // Wᵀ ← Tᵀ·Wᵀ in place (bottom row first), L[R,I] −= W.
@@ -149,11 +151,10 @@ fn fold_rows<T: Scalar>(l: &mut Matrix<T>, b: &mut [T], ld: usize, k: usize) {
             }
         }
         // B_Rᵀ −= B_Iᵀ·Wᵀ.
-        gemm(
+        gemm_par(
             -T::ONE,
             MatRef::strided(bi, k, nb, 1, ld),
             MatRef::col_major(wt, nb, nr),
-            T::ONE,
             &mut MatMut::strided(br, k, nr, 1, ld),
         );
     }

@@ -3,13 +3,10 @@
 //!
 //! The input is presented as a sequence of column blocks — exactly the memory
 //! layout of a tensor unfolding (a series of contiguous row-major column
-//! blocks, paper §3.3). The leading blocks are combined until the working
-//! matrix is square (the paper's "combine as many blocks as necessary"
-//! detail), factored once by the single-panel kernel
-//! [`crate::lq::l_of_transposed`] — the gathered row-major head is already
-//! the column-major storage of its transpose — and every subsequent group of
-//! blocks is annihilated against the running triangle with
-//! [`crate::tplqt::tplqt`]. Nothing but `L` is kept.
+//! blocks, paper §3.3). `L` starts as the zero triangle and every group of
+//! blocks is annihilated against it with [`crate::tplqt::tplqt`]: the first
+//! fold is the LQ of the first group, each later one the paper's Alg. 2
+//! line 7. Nothing but `L` is kept.
 //!
 //! The fold width is the kernel's, not the layout's: blocks wider than
 //! [`PANEL_COLS`] are cut into panels of that width and narrower ones are
@@ -17,13 +14,10 @@
 //! and an unfolding of 19-column blocks fold the same cache-sized panels.
 //! The `coalesce` option is a further floor in blocks per group.
 
-use crate::blocked_qr::transpose_into;
-use crate::lq::l_of_transposed;
 use crate::matrix::Matrix;
-use crate::perf::{qr_flops, with_kernel};
 use crate::scalar::Scalar;
 use crate::tplqt::tplqt;
-use crate::view::{MatMut, MatRef};
+use crate::view::{transpose_into, MatMut, MatRef};
 
 /// Columns folded per `tplqt` call: 64 rows of it are 512 KiB at `f64`,
 /// L2-resident beside the running triangle, and the kernel's two products
@@ -47,7 +41,7 @@ impl Default for TslqOptions {
 ///
 /// Returns the `m x m` lower-triangular factor `L` of the (implicit)
 /// horizontal concatenation of the blocks, zero-padded if the total column
-/// count is below `m`.
+/// count is below `m` (see the padding note in the body).
 pub fn tslq_blocks<'a, T: Scalar, I>(m: usize, blocks: I, opts: TslqOptions) -> Matrix<T>
 where
     I: IntoIterator<Item = MatRef<'a, T>>,
@@ -58,32 +52,12 @@ where
         b.col_panels(PANEL_COLS)
     });
 
-    // Phase 1: the head — the first `m` columns (all of them when there are
-    // fewer), factored once. It is the one step that runs the unblocked
-    // single-panel kernel, so it takes no more than the triangle needs and
-    // hands the rest of the block it was cut from to the fold.
+    // Annihilate the blocks against L, a group of at least `coalesce` blocks
+    // and `PANEL_COLS` columns at a time.
+    let mut l = Matrix::zeros(m, m);
     let mut group: Vec<MatRef<'a, T>> = Vec::new();
-    let mut head_cols = 0usize;
-    let mut rest = None;
-    while head_cols < m {
-        let Some(b) = iter.next() else { break };
-        let take = b.cols().min(m - head_cols);
-        group.push(b.submatrix(0, 0, m, take));
-        rest = (take < b.cols()).then(|| b.submatrix(0, take, m, b.cols() - take));
-        head_cols += take;
-    }
-    if head_cols == 0 {
-        return Matrix::zeros(m, m);
-    }
     let mut scratch: Vec<T> = Vec::new();
-    let head = gather_rowmajor(&mut scratch, m, head_cols, &group);
-    let mut l = with_kernel("lq", qr_flops(head_cols, m), 0, || {
-        l_of_transposed(&mut MatMut::col_major(head, head_cols, m))
-    });
-    let mut iter = rest.into_iter().chain(iter);
-
-    // Phase 2: annihilate the remaining blocks against L, a group of at
-    // least `coalesce` blocks and `PANEL_COLS` columns at a time.
+    let mut n = 0;
     loop {
         group.clear();
         let mut group_cols = 0;
@@ -97,6 +71,23 @@ where
         }
         let panel = gather_rowmajor(&mut scratch, m, group_cols, &group);
         tplqt(&mut l, &mut MatMut::row_major(panel, m, group_cols));
+        n += group_cols;
+    }
+
+    // The §3.4 padding. With fewer columns than rows, columns `n..m` of `L`
+    // are what the rows past the first `n` leave once those have been
+    // folded: zero in exact arithmetic when the leading `n` rows are
+    // independent, so the fold leaves rounding there — set it to exact zero
+    // when it is below the fold's own error (dropping it moves no singular
+    // value by more than its norm). Leading rows that are dependent (a zero
+    // first row) leave a genuine part of `AAᵀ` there, which stays.
+    if n < m {
+        let tail = l.as_ref().submatrix(0, n, m, m - n).frob_norm();
+        if tail <= T::from_f64(m as f64) * T::EPSILON * l.as_ref().frob_norm() {
+            for j in n..m {
+                l.col_mut(j).fill(T::ZERO);
+            }
+        }
     }
     l
 }
@@ -188,6 +179,18 @@ mod tests {
     }
 
     #[test]
+    fn dependent_leading_rows_keep_their_columns() {
+        // 6 x 2 with a zero first row: the two leading rows span one
+        // dimension, so column 2 of `L` carries row 2 onwards — it is not
+        // rounding and must not be padded away.
+        let mut a = pseudo_matrix(6, 2, 9);
+        a[(0, 0)] = 0.0;
+        a[(0, 1)] = 0.0;
+        let l = tslq_blocks(6, std::iter::once(a.as_ref()), TslqOptions::default());
+        assert!(gram(&l).max_abs_diff(&syrk_lower(a.as_ref())) < 1e-12);
+    }
+
+    #[test]
     fn width_one_blocks() {
         // Degenerate flat tree: one column at a time (the n=0 special case of
         // mode-0 unfoldings, columns of a column-major matrix).
@@ -196,10 +199,10 @@ mod tests {
 
     #[test]
     fn blocked_head_path() {
-        // m > DEFAULT_BLOCK so the head takes the Q-less compact-WY path (on
-        // the gathered workspace, no copy); the tree must still agree with
-        // the dense factorization and the Gram matrix.
-        let m = crate::blocked_qr::DEFAULT_BLOCK + 16;
+        // More rows than one 16-row `tplqt` block, so the first fold (the LQ
+        // of the head group) and every later one run the blocked compact-WY
+        // path; the tree must still agree with the dense factorization.
+        let m = 80;
         check_against_dense(&pseudo_matrix(m, 3 * m, 8), m / 2, 1, 1e-10);
     }
 

@@ -314,6 +314,97 @@ impl<'a, T: Scalar> MatMut<'a, T> {
     }
 }
 
+/// Edge length of the cache-blocked transpose copies.
+const TRANSPOSE_TILE: usize = 128;
+
+/// `dst ← srcᵀ`, tiled so both sides stay cache-resident (a strided
+/// straight-line copy touches one cache line per element; the tiles cut that
+/// to one line per [`TRANSPOSE_TILE`] elements on the strided side). This is
+/// how the flat-tree LQ gathers its panels into row-major scratch.
+///
+/// When both sides are column-contiguous the tile interior runs on raw
+/// slices — the strided `get`/`set` path costs an indexing multiply and a
+/// bounds check per element.
+pub(crate) fn transpose_into<T: Scalar>(src: MatRef<'_, T>, dst: &mut MatMut<'_, T>) {
+    let (m, n) = (src.rows(), src.cols());
+    assert_eq!((dst.rows(), dst.cols()), (n, m), "transpose_into: shape mismatch");
+    if m == 0 || n == 0 {
+        return;
+    }
+    // Mixed layouts transpose by straight memcpy: row i of a row-contiguous
+    // src IS column i of a col-contiguous dst (and vice versa) — the case a
+    // row-major unfolding block hits on its way into the row-major panel.
+    if src.row_contiguous() && dst.col_contiguous() {
+        let srs = src.row_stride();
+        let dcs = dst.col_stride();
+        let s = src.data();
+        let d = dst.data_mut();
+        for i in 0..m {
+            d[i * dcs..i * dcs + n].copy_from_slice(&s[i * srs..i * srs + n]);
+        }
+        return;
+    }
+    if src.col_contiguous() && dst.row_contiguous() {
+        let scs = src.col_stride();
+        let drs = dst.row_stride();
+        let s = src.data();
+        let d = dst.data_mut();
+        for j in 0..n {
+            d[j * drs..j * drs + m].copy_from_slice(&s[j * scs..j * scs + m]);
+        }
+        return;
+    }
+    if src.col_contiguous() && dst.col_contiguous() {
+        let scs = src.col_stride();
+        let dcs = dst.col_stride();
+        let s = src.data();
+        let d = dst.data_mut();
+        // Two-phase tiles through an L1-resident scratch block: gather the
+        // tile with contiguous column memcpys, then scatter with contiguous
+        // writes into dst columns. Both DRAM streams stay sequential; the
+        // only strided accesses land in the scratch buffer.
+        // Heap, not a stack array: the tile is 128 KiB at f64.
+        #[allow(clippy::useless_vec)]
+        let mut scratch = vec![T::ZERO; TRANSPOSE_TILE * TRANSPOSE_TILE];
+        let mut i0 = 0;
+        while i0 < m {
+            let ib = TRANSPOSE_TILE.min(m - i0);
+            let mut j0 = 0;
+            while j0 < n {
+                let jb = TRANSPOSE_TILE.min(n - j0);
+                for jj in 0..jb {
+                    let off = (j0 + jj) * scs + i0;
+                    scratch[jj * ib..jj * ib + ib].copy_from_slice(&s[off..off + ib]);
+                }
+                for t in 0..ib {
+                    let dcol = &mut d[(i0 + t) * dcs + j0..(i0 + t) * dcs + j0 + jb];
+                    for (jj, x) in dcol.iter_mut().enumerate() {
+                        *x = scratch[jj * ib + t];
+                    }
+                }
+                j0 += jb;
+            }
+            i0 += ib;
+        }
+        return;
+    }
+    let mut i0 = 0;
+    while i0 < m {
+        let ib = TRANSPOSE_TILE.min(m - i0);
+        let mut j0 = 0;
+        while j0 < n {
+            let jb = TRANSPOSE_TILE.min(n - j0);
+            for i in i0..i0 + ib {
+                for j in j0..j0 + jb {
+                    dst.set(j, i, src.get(i, j));
+                }
+            }
+            j0 += jb;
+        }
+        i0 += ib;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,6 +476,26 @@ mod tests {
                 assert_eq!(dst.get(i, j), src.get(i, j));
             }
         }
+    }
+
+    #[test]
+    fn transpose_helpers_roundtrip() {
+        // 70 x 130 crosses tile boundaries in both dims (the tiled
+        // column-major arm); the row-major copy takes a memcpy arm.
+        let a = Matrix::<f64>::from_fn(70, 130, |i, j| (i * 130 + j) as f64);
+        let mut at = Matrix::<f64>::zeros(130, 70);
+        transpose_into(a.as_ref(), &mut at.as_mut());
+        for i in 0..70 {
+            for j in 0..130 {
+                assert_eq!(at[(j, i)], a[(i, j)]);
+            }
+        }
+        let mut back = Matrix::<f64>::zeros(70, 130);
+        transpose_into(at.as_ref(), &mut back.as_mut());
+        assert_eq!(back.data(), a.data());
+        let mut rows = vec![0.0f64; 70 * 130];
+        transpose_into(at.as_ref(), &mut MatMut::row_major(&mut rows, 70, 130));
+        assert_eq!(MatRef::row_major(&rows, 70, 130).to_matrix(), a);
     }
 
     #[test]

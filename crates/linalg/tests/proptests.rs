@@ -331,12 +331,11 @@ proptest! {
     }
 }
 
-// ---- PR6: blocked compact-WY QR/LQ and the bidiagonal SVD — bitwise
-// ---- determinism across rayon task counts, plus orthonormality and
-// ---- backward-error bounds on random and rank-deficient inputs.
+// ---- PR6: QR/LQ and the bidiagonal SVD — bitwise determinism across
+// ---- rayon task counts, plus orthonormality and backward-error bounds on
+// ---- random and rank-deficient inputs.
 
-use tucker_linalg::blocked_qr::geqrf_blocked;
-use tucker_linalg::qr::{form_q, qr_r};
+use tucker_linalg::qr::{form_q, geqrf, qr_r};
 
 /// Task counts every parallel code path must reproduce bitwise.
 const TASK_COUNTS: [usize; 3] = [1, 2, 7];
@@ -355,12 +354,9 @@ fn with_tasks<R>(tasks: usize, f: impl FnOnce() -> R) -> R {
 /// QR + LQ + SVD of `a`, and `a` folded into its own `L` by `tplqt` — the
 /// tuple every pool must reproduce bit for bit.
 #[allow(clippy::type_complexity)]
-fn factorization_bits<T: Scalar>(
-    a: &Matrix<T>,
-    nb: usize,
-) -> (Vec<T>, Vec<T>, Vec<T>, Vec<T>, Vec<T>, Vec<T>, Vec<T>) {
+fn factorization_bits<T: Scalar>(a: &Matrix<T>) -> (Vec<T>, Vec<T>, Vec<T>, Vec<T>, Vec<T>, Vec<T>, Vec<T>) {
     let mut wq = a.clone();
-    let tq = geqrf_blocked(&mut wq.as_mut(), nb);
+    let tq = geqrf(&mut wq.as_mut());
     let out = svd(a.as_ref(), true, true).expect("svd");
     let l = lq_factor(a.as_ref());
     let mut folded = l.clone();
@@ -376,14 +372,14 @@ fn factorization_bits<T: Scalar>(
     )
 }
 
-fn check_bitwise_across_pools<T: Scalar>(a: &Matrix<T>, nb: usize) {
+fn check_bitwise_across_pools<T: Scalar>(a: &Matrix<T>) {
     // Reference: whatever worker budget the test harness itself runs under.
-    let want = factorization_bits(a, nb);
+    let want = factorization_bits(a);
     for tasks in TASK_COUNTS {
-        let got = with_tasks(tasks, || factorization_bits(a, nb));
+        let got = with_tasks(tasks, || factorization_bits(a));
         assert_eq!(
             got, want,
-            "blocked QR/LQ/SVD changed bits under a {tasks}-task budget ({}x{}, nb={nb})",
+            "QR/LQ/SVD changed bits under a {tasks}-task budget ({}x{})",
             a.rows(),
             a.cols()
         );
@@ -397,22 +393,19 @@ fn rank_deficient<T: Scalar>(m: usize, n: usize, r: usize, seed: u64) -> Matrix<
     gemm_into(b.as_ref(), Trans::No, c.as_ref(), Trans::No)
 }
 
-fn check_qr_backward_error<T: Scalar>(a: &Matrix<T>, nb: usize, tol: f64) {
+fn check_qr_backward_error<T: Scalar>(a: &Matrix<T>, tol: f64) {
     let (m, n) = (a.rows(), a.cols());
     let k = m.min(n);
     let mut w = a.clone();
-    let taus = geqrf_blocked(&mut w.as_mut(), nb);
+    let taus = geqrf(&mut w.as_mut());
     let q = form_q(w.as_ref(), &taus, k);
-    assert!(
-        q.orthonormality_error().to_f64() < tol,
-        "Q lost orthonormality ({m}x{n}, nb={nb})"
-    );
+    assert!(q.orthonormality_error().to_f64() < tol, "Q lost orthonormality ({m}x{n})");
     let r = qr_r(w.as_ref());
     let prod = gemm_into(q.as_ref(), Trans::No, r.as_ref(), Trans::No);
     let scale = a.max_abs().to_f64().max(1.0) * (k as f64).max(1.0);
     assert!(
         prod.max_abs_diff(a).to_f64() < tol * scale,
-        "A != QR backward error ({m}x{n}, nb={nb})"
+        "A != QR backward error ({m}x{n})"
     );
 }
 
@@ -434,29 +427,25 @@ proptest! {
 
     #[test]
     fn blocked_factorizations_bitwise_across_pools(
-        m in 1usize..20, n in 1usize..20, seed in any::<u64>(), nbi in 0usize..3,
+        m in 1usize..20, n in 1usize..20, seed in any::<u64>(),
     ) {
-        // Small nb so the blocked paths (panels + WY trailing updates) are
-        // exercised even at proptest sizes; nb=2 also hits the recursion
-        // bottom and nb=32 the degenerate single-panel delegation.
-        let nb = [2usize, 8, 32][nbi];
-        check_bitwise_across_pools(&seeded::<f64>(m, n, seed), nb);
-        check_bitwise_across_pools(&seeded::<f32>(m, n, seed), nb);
+        // Up to 19 rows: the LQ's `tplqt` fold runs one 16-row block or
+        // crosses into a second.
+        check_bitwise_across_pools(&seeded::<f64>(m, n, seed));
+        check_bitwise_across_pools(&seeded::<f32>(m, n, seed));
     }
 
     #[test]
     fn blocked_qr_lq_backward_error(
-        m in 1usize..20, n in 1usize..20, seed in any::<u64>(), nbi in 0usize..3,
-        deficient in any::<bool>(),
+        m in 1usize..20, n in 1usize..20, seed in any::<u64>(), deficient in any::<bool>(),
     ) {
-        let nb = [2usize, 8, 32][nbi];
         let r = (m.min(n) / 2).max(1);
         let a64: Matrix<f64> =
             if deficient { rank_deficient(m, n, r, seed) } else { seeded(m, n, seed) };
         let a32: Matrix<f32> =
             if deficient { rank_deficient(m, n, r, seed) } else { seeded(m, n, seed) };
-        check_qr_backward_error(&a64, nb, 1e-12);
-        check_qr_backward_error(&a32, nb, 1e-4);
+        check_qr_backward_error(&a64, 1e-12);
+        check_qr_backward_error(&a32, 1e-4);
         check_lq_backward_error(&a64, 1e-12);
         check_lq_backward_error(&a32, 1e-4);
     }
@@ -491,23 +480,23 @@ proptest! {
 }
 
 /// Deterministic large-shape determinism check: sizes chosen so the
-/// *parallel* code paths actually engage — the 2D-tiled `gemm_into` inside
-/// the WY trailing update needs ≥ 2²² flops. Proptest-sized inputs stay on
-/// the serial fast paths, so this case is pinned explicitly.
+/// *parallel* code paths actually engage — `gemm_par` inside the `tplqt`
+/// fold needs more than 256 rows below a block and ≥ 2²² flops.
+/// Proptest-sized inputs stay on the serial fast paths, so this case is
+/// pinned explicitly.
 #[test]
 fn parallel_paths_bitwise_across_pools() {
-    // 48 × 6000: the QR trailing block is ~6000 columns wide, so the
-    // rank-nb gemm_par fans out over its fixed 256-column panels (n > 256,
-    // flops > 2²²); the LQ of the same matrix is the serial flat tree.
+    // 48 × 6000: the HCCI-like short-fat shape, whose LQ folds six panels
+    // with serial products.
     let a64 = seeded::<f64>(48, 6000, 99);
-    check_bitwise_across_pools(&a64, 16);
+    check_bitwise_across_pools(&a64);
     let a32 = seeded::<f32>(48, 6000, 101);
-    check_bitwise_across_pools(&a32, 16);
-    // 400 × 400: the compact-WY QR and LQ trailing updates (rank 16 over
-    // ~400 × 400) cross the 2²²-flop line into the parallel GEMM. The SVD of
-    // the same matrix is serial; it rides along as a determinism check.
+    check_bitwise_across_pools(&a32);
+    // 400 × 400: the fold's rank-16 products over up to 384 rows below the
+    // block fan out over `gemm_par`'s 256-column panels. The QR and SVD of
+    // the same matrix are serial; they ride along as a determinism check.
     let sq = seeded::<f64>(400, 400, 103);
-    check_bitwise_across_pools(&sq, 16);
+    check_bitwise_across_pools(&sq);
     // The serve tier's TTMs, whose items the calling thread now shares with
     // the pool: an element query's one-row factor over its [1, 24, 24]
     // partial (24 one-column blocks), a slab's 96 rows over [32, 24, 24]
@@ -561,87 +550,60 @@ fn kernel_counters_equal_across_pools() {
     assert_eq!(totals(2), one);
 }
 
-/// Rotate-multiply hash over the bit patterns of `l` (`to_f64` is exact for
-/// both precisions), the form the parent's `L`s are pinned in below.
-fn l_hash<T: Scalar>(l: &Matrix<T>) -> u64 {
-    l.data().iter().fold(0u64, |h, x| {
-        (h.rotate_left(5) ^ x.to_f64().to_bits()).wrapping_mul(0x517c_c1b7_2722_0a95)
-    })
-}
+fn check_lq_factor_table<T: Scalar>() {
+    let lines = [1usize, 33, 64, 65, 130]
+        .into_iter()
+        .flat_map(|rows| [rows - 1, rows, 1023, 1024, 1025, 2 * 1024 + 7].map(|cols| (rows, cols)));
+    for (rows, cols) in lines.chain([(300, 600)]) {
+        let what = format!("{rows}x{cols} {}", T::PRECISION_NAME);
+        let a = seeded::<T>(rows, cols, (rows * 10_000 + cols) as u64);
+        let l = lq_factor(a.as_ref());
 
-/// `L` hashes of the parent commit's `lq_factor_blocked(a, DEFAULT_BLOCK)`
-/// for `a = seeded(rows, cols, rows·10⁴ + cols)`, every table shape below
-/// with `min(rows, cols) > 64`: `(rows, cols, f64, f32)`.
-const PARENT_L_HASHES: [(usize, usize, u64, u64); 11] = [
-    (65, 65, 0x0a23af541bb67baa, 0x7e7aacc31b210d6a),
-    (65, 1023, 0x3130ead5f3e4eeef, 0xd86ac85173057bfc),
-    (65, 1024, 0x22341640a157e061, 0xf4fd986402ec06e3),
-    (65, 1025, 0x78dbaf58d08626cf, 0x7ea6cc25aa159177),
-    (65, 2055, 0x124ef7e2b841d928, 0xf139439674214902),
-    (130, 129, 0x0b70c4e5959af3f0, 0x40616ed4326e2e7e),
-    (130, 130, 0xae067436c9ac59a8, 0x26feb5de49e732c1),
-    (130, 1023, 0x0966909296e6b7f9, 0xbf2e19c3f11b7a81),
-    (130, 1024, 0xc8e4e5fb1d9af56c, 0xb1e78af64d17f269),
-    (130, 1025, 0xb056ed6fa7441562, 0xd576342ea57947e5),
-    (130, 2055, 0x23739a7853966fbd, 0x093dbd0b550a4ada),
-];
-
-fn check_lq_factor_table<T: Scalar>(pick: fn(&(usize, usize, u64, u64)) -> u64) {
-    for rows in [1usize, 33, 64, 65, 130] {
-        for cols in [rows - 1, rows, 1023, 1024, 1025, 2 * 1024 + 7] {
-            let what = format!("{rows}x{cols} {}", T::PRECISION_NAME);
-            let a = seeded::<T>(rows, cols, (rows * 10_000 + cols) as u64);
-            let l = lq_factor(a.as_ref());
-
-            assert_eq!(l.shape(), (rows, rows), "{what}");
-            for j in 0..rows {
-                for i in 0..j {
-                    assert!(l[(i, j)] == T::ZERO, "{what}: L not lower triangular");
-                }
+        assert_eq!(l.shape(), (rows, rows), "{what}");
+        for j in 0..rows {
+            for i in 0..j {
+                assert!(l[(i, j)] == T::ZERO, "{what}: L not lower triangular");
             }
-            let (l64, a64) = (widened(&l), widened(&a));
-            let llt = gemm_into(l64.as_ref(), Trans::No, l64.as_ref(), Trans::Yes);
-            let aat = gemm_into(a64.as_ref(), Trans::No, a64.as_ref(), Trans::Yes);
-            let tol = 64.0 * T::EPSILON.to_f64() * aat.frob_norm();
-            assert!(llt.max_abs_diff(&aat) <= tol, "{what}: L Lᵀ != A Aᵀ");
+        }
+        for j in cols..rows {
+            assert!(l.col(j).iter().all(|x| *x == T::ZERO), "{what}: column {j} not padded");
+        }
+        let (l64, a64) = (widened(&l), widened(&a));
+        let llt = gemm_into(l64.as_ref(), Trans::No, l64.as_ref(), Trans::Yes);
+        let aat = gemm_into(a64.as_ref(), Trans::No, a64.as_ref(), Trans::Yes);
+        let tol = 64.0 * T::EPSILON.to_f64() * aat.frob_norm();
+        assert!(llt.max_abs_diff(&aat) <= tol, "{what}: L Lᵀ != A Aᵀ");
 
-            // Layout is not an input: the row-major copy and a strided
-            // window of a larger parent give the column-major bits.
-            let row_major: Vec<T> =
-                (0..rows * cols).map(|k| a[(k / cols.max(1), k % cols.max(1))]).collect();
-            assert_eq!(lq_factor(MatRef::row_major(&row_major, rows, cols)), l, "{what}: row-major");
-            let parent = Matrix::from_fn(rows + 3, cols + 5, |i, j| {
-                if (2..2 + rows).contains(&i) && (3..3 + cols).contains(&j) {
-                    a[(i - 2, j - 3)]
-                } else {
-                    T::ONE
-                }
-            });
-            let window = parent.as_ref().submatrix(2, 3, rows, cols);
-            assert_eq!(lq_factor(window), l, "{what}: strided submatrix");
+        // Layout is not an input: the row-major copy and a strided
+        // window of a larger parent give the column-major bits.
+        let row_major: Vec<T> =
+            (0..rows * cols).map(|k| a[(k / cols.max(1), k % cols.max(1))]).collect();
+        assert_eq!(lq_factor(MatRef::row_major(&row_major, rows, cols)), l, "{what}: row-major");
+        let parent = Matrix::from_fn(rows + 3, cols + 5, |i, j| {
+            if (2..2 + rows).contains(&i) && (3..3 + cols).contains(&j) {
+                a[(i - 2, j - 3)]
+            } else {
+                T::ONE
+            }
+        });
+        let window = parent.as_ref().submatrix(2, 3, rows, cols);
+        assert_eq!(lq_factor(window), l, "{what}: strided submatrix");
 
-            for tasks in TASK_COUNTS {
-                let got = with_tasks(tasks, || lq_factor(a.as_ref()));
-                assert_eq!(got, l, "{what}: bits moved under a {tasks}-task budget");
-            }
-            if rows.min(cols) > 64 {
-                let golden = PARENT_L_HASHES
-                    .iter()
-                    .find(|g| (g.0, g.1) == (rows, cols))
-                    .unwrap_or_else(|| panic!("{what}: no golden"));
-                assert_eq!(l_hash(&l), pick(golden), "{what}: bits above the line moved");
-            }
+        for tasks in TASK_COUNTS {
+            let got = with_tasks(tasks, || lq_factor(a.as_ref()));
+            assert_eq!(got, l, "{what}: bits moved under a {tasks}-task budget");
         }
     }
 }
 
-/// `lq_factor` on both sides of every line it draws: the kernel switch at
-/// `DEFAULT_BLOCK` = 64 rows, the flat tree's 1024-column panel boundary,
-/// and the `cols < rows` padding.
+/// `lq_factor` on both sides of every line it draws: the fold's 16-row
+/// block boundary (64 and 65 rows), the flat tree's 1024-column panel
+/// boundary, the `cols < rows` padding, and at 300 rows the parallel branch
+/// of the fold's `gemm_par` products.
 #[test]
 fn lq_factor_on_both_sides_of_every_line() {
-    check_lq_factor_table::<f64>(|g| g.2);
-    check_lq_factor_table::<f32>(|g| g.3);
+    check_lq_factor_table::<f64>();
+    check_lq_factor_table::<f32>();
 }
 
 // ---- PR23: the blocked `tplqt` on every edge it has — the 16-row block

@@ -32,10 +32,11 @@ fi
     --ranks 4x4x4 --checkpoint-dir "$ckpt" --resume
 echo "chaos smoke: crash -> resume cycle OK"
 
-# Factorization determinism: the linalg proptests (blocked QR, LQ and the
-# SVD bit-identical across task budgets, backward error on rank-deficient
-# inputs) run as part of the workspace tests above; re-run the suite
-# explicitly under --locked so a filtered workspace run cannot skip it.
+# Factorization determinism: the linalg proptests (QR, the flat-tree LQ and
+# its `tplqt` fold, and the SVD bit-identical across task budgets, backward
+# error on rank-deficient inputs) run as part of the workspace tests above;
+# re-run the suite explicitly under --locked so a filtered workspace run
+# cannot skip it.
 cargo test -q -p tucker-linalg --test proptests --locked
 
 # Metrics smoke: a fault-free 8-rank run with --metrics and --model-check
@@ -364,20 +365,18 @@ gate "a Write sink" "crates/core/src/crc32.rs" 'impl.*Write for'
 }
 echo "codec gate: one byte codec, one atomic writer, one CRC sink OK"
 
-# One Q-less LQ (DESIGN.md §13): the in-place gelqf family is gone, and
-# outside crates/linalg a matrix becomes L through `lq_factor(` or, for a
-# block sequence, `tslq_blocks(` — the block size and the single-panel
-# kernel behind them never leave the crate.
-if grep -rnE 'gelqf|lq_factor_blocked|lq_l\b' crates/*/src; then
+# One LQ kernel (DESIGN.md §13): a matrix becomes L through `lq_factor(`
+# or, for a block sequence, `tslq_blocks(` — both the flat tree folding
+# panels with `tplqt`. The in-place gelqf family, the compact-WY QR with its
+# row-count switch and the single-panel head are gone from every crate.
+if grep -rnE 'gelqf|lq_factor_blocked|lq_l\b|lq_l_padded' crates/*/src; then
     echo "lq gate: the in-place LQ family is back" >&2
     exit 1
 fi
-leaks="$(grep -rnE 'blocked_qr|DEFAULT_BLOCK|l_of_transposed|lq_l_padded' crates/*/src \
-    | grep -v '^crates/linalg/' || true)"
-[ -z "$leaks" ] || {
-    echo "lq gate: kernel choice leaks out of crates/linalg: $leaks" >&2
+if grep -rnE 'blocked_qr|geqrf_blocked|DEFAULT_BLOCK|l_of_transposed|transposed_matrix' crates/*/src; then
+    echo "lq gate: a second LQ kernel is back" >&2
     exit 1
-}
+fi
 # The flat tree's fold has one body (DESIGN.md §13): `tplqt` walks no
 # element stream of `B` through the view, and the only hand-vectorised code
 # in the workspace is the microkernel and the dot/axpy pair beside it.
@@ -390,7 +389,7 @@ simd="$(grep -rl 'target_feature' crates/*/src | tr '\n' ' ')"
     echo "lq gate: target_feature outside crates/linalg/src/scalar.rs: $simd" >&2
     exit 1
 }
-echo "lq gate: lq_factor is the one way a matrix becomes L, tplqt has one body OK"
+echo "lq gate: lq_factor is the flat tree at every shape, tplqt has one body OK"
 
 # One serial SVD (DESIGN.md §13): the small SVD of L is the unblocked
 # Golub–Kahan reduction and an implicit-QR sweep that rotates U/V in place;

@@ -6,14 +6,15 @@ use tucker_rs::data::{fig1_matrix, geometric_profile};
 use tucker_rs::linalg::random::matrix_with_singular_values_seeded;
 use tucker_rs::linalg::{gram_svd, qr_svd, Matrix, Scalar};
 
-/// The paper's 80 x 80 Fig. 1 matrix: 80 rows, so its LQ is compact-WY.
+/// The paper's 80 x 80 Fig. 1 matrix: a square triangle, one fold of five
+/// 16-row `tplqt` blocks.
 fn fig1<T: Scalar>() -> (Vec<f64>, Matrix<T>) {
     (geometric_profile(80, 0.0, -18.0), fig1_matrix::<T>(17))
 }
 
 /// The same spectrum on the shape the HCCI workloads factor: 48 x 4096 is
-/// short-fat, so its LQ is the flat tree (a head and four folds of the
-/// blocked `tplqt`) and its Gram one `syrk` over a long inner dimension.
+/// short-fat, so its LQ is four folds of the blocked `tplqt` and its Gram
+/// one `syrk` over a long inner dimension.
 fn short_fat<T: Scalar>() -> (Vec<f64>, Matrix<T>) {
     let truth = geometric_profile(48, 0.0, -18.0);
     let a = matrix_with_singular_values_seeded::<T>(&truth, 4096, 17);
