@@ -34,8 +34,9 @@ pub const KC: usize = 256;
 /// Columns per packed B block (multiple of every [`Scalar::NR`]).
 pub const NC: usize = 512;
 
-/// Upper bound on `MR·NR` across implemented precisions (stack accumulator).
-const MAX_TILE: usize = 64;
+/// Upper bound on `MR·NR` across implemented precisions: the `f32` 16×16
+/// tile, the size of the macro-kernel's stack tile buffer.
+const MAX_TILE: usize = 256;
 
 pub(crate) fn round_up(x: usize, to: usize) -> usize {
     x.div_ceil(to) * to
@@ -131,7 +132,10 @@ pub(crate) fn pack_b<S: Scalar, T: Scalar>(b: MatRef<'_, S>, buf: &mut [T], dept
 
 /// Run the microkernel over every `MR×NR` tile of an `mb×nb` block and
 /// accumulate `alpha ·` (packed A · packed B) into `c[r0.., c0..]`. Edge
-/// tiles compute a full padded register tile and store only the live part.
+/// tiles compute every (zero-padded) row of the register tile and at least
+/// its live columns, and store only the live part. The microkernel writes
+/// each tile into one buffer, which is never cleared: a tile's sum does not
+/// read what the buffer held.
 /// With `lower`, tiles that lie strictly above the diagonal of `c` are
 /// skipped (the symmetric driver mirrors them in afterwards). The tile lands
 /// through slices of whichever direction of `c` is contiguous.
@@ -157,6 +161,7 @@ fn macro_kernel<T: Scalar>(
             *dst = v.mul_add(alpha, *dst);
         }
     };
+    let mut acc = [T::ZERO; MAX_TILE];
     for jp in 0..nb.div_ceil(nr) {
         let cols = nr.min(nb - jp * nr);
         let bpanel = &bpack[jp * nr * kb..(jp * nr * kb) + nr * kb];
@@ -167,8 +172,7 @@ fn macro_kernel<T: Scalar>(
                 continue;
             }
             let apanel = &apack[ip * mr * kb..(ip * mr * kb) + mr * kb];
-            let mut acc = [T::ZERO; MAX_TILE];
-            T::gemm_microkernel(kb, apanel, bpanel, &mut acc[..mr * nr]);
+            T::gemm_microkernel(kb, apanel, bpanel, &mut acc[..mr * nr], cols);
             if c.col_contiguous() {
                 for j in 0..cols {
                     let col = &mut c.col_slice_mut(ci + j)[ri..ri + rows];
@@ -242,12 +246,16 @@ pub(crate) fn gemm_blocked<T: Scalar>(
 ///
 /// Per `KC`-deep slab of `A`'s columns — filled from as many consecutive
 /// panels as it takes, straight from their rows — the slab is packed once
-/// as `MR`-row panels and once as `NR`-column panels of `Aᵀ`, widened from
-/// `S` to the accumulator precision `T` on the way, and the macro-kernel
-/// runs over the blocks that touch the triangle. The slabs start at column
-/// 0 of the first panel and the tile sums are [`gemm_blocked`]'s, so each
-/// entry carries the bits of `gemm(A, Aᵀ)` over the concatenated columns —
-/// whatever the panel boundaries, the layout of each panel, or `j0`.
+/// as `MR`-row panels, widened from `S` to the accumulator precision `T` on
+/// the way, and the macro-kernel runs over the blocks that touch the
+/// triangle. The tile is square (`MR == NR`), so the `NR`-column panels of
+/// `Aᵀ` the B side reads are the leading `MR`-row panels of that same pack:
+/// the last one may hold rows past `nb` where a B pack would hold zeros,
+/// but they only reach tile columns the write-back drops. The slabs start
+/// at column 0 of the first panel and the tile sums are [`gemm_blocked`]'s,
+/// so each entry carries the bits of `gemm(A, Aᵀ)` over the concatenated
+/// columns — whatever the panel boundaries, the layout of each panel, or
+/// `j0`.
 pub(crate) fn syrk_blocked<S: Scalar, T: Scalar>(
     panels: &[MatRef<'_, S>],
     j0: usize,
@@ -256,11 +264,11 @@ pub(crate) fn syrk_blocked<S: Scalar, T: Scalar>(
     let (mb, nb) = (c.rows(), c.cols());
     let n: usize = panels.iter().map(|p| p.cols()).sum();
     debug_assert!(nb <= mb && panels.iter().all(|p| p.rows() == j0 + mb));
+    debug_assert_eq!(T::MR, T::NR);
     if nb == 0 || n == 0 {
         return;
     }
-    let depth = KC.min(n);
-    T::with_pack_scratch(round_up(mb, T::MR) * depth, depth * round_up(nb, T::NR), |apack, bpack| {
+    T::with_pack_scratch(round_up(mb, T::MR) * KC.min(n), 0, |pack, _| {
         // The next unread column: `off` within `panels[next]`.
         let (mut next, mut off) = (0, 0);
         let mut pc = 0;
@@ -270,9 +278,7 @@ pub(crate) fn syrk_blocked<S: Scalar, T: Scalar>(
             while l < kb {
                 let take = (kb - l).min(panels[next].cols() - off);
                 if take > 0 {
-                    let piece = panels[next].submatrix(j0, off, mb, take);
-                    pack_a(piece, apack, kb, l);
-                    pack_b(piece.submatrix(0, 0, nb, take).t(), bpack, kb, l);
+                    pack_a(panels[next].submatrix(j0, off, mb, take), pack, kb, l);
                     l += take;
                     off += take;
                 }
@@ -285,7 +291,7 @@ pub(crate) fn syrk_blocked<S: Scalar, T: Scalar>(
                 // of the triangle.
                 for ic in (jc / MC * MC..mb).step_by(MC) {
                     let (h, w) = (MC.min(mb - ic), NC.min(nb - jc));
-                    macro_kernel(T::ONE, &apack[ic * kb..], &bpack[jc * kb..], h, w, kb, c, ic, jc, true);
+                    macro_kernel(T::ONE, &pack[ic * kb..], &pack[jc * kb..], h, w, kb, c, ic, jc, true);
                 }
             }
             pc += kb;
@@ -428,15 +434,17 @@ mod tests {
 
     #[test]
     fn microkernel_matches_scalar_tile() {
+        // The dispatched microkernel writes the tile: whatever `acc` held
+        // (a stale tile, here 0.25 everywhere) does not enter the sum.
         let (mr, nr) = (<f64 as Scalar>::MR, <f64 as Scalar>::NR);
         let kb = 17;
         let ap: Vec<f64> = (0..mr * kb).map(|i| (i as f64 * 0.37).sin()).collect();
         let bp: Vec<f64> = (0..nr * kb).map(|i| (i as f64 * 0.73).cos()).collect();
         let mut acc = vec![0.25f64; mr * nr];
-        f64::gemm_microkernel(kb, &ap, &bp, &mut acc);
+        f64::gemm_microkernel(kb, &ap, &bp, &mut acc, nr);
         for j in 0..nr {
             for i in 0..mr {
-                let mut want = 0.25;
+                let mut want = 0.0;
                 for l in 0..kb {
                     want = ap[l * mr + i].mul_add(bp[l * nr + j], want);
                 }

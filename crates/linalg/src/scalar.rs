@@ -98,23 +98,28 @@ pub trait Scalar:
         self > Self::MIN_POSITIVE / (Self::EPSILON * Self::EPSILON) && self < Self::MAX * Self::EPSILON
     }
 
-    /// Microkernel register-tile rows. Together with [`Scalar::NR`] this
-    /// sizes the accumulator block of the GEMM microkernel: `MR·NR` live
-    /// accumulators plus one packed A column must fit the vector register
-    /// file, so `f32` (twice the lanes per register) gets twice the rows —
-    /// the ~2× single-precision tile throughput the paper's machine model
-    /// assumes.
+    /// Microkernel register-tile rows: one 512-bit register of the
+    /// precision. The tile is square ([`Scalar::NR`] `== MR`), so its `MR`
+    /// accumulator columns plus one packed A column fit the AVX-512
+    /// register file, and `f32` (twice the lanes per register) gets four
+    /// times the tile — the ~2× single-precision throughput per load the
+    /// paper's machine model assumes. A square tile also lets the SYRK
+    /// driver use one packed slab as both operands.
     const MR: usize;
-    /// Microkernel register-tile columns.
+    /// Microkernel register-tile columns (equal to [`Scalar::MR`]).
     const NR: usize;
 
     /// The register-tiled outer-product microkernel:
-    /// `acc[j*MR + i] += Σ_l apanel[l*MR + i] · bpanel[l*NR + j]`
-    /// for a full `MR×NR` tile over `kb` packed rank-1 updates. `apanel`
-    /// holds an `MR`-row slab of packed A (column `l` contiguous), `bpanel`
-    /// an `NR`-column slab of packed B (row `l` contiguous). Monomorphized
-    /// per type so the `i`/`j` loops unroll over literal tile sizes.
-    fn gemm_microkernel(kb: usize, apanel: &[Self], bpanel: &[Self], acc: &mut [Self]);
+    /// `acc[j*MR + i] = Σ_l apanel[l*MR + i] · bpanel[l*NR + j]`
+    /// over `kb` packed rank-1 updates, for every row of the tile and at
+    /// least its first `cols` columns (`1 ≤ cols ≤ NR`, the live columns
+    /// of an edge tile; the rest of `acc` is unspecified). The tile is
+    /// written, not accumulated into: each element is one fused
+    /// multiply-add chain in ascending `l` that starts from `+0.0`, and
+    /// the previous contents of `acc` are never read. `apanel` holds an
+    /// `MR`-row slab of packed A (column `l` contiguous), `bpanel` an
+    /// `NR`-column slab of packed B (row `l` contiguous).
+    fn gemm_microkernel(kb: usize, apanel: &[Self], bpanel: &[Self], acc: &mut [Self], cols: usize);
 
     /// `Σ x[c]·y[c]` over two equal-length slices: the `k`-long stream of
     /// [`crate::tplqt::tplqt`]'s in-block reflector applies, which is its
@@ -145,7 +150,7 @@ pub trait Scalar:
 }
 
 macro_rules! impl_scalar {
-    ($t:ty, $name:expr, $mr:expr, $nr:expr, $ukr:ident, $dot:ident, $axpy:ident) => {
+    ($t:ty, $name:expr, $mr:expr, $ukr512:ident, $ukr:ident, $dot:ident, $axpy:ident) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -209,43 +214,23 @@ macro_rules! impl_scalar {
             }
 
             const MR: usize = $mr;
-            const NR: usize = $nr;
+            const NR: usize = $mr;
 
-            fn gemm_microkernel(kb: usize, apanel: &[Self], bpanel: &[Self], acc: &mut [Self]) {
+            fn gemm_microkernel(kb: usize, apanel: &[Self], bpanel: &[Self], acc: &mut [Self], cols: usize) {
                 #[cfg(target_arch = "x86_64")]
-                if simd::have_avx2_fma() {
-                    // SAFETY: the required target features were just
-                    // verified at runtime; slice lengths are asserted
-                    // inside the kernel before any raw-pointer access.
-                    unsafe { simd::$ukr(kb, apanel, bpanel, acc) };
-                    return;
-                }
-                const MR: usize = $mr;
-                const NR: usize = $nr;
-                assert!(apanel.len() >= kb * MR && bpanel.len() >= kb * NR);
-                let acc: &mut [$t; MR * NR] = (&mut acc[..MR * NR]).try_into().unwrap();
-                // Portable fallback: same tile, plain mul_adds. Each k step
-                // is MR·NR independent updates fed by MR + NR loads.
-                let mut t = [[0.0 as $t; MR]; NR];
-                for (j, tj) in t.iter_mut().enumerate() {
-                    for (i, v) in tj.iter_mut().enumerate() {
-                        *v = acc[j * MR + i];
+                {
+                    if simd::have_avx512f() {
+                        // SAFETY: the required target feature was just
+                        // verified at runtime; slice lengths are asserted
+                        // inside the kernel before any raw-pointer access.
+                        return unsafe { simd::$ukr512(kb, apanel, bpanel, acc, cols) };
+                    }
+                    if simd::have_avx2_fma() {
+                        // SAFETY: as above, for AVX2+FMA.
+                        return unsafe { simd::$ukr(kb, apanel, bpanel, acc, cols) };
                     }
                 }
-                for l in 0..kb {
-                    let a: &[$t; MR] = apanel[l * MR..l * MR + MR].try_into().unwrap();
-                    let b: &[$t; NR] = bpanel[l * NR..l * NR + NR].try_into().unwrap();
-                    for (tj, &bj) in t.iter_mut().zip(b.iter()) {
-                        for (v, &ai) in tj.iter_mut().zip(a.iter()) {
-                            *v = ai.mul_add(bj, *v);
-                        }
-                    }
-                }
-                for (j, tj) in t.iter().enumerate() {
-                    for (i, &v) in tj.iter().enumerate() {
-                        acc[j * MR + i] = v;
-                    }
-                }
+                ukr_portable::<$t, $mr>(kb, apanel, bpanel, acc, cols, <$t>::mul_add)
             }
 
             fn dot(x: &[Self], y: &[Self]) -> Self {
@@ -281,7 +266,7 @@ macro_rules! impl_scalar {
                 use crate::kernel::{round_up, KC, NC};
                 let fit = |buf: &mut Vec<$t>, len: usize| {
                     if buf.capacity() < len {
-                        *buf = Vec::with_capacity(len.max(KC * round_up(NC, $nr)));
+                        *buf = Vec::with_capacity(len.max(KC * round_up(NC, $mr)));
                     }
                     if buf.len() < len {
                         buf.resize(len, 0.0);
@@ -307,13 +292,42 @@ macro_rules! impl_scalar {
     };
 }
 
-// Tile shapes sized for the 16-register AVX2 file: the f64 tile holds
-// 8×4 = 32 accumulators (8 ymm), the f32 tile 16×4 = 64 (also 8 ymm) —
-// same register budget, twice the flops per load, which is where single
-// precision's ~2× tile throughput comes from. On non-x86_64 targets the
-// portable fallback uses the same shapes so results are layout-identical.
-impl_scalar!(f32, "single", 16, 4, ukr_f32, dot_f32, axpy_f32);
-impl_scalar!(f64, "double", 8, 4, ukr_f64, dot_f64, axpy_f64);
+// One square tile per precision, one zmm per accumulator column: f64 8×8
+// (8 zmm, the eight independent FMA chains two FMA ports with a 4-cycle
+// latency need), f32 16×16 (16 zmm). The SIMD bodies skip the 4-column
+// groups of an edge tile that hold no live column (a one-column B pays for
+// four columns, not the whole tile), the portable body every dead column.
+// Every body returns the same bits.
+impl_scalar!(f32, "single", 16, ukr512_f32, ukr_f32, dot_f32, axpy_f32);
+impl_scalar!(f64, "double", 8, ukr512_f64, ukr_f64, dot_f64, axpy_f64);
+
+/// Portable body of [`Scalar::gemm_microkernel`] on the first `cols`
+/// columns of the `N × N` tile. `fma` is the precision's inherent, fused
+/// `mul_add` (not [`Scalar::mul_add`], which is unfused), so this body has
+/// the bits of the SIMD ones. Each `l` step is `N·cols` independent updates
+/// fed by `N + cols` loads.
+#[inline(always)]
+fn ukr_portable<T: Scalar, const N: usize>(
+    kb: usize,
+    apanel: &[T],
+    bpanel: &[T],
+    acc: &mut [T],
+    cols: usize,
+    fma: fn(T, T, T) -> T,
+) {
+    assert!(apanel.len() >= kb * N && bpanel.len() >= kb * N && acc.len() >= N * N);
+    let mut t = [[T::ZERO; N]; N];
+    for (a, b) in apanel.chunks_exact(N).zip(bpanel.chunks_exact(N)).take(kb) {
+        for (tj, &bj) in t.iter_mut().zip(b).take(cols) {
+            for (v, &ai) in tj.iter_mut().zip(a) {
+                *v = fma(ai, bj, *v);
+            }
+        }
+    }
+    for (dst, tj) in acc.chunks_exact_mut(N).zip(&t) {
+        dst.copy_from_slice(tj);
+    }
+}
 
 /// Sum `L` dot-product lanes by halving: `lanes[i] += lanes[i + h]` for
 /// `h = L/2, L/4, …, 1`. The one reduction order of [`Scalar::dot`].
@@ -350,10 +364,8 @@ fn axpy_portable<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
     }
 }
 
-/// Explicit-SIMD microkernels. The portable loop in `impl_scalar!` is the
-/// semantic reference; these compute the same tile with packed FMA ops
-/// (fused, so the low bits differ from the unfused fallback — callers never
-/// mix the two paths within a run because feature detection is constant).
+/// Explicit-SIMD microkernels and streams. The tile bodies compute what
+/// [`ukr_portable`] computes, to the bit: the same fused chain per element.
 #[cfg(target_arch = "x86_64")]
 mod simd {
     use std::arch::x86_64::*;
@@ -365,91 +377,130 @@ mod simd {
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
     }
 
-    /// 8×4 `f64` tile: two ymm accumulators per B column, one broadcast
-    /// per B element, two packed FMAs per broadcast.
-    ///
-    /// # Safety
-    /// Caller must verify AVX2+FMA support (see [`have_avx2_fma`]).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn ukr_f64(kb: usize, apanel: &[f64], bpanel: &[f64], acc: &mut [f64]) {
-        const MR: usize = 8;
-        const NR: usize = 4;
-        assert!(apanel.len() >= kb * MR && bpanel.len() >= kb * NR && acc.len() >= MR * NR);
-        unsafe {
-            let mut t = [_mm256_setzero_pd(); 2 * NR];
-            for j in 0..NR {
-                t[2 * j] = _mm256_loadu_pd(acc.as_ptr().add(j * MR));
-                t[2 * j + 1] = _mm256_loadu_pd(acc.as_ptr().add(j * MR + 4));
-            }
-            let mut ap = apanel.as_ptr();
-            let mut bp = bpanel.as_ptr();
-            for _ in 0..kb {
-                let a0 = _mm256_loadu_pd(ap);
-                let a1 = _mm256_loadu_pd(ap.add(4));
-                let b0 = _mm256_set1_pd(*bp);
-                t[0] = _mm256_fmadd_pd(a0, b0, t[0]);
-                t[1] = _mm256_fmadd_pd(a1, b0, t[1]);
-                let b1 = _mm256_set1_pd(*bp.add(1));
-                t[2] = _mm256_fmadd_pd(a0, b1, t[2]);
-                t[3] = _mm256_fmadd_pd(a1, b1, t[3]);
-                let b2 = _mm256_set1_pd(*bp.add(2));
-                t[4] = _mm256_fmadd_pd(a0, b2, t[4]);
-                t[5] = _mm256_fmadd_pd(a1, b2, t[5]);
-                let b3 = _mm256_set1_pd(*bp.add(3));
-                t[6] = _mm256_fmadd_pd(a0, b3, t[6]);
-                t[7] = _mm256_fmadd_pd(a1, b3, t[7]);
-                ap = ap.add(MR);
-                bp = bp.add(NR);
-            }
-            for j in 0..NR {
-                _mm256_storeu_pd(acc.as_mut_ptr().add(j * MR), t[2 * j]);
-                _mm256_storeu_pd(acc.as_mut_ptr().add(j * MR + 4), t[2 * j + 1]);
-            }
-        }
+    /// True when the AVX-512F microkernels may be used.
+    #[inline]
+    pub(super) fn have_avx512f() -> bool {
+        std::arch::is_x86_feature_detected!("avx512f")
     }
 
-    /// 16×4 `f32` tile: identical structure to [`ukr_f64`] with twice the
-    /// lanes per register.
-    ///
-    /// # Safety
-    /// Caller must verify AVX2+FMA support (see [`have_avx2_fma`]).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn ukr_f32(kb: usize, apanel: &[f32], bpanel: &[f32], acc: &mut [f32]) {
-        const MR: usize = 16;
-        const NR: usize = 4;
-        assert!(apanel.len() >= kb * MR && bpanel.len() >= kb * NR && acc.len() >= MR * NR);
-        unsafe {
-            let mut t = [_mm256_setzero_ps(); 2 * NR];
-            for j in 0..NR {
-                t[2 * j] = _mm256_loadu_ps(acc.as_ptr().add(j * MR));
-                t[2 * j + 1] = _mm256_loadu_ps(acc.as_ptr().add(j * MR + 8));
+    /// The two SIMD bodies of `Scalar::gemm_microkernel` on the `$n × $n`
+    /// tile of one precision (`$n` lanes per zmm, `$n / 2` per ymm). Both
+    /// work in groups of four tile columns and stop after the group that
+    /// holds column `cols − 1`; both start every accumulator from a zeroed
+    /// register, add the products in ascending `l` with one fused rounding
+    /// each and store the tile once.
+    macro_rules! tiles {
+        ($t:ty, $n:expr, $ukr512:ident, $ukr:ident, $cols512:ident, [$($groups:literal => $c:literal),*],
+         $load512:ident, $store512:ident, $zero512:ident, $set512:ident, $fma512:ident,
+         $load:ident, $store:ident, $zero:ident, $set1:ident, $fma:ident) => {
+            /// AVX-512F body: one zmm accumulator per computed tile column,
+            /// one A load and a broadcast of B per column per `l`, all
+            /// columns of the computed groups in one pass.
+            ///
+            /// # Safety
+            /// Caller must verify AVX-512F support (see [`have_avx512f`]).
+            #[target_feature(enable = "avx512f")]
+            pub(super) unsafe fn $ukr512(
+                kb: usize,
+                apanel: &[$t],
+                bpanel: &[$t],
+                acc: &mut [$t],
+                cols: usize,
+            ) {
+                const N: usize = $n;
+                assert!(apanel.len() >= kb * N && bpanel.len() >= kb * N && acc.len() >= N * N);
+                // SAFETY: `C <= N` in every arm, and the asserted lengths
+                // are what `$cols512` requires.
+                unsafe {
+                    match cols.div_ceil(4) {
+                        $($groups => $cols512::<$c>(kb, apanel.as_ptr(), bpanel.as_ptr(), acc.as_mut_ptr()),)*
+                        _ => $cols512::<N>(kb, apanel.as_ptr(), bpanel.as_ptr(), acc.as_mut_ptr()),
+                    }
+                }
             }
-            let mut ap = apanel.as_ptr();
-            let mut bp = bpanel.as_ptr();
-            for _ in 0..kb {
-                let a0 = _mm256_loadu_ps(ap);
-                let a1 = _mm256_loadu_ps(ap.add(8));
-                let b0 = _mm256_set1_ps(*bp);
-                t[0] = _mm256_fmadd_ps(a0, b0, t[0]);
-                t[1] = _mm256_fmadd_ps(a1, b0, t[1]);
-                let b1 = _mm256_set1_ps(*bp.add(1));
-                t[2] = _mm256_fmadd_ps(a0, b1, t[2]);
-                t[3] = _mm256_fmadd_ps(a1, b1, t[3]);
-                let b2 = _mm256_set1_ps(*bp.add(2));
-                t[4] = _mm256_fmadd_ps(a0, b2, t[4]);
-                t[5] = _mm256_fmadd_ps(a1, b2, t[5]);
-                let b3 = _mm256_set1_ps(*bp.add(3));
-                t[6] = _mm256_fmadd_ps(a0, b3, t[6]);
-                t[7] = _mm256_fmadd_ps(a1, b3, t[7]);
-                ap = ap.add(MR);
-                bp = bp.add(NR);
+
+            /// Columns `0..C` of the AVX-512F tile.
+            ///
+            /// # Safety
+            /// AVX-512F is available, `C <= N`, `ap` and `bp` point at `kb·N`
+            /// readable elements and `acc` at `C·N` writable ones.
+            #[target_feature(enable = "avx512f")]
+            #[inline]
+            unsafe fn $cols512<const C: usize>(
+                kb: usize,
+                mut ap: *const $t,
+                mut bp: *const $t,
+                acc: *mut $t,
+            ) {
+                const N: usize = $n;
+                // SAFETY: step `l < kb` reads `ap[l·N..][..N]` and
+                // `bp[l·N..][..C]`, the stores cover `acc[..C·N]`; all
+                // inside the ranges the caller guarantees.
+                unsafe {
+                    let mut t = [$zero512(); C];
+                    for _ in 0..kb {
+                        let a = $load512(ap);
+                        for (j, tj) in t.iter_mut().enumerate() {
+                            *tj = $fma512(a, $set512(*bp.add(j)), *tj);
+                        }
+                        ap = ap.add(N);
+                        bp = bp.add(N);
+                    }
+                    for (j, tj) in t.iter().enumerate() {
+                        $store512(acc.add(j * N), *tj);
+                    }
+                }
             }
-            for j in 0..NR {
-                _mm256_storeu_ps(acc.as_mut_ptr().add(j * MR), t[2 * j]);
-                _mm256_storeu_ps(acc.as_mut_ptr().add(j * MR + 8), t[2 * j + 1]);
+
+            /// AVX2+FMA body: one pass per group of four columns, each two
+            /// ymm accumulators per column (8 of the 16 registers) over the
+            /// whole A panel, which stays in L1 between groups.
+            ///
+            /// # Safety
+            /// Caller must verify AVX2+FMA support (see [`have_avx2_fma`]).
+            #[target_feature(enable = "avx2", enable = "fma")]
+            pub(super) unsafe fn $ukr(
+                kb: usize,
+                apanel: &[$t],
+                bpanel: &[$t],
+                acc: &mut [$t],
+                cols: usize,
+            ) {
+                const N: usize = $n;
+                const W: usize = N / 2;
+                assert!(apanel.len() >= kb * N && bpanel.len() >= kb * N && acc.len() >= N * N);
+                // SAFETY: step `l < kb` of group `g` reads `apanel[l·N..][..N]`
+                // and `bpanel[l·N + g..][..4]`, inside the asserted lengths
+                // (`g + 4 <= N`); the stores cover tile columns `g..g + 4`.
+                unsafe {
+                    for g in (0..cols.min(N)).step_by(4) {
+                        let mut t = [$zero(); 8];
+                        let (mut ap, mut bp) = (apanel.as_ptr(), bpanel.as_ptr().add(g));
+                        for _ in 0..kb {
+                            let (a0, a1) = ($load(ap), $load(ap.add(W)));
+                            for (j, tj) in t.chunks_exact_mut(2).enumerate() {
+                                let b = $set1(*bp.add(j));
+                                tj[0] = $fma(a0, b, tj[0]);
+                                tj[1] = $fma(a1, b, tj[1]);
+                            }
+                            ap = ap.add(N);
+                            bp = bp.add(N);
+                        }
+                        for (j, tj) in t.chunks_exact(2).enumerate() {
+                            $store(acc.as_mut_ptr().add((g + j) * N), tj[0]);
+                            $store(acc.as_mut_ptr().add((g + j) * N + W), tj[1]);
+                        }
+                    }
+                }
             }
-        }
+        };
     }
+    tiles!(f64, 8, ukr512_f64, ukr_f64, cols512_f64, [1 => 4],
+           _mm512_loadu_pd, _mm512_storeu_pd, _mm512_setzero_pd, _mm512_set1_pd, _mm512_fmadd_pd,
+           _mm256_loadu_pd, _mm256_storeu_pd, _mm256_setzero_pd, _mm256_set1_pd, _mm256_fmadd_pd);
+    tiles!(f32, 16, ukr512_f32, ukr_f32, cols512_f32, [1 => 4, 2 => 8, 3 => 12],
+           _mm512_loadu_ps, _mm512_storeu_ps, _mm512_setzero_ps, _mm512_set1_ps, _mm512_fmadd_ps,
+           _mm256_loadu_ps, _mm256_storeu_ps, _mm256_setzero_ps, _mm256_set1_ps, _mm256_fmadd_ps);
 
     /// The AVX2+FMA bodies of `Scalar::dot` / `Scalar::axpy` for one
     /// precision: four accumulator registers of `$w` lanes each, so element
@@ -654,6 +705,58 @@ mod tests {
     fn pack_scratch_is_allocated_once_per_thread() {
         check_scratch_allocated_once::<f64>();
         check_scratch_allocated_once::<f32>();
+    }
+
+    type TileBody<T> = unsafe fn(usize, &[T], &[T], &mut [T], usize);
+
+    /// Every body of the microkernel the host can run, called directly —
+    /// the dispatch only ever reaches one of them — on the same packed
+    /// panels, into a tile of NaNs, for every live column count: each must
+    /// write the fused chain `Σ_l a·b` from `+0.0` in ascending `l` into
+    /// every live column, bit for bit.
+    fn check_tile_bodies<T: Scalar, const N: usize>(fma: fn(T, T, T) -> T, bodies: &[(&str, TileBody<T>)]) {
+        for kb in [1usize, 2, 17, 256] {
+            let ap: Vec<T> = (0..N * kb).map(|i| T::from_f64((i as f64 * 0.37).sin())).collect();
+            let bp: Vec<T> = (0..N * kb).map(|i| T::from_f64((i as f64 * 0.73).cos())).collect();
+            let mut want = vec![T::ZERO; N * N];
+            for (j, col) in want.chunks_exact_mut(N).enumerate() {
+                for (i, w) in col.iter_mut().enumerate() {
+                    *w = (0..kb).fold(T::ZERO, |s, l| fma(ap[l * N + i], bp[l * N + j], s));
+                }
+            }
+            let bits = |tile: &[T]| tile.iter().map(|v| v.to_f64().to_bits()).collect::<Vec<u64>>();
+            let nans = || vec![T::from_f64(f64::NAN); N * N];
+            for cols in 1..=N {
+                let live = ..cols * N;
+                let mut got = nans();
+                ukr_portable::<T, N>(kb, &ap, &bp, &mut got, cols, fma);
+                let what = format!("{} kb = {kb}, cols = {cols}", T::PRECISION_NAME);
+                assert_eq!(bits(&got[live]), bits(&want[live]), "portable {what}");
+                for &(name, body) in bodies {
+                    let mut got = nans();
+                    // SAFETY: the caller lists only bodies whose features
+                    // the host has.
+                    unsafe { body(kb, &ap, &bp, &mut got, cols) };
+                    assert_eq!(bits(&got[live]), bits(&want[live]), "{name} {what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_tile_body_writes_the_fused_chain() {
+        #[cfg(target_arch = "x86_64")]
+        fn host<T>(avx512: TileBody<T>, avx2: TileBody<T>) -> Vec<(&'static str, TileBody<T>)> {
+            let all = [("AVX-512F", avx512, simd::have_avx512f()), ("AVX2", avx2, simd::have_avx2_fma())];
+            all.into_iter().filter_map(|(name, body, has)| has.then_some((name, body))).collect()
+        }
+        #[cfg(target_arch = "x86_64")]
+        let (bodies64, bodies32) =
+            (host(simd::ukr512_f64, simd::ukr_f64), host(simd::ukr512_f32, simd::ukr_f32));
+        #[cfg(not(target_arch = "x86_64"))]
+        let (bodies64, bodies32) = (Vec::new(), Vec::new());
+        check_tile_bodies::<f64, 8>(f64::mul_add, &bodies64);
+        check_tile_bodies::<f32, 16>(f32::mul_add, &bodies32);
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //!
 //! The kernel is the lower-triangle driver of the register-tiled engine
 //! ([`crate::kernel::syrk_blocked`], DESIGN.md §10): per `KC`-deep slab the
-//! operand is packed once as row panels and once as column panels of its
-//! transpose, only the micro-tiles that touch the lower triangle are
-//! computed, and the strict upper triangle is mirrored afterwards. Every
-//! entry is summed over the same ascending slabs whatever the layout, the
-//! panel boundaries or the task count, and `C[i,j] == C[j,i]` exactly.
+//! operand is packed once as row panels, which the square register tile
+//! reads as both operands, only the micro-tiles that touch the lower
+//! triangle are computed, and the strict upper triangle is mirrored
+//! afterwards. Every entry is summed over the same ascending slabs whatever
+//! the layout, the panel boundaries or the task count, and `C[i,j] ==
+//! C[j,i]` exactly.
 
 use crate::kernel;
 use crate::matrix::Matrix;
@@ -146,8 +147,10 @@ mod tests {
     #[test]
     fn lower_triangle_has_the_bits_of_the_square_gemm() {
         // Both sides of MR, NR, MC, SB and of one, two and many KC slabs
-        // (the twenty-slab case only below SB: this is a debug build).
-        for m in [1, 7, 8, 33, 48, 64, 65, 130, 200] {
+        // (the twenty-slab case only below SB: this is a debug build); 15,
+        // 16 and 17 put a ragged diagonal tile at the f32 tile edge, where
+        // the one pack is both operands.
+        for m in [1, 7, 8, 15, 16, 17, 33, 48, 64, 65, 130, 200] {
             for n in [1, 255, 256, 257, 5000] {
                 if n > 257 && m > SB {
                     continue;

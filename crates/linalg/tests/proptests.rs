@@ -282,15 +282,14 @@ proptest! {
 
     #[test]
     fn gemm_microkernel_edge_shapes(
-        // Straddle the MR/NR/KC tile boundaries where partial tiles and
-        // zero-padding kick in (f64 MR=8, f32 MR=16, NR=4, KC=256).
-        mi in 0usize..7, ki in 0usize..4, ni in 0usize..4, seed in any::<u64>(),
+        // Straddle the MR/NR/KC tile boundaries of each precision, where
+        // partial tiles and zero-padding kick in.
+        mi in 0usize..5, ki in 0usize..4, ni in 0usize..5, seed in any::<u64>(),
     ) {
-        let m = [1usize, 7, 8, 9, 15, 16, 17][mi];
         let k = [1usize, 255, 256, 257][ki];
-        let n = [1usize, 3, 4, 5][ni];
-        check_gemm::<f64>(m, k, n, seed, 0, 0, 0, 1e-14);
-        check_gemm::<f32>(m, k, n, seed, 0, 0, 0, 1e-5);
+        let edge = |tile: usize, at: usize| [1, tile - 1, tile, tile + 1, 2 * tile + 1][at];
+        check_gemm::<f64>(edge(f64::MR, mi), k, edge(f64::NR, ni), seed, 0, 0, 0, 1e-14);
+        check_gemm::<f32>(edge(f32::MR, mi), k, edge(f32::NR, ni), seed, 0, 0, 0, 1e-5);
     }
 
     #[test]

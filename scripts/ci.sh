@@ -378,17 +378,21 @@ if grep -rnE 'blocked_qr|geqrf_blocked|DEFAULT_BLOCK|l_of_transposed|transposed_
     exit 1
 fi
 # The flat tree's fold has one body (DESIGN.md §13): `tplqt` walks no
-# element stream of `B` through the view, and the only hand-vectorised code
-# in the workspace is the microkernel and the dot/axpy pair beside it.
+# element stream of `B` through the view. The only hand-vectorised code in
+# the workspace, and the only feature detection, is in scalar.rs: the
+# microkernel's three bodies (AVX-512F, AVX2+FMA, portable) on one square
+# tile, and the dot/axpy pair beside them (DESIGN.md §10).
 if grep -nE 'b\.get\(|b\.update\(' crates/linalg/src/tplqt.rs; then
     echo "lq gate: tplqt.rs streams B element by element again" >&2
     exit 1
 fi
-simd="$(grep -rl 'target_feature' crates/*/src | tr '\n' ' ')"
-[ "$simd" = "crates/linalg/src/scalar.rs " ] || {
-    echo "lq gate: target_feature outside crates/linalg/src/scalar.rs: $simd" >&2
-    exit 1
-}
+for what in 'target_feature' 'is_x86_feature_detected' 'std::arch'; do
+    simd="$(grep -rl "$what" crates/*/src | tr '\n' ' ')"
+    [ "$simd" = "crates/linalg/src/scalar.rs " ] || {
+        echo "lq gate: $what outside crates/linalg/src/scalar.rs: $simd" >&2
+        exit 1
+    }
+done
 echo "lq gate: lq_factor is the flat tree at every shape, tplqt has one body OK"
 
 # One serial SVD (DESIGN.md §13): the small SVD of L is the unblocked
