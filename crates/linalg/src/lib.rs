@@ -22,13 +22,14 @@
 //! * [`qr::geqrf`] — unblocked Householder QR (`geqr`) in place: the
 //!   randomized range finder's bases and the random orthogonal factors
 //! * [`lq::lq_factor`] — the Q-less LQ (`gelq` minus `Q`): the only way a
-//!   matrix becomes its lower-triangular factor `L`, the flat tree over
-//!   column panels at every row count
+//!   matrix becomes its lower-triangular factor `L`, the tree of flat-tree
+//!   leaves over column panels at every row count
 //! * [`tplqt::tplqt`] — structured LQ of `[L B]` with `L` lower triangular,
 //!   the LQ mirror of LAPACK's `tpqrt` (compact-WY over 16-row blocks), used
 //!   by flat-tree and butterfly TSQR
-//! * [`tslq::tslq_blocks`] — sequential flat-tree tall-skinny LQ (Alg. 2
-//!   core) over any sequence of column blocks
+//! * [`tslq::tslq_blocks`] — tall-skinny LQ over any sequence of column
+//!   blocks: a fixed tree of serial flat-tree leaves (Alg. 2) on the pool,
+//!   merged left to right by `tplqt_pair`, its shape set by the input alone
 //! * [`svd`] — Golub–Kahan bidiagonalization + implicit-shift QR SVD (`gesvd`)
 //! * [`eig`] — Householder tridiagonalization + implicit-QL symmetric
 //!   eigensolver (`syev`)

@@ -3,32 +3,32 @@
 //! For an `m x n` unfolding with `m ≪ n`, `A = L·Q` reduces the SVD problem
 //! to the small lower-triangular `L` (paper §3.1); `Q`, the `τ`s and the
 //! reflector tails are never wanted, so no entry point hands them out.
-//! [`lq_factor`] is the paper's flat tree (Alg. 2) at every shape:
-//! [`tslq_blocks`] cuts the view into cache-sized column panels and folds
-//! each into the running triangle with the blocked `tplqt`, whose trailing
-//! products are GEMMs — so a tall triangle gets the GEMM rate from the fold
-//! itself and needs no second kernel.
+//! [`lq_factor`] is [`tslq_blocks`] over the one view at every shape: the
+//! view is cut into cache-sized column panels, each folded into a running
+//! triangle by the blocked `tplqt` (the paper's flat tree, Alg. 2), whose
+//! trailing products are GEMMs — so a tall triangle gets the GEMM rate from
+//! the fold itself and needs no second kernel. A matrix of 16 panels or
+//! more is cut into a fixed number of flat-tree leaves that run on the pool
+//! and merge left to right, so `L` does not depend on the thread count.
 //!
 //! The measurements are in EXPERIMENTS.md: "One Q-less LQ" (the flat tree
 //! halves the 48 x 76 032 HCCI mode-0 LQ), "A GEMM-rate `tplqt`" (the
-//! blocked fold halves it again) and "One LQ kernel" (the fold against the
-//! compact-WY QR it replaced above 64 rows).
+//! blocked fold halves it again), "One LQ kernel" (the fold against the
+//! compact-WY QR it replaced above 64 rows) and "A fixed tree of flat-tree
+//! leaves" (the leaves on the second core).
 
 use crate::matrix::Matrix;
-use crate::perf::{qr_flops, with_kernel};
 use crate::scalar::Scalar;
 use crate::tslq::{tslq_blocks, TslqOptions};
 use crate::view::MatRef;
 
 /// LQ factor `L` (`m x m` lower triangular, zero-padded when `n < m` — the
 /// paper's §3.4 detail: the TSQR tree needs a square triangle) of a view,
-/// leaving the input untouched. One `"lq"` perf frame with the model count
-/// of the whole factorization; the folds' own frames nest under it.
+/// leaving the input untouched. One `"lq"` perf frame — `tslq_blocks`' —
+/// with the model count of the whole factorization; the folds' own frames
+/// nest under it.
 pub fn lq_factor<T: Scalar>(a: MatRef<'_, T>) -> Matrix<T> {
-    let (m, n) = (a.rows(), a.cols());
-    with_kernel("lq", qr_flops(n, m), 0, || {
-        tslq_blocks(m, std::iter::once(a), TslqOptions::default())
-    })
+    tslq_blocks(a.rows(), std::iter::once(a), TslqOptions::default())
 }
 
 #[cfg(test)]

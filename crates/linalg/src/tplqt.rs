@@ -2,18 +2,18 @@
 //! LAPACK's `tpqrt` ("triangular-pentagonal QR").
 //!
 //! This is the reduction operator of both TSQR variants in the paper:
-//! the sequential flat tree annihilates one column block of the unfolding at
-//! a time against the running triangle (Alg. 2 line 7), and the parallel
-//! butterfly annihilates the partner processor's triangle at every tree level
-//! (Alg. 3 lines 14/16).
+//! each flat-tree leaf annihilates one column block of the unfolding at a
+//! time against its running triangle (Alg. 2 line 7), and the leaves'
+//! triangles — like the partner processor's triangle at every level of the
+//! parallel butterfly (Alg. 3 lines 14/16) — are merged by [`tplqt_pair`].
 //!
 //! `L` is updated in place with the new triangular factor; `B` is consumed
 //! (on return its contents are unspecified). The pentagonal sub-structure of
 //! `B` is not exploited: treating `B` as a full rectangle only affects the
 //! lower-order `O(m³)` term. The paper calls `tpqrt` not performance
 //! critical (§4.2.1) because MKL's runs at GEMM rate; here, since the flat
-//! tree is the LQ of every matrix, this kernel *is* the LQ's time, so it is
-//! blocked:
+//! tree is the LQ of every matrix and of every leaf, this kernel *is* the
+//! LQ's time, so it is blocked:
 //!
 //! Row `i`'s reflector is `H_i = I − τ_i v_i v_iᵀ` with `v_i = e_i ⊕ b_i`
 //! (`b_i` the tail left in row `i` of `B`). Rows are swept in blocks `I` of
@@ -37,7 +37,8 @@
 //! and is the serial `gemm` otherwise; either way its bits are the serial
 //! call's. Everything else is serial and in a fixed order, so the bits of
 //! `L` depend on the values of `[L B]` alone — not on `B`'s layout, nor on
-//! the thread budget.
+//! the thread budget, nor on which thread runs the call (a leaf of
+//! `tslq_blocks` may run on a pool worker).
 
 use crate::gemm::gemm_par;
 use crate::householder::norm2;
@@ -205,7 +206,8 @@ fn make_reflector<T: Scalar>(alpha: T, x: &mut [T]) -> (T, T) {
 /// Reduce two lower-triangular factors: `L_out = LQ-factor of [L_a  L_b]`,
 /// updating `L_a` in place and consuming a copy of `L_b`.
 ///
-/// This is the butterfly/binomial TSQR reduction operation (Alg. 3).
+/// This is the butterfly/binomial TSQR reduction operation (Alg. 3), and the
+/// merge of `tslq_blocks`' flat-tree leaves.
 pub fn tplqt_pair<T: Scalar>(l_a: &mut Matrix<T>, l_b: &Matrix<T>) {
     let m = l_a.rows();
     assert_eq!(l_b.shape(), (m, m), "tplqt_pair: shape mismatch");

@@ -526,26 +526,38 @@ fn check_ttm_across_pools<T: Scalar>() {
 /// perf frame, and the pool's workers never collect: each logical kernel
 /// records once, whichever thread ran which item. A general-mode `ttm`
 /// (its blocks run uninstrumented `gemm_prepacked`), a tiled `gemm_into`
-/// (tiles are nested `gemm` frames) and a column-panel `syrk` must leave
-/// the same totals at one and at two threads.
+/// (tiles are nested `gemm` frames), a column-panel `syrk`, and a
+/// multi-leaf `tslq_blocks` over row-major blocks and `lq_factor` over a
+/// whole view (leaves are nested folds, one of them folded on a worker at
+/// two threads) must leave the same totals at one and at two threads.
 #[test]
 fn kernel_counters_equal_across_pools() {
     let x = Tensor::from_data(&[32, 24, 24], seeded::<f64>(32 * 24 * 24, 1, 5).into_data());
     let u = seeded::<f64>(96, 24, 6);
     let (a, b) = (seeded::<f64>(64, 600, 7), seeded::<f64>(600, 64, 8));
     let s = seeded::<f64>(130, 256, 9);
+    // 420 row-major 8 × 40 blocks: 17 groups of 26 blocks, two leaves.
+    let (rows, width, count) = (8, 40, 420);
+    let unfolding = seeded::<f64>(rows * width * count, 1, 10).into_data();
+    let blocks = || unfolding.chunks_exact(rows * width).map(|blk| MatRef::row_major(blk, rows, width));
+    let wide = seeded::<f64>(rows, 16 * 1024 + 8, 11);
     let totals = |tasks| {
         with_tasks(tasks, || {
             perf::enable();
             let _ = ttm(&x, 1, u.as_ref(), false);
             let _ = gemm_into(a.as_ref(), Trans::No, b.as_ref(), Trans::No);
             let _ = syrk_lower(s.as_ref());
+            let _ = tslq_blocks(rows, blocks(), TslqOptions::default());
+            let _ = lq_factor(wide.as_ref());
             perf::drain().expect("enabled")
         })
     };
     let one = totals(1);
-    assert_eq!((one["gemm"].calls, one["syrk"].calls), (1, 1));
-    assert_eq!(one.len(), 2, "ttm's blocks record nothing: {one:?}");
+    assert_eq!((one["gemm"].calls, one["syrk"].calls, one["lq"].calls), (1, 1, 2));
+    let lq = perf::lq_flops(rows as f64, (width * count) as f64) as u64
+        + perf::lq_flops(rows as f64, wide.cols() as f64) as u64;
+    assert_eq!(one["lq"].flops, lq, "the LQ frames carry the model count");
+    assert_eq!(one.len(), 3, "ttm's blocks record nothing: {one:?}");
     assert_eq!(totals(2), one);
 }
 
@@ -742,4 +754,104 @@ fn check_tplqt_row_scaling<T: Scalar>(big: i32, over: i32, under: i32) {
 fn tplqt_survives_extreme_row_scaling() {
     check_tplqt_row_scaling::<f64>(498, 511, -1000);
     check_tplqt_row_scaling::<f32>(60, 63, -120);
+}
+
+// ---- The fixed tree of flat-tree leaves: a whole view and a block
+// ---- sequence cut into the same leaves, on both sides of every leaf-count
+// ---- step, at one, two and seven tasks.
+
+/// Columns that make `groups` flat-tree groups: `groups − 1` full
+/// 1024-column panels and a short last one.
+fn cols_for_groups(groups: usize) -> usize {
+    groups * 1024 - 7
+}
+
+/// FNV-1a over the bits of every element, column-major.
+fn bits_hash<T: Scalar>(l: &Matrix<T>) -> u64 {
+    l.data().iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+        (h ^ x.to_f64().to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `L` of `m × cols_for_groups(groups)` through the three layouts and the
+/// three task budgets: one set of bits, lower triangular, and `LLᵀ = AAᵀ` to
+/// `rel` of `max|AAᵀ|` (in `f64`, from the widened factors).
+fn check_leaf_line<T: Scalar>(m: usize, groups: usize, rel: f64) {
+    let cols = cols_for_groups(groups);
+    let what = format!("{m}x{cols} ({groups} groups) {}", T::PRECISION_NAME);
+    let a = seeded::<T>(m, cols, (m * 100 + groups) as u64);
+    let l = with_tasks(1, || lq_factor(a.as_ref()));
+
+    for j in 0..m {
+        for i in 0..j {
+            assert!(l[(i, j)] == T::ZERO, "{what}: L not lower triangular");
+        }
+    }
+    let (l64, a64) = (widened(&l), widened(&a));
+    let llt = gemm_into(l64.as_ref(), Trans::No, l64.as_ref(), Trans::Yes);
+    let aat = syrk_lower(a64.as_ref());
+    let mut worst = 0.0f64;
+    for j in 0..m {
+        for i in j..m {
+            worst = worst.max((llt[(i, j)] - aat[(i, j)]).abs());
+        }
+    }
+    let got = worst / aat.max_abs();
+    assert!(got <= rel, "{what}: max|LLᵀ − AAᵀ| / max|AAᵀ| = {got:e}");
+
+    // Row-major whole view, and 1024-column row-major blocks laid end to
+    // end as in an unfolding.
+    let row_major = a.transposed();
+    let got = with_tasks(1, || lq_factor(MatRef::row_major(row_major.data(), m, cols)));
+    assert_eq!(got, l, "{what}: row-major whole view");
+    let mut buf = Vec::with_capacity(m * cols);
+    for j0 in (0..cols).step_by(1024) {
+        let w = 1024.min(cols - j0);
+        buf.extend((0..m * w).map(|k| a[(k / w, j0 + k % w)]));
+    }
+    let blocks = (0..cols).step_by(1024).map(|j0| {
+        let w = 1024.min(cols - j0);
+        MatRef::row_major(&buf[m * j0..m * (j0 + w)], m, w)
+    });
+    let got = with_tasks(1, || tslq_blocks(m, blocks, TslqOptions::default()));
+    assert_eq!(got, l, "{what}: 1024-column blocks");
+
+    for tasks in [2, 7] {
+        let got = with_tasks(tasks, || lq_factor(a.as_ref()));
+        assert_eq!(got, l, "{what}: bits moved under a {tasks}-task budget");
+    }
+}
+
+/// The leaf count steps at 16, 32 and 64 groups (one, two, four, eight
+/// leaves) and stays at eight above: every step from both sides at one row,
+/// where the tree is cheap, and the first two at the HCCI heights (33 and
+/// 48 rows) and past the fold's 16-row block edge (65 rows).
+fn check_leaf_lines<T: Scalar>(rel: f64) {
+    for groups in [15, 16, 17, 31, 32, 33, 64, 65, 73] {
+        check_leaf_line::<T>(1, groups, rel);
+    }
+    for (m, groups) in [(33, 15), (33, 16), (33, 33), (48, 17), (65, 16)] {
+        check_leaf_line::<T>(m, groups, rel);
+    }
+}
+
+#[test]
+fn tslq_leaf_lines_bitwise_across_layouts_and_pools() {
+    // The bound of `lq::tests::residual_is_at_rounding_level_on_tall_triangles`.
+    check_leaf_lines::<f64>(2e-15);
+    check_leaf_lines::<f32>(2e-6);
+}
+
+/// Below 16 groups the tree is one leaf: the flat tree it was, bit for bit.
+/// HCCI mode 3's shape (48 × 8 360, nine groups) pinned to the `L` it had
+/// before the leaves, at any budget.
+#[test]
+fn one_leaf_shape_keeps_the_flat_tree_bits() {
+    let a64 = seeded::<f64>(48, 8360, 8360);
+    let a32 = seeded::<f32>(48, 8360, 8360);
+    for tasks in TASK_COUNTS {
+        let (l64, l32) = with_tasks(tasks, || (lq_factor(a64.as_ref()), lq_factor(a32.as_ref())));
+        assert_eq!(bits_hash(&l64), 0x74f1_5d79_0ba7_db62, "f64 L is not the flat tree's at {tasks} tasks");
+        assert_eq!(bits_hash(&l32), 0x9e99_1f48_e0f8_5725, "f32 L is not the flat tree's at {tasks} tasks");
+    }
 }

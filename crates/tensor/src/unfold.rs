@@ -93,9 +93,9 @@ impl<'a, T: Scalar> Unfolding<'a, T> {
     }
 
     /// LQ factor `L` (`I_n x I_n`, lower triangular) of the unfolding (paper
-    /// Alg. 2): the flat tree either way — `lq_factor` of the one contiguous
-    /// matrix (first/last mode), `tslq_blocks` over the row-major blocks
-    /// otherwise.
+    /// Alg. 2): the same tree of flat-tree leaves either way — `lq_factor`
+    /// of the one contiguous matrix (first/last mode), `tslq_blocks` over
+    /// the row-major blocks otherwise.
     pub fn lq(&self, opts: TslqOptions) -> Matrix<T> {
         match self.whole() {
             Some(whole) => lq_factor(whole),

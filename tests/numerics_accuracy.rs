@@ -12,14 +12,19 @@ fn fig1<T: Scalar>() -> (Vec<f64>, Matrix<T>) {
     (geometric_profile(80, 0.0, -18.0), fig1_matrix::<T>(17))
 }
 
-/// The same spectrum on the shape the HCCI workloads factor: 48 x 4096 is
-/// short-fat, so its LQ is four folds of the blocked `tplqt` and its Gram
-/// one `syrk` over a long inner dimension.
-fn short_fat<T: Scalar>() -> (Vec<f64>, Matrix<T>) {
+/// The same spectrum on the shapes the HCCI workloads factor: 48 x 4096 is
+/// short-fat, so its LQ is four folds of the blocked `tplqt` (one leaf) and
+/// its Gram one `syrk` over a long inner dimension; 48 x 32 768 is 32 folds
+/// cut into four flat-tree leaves merged pairwise, the tree HCCI mode 0
+/// runs.
+fn short_fat<T: Scalar>(cols: usize) -> (Vec<f64>, Matrix<T>) {
     let truth = geometric_profile(48, 0.0, -18.0);
-    let a = matrix_with_singular_values_seeded::<T>(&truth, 4096, 17);
+    let a = matrix_with_singular_values_seeded::<T>(&truth, cols, 17);
     (truth, a)
 }
+
+/// Widths of the short-fat checks: one leaf, and four.
+const SHORT_FAT_COLS: [usize; 2] = [4096, 32_768];
 
 fn series<T: Scalar>(a: &Matrix<T>, qr: bool) -> Vec<f64> {
     let (_, s) = if qr { qr_svd(a.as_ref()).unwrap() } else { gram_svd(a.as_ref()).unwrap() };
@@ -87,14 +92,18 @@ fn values_above_floor_are_order_of_magnitude_accurate() {
 
 #[test]
 fn short_fat_floors_are_ordered_as_theory_predicts() {
-    let (truth, double) = short_fat::<f64>();
-    check_floors_are_ordered(&truth, &short_fat::<f32>().1, &double);
+    for cols in SHORT_FAT_COLS {
+        let (truth, double) = short_fat::<f64>(cols);
+        check_floors_are_ordered(&truth, &short_fat::<f32>(cols).1, &double);
+    }
 }
 
 #[test]
 fn short_fat_values_above_floor_are_order_of_magnitude_accurate() {
-    let (truth, double) = short_fat::<f64>();
-    check_values_above_floor(&truth, &short_fat::<f32>().1, &double);
+    for cols in SHORT_FAT_COLS {
+        let (truth, double) = short_fat::<f64>(cols);
+        check_values_above_floor(&truth, &short_fat::<f32>(cols).1, &double);
+    }
 }
 
 #[test]
