@@ -240,7 +240,7 @@ macro_rules! impl_scalar {
                     // verified at runtime.
                     return unsafe { simd::$dot(x, y) };
                 }
-                dot_portable::<$t, { 128 / std::mem::size_of::<$t>() }>(x, y)
+                dot_portable::<$t, { 128 / std::mem::size_of::<$t>() }>(x, y, <$t>::mul_add)
             }
 
             fn axpy(alpha: Self, x: &[Self], y: &mut [Self]) {
@@ -250,7 +250,7 @@ macro_rules! impl_scalar {
                     unsafe { simd::$axpy(alpha, x, y) };
                     return;
                 }
-                axpy_portable(alpha, x, y)
+                axpy_portable(alpha, x, y, <$t>::mul_add)
             }
 
             fn with_pack_scratch<R>(
@@ -344,23 +344,25 @@ fn sum_lanes<T: Scalar, const L: usize>(mut lanes: [T; L]) -> T {
 }
 
 /// Portable body of [`Scalar::dot`]: `L` scalar lanes in the AVX2 kernel's
-/// order, `mul_add` unfused.
-fn dot_portable<T: Scalar, const L: usize>(x: &[T], y: &[T]) -> T {
+/// order, each a chain of the precision's inherent, fused `mul_add` (`fma`,
+/// as in [`ukr_portable`]), so this body has the bits of the AVX2 one.
+fn dot_portable<T: Scalar, const L: usize>(x: &[T], y: &[T], fma: fn(T, T, T) -> T) -> T {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
     let mut lanes = [T::ZERO; L];
     for (xs, ys) in x.chunks(L).zip(y.chunks(L)) {
         for ((lane, &a), &b) in lanes.iter_mut().zip(xs).zip(ys) {
-            *lane = a.mul_add(b, *lane);
+            *lane = fma(a, b, *lane);
         }
     }
     sum_lanes(lanes)
 }
 
-/// Portable body of [`Scalar::axpy`].
-fn axpy_portable<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
+/// Portable body of [`Scalar::axpy`]: one fused `fma` per element, the AVX2
+/// body's bits.
+fn axpy_portable<T: Scalar>(alpha: T, x: &[T], y: &mut [T], fma: fn(T, T, T) -> T) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
     for (yc, &xc) in y.iter_mut().zip(x) {
-        *yc = alpha.mul_add(xc, *yc);
+        *yc = fma(alpha, xc, *yc);
     }
 }
 
@@ -506,8 +508,8 @@ mod simd {
     /// precision: four accumulator registers of `$w` lanes each, so element
     /// `c` lands in lane `c mod 4·$w` as in `dot_portable`; the remainder
     /// past the last full `4·$w` chunk goes through the spilled lanes with
-    /// scalar FMAs (fused here, unfused in the portable body — the two
-    /// agree to rounding, not to the bit).
+    /// scalar FMAs. Every product is fused, as in the portable bodies, so
+    /// the two have the same bits.
     macro_rules! streams {
         ($t:ty, $w:expr, $dot:ident, $axpy:ident,
          $load:ident, $store:ident, $zero:ident, $set1:ident, $fma:ident) => {
@@ -650,9 +652,11 @@ mod tests {
 
     /// The portable and the AVX2 bodies of `dot`/`axpy`, called directly —
     /// the dispatch only ever reaches one of them on a given host — on both
-    /// sides of every lane boundary.
+    /// sides of every lane boundary: the same bits, and the dot within its
+    /// rounding bound of the exact sum.
     #[cfg(target_arch = "x86_64")]
     fn check_streams<T: Scalar, const L: usize>(
+        fma: fn(T, T, T) -> T,
         dot_simd: unsafe fn(&[T], &[T]) -> T,
         axpy_simd: unsafe fn(T, &[T], &mut [T]),
     ) {
@@ -660,6 +664,7 @@ mod tests {
             return;
         }
         let eps = T::EPSILON.to_f64();
+        let bits = |v: &[T]| v.iter().map(|e| e.to_f64().to_bits()).collect::<Vec<u64>>();
         for n in [0usize, 1, 7, 8, 31, 32, 33, 1024, 1027] {
             let draw = |i: usize, salt: f64| T::from_f64(((i as f64 + salt) * 0.7391).sin() * 2.0);
             let x: Vec<T> = (0..n).map(|i| draw(i, 0.25)).collect();
@@ -668,25 +673,21 @@ mod tests {
             let (exact, abs) = exact_dot(&wide(&x), &wide(&y));
             // Each lane is a chain of ⌈n/L⌉ roundings, the halving adds log₂L.
             let bound = 2.0 * eps * (n.div_ceil(L) + L.ilog2() as usize + 1) as f64 * abs;
-            let portable = dot_portable::<T, L>(&x, &y).to_f64();
+            let portable = dot_portable::<T, L>(&x, &y, fma);
             // SAFETY: AVX2+FMA support was checked above.
-            let vector = unsafe { dot_simd(&x, &y) }.to_f64();
-            assert!((portable - exact).abs() <= bound, "portable dot, n = {n}");
-            assert!((vector - exact).abs() <= bound, "AVX2 dot, n = {n}");
-            assert_eq!(T::dot(&x, &y).to_f64(), vector, "dispatch, n = {n}");
+            let vector = unsafe { dot_simd(&x, &y) };
+            assert!((vector.to_f64() - exact).abs() <= bound, "AVX2 dot, n = {n}");
+            assert_eq!(bits(&[portable]), bits(&[vector]), "portable dot, n = {n}");
+            assert_eq!(bits(&[T::dot(&x, &y)]), bits(&[vector]), "dispatch, n = {n}");
 
-            // One fused, one not: they agree to a rounding of the product.
             let alpha = T::from_f64(-0.37);
             let (mut yp, mut yv) = (y.clone(), y.clone());
-            axpy_portable(alpha, &x, &mut yp);
+            axpy_portable(alpha, &x, &mut yp, fma);
             // SAFETY: as above.
             unsafe { axpy_simd(alpha, &x, &mut yv) };
-            for i in 0..n {
-                let want = alpha.to_f64() * x[i].to_f64() + y[i].to_f64();
-                let slack = 2.0 * eps * ((alpha * x[i]).abs().to_f64() + want.abs());
-                assert!((yp[i].to_f64() - want).abs() <= slack, "portable axpy, n = {n}, i = {i}");
-                assert!((yv[i].to_f64() - want).abs() <= slack, "AVX2 axpy, n = {n}, i = {i}");
-            }
+            assert_eq!(bits(&yp), bits(&yv), "portable axpy, n = {n}");
+            let want: Vec<T> = x.iter().zip(&y).map(|(&xc, &yc)| fma(alpha, xc, yc)).collect();
+            assert_eq!(bits(&yv), bits(&want), "AVX2 axpy, n = {n}");
         }
     }
 
@@ -762,7 +763,7 @@ mod tests {
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn portable_and_avx2_streams_agree() {
-        check_streams::<f64, 16>(simd::dot_f64, simd::axpy_f64);
-        check_streams::<f32, 32>(simd::dot_f32, simd::axpy_f32);
+        check_streams::<f64, 16>(f64::mul_add, simd::dot_f64, simd::axpy_f64);
+        check_streams::<f32, 32>(f32::mul_add, simd::dot_f32, simd::axpy_f32);
     }
 }

@@ -11,18 +11,35 @@
 //! operand is packed once as row panels, which the square register tile
 //! reads as both operands, only the micro-tiles that touch the lower
 //! triangle are computed, and the strict upper triangle is mirrored
-//! afterwards. Every entry is summed over the same ascending slabs whatever
-//! the layout, the panel boundaries or the task count, and `C[i,j] ==
-//! C[j,i]` exactly.
+//! afterwards. `C[i,j] == C[j,i]` exactly.
+//!
+//! Two schedules, both fixed by the shape alone (DESIGN.md §13):
+//!
+//! * up to [`SB`] rows — every Gram of a short-fat unfolding — the LQ's
+//!   tree of leaves: the columns are cut at multiples of
+//!   [`PANEL_COLS`] into [`leaf_count`] consecutive leaves, each leaf runs
+//!   the driver into its own zeroed triangle as one item of a pool
+//!   `for_each`, and the triangles are added into `C` left to right on the
+//!   calling thread. Every leaf boundary is a slab boundary of the whole
+//!   (`PANEL_COLS` is a multiple of `KC`), so a leaf sums the serial
+//!   driver's slabs; fewer than 16 groups of `PANEL_COLS` columns are one
+//!   leaf, the driver on the whole operand;
+//! * above [`SB`] rows, column panels of `C`, each summed over all of `A`.
+//!
+//! Either way every entry is summed over the same slabs in the same order
+//! whatever the layout, the panel boundaries or the task count.
+
+use std::ops::Range;
 
 use crate::kernel;
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
+use crate::tslq::{leaf_count, PANEL_COLS};
 use crate::view::{MatMut, MatRef};
 use rayon::prelude::*;
 
-/// Width of the column panels of `C` the parallel schedule hands out, and
-/// the row count above which it is used.
+/// Width of the column panels of `C` the tall schedule hands out, and the
+/// row count above which it is used; up to it, the tree of leaves.
 const SB: usize = 128;
 
 /// Flop count above which the parallel schedule is used.
@@ -36,30 +53,76 @@ pub fn syrk_lower<T: Scalar>(a: MatRef<'_, T>) -> Matrix<T> {
 
 /// `A·Aᵀ` in accumulator precision `T`, where `A` is the `m`-row column
 /// panels `panels` laid side by side — one view, or the row-major blocks of
-/// a tensor unfolding in order. One zeroed `C`, one `"syrk"` perf frame; the
-/// driver's `KC`-deep slabs run across panel boundaries, so the bits are
-/// those of `gemm(A, Aᵀ)` over the concatenated columns and do not depend on
-/// how the columns are cut into panels.
+/// a tensor unfolding in order. One `"syrk"` perf frame; the driver's
+/// `KC`-deep slabs run across panel boundaries, and the leaves are cut by
+/// column position, so the bits do not depend on how the columns are cut
+/// into panels. A single leaf carries the bits of `gemm(A, Aᵀ)` over the
+/// concatenated columns.
 pub fn syrk_lower_panels<S: Scalar, T: Scalar>(m: usize, panels: &[MatRef<'_, S>]) -> Matrix<T> {
     assert!(panels.iter().all(|p| p.rows() == m), "syrk: panel row count mismatch");
     let n: usize = panels.iter().map(|p| p.cols()).sum();
     let flops = m.saturating_mul(m).saturating_mul(n);
     crate::perf::with_kernel("syrk", flops as u64, crate::perf::syrk_pack_bytes::<T>(m, n), || {
-        let mut c = Matrix::zeros(m, m);
-        if flops >= PAR_FLOP_THRESHOLD && rayon::current_num_threads() > 1 && m > SB {
-            // Column panels of `C` are disjoint chunks of its buffer; each
-            // runs the same driver below its own stretch of the diagonal.
-            c.data_mut().par_chunks_mut(SB * m).enumerate().for_each(|(p, chunk)| {
-                let (j0, w) = (p * SB, chunk.len() / m);
-                let mut cols = MatMut::col_major(chunk, m, w);
-                kernel::syrk_blocked(panels, j0, &mut cols.submatrix_mut(j0, 0, m - j0, w));
-            });
+        let mut c = if m <= SB {
+            leaf_tree(m, n, panels)
         } else {
-            kernel::syrk_blocked(panels, 0, &mut c.as_mut());
-        }
+            let mut c = Matrix::zeros(m, m);
+            if flops >= PAR_FLOP_THRESHOLD && rayon::current_num_threads() > 1 {
+                // Column panels of `C` are disjoint chunks of its buffer; each
+                // runs the same driver below its own stretch of the diagonal.
+                c.data_mut().par_chunks_mut(SB * m).enumerate().for_each(|(p, chunk)| {
+                    let (j0, w) = (p * SB, chunk.len() / m);
+                    let mut cols = MatMut::col_major(chunk, m, w);
+                    kernel::syrk_blocked(panels, j0, &mut cols.submatrix_mut(j0, 0, m - j0, w));
+                });
+            } else {
+                kernel::syrk_blocked(panels, 0, &mut c.as_mut());
+            }
+            c
+        };
         mirror_lower(&mut c);
         c
     })
+}
+
+/// The lower triangle of `A·Aᵀ` over the LQ's leaves: `g` groups of
+/// [`PANEL_COLS`] columns (the last one short), leaf `i` taking groups
+/// `[i·g/c, (i+1)·g/c)` of `c = leaf_count(m, g)` into its own zeroed
+/// triangle on the pool, then the triangles added left to right here.
+fn leaf_tree<S: Scalar, T: Scalar>(m: usize, n: usize, panels: &[MatRef<'_, S>]) -> Matrix<T> {
+    let g = n.div_ceil(PANEL_COLS);
+    let count = leaf_count(m, g);
+    let mut leaves = vec![Matrix::zeros(0, 0); count];
+    leaves.par_chunks_mut(1).enumerate().for_each(|(i, slot)| {
+        let cols = i * g / count * PANEL_COLS..((i + 1) * g / count * PANEL_COLS).min(n);
+        let mut l = Matrix::zeros(m, m);
+        kernel::syrk_blocked(&column_range(panels, cols), 0, &mut l.as_mut());
+        slot[0] = l;
+    });
+    let mut leaves = leaves.into_iter();
+    let mut c = leaves.next().expect("at least one leaf");
+    for leaf in leaves {
+        for j in 0..m {
+            for i in j..m {
+                c[(i, j)] += leaf[(i, j)];
+            }
+        }
+    }
+    c
+}
+
+/// Columns `cols` of `panels` laid side by side, as the panels' pieces.
+fn column_range<'a, S: Scalar>(panels: &[MatRef<'a, S>], cols: Range<usize>) -> Vec<MatRef<'a, S>> {
+    let mut pieces = Vec::new();
+    let mut j0 = 0;
+    for p in panels {
+        let (lo, hi) = (cols.start.max(j0), cols.end.min(j0 + p.cols()));
+        if lo < hi {
+            pieces.push(p.submatrix(0, lo - j0, p.rows(), hi - lo));
+        }
+        j0 += p.cols();
+    }
+    pieces
 }
 
 /// Copy the strict lower triangle into the strict upper one.

@@ -38,7 +38,9 @@ use crate::view::{transpose_into, MatMut, MatRef};
 
 /// Columns folded per `tplqt` call: 64 rows of it are 512 KiB at `f64`,
 /// L2-resident beside the running triangle, and the kernel's two products
-/// have a long enough dimension to run at the GEMM engine's rate.
+/// have a long enough dimension to run at the GEMM engine's rate. Also the
+/// grain of the Gram's leaves ([`crate::syrk`]): a multiple of `KC`, so a
+/// leaf line there is a slab boundary.
 pub(crate) const PANEL_COLS: usize = 1024;
 
 /// Most leaves one LQ is cut into.
@@ -137,7 +139,9 @@ where
 /// groups and `32·m` columns — every group but the last holds at least
 /// [`PANEL_COLS`] columns, hence the one group of slack. One leaf below 16
 /// groups. A function of the input's shape only, never of the thread budget.
-fn leaf_count(m: usize, groups: usize) -> usize {
+/// The SYRK driver cuts its columns into leaves by the same rule
+/// ([`crate::syrk::syrk_lower_panels`]).
+pub(crate) fn leaf_count(m: usize, groups: usize) -> usize {
     let per_leaf = MIN_LEAF_GROUPS.max(1 + (MIN_LEAF_COLS_PER_ROW * m).div_ceil(PANEL_COLS));
     let fit = (groups / per_leaf).clamp(1, MAX_LEAVES);
     1 << fit.ilog2()

@@ -9,7 +9,7 @@ use tucker_linalg::svd::svd;
 use tucker_linalg::syrk_lower;
 use tucker_linalg::tplqt::tplqt;
 use tucker_linalg::tslq::{tslq_blocks, TslqOptions};
-use tucker_linalg::{perf, syev, syrk_lower_f64_acc, MatMut, MatRef, Matrix, Scalar};
+use tucker_linalg::{perf, syev, syrk_lower_f64_acc, syrk_lower_panels, MatMut, MatRef, Matrix, Scalar};
 use tucker_tensor::{ttm, Tensor};
 
 fn matrix_strategy(max_dim: usize) -> impl Strategy<Value = Matrix<f64>> {
@@ -527,7 +527,9 @@ fn check_ttm_across_pools<T: Scalar>() {
 /// records once, whichever thread ran which item. A general-mode `ttm`
 /// (its blocks run uninstrumented `gemm_prepacked`), a tiled `gemm_into`
 /// (tiles are nested `gemm` frames), a column-panel `syrk`, and a
-/// multi-leaf `tslq_blocks` over row-major blocks and `lq_factor` over a
+/// multi-leaf `syrk_lower_panels` over row-major blocks (leaves run the
+/// uninstrumented driver, one of them on a worker at two threads), a
+/// multi-leaf `tslq_blocks` over the same blocks and `lq_factor` over a
 /// whole view (leaves are nested folds, one of them folded on a worker at
 /// two threads) must leave the same totals at one and at two threads.
 #[test]
@@ -536,7 +538,8 @@ fn kernel_counters_equal_across_pools() {
     let u = seeded::<f64>(96, 24, 6);
     let (a, b) = (seeded::<f64>(64, 600, 7), seeded::<f64>(600, 64, 8));
     let s = seeded::<f64>(130, 256, 9);
-    // 420 row-major 8 × 40 blocks: 17 groups of 26 blocks, two leaves.
+    // 420 row-major 8 × 40 blocks: 17 groups (26 blocks each for the LQ,
+    // 1024 columns for the Gram), two leaves.
     let (rows, width, count) = (8, 40, 420);
     let unfolding = seeded::<f64>(rows * width * count, 1, 10).into_data();
     let blocks = || unfolding.chunks_exact(rows * width).map(|blk| MatRef::row_major(blk, rows, width));
@@ -547,13 +550,16 @@ fn kernel_counters_equal_across_pools() {
             let _ = ttm(&x, 1, u.as_ref(), false);
             let _ = gemm_into(a.as_ref(), Trans::No, b.as_ref(), Trans::No);
             let _ = syrk_lower(s.as_ref());
+            let _: Matrix<f64> = syrk_lower_panels(rows, &blocks().collect::<Vec<_>>());
             let _ = tslq_blocks(rows, blocks(), TslqOptions::default());
             let _ = lq_factor(wide.as_ref());
             perf::drain().expect("enabled")
         })
     };
     let one = totals(1);
-    assert_eq!((one["gemm"].calls, one["syrk"].calls, one["lq"].calls), (1, 1, 2));
+    assert_eq!((one["gemm"].calls, one["syrk"].calls, one["lq"].calls), (1, 2, 2));
+    let syrk = 130 * 130 * 256 + rows * rows * width * count;
+    assert_eq!(one["syrk"].flops, syrk as u64, "the syrk frames carry the model count");
     let lq = perf::lq_flops(rows as f64, (width * count) as f64) as u64
         + perf::lq_flops(rows as f64, wide.cols() as f64) as u64;
     assert_eq!(one["lq"].flops, lq, "the LQ frames carry the model count");
@@ -853,5 +859,98 @@ fn one_leaf_shape_keeps_the_flat_tree_bits() {
         let (l64, l32) = with_tasks(tasks, || (lq_factor(a64.as_ref()), lq_factor(a32.as_ref())));
         assert_eq!(bits_hash(&l64), 0x74f1_5d79_0ba7_db62, "f64 L is not the flat tree's at {tasks} tasks");
         assert_eq!(bits_hash(&l32), 0x9e99_1f48_e0f8_5725, "f32 L is not the flat tree's at {tasks} tasks");
+    }
+}
+
+// ---- The Gram on the same tree: `syrk_lower_panels` cuts its columns into
+// ---- the LQ's leaves up to 128 rows, on both sides of every leaf-count
+// ---- step, in every layout, at one, two and seven tasks.
+
+/// The lower triangle of `Σ_leaves gemm(A_leaf, A_leafᵀ)` in `f64`: each
+/// leaf of `leaves` consecutive runs of 1024-column groups multiplied by the
+/// serial `gemm` from zero, the leaves added left to right — the bits a
+/// one-leaf Gram had before the tree (the driver on the whole operand).
+fn leaf_sum(a: &Matrix<f64>, groups: usize, leaves: usize) -> Matrix<f64> {
+    let (m, n) = (a.rows(), a.cols());
+    let mut want = Matrix::<f64>::zeros(m, m);
+    for i in 0..leaves {
+        let j0 = i * groups / leaves * 1024;
+        let w = ((i + 1) * groups / leaves * 1024).min(n) - j0;
+        let leaf = a.as_ref().submatrix(0, j0, m, w);
+        let mut part = Matrix::<f64>::zeros(m, m);
+        gemm(1.0, leaf, leaf.t(), 0.0, &mut part.as_mut());
+        for j in 0..m {
+            for r in j..m {
+                want[(r, j)] = if i == 0 { part[(r, j)] } else { want[(r, j)] + part[(r, j)] };
+            }
+        }
+    }
+    want
+}
+
+/// The Gram of `m × cols_for_groups(groups)` in accumulator precision
+/// `f64` from `S` data: the left-to-right leaf sum, bit for bit, from a
+/// column-major view, from 40-column row-major blocks laid end to end as in
+/// an unfolding (the leaf lines fall inside blocks), and from the view cut
+/// at an odd column, under one, two and seven tasks; mirrored exactly.
+fn check_syrk_leaf_line<S: Scalar>(m: usize, groups: usize, leaves: usize) {
+    let cols = cols_for_groups(groups);
+    let what = format!("{m}x{cols} ({groups} groups, {leaves} leaves) {} -> double", S::PRECISION_NAME);
+    let a = seeded::<S>(m, cols, (m * 1000 + groups) as u64);
+    let want = leaf_sum(&widened(&a), groups, leaves);
+
+    let width = |j0: usize| 40.min(cols - j0);
+    let mut buf = Vec::with_capacity(m * cols);
+    for j0 in (0..cols).step_by(40) {
+        let w = width(j0);
+        buf.extend((0..m * w).map(|k| a[(k / w, j0 + k % w)]));
+    }
+    let blocks: Vec<MatRef<'_, S>> =
+        (0..cols).step_by(40).map(|j0| MatRef::row_major(&buf[m * j0..m * (j0 + width(j0))], m, width(j0))).collect();
+    let cut = (cols / 2) | 1;
+    let halves = [a.as_ref().submatrix(0, 0, m, cut), a.as_ref().submatrix(0, cut, m, cols - cut)];
+    let whole = [a.as_ref()];
+
+    for tasks in TASK_COUNTS {
+        for (layout, panels) in [("column-major", &whole[..]), ("row-major blocks", &blocks[..]), ("odd cut", &halves[..])] {
+            let got: Matrix<f64> = with_tasks(tasks, || syrk_lower_panels(m, panels));
+            for j in 0..m {
+                for i in j..m {
+                    assert!(
+                        got[(i, j)].to_bits() == want[(i, j)].to_bits(),
+                        "{what}, {layout}, {tasks} tasks: ({i},{j}) is not the leaf sum"
+                    );
+                    assert!(got[(j, i)] == got[(i, j)], "{what}, {layout}: mirror of ({i},{j})");
+                }
+            }
+        }
+    }
+}
+
+/// The leaf count steps at 16, 32 and 64 groups at every height up to 128
+/// rows: every step from both sides at one row, the first at the HCCI
+/// heights (33 and 48 rows) and at the tree's last height (128 rows).
+fn check_syrk_leaf_lines<S: Scalar>() {
+    for (groups, leaves) in [(15, 1), (16, 2), (31, 2), (32, 4), (63, 4), (64, 8), (73, 8)] {
+        check_syrk_leaf_line::<S>(1, groups, leaves);
+    }
+    for (m, groups, leaves) in [(33, 15, 1), (33, 16, 2), (48, 17, 2), (48, 32, 4), (128, 15, 1), (128, 16, 2)] {
+        check_syrk_leaf_line::<S>(m, groups, leaves);
+    }
+}
+
+#[test]
+fn syrk_leaf_lines_bitwise_across_layouts_and_pools() {
+    check_syrk_leaf_lines::<f64>();
+    check_syrk_leaf_lines::<f32>();
+    // Below 16 groups the Gram is one leaf: the driver on the whole operand,
+    // as it was before the tree. HCCI mode 3's shape (48 × 8 360, nine
+    // groups) pinned to the Gram it had then, at any budget.
+    let a64 = seeded::<f64>(48, 8360, 8360);
+    let a32 = seeded::<f32>(48, 8360, 8360);
+    for tasks in TASK_COUNTS {
+        let (g64, g32) = with_tasks(tasks, || (syrk_lower(a64.as_ref()), syrk_lower_f64_acc(a32.as_ref())));
+        assert_eq!(bits_hash(&g64), 0x2e07_ab5d_0348_55c3, "f64 Gram is not the one-leaf driver's at {tasks} tasks");
+        assert_eq!(bits_hash(&g32), 0x67da_e876_4293_8541, "f32 -> f64 Gram is not the one-leaf driver's at {tasks} tasks");
     }
 }

@@ -12,11 +12,16 @@
 //! at the engine's rate"); the model flop counts beside the times are
 //! `I_n²·cols` (Gram), `2·I_n²·cols` (LQ) and `2·R_n·I_n·cols` (TTM).
 //!
-//! The LQ is timed twice: at one task and at the pool's size, with their
-//! ratio. A mode of 16 or more 1024-column groups is folded as flat-tree
-//! leaves on the pool, so the ratio shows what each mode gains from them —
-//! and, on a host whose second core comes and goes, whether it was there.
+//! The Gram and the LQ are timed twice: at one task and at the pool's size,
+//! with their ratio. A mode of 16 or more 1024-column groups is cut into
+//! leaves on the pool by both kernels, so the ratio shows what each mode
+//! gains from them — and, on a host whose second core comes and goes,
+//! whether it was there. The Gram also prints the rate at which it reads its
+//! operand, to hold against the memory roof of the first line: `f64` sum,
+//! copy and triad streams over four times the last-level cache (read from
+//! sysfs, 32 MiB if that fails), at one task and at the pool's size.
 
+use rayon::prelude::*;
 use std::hint::black_box;
 use std::time::Instant;
 use tucker_rs::core::svd_driver::{gram_of_unfolding, lq_of_unfolding};
@@ -45,6 +50,79 @@ fn at_tasks<R>(tasks: usize, f: impl FnOnce() -> R) -> R {
     out
 }
 
+/// Bytes of the largest CPU cache sysfs lists, or 32 MiB.
+fn last_level_cache_bytes() -> usize {
+    let size = |dir: std::fs::DirEntry| -> Option<usize> {
+        let text = std::fs::read_to_string(dir.path().join("size")).ok()?;
+        let text = text.trim();
+        let (digits, unit) = text.split_at(text.find(|c: char| !c.is_ascii_digit()).unwrap_or(text.len()));
+        let shift = match unit {
+            "K" => 10,
+            "M" => 20,
+            "" => 0,
+            _ => return None,
+        };
+        Some(digits.parse::<usize>().ok()? << shift)
+    };
+    std::fs::read_dir("/sys/devices/system/cpu/cpu0/cache")
+        .ok()
+        .and_then(|dirs| dirs.flatten().filter_map(size).max())
+        .unwrap_or(32 << 20)
+}
+
+/// `Σ x` in 32 lanes, so the adds are four vectors of independent chains
+/// and the loop is bound by the loads, not by the add latency.
+fn lane_sum(x: &[f64]) -> f64 {
+    let mut lanes = [0.0; 32];
+    let chunks = x.chunks_exact(32);
+    let tail: f64 = chunks.remainder().iter().sum();
+    for chunk in chunks {
+        for (l, v) in lanes.iter_mut().zip(chunk) {
+            *l += v;
+        }
+    }
+    lanes.iter().sum::<f64>() + tail
+}
+
+/// Sum, copy and triad over `f64` arrays of four times the last-level
+/// cache each, in one contiguous piece per task, best of 7, as GB/s of the
+/// bytes each stream reads and writes.
+fn memory_roof() {
+    let len = 4 * last_level_cache_bytes() / 8;
+    let (mut a, b, c) = (vec![1.0f64; len], vec![2.0f64; len], vec![0.5f64; len]);
+    let pool = rayon::current_num_threads();
+    let piece = len.div_ceil(pool);
+    let mut line = format!("memory roof ({} MiB arrays):", (len * 8) >> 20);
+    for tasks in [1, pool] {
+        let gbs = |bytes: usize, ms: f64| bytes as f64 / ms * 1e-6;
+        let mut partial = vec![0.0; pool];
+        let sum = at_tasks(tasks, || {
+            best_ms(|| {
+                partial.par_chunks_mut(1).zip(b.par_chunks(piece)).for_each(|(s, x)| s[0] = lane_sum(x));
+            })
+        });
+        let copy = at_tasks(tasks, || {
+            best_ms(|| a.par_chunks_mut(piece).zip(b.par_chunks(piece)).for_each(|(dst, src)| dst.copy_from_slice(src)))
+        });
+        let triad = at_tasks(tasks, || {
+            best_ms(|| {
+                a.par_chunks_mut(piece).zip(b.par_chunks(piece).zip(c.par_chunks(piece))).for_each(|(dst, (x, y))| {
+                    for ((d, &x), &y) in dst.iter_mut().zip(x).zip(y) {
+                        *d = x + 0.25 * y;
+                    }
+                })
+            })
+        });
+        line += &format!(
+            "  at {tasks}: sum {:.1} / copy {:.1} / triad {:.1} GB/s",
+            gbs(8 * len, sum),
+            gbs(16 * len, copy),
+            gbs(24 * len, triad)
+        );
+    }
+    println!("{line}");
+}
+
 fn probe<T: Scalar>(x64: &Tensor<f64>) {
     let x: Tensor<T> = x64.cast();
     let cfg = SthosvdConfig::with_tolerance(1e-4).method(SvdMethod::Qr);
@@ -57,16 +135,23 @@ fn probe<T: Scalar>(x64: &Tensor<f64>) {
     for (n, u) in tk.factors.iter().enumerate() {
         let (rows, cols) = (y.dims()[n], y.len() / y.dims()[n]);
         let gflop = |per_col: usize, ms: f64| (per_col * cols) as f64 / ms * 1e-6;
+        let gram_one = at_tasks(1, || best_ms(|| gram_of_unfolding(&y, n)));
         let gram = best_ms(|| gram_of_unfolding(&y, n));
         let lq_one = at_tasks(1, || best_ms(|| lq_of_unfolding(&y, n, cfg.tslq)));
         let lq = best_ms(|| lq_of_unfolding(&y, n, cfg.tslq));
         let apply = best_ms(|| ttm(&y, n, u.as_ref(), true));
         println!(
-            "  mode {n} ({rows:>2} x {cols:>6} -> {:>2}): Gram {gram:>6.2} ms ({:>4.1} GF/s)  \
-             LQ {lq_one:>6.2} ms at 1 / {lq:>6.2} ms at {pool} ({:>4.2}x, {:>4.1} GF/s)  \
-             TTM {apply:>6.2} ms ({:>4.1} GF/s)",
+            "  mode {n} ({rows:>2} x {cols:>6} -> {:>2}): Gram {gram_one:>6.2} ms at 1 / {gram:>6.2} ms at {pool} \
+             ({:>4.2}x, {:>4.1} GF/s, reads {:>4.1} GB/s)",
             u.cols(),
+            gram_one / gram,
             gflop(rows * rows, gram),
+            (rows * cols * T::BYTES) as f64 / gram * 1e-6,
+        );
+        println!(
+            "  {:>26}  LQ   {lq_one:>6.2} ms at 1 / {lq:>6.2} ms at {pool} ({:>4.2}x, {:>4.1} GF/s)  \
+             TTM {apply:>6.2} ms ({:>4.1} GF/s)",
+            "",
             lq_one / lq,
             gflop(2 * rows * rows, lq),
             gflop(2 * u.cols() * rows, apply),
@@ -76,6 +161,7 @@ fn probe<T: Scalar>(x64: &Tensor<f64>) {
 }
 
 fn main() {
+    memory_roof();
     let x = hcci_surrogate::<f64>(&[48, 48, 33, 48], 7);
     probe::<f64>(&x);
     probe::<f32>(&x);

@@ -395,8 +395,10 @@ for what in 'target_feature' 'is_x86_feature_detected' 'std::arch'; do
 done
 echo "lq gate: lq_factor is the flat tree at every shape, tplqt has one body OK"
 # The fixed tree (DESIGN.md §13): the leaf count is a function of the
-# input's shape, never of the pool, so a compress whose mode 0 has 64 groups
-# (eight leaves) writes the same store at one thread and at two.
+# input's shape, never of the pool, for the LQ and for the Gram alike, so a
+# compress whose mode 0 has 64 groups (eight leaves) writes the same store at
+# one thread and at two — QR and Gram in both precisions, and the mixed Gram
+# on the single-precision data it takes.
 if grep -n 'current_num_threads' crates/linalg/src/tslq.rs; then
     echo "lq gate: tslq.rs reads the thread budget" >&2
     exit 1
@@ -405,16 +407,18 @@ for prec in f64 f32; do
     tree_tns="$ckpt/tree_$prec.tns"
     "$tucker" generate "$tree_tns" --kind hcci --dims 32x64x64x16 --seed 5 \
         $([ "$prec" = f32 ] && echo --f32)
-    for threads in 1 2; do
-        RAYON_NUM_THREADS=$threads "$tucker" compress "$tree_tns" \
-            "$ckpt/tree_${prec}_$threads.tkr" --tol 1e-4 --svd qr >/dev/null
+    for svd in qr gram $([ "$prec" = f32 ] && echo gram-mixed); do
+        for threads in 1 2; do
+            RAYON_NUM_THREADS=$threads "$tucker" compress "$tree_tns" \
+                "$ckpt/tree_${prec}_${svd}_$threads.tkr" --tol 1e-4 --svd "$svd" >/dev/null
+        done
+        cmp "$ckpt/tree_${prec}_${svd}_1.tkr" "$ckpt/tree_${prec}_${svd}_2.tkr" || {
+            echo "lq gate: the $prec --svd $svd store moved with RAYON_NUM_THREADS" >&2
+            exit 1
+        }
     done
-    cmp "$ckpt/tree_${prec}_1.tkr" "$ckpt/tree_${prec}_2.tkr" || {
-        echo "lq gate: the $prec QR store moved with RAYON_NUM_THREADS" >&2
-        exit 1
-    }
 done
-echo "lq gate: fixed tree of flat-tree leaves, stores equal at 1 and 2 threads OK"
+echo "lq gate: fixed tree of leaves, QR and Gram stores equal at 1 and 2 threads OK"
 
 # One serial SVD (DESIGN.md §13): the small SVD of L is the unblocked
 # Golub–Kahan reduction and an implicit-QR sweep that rotates U/V in place;
