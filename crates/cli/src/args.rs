@@ -20,6 +20,17 @@ const BARE_FLAGS: &[&str] = &[
     "verify",
 ];
 
+/// Options that take a value. With [`BARE_FLAGS`] this names every option
+/// a command reads, so a misspelt or retired option is rejected instead of
+/// silently ignored.
+const VALUE_OPTIONS: &[&str] = &[
+    "checkpoint-dir", "dims", "fast-drift", "full-drift", "grid", "inject", "kind", "method",
+    "metrics", "model-tol", "order", "order-policy", "out", "oversample", "power", "ranks",
+    "replicas", "seed", "shards", "sketch-seed", "slab", "slo-error-rate", "slo-p50-ms",
+    "slo-p99-ms", "slo-recovery-ms", "svd", "threads", "time-mode", "timeline", "tol", "trace",
+    "watchdog-ms",
+];
+
 /// Parse a token stream (without the program name).
 pub fn parse(tokens: &[String]) -> Result<Args, String> {
     let mut it = tokens.iter().peekable();
@@ -30,11 +41,13 @@ pub fn parse(tokens: &[String]) -> Result<Args, String> {
         if let Some(key) = tok.strip_prefix("--") {
             if BARE_FLAGS.contains(&key) {
                 options.insert(key.to_string(), String::new());
-            } else {
+            } else if VALUE_OPTIONS.contains(&key) {
                 let val = it
                     .next()
                     .ok_or_else(|| format!("option --{key} expects a value"))?;
                 options.insert(key.to_string(), val.clone());
+            } else {
+                return Err(format!("unknown option --{key}"));
             }
         } else {
             positional.push(tok.clone());

@@ -32,14 +32,14 @@ pub const USAGE: &str = "\
 usage:
   tucker generate <out.tns> --kind hcci|sp|video|random --dims 40x40x33x40 [--seed N] [--f32]
   tucker compress <in.tns> <out.tkr> [--tol 1e-4 | --ranks 5x5x3x5]
-                  [--svd qr|gram|gram-mixed|randomized|sketched-gram]
-                  [--oversample P --power Q --sketch-rows S --sketch-seed N]
+                  [--svd qr|gram|gram-mixed|randomized]
+                  [--oversample P --power Q --sketch-seed N]
                   [--order forward|backward|auto]
                   (--order auto searches mode orderings against the cost
                    model; it requires --ranks)
-                  (--svd randomized needs --ranks; --oversample/--power tune
-                   its sketch, --sketch-rows the sketched-gram sample count,
-                   0 = auto; --method is an alias of --svd)
+                  (--svd randomized needs --ranks; --oversample/--power/
+                   --sketch-seed tune its sketch; --method is an alias of
+                   --svd)
   tucker decompress <in.tkr> <out.tns>
   tucker update <store.tkr> <delta.tns> [--time-mode N] [--extend]
                   [--tol X | --ranks 5x5x5] [--fast-drift 0.05 --full-drift 0.5]
@@ -76,8 +76,8 @@ usage:
                    workload; prints a table, or JSON with --json, and exits
                    nonzero naming the breached objectives)
   tucker simulate [in.tns] --grid 2x2x2 [--kind hcci|sp|video|random --dims 32x32x32 --seed N]
-                  [--tol 1e-4 | --ranks 5x5x5] [--svd qr|gram|gram-mixed|randomized|sketched-gram]
-                  [--oversample P --power Q --sketch-rows S --sketch-seed N]
+                  [--tol 1e-4 | --ranks 5x5x5] [--svd qr|gram|gram-mixed|randomized]
+                  [--oversample P --power Q --sketch-seed N]
                   [--order forward|backward|auto] [--trace out.json] [--timeline out.txt] [--validate]
                   [--inject SPEC] [--watchdog-ms N] [--checkpoint-dir DIR] [--resume]
                   [--threads N|auto] [--metrics out.json] [--model-check] [--model-tol 0.05]
@@ -235,7 +235,6 @@ fn build_config(
         "gram" => SvdMethod::Gram,
         "gram-mixed" => SvdMethod::GramMixed,
         "randomized" => SvdMethod::Randomized,
-        "sketched-gram" => SvdMethod::SketchedGram,
         other => return Err(format!("unknown --svd '{other}'")),
     };
     cfg = cfg.method(method);
@@ -247,9 +246,6 @@ fn build_config(
     }
     if let Some(v) = a.opt("power") {
         rnd.power_iterations = v.parse().map_err(|_| "bad --power")?;
-    }
-    if let Some(v) = a.opt("sketch-rows") {
-        rnd.sketch_rows = v.parse().map_err(|_| "bad --sketch-rows")?;
     }
     if let Some(v) = a.opt("sketch-seed") {
         rnd.seed = v.parse().map_err(|_| "bad --sketch-seed")?;
@@ -1268,17 +1264,6 @@ mod tests {
         ))
         .unwrap())
         .unwrap();
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn svd_sketched_gram_simulate_and_bad_knobs_rejected() {
-        run(&parse(&toks(
-            "simulate --grid 2x1x2 --kind random --dims 16x16x16 --ranks 4x4x4 \
-             --svd sketched-gram --sketch-rows 64 --model-check",
-        ))
-        .unwrap())
-        .unwrap();
         // Out-of-range knobs surface as typed config errors, not clamps.
         let r = run(&parse(&toks(
             "simulate --grid 2x1x1 --kind random --dims 8x8x8 --ranks 4x4x4 \
@@ -1286,12 +1271,7 @@ mod tests {
         ))
         .unwrap());
         assert!(r.is_err(), "zero oversampling must be rejected");
-        let r = run(&parse(&toks(
-            "simulate --grid 2x1x1 --kind random --dims 8x8x8 --ranks 4x4x4 \
-             --svd sketched-gram --sketch-rows 2",
-        ))
-        .unwrap());
-        assert!(r.is_err(), "sketch-rows below 4 must be rejected");
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

@@ -22,12 +22,6 @@ pub enum SvdMethod {
     /// distributed result is bit-identical across task counts and grid
     /// shapes (and to the sequential blocked driver).
     Randomized,
-    /// Sketched approximate-matmul Gram: estimates `X_(n) X_(n)ᵀ` from a
-    /// stratified row sample (`X Sᵀ S Xᵀ`), trading accuracy for a sample
-    /// count that no longer scales with `I^*`. Tunable via
-    /// `RandomizedSvdConfig::sketch_rows`; at full sampling it coincides
-    /// with [`SvdMethod::Gram`].
-    SketchedGram,
     /// Mixed-precision Gram-SVD (the paper's §5 future work): data and TTMs
     /// stay in the working precision, the Gram accumulation and
     /// eigendecomposition run in `f64`. Accuracy floor ~`ε_s·‖A‖` (like
@@ -42,7 +36,6 @@ impl SvdMethod {
             SvdMethod::Gram => "Gram",
             SvdMethod::Qr => "QR",
             SvdMethod::Randomized => "Randomized",
-            SvdMethod::SketchedGram => "Sketched Gram",
             SvdMethod::GramMixed => "Gram mixed",
         }
     }
@@ -180,23 +173,18 @@ impl SthosvdConfig {
         }
     }
 
-    /// Validate the sketch-related knobs with typed errors instead of
+    /// Validate the randomized method's knobs with typed errors instead of
     /// silently clamping out-of-range values. Called by the mode loop's
     /// `init` (and the checkpointed driver's resume) before any work starts.
     ///
-    /// Per-mode *algorithmic* caps (sketch width at `min(I_n, I^*/I_n)`,
-    /// sample count at the unfolding's column count) are not configuration
-    /// errors and are still applied inside the drivers.
+    /// The per-mode *algorithmic* cap (sketch width at `min(I_n, I^*/I_n)`)
+    /// is not a configuration error and is still applied inside the drivers.
     pub fn validate(&self) -> Result<(), LinalgError> {
         let r = &self.randomized;
-        let uses_sketch =
-            matches!(self.method, SvdMethod::Randomized | SvdMethod::SketchedGram);
-        if !uses_sketch {
+        if self.method != SvdMethod::Randomized {
             return Ok(());
         }
-        if self.method == SvdMethod::Randomized {
-            self.fixed_ranks()?;
-        }
+        self.fixed_ranks()?;
         if r.oversampling == 0 || r.oversampling > 512 {
             return Err(LinalgError::InvalidConfig {
                 param: "oversampling",
@@ -209,13 +197,6 @@ impl SthosvdConfig {
                 param: "power_iterations",
                 value: r.power_iterations.to_string(),
                 expected: "0..=10 iterations (more only burns flops)",
-            });
-        }
-        if self.method == SvdMethod::SketchedGram && r.sketch_rows != 0 && r.sketch_rows < 4 {
-            return Err(LinalgError::InvalidConfig {
-                param: "sketch_rows",
-                value: r.sketch_rows.to_string(),
-                expected: "0 (auto) or at least 4 sampled rows",
             });
         }
         Ok(())
@@ -257,7 +238,6 @@ mod tests {
     fn labels() {
         assert_eq!(SvdMethod::Gram.label(), "Gram");
         assert_eq!(SvdMethod::Qr.label(), "QR");
-        assert_eq!(SvdMethod::SketchedGram.label(), "Sketched Gram");
     }
 
     #[test]
@@ -281,12 +261,6 @@ mod tests {
         assert!(matches!(e, LinalgError::InvalidConfig { param: "oversampling", .. }), "{e}");
         let e = bad(RandomizedSvdConfig { power_iterations: 11, ..Default::default() });
         assert!(matches!(e, LinalgError::InvalidConfig { param: "power_iterations", .. }), "{e}");
-        let e = SthosvdConfig::with_tolerance(1e-3)
-            .method(SvdMethod::SketchedGram)
-            .randomized(RandomizedSvdConfig { sketch_rows: 2, ..Default::default() })
-            .validate()
-            .unwrap_err();
-        assert!(matches!(e, LinalgError::InvalidConfig { param: "sketch_rows", .. }), "{e}");
     }
 
     #[test]
@@ -296,11 +270,5 @@ mod tests {
             .validate()
             .unwrap_err();
         assert!(matches!(e, LinalgError::InvalidConfig { param: "truncation", .. }), "{e}");
-        // SketchedGram is tolerance-capable: it exposes the full spectrum
-        // estimate like Gram does.
-        assert!(SthosvdConfig::with_tolerance(1e-3)
-            .method(SvdMethod::SketchedGram)
-            .validate()
-            .is_ok());
     }
 }

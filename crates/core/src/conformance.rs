@@ -25,7 +25,7 @@ use crate::model::{evd_flops, svd_flops};
 use tucker_dtensor::{
     lq_flops, prev_power_of_two, sketch_cols, sketch_qr_flops, slab_exchange_counts, ReductionTree,
 };
-use tucker_linalg::randomized::{resolve_sketch_rows, sketch_block_count, RandomizedSvdConfig};
+use tucker_linalg::randomized::{sketch_block_count, RandomizedSvdConfig};
 use tucker_mpisim::{json_f64 as jf, MetricsRegistry, PhaseStat, RankStats};
 
 /// Everything the analytic side needs to know about the run being checked.
@@ -45,7 +45,7 @@ pub struct CheckConfig {
     pub tree: ReductionTree,
     /// Bytes per scalar of the working precision (4 or 8).
     pub bytes: usize,
-    /// Sketch parameters (randomized / sketched-Gram methods only).
+    /// Sketch parameters (randomized method only).
     pub randomized: RandomizedSvdConfig,
     /// Maximum relative deviation for a mode to pass.
     pub tolerance: f64,
@@ -194,11 +194,9 @@ fn predict_counts(cfg: &CheckConfig) -> Vec<(usize, Predicted)> {
         let mut pr = Predicted::default();
 
         // Fiber redistribution (skipped when P_n = 1): every rank sends
-        // (P_n−1)/P_n of its J*/P local words. The sketch methods do a slab
-        // all-to-all instead, predicted in their own arms below.
-        let fiber_methods =
-            !matches!(cfg.method, SvdMethod::Randomized | SvdMethod::SketchedGram);
-        if fiber_methods && cfg.grid[n] > 1 {
+        // (P_n−1)/P_n of its J*/P local words. The randomized method does a
+        // slab all-to-all instead, predicted in its own arm below.
+        if cfg.method != SvdMethod::Randomized && cfg.grid[n] > 1 {
             pr.bytes += jstar * (p_n - 1.0) / p_n * w;
             pr.msgs += (p * (cfg.grid[n] - 1)) as u64;
         }
@@ -272,22 +270,6 @@ fn predict_counts(cfg: &CheckConfig) -> Vec<(usize, Predicted)> {
                 // wide each moves (P−1) copies of the nv concatenated blocks.
                 pr.bytes += (pf - 1.0) * nv * ((q + 1.0) * m * k + k * k) * w;
                 pr.msgs += (q as u64 + 2) * (p * (p - 1)) as u64;
-            }
-            SvdMethod::SketchedGram => {
-                // Sampled-column Gram estimate: slab exchange, one syrk over
-                // the s sampled columns (each owned by exactly one rank),
-                // then the same allreduce + redundant EVD as the Gram path.
-                let mu = ju[n];
-                let colsu: usize = ju.iter().product::<usize>() / mu;
-                let s = resolve_sketch_rows(cfg.randomized.sketch_rows, mu, colsu) as f64;
-                let (slab_words, slab_msgs) = slab_exchange_counts(&ju, &cfg.grid, n);
-                pr.bytes += slab_words * w;
-                pr.msgs += slab_msgs;
-                pr.flops += m * m * s;
-                pr.flops += (pf - 1.0) * m * m;
-                pr.bytes += 2.0 * (pf - 1.0) * m * m * w;
-                pr.msgs += 2 * (p as u64 - 1);
-                pr.flops += pf * evd_flops(m as usize);
             }
         }
 
@@ -436,16 +418,6 @@ mod tests {
         assert!(r.pass, "{}", r.table());
         for m in &r.per_mode {
             assert!(m.flops_predicted > 0.0, "mode {}", m.mode);
-            assert_eq!(m.msgs_predicted, m.msgs_measured, "mode {}", m.mode);
-        }
-    }
-
-    #[test]
-    fn sketched_gram_even_grid_is_exact() {
-        let r = run_and_check(SvdMethod::SketchedGram, ReductionTree::Butterfly, 1e-9);
-        assert!(r.pass, "{}", r.table());
-        for m in &r.per_mode {
-            assert!(m.flops_predicted > 0.0 && m.bytes_predicted > 0.0, "mode {}", m.mode);
             assert_eq!(m.msgs_predicted, m.msgs_measured, "mode {}", m.mode);
         }
     }

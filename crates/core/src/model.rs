@@ -144,15 +144,6 @@ pub fn predict(cfg: &ModelConfig) -> ModelOutput {
                 mc.factor += 3.0 * log_p * (alpha + beta * jn * k * bytes);
                 mc.small_svd = gamma * svd_flops(k as usize);
             }
-            SvdMethod::SketchedGram => {
-                // Sampled-column syrk: γ·J_n²·s/P with s = max(4·J_n, 64)
-                // columns (the auto sketch size), then the same J_n²
-                // all-reduce and EVD as the exact Gram path.
-                let s = (4.0 * jn).max(64.0).min(jstar / jn);
-                mc.factor = gamma * cfg.cost.syrk_derate * jn * jn * s / p_total as f64;
-                mc.factor += 2.0 * log_p * (alpha + beta * jn * jn * bytes);
-                mc.small_svd = gamma * evd_flops(jn as usize);
-            }
             SvdMethod::GramMixed => {
                 // Local syrk runs in f64 regardless of the data precision;
                 // the J_n² all-reduce carries 8-byte words.
@@ -195,10 +186,6 @@ pub fn predict(cfg: &ModelConfig) -> ModelOutput {
             SvdMethod::Randomized => {
                 let k = cfg.ranks[n] as f64 + 8.0;
                 out.flops_per_rank += 4.0 * k * jstar / p_total as f64 + svd_flops(k as usize);
-            }
-            SvdMethod::SketchedGram => {
-                let s = (4.0 * jn).max(64.0).min(jstar / jn);
-                out.flops_per_rank += jn * jn * s / p_total as f64 + evd_flops(jn as usize);
             }
             SvdMethod::GramMixed => {
                 out.flops_per_rank += jn * jstar / p_total as f64 + evd_flops(jn as usize);

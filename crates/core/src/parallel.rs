@@ -17,12 +17,12 @@ use crate::mode_loop::{self, LoopOutput, LoopState, ModeBackend, ModeStep};
 use crate::model::{evd_flops, svd_flops};
 use crate::tucker::TuckerTensor;
 use tucker_dtensor::{
-    parallel_gram, parallel_gram_mixed, parallel_sketch_svd, parallel_sketched_gram,
-    parallel_tensor_lq, parallel_ttm, parallel_ttm_op, DistTensor,
+    parallel_gram, parallel_gram_mixed, parallel_sketch_svd, parallel_tensor_lq, parallel_ttm,
+    parallel_ttm_op, DistTensor,
 };
 use tucker_linalg::gram_svd::gram_svd_from_gram;
 use tucker_linalg::mixed::gram_svd_mixed_from_gram;
-use tucker_linalg::randomized::{resolve_sketch_rows, sketch_block_count};
+use tucker_linalg::randomized::sketch_block_count;
 use tucker_linalg::svd::svd_left;
 use tucker_linalg::{LinalgError, Matrix, Result, Scalar};
 use tucker_mpisim::{Comm, Ctx};
@@ -147,17 +147,9 @@ impl<T: Scalar> ModeBackend<T> for DistBackend<'_> {
             tucker_linalg::perf::enable();
         }
         let m = y.global_dims()[n];
-        let rnd = &cfg.randomized;
         match cfg.method {
-            SvdMethod::Gram | SvdMethod::SketchedGram => {
-                let g = mode_phase(ctx, "Gram", n, |c| match cfg.method {
-                    SvdMethod::SketchedGram => {
-                        let cols = y.global_dims().iter().product::<usize>() / m;
-                        let samples = resolve_sketch_rows(rnd.sketch_rows, m, cols);
-                        parallel_sketched_gram(c, world, y, n, samples, rnd.seed)
-                    }
-                    _ => parallel_gram(c, world, y, n),
-                })?;
+            SvdMethod::Gram => {
+                let g = mode_phase(ctx, "Gram", n, |c| parallel_gram(c, world, y, n))?;
                 mode_phase(ctx, "EVD", n, |c| {
                     c.charge_flops(evd_flops(m), T::BYTES);
                     gram_svd_from_gram(&g)
@@ -173,7 +165,9 @@ impl<T: Scalar> ModeBackend<T> for DistBackend<'_> {
             }
             SvdMethod::Randomized => {
                 let rank = cfg.fixed_ranks()?[n].min(m);
-                mode_phase(ctx, "Sketch", n, |c| parallel_sketch_svd(c, world, y, n, rank, rnd))
+                mode_phase(ctx, "Sketch", n, |c| {
+                    parallel_sketch_svd(c, world, y, n, rank, &cfg.randomized)
+                })
             }
             SvdMethod::Qr => {
                 let l = mode_phase(ctx, "LQ", n, |c| {
@@ -194,7 +188,7 @@ impl<T: Scalar> ModeBackend<T> for DistBackend<'_> {
     fn record(&mut self, mode: &ModeStep<T>, norm_x: T, cfg: &SthosvdConfig) {
         let Some(reg) = self.ctx.metrics_mut() else { return };
         let &ModeStep { mode: n, cols, ref u_n, ref sigma, tail_sq } = mode;
-        let (rows, rank) = u_n.shape();
+        let rank = u_n.cols();
         let mut gauge = |name: &str, v: f64| reg.gauge_set(&format!("sthosvd/mode{n}/{name}"), v);
         // Per-mode SVD quality: what was kept, what it cost in accuracy, and
         // how close the smallest retained singular value sits to the
@@ -207,20 +201,12 @@ impl<T: Scalar> ModeBackend<T> for DistBackend<'_> {
             gauge("sigma_min", sigma_min);
             gauge("sigma_floor_rel", sigma_min / (T::EPSILON * norm_x).to_f64());
         }
-        // Sketch geometry of the randomized/sketched mode drivers: how wide
-        // the sketch was, how many virtual column blocks were folded, and
-        // (for the sampled Gram estimator) how many rows were kept.
-        let rnd = &cfg.randomized;
-        match cfg.method {
-            SvdMethod::Randomized => {
-                gauge("sketch_cols", sigma.len() as f64);
-                gauge("sketch_power_iters", rnd.power_iterations as f64);
-                gauge("sketch_blocks", sketch_block_count(cols) as f64);
-            }
-            SvdMethod::SketchedGram => {
-                gauge("sketch_rows", resolve_sketch_rows(rnd.sketch_rows, rows, cols) as f64)
-            }
-            _ => {}
+        // Sketch geometry of the randomized mode driver: how wide the
+        // sketch was and how many virtual column blocks were folded.
+        if cfg.method == SvdMethod::Randomized {
+            gauge("sketch_cols", sigma.len() as f64);
+            gauge("sketch_power_iters", cfg.randomized.power_iterations as f64);
+            gauge("sketch_blocks", sketch_block_count(cols) as f64);
         }
         // Fold this step's local-kernel totals into the registry.
         if let Some(kernels) = tucker_linalg::perf::drain() {
@@ -344,7 +330,6 @@ mod tests {
             SvdMethod::Gram,
             SvdMethod::Qr,
             SvdMethod::Randomized,
-            SvdMethod::SketchedGram,
             SvdMethod::GramMixed,
         ] {
             for truncation in &truncations {

@@ -73,19 +73,26 @@ mod tests {
         }
     }
 
+    /// Every method that takes a tolerance keeps both the true error and
+    /// its estimate within ε (up to roundoff), in both precisions.
     #[test]
     fn error_guarantee_holds() {
-        let x = low_rank_tensor(&[8, 8, 8], &[3, 3, 3], 1e-3);
-        for eps in [1e-1, 1e-2] {
-            for method in [SvdMethod::Gram, SvdMethod::Qr] {
-                let cfg = SthosvdConfig::with_tolerance(eps).method(method);
-                let out = sthosvd_with_info(&x, &cfg).unwrap();
-                let err = out.tucker.relative_error(&x).to_f64();
-                assert!(err <= eps * 1.05, "{method:?} eps={eps}: err {err}");
-                // The estimate brackets the truth up to roundoff.
-                assert!(out.estimated_error.to_f64() <= eps * 1.05);
+        fn check<T: Scalar>(x: &Tensor<T>, what: &str) {
+            for eps in [1e-1, 1e-2] {
+                for method in [SvdMethod::Gram, SvdMethod::Qr, SvdMethod::GramMixed] {
+                    let cfg = SthosvdConfig::with_tolerance(eps).method(method);
+                    let out = sthosvd_with_info(x, &cfg).unwrap();
+                    let err = out.tucker.relative_error(x).to_f64();
+                    assert!(err <= eps * 1.05, "{what} {method:?} eps={eps}: err {err}");
+                    // The estimate brackets the truth up to roundoff.
+                    let est = out.estimated_error.to_f64();
+                    assert!(est <= eps * 1.05, "{what} {method:?} eps={eps}: estimate {est}");
+                }
             }
         }
+        let x = low_rank_tensor(&[8, 8, 8], &[3, 3, 3], 1e-3);
+        check(&x, "f64");
+        check(&x.cast::<f32>(), "f32");
     }
 
     #[test]

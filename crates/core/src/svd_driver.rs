@@ -1,13 +1,14 @@
 //! The dense-local backend of the mode loop: Gram-SVD, QR-SVD and the
-//! sketch drivers on a tensor unfolding, plus the sequential TTM. The Gram
-//! and LQ kernels are [`Unfolding`]'s — the same ones the distributed
-//! backend runs as its local phase, so a 1×…×1 grid returns these bits.
+//! randomized range finder on a tensor unfolding, plus the sequential TTM.
+//! The Gram and LQ kernels are [`Unfolding`]'s — the same ones the
+//! distributed backend runs as its local phase, so a 1×…×1 grid returns
+//! these bits.
 
 use crate::config::{SthosvdConfig, SvdMethod};
 use crate::mode_loop::ModeBackend;
 use tucker_linalg::gram_svd::gram_svd_from_gram;
 use tucker_linalg::mixed::gram_svd_mixed_from_gram;
-use tucker_linalg::randomized::{randomized_svd_left_blocked, resolve_sketch_rows, sketched_gram};
+use tucker_linalg::randomized::randomized_svd_left_blocked;
 use tucker_linalg::svd::svd_left;
 use tucker_linalg::tslq::TslqOptions;
 use tucker_linalg::{MatRef, Matrix, Result, Scalar};
@@ -26,7 +27,7 @@ pub fn lq_of_unfolding<T: Scalar>(y: &Tensor<T>, n: usize, opts: TslqOptions) ->
 
 /// Run `f` on the mode-`n` unfolding as one matrix. Middle-mode unfoldings
 /// have no single strided view, so they are materialized (one extra copy of
-/// the working tensor) — acceptable because the sketch drivers' own GEMMs
+/// the working tensor) — acceptable because the range finder's own GEMMs
 /// dominate the copy.
 fn with_unfolding<T: Scalar, R>(y: &Tensor<T>, n: usize, f: impl FnOnce(MatRef<'_, T>) -> R) -> R {
     let unf = Unfolding::new(y, n);
@@ -58,7 +59,6 @@ impl<T: Scalar> ModeBackend<T> for DenseBackend {
         n: usize,
         cfg: &SthosvdConfig,
     ) -> Result<(Matrix<T>, Vec<T>)> {
-        let rnd = &cfg.randomized;
         match cfg.method {
             SvdMethod::Gram => gram_svd_from_gram(&gram_of_unfolding(y, n)),
             SvdMethod::Qr => svd_left(lq_of_unfolding(y, n, cfg.tslq).as_ref()),
@@ -71,17 +71,7 @@ impl<T: Scalar> ModeBackend<T> for DenseBackend {
             // task count or grid shape.
             SvdMethod::Randomized => {
                 let rank = cfg.fixed_ranks()?[n].min(y.dims()[n]);
-                with_unfolding(y, n, |a| randomized_svd_left_blocked(a, rank, rnd))
-            }
-            // Estimate the Gram matrix from a stratified column sample
-            // (`sketch_rows`, `0` = auto) and eigendecompose the estimate;
-            // at full sampling this coincides with `Gram`.
-            SvdMethod::SketchedGram => {
-                let g = with_unfolding(y, n, |a| {
-                    let samples = resolve_sketch_rows(rnd.sketch_rows, a.rows(), a.cols());
-                    sketched_gram(a, samples, rnd.seed)
-                });
-                gram_svd_from_gram(&g)
+                with_unfolding(y, n, |a| randomized_svd_left_blocked(a, rank, &cfg.randomized))
             }
         }
     }

@@ -15,9 +15,9 @@
 //!   world all-reduce (TuckerMPI's Gram-SVD path).
 //! * [`lq`] — parallel LQ of an unfolding: local (Tensor)LQ + butterfly
 //!   TSQR over packed triangles (Alg. 3, QR-SVD path).
-//! * [`sketch`] — distributed randomized range-finder and sketched-Gram
-//!   drivers over a canonical virtual-block slab layout (bit-identical to
-//!   the sequential blocked driver across task counts and grid shapes).
+//! * [`sketch`] — distributed randomized range-finder driver over a
+//!   canonical virtual-block slab layout (bit-identical to the sequential
+//!   blocked driver across task counts and grid shapes).
 //! * [`ttm`] — parallel TTM truncation: local TTM + fiber reduce-scatter.
 //! * [`guard`] — NaN/Inf guards at the kernel boundaries; surface a typed
 //!   [`NumericalFault`] naming rank, phase and first offending index.
@@ -43,7 +43,7 @@ pub use lq::{parallel_tensor_lq, prev_power_of_two, ReductionTree};
 pub use tucker_linalg::perf::lq_flops;
 pub use redistribute::redistribute_to_columns;
 pub use sketch::{
-    parallel_sketch_svd, parallel_sketched_gram, redistribute_to_slab, sketch_cols,
-    sketch_qr_flops, slab_blocks, slab_columns, slab_exchange_counts,
+    parallel_sketch_svd, redistribute_to_slab, sketch_cols, sketch_qr_flops, slab_blocks,
+    slab_columns, slab_exchange_counts,
 };
 pub use ttm::{parallel_ttm, parallel_ttm_op};

@@ -1,4 +1,4 @@
-//! Distributed randomized range-finder and sketched-Gram mode drivers.
+//! Distributed randomized range-finder mode driver.
 //!
 //! The randomized driver forms the sketch `Y = X_(n)·Ω` directly from the
 //! distributed unfolding, runs power iterations with redundant
@@ -23,26 +23,19 @@
 //! * The small QR (re-orthonormalization) and the `k x k` projected EVD are
 //!   solved redundantly on every rank from identical inputs.
 //!
-//! The sketched-Gram driver estimates `G ≈ X_(n) X_(n)ᵀ` from a stratified
-//! column sample (`X Sᵀ S Xᵀ` with a row-sampling sketch `S`), trading
-//! accuracy for a column count that no longer scales with `I^*`. Unlike the
-//! randomized driver it sums partial Gram matrices with an allreduce, so it
-//! promises determinism for a fixed grid but *not* bit-identity across
-//! partitionings.
-//!
-//! All heavy flops in both drivers are charged through explicit closed
+//! All heavy flops in the driver are charged through explicit closed
 //! forms (shared with `tucker-core`'s conformance checker via the
 //! `sketch_*_flops` helpers and [`slab_exchange_counts`]), so
-//! `--model-check` stays dead-reckoned and near-exact for these methods.
+//! `--model-check` stays dead-reckoned and near-exact for this method.
 
 use crate::dist::{block_owner, block_range, DistTensor};
 use crate::grid::ProcessorGrid;
 use crate::guard::{check_finite, NumericalFault};
 use tucker_linalg::randomized::{
-    fold_partial, orthonormalize, power_block, projected_gram_block, sampled_column, sketch_block,
+    fold_partial, orthonormalize, power_block, projected_gram_block, sketch_block,
     sketch_block_count, sketch_block_range, solve_projected, RandomizedSvdConfig,
 };
-use tucker_linalg::{syrk_lower, MatRef, Matrix, Scalar};
+use tucker_linalg::{MatRef, Matrix, Scalar};
 use tucker_mpisim::{Comm, Ctx};
 use tucker_tensor::Unfolding;
 
@@ -321,51 +314,6 @@ pub fn parallel_sketch_svd<T: Scalar>(
     Ok(out)
 }
 
-/// Distributed sketched approximate-matmul Gram estimate
-/// `G̃ ≈ X_(n) X_(n)ᵀ` from `samples` stratified column draws (already
-/// resolved by the caller — no zero/auto handling here). Each rank scores
-/// the draws falling in its slab and the partial Gram matrices are
-/// allreduced; at `samples == I^*/I_n` the estimate is the exact Gram
-/// matrix.
-pub fn parallel_sketched_gram<T: Scalar>(
-    ctx: &mut Ctx,
-    world: &mut Comm,
-    dt: &DistTensor<T>,
-    n: usize,
-    samples: usize,
-    seed: u64,
-) -> Result<Matrix<T>, NumericalFault> {
-    let gd = dt.global_dims();
-    let m = gd[n];
-    let cols: usize = gd.iter().product::<usize>() / m;
-    let p = world.size();
-    let me = world.rank();
-    let s_eff = samples.clamp(1, cols);
-
-    let z = ctx.phase("Sketch/redistribute", |c| redistribute_to_slab(c, world, dt, n))?;
-    let my_cols = slab_columns(cols, p, me);
-
-    // Gather my slab's sampled columns, scaled by sqrt(stratum width) so
-    // the syrk applies the unbiasing weights.
-    let mut picked: Vec<T> = Vec::new();
-    let mut count = 0usize;
-    for i in 0..s_eff {
-        let (j, w) = sampled_column(seed, cols, s_eff, i);
-        if my_cols.contains(&j) {
-            let scale = T::from_f64((w as f64).sqrt());
-            picked.extend(z.col(j - my_cols.start).iter().map(|&v| v * scale));
-            count += 1;
-        }
-    }
-    let pm = Matrix::from_col_major(m, count, picked);
-    let g = syrk_lower(pm.as_ref());
-    ctx.charge_flops((m * m * count) as f64, T::BYTES);
-
-    let summed = ctx.phase("Gram/allreduce", |c| world.allreduce_sum_vec(c, g.into_data()));
-    check_finite(ctx.rank(), "Gram/allreduce", n, &summed)?;
-    Ok(Matrix::from_col_major(m, m, summed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,30 +419,6 @@ mod tests {
                     assert_eq!(s, &s_seq, "sigma mismatch: grid {grid_dims:?} mode {n}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn sketched_gram_full_sampling_matches_exact_gram() {
-        let dims = vec![8, 5, 4];
-        let x = tensor(&dims, 9);
-        let n = 0;
-        let whole = Unfolding::new(&x, n).to_matrix();
-        let exact = syrk_lower(whole.as_ref());
-        let grid = ProcessorGrid::new(&[2, 1, 2]);
-        let out = Simulator::new(grid.total())
-            .run_result(|ctx| {
-                let dt = DistTensor::scatter_from(&x, &grid, ctx.rank());
-                let mut world = Comm::world(ctx);
-                parallel_sketched_gram(ctx, &mut world, &dt, n, 20, 0x5EED)
-                    .map_err(|e| format!("{e:?}"))
-            })
-            .unwrap();
-        for g in &out.results {
-            assert!(
-                g.max_abs_diff(&exact) < 1e-12 * exact.frob_norm(),
-                "full sampling must reproduce the exact Gram matrix"
-            );
         }
     }
 }

@@ -29,8 +29,7 @@ pub enum LinalgError {
     },
     /// A configuration knob is outside its accepted range. Raised at entry
     /// instead of silently clamping the value, so a typo'd `--oversample`
-    /// or `--sketch-rows` fails loudly rather than quietly changing the
-    /// algorithm that runs.
+    /// fails loudly rather than quietly changing the algorithm that runs.
     InvalidConfig {
         /// The offending parameter, e.g. `oversampling`.
         param: &'static str,

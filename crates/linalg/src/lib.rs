@@ -37,7 +37,7 @@
 //! * [`qr_svd`] — the numerically accurate QR-SVD algorithm (§3.1 of the paper)
 //! * [`randomized`] — the blocked randomized range finder: per-block stage
 //!   functions, folded in a loop by [`randomized_svd_left_blocked`] and
-//!   allgather-folded by `tucker-dtensor`; the sampled-Gram estimator
+//!   allgather-folded by `tucker-dtensor`
 
 pub mod error;
 pub mod scalar;
@@ -79,6 +79,6 @@ pub use random::{
     splitmix64_at, splitmix64_mix,
 };
 pub use randomized::{
-    fold_partial, randomized_svd_left_blocked, resolve_sketch_rows, sampled_column,
-    sketch_block_count, sketch_block_range, sketched_gram, RandomizedSvdConfig, SKETCH_COL_BLOCK,
+    fold_partial, randomized_svd_left_blocked, sketch_block_count, sketch_block_range,
+    RandomizedSvdConfig, SKETCH_COL_BLOCK,
 };

@@ -14,7 +14,7 @@ use crate::gemm::{gemm_into, Trans};
 use crate::gram_svd::gram_svd_from_gram;
 use crate::matrix::Matrix;
 use crate::qr::{form_q, geqrf};
-use crate::random::{gaussian_block, splitmix64_at};
+use crate::random::gaussian_block;
 use crate::scalar::Scalar;
 use crate::syrk::syrk_lower;
 use crate::view::MatRef;
@@ -30,17 +30,11 @@ pub struct RandomizedSvdConfig {
     pub power_iterations: usize,
     /// RNG seed for the Gaussian test matrix (fixed for reproducibility).
     pub seed: u64,
-    /// Sampled rows for the sketched approximate-matmul Gram estimator
-    /// (`SvdMethod::SketchedGram`): the number of unfolding columns kept in
-    /// the row-sampled product `X Sᵀ S Xᵀ`. `0` selects an automatic budget
-    /// of `max(4·I_n, 64)` samples; values are capped per mode at the
-    /// unfolding's column count (at which point the estimator is exact).
-    pub sketch_rows: usize,
 }
 
 impl Default for RandomizedSvdConfig {
     fn default() -> Self {
-        RandomizedSvdConfig { oversampling: 8, power_iterations: 1, seed: 0x5EED, sketch_rows: 0 }
+        RandomizedSvdConfig { oversampling: 8, power_iterations: 1, seed: 0x5EED }
     }
 }
 
@@ -165,58 +159,6 @@ pub fn randomized_svd_left_blocked<T: Scalar>(
     solve_projected(&q, &h)
 }
 
-/// Salt that separates the column-sampling stream from the Gaussian fill.
-const SAMPLE_SALT: u64 = 0x5A4D_504C_4531_3233; // "SAMPLE123"-ish tag
-
-/// Stratified column sample `i` of `samples` for an `n`-column unfolding:
-/// returns `(column, stratum_width)`.
-///
-/// The columns are cut into `samples` contiguous strata (front-loaded like
-/// every block partition in this workspace) and one column is drawn
-/// uniformly from each stratum, keyed by `(seed, i)`. The estimator
-/// `G̃ = Σ_i w_i · x_{j_i} x_{j_i}ᵀ` (with `w_i` the stratum width) is
-/// unbiased, and when `samples == n` every stratum has width 1 — the sample
-/// *is* the full column set and `G̃` equals the exact Gram matrix, which
-/// gives the accuracy-vs-samples curve a fixed exact endpoint.
-pub fn sampled_column(seed: u64, n: usize, samples: usize, i: usize) -> (usize, usize) {
-    debug_assert!(samples >= 1 && samples <= n && i < samples);
-    let base = n / samples;
-    let extra = n % samples;
-    let start = i * base + i.min(extra);
-    let width = base + usize::from(i < extra);
-    let pick = (splitmix64_at(seed ^ SAMPLE_SALT, i as u64, 0) % width as u64) as usize;
-    (start + pick, width)
-}
-
-/// Resolve the configured `sketch_rows` knob for a concrete `m x n`
-/// unfolding: `0` selects the automatic budget `max(4·m, 64)`, and every
-/// request is capped at the column count (where the estimator is exact).
-/// One definition shared by the sequential driver, the distributed driver,
-/// and the conformance cost model.
-pub fn resolve_sketch_rows(sketch_rows: usize, m: usize, n: usize) -> usize {
-    let want = if sketch_rows == 0 { (4 * m).max(64) } else { sketch_rows };
-    want.clamp(1, n.max(1))
-}
-
-/// Sequential row-sampled Gram estimate `G̃ ≈ A Aᵀ` from `samples`
-/// stratified column draws (see [`sampled_column`]); `samples` is capped at
-/// `A`'s column count, where the estimate becomes exact.
-pub fn sketched_gram<T: Scalar>(a: MatRef<'_, T>, samples: usize, seed: u64) -> Matrix<T> {
-    let (m, n) = (a.rows(), a.cols());
-    let s = samples.clamp(1, n);
-    // Scale each drawn column by sqrt(width) so the syrk applies the
-    // stratum weight; computed in f64 then rounded, like the fills above.
-    let mut picked = Matrix::<T>::zeros(m, s);
-    for i in 0..s {
-        let (j, w) = sampled_column(seed, n, s, i);
-        let scale = T::from_f64((w as f64).sqrt());
-        for (r, dst) in picked.col_mut(i).iter_mut().enumerate() {
-            *dst = a.get(r, j) * scale;
-        }
-    }
-    syrk_lower(picked.as_ref())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,54 +269,6 @@ mod tests {
                 next = r.end;
             }
             assert_eq!(next, n, "blocks must cover all {n} columns");
-        }
-    }
-
-    #[test]
-    fn sketched_gram_is_exact_at_full_sampling() {
-        let sv = [5.0, 3.0, 1.0, 0.5];
-        let a = matrix_with_singular_values_seeded::<f64>(&sv, 60, 7);
-        let exact = syrk_lower(a.as_ref());
-        let g = sketched_gram(a.as_ref(), 60, 0xABCD);
-        // samples == cols: every stratum has width 1, so the estimator
-        // degenerates to the exact Gram matrix up to the x*1.0 scaling.
-        assert!(exact.max_abs_diff(&g) < 1e-12 * exact.frob_norm());
-    }
-
-    #[test]
-    fn sketched_gram_error_shrinks_with_more_samples() {
-        let sv: Vec<f64> = (0..8).map(|i| 2.0f64.powi(-i)).collect();
-        let a = matrix_with_singular_values_seeded::<f64>(&sv, 512, 9);
-        let exact = syrk_lower(a.as_ref());
-        let err = |s: usize| {
-            let g = sketched_gram(a.as_ref(), s, 0x5EED);
-            let mut d = 0.0f64;
-            for (x, y) in g.data().iter().zip(exact.data()) {
-                d += (x - y) * (x - y);
-            }
-            d.sqrt() / exact.frob_norm()
-        };
-        // Stratified sampling: error decreases (weakly) along a 4x ladder
-        // and hits zero at full sampling.
-        let e = [err(8), err(32), err(128), err(512)];
-        assert!(e[3] < 1e-12, "full sampling must be exact: {}", e[3]);
-        assert!(e[2] <= e[0] * 1.05, "sampling ladder should not regress: {e:?}");
-        assert!(e[1] <= e[0] * 1.5, "sampling ladder wildly non-monotone: {e:?}");
-    }
-
-    #[test]
-    fn sampled_columns_are_in_stratum_and_cover_at_full_rate() {
-        let n = 97;
-        for s in [1usize, 5, 40, 97] {
-            let mut seen = vec![false; n];
-            for i in 0..s {
-                let (j, w) = sampled_column(0xFEED, n, s, i);
-                assert!(j < n && w >= 1);
-                seen[j] = true;
-            }
-            if s == n {
-                assert!(seen.iter().all(|&b| b), "full rate must pick every column");
-            }
         }
     }
 

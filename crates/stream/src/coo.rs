@@ -5,7 +5,7 @@
 //! repo-wide dense layout) and **accumulates duplicates in arrival order**,
 //! so the same event stream always produces bit-identical state regardless
 //! of how it was batched. Mode-`n` Gram matrices — the input the existing
-//! Gram/sketched-Gram SVD drivers factor — are accumulated directly from
+//! Gram-SVD driver factors — are accumulated directly from
 //! the events ([`CooTensor::mode_gram`]), and a mode is contracted against
 //! a factor transpose ([`CooTensor::ttm_t`]) without ever materializing the
 //! dense tensor: densification happens only *after* the first truncation,
@@ -13,7 +13,7 @@
 
 use crate::error::{StreamError, StreamResult};
 use std::path::Path;
-use tucker_linalg::{splitmix64_at, Matrix, Scalar};
+use tucker_linalg::{Matrix, Scalar};
 use tucker_tensor::{linear_index, multi_index, prod_before, Tensor};
 
 /// A sparse tensor in coordinate (COO) format.
@@ -140,26 +140,6 @@ impl<T: Scalar> CooTensor<T> {
     /// and each column's outer product is accumulated in ascending
     /// `(column, row)` order, so the result is deterministic.
     pub fn mode_gram(&self, n: usize) -> Matrix<T> {
-        self.mode_gram_impl(n, None)
-    }
-
-    /// Sketched mode-`n` Gram: keep each unfolding column with probability
-    /// `samples / num_columns` (decided by a counter-based SplitMix64 hash
-    /// of the column index, so the sample is a pure function of `seed` and
-    /// the column — independent of entry order or batching) and scale kept
-    /// outer products by the inverse probability. With `samples >=
-    /// num_columns` every column is kept at scale 1 and the result is
-    /// bit-identical to [`CooTensor::mode_gram`].
-    pub fn mode_gram_sketched(&self, n: usize, samples: usize, seed: u64) -> Matrix<T> {
-        let ncols: usize = self.dims.iter().product::<usize>() / self.dims[n];
-        if samples >= ncols {
-            return self.mode_gram(n);
-        }
-        let p = (samples.max(1)) as f64 / ncols as f64;
-        self.mode_gram_impl(n, Some((p, seed)))
-    }
-
-    fn mode_gram_impl(&self, n: usize, sample: Option<(f64, u64)>) -> Matrix<T> {
         assert!(n < self.dims.len(), "mode {n} out of range");
         assert!(self.coalesced, "mode_gram requires a coalesced COO");
         let before = prod_before(&self.dims, n);
@@ -185,24 +165,10 @@ impl<T: Scalar> CooTensor<T> {
             while end < cells.len() && cells[end].0 == col {
                 end += 1;
             }
-            let scale = match sample {
-                None => T::ONE,
-                Some((p, seed)) => {
-                    let h = splitmix64_at(seed, 0, col as u64);
-                    let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-                    if u < p {
-                        T::from_f64(1.0 / p)
-                    } else {
-                        start = end;
-                        continue;
-                    }
-                }
-            };
             for a in start..end {
                 let (_, i, vi) = cells[a];
                 for &(_, j, vj) in &cells[start..=a] {
-                    let contrib = scale * vi * vj;
-                    g[(i, j)] += contrib;
+                    g[(i, j)] += vi * vj;
                 }
             }
             start = end;
@@ -440,30 +406,6 @@ mod tests {
                 "mode {n}: sparse Gram diverges from dense"
             );
         }
-    }
-
-    #[test]
-    fn full_sketch_is_bit_identical_to_exact_gram() {
-        let coo = sample_coo();
-        for n in 0..3 {
-            let exact = coo.mode_gram(n);
-            let ncols = 60 / coo.dims()[n];
-            let sketched = coo.mode_gram_sketched(n, ncols, 0xBEEF);
-            assert_eq!(exact.data(), sketched.data());
-        }
-    }
-
-    #[test]
-    fn partial_sketch_approximates_the_gram() {
-        let coo = sample_coo();
-        let exact = coo.mode_gram(0);
-        let sketched = coo.mode_gram_sketched(0, 8, 0x5EED);
-        // Unbiased estimator at 2/3 sampling: loose relative check.
-        let scale = exact.max_abs();
-        assert!(sketched.max_abs_diff(&exact) / scale < 1.0, "sketch wildly off");
-        // Determinism: same seed, same bits.
-        let again = coo.mode_gram_sketched(0, 8, 0x5EED);
-        assert_eq!(sketched.data(), again.data());
     }
 
     #[test]

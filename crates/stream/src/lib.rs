@@ -4,9 +4,9 @@
 //!
 //! * **Sparse ingestion** ([`CooTensor`], [`sparse_sthosvd`]): event
 //!   streams accumulate into a coalesced COO tensor whose mode Gram
-//!   matrices — exact or column-sketched — feed the existing Gram/sketch
-//!   SVD drivers without densifying at the original size; the dense
-//!   working tensor first appears *after* the leading truncation.
+//!   matrices feed the existing Gram-SVD eigensolver without densifying
+//!   at the original size; the dense working tensor first appears *after*
+//!   the leading truncation.
 //! * **Incremental updates** ([`StreamState`]): a designated time-like
 //!   mode grows by appended slabs; observed subspace drift routes each
 //!   append through a cheap stacked-SVD fast path, a randomized
@@ -17,8 +17,8 @@
 //!   contract the serving tier's hot-swap relies on.
 //!
 //! Everything is deterministic: coalescing is a pure function of the event
-//! stream, sketch sampling is counter-hashed by column index, and the
-//! randomized refresh uses the fixed-seed blocked range finder.
+//! stream, and the randomized refresh uses the fixed-seed blocked range
+//! finder.
 
 pub mod coo;
 pub mod error;
@@ -27,7 +27,7 @@ pub mod update;
 
 pub use coo::CooTensor;
 pub use error::{StreamError, StreamResult};
-pub use sparse::{sparse_sthosvd, SparseGram};
+pub use sparse::sparse_sthosvd;
 pub use update::{
     append_dense, fold_matrix, StreamConfig, StreamState, UpdatePath, UpdateReport,
 };

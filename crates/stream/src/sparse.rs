@@ -1,10 +1,10 @@
-//! Sparse ST-HOSVD: feed a COO event tensor to the existing Gram/sketch
-//! SVD drivers **without densifying at the original size**.
+//! Sparse ST-HOSVD: feed a COO event tensor to the existing SVD drivers
+//! **without densifying at the original size**.
 //!
 //! The first processed mode is handled sparsely — its Gram matrix is
-//! accumulated straight from the events ([`CooTensor::mode_gram`], or the
-//! sketched variant) and factored by the same symmetric eigensolver the
-//! dense Gram-SVD driver uses — and the first truncating TTM is applied
+//! accumulated straight from the events ([`CooTensor::mode_gram`]) and
+//! factored by the same symmetric eigensolver the dense Gram-SVD driver
+//! uses — and the first truncating TTM is applied
 //! sparsely too. Only the *reduced* working tensor (`R_0 × I_1 × …`) is
 //! ever dense; the remaining modes run through the standard dense
 //! [`tucker_core`] mode drivers.
@@ -18,23 +18,6 @@ use tucker_linalg::gram_svd::gram_svd_from_gram;
 use tucker_linalg::{Matrix, Result, Scalar};
 use tucker_tensor::Tensor;
 
-/// How the leading mode's Gram matrix is accumulated from the events.
-#[derive(Clone, Copy, Debug)]
-pub enum SparseGram {
-    /// Exact per-column outer products — bit-deterministic.
-    Exact,
-    /// Keep ~`samples` unfolding columns chosen by a counter-based hash of
-    /// the column index, scaled by the inverse keep probability (matches
-    /// the dense sketched-Gram estimator's contract: exact when `samples`
-    /// covers every column).
-    Sketched {
-        /// Target number of kept unfolding columns.
-        samples: usize,
-        /// Hash seed; the sample is a pure function of `(seed, column)`.
-        seed: u64,
-    },
-}
-
 /// The COO backend's working tensor: `None` while it is still the events,
 /// dense (and already reduced) after the first truncation.
 type Work<T> = Option<Tensor<T>>;
@@ -43,7 +26,6 @@ type Work<T> = Option<Tensor<T>>;
 /// tensor is the events, the dense backend afterwards.
 struct CooBackend<'a, T> {
     events: &'a CooTensor<T>,
-    gram: SparseGram,
 }
 
 impl<T: Scalar> ModeBackend<T> for CooBackend<'_, T> {
@@ -63,14 +45,11 @@ impl<T: Scalar> ModeBackend<T> for CooBackend<'_, T> {
         n: usize,
         cfg: &SthosvdConfig,
     ) -> Result<(Matrix<T>, Vec<T>)> {
-        match (y, self.gram) {
-            (Some(y), _) => DenseBackend.mode_factor(y, n, cfg),
+        match y {
+            Some(y) => DenseBackend.mode_factor(y, n, cfg),
             // The same symmetric eigensolver the dense Gram-SVD driver uses,
             // whatever `cfg.method` says about the later, dense modes.
-            (None, SparseGram::Exact) => gram_svd_from_gram(&self.events.mode_gram(n)),
-            (None, SparseGram::Sketched { samples, seed }) => {
-                gram_svd_from_gram(&self.events.mode_gram_sketched(n, samples, seed))
-            }
+            None => gram_svd_from_gram(&self.events.mode_gram(n)),
         }
     }
 
@@ -89,9 +68,8 @@ impl<T: Scalar> ModeBackend<T> for CooBackend<'_, T> {
 pub fn sparse_sthosvd<T: Scalar>(
     x: &CooTensor<T>,
     cfg: &SthosvdConfig,
-    gram: SparseGram,
 ) -> StreamResult<SthosvdOutput<T>> {
-    let out = mode_loop::run(&mut CooBackend { events: x, gram }, &None, cfg)?;
+    let out = mode_loop::run(&mut CooBackend { events: x }, &None, cfg)?;
     // Only a tensor without modes ends the loop untruncated.
     Ok(SthosvdOutput::from_loop(out, |core| core.unwrap_or_else(|| x.densify())))
 }
@@ -129,7 +107,7 @@ mod tests {
         let x: Tensor<f64> = coo.densify();
         for cfg in [SthosvdConfig::with_ranks(vec![4, 4, 4]), SthosvdConfig::with_tolerance(0.35)] {
             let cfg = cfg.method(SvdMethod::Gram);
-            let sparse = sparse_sthosvd(&coo, &cfg, SparseGram::Exact).unwrap();
+            let sparse = sparse_sthosvd(&coo, &cfg).unwrap();
             let dense = sthosvd_with_info(&x, &cfg).unwrap();
             assert_eq!(sparse.tucker.ranks(), dense.tucker.ranks(), "{:?}", cfg.truncation);
             let (es, ed) = (sparse.estimated_error, dense.estimated_error);
@@ -151,7 +129,7 @@ mod tests {
         let coo = sparse_low_rank();
         for ranks in [vec![4, 4], vec![4, 4, 4, 4], vec![4, 0, 4]] {
             let cfg = SthosvdConfig::with_ranks(ranks.clone());
-            let e = sparse_sthosvd(&coo, &cfg, SparseGram::Exact).err();
+            let e = sparse_sthosvd(&coo, &cfg).err();
             let typed = matches!(
                 e,
                 Some(StreamError::Linalg(LinalgError::InvalidConfig { param: "ranks", .. }))
@@ -161,7 +139,7 @@ mod tests {
         // Likewise a mode order that is too short, too long, or repeats a mode.
         for order in [vec![0, 1], vec![0, 1, 2, 0], vec![0, 0, 1]] {
             let cfg = SthosvdConfig::with_ranks(vec![4, 4, 4]).order(ModeOrder::Custom(order));
-            let e = sparse_sthosvd(&coo, &cfg, SparseGram::Exact).err();
+            let e = sparse_sthosvd(&coo, &cfg).err();
             let typed = matches!(
                 e,
                 Some(StreamError::Linalg(LinalgError::InvalidConfig { param: "mode_order", .. }))
@@ -174,40 +152,10 @@ mod tests {
     fn tolerance_truncation_compresses() {
         let coo = sparse_low_rank();
         let cfg = SthosvdConfig::with_tolerance(0.35);
-        let out = sparse_sthosvd(&coo, &cfg, SparseGram::Exact).unwrap();
+        let out = sparse_sthosvd(&coo, &cfg).unwrap();
         let x = coo.densify();
         assert!(out.tucker.ranks().iter().all(|&r| r < 8), "{:?}", out.tucker.ranks());
         let err = out.tucker.relative_error(&x);
         assert!(err <= 0.4, "err {err}");
-    }
-
-    #[test]
-    fn full_sketch_is_bitwise_exact() {
-        let coo = sparse_low_rank();
-        let cfg = SthosvdConfig::with_ranks(vec![3, 3, 3]);
-        let exact = sparse_sthosvd(&coo, &cfg, SparseGram::Exact).unwrap();
-        let ncols = 9 * 8;
-        let sk = sparse_sthosvd(&coo, &cfg, SparseGram::Sketched { samples: ncols, seed: 7 })
-            .unwrap();
-        assert_eq!(exact.tucker.core.data(), sk.tucker.core.data());
-        for (a, b) in exact.tucker.factors.iter().zip(&sk.tucker.factors) {
-            assert_eq!(a.data(), b.data());
-        }
-    }
-
-    #[test]
-    fn partial_sketch_still_recovers_the_subspace() {
-        let coo = sparse_low_rank();
-        let cfg = SthosvdConfig::with_ranks(vec![3, 3, 3]);
-        let out =
-            sparse_sthosvd(&coo, &cfg, SparseGram::Sketched { samples: 48, seed: 11 }).unwrap();
-        let x = coo.densify();
-        let err = out.tucker.relative_error(&x).to_f64();
-        let exact_err = sparse_sthosvd(&coo, &cfg, SparseGram::Exact)
-            .unwrap()
-            .tucker
-            .relative_error(&x)
-            .to_f64();
-        assert!(err <= exact_err * 2.0 + 0.1, "sketched {err} vs exact {exact_err}");
     }
 }

@@ -113,7 +113,8 @@ echo "failover smoke: zero lost, rank 1 dead OK"
 # Randomized-sketch smoke (DESIGN.md §15): fixed-rank compress with
 # --svd randomized must meet a loose error bound on a fast-decaying
 # surrogate, and a distributed run on an even grid must pass the exact
-# flop/word conformance check for both sketch methods.
+# flop/word conformance check — as must the two Gram methods (QR's is the
+# metrics smoke above).
 rand_tns="$ckpt/rand.tns"
 rand_tkr="$ckpt/rand.tkr"
 rand_rec="$ckpt/rand_rec.tns"
@@ -132,14 +133,24 @@ print(f"randomized smoke: compression error {err:.3e} OK")
 PY
 "$tucker" simulate --grid 2x2x2 --kind random --dims 16x16x16 \
     --ranks 4x4x4 --svd randomized --model-check
-"$tucker" simulate --grid 2x2x2 --kind random --dims 16x16x16 \
-    --ranks 4x4x4 --svd sketched-gram --sketch-rows 32 --model-check
+for svd in gram gram-mixed; do
+    "$tucker" simulate --grid 2x2x2 --kind random --dims 16x16x16 \
+        --ranks 4x4x4 --svd "$svd" --model-check
+done
 if "$tucker" simulate --grid 2x1x1 --kind random --dims 8x8x8 \
         --ranks 4x4x4 --svd randomized --oversample 0 2>/dev/null; then
     echo "randomized smoke: --oversample 0 must be rejected" >&2
     exit 1
 fi
 echo "randomized smoke: compress + conformance + typed rejection OK"
+# Four SVD methods (DESIGN.md §15): the sampled-Gram estimator, its knob
+# and its sparse twin are gone from every crate, test and example.
+if grep -rnE 'SketchedGram|sketched_gram|sketch_rows|sketch-rows|mode_gram_sketched|SparseGram|sampled_column|resolve_sketch_rows' \
+        crates/*/src src tests examples; then
+    echo "method gate: the sampled Gram is back" >&2
+    exit 1
+fi
+echo "method gate: four SVD methods, no sampled Gram OK"
 
 # Observability smoke (DESIGN.md §16): one traced serve-bench run must
 # export a merged Chrome trace telling the crashed query's story (failed
