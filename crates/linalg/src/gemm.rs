@@ -267,11 +267,14 @@ pub fn gemm_into<T: Scalar>(a: MatRef<'_, T>, ta: Trans, b: MatRef<'_, T>, tb: T
     // are guarded, pool workers never collect: this outermost frame records
     // the logical multiply once.
     crate::perf::with_kernel("gemm", flops as u64, crate::perf::gemm_pack_bytes::<T>(m, k, n), || {
+        // `C` starts as zeros, so every product below accumulates onto it
+        // (`beta = 1`): `+0 + v` has the bits of a cleared `C` plus `v`,
+        // without a second pass over the output.
         let mut c = Matrix::<T>::zeros(m, n);
         let threads = rayon::current_num_threads();
         if flops < PAR_FLOP_THRESHOLD || threads <= 1 || m == 0 || n == 0 || k == 0 {
             let mut cm = c.as_mut();
-            gemm(T::ONE, a, b, T::ZERO, &mut cm);
+            gemm(T::ONE, a, b, T::ONE, &mut cm);
             return c;
         }
         gemm_into_tiled(a, b, &mut c, threads * 2);
@@ -279,7 +282,8 @@ pub fn gemm_into<T: Scalar>(a: MatRef<'_, T>, ta: Trans, b: MatRef<'_, T>, tb: T
     })
 }
 
-/// Compute `C = A·B` over a 2D tile grid with roughly `tasks` tiles.
+/// Compute `C = A·B`, `C` all zeros on entry (as [`gemm_into`] hands it),
+/// over a 2D tile grid with roughly `tasks` tiles.
 /// Each tile is produced by the serial engine over the full inner dimension
 /// and then copied into C, so results do not depend on the tiling.
 /// Exposed to the crate for the bit-pattern agreement tests.
@@ -308,7 +312,7 @@ pub(crate) fn gemm_into_tiled<T: Scalar>(
             }
             let bsub = b.submatrix(0, j0, k, nb);
             let mut csub = MatMut::col_major(chunk, m, nb);
-            gemm(T::ONE, a, bsub, T::ZERO, &mut csub);
+            gemm(T::ONE, a, bsub, T::ONE, &mut csub);
         });
         return;
     }
@@ -326,7 +330,7 @@ pub(crate) fn gemm_into_tiled<T: Scalar>(
         let (r0, c0, mb, nb) = t[0];
         let mut tile = Matrix::zeros(mb, nb);
         let mut tm = tile.as_mut();
-        gemm(T::ONE, a.submatrix(r0, 0, mb, k), b.submatrix(0, c0, k, nb), T::ZERO, &mut tm);
+        gemm(T::ONE, a.submatrix(r0, 0, mb, k), b.submatrix(0, c0, k, nb), T::ONE, &mut tm);
         slot[0] = Some(tile);
     });
     for ((r0, c0, mb, nb), slot) in tiles.into_iter().zip(slots) {

@@ -132,10 +132,17 @@ pub trait Scalar:
     /// companion.
     fn axpy(alpha: Self, x: &[Self], y: &mut [Self]);
 
-    /// Run `f` with two initialized pack buffers of at least the given
-    /// lengths, reusing a thread-local allocation across calls (the pack
-    /// scratch of the blocked GEMM — per-call `vec!`s would dominate small
-    /// multiplies). Each buffer is allocated once per thread, on first use,
+    /// Transpose one `MR × MR` tile: `dst[j·ds + i] = src[i·ss + j]` for
+    /// `i, j < MR`. A pure move in registers — every body stores the
+    /// source's bits. The row-contiguous arm of the GEMM packers and the
+    /// column-to-column transpose (the flat-tree LQ's gather) run on it.
+    /// Panics if either slice is too short for its tile.
+    fn transpose_tile(src: &[Self], ss: usize, dst: &mut [Self], ds: usize);
+
+    /// Run `f` with two initialized pack buffers of the given lengths, each
+    /// starting on a cache line, reusing a thread-local allocation across
+    /// calls (the pack scratch of the blocked GEMM — per-call `vec!`s would
+    /// dominate small multiplies). Each buffer is allocated once per thread, on first use,
     /// with room for a full `KC × NC` slab ([`crate::kernel`]), and again
     /// only for a request above that: a scratch reallocated request by
     /// request moves mid-run and can split the hole a tensor-sized
@@ -150,7 +157,8 @@ pub trait Scalar:
 }
 
 macro_rules! impl_scalar {
-    ($t:ty, $name:expr, $mr:expr, $ukr512:ident, $ukr:ident, $dot:ident, $axpy:ident) => {
+    ($t:ty, $name:expr, $mr:expr, $ukr512:ident, $ukr:ident, $dot:ident, $axpy:ident,
+     $tr512:ident, $tr:ident) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -253,6 +261,23 @@ macro_rules! impl_scalar {
                 axpy_portable(alpha, x, y, <$t>::mul_add)
             }
 
+            fn transpose_tile(src: &[Self], ss: usize, dst: &mut [Self], ds: usize) {
+                #[cfg(target_arch = "x86_64")]
+                {
+                    if simd::have_avx512f() {
+                        // SAFETY: the required target feature was just
+                        // verified at runtime; slice lengths are asserted
+                        // inside the body before any raw-pointer access.
+                        return unsafe { simd::$tr512(src, ss, dst, ds) };
+                    }
+                    if simd::have_avx2_fma() {
+                        // SAFETY: as above, for AVX2.
+                        return unsafe { simd::$tr(src, ss, dst, ds) };
+                    }
+                }
+                transpose_portable::<$t, $mr>(src, ss, dst, ds)
+            }
+
             fn with_pack_scratch<R>(
                 a_len: usize,
                 b_len: usize,
@@ -263,28 +288,36 @@ macro_rules! impl_scalar {
                     static SCRATCH: RefCell<(Vec<$t>, Vec<$t>)> =
                         const { RefCell::new((Vec::new(), Vec::new())) };
                 }
-                use crate::kernel::{round_up, KC, NC};
+                use crate::kernel::{cache_aligned, round_up, KC, NC};
                 let fit = |buf: &mut Vec<$t>, len: usize| {
+                    if len == 0 {
+                        // An unused buffer (SYRK packs one operand) is not
+                        // allocated.
+                        return;
+                    }
+                    let len = len + CACHE_LINE_SLACK;
                     if buf.capacity() < len {
-                        *buf = Vec::with_capacity(len.max(KC * round_up(NC, $mr)));
+                        *buf = Vec::with_capacity(len.max(KC * round_up(NC, $mr) + CACHE_LINE_SLACK));
                     }
                     if buf.len() < len {
                         buf.resize(len, 0.0);
                     }
                 };
+                const CACHE_LINE_SLACK: usize = crate::kernel::CACHE_LINE / std::mem::size_of::<$t>();
                 SCRATCH.with(|cell| match cell.try_borrow_mut() {
                     Ok(mut s) => {
                         let (a, b) = &mut *s;
                         fit(a, a_len);
                         fit(b, b_len);
-                        f(&mut a[..a_len], &mut b[..b_len])
+                        f(cache_aligned(a, a_len), cache_aligned(b, b_len))
                     }
                     // Re-entrant call (a kernel invoked from inside another
                     // kernel's pack closure): fall back to fresh buffers.
                     Err(_) => {
-                        let mut a = vec![0.0 as $t; a_len];
-                        let mut b = vec![0.0 as $t; b_len];
-                        f(&mut a, &mut b)
+                        let (mut a, mut b) = (Vec::new(), Vec::new());
+                        fit(&mut a, a_len);
+                        fit(&mut b, b_len);
+                        f(cache_aligned(&mut a, a_len), cache_aligned(&mut b, b_len))
                     }
                 })
             }
@@ -298,8 +331,39 @@ macro_rules! impl_scalar {
 // groups of an edge tile that hold no live column (a one-column B pays for
 // four columns, not the whole tile), the portable body every dead column.
 // Every body returns the same bits.
-impl_scalar!(f32, "single", 16, ukr512_f32, ukr_f32, dot_f32, axpy_f32);
-impl_scalar!(f64, "double", 8, ukr512_f64, ukr_f64, dot_f64, axpy_f64);
+impl_scalar!(f32, "single", 16, ukr512_f32, ukr_f32, dot_f32, axpy_f32, transpose512_f32, transpose_f32);
+impl_scalar!(f64, "double", 8, ukr512_f64, ukr_f64, dot_f64, axpy_f64, transpose512_f64, transpose_f64);
+
+/// `s` seen as a slice of `T` when `S` and `T` are the same type: lets a
+/// kernel generic over a source and a destination precision take a
+/// same-precision fast path (the packers' register-tile transpose).
+pub(crate) fn same_precision<S: Scalar, T: Scalar>(s: &[S]) -> Option<&[T]> {
+    use std::any::TypeId;
+    // SAFETY: `S` and `T` are the same type, so the cast is the identity.
+    (TypeId::of::<S>() == TypeId::of::<T>())
+        .then(|| unsafe { std::slice::from_raw_parts(s.as_ptr().cast::<T>(), s.len()) })
+}
+
+/// Asserts that `src` and `dst` hold the `n × n` tiles `transpose_tile`
+/// reads and writes at row strides `ss` and `ds`.
+#[inline(always)]
+fn assert_tile<T>(n: usize, src: &[T], ss: usize, dst: &[T], ds: usize) {
+    assert!(
+        src.len() >= (n - 1) * ss + n && dst.len() >= (n - 1) * ds + n,
+        "transpose_tile: slice too short for its tile"
+    );
+}
+
+/// Portable body of [`Scalar::transpose_tile`] on an `N × N` tile.
+#[inline(always)]
+fn transpose_portable<T: Scalar, const N: usize>(src: &[T], ss: usize, dst: &mut [T], ds: usize) {
+    assert_tile(N, src, ss, dst, ds);
+    for j in 0..N {
+        for (i, d) in dst[j * ds..][..N].iter_mut().enumerate() {
+            *d = src[i * ss + j];
+        }
+    }
+}
 
 /// Portable body of [`Scalar::gemm_microkernel`] on the first `cols`
 /// columns of the `N × N` tile. `fma` is the precision's inherent, fused
@@ -504,6 +568,166 @@ mod simd {
            _mm512_loadu_ps, _mm512_storeu_ps, _mm512_setzero_ps, _mm512_set1_ps, _mm512_fmadd_ps,
            _mm256_loadu_ps, _mm256_storeu_ps, _mm256_setzero_ps, _mm256_set1_ps, _mm256_fmadd_ps);
 
+    /// AVX-512F body of `Scalar::transpose_tile` on the `f64` 8×8 tile:
+    /// unpack row pairs, gather each column's four-row quarters with
+    /// two-source permutes, join the quarters by 128-bit lanes.
+    ///
+    /// # Safety
+    /// Caller must verify AVX-512F support (see [`have_avx512f`]).
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn transpose512_f64(src: &[f64], ss: usize, dst: &mut [f64], ds: usize) {
+        super::assert_tile(8, src, ss, dst, ds);
+        // SAFETY: row `i < 8` is read at `src[i·ss..][..8]` and column `j`
+        // written at `dst[j·ds..][..8]`, inside the asserted lengths.
+        unsafe {
+            let (s, d) = (src.as_ptr(), dst.as_mut_ptr());
+            let mut r = [_mm512_setzero_pd(); 8];
+            for (i, ri) in r.iter_mut().enumerate() {
+                *ri = _mm512_loadu_pd(s.add(i * ss));
+            }
+            // `pairs[2k]` holds (row 2k, row 2k + 1) of every even column,
+            // `pairs[2k + 1]` of every odd one.
+            let mut pairs = [_mm512_setzero_pd(); 8];
+            for k in 0..4 {
+                pairs[2 * k] = _mm512_unpacklo_pd(r[2 * k], r[2 * k + 1]);
+                pairs[2 * k + 1] = _mm512_unpackhi_pd(r[2 * k], r[2 * k + 1]);
+            }
+            // Rows 0..4 (`q = 0`) or 4..8 (`q = 1`) of columns c and c + 4:
+            // c = 0, 2 from the even pairs, c = 1, 3 from the odd ones.
+            let pick = [_mm512_set_epi64(13, 12, 5, 4, 9, 8, 1, 0), _mm512_set_epi64(15, 14, 7, 6, 11, 10, 3, 2)];
+            let mut quarters = [[_mm512_setzero_pd(); 4]; 2];
+            for (q, half) in quarters.iter_mut().enumerate() {
+                for (c, v) in half.iter_mut().enumerate() {
+                    let (a, b) = (pairs[4 * q + c % 2], pairs[4 * q + 2 + c % 2]);
+                    *v = _mm512_permutex2var_pd(a, pick[c / 2], b);
+                }
+            }
+            for c in 0..4 {
+                let (top, bottom) = (quarters[0][c], quarters[1][c]);
+                _mm512_storeu_pd(d.add(c * ds), _mm512_shuffle_f64x2::<0x44>(top, bottom));
+                _mm512_storeu_pd(d.add((c + 4) * ds), _mm512_shuffle_f64x2::<0xEE>(top, bottom));
+            }
+        }
+    }
+
+    /// AVX-512F body of `Scalar::transpose_tile` on the `f32` 16×16 tile:
+    /// two unpack stages build, per group of four rows, each column's four
+    /// values in one 128-bit lane; two lane-shuffle stages then join a
+    /// column's four lanes.
+    ///
+    /// # Safety
+    /// Caller must verify AVX-512F support (see [`have_avx512f`]).
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn transpose512_f32(src: &[f32], ss: usize, dst: &mut [f32], ds: usize) {
+        super::assert_tile(16, src, ss, dst, ds);
+        // SAFETY: row `i < 16` is read at `src[i·ss..][..16]` and column
+        // `j` written at `dst[j·ds..][..16]`, inside the asserted lengths.
+        unsafe {
+            let (s, d) = (src.as_ptr(), dst.as_mut_ptr());
+            let mut r = [_mm512_setzero_ps(); 16];
+            for (i, ri) in r.iter_mut().enumerate() {
+                *ri = _mm512_loadu_ps(s.add(i * ss));
+            }
+            let mut t = [_mm512_setzero_ps(); 16];
+            for k in 0..8 {
+                t[2 * k] = _mm512_unpacklo_ps(r[2 * k], r[2 * k + 1]);
+                t[2 * k + 1] = _mm512_unpackhi_ps(r[2 * k], r[2 * k + 1]);
+            }
+            // `v[4g + c]`, lane `q`: rows 4g..4g + 4 of column 4q + c.
+            let mut v = [_mm512_setzero_ps(); 16];
+            for g in 0..4 {
+                let (a, e) = (_mm512_castps_pd(t[4 * g]), _mm512_castps_pd(t[4 * g + 1]));
+                let (b, f) = (_mm512_castps_pd(t[4 * g + 2]), _mm512_castps_pd(t[4 * g + 3]));
+                v[4 * g] = _mm512_castpd_ps(_mm512_unpacklo_pd(a, b));
+                v[4 * g + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(a, b));
+                v[4 * g + 2] = _mm512_castpd_ps(_mm512_unpacklo_pd(e, f));
+                v[4 * g + 3] = _mm512_castpd_ps(_mm512_unpackhi_pd(e, f));
+            }
+            for c in 0..4 {
+                let w0 = _mm512_shuffle_f32x4::<0x44>(v[c], v[4 + c]);
+                let w1 = _mm512_shuffle_f32x4::<0xEE>(v[c], v[4 + c]);
+                let w2 = _mm512_shuffle_f32x4::<0x44>(v[8 + c], v[12 + c]);
+                let w3 = _mm512_shuffle_f32x4::<0xEE>(v[8 + c], v[12 + c]);
+                _mm512_storeu_ps(d.add(c * ds), _mm512_shuffle_f32x4::<0x88>(w0, w2));
+                _mm512_storeu_ps(d.add((4 + c) * ds), _mm512_shuffle_f32x4::<0xDD>(w0, w2));
+                _mm512_storeu_ps(d.add((8 + c) * ds), _mm512_shuffle_f32x4::<0x88>(w1, w3));
+                _mm512_storeu_ps(d.add((12 + c) * ds), _mm512_shuffle_f32x4::<0xDD>(w1, w3));
+            }
+        }
+    }
+
+    /// AVX2 body of `Scalar::transpose_tile` on the `f64` 8×8 tile: four
+    /// 4×4 transposes in ymm registers, one per quadrant.
+    ///
+    /// # Safety
+    /// Caller must verify AVX2 support (see [`have_avx2_fma`]).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn transpose_f64(src: &[f64], ss: usize, dst: &mut [f64], ds: usize) {
+        super::assert_tile(8, src, ss, dst, ds);
+        // SAFETY: quadrant `(qi, qj)` reads `src[(4qi + i)·ss + 4qj..][..4]`
+        // and writes `dst[(4qj + j)·ds + 4qi..][..4]`, `i, j < 4`: inside
+        // the asserted lengths.
+        unsafe {
+            for qi in 0..2 {
+                for qj in 0..2 {
+                    let (s, d) = (src.as_ptr().add(4 * qi * ss + 4 * qj), dst.as_mut_ptr().add(4 * qj * ds + 4 * qi));
+                    let r = [
+                        _mm256_loadu_pd(s),
+                        _mm256_loadu_pd(s.add(ss)),
+                        _mm256_loadu_pd(s.add(2 * ss)),
+                        _mm256_loadu_pd(s.add(3 * ss)),
+                    ];
+                    let (t0, t1) = (_mm256_unpacklo_pd(r[0], r[1]), _mm256_unpackhi_pd(r[0], r[1]));
+                    let (t2, t3) = (_mm256_unpacklo_pd(r[2], r[3]), _mm256_unpackhi_pd(r[2], r[3]));
+                    _mm256_storeu_pd(d, _mm256_permute2f128_pd::<0x20>(t0, t2));
+                    _mm256_storeu_pd(d.add(ds), _mm256_permute2f128_pd::<0x20>(t1, t3));
+                    _mm256_storeu_pd(d.add(2 * ds), _mm256_permute2f128_pd::<0x31>(t0, t2));
+                    _mm256_storeu_pd(d.add(3 * ds), _mm256_permute2f128_pd::<0x31>(t1, t3));
+                }
+            }
+        }
+    }
+
+    /// AVX2 body of `Scalar::transpose_tile` on the `f32` 16×16 tile: four
+    /// 8×8 transposes in ymm registers, one per quadrant.
+    ///
+    /// # Safety
+    /// Caller must verify AVX2 support (see [`have_avx2_fma`]).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn transpose_f32(src: &[f32], ss: usize, dst: &mut [f32], ds: usize) {
+        super::assert_tile(16, src, ss, dst, ds);
+        // SAFETY: quadrant `(qi, qj)` reads `src[(8qi + i)·ss + 8qj..][..8]`
+        // and writes `dst[(8qj + j)·ds + 8qi..][..8]`, `i, j < 8`: inside
+        // the asserted lengths.
+        unsafe {
+            for qi in 0..2 {
+                for qj in 0..2 {
+                    let (s, d) = (src.as_ptr().add(8 * qi * ss + 8 * qj), dst.as_mut_ptr().add(8 * qj * ds + 8 * qi));
+                    let mut t = [_mm256_setzero_ps(); 8];
+                    for k in 0..4 {
+                        let (a, b) = (_mm256_loadu_ps(s.add(2 * k * ss)), _mm256_loadu_ps(s.add((2 * k + 1) * ss)));
+                        t[2 * k] = _mm256_unpacklo_ps(a, b);
+                        t[2 * k + 1] = _mm256_unpackhi_ps(a, b);
+                    }
+                    // `u[h][c]`, lane `l`: rows 4h..4h + 4 of column 4l + c.
+                    let mut u = [[_mm256_setzero_ps(); 4]; 2];
+                    for (h, uh) in u.iter_mut().enumerate() {
+                        let (a, e) = (_mm256_castps_pd(t[4 * h]), _mm256_castps_pd(t[4 * h + 1]));
+                        let (b, f) = (_mm256_castps_pd(t[4 * h + 2]), _mm256_castps_pd(t[4 * h + 3]));
+                        uh[0] = _mm256_castpd_ps(_mm256_unpacklo_pd(a, b));
+                        uh[1] = _mm256_castpd_ps(_mm256_unpackhi_pd(a, b));
+                        uh[2] = _mm256_castpd_ps(_mm256_unpacklo_pd(e, f));
+                        uh[3] = _mm256_castpd_ps(_mm256_unpackhi_pd(e, f));
+                    }
+                    for c in 0..4 {
+                        _mm256_storeu_ps(d.add(c * ds), _mm256_permute2f128_ps::<0x20>(u[0][c], u[1][c]));
+                        _mm256_storeu_ps(d.add((4 + c) * ds), _mm256_permute2f128_ps::<0x31>(u[0][c], u[1][c]));
+                    }
+                }
+            }
+        }
+    }
+
     /// The AVX2+FMA bodies of `Scalar::dot` / `Scalar::axpy` for one
     /// precision: four accumulator registers of `$w` lanes each, so element
     /// `c` lands in lane `c mod 4·$w` as in `dot_portable`; the remainder
@@ -694,12 +918,14 @@ mod tests {
     /// The scratch a thread packs into is allocated once: a first, small
     /// request already reserves a full `KC × NC` slab, so the largest
     /// request of a full-size `gemm_blocked` lands in the same two buffers.
+    /// Both start on a cache line.
     fn check_scratch_allocated_once<T: Scalar>() {
-        use crate::kernel::{KC, NC};
+        use crate::kernel::{CACHE_LINE, KC, NC};
         let at = |a_len, b_len| T::with_pack_scratch(a_len, b_len, |a, b| (a.as_ptr(), b.as_ptr()));
         let small = at(8, 8);
         assert_eq!(at(KC * NC, KC * NC), small, "{}", T::PRECISION_NAME);
         assert_eq!(at(0, 1), small, "{}", T::PRECISION_NAME);
+        assert_eq!((small.0 as usize % CACHE_LINE, small.1 as usize % CACHE_LINE), (0, 0), "{}", T::PRECISION_NAME);
     }
 
     #[test]
@@ -758,6 +984,64 @@ mod tests {
         let (bodies64, bodies32) = (Vec::new(), Vec::new());
         check_tile_bodies::<f64, 8>(f64::mul_add, &bodies64);
         check_tile_bodies::<f32, 16>(f32::mul_add, &bodies32);
+    }
+
+    type TransposeBody<T> = unsafe fn(&[T], usize, &mut [T], usize);
+
+    /// Every body of the tile transpose the host can run, called directly,
+    /// on tiles of arbitrary bit patterns (NaN payloads included) at row
+    /// strides either side of a power of two: each must store exactly
+    /// `dst[j·ds + i] = src[i·ss + j]`, bit for bit, and touch nothing else.
+    fn check_transpose_bodies<T: Scalar, const N: usize>(
+        from_bits: fn(u64) -> T,
+        to_bits: fn(T) -> u64,
+        bodies: &[(&str, TransposeBody<T>)],
+    ) {
+        let bits = |v: &[T]| v.iter().map(|&e| to_bits(e)).collect::<Vec<u64>>();
+        for (ss, ds) in [(N, N), (N + 3, N), (1024, N), (1056, 2 * N + 1), (N, 1024)] {
+            let src: Vec<T> = (0..(N - 1) * ss + N)
+                .map(|i| from_bits((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17)))
+                .collect();
+            let fill = T::from_f64(-0.5);
+            let mut want = vec![fill; (N - 1) * ds + N + 5];
+            for i in 0..N {
+                for j in 0..N {
+                    want[j * ds + i] = src[i * ss + j];
+                }
+            }
+            let what = format!("{} ss = {ss}, ds = {ds}", T::PRECISION_NAME);
+            let mut got = vec![fill; want.len()];
+            transpose_portable::<T, N>(&src, ss, &mut got, ds);
+            assert_eq!(bits(&got), bits(&want), "portable {what}");
+            let mut got = vec![fill; want.len()];
+            T::transpose_tile(&src, ss, &mut got, ds);
+            assert_eq!(bits(&got), bits(&want), "dispatch {what}");
+            for &(name, body) in bodies {
+                let mut got = vec![fill; want.len()];
+                // SAFETY: the caller lists only bodies whose features the
+                // host has.
+                unsafe { body(&src, ss, &mut got, ds) };
+                assert_eq!(bits(&got), bits(&want), "{name} {what}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_transpose_body_moves_the_bits() {
+        #[cfg(target_arch = "x86_64")]
+        fn host<T>(avx512: TransposeBody<T>, avx2: TransposeBody<T>) -> Vec<(&'static str, TransposeBody<T>)> {
+            let all = [("AVX-512F", avx512, simd::have_avx512f()), ("AVX2", avx2, simd::have_avx2_fma())];
+            all.into_iter().filter_map(|(name, body, has)| has.then_some((name, body))).collect()
+        }
+        #[cfg(target_arch = "x86_64")]
+        let (bodies64, bodies32) = (
+            host(simd::transpose512_f64, simd::transpose_f64),
+            host(simd::transpose512_f32, simd::transpose_f32),
+        );
+        #[cfg(not(target_arch = "x86_64"))]
+        let (bodies64, bodies32) = (Vec::new(), Vec::new());
+        check_transpose_bodies::<f64, 8>(f64::from_bits, f64::to_bits, &bodies64);
+        check_transpose_bodies::<f32, 16>(|b| f32::from_bits(b as u32), |v| v.to_bits().into(), &bodies32);
     }
 
     #[test]

@@ -30,6 +30,7 @@ use std::ops::Range;
 
 use rayon::prelude::*;
 
+use crate::kernel::{cache_aligned, CACHE_LINE};
 use crate::matrix::Matrix;
 use crate::perf::{qr_flops, with_kernel};
 use crate::scalar::Scalar;
@@ -161,22 +162,25 @@ fn fold_leaf<T: Scalar>(m: usize, panels: &[MatRef<'_, T>], groups: &[Range<usiz
     l
 }
 
-/// Concatenate blocks of `total` columns in all side by side into the front
-/// of `buf` as a row-major `m x total` matrix (one allocation, grown as needed
-/// and reused across calls; every element of the result is overwritten).
+/// Concatenate blocks of `total` columns in all side by side into `buf` as a
+/// row-major `m x total` matrix from its first cache line (one allocation,
+/// grown as needed and reused across calls; every element of the result is
+/// overwritten).
 fn gather_rowmajor<'b, T: Scalar>(
     buf: &'b mut Vec<T>,
     m: usize,
     total: usize,
     blocks: &[MatRef<'_, T>],
 ) -> &'b mut [T] {
-    if buf.len() < m * total {
-        buf.resize(m * total, T::ZERO);
+    let len = m * total + CACHE_LINE / T::BYTES;
+    if buf.len() < len {
+        buf.resize(len, T::ZERO);
     }
-    let out = &mut buf[..m * total];
+    let out = cache_aligned(buf, m * total);
     // Row-major `m x total` is the column-major storage of the transpose:
     // each block lands as a transposed copy (a memcpy per row for the
-    // row-major blocks of an unfolding, cache-blocked tiles otherwise).
+    // row-major blocks of an unfolding, register-tile transposes for a
+    // column-major panel).
     let mut col0 = 0usize;
     for b in blocks {
         let mut dst = MatMut::strided(&mut out[col0..], b.cols(), m, 1, total);

@@ -314,17 +314,16 @@ impl<'a, T: Scalar> MatMut<'a, T> {
     }
 }
 
-/// Edge length of the cache-blocked transpose copies.
-const TRANSPOSE_TILE: usize = 128;
-
-/// `dst ← srcᵀ`, tiled so both sides stay cache-resident (a strided
-/// straight-line copy touches one cache line per element; the tiles cut that
-/// to one line per [`TRANSPOSE_TILE`] elements on the strided side). This is
-/// how the flat-tree LQ gathers its panels into row-major scratch.
+/// `dst ← srcᵀ`. This is how the flat-tree LQ gathers its panels into
+/// row-major scratch: a column-major panel (mode 0 of an unfolding) takes
+/// the column-to-column path, a row-major block the memcpy path.
 ///
-/// When both sides are column-contiguous the tile interior runs on raw
-/// slices — the strided `get`/`set` path costs an indexing multiply and a
-/// bounds check per element.
+/// Between two column-contiguous views the copy moves `MR × MR` tiles
+/// through registers ([`Scalar::transpose_tile`]): each tile reads `MR`
+/// source columns and writes `MR` destination columns, so both sides stream
+/// whole cache lines and no scratch is needed. Only the ragged edges go
+/// element by element, as does a view strided both ways (no kernel hands
+/// one in).
 pub(crate) fn transpose_into<T: Scalar>(src: MatRef<'_, T>, dst: &mut MatMut<'_, T>) {
     let (m, n) = (src.rows(), src.cols());
     assert_eq!((dst.rows(), dst.cols()), (n, m), "transpose_into: shape mismatch");
@@ -355,53 +354,30 @@ pub(crate) fn transpose_into<T: Scalar>(src: MatRef<'_, T>, dst: &mut MatMut<'_,
         return;
     }
     if src.col_contiguous() && dst.col_contiguous() {
-        let scs = src.col_stride();
-        let dcs = dst.col_stride();
+        let (scs, dcs, w) = (src.col_stride(), dst.col_stride(), T::MR);
+        let (mt, nt) = (m / w * w, n / w * w);
         let s = src.data();
         let d = dst.data_mut();
-        // Two-phase tiles through an L1-resident scratch block: gather the
-        // tile with contiguous column memcpys, then scatter with contiguous
-        // writes into dst columns. Both DRAM streams stay sequential; the
-        // only strided accesses land in the scratch buffer.
-        // Heap, not a stack array: the tile is 128 KiB at f64.
-        #[allow(clippy::useless_vec)]
-        let mut scratch = vec![T::ZERO; TRANSPOSE_TILE * TRANSPOSE_TILE];
-        let mut i0 = 0;
-        while i0 < m {
-            let ib = TRANSPOSE_TILE.min(m - i0);
-            let mut j0 = 0;
-            while j0 < n {
-                let jb = TRANSPOSE_TILE.min(n - j0);
-                for jj in 0..jb {
-                    let off = (j0 + jj) * scs + i0;
-                    scratch[jj * ib..jj * ib + ib].copy_from_slice(&s[off..off + ib]);
-                }
-                for t in 0..ib {
-                    let dcol = &mut d[(i0 + t) * dcs + j0..(i0 + t) * dcs + j0 + jb];
-                    for (jj, x) in dcol.iter_mut().enumerate() {
-                        *x = scratch[jj * ib + t];
-                    }
-                }
-                j0 += jb;
+        // Tile `(i0, j0)` is `src[i0.., j0..]`: its rows are source columns
+        // `j0..j0 + w` (stride `scs`), its columns land as destination
+        // columns `i0..i0 + w` (stride `dcs`).
+        for i0 in (0..mt).step_by(w) {
+            for j0 in (0..nt).step_by(w) {
+                T::transpose_tile(&s[j0 * scs + i0..], scs, &mut d[i0 * dcs + j0..], dcs);
             }
-            i0 += ib;
+        }
+        for i in 0..m {
+            let from = if i < mt { nt } else { 0 };
+            for (j, x) in d[i * dcs..][from..n].iter_mut().enumerate() {
+                *x = s[(from + j) * scs + i];
+            }
         }
         return;
     }
-    let mut i0 = 0;
-    while i0 < m {
-        let ib = TRANSPOSE_TILE.min(m - i0);
-        let mut j0 = 0;
-        while j0 < n {
-            let jb = TRANSPOSE_TILE.min(n - j0);
-            for i in i0..i0 + ib {
-                for j in j0..j0 + jb {
-                    dst.set(j, i, src.get(i, j));
-                }
-            }
-            j0 += jb;
+    for i in 0..m {
+        for j in 0..n {
+            dst.set(j, i, src.get(i, j));
         }
-        i0 += ib;
     }
 }
 
@@ -478,24 +454,34 @@ mod tests {
         }
     }
 
-    #[test]
-    fn transpose_helpers_roundtrip() {
-        // 70 x 130 crosses tile boundaries in both dims (the tiled
-        // column-major arm); the row-major copy takes a memcpy arm.
-        let a = Matrix::<f64>::from_fn(70, 130, |i, j| (i * 130 + j) as f64);
-        let mut at = Matrix::<f64>::zeros(130, 70);
+    fn check_transposes<T: Scalar>() {
+        // 70 x 130 leaves ragged rows and columns beside the register
+        // tiles in both directions (the column-major arm: 8 × 8 tiles at
+        // `f64`, 16 × 16 at `f32`); the row-major copy takes a memcpy arm,
+        // the doubly-strided window the element loop.
+        let a = Matrix::<T>::from_fn(70, 130, |i, j| T::from_f64((i * 130 + j) as f64));
+        let mut at = Matrix::<T>::zeros(130, 70);
         transpose_into(a.as_ref(), &mut at.as_mut());
         for i in 0..70 {
             for j in 0..130 {
                 assert_eq!(at[(j, i)], a[(i, j)]);
             }
         }
-        let mut back = Matrix::<f64>::zeros(70, 130);
+        let mut back = Matrix::<T>::zeros(70, 130);
         transpose_into(at.as_ref(), &mut back.as_mut());
         assert_eq!(back.data(), a.data());
-        let mut rows = vec![0.0f64; 70 * 130];
+        let mut rows = vec![T::ZERO; 70 * 130];
         transpose_into(at.as_ref(), &mut MatMut::row_major(&mut rows, 70, 130));
         assert_eq!(MatRef::row_major(&rows, 70, 130).to_matrix(), a);
+        let mut wide = vec![T::ZERO; 2 * 70 * 3 * 130];
+        transpose_into(at.as_ref(), &mut MatMut::strided(&mut wide, 70, 130, 2, 3 * 140));
+        assert_eq!(MatRef::strided(&wide, 70, 130, 2, 3 * 140).to_matrix(), a);
+    }
+
+    #[test]
+    fn transpose_helpers_roundtrip() {
+        check_transposes::<f64>();
+        check_transposes::<f32>();
     }
 
     #[test]

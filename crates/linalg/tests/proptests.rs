@@ -496,21 +496,36 @@ fn parallel_paths_bitwise_across_pools() {
     // the same matrix are serial; they ride along as a determinism check.
     let sq = seeded::<f64>(400, 400, 103);
     check_bitwise_across_pools(&sq);
-    // The serve tier's TTMs, whose items the calling thread now shares with
-    // the pool: an element query's one-row factor over its [1, 24, 24]
-    // partial (24 one-column blocks), a slab's 96 rows over [32, 24, 24]
-    // (24 blocks of 96 × 32), and the big slab's last mode (one tiled
-    // 4096 × 24 × 32 `gemm_into`).
+    // Middle-mode TTMs whose blocks run through the engine in runs, and the
+    // serve tier's TTMs, whose items the calling thread now shares with the
+    // pool: an element query's one-row factor over its [1, 24, 24] partial
+    // (24 one-column blocks), a slab's 96 rows over [32, 24, 24] (24 blocks
+    // of 96 × 32), and the big slab's last mode (one tiled 4096 × 24 × 32
+    // `gemm_into`).
     check_ttm_across_pools::<f64>();
     check_ttm_across_pools::<f32>();
 }
 
 fn check_ttm_across_pools<T: Scalar>() {
-    for (dims, mode, rows) in [([1, 24, 24], 1, 1), ([32, 24, 24], 1, 96), ([128, 32, 24], 2, 32)] {
+    // Middle modes whose blocks are 1, 3, 19 and 513 columns wide go to the
+    // engine in runs of 40 (all of them), 64, 26 and 1 blocks: each block
+    // must have the bits of its own `gemm`, whatever run it falls in.
+    let middle = [([1, 24, 40], 1, 5), ([3, 20, 700], 1, 7), ([19, 48, 60], 1, 20), ([513, 9, 4], 1, 6)];
+    let serve = [([1, 24, 24], 1, 1), ([32, 24, 24], 1, 96), ([128, 32, 24], 2, 32)];
+    for (dims, mode, rows) in middle.into_iter().chain(serve) {
         let len = dims.iter().product();
         let x = Tensor::from_data(&dims, seeded::<T>(len, 1, len as u64).into_data());
         let u = seeded::<T>(rows, dims[mode], 7 + rows as u64);
         let want = ttm(&x, mode, u.as_ref(), false);
+        if mode == 1 {
+            let (before, i_n) = (dims[0], dims[1]);
+            let mut blocks = vec![T::ZERO; rows * before * dims[2]];
+            for (yb, xb) in blocks.chunks_mut(rows * before).zip(x.data().chunks(i_n * before)) {
+                let mut y = MatMut::row_major(yb, rows, before);
+                gemm(T::ONE, u.as_ref(), MatRef::row_major(xb, i_n, before), T::ZERO, &mut y);
+            }
+            assert!(want.data() == &blocks[..], "ttm of {dims:?} ×1 differs from its per-block gemms");
+        }
         for tasks in TASK_COUNTS {
             let got = with_tasks(tasks, || ttm(&x, mode, u.as_ref(), false));
             assert!(

@@ -2,13 +2,25 @@
 //!
 //! This is the truncation kernel of ST-HOSVD (Alg. 1 line 7, with `U = U_nᵀ`)
 //! and reuses the unfolding block structure: every row-major column block of
-//! `Y_(n)` is an independent GEMM `U · X_(n)[j]`, sharded across rayon tasks
-//! (the role of [6, Alg. 3] in TuckerMPI).
+//! `Y_(n)` is the product `U · X_(n)[j]` (the role of [6, Alg. 3] in
+//! TuckerMPI). Mode 0 is one GEMM over the column-major unfolding, the last
+//! mode one GEMM on its transpose; a middle mode packs `U` once and hands
+//! consecutive blocks to the engine as runs of about `NC` columns (at most
+//! 64 blocks), one packed GEMM per run, the runs on the rayon pool. A
+//! block's entries have the bits of its own GEMM whatever run it falls in.
 
 use crate::dense::Tensor;
 use crate::dims::{prod_after, prod_before};
 use rayon::prelude::*;
+use tucker_linalg::kernel::NC;
 use tucker_linalg::{gemm_into, gemm_prepacked, MatMut, MatRef, PackedA, Scalar, Trans};
+
+/// Most blocks of a general-mode TTM in one packed GEMM: a run of `NC`
+/// columns only when blocks are at least `NC / MAX_RUN` = 8 wide. Every
+/// run keeps its views in two arrays of this length on the stack, which
+/// are filled anew per run, so the bound keeps that cheap beside the run's
+/// arithmetic.
+const MAX_RUN: usize = 64;
 
 /// `Y = X ×_n op(U)` with `op(U) = Uᵀ` when `transpose` is set.
 ///
@@ -53,17 +65,32 @@ pub fn ttm<T: Scalar>(x: &Tensor<T>, n: usize, u: MatRef<'_, T>, transpose: bool
     }
     // The same small factor multiplies every one of the `after` blocks: pack
     // it once and reuse the packed panels across all of them (and across
-    // rayon tasks — the pack is read-only after construction). Bit-identical
-    // to per-block `gemm`, which packs the same values per call.
+    // rayon tasks — the pack is read-only after construction). Consecutive
+    // blocks go to the engine as one run of about `NC` columns (at most
+    // `MAX_RUN` blocks) or one block, a function of the shape alone, one
+    // call per run on the pool. Each block has the bits of its own `gemm`,
+    // whatever run it falls in.
+    //
+    // A run's views live on the stack. On the heap — a pair of `Vec`s per
+    // run, or one pair for the whole call — they moved where later tensors
+    // land, and the benchmark's peak RSS rose by up to 9% (two ranks) or
+    // 45% (`hcci_qr_f32`).
     let packed = PackedA::new(op);
+    let run = (NC / before).clamp(1, MAX_RUN);
     let mut ydata = vec![T::ZERO; out_blk * after];
     ydata
-        .par_chunks_mut(out_blk)
-        .zip(x.data().par_chunks(in_blk))
-        .for_each(|(yb, xb)| {
-            let xv = MatRef::row_major(xb, i_n, before);
-            let mut yv = MatMut::row_major(yb, r, before);
-            gemm_prepacked(T::ONE, &packed, xv, &mut yv);
+        .par_chunks_mut(out_blk * run)
+        .zip(x.data().par_chunks(in_blk * run))
+        .for_each(|(ys, xs)| {
+            let mut xv = [MatRef::row_major(&[], 0, 0); MAX_RUN];
+            let mut yv: [MatMut<'_, T>; MAX_RUN] = std::array::from_fn(|_| MatMut::row_major(&mut [], 0, 0));
+            let blocks = xs.chunks(in_blk).zip(ys.chunks_mut(out_blk));
+            for ((xb, yb), (xview, yview)) in blocks.zip(xv.iter_mut().zip(yv.iter_mut())) {
+                *xview = MatRef::row_major(xb, i_n, before);
+                *yview = MatMut::row_major(yb, r, before);
+            }
+            let count = xs.len() / in_blk;
+            gemm_prepacked(T::ONE, &packed, &xv[..count], &mut yv[..count]);
         });
     Tensor::from_data(&ydims, ydata)
 }

@@ -12,12 +12,14 @@
 //! at the engine's rate"); the model flop counts beside the times are
 //! `I_n²·cols` (Gram), `2·I_n²·cols` (LQ) and `2·R_n·I_n·cols` (TTM).
 //!
-//! The Gram and the LQ are timed twice: at one task and at the pool's size,
-//! with their ratio. A mode of 16 or more 1024-column groups is cut into
-//! leaves on the pool by both kernels, so the ratio shows what each mode
-//! gains from them — and, on a host whose second core comes and goes,
-//! whether it was there. The Gram also prints the rate at which it reads its
-//! operand, to hold against the memory roof of the first line: `f64` sum,
+//! The Gram, the LQ and the TTM are timed twice: at one task and at the
+//! pool's size, with their ratio. A mode of 16 or more 1024-column groups is
+//! cut into leaves on the pool by the Gram and the LQ, and the TTM splits
+//! its output over the pool, so the ratio shows what each mode gains from
+//! the second task — and, on a host whose second core comes and goes,
+//! whether it was there. The Gram (at the pool) and the TTM (at one task)
+//! also print the rate at which they read their operand, to hold against
+//! the memory roof of the first line: `f64` sum,
 //! copy and triad streams over four times the last-level cache (read from
 //! sysfs, 32 MiB if that fails), at one task and at the pool's size.
 
@@ -139,22 +141,30 @@ fn probe<T: Scalar>(x64: &Tensor<f64>) {
         let gram = best_ms(|| gram_of_unfolding(&y, n));
         let lq_one = at_tasks(1, || best_ms(|| lq_of_unfolding(&y, n, cfg.tslq)));
         let lq = best_ms(|| lq_of_unfolding(&y, n, cfg.tslq));
+        let apply_one = at_tasks(1, || best_ms(|| ttm(&y, n, u.as_ref(), true)));
         let apply = best_ms(|| ttm(&y, n, u.as_ref(), true));
+        let reads = |ms: f64| (rows * cols * T::BYTES) as f64 / ms * 1e-6;
         println!(
             "  mode {n} ({rows:>2} x {cols:>6} -> {:>2}): Gram {gram_one:>6.2} ms at 1 / {gram:>6.2} ms at {pool} \
              ({:>4.2}x, {:>4.1} GF/s, reads {:>4.1} GB/s)",
             u.cols(),
             gram_one / gram,
             gflop(rows * rows, gram),
-            (rows * cols * T::BYTES) as f64 / gram * 1e-6,
+            reads(gram),
         );
         println!(
-            "  {:>26}  LQ   {lq_one:>6.2} ms at 1 / {lq:>6.2} ms at {pool} ({:>4.2}x, {:>4.1} GF/s)  \
-             TTM {apply:>6.2} ms ({:>4.1} GF/s)",
+            "  {:>26}  LQ   {lq_one:>6.2} ms at 1 / {lq:>6.2} ms at {pool} ({:>4.2}x, {:>4.1} GF/s)",
             "",
             lq_one / lq,
             gflop(2 * rows * rows, lq),
+        );
+        println!(
+            "  {:>26}  TTM  {apply_one:>6.2} ms at 1 / {apply:>6.2} ms at {pool} \
+             ({:>4.2}x, {:>4.1} GF/s, reads {:>4.1} GB/s at 1)",
+            "",
+            apply_one / apply,
             gflop(2 * u.cols() * rows, apply),
+            reads(apply_one),
         );
         y = ttm(&y, n, u.as_ref(), true);
     }

@@ -91,6 +91,28 @@ fi
 "$tucker" query "$serve_tkr" --slab '0:24:3,2:8,*' --verify --no-cache
 "$tucker" error "$serve_tns" "$serve_tkr"
 echo "serve smoke: verified queries OK"
+# Query gate: an answer does not depend on the thread count or on the cache.
+# Each serve-smoke slab is written at one and at two threads, with and
+# without the partial cache, and the four answers must be the same bytes.
+slab_no=0
+for slab in '3,4,5' '*,4,*' '0:24:3,2:8,*'; do
+    slab_no=$((slab_no + 1))
+    answers=()
+    for threads in 1 2; do
+        for cache in "" --no-cache; do
+            answer="$ckpt/answer_${slab_no}_${threads}${cache}.tns"
+            RAYON_NUM_THREADS=$threads "$tucker" query "$serve_tkr" --slab "$slab" --out "$answer" $cache >/dev/null
+            answers+=("$answer")
+        done
+    done
+    for answer in "${answers[@]:1}"; do
+        cmp "${answers[0]}" "$answer" || {
+            echo "query gate: --slab '$slab' answers differ: ${answers[0]} vs $answer" >&2
+            exit 1
+        }
+    done
+done
+echo "query gate: serve answers equal at 1 and 2 threads, cached and not OK"
 
 # Failover smoke: the replicated tier must survive killing 1 of 2 replicas
 # mid-workload with zero lost queries and name the dead rank. All gates
