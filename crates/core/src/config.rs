@@ -173,13 +173,22 @@ impl SthosvdConfig {
         }
     }
 
-    /// Validate the randomized method's knobs with typed errors instead of
-    /// silently clamping out-of-range values. Called by the mode loop's
-    /// `init` (and the checkpointed driver's resume) before any work starts.
+    /// Validate the knobs of the configured method — the flat-tree LQ's
+    /// for QR, the randomized method's for randomized — with typed errors
+    /// instead of silently clamping out-of-range values or panicking in a
+    /// kernel. Called by the mode loop's `init` (and the checkpointed
+    /// driver's resume) before any work starts.
     ///
     /// The per-mode *algorithmic* cap (sketch width at `min(I_n, I^*/I_n)`)
     /// is not a configuration error and is still applied inside the drivers.
     pub fn validate(&self) -> Result<(), LinalgError> {
+        if self.method == SvdMethod::Qr && self.tslq.coalesce == 0 {
+            return Err(LinalgError::InvalidConfig {
+                param: "tslq.coalesce",
+                value: "0".to_string(),
+                expected: "at least 1 block per flat-tree group",
+            });
+        }
         let r = &self.randomized;
         if self.method != SvdMethod::Randomized {
             return Ok(());
@@ -261,6 +270,15 @@ mod tests {
         assert!(matches!(e, LinalgError::InvalidConfig { param: "oversampling", .. }), "{e}");
         let e = bad(RandomizedSvdConfig { power_iterations: 11, ..Default::default() });
         assert!(matches!(e, LinalgError::InvalidConfig { param: "power_iterations", .. }), "{e}");
+    }
+
+    #[test]
+    fn validate_rejects_an_empty_flat_tree_group() {
+        let cfg = SthosvdConfig::with_tolerance(1e-3).tslq(TslqOptions { coalesce: 0 });
+        let e = cfg.validate().unwrap_err();
+        assert!(matches!(e, LinalgError::InvalidConfig { param: "tslq.coalesce", .. }), "{e}");
+        // Only the QR method folds flat-tree groups.
+        assert!(cfg.method(SvdMethod::Gram).validate().is_ok());
     }
 
     #[test]

@@ -122,15 +122,34 @@ pub trait Scalar:
     fn gemm_microkernel(kb: usize, apanel: &[Self], bpanel: &[Self], acc: &mut [Self], cols: usize);
 
     /// `Σ x[c]·y[c]` over two equal-length slices: the `k`-long stream of
-    /// [`crate::tplqt::tplqt`]'s in-block reflector applies, which is its
-    /// only caller. Element `c` accumulates into lane `c mod L` (`L` = four
-    /// vector registers of the precision) and the lanes are summed by
-    /// halving, so the order is a function of the length alone.
+    /// [`crate::tplqt::tplqt`]'s reflector generation, and the bits every
+    /// output of [`Scalar::dot_rows`] and [`Scalar::axpy_dot_rows`] has.
+    /// Element `c` accumulates into lane `c mod L` (`L` = four ymm registers
+    /// of the precision: 16 `f64`, 32 `f32`) by one fused multiply-add,
+    /// and the lanes are summed by halving, so the order is a function of
+    /// the length alone.
     fn dot(x: &[Self], y: &[Self]) -> Self;
 
-    /// `y[c] += alpha·x[c]` over two equal-length slices, [`Scalar::dot`]'s
-    /// companion.
+    /// `y[c] += alpha·x[c]` over two equal-length slices, one fused
+    /// multiply-add per element: [`Scalar::dot`]'s companion.
     fn axpy(alpha: Self, x: &[Self], y: &mut [Self]);
+
+    /// `x[c] *= alpha`: the reflector's scale passes in
+    /// [`crate::tplqt::tplqt`].
+    fn scale(alpha: Self, x: &mut [Self]);
+
+    /// `out[r] = dot(row_r, v)` for the rows `row_r = rows[r·ld..][..v.len()]`,
+    /// `r < out.len()`, each with the bits of [`Scalar::dot`]. Groups of up to
+    /// [`STREAM_ROWS`] rows run side by side in one pass over `v`.
+    fn dot_rows(v: &[Self], rows: &[Self], ld: usize, out: &mut [Self]);
+
+    /// `row_r += alpha[r]·x`, then `out[r] = row_r·y` — `row_r·row_r` when `y`
+    /// is `None` — for the rows `row_r = rows[r·ld..][..x.len()]`,
+    /// `r < out.len() = alpha.len()`: each update with the bits of
+    /// [`Scalar::axpy`], each output with those of [`Scalar::dot`] on the
+    /// updated row. Groups of up to [`STREAM_ROWS`] rows run side by side,
+    /// each row read and written once.
+    fn axpy_dot_rows(alpha: &[Self], x: &[Self], y: Option<&[Self]>, rows: &mut [Self], ld: usize, out: &mut [Self]);
 
     /// Transpose one `MR × MR` tile: `dst[j·ds + i] = src[i·ss + j]` for
     /// `i, j < MR`. A pure move in registers — every body stores the
@@ -156,9 +175,14 @@ pub trait Scalar:
     ) -> R;
 }
 
+/// Rows one pass of [`Scalar::dot_rows`] / [`Scalar::axpy_dot_rows`]
+/// carries: two accumulator registers each, 16 of the 32 zmm.
+pub const STREAM_ROWS: usize = 8;
+
 macro_rules! impl_scalar {
     ($t:ty, $name:expr, $mr:expr, $ukr512:ident, $ukr:ident, $dot:ident, $axpy:ident,
-     $tr512:ident, $tr:ident) => {
+     $tr512:ident, $tr:ident, $axpy512:ident, $scale512:ident, $dot_rows512:ident,
+     $axpy_dot_rows512:ident) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -253,12 +277,56 @@ macro_rules! impl_scalar {
 
             fn axpy(alpha: Self, x: &[Self], y: &mut [Self]) {
                 #[cfg(target_arch = "x86_64")]
-                if simd::have_avx2_fma() {
-                    // SAFETY: as in `dot`.
-                    unsafe { simd::$axpy(alpha, x, y) };
-                    return;
+                {
+                    if simd::have_avx512f() {
+                        // SAFETY: as in `dot`, for AVX-512F.
+                        return unsafe { simd::$axpy512(alpha, x, y) };
+                    }
+                    if simd::have_avx2_fma() {
+                        // SAFETY: as in `dot`.
+                        return unsafe { simd::$axpy(alpha, x, y) };
+                    }
                 }
                 axpy_portable(alpha, x, y, <$t>::mul_add)
+            }
+
+            fn scale(alpha: Self, x: &mut [Self]) {
+                #[cfg(target_arch = "x86_64")]
+                if simd::have_avx512f() {
+                    // SAFETY: the required target feature was just verified
+                    // at runtime.
+                    return unsafe { simd::$scale512(alpha, x) };
+                }
+                for v in x.iter_mut() {
+                    *v *= alpha;
+                }
+            }
+
+            fn dot_rows(v: &[Self], rows: &[Self], ld: usize, out: &mut [Self]) {
+                #[cfg(target_arch = "x86_64")]
+                if simd::have_avx512f() {
+                    // SAFETY: the required target feature was just verified
+                    // at runtime; the body asserts the row extents before
+                    // any raw-pointer access.
+                    return unsafe { simd::$dot_rows512(v, rows, ld, out) };
+                }
+                dot_rows_each(v, rows, ld, out)
+            }
+
+            fn axpy_dot_rows(
+                alpha: &[Self],
+                x: &[Self],
+                y: Option<&[Self]>,
+                rows: &mut [Self],
+                ld: usize,
+                out: &mut [Self],
+            ) {
+                #[cfg(target_arch = "x86_64")]
+                if simd::have_avx512f() {
+                    // SAFETY: as in `dot_rows`.
+                    return unsafe { simd::$axpy_dot_rows512(alpha, x, y, rows, ld, out) };
+                }
+                axpy_dot_rows_each(alpha, x, y, rows, ld, out)
             }
 
             fn transpose_tile(src: &[Self], ss: usize, dst: &mut [Self], ds: usize) {
@@ -331,8 +399,10 @@ macro_rules! impl_scalar {
 // groups of an edge tile that hold no live column (a one-column B pays for
 // four columns, not the whole tile), the portable body every dead column.
 // Every body returns the same bits.
-impl_scalar!(f32, "single", 16, ukr512_f32, ukr_f32, dot_f32, axpy_f32, transpose512_f32, transpose_f32);
-impl_scalar!(f64, "double", 8, ukr512_f64, ukr_f64, dot_f64, axpy_f64, transpose512_f64, transpose_f64);
+impl_scalar!(f32, "single", 16, ukr512_f32, ukr_f32, dot_f32, axpy_f32, transpose512_f32, transpose_f32,
+             axpy512_f32, scale512_f32, dot_rows512_f32, axpy_dot_rows512_f32);
+impl_scalar!(f64, "double", 8, ukr512_f64, ukr_f64, dot_f64, axpy_f64, transpose512_f64, transpose_f64,
+             axpy512_f64, scale512_f64, dot_rows512_f64, axpy_dot_rows512_f64);
 
 /// `s` seen as a slice of `T` when `S` and `T` are the same type: lets a
 /// kernel generic over a source and a destination precision take a
@@ -352,6 +422,34 @@ fn assert_tile<T>(n: usize, src: &[T], ss: usize, dst: &[T], ds: usize) {
         src.len() >= (n - 1) * ss + n && dst.len() >= (n - 1) * ds + n,
         "transpose_tile: slice too short for its tile"
     );
+}
+
+/// Asserts that `rows` (length `len`) holds `n` rows of `k` elements at
+/// stride `ld`, none overlapping the next.
+#[inline(always)]
+fn assert_rows(k: usize, len: usize, ld: usize, n: usize) {
+    assert!(n == 0 || ((n == 1 || ld >= k) && len >= (n - 1) * ld + k), "row stream: rows out of range");
+}
+
+/// [`Scalar::dot_rows`] as one [`Scalar::dot`] per row: its body on hosts
+/// without AVX-512F.
+fn dot_rows_each<T: Scalar>(v: &[T], rows: &[T], ld: usize, out: &mut [T]) {
+    assert_rows(v.len(), rows.len(), ld, out.len());
+    for (r, o) in out.iter_mut().enumerate() {
+        *o = T::dot(&rows[r * ld..][..v.len()], v);
+    }
+}
+
+/// [`Scalar::axpy_dot_rows`] as one [`Scalar::axpy`] and one
+/// [`Scalar::dot`] per row: its body on hosts without AVX-512F.
+fn axpy_dot_rows_each<T: Scalar>(alpha: &[T], x: &[T], y: Option<&[T]>, rows: &mut [T], ld: usize, out: &mut [T]) {
+    assert_eq!(alpha.len(), out.len(), "axpy_dot_rows: one alpha per row");
+    assert_rows(x.len(), rows.len(), ld, out.len());
+    for (r, (o, &a)) in out.iter_mut().zip(alpha).enumerate() {
+        let row = &mut rows[r * ld..][..x.len()];
+        T::axpy(a, x, row);
+        *o = T::dot(row, y.unwrap_or(row));
+    }
 }
 
 /// Portable body of [`Scalar::transpose_tile`] on an `N × N` tile.
@@ -796,6 +894,237 @@ mod simd {
              _mm256_loadu_pd, _mm256_storeu_pd, _mm256_setzero_pd, _mm256_set1_pd, _mm256_fmadd_pd);
     streams!(f32, 8, dot_f32, axpy_f32,
              _mm256_loadu_ps, _mm256_storeu_ps, _mm256_setzero_ps, _mm256_set1_ps, _mm256_fmadd_ps);
+
+    /// `$body::<N $(, $flag)?>(args)` with `N` the row count `$n` of one
+    /// pass (`1..=STREAM_ROWS`), so the accumulators live in registers.
+    macro_rules! by_rows {
+        ($n:expr, $body:ident, [$($flag:tt)*], ($($arg:expr),*)) => {
+            match $n {
+                1 => $body::<1 $($flag)*>($($arg),*),
+                2 => $body::<2 $($flag)*>($($arg),*),
+                3 => $body::<3 $($flag)*>($($arg),*),
+                4 => $body::<4 $($flag)*>($($arg),*),
+                5 => $body::<5 $($flag)*>($($arg),*),
+                6 => $body::<6 $($flag)*>($($arg),*),
+                7 => $body::<7 $($flag)*>($($arg),*),
+                _ => $body::<8 $($flag)*>($($arg),*),
+            }
+        };
+    }
+
+    /// The AVX-512F stream bodies of one precision (`$w` lanes per zmm).
+    /// `axpy` and `scale` work element by element, a zmm at a time with a
+    /// scalar tail, so they have the portable bodies' bits. The row
+    /// streams keep `dot`'s lane map with two zmm accumulators per row —
+    /// element `c` in lane `c mod 2·$w`, the `4·` ymm width of the AVX2
+    /// body — the same scalar tail through the spilled lanes and the same
+    /// halving sum, so every output has `dot`'s bits.
+    macro_rules! streams512 {
+        ($t:ty, $w:expr, $axpy512:ident, $scale512:ident, $dot_rows512:ident, $axpy_dot_rows512:ident,
+         $dot_pass:ident, $axpy_dot_pass:ident,
+         $load:ident, $store:ident, $zero:ident, $set1:ident, $fma:ident, $mul:ident) => {
+            /// # Safety
+            /// Caller must verify AVX-512F support (see [`have_avx512f`]).
+            #[target_feature(enable = "avx512f")]
+            pub(super) unsafe fn $axpy512(alpha: $t, x: &[$t], y: &mut [$t]) {
+                const W: usize = $w;
+                assert_eq!(x.len(), y.len(), "axpy: length mismatch");
+                let full = x.len() / W * W;
+                // SAFETY: every load and store covers `W` elements at an
+                // offset `c` with `c + W <= full <= len` of both slices.
+                unsafe {
+                    let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
+                    let av = $set1(alpha);
+                    let mut c = 0;
+                    while c < full {
+                        $store(yp.add(c), $fma(av, $load(xp.add(c)), $load(yp.add(c))));
+                        c += W;
+                    }
+                }
+                for (yc, &xc) in y[full..].iter_mut().zip(&x[full..]) {
+                    *yc = alpha.mul_add(xc, *yc);
+                }
+            }
+
+            /// # Safety
+            /// Caller must verify AVX-512F support (see [`have_avx512f`]).
+            #[target_feature(enable = "avx512f")]
+            pub(super) unsafe fn $scale512(alpha: $t, x: &mut [$t]) {
+                const W: usize = $w;
+                let full = x.len() / W * W;
+                // SAFETY: as in the `axpy` body.
+                unsafe {
+                    let xp = x.as_mut_ptr();
+                    let av = $set1(alpha);
+                    let mut c = 0;
+                    while c < full {
+                        $store(xp.add(c), $mul($load(xp.add(c)), av));
+                        c += W;
+                    }
+                }
+                for v in &mut x[full..] {
+                    *v *= alpha;
+                }
+            }
+
+            /// # Safety
+            /// Caller must verify AVX-512F support (see [`have_avx512f`]).
+            #[target_feature(enable = "avx512f")]
+            pub(super) unsafe fn $dot_rows512(v: &[$t], rows: &[$t], ld: usize, out: &mut [$t]) {
+                super::assert_rows(v.len(), rows.len(), ld, out.len());
+                for (g, o) in out.chunks_mut(super::STREAM_ROWS).enumerate() {
+                    let rp = rows[g * super::STREAM_ROWS * ld..].as_ptr();
+                    // SAFETY: the pass's `o.len()` rows lie inside the
+                    // asserted extent of `rows`.
+                    unsafe { by_rows!(o.len(), $dot_pass, [], (v, rp, ld, o)) }
+                }
+            }
+
+            /// `N` rows of `dot_rows`.
+            ///
+            /// # Safety
+            /// AVX-512F is available, `N == out.len()`, and `rp` points at
+            /// `N` rows of `v.len()` readable elements at stride `ld`.
+            #[target_feature(enable = "avx512f")]
+            #[inline]
+            unsafe fn $dot_pass<const N: usize>(v: &[$t], rp: *const $t, ld: usize, out: &mut [$t]) {
+                const W: usize = $w;
+                let k = v.len();
+                let full = k / (2 * W) * (2 * W);
+                let mut lanes = [[0.0 as $t; 2 * W]; N];
+                // SAFETY: step `c` reads `[c, c + 2·W)` of `v` and of each
+                // row, `c + 2·W <= full <= k`; the tail reads the rows
+                // below `k`.
+                unsafe {
+                    let vp = v.as_ptr();
+                    let mut acc = [[$zero(); 2]; N];
+                    let mut c = 0;
+                    while c < full {
+                        let (v0, v1) = ($load(vp.add(c)), $load(vp.add(c + W)));
+                        for (r, a) in acc.iter_mut().enumerate() {
+                            let p = rp.add(r * ld + c);
+                            a[0] = $fma($load(p), v0, a[0]);
+                            a[1] = $fma($load(p.add(W)), v1, a[1]);
+                        }
+                        c += 2 * W;
+                    }
+                    for (l, a) in lanes.iter_mut().zip(&acc) {
+                        $store(l.as_mut_ptr(), a[0]);
+                        $store(l.as_mut_ptr().add(W), a[1]);
+                    }
+                    for (r, (l, o)) in lanes.iter_mut().zip(out).enumerate() {
+                        let row = std::slice::from_raw_parts(rp.add(r * ld), k);
+                        for ((lane, &a), &b) in l.iter_mut().zip(&row[full..]).zip(&v[full..]) {
+                            *lane = a.mul_add(b, *lane);
+                        }
+                        *o = super::sum_lanes(*l);
+                    }
+                }
+            }
+
+            /// # Safety
+            /// Caller must verify AVX-512F support (see [`have_avx512f`]).
+            #[target_feature(enable = "avx512f")]
+            pub(super) unsafe fn $axpy_dot_rows512(
+                alpha: &[$t],
+                x: &[$t],
+                y: Option<&[$t]>,
+                rows: &mut [$t],
+                ld: usize,
+                out: &mut [$t],
+            ) {
+                assert_eq!(alpha.len(), out.len(), "axpy_dot_rows: one alpha per row");
+                assert!(y.is_none_or(|y| y.len() == x.len()), "axpy_dot_rows: length mismatch");
+                super::assert_rows(x.len(), rows.len(), ld, out.len());
+                let yp = y.map_or(std::ptr::null(), |y| y.as_ptr());
+                let passes = out.chunks_mut(super::STREAM_ROWS).zip(alpha.chunks(super::STREAM_ROWS));
+                for (g, (o, a)) in passes.enumerate() {
+                    let rp = rows[g * super::STREAM_ROWS * ld..].as_mut_ptr();
+                    // SAFETY: the pass's `o.len()` rows lie inside the
+                    // asserted extent of `rows`, which borrows none of `x`
+                    // and `y`; `yp` is read only when `y` is `Some`.
+                    unsafe {
+                        if y.is_some() {
+                            by_rows!(o.len(), $axpy_dot_pass, [, false], (a, x, yp, rp, ld, o))
+                        } else {
+                            by_rows!(o.len(), $axpy_dot_pass, [, true], (a, x, yp, rp, ld, o))
+                        }
+                    }
+                }
+            }
+
+            /// `N` rows of `axpy_dot_rows`; `SQ`: each row with itself.
+            ///
+            /// # Safety
+            /// AVX-512F is available, `N == out.len() == alpha.len()`, `rp`
+            /// points at `N` rows of `x.len()` writable elements at stride
+            /// `ld` that alias neither `x` nor `yp`, and unless `SQ`, `yp`
+            /// at `x.len()` readable ones.
+            #[target_feature(enable = "avx512f")]
+            #[inline]
+            unsafe fn $axpy_dot_pass<const N: usize, const SQ: bool>(
+                alpha: &[$t],
+                x: &[$t],
+                yp: *const $t,
+                rp: *mut $t,
+                ld: usize,
+                out: &mut [$t],
+            ) {
+                const W: usize = $w;
+                let k = x.len();
+                let full = k / (2 * W) * (2 * W);
+                let mut lanes = [[0.0 as $t; 2 * W]; N];
+                // SAFETY: step `c` reads `[c, c + 2·W)` of `x`, `y` and each
+                // row and writes the rows there, `c + 2·W <= full <= k`;
+                // the tail stays below `k`.
+                unsafe {
+                    let xp = x.as_ptr();
+                    let mut av = [$zero(); N];
+                    for (v, &a) in av.iter_mut().zip(alpha) {
+                        *v = $set1(a);
+                    }
+                    let mut acc = [[$zero(); 2]; N];
+                    let mut c = 0;
+                    while c < full {
+                        let (x0, x1) = ($load(xp.add(c)), $load(xp.add(c + W)));
+                        let (y0, y1) = if SQ { (x0, x1) } else { ($load(yp.add(c)), $load(yp.add(c + W))) };
+                        for (r, (a, v)) in acc.iter_mut().zip(&av).enumerate() {
+                            let p = rp.add(r * ld + c);
+                            let n0 = $fma(*v, x0, $load(p));
+                            let n1 = $fma(*v, x1, $load(p.add(W)));
+                            $store(p, n0);
+                            $store(p.add(W), n1);
+                            let (m0, m1) = if SQ { (n0, n1) } else { (y0, y1) };
+                            a[0] = $fma(n0, m0, a[0]);
+                            a[1] = $fma(n1, m1, a[1]);
+                        }
+                        c += 2 * W;
+                    }
+                    for (l, a) in lanes.iter_mut().zip(&acc) {
+                        $store(l.as_mut_ptr(), a[0]);
+                        $store(l.as_mut_ptr().add(W), a[1]);
+                    }
+                    for (r, ((l, o), &a)) in lanes.iter_mut().zip(out).zip(alpha).enumerate() {
+                        let row = std::slice::from_raw_parts_mut(rp.add(r * ld), k);
+                        for (c, lane) in (full..k).zip(l.iter_mut()) {
+                            row[c] = a.mul_add(x[c], row[c]);
+                            let m = if SQ { row[c] } else { *yp.add(c) };
+                            *lane = row[c].mul_add(m, *lane);
+                        }
+                        *o = super::sum_lanes(*l);
+                    }
+                }
+            }
+        };
+    }
+    streams512!(f64, 8, axpy512_f64, scale512_f64, dot_rows512_f64, axpy_dot_rows512_f64,
+                dot_pass_f64, axpy_dot_pass_f64,
+                _mm512_loadu_pd, _mm512_storeu_pd, _mm512_setzero_pd, _mm512_set1_pd, _mm512_fmadd_pd,
+                _mm512_mul_pd);
+    streams512!(f32, 16, axpy512_f32, scale512_f32, dot_rows512_f32, axpy_dot_rows512_f32,
+                dot_pass_f32, axpy_dot_pass_f32,
+                _mm512_loadu_ps, _mm512_storeu_ps, _mm512_setzero_ps, _mm512_set1_ps, _mm512_fmadd_ps,
+                _mm512_mul_ps);
 }
 
 #[cfg(test)]
@@ -874,23 +1203,41 @@ mod tests {
         (sum + comp, abs)
     }
 
-    /// The portable and the AVX2 bodies of `dot`/`axpy`, called directly —
-    /// the dispatch only ever reaches one of them on a given host — on both
-    /// sides of every lane boundary: the same bits, and the dot within its
-    /// rounding bound of the exact sum.
     #[cfg(target_arch = "x86_64")]
-    fn check_streams<T: Scalar, const L: usize>(
-        fma: fn(T, T, T) -> T,
-        dot_simd: unsafe fn(&[T], &[T]) -> T,
-        axpy_simd: unsafe fn(T, &[T], &mut [T]),
-    ) {
+    type AxpyBody<T> = unsafe fn(T, &[T], &mut [T]);
+    #[cfg(target_arch = "x86_64")]
+    type AxpyDotRowsBody<T> = unsafe fn(&[T], &[T], Option<&[T]>, &mut [T], usize, &mut [T]);
+
+    /// The SIMD bodies of the streams for one precision.
+    #[cfg(target_arch = "x86_64")]
+    struct StreamBodies<T> {
+        dot: unsafe fn(&[T], &[T]) -> T,
+        axpy: AxpyBody<T>,
+        axpy512: AxpyBody<T>,
+        scale512: unsafe fn(T, &mut [T]),
+        dot_rows512: unsafe fn(&[T], &[T], usize, &mut [T]),
+        axpy_dot_rows512: AxpyDotRowsBody<T>,
+    }
+
+    /// Every body of the streams the host can run, called directly — the
+    /// dispatch only ever reaches one of them on a given host — on both
+    /// sides of every lane boundary (the ymm and zmm widths and the
+    /// four-ymm dot chunk): `dot` within its rounding bound of the exact
+    /// sum; every `dot` and row-stream output with the portable `dot`'s
+    /// bits, every `axpy` and row update with the fused element's, every
+    /// `scale` with the product's. The row streams run 1–9 rows (one pass
+    /// and one more) at `ld = k` and `ld > k`, and leave the gaps between
+    /// the rows alone.
+    #[cfg(target_arch = "x86_64")]
+    fn check_streams<T: Scalar, const L: usize>(fma: fn(T, T, T) -> T, bodies: StreamBodies<T>) {
         if !simd::have_avx2_fma() {
             return;
         }
+        let avx512 = simd::have_avx512f();
         let eps = T::EPSILON.to_f64();
         let bits = |v: &[T]| v.iter().map(|e| e.to_f64().to_bits()).collect::<Vec<u64>>();
-        for n in [0usize, 1, 7, 8, 31, 32, 33, 1024, 1027] {
-            let draw = |i: usize, salt: f64| T::from_f64(((i as f64 + salt) * 0.7391).sin() * 2.0);
+        let draw = |i: usize, salt: f64| T::from_f64(((i as f64 + salt) * 0.7391).sin() * 2.0);
+        for n in [0usize, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 1024, 1027] {
             let x: Vec<T> = (0..n).map(|i| draw(i, 0.25)).collect();
             let y: Vec<T> = (0..n).map(|i| draw(i, 100.5)).collect();
             let wide = |v: &[T]| v.iter().map(|e| e.to_f64()).collect::<Vec<f64>>();
@@ -899,19 +1246,83 @@ mod tests {
             let bound = 2.0 * eps * (n.div_ceil(L) + L.ilog2() as usize + 1) as f64 * abs;
             let portable = dot_portable::<T, L>(&x, &y, fma);
             // SAFETY: AVX2+FMA support was checked above.
-            let vector = unsafe { dot_simd(&x, &y) };
+            let vector = unsafe { (bodies.dot)(&x, &y) };
             assert!((vector.to_f64() - exact).abs() <= bound, "AVX2 dot, n = {n}");
             assert_eq!(bits(&[portable]), bits(&[vector]), "portable dot, n = {n}");
             assert_eq!(bits(&[T::dot(&x, &y)]), bits(&[vector]), "dispatch, n = {n}");
 
             let alpha = T::from_f64(-0.37);
-            let (mut yp, mut yv) = (y.clone(), y.clone());
-            axpy_portable(alpha, &x, &mut yp, fma);
-            // SAFETY: as above.
-            unsafe { axpy_simd(alpha, &x, &mut yv) };
-            assert_eq!(bits(&yp), bits(&yv), "portable axpy, n = {n}");
             let want: Vec<T> = x.iter().zip(&y).map(|(&xc, &yc)| fma(alpha, xc, yc)).collect();
-            assert_eq!(bits(&yv), bits(&want), "AVX2 axpy, n = {n}");
+            let mut axpys: Vec<(&str, AxpyBody<T>)> = vec![("AVX2", bodies.axpy)];
+            if avx512 {
+                axpys.push(("AVX-512F", bodies.axpy512));
+            }
+            let mut got = y.clone();
+            axpy_portable(alpha, &x, &mut got, fma);
+            assert_eq!(bits(&got), bits(&want), "portable axpy, n = {n}");
+            let mut got = y.clone();
+            T::axpy(alpha, &x, &mut got);
+            assert_eq!(bits(&got), bits(&want), "dispatch axpy, n = {n}");
+            for (name, body) in axpys {
+                let mut got = y.clone();
+                // SAFETY: only bodies whose features the host has.
+                unsafe { body(alpha, &x, &mut got) };
+                assert_eq!(bits(&got), bits(&want), "{name} axpy, n = {n}");
+            }
+
+            let want: Vec<T> = x.iter().map(|&xc| xc * alpha).collect();
+            let mut got = x.clone();
+            T::scale(alpha, &mut got);
+            assert_eq!(bits(&got), bits(&want), "dispatch scale, n = {n}");
+            if avx512 {
+                let mut got = x.clone();
+                // SAFETY: AVX-512F support was checked.
+                unsafe { (bodies.scale512)(alpha, &mut got) };
+                assert_eq!(bits(&got), bits(&want), "AVX-512F scale, n = {n}");
+            }
+
+            for ld in [n, n + 3] {
+                for count in 1..=STREAM_ROWS + 1 {
+                    let what = format!("n = {n}, ld = {ld}, {count} rows");
+                    let data: Vec<T> = (0..(count - 1) * ld + n).map(|i| draw(i, 7.5)).collect();
+                    let want: Vec<T> =
+                        (0..count).map(|r| dot_portable::<T, L>(&data[r * ld..][..n], &x, fma)).collect();
+                    let mut got = vec![T::ZERO; count];
+                    dot_rows_each(&x, &data, ld, &mut got);
+                    assert_eq!(bits(&got), bits(&want), "dot_rows per row, {what}");
+                    T::dot_rows(&x, &data, ld, &mut got);
+                    assert_eq!(bits(&got), bits(&want), "dispatch dot_rows, {what}");
+                    if avx512 {
+                        // SAFETY: AVX-512F support was checked.
+                        unsafe { (bodies.dot_rows512)(&x, &data, ld, &mut got) };
+                        assert_eq!(bits(&got), bits(&want), "AVX-512F dot_rows, {what}");
+                    }
+
+                    let alphas: Vec<T> = (0..count).map(|r| T::from_f64(0.1 * r as f64 - 0.45)).collect();
+                    for other in [Some(&y[..]), None] {
+                        let (mut rows, mut out) = (data.clone(), vec![T::ZERO; count]);
+                        for (r, (o, &a)) in out.iter_mut().zip(&alphas).enumerate() {
+                            let row = &mut rows[r * ld..][..n];
+                            axpy_portable(a, &x, row, fma);
+                            *o = dot_portable::<T, L>(row, other.unwrap_or(row), fma);
+                        }
+                        let what = format!("{what}, y = {}", other.is_some());
+                        let check = |name: &str, body: &dyn Fn(&mut [T], &mut [T])| {
+                            let (mut got_rows, mut got) = (data.clone(), vec![T::ZERO; count]);
+                            body(&mut got_rows, &mut got);
+                            assert_eq!(bits(&got_rows), bits(&rows), "{name} axpy_dot_rows rows, {what}");
+                            assert_eq!(bits(&got), bits(&out), "{name} axpy_dot_rows, {what}");
+                        };
+                        check("per row", &|r, o| axpy_dot_rows_each(&alphas, &x, other, r, ld, o));
+                        check("dispatch", &|r, o| T::axpy_dot_rows(&alphas, &x, other, r, ld, o));
+                        if avx512 {
+                            let body = bodies.axpy_dot_rows512;
+                            // SAFETY: AVX-512F support was checked.
+                            check("AVX-512F", &|r, o| unsafe { body(&alphas, &x, other, r, ld, o) });
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -1047,7 +1458,27 @@ mod tests {
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn portable_and_avx2_streams_agree() {
-        check_streams::<f64, 16>(f64::mul_add, simd::dot_f64, simd::axpy_f64);
-        check_streams::<f32, 32>(f32::mul_add, simd::dot_f32, simd::axpy_f32);
+        check_streams::<f64, 16>(
+            f64::mul_add,
+            StreamBodies {
+                dot: simd::dot_f64,
+                axpy: simd::axpy_f64,
+                axpy512: simd::axpy512_f64,
+                scale512: simd::scale512_f64,
+                dot_rows512: simd::dot_rows512_f64,
+                axpy_dot_rows512: simd::axpy_dot_rows512_f64,
+            },
+        );
+        check_streams::<f32, 32>(
+            f32::mul_add,
+            StreamBodies {
+                dot: simd::dot_f32,
+                axpy: simd::axpy_f32,
+                axpy512: simd::axpy512_f32,
+                scale512: simd::scale512_f32,
+                dot_rows512: simd::dot_rows512_f32,
+                axpy_dot_rows512: simd::axpy_dot_rows512_f32,
+            },
+        );
     }
 }

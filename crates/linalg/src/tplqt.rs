@@ -17,11 +17,18 @@
 //!
 //! Row `i`'s reflector is `H_i = I − τ_i v_i v_iᵀ` with `v_i = e_i ⊕ b_i`
 //! (`b_i` the tail left in row `i` of `B`). Rows are swept in blocks `I` of
-//! [`NB`]; inside a block the reflectors are generated and applied one at a
-//! time to the block's own rows. Their product is `I − V·T·Vᵀ` with the
+//! [`NB`]; inside a block the reflectors are generated and applied in turn
+//! to the block's own rows, with a one-step look-ahead: the pass that
+//! applies `H_{p−1}` to a row also takes the row's dot with `b_p`, which
+//! `H_p` needs, so each row is read once per reflector and up to
+//! [`crate::scalar::STREAM_ROWS`] rows run side by side
+//! ([`Scalar::axpy_dot_rows`]). Their product is `I − V·T·Vᵀ` with the
 //! upper-triangular `T` of the forward `larft` recurrence, which needs only
-//! `v_aᵀv_c = b_a·b_c` (the `e` parts are orthogonal). The rows `R` below
-//! the block are then updated once, by two calls into [`gemm_par`]:
+//! `v_aᵀv_c = b_a·b_c` (the `e` parts are orthogonal; one
+//! [`Scalar::dot_rows`] pass per column of `T`). Every dot and update has
+//! the bits of one [`Scalar::dot`] / [`Scalar::axpy`] call, so `L` is the
+//! one the reflector-at-a-time loop computes. The rows `R` below the block
+//! are then updated once, by two calls into [`gemm_par`]:
 //!
 //! ```text
 //! Wᵀ = L[R,I]ᵀ + B_I·B_Rᵀ,   Wᵀ ← Tᵀ·Wᵀ,   L[R,I] −= W,   B_Rᵀ −= B_Iᵀ·Wᵀ
@@ -80,51 +87,37 @@ pub fn tplqt<T: Scalar>(l: &mut Matrix<T>, b: &mut MatMut<'_, T>) {
 
 /// The blocked kernel on a row-contiguous `B`: row `i` is `b[i·ld..][..k]`.
 fn fold_rows<T: Scalar>(l: &mut Matrix<T>, b: &mut [T], ld: usize, k: usize) {
+    fold_blocks(l, b, ld, k, reflect_block, larft);
+}
+
+/// Generates the reflectors of the rows `i0..i0 + nb` and applies each to
+/// the block's rows below it, storing `τ_i` on the diagonal of `t`.
+type ReflectBlock<T> = fn(&mut Matrix<T>, &mut [T], usize, usize, usize, usize, &mut [T; NB * NB]);
+/// Fills the strictly upper part of the block's `T` from its reflectors.
+type Larft<T> = fn(&[T], usize, usize, usize, usize, &mut [T; NB * NB]);
+
+/// The block sweep of [`fold_rows`] around its two in-block steps.
+fn fold_blocks<T: Scalar>(
+    l: &mut Matrix<T>,
+    b: &mut [T],
+    ld: usize,
+    k: usize,
+    reflect: ReflectBlock<T>,
+    larft: Larft<T>,
+) {
     let m = l.rows();
     let mut t = [T::ZERO; NB * NB];
-    let mut g = [T::ZERO; NB];
     // `Wᵀ`, column-major `nb x |R|`.
     let mut wt = vec![T::ZERO; NB * m.saturating_sub(NB)];
     for i0 in (0..m).step_by(NB) {
         let nb = NB.min(m - i0);
         let nr = m - i0 - nb;
 
-        // Reflectors of the block, applied to the block's own rows.
-        for i in i0..i0 + nb {
-            let (v, below) = b[i * ld..].split_at_mut(k);
-            let (beta, tau) = make_reflector(l[(i, i)], v);
-            l[(i, i)] = beta;
-            t[(i - i0) * (NB + 1)] = tau;
-            if tau == T::ZERO {
-                continue;
-            }
-            for j in i + 1..i0 + nb {
-                let row = &mut below[(j - i) * ld - k..][..k];
-                let tw = tau * (l[(j, i)] + T::dot(row, v));
-                l[(j, i)] -= tw;
-                T::axpy(-tw, v, row);
-            }
-        }
-
+        reflect(l, b, ld, k, i0, nb, &mut t);
         if nr == 0 {
             break;
         }
-
-        // Forward larft: T[..a, a] = −τ_a · T[..a, ..a] · g, g_c = b_c·b_a.
-        let row = |i: usize| &b[i * ld..][..k];
-        for a in 1..nb {
-            for (c, gc) in g[..a].iter_mut().enumerate() {
-                *gc = T::dot(row(i0 + c), row(i0 + a));
-            }
-            let tau = t[a * (NB + 1)];
-            for r in 0..a {
-                let mut s = T::ZERO;
-                for c in r..a {
-                    s += t[c * NB + r] * g[c];
-                }
-                t[a * NB + r] = -tau * s;
-            }
-        }
+        larft(b, ld, k, i0, nb, &mut t);
 
         // Wᵀ = L[R,I]ᵀ + B_I·B_Rᵀ.
         let wt = &mut wt[..nb * nr];
@@ -161,20 +154,101 @@ fn fold_rows<T: Scalar>(l: &mut Matrix<T>, b: &mut [T], ld: usize, k: usize) {
     }
 }
 
-/// [`crate::householder::make_reflector`] with the norm of the `k`-long tail
-/// taken as `sqrt(x·x)` through [`Scalar::dot`] when the sum of squares is
-/// safely inside the normal range ([`Scalar::sumsq_is_safe`]), and by the
-/// scaled [`norm2`] (one division per element) otherwise. Same sign choice, same `safmin` rescaling.
-fn make_reflector<T: Scalar>(alpha: T, x: &mut [T]) -> (T, T) {
-    let norm = |x: &[T]| {
-        let ssq = T::dot(x, x);
-        if ssq.sumsq_is_safe() {
-            ssq.sqrt()
+/// The in-block reflectors with a one-step look-ahead. Applying `H_p` to a
+/// row `j` below it needs `w_j = L[j,p] + row_j·b_p`; that dot runs in the
+/// pass that applies `H_{p−1}` to the row ([`Scalar::axpy_dot_rows`]), so
+/// every row below the pivot is read once per reflector. The next pivot's
+/// row goes first, alone, because `b_p` is that row once `H_{p−1}` has
+/// updated and `make_reflector` has scaled it; its pass returns the row's
+/// sum of squares, which is `make_reflector`'s. Each value is the one the
+/// reflector-at-a-time loop computes (one dot, then one axpy per row), so
+/// `L` has its bits.
+fn reflect_block<T: Scalar>(
+    l: &mut Matrix<T>,
+    b: &mut [T],
+    ld: usize,
+    k: usize,
+    i0: usize,
+    nb: usize,
+    t: &mut [T; NB * NB],
+) {
+    let end = i0 + nb;
+    // `alpha[j − i0] = −τ_{p−1}·w_j`, the pending update of row `j ≥ p` by
+    // `H_{p−1}` while `pending`; then the dots `row_j·b_p` into `d`.
+    let mut alpha = [T::ZERO; NB];
+    let mut d = [T::ZERO; NB];
+    let mut pending = false;
+    for p in i0..end {
+        let ssq = if pending {
+            let (prev, pivot) = b[(p - 1) * ld..].split_at_mut(ld);
+            let mut ssq = [T::ZERO];
+            T::axpy_dot_rows(&alpha[p - i0..][..1], &prev[..k], None, &mut pivot[..k], ld, &mut ssq);
+            ssq[0]
         } else {
-            norm2(x)
+            let v = &b[p * ld..][..k];
+            T::dot(v, v)
+        };
+        let (beta, tau) = make_reflector(l[(p, p)], &mut b[p * ld..][..k], ssq);
+        l[(p, p)] = beta;
+        t[(p - i0) * (NB + 1)] = tau;
+
+        // Rows `p + 1..end`: the pending `H_{p−1}`, then the dot with `b_p`.
+        let below = p + 1..end;
+        if !below.is_empty() {
+            let at = below.start - i0..nb;
+            let (head, rows) = b.split_at_mut(below.start * ld);
+            let v = &head[p * ld..][..k];
+            match (pending, tau != T::ZERO) {
+                (true, true) => {
+                    let prev = &head[(p - 1) * ld..][..k];
+                    T::axpy_dot_rows(&alpha[at.clone()], prev, Some(v), rows, ld, &mut d[at]);
+                }
+                (true, false) => {
+                    for (r, &a) in alpha[at].iter().enumerate() {
+                        T::axpy(a, &head[(p - 1) * ld..][..k], &mut rows[r * ld..][..k]);
+                    }
+                }
+                (false, true) => T::dot_rows(v, rows, ld, &mut d[at]),
+                (false, false) => {}
+            }
         }
-    };
-    let mut xnorm = norm(x);
+        pending = tau != T::ZERO;
+        if pending {
+            for j in below {
+                let tw = tau * (l[(j, p)] + d[j - i0]);
+                l[(j, p)] -= tw;
+                alpha[j - i0] = -tw;
+            }
+        }
+    }
+}
+
+/// Forward larft: `T[..a, a] = −τ_a · T[..a, ..a] · g`, `g_c = b_c·b_a`,
+/// one [`Scalar::dot_rows`] pass per column.
+fn larft<T: Scalar>(b: &[T], ld: usize, k: usize, i0: usize, nb: usize, t: &mut [T; NB * NB]) {
+    let mut g = [T::ZERO; NB];
+    for a in 1..nb {
+        T::dot_rows(&b[(i0 + a) * ld..][..k], &b[i0 * ld..], ld, &mut g[..a]);
+        let tau = t[a * (NB + 1)];
+        for r in 0..a {
+            let mut s = T::ZERO;
+            for c in r..a {
+                s += t[c * NB + r] * g[c];
+            }
+            t[a * NB + r] = -tau * s;
+        }
+    }
+}
+
+/// [`crate::householder::make_reflector`] with the norm of the `k`-long tail
+/// taken as `sqrt(ssq)` — `ssq = x·x` through [`Scalar::dot`], handed in by
+/// the caller's pass over the row — when the sum of squares is safely inside
+/// the normal range ([`Scalar::sumsq_is_safe`]), and by the scaled [`norm2`]
+/// (one division per element) otherwise. Same sign choice, same `safmin`
+/// rescaling.
+fn make_reflector<T: Scalar>(alpha: T, x: &mut [T], ssq: T) -> (T, T) {
+    let norm = |x: &[T], ssq: T| if ssq.sumsq_is_safe() { ssq.sqrt() } else { norm2(x) };
+    let mut xnorm = norm(x, ssq);
     if xnorm == T::ZERO {
         return (alpha, T::ZERO);
     }
@@ -184,19 +258,14 @@ fn make_reflector<T: Scalar>(alpha: T, x: &mut [T]) -> (T, T) {
     let rsafmn = T::ONE / safmin;
     let mut rescalings = 0usize;
     while beta.abs() < safmin && rescalings < 32 {
-        for v in x.iter_mut() {
-            *v *= rsafmn;
-        }
+        T::scale(rsafmn, x);
         alpha *= rsafmn;
-        xnorm = norm(x);
+        xnorm = norm(x, T::dot(x, x));
         beta = -alpha.hypot(xnorm).copysign(alpha);
         rescalings += 1;
     }
     let tau = (beta - alpha) / beta;
-    let inv = T::ONE / (alpha - beta);
-    for v in x.iter_mut() {
-        *v *= inv;
-    }
+    T::scale(T::ONE / (alpha - beta), x);
     for _ in 0..rescalings {
         beta *= safmin;
     }
@@ -352,6 +421,131 @@ mod tests {
             }
         }
         assert!(got.max_abs_diff(&expect) < 1e-4);
+    }
+
+    /// The in-block loop before the look-ahead, kept as the oracle: one
+    /// reflector at a time, each row of the block below it read by a dot
+    /// and then by an axpy.
+    fn reflect_block_oracle<T: Scalar>(
+        l: &mut Matrix<T>,
+        b: &mut [T],
+        ld: usize,
+        k: usize,
+        i0: usize,
+        nb: usize,
+        t: &mut [T; NB * NB],
+    ) {
+        for i in i0..i0 + nb {
+            let (v, below) = b[i * ld..].split_at_mut(k);
+            let (beta, tau) = make_reflector(l[(i, i)], v, T::dot(v, v));
+            l[(i, i)] = beta;
+            t[(i - i0) * (NB + 1)] = tau;
+            if tau == T::ZERO {
+                continue;
+            }
+            for j in i + 1..i0 + nb {
+                let row = &mut below[(j - i) * ld - k..][..k];
+                let tw = tau * (l[(j, i)] + T::dot(row, v));
+                l[(j, i)] -= tw;
+                T::axpy(-tw, v, row);
+            }
+        }
+    }
+
+    /// The larft before `dot_rows`: one dot per pair of reflectors.
+    fn larft_oracle<T: Scalar>(b: &[T], ld: usize, k: usize, i0: usize, nb: usize, t: &mut [T; NB * NB]) {
+        let row = |i: usize| &b[i * ld..][..k];
+        let mut g = [T::ZERO; NB];
+        for a in 1..nb {
+            for (c, gc) in g[..a].iter_mut().enumerate() {
+                *gc = T::dot(row(i0 + c), row(i0 + a));
+            }
+            let tau = t[a * (NB + 1)];
+            for r in 0..a {
+                let mut s = T::ZERO;
+                for c in r..a {
+                    s += t[c * NB + r] * g[c];
+                }
+                t[a * NB + r] = -tau * s;
+            }
+        }
+    }
+
+    /// `tplqt` on `[L B]` with `B` row-major at stride `ld ≥ k`, against the
+    /// oracle's fold of the same bits: `L` must match bit for bit.
+    fn check_against_oracle<T: Scalar>(l0: &Matrix<T>, b0: &[T], ld: usize, k: usize, what: &str) {
+        let m = l0.rows();
+        let (mut l, mut b) = (l0.clone(), b0.to_vec());
+        tplqt(&mut l, &mut MatMut::strided(&mut b, m, k, ld, 1));
+        let (mut want, mut b) = (l0.clone(), b0.to_vec());
+        fold_blocks(&mut want, &mut b, ld, k, reflect_block_oracle, larft_oracle);
+        let bits = |l: &Matrix<T>| l.data().iter().map(|v| v.to_f64().to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&l), bits(&want), "{} {what}", T::PRECISION_NAME);
+    }
+
+    fn oracle_sweep<T: Scalar>() {
+        for m in [1usize, 2, 15, 16, 17, 31, 33, 48, 65] {
+            for k in [1usize, 31, 32, 33, 1024, 1027] {
+                let ld = k + 5 * (m % 2);
+                let tri = lower_tri(m as u64, m);
+                let l0 = Matrix::from_fn(m, m, |i, j| T::from_f64(tri[(i, j)]));
+                let src = pseudo_matrix(m, ld, 100 + k as u64);
+                let b0: Vec<T> = (0..m * ld).map(|e| T::from_f64(src[(e / ld, e % ld)])).collect();
+                check_against_oracle(&l0, &b0, ld, k, &format!("m = {m}, k = {k}, ld = {ld}"));
+            }
+        }
+    }
+
+    #[test]
+    fn look_ahead_has_the_bits_of_the_reflector_at_a_time_loop() {
+        oracle_sweep::<f64>();
+        oracle_sweep::<f32>();
+    }
+
+    /// Rows planted to reach every branch of the look-ahead: in a 40-row
+    /// fold, zero tails (`τ = 0`) after a live reflector (row 5) and after
+    /// another zero tail (row 6) — so row 7's reflector has nothing pending
+    /// — in the middle of a block and as a block's first row (16), and
+    /// tiny rows whose sum of squares takes the scaled `norm2` (rows 0, 9,
+    /// 20) or whose `β` takes the `safmin` rescaling (rows 11, 33). A
+    /// planted row has no `L` entries left of its diagonal, so the
+    /// reflectors above it leave its tail zero or tiny.
+    fn check_planted_rows<T: Scalar>(norm2_scale: f64, rescale: f64) {
+        let (m, k) = (40usize, 1027usize);
+        let full = lower_tri(21, m);
+        let src = pseudo_matrix(m, k, 22);
+        let plant = |i: usize| match i {
+            5 | 6 | 16 => Some(0.0),
+            0 | 9 | 20 => Some(norm2_scale),
+            11 | 33 => Some(rescale),
+            _ => None,
+        };
+        let l0 = Matrix::from_fn(m, m, |i, j| match (plant(i), j.cmp(&i)) {
+            (_, std::cmp::Ordering::Greater) | (Some(_), std::cmp::Ordering::Less) => T::ZERO,
+            (Some(s), std::cmp::Ordering::Equal) => T::from_f64(full[(i, i)] * s),
+            (None, _) => T::from_f64(full[(i, j)]),
+        });
+        let b0: Vec<T> = (0..m * k).map(|e| T::from_f64(src[(e / k, e % k)] * plant(e / k).unwrap_or(1.0))).collect();
+        let row = |i: usize| &b0[i * k..][..k];
+        for i in [0, 9, 20] {
+            assert!(!T::dot(row(i), row(i)).sumsq_is_safe(), "row {i} must take norm2");
+        }
+        check_against_oracle(&l0, &b0, k, k, "planted rows");
+        // A zero tail leaves its diagonal as it was (`τ = 0`, `β = α`).
+        let mut l = l0.clone();
+        tplqt(&mut l, &mut MatMut::row_major(&mut b0.clone(), m, k));
+        for i in [5, 6, 16] {
+            assert_eq!(l[(i, i)], l0[(i, i)], "{} row {i}", T::PRECISION_NAME);
+        }
+        for i in [11, 33] {
+            assert!(l[(i, i)] != T::ZERO && l[(i, i)].abs() < T::MIN_POSITIVE / T::EPSILON, "row {i}");
+        }
+    }
+
+    #[test]
+    fn planted_rows_reach_every_branch_with_the_oracles_bits() {
+        check_planted_rows::<f64>(1e-142, 1e-300);
+        check_planted_rows::<f32>(1e-15, 1e-34);
     }
 
     /// The MatRef import is exercised here to keep the test module honest

@@ -22,6 +22,10 @@
 //! the memory roof of the first line: `f64` sum,
 //! copy and triad streams over four times the last-level cache (read from
 //! sysfs, 32 MiB if that fails), at one task and at the pool's size.
+//!
+//! The last lines time `lq_factor` on the tall `f64` triangles of
+//! `stream_append`'s full refresh, 456 × 4096 and 512 × 4096 column-major,
+//! at one task and at the pool's size.
 
 use rayon::prelude::*;
 use std::hint::black_box;
@@ -29,7 +33,8 @@ use std::time::Instant;
 use tucker_rs::core::svd_driver::{gram_of_unfolding, lq_of_unfolding};
 use tucker_rs::core::{sthosvd, SthosvdConfig, SvdMethod};
 use tucker_rs::data::hcci_surrogate;
-use tucker_rs::linalg::Scalar;
+use tucker_rs::linalg::lq::lq_factor;
+use tucker_rs::linalg::{Matrix, Scalar};
 use tucker_rs::tensor::{ttm, Tensor};
 
 /// Best of 7 runs of `f`, in milliseconds.
@@ -170,9 +175,22 @@ fn probe<T: Scalar>(x64: &Tensor<f64>) {
     }
 }
 
+/// `lq_factor` of a column-major `m × 4096` `f64` matrix, the shape of
+/// the tall triangles `stream_append`'s full refresh factors.
+fn tall_lq() {
+    let pool = rayon::current_num_threads();
+    for m in [456, 512] {
+        let a = Matrix::<f64>::from_fn(m, 4096, |i, j| ((i * 4096 + j) as f64 * 0.618).sin());
+        let one = at_tasks(1, || best_ms(|| lq_factor(a.as_ref())));
+        let all = best_ms(|| lq_factor(a.as_ref()));
+        println!("double LQ {m} x 4096: {one:>7.2} ms at 1 / {all:>7.2} ms at {pool} ({:>4.2}x)", one / all);
+    }
+}
+
 fn main() {
     memory_roof();
     let x = hcci_surrogate::<f64>(&[48, 48, 33, 48], 7);
     probe::<f64>(&x);
     probe::<f32>(&x);
+    tall_lq();
 }

@@ -452,6 +452,18 @@ for prec in f64 f32; do
     done
 done
 echo "lq gate: fixed tree of leaves, QR and Gram stores equal at 1 and 2 threads OK"
+# The QR stores' bits are pinned across changes, not only across thread
+# counts: every kernel body is fused, so the digests hold on any host. A
+# change that moves these bits on purpose records the new digests here and
+# says so in CHANGES.md.
+sha256sum --check --quiet - <<EOF || {
+f5cc927f019a6eaffc29bf88ebce1dbd9d92f85033ff478b476aa8cfabbe289a  $ckpt/tree_f64_qr_1.tkr
+d202cae140b34767ada0723ea91028eadd8b837cd48c7853ee2bcd3bc21b263a  $ckpt/tree_f32_qr_1.tkr
+EOF
+    echo "lq gate: the --svd qr stores of the 32x64x64x16 tree tensor moved" >&2
+    exit 1
+}
+echo "lq gate: QR stores match their recorded digests OK"
 
 # One serial SVD (DESIGN.md §13): the small SVD of L is the unblocked
 # Golub–Kahan reduction and an implicit-QR sweep that rotates U/V in place;
