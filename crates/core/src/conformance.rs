@@ -21,10 +21,10 @@
 //! so the three labels cover each mode's full cost.
 
 use crate::config::SvdMethod;
-use crate::model::{evd_flops, svd_flops};
 use tucker_dtensor::{
     lq_flops, prev_power_of_two, sketch_cols, sketch_qr_flops, slab_exchange_counts, ReductionTree,
 };
+use tucker_linalg::perf::svd_flops;
 use tucker_linalg::randomized::{sketch_block_count, RandomizedSvdConfig};
 use tucker_mpisim::{json_f64 as jf, MetricsRegistry, PhaseStat, RankStats};
 
@@ -213,8 +213,8 @@ fn predict_counts(cfg: &CheckConfig) -> Vec<(usize, Predicted)> {
                 pr.flops += (pf - 1.0) * m * m;
                 pr.bytes += 2.0 * (pf - 1.0) * m * m * gw;
                 pr.msgs += 2 * (p as u64 - 1);
-                // Redundant EVD on every rank.
-                pr.flops += pf * evd_flops(m as usize);
+                // Redundant EVD (the SVD of G) on every rank.
+                pr.flops += pf * svd_flops(m as usize);
             }
             SvdMethod::Qr => {
                 // Local LQ of the J_n × J*/(J_n·P) stripe on every rank.
@@ -260,11 +260,11 @@ fn predict_counts(cfg: &CheckConfig) -> Vec<(usize, Predicted)> {
                 // B (k²·J*).
                 pr.flops += 2.0 * k * m * colsf + k * k * colsf;
                 // Redundant per-rank work: (q+1) sketch QRs, folds of all nv
-                // partials ((q+1) of J_n×k, one of k×k), the k×k EVD, and the
+                // partials ((q+1) of J_n×k, one of k×k), the k×k SVD, and the
                 // lift U = Q·U_H.
                 pr.flops += pf * (q + 1.0) * sketch_qr_flops(m, k);
                 pr.flops += pf * (nv - 1.0) * ((q + 1.0) * m * k + k * k);
-                pr.flops += pf * 9.0 * k * k * k;
+                pr.flops += pf * svd_flops(k as usize);
                 pr.flops += pf * 2.0 * m * k * k;
                 // (q+2) ring allgathers of the per-block partials: machine-
                 // wide each moves (P−1) copies of the nv concatenated blocks.

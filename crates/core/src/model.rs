@@ -10,19 +10,8 @@
 //! `tests` cross-check the two on small configurations.
 
 use crate::config::SvdMethod;
+use tucker_linalg::perf::svd_flops;
 use tucker_mpisim::CostModel;
-
-/// Heuristic flop count of the redundant symmetric eigendecomposition of an
-/// `m x m` Gram matrix (tridiagonalization + QL with vectors ≈ 9·m³).
-pub fn evd_flops(m: usize) -> f64 {
-    9.0 * (m as f64).powi(3)
-}
-
-/// Heuristic flop count of the redundant SVD of an `m x m` triangle
-/// (bidiagonalization + accumulation + QR sweeps ≈ 12·m³).
-pub fn svd_flops(m: usize) -> f64 {
-    12.0 * (m as f64).powi(3)
-}
 
 /// Configuration of a modeled run.
 #[derive(Clone, Debug)]
@@ -125,7 +114,7 @@ pub fn predict(cfg: &ModelConfig) -> ModelOutput {
                 mc.factor = gamma * cfg.cost.syrk_derate * jn * jstar / p_total as f64;
                 // All-reduce of the J_n² Gram matrix: ~2·log P rounds.
                 mc.factor += 2.0 * log_p * (alpha + beta * jn * jn * bytes);
-                mc.small_svd = gamma * evd_flops(jn as usize);
+                mc.small_svd = gamma * svd_flops(jn as usize);
             }
             SvdMethod::Qr => {
                 // Local LQ: γ·2·J_n·J*/P* − (2/3)J_n³ (eq. 9, leading term).
@@ -150,7 +139,7 @@ pub fn predict(cfg: &ModelConfig) -> ModelOutput {
                 let gd = cfg.cost.gamma(8);
                 mc.factor = gd * cfg.cost.syrk_derate * jn * jstar / p_total as f64;
                 mc.factor += 2.0 * log_p * (alpha + beta * jn * jn * 8.0);
-                mc.small_svd = gd * evd_flops(jn as usize);
+                mc.small_svd = gd * svd_flops(jn as usize);
             }
         }
 
@@ -176,7 +165,7 @@ pub fn predict(cfg: &ModelConfig) -> ModelOutput {
         let r_n = cfg.ranks[n] as f64;
         match cfg.method {
             SvdMethod::Gram => {
-                out.flops_per_rank += jn * jstar / p_total as f64 + evd_flops(jn as usize);
+                out.flops_per_rank += jn * jstar / p_total as f64 + svd_flops(jn as usize);
             }
             SvdMethod::Qr => {
                 out.flops_per_rank += (2.0 * jn * jn * cols_loc - 2.0 / 3.0 * jn.powi(3)).max(0.0)
@@ -188,7 +177,7 @@ pub fn predict(cfg: &ModelConfig) -> ModelOutput {
                 out.flops_per_rank += 4.0 * k * jstar / p_total as f64 + svd_flops(k as usize);
             }
             SvdMethod::GramMixed => {
-                out.flops_per_rank += jn * jstar / p_total as f64 + evd_flops(jn as usize);
+                out.flops_per_rank += jn * jstar / p_total as f64 + svd_flops(jn as usize);
             }
         }
         out.flops_per_rank += 2.0 * r_n * local;

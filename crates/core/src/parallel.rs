@@ -14,7 +14,6 @@
 
 use crate::config::{SthosvdConfig, SvdMethod};
 use crate::mode_loop::{self, LoopOutput, LoopState, ModeBackend, ModeStep};
-use crate::model::{evd_flops, svd_flops};
 use crate::tucker::TuckerTensor;
 use tucker_dtensor::{
     parallel_gram, parallel_gram_mixed, parallel_sketch_svd, parallel_tensor_lq, parallel_ttm,
@@ -22,6 +21,7 @@ use tucker_dtensor::{
 };
 use tucker_linalg::gram_svd::gram_svd_from_gram;
 use tucker_linalg::mixed::gram_svd_mixed_from_gram;
+use tucker_linalg::perf::svd_flops;
 use tucker_linalg::randomized::sketch_block_count;
 use tucker_linalg::svd::svd_left;
 use tucker_linalg::{LinalgError, Matrix, Result, Scalar};
@@ -151,7 +151,7 @@ impl<T: Scalar> ModeBackend<T> for DistBackend<'_> {
             SvdMethod::Gram => {
                 let g = mode_phase(ctx, "Gram", n, |c| parallel_gram(c, world, y, n))?;
                 mode_phase(ctx, "EVD", n, |c| {
-                    c.charge_flops(evd_flops(m), T::BYTES);
+                    c.charge_flops(svd_flops(m), T::BYTES);
                     gram_svd_from_gram(&g)
                 })
             }
@@ -159,7 +159,7 @@ impl<T: Scalar> ModeBackend<T> for DistBackend<'_> {
                 let g = mode_phase(ctx, "Gram", n, |c| parallel_gram_mixed(c, world, y, n))?;
                 mode_phase(ctx, "EVD", n, |c| {
                     // The eigendecomposition runs in f64.
-                    c.charge_flops(evd_flops(m), 8);
+                    c.charge_flops(svd_flops(m), 8);
                     gram_svd_mixed_from_gram(&g)
                 })
             }

@@ -31,6 +31,7 @@
 use crate::dist::{block_owner, block_range, DistTensor};
 use crate::grid::ProcessorGrid;
 use crate::guard::{check_finite, NumericalFault};
+use tucker_linalg::perf::svd_flops;
 use tucker_linalg::randomized::{
     fold_partial, orthonormalize, power_block, projected_gram_block, sketch_block,
     sketch_block_count, sketch_block_range, solve_projected, RandomizedSvdConfig,
@@ -306,10 +307,9 @@ pub fn parallel_sketch_svd<T: Scalar>(
     // projection GEMM, then the syrk.
     let h = fold(ctx, k, &[2 * k * m, k * k], &|av, _| projected_gram_block(av, &q))?;
 
-    // Small projected problem, solved redundantly; 9k^3 mirrors the EVD
-    // cost model in tucker-core, 2mk² is the lift.
+    // Small projected problem, solved redundantly; 2mk² is the lift.
     let out = solve_projected(&q, &h)?;
-    ctx.charge_flops(9.0 * (k * k * k) as f64, T::BYTES);
+    ctx.charge_flops(svd_flops(k), T::BYTES);
     ctx.charge_flops(2.0 * (m * k * k) as f64, T::BYTES);
     Ok(out)
 }

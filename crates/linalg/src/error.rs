@@ -91,7 +91,7 @@ mod tests {
         assert!(e.to_string().contains("2x3"));
         let e = LinalgError::NoConvergence { op: "svd", index: 3, iterations: 75 };
         assert!(e.to_string().contains("index 3"));
-        let e = LinalgError::EmptyMatrix { op: "syev" };
-        assert!(e.to_string().contains("syev"));
+        let e = LinalgError::EmptyMatrix { op: "svd_left" };
+        assert!(e.to_string().contains("svd_left"));
     }
 }

@@ -6,14 +6,17 @@
 //! flops of QR-SVD, but with error bounds amplified by `‖A‖/σᵢ` (Theorem 2):
 //! singular values below `‖A‖·√ε` are roundoff noise.
 //!
-//! Following the paper (§3.2), eigenvalues that come out *negative* (possible
-//! once they are dominated by roundoff) are handled by taking `σ = √|λ|` and
-//! re-sorting in decreasing order.
+//! The eigendecomposition is the crate's one small-matrix solver, [`svd_left`]:
+//! for a symmetric `G` the singular values are `|λᵢ|`, descending, and the left
+//! singular vectors are the eigenvectors. That is the paper's `σ = √|λ|` with
+//! the re-sort (§3.2) — an eigenvalue that comes out *negative* once roundoff
+//! dominates it is folded by the SVD itself. The `√ε` loss happens when `G` is
+//! formed; the solver is backward stable for `G`.
 
-use crate::eig::syev;
-use crate::error::Result;
+use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
+use crate::svd::svd_left;
 use crate::syrk::syrk_lower;
 use crate::view::MatRef;
 
@@ -31,35 +34,178 @@ pub fn gram_svd_from_gram<T: Scalar>(g: &Matrix<T>) -> Result<(Matrix<T>, Vec<T>
     left_from_gram(g)
 }
 
-/// Eigendecomposition of a Gram matrix in its own precision `G`, returned as
-/// `(U, σ)` in `T`: `σᵢ = √|λᵢ|`, sorted descending by σ (equivalently
-/// `|λ|`). With `T = G` the cast through `f64` is exact.
+/// Eigendecomposition of a symmetric Gram matrix in its own precision `G`,
+/// returned as `(U, σ)` in `T`: the SVD of `G` gives `|λᵢ|` descending, so
+/// `σᵢ = √|λᵢ|`. With `T = G` the cast through `f64` is exact.
 pub(crate) fn left_from_gram<G: Scalar, T: Scalar>(g: &Matrix<G>) -> Result<(Matrix<T>, Vec<T>)> {
-    let out = syev(g)?;
-    let m = g.rows();
-    let mut order: Vec<usize> = (0..m).collect();
-    order.sort_by(|&i, &j| {
-        out.values[j]
-            .abs()
-            .partial_cmp(&out.values[i].abs())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut u = Matrix::<T>::zeros(m, m);
-    let mut sigma = Vec::with_capacity(m);
-    for (dst, &src) in order.iter().enumerate() {
-        sigma.push(T::from_f64(out.values[src].abs().sqrt().to_f64()));
-        for (d, &s) in u.col_mut(dst).iter_mut().zip(out.vectors.col(src)) {
-            *d = T::from_f64(s.to_f64());
-        }
+    if g.rows() != g.cols() {
+        return Err(LinalgError::DimensionMismatch {
+            op: "gram_svd",
+            details: format!("{}x{} Gram matrix is not square", g.rows(), g.cols()),
+        });
     }
-    Ok((u, sigma))
+    let (u, lambda) = svd_left(g.as_ref())?;
+    let sigma = lambda.iter().map(|l| T::from_f64(l.sqrt().to_f64())).collect();
+    let cast = u.data().iter().map(|x| T::from_f64(x.to_f64())).collect();
+    Ok((Matrix::from_col_major(u.rows(), u.cols(), cast), sigma))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::matmul;
+    use crate::mixed::gram_svd_mixed_from_gram;
     use crate::random::matrix_with_singular_values_seeded;
     use crate::svd::singular_values;
+
+    fn pseudo_symmetric(n: usize, seed: u64) -> Matrix<f64> {
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
+        let raw = Matrix::from_fn(n, n, |_, _| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+        });
+        Matrix::from_fn(n, n, |i, j| 0.5 * (raw[(i, j)] + raw[(j, i)]))
+    }
+
+    /// `(U, σ)` of a symmetric, possibly indefinite `S` is its
+    /// eigendecomposition up to signs: `U` orthonormal, σ descending, and
+    /// `S u_k = λ_k u_k` with `|λ_k| = σ_k²`.
+    fn check_eigenpairs(s: &Matrix<f64>, tol: f64) {
+        let (u, sigma) = gram_svd_from_gram(s).unwrap();
+        assert!(u.orthonormality_error() < tol, "U not orthonormal");
+        assert!(sigma.windows(2).all(|w| w[0] >= w[1]), "σ not descending");
+        let su = matmul(s, &u);
+        let scale = s.max_abs().max(1.0);
+        for (k, sk) in sigma.iter().enumerate() {
+            let lambda: f64 = u.col(k).iter().zip(su.col(k)).map(|(a, b)| a * b).sum();
+            assert!((lambda.abs() - sk * sk).abs() < tol * scale, "|λ_{k}| != σ_{k}²");
+            for (x, y) in su.col(k).iter().zip(u.col(k)) {
+                assert!((x - lambda * y).abs() < tol * scale, "S u_{k} != λ u_{k}");
+            }
+        }
+    }
+
+    #[test]
+    fn random_symmetric() {
+        check_eigenpairs(&pseudo_symmetric(10, 1), 1e-12);
+    }
+
+    #[test]
+    fn large_matrix_converges() {
+        check_eigenpairs(&pseudo_symmetric(60, 4), 1e-11);
+    }
+
+    #[test]
+    fn diagonal_matrix() {
+        let mut a = Matrix::<f64>::zeros(5, 5);
+        for (i, &v) in [3.0, -1.0, 0.0, 7.0, 2.0].iter().enumerate() {
+            a[(i, i)] = v;
+        }
+        let (_, s) = gram_svd_from_gram(&a).unwrap();
+        for (got, want) in s.iter().zip([7.0f64, 3.0, 2.0, 1.0, 0.0]) {
+            assert!((got - want.sqrt()).abs() < 1e-14, "{s:?}");
+        }
+        check_eigenpairs(&a, 1e-13);
+    }
+
+    #[test]
+    fn known_2x2() {
+        // [[2, 1], [1, 2]] has eigenvalues 3 and 1.
+        let a = Matrix::from_row_major(2, 2, &[2.0f64, 1.0, 1.0, 2.0]);
+        let (_, s) = gram_svd_from_gram(&a).unwrap();
+        assert!((s[0] - 3f64.sqrt()).abs() < 1e-14);
+        assert!((s[1] - 1.0).abs() < 1e-14);
+    }
+
+    #[test]
+    fn gram_matrix_eigenvalues_are_squared_singular_values() {
+        let b = pseudo_symmetric(6, 2);
+        let (_, s) = gram_svd_from_gram(&matmul(&b, &b)).unwrap();
+        let want = singular_values(b.as_ref()).unwrap();
+        for (got, want) in s.iter().zip(&want) {
+            assert!((got - want).abs() < 1e-10 * want.max(1.0));
+        }
+    }
+
+    #[test]
+    fn indefinite_matrix() {
+        // Eigenvalues ±5: both fold to σ = √5. With |λ| tied, any basis of
+        // the plane is a valid U, so only orthonormality is pinned.
+        let a = Matrix::from_row_major(2, 2, &[0.0f64, 5.0, 5.0, 0.0]);
+        let (u, s) = gram_svd_from_gram(&a).unwrap();
+        for x in &s {
+            assert!((x - 5f64.sqrt()).abs() < 1e-14);
+        }
+        assert!(u.orthonormality_error() < 1e-14);
+    }
+
+    #[test]
+    fn repeated_eigenvalues() {
+        let (u, s) = gram_svd_from_gram(&Matrix::<f64>::identity(6)).unwrap();
+        assert!(s.iter().all(|&x| (x - 1.0).abs() < 1e-14));
+        assert!(u.orthonormality_error() < 1e-14);
+        // A repeated eigenvalue of a non-diagonal Gram matrix: 2 four times,
+        // 0.5 twice.
+        let sv = [2f64.sqrt(), 2f64.sqrt(), 2f64.sqrt(), 2f64.sqrt(), 0.5f64.sqrt(), 0.5f64.sqrt()];
+        let a = matrix_with_singular_values_seeded::<f64>(&sv, 20, 5);
+        let (u, s) = gram_svd(a.as_ref()).unwrap();
+        assert!(u.orthonormality_error() < 1e-13);
+        for (got, want) in s.iter().zip(sv) {
+            assert!((got - want).abs() < 1e-13);
+        }
+    }
+
+    #[test]
+    fn one_by_one() {
+        let a = Matrix::from_row_major(1, 1, &[-2.5f64]);
+        let (u, s) = gram_svd_from_gram(&a).unwrap();
+        assert_eq!(s, vec![2.5f64.sqrt()]);
+        assert_eq!(u[(0, 0)].abs(), 1.0);
+    }
+
+    #[test]
+    fn empty_matrix() {
+        let g = Matrix::<f64>::zeros(0, 0);
+        let (u, s) = gram_svd_from_gram(&g).unwrap();
+        assert!(s.is_empty() && u.rows() == 0 && u.cols() == 0);
+        let (u, s) = gram_svd_mixed_from_gram::<f32>(&g).unwrap();
+        assert!(s.is_empty() && u.rows() == 0 && u.cols() == 0);
+    }
+
+    #[test]
+    fn non_square_rejected() {
+        let g = Matrix::<f64>::zeros(2, 3);
+        assert!(matches!(gram_svd_from_gram(&g), Err(LinalgError::DimensionMismatch { .. })));
+    }
+
+    #[test]
+    fn non_finite_input_is_typed_error() {
+        for bad in [f64::INFINITY, f64::NAN] {
+            let mut g = pseudo_symmetric(5, 6);
+            g[(2, 2)] = bad;
+            let phase = |r: Result<(Matrix<f32>, Vec<f32>)>| match r {
+                Err(LinalgError::NonFinite { phase, .. }) => phase,
+                other => panic!("expected NonFinite, got {:?}", other.map(|_| ())),
+            };
+            assert_eq!(phase(gram_svd_mixed_from_gram(&g)), "bidiagonalize");
+            let g32 = Matrix::<f32>::from_fn(5, 5, |i, j| g[(i, j)] as f32);
+            assert_eq!(phase(gram_svd_from_gram(&g32)), "bidiagonalize");
+        }
+    }
+
+    #[test]
+    fn single_precision() {
+        let a64 = pseudo_symmetric(8, 3);
+        let a32 = Matrix::<f32>::from_fn(8, 8, |i, j| a64[(i, j)] as f32);
+        let (u32_, s32) = gram_svd_from_gram(&a32).unwrap();
+        let (_, s64) = gram_svd_from_gram(&a64).unwrap();
+        // Compare |λ| = σ²: the square root would amplify the f32 rounding
+        // of an eigenvalue near zero.
+        for (a, b) in s32.iter().zip(&s64) {
+            assert!(((a * a) as f64 - b * b).abs() < 1e-5);
+        }
+        assert!(u32_.orthonormality_error() < 1e-5);
+    }
 
     #[test]
     fn well_conditioned_matches_true_svd() {

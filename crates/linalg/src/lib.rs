@@ -30,9 +30,10 @@
 //! * [`tslq::tslq_blocks`] — tall-skinny LQ over any sequence of column
 //!   blocks: a fixed tree of serial flat-tree leaves (Alg. 2) on the pool,
 //!   merged left to right by `tplqt_pair`, its shape set by the input alone
-//! * [`svd`] — Golub–Kahan bidiagonalization + implicit-shift QR SVD (`gesvd`)
-//! * [`eig`] — Householder tridiagonalization + implicit-QL symmetric
-//!   eigensolver (`syev`)
+//! * [`svd`] — Golub–Kahan bidiagonalization + implicit-shift QR SVD (`gesvd`),
+//!   the crate's one small-matrix solver: QR-SVD's triangle, and the Gram
+//!   matrix's eigendecomposition (for a symmetric `G` the SVD is one, up to
+//!   the signs of the eigenvalues)
 //! * [`gram_svd`] — the Gram-SVD algorithm used by TuckerMPI (§2.3 of the paper)
 //! * [`qr_svd`] — the numerically accurate QR-SVD algorithm (§3.1 of the paper)
 //! * [`randomized`] — the blocked randomized range finder: per-block stage
@@ -53,7 +54,6 @@ pub mod tplqt;
 pub mod tslq;
 pub mod bidiag;
 pub mod svd;
-pub mod eig;
 pub mod gram_svd;
 pub mod mixed;
 pub mod qr_svd;
@@ -69,7 +69,6 @@ pub use gemm::{gemm, gemm_into, gemm_par, gemm_reference, Trans};
 pub use kernel::{gemm_prepacked, gemm_prepacked_batch, PackedA};
 pub use syrk::{syrk_lower, syrk_lower_panels};
 pub use svd::{svd_left, SvdOutput};
-pub use eig::{syev, EigOutput};
 pub use gram_svd::gram_svd;
 pub use mixed::{gram_svd_mixed, syrk_lower_f64_acc};
 pub use perf::KernelStat;

@@ -9,7 +9,8 @@
 //! that squaring loss, leaving only the `ε_s‖A‖` perturbation already baked
 //! into the rounded data. The resulting accuracy floor matches QR-single's
 //! (`~ε_s‖A‖`), at Gram-like structure: one `syrk` pass (in f64 arithmetic)
-//! and a small dense eigenproblem, no LQ.
+//! and a small dense eigenproblem (the SVD of the `f64` Gram matrix, as on
+//! the plain Gram path), no LQ.
 
 use crate::error::Result;
 use crate::matrix::Matrix;
@@ -34,7 +35,8 @@ pub fn gram_svd_mixed<T: Scalar>(a: MatRef<'_, T>) -> Result<(Matrix<T>, Vec<T>)
 
 /// Mixed-precision Gram-SVD from an already-accumulated `f64` Gram matrix —
 /// the entry point for the parallel algorithm (local mixed `syrk`s, `f64`
-/// all-reduce, redundant `f64` eigendecomposition).
+/// all-reduce, redundant `f64` eigendecomposition: the SVD of `G`, whose
+/// values are `|λ|` descending, square-rooted and rounded to `T`).
 pub fn gram_svd_mixed_from_gram<T: Scalar>(g: &Matrix<f64>) -> Result<(Matrix<T>, Vec<T>)> {
     crate::gram_svd::left_from_gram(g)
 }

@@ -134,6 +134,15 @@ pub fn lq_flops(m: f64, n: f64) -> f64 {
     }
 }
 
+/// Heuristic flop count of the redundant SVD of an `m x m` matrix — QR-SVD's
+/// triangle, Gram-SVD's Gram matrix, the randomized driver's projected `k x k`
+/// Gram (bidiagonalization + accumulation + QR sweeps ≈ 12·m³). The one copy:
+/// `tucker-core`'s charges, model and `--model-check` and `tucker-dtensor`'s
+/// sketch charge all count with it.
+pub fn svd_flops(m: usize) -> f64 {
+    12.0 * (m as f64).powi(3)
+}
+
 /// Householder QR flop count for an `m x n` factorization: the LQ count of
 /// its transpose.
 pub(crate) fn qr_flops(m: usize, n: usize) -> u64 {

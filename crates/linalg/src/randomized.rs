@@ -106,9 +106,10 @@ pub fn orthonormalize<T: Scalar>(mut y: Matrix<T>) -> Matrix<T> {
     form_q(y.as_ref(), &taus, k)
 }
 
-/// The small projected problem: EVD of the folded `k x k` Gram matrix
-/// `H = Σ_v B_v B_vᵀ` gives `U_H` and `sigma = sqrt(|lambda|)`; lift back
-/// `U = Q·U_H`.
+/// The small projected problem: the eigendecomposition of the folded `k x k`
+/// Gram matrix `H = Σ_v B_v B_vᵀ` — Gram-SVD's [`gram_svd_from_gram`], the
+/// SVD of the symmetric `H` — gives `U_H` and `sigma = sqrt(|lambda|)`; lift
+/// back `U = Q·U_H`.
 pub fn solve_projected<T: Scalar>(q: &Matrix<T>, h: &Matrix<T>) -> Result<(Matrix<T>, Vec<T>)> {
     let (u_h, sigma) = gram_svd_from_gram(h)?;
     Ok((gemm_into(q.as_ref(), Trans::No, u_h.as_ref(), Trans::No), sigma))
@@ -125,7 +126,7 @@ pub fn solve_projected<T: Scalar>(q: &Matrix<T>, h: &Matrix<T>) -> Result<(Matri
 /// * All wide products are evaluated per [`SKETCH_COL_BLOCK`]-column virtual
 ///   block and folded in block order (see [`fold_partial`]).
 /// * The projected problem is solved through the small `k x k` Gram matrix
-///   `H` and its symmetric EVD rather than a QR-SVD of the `k x n`
+///   `H` and its eigendecomposition rather than a QR-SVD of the `k x n`
 ///   projection `B`. `H` is tiny and replicable, which keeps the
 ///   distributed solve redundant (every rank solves the same `H`) instead
 ///   of requiring a bit-reproducible parallel LQ. The cost is a `‖A‖·√ε`

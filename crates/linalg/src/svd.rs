@@ -447,14 +447,14 @@ mod tests {
 
     #[test]
     fn values_match_gram_eigenvalues_for_well_conditioned() {
-        let a = pseudo_matrix(6, 30, 7);
+        // σ(A) and σ(A·Aᵀ) = σ(A)² against the known values.
+        let sv = [3.0, 2.0, 1.0, 0.5, 0.25, 0.125];
+        let a = crate::random::matrix_with_singular_values_seeded::<f64>(&sv, 30, 7);
         let s = singular_values(a.as_ref()).unwrap();
-        let g = crate::syrk::syrk_lower(a.as_ref());
-        let eig = crate::eig::syev(&g).unwrap();
-        let mut lambda: Vec<f64> = eig.values.iter().map(|&x| x.abs().sqrt()).collect();
-        lambda.sort_by(|x, y| y.partial_cmp(x).unwrap());
+        let lambda = singular_values(crate::syrk::syrk_lower(a.as_ref()).as_ref()).unwrap();
         for i in 0..6 {
-            assert!((s[i] - lambda[i]).abs() < 1e-10 * s[0]);
+            assert!((s[i] - sv[i]).abs() < 1e-12 * sv[0]);
+            assert!((lambda[i] - sv[i] * sv[i]).abs() < 1e-12 * sv[0] * sv[0]);
         }
     }
 

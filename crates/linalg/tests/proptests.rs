@@ -9,7 +9,8 @@ use tucker_linalg::svd::svd;
 use tucker_linalg::syrk_lower;
 use tucker_linalg::tplqt::tplqt;
 use tucker_linalg::tslq::{tslq_blocks, TslqOptions};
-use tucker_linalg::{perf, syev, syrk_lower_f64_acc, syrk_lower_panels, MatMut, MatRef, Matrix, Scalar};
+use tucker_linalg::gram_svd::gram_svd_from_gram;
+use tucker_linalg::{perf, syrk_lower_f64_acc, syrk_lower_panels, MatMut, MatRef, Matrix, Scalar};
 use tucker_tensor::{ttm, Tensor};
 
 fn matrix_strategy(max_dim: usize) -> impl Strategy<Value = Matrix<f64>> {
@@ -76,20 +77,17 @@ proptest! {
     }
 
     #[test]
-    fn syev_identity(a in matrix_strategy(10)) {
-        // Symmetrize first.
+    fn gram_svd_from_gram_on_indefinite(a in matrix_strategy(10)) {
+        // A symmetric, indefinite S: σ_k² = |λ_k| and u_k its eigenvector.
         let n = a.rows().min(a.cols());
         let s = Matrix::from_fn(n, n, |i, j| 0.5 * (a[(i, j)] + a[(j, i)]));
-        let out = syev(&s).unwrap();
-        prop_assert!(out.vectors.orthonormality_error() < 1e-11);
-        let az = matmul(&s, &out.vectors);
-        let mut zl = out.vectors.clone();
-        for (j, &l) in out.values.iter().enumerate() {
-            for v in zl.col_mut(j) {
-                *v *= l;
-            }
+        let (u, sigma) = gram_svd_from_gram(&s).unwrap();
+        prop_assert!(u.orthonormality_error() < 1e-11);
+        let su = matmul(&s, &u);
+        for (k, sk) in sigma.iter().enumerate() {
+            let rayleigh: f64 = u.col(k).iter().zip(su.col(k)).map(|(x, y)| x * y).sum();
+            prop_assert!((rayleigh.abs() - sk * sk).abs() < 1e-10 * s.max_abs().max(1.0));
         }
-        prop_assert!(az.max_abs_diff(&zl) < 1e-10 * s.max_abs().max(1.0));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! * **Sparse ingestion** ([`CooTensor`], [`sparse_sthosvd`]): event
 //!   streams accumulate into a coalesced COO tensor whose mode Gram
-//!   matrices feed the existing Gram-SVD eigensolver without densifying
+//!   matrices feed the existing Gram-SVD solver without densifying
 //!   at the original size; the dense working tensor first appears *after*
 //!   the leading truncation.
 //! * **Incremental updates** ([`StreamState`]): a designated time-like

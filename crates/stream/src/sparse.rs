@@ -3,7 +3,7 @@
 //!
 //! The first processed mode is handled sparsely — its Gram matrix is
 //! accumulated straight from the events ([`CooTensor::mode_gram`]) and
-//! factored by the same symmetric eigensolver the dense Gram-SVD driver
+//! factored by the same SVD of the Gram matrix the dense Gram-SVD driver
 //! uses — and the first truncating TTM is applied
 //! sparsely too. Only the *reduced* working tensor (`R_0 × I_1 × …`) is
 //! ever dense; the remaining modes run through the standard dense
@@ -47,7 +47,7 @@ impl<T: Scalar> ModeBackend<T> for CooBackend<'_, T> {
     ) -> Result<(Matrix<T>, Vec<T>)> {
         match y {
             Some(y) => DenseBackend.mode_factor(y, n, cfg),
-            // The same symmetric eigensolver the dense Gram-SVD driver uses,
+            // The same SVD of the Gram matrix the dense Gram-SVD driver uses,
             // whatever `cfg.method` says about the later, dense modes.
             None => gram_svd_from_gram(&self.events.mode_gram(n)),
         }

@@ -30,7 +30,7 @@ use tucker_core::{
     read_tucker, read_tucker_header, sthosvd, write_tucker_atomic, SthosvdConfig, TuckerTensor,
 };
 use tucker_linalg::{
-    gemm_into, randomized_svd_left_blocked, svd_left, syev, Matrix, Scalar, Trans,
+    gemm_into, randomized_svd_left_blocked, svd::svd, svd_left, LinalgError, Matrix, Scalar, Trans,
 };
 use tucker_tensor::io::IoScalar;
 use tucker_tensor::{prod_before, ttm, Tensor, Unfolding};
@@ -423,24 +423,18 @@ impl<T: Scalar> StreamState<T> {
         // projection through the unchanged core.
         let pg = gemm_into(p_t.as_ref(), Trans::No, g_t.as_ref(), Trans::Yes);
         let m = gemm_into(g_t.as_ref(), Trans::No, g_t.as_ref(), Trans::Yes);
-        let eig = syev(&m)?;
-        let lmax = eig.values.iter().map(|l| l.to_f64().abs()).fold(0.0, f64::max);
-        let cut = T::from_f64(lmax * 1e-12);
-        // (G Gᵀ)⁺ = Q Λ⁺ Qᵀ with small eigenvalues zeroed.
-        let r = m.rows();
-        let mut pinv = Matrix::zeros(r, r);
-        for k in 0..r {
-            let lk = eig.values[k];
-            if lk.to_f64().abs() <= cut.to_f64() {
-                continue;
-            }
-            let inv = T::ONE / lk;
-            for i in 0..r {
-                for j in 0..r {
-                    pinv[(i, j)] += eig.vectors[(i, k)] * inv * eig.vectors[(j, k)];
-                }
-            }
+        // (G Gᵀ)⁺ = V Σ⁺ Uᵀ with σ ≤ 1e-12·σ_max zeroed. For the symmetric
+        // G Gᵀ, σ = |λ| and u_k = ±v_k carries the sign of λ.
+        let out = svd(m.as_ref(), true, true)?;
+        let (Some(u), Some(mut v)) = (out.u, out.v) else {
+            return Err(LinalgError::EmptyMatrix { op: "append_extend" }.into());
+        };
+        let cut = out.s.first().map_or(0.0, |s| s.to_f64()) * 1e-12;
+        for (k, &sk) in out.s.iter().enumerate() {
+            let inv = if sk.to_f64() <= cut { T::ZERO } else { T::ONE / sk };
+            v.col_mut(k).iter_mut().for_each(|x| *x *= inv);
         }
+        let pinv = gemm_into(v.as_ref(), Trans::No, u.as_ref(), Trans::Yes);
         let c = gemm_into(pg.as_ref(), Trans::No, pinv.as_ref(), Trans::No);
         self.tucker.factors[t] = vstack(&self.tucker.factors[t], &c);
         self.extended = true;
@@ -721,6 +715,51 @@ mod tests {
         let full = append_dense(&x, &slab, 2);
         let err = recon.relative_error_to(&full).to_f64();
         assert!(err < 0.1, "extend reconstruction err {err}");
+    }
+
+    /// The model's own slab `core ×₀ U₀ ×₁ U₁ ×₂ C` for given time rows `C`.
+    fn model_slab(tucker: &TuckerTensor<T64>, c: &Matrix<T64>) -> Tensor<T64> {
+        let y = ttm(&tucker.core, 0, tucker.factors[0].as_ref(), false);
+        let y = ttm(&y, 1, tucker.factors[1].as_ref(), false);
+        ttm(&y, 2, c.as_ref(), false)
+    }
+
+    #[test]
+    fn extend_reproduces_a_slab_inside_the_core_row_space() {
+        // Ranks at the data's rank: the core's time unfolding has full row
+        // rank, so (G Gᵀ)⁺ is the inverse and the rows come back exactly.
+        let x = smooth_tensor(&[12, 10, 16], 0);
+        let cfg = StreamConfig::new(2, SthosvdConfig::with_ranks(vec![2, 2, 2]).method(SvdMethod::Gram));
+        let mut st = StreamState::from_initial(&x, cfg).unwrap();
+        let c = Matrix::from_fn(3, 2, |i, j| (1.3 * i as f64 + 0.7 * j as f64).cos());
+        let slab = model_slab(st.tucker(), &c);
+        st.append_extend(&slab).unwrap();
+        let u_t = &st.tucker().factors[2];
+        let rows = Matrix::from_fn(3, 2, |i, j| u_t[(16 + i, j)]);
+        let row_err = rows.max_abs_diff(&c) / c.max_abs();
+        let slab_err = model_slab(st.tucker(), &rows).relative_error_to(&slab);
+        assert!(row_err <= 1e-12 && slab_err <= 1e-12, "rows {row_err:.2e}, slab {slab_err:.2e}");
+    }
+
+    #[test]
+    fn extend_cuts_a_rank_deficient_core() {
+        // Ranks 4 on rank-2 data: two singular values of G Gᵀ sit at
+        // rounding level, below the 1e-12·σ_max cut. Inverting them would
+        // blow the new rows up; cut, the rows stay finite and reproduce a
+        // slab of the model.
+        let x = smooth_tensor(&[12, 10, 16], 0);
+        let mut st = StreamState::from_initial(&x, cfg3()).unwrap();
+        let g_t = Unfolding::new(&st.tucker().core, 2).to_matrix();
+        let m = gemm_into(g_t.as_ref(), Trans::No, g_t.as_ref(), Trans::Yes);
+        let sigma = tucker_linalg::svd::singular_values(m.as_ref()).unwrap();
+        assert!(sigma[3] <= 1e-12 * sigma[0], "core is not rank-deficient: {sigma:?}");
+        let slab = smooth_tensor(&[12, 10, 4], 16);
+        st.append_extend(&slab).unwrap();
+        let u_t = &st.tucker().factors[2];
+        let rows = Matrix::from_fn(4, 4, |i, j| u_t[(16 + i, j)]);
+        assert!(rows.data().iter().all(|v| v.is_finite() && v.abs() < 10.0), "{:?}", rows.data());
+        let err = model_slab(st.tucker(), &rows).relative_error_to(&slab);
+        assert!(err < 1e-6, "slab err {err:.2e}");
     }
 
     #[test]

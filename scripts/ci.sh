@@ -173,6 +173,13 @@ if grep -rnE 'SketchedGram|sketched_gram|sketch_rows|sketch-rows|mode_gram_sketc
     exit 1
 fi
 echo "method gate: four SVD methods, no sampled Gram OK"
+# One small-matrix solver (DESIGN.md §6): the Gram matrix's eigendecomposition
+# is its SVD, so the symmetric eigensolver and its flop heuristic stay gone.
+if grep -rnE 'syev|EigOutput|tred2|tql2|evd_flops|mod eig' crates src tests examples; then
+    echo "solver gate: the symmetric eigensolver is back" >&2
+    exit 1
+fi
+echo "solver gate: one small-matrix solver OK"
 
 # Observability smoke (DESIGN.md §16): one traced serve-bench run must
 # export a merged Chrome trace telling the crashed query's story (failed
