@@ -5,8 +5,9 @@
 //! instrumentation is inverted: each top-level kernel entry point
 //! ([`crate::gemm::gemm`], [`crate::gemm::gemm_into`],
 //! [`crate::syrk::syrk_lower`], [`crate::qr::geqrf`],
-//! [`crate::tslq::tslq_blocks`] — and so [`crate::lq::lq_factor`] — and
-//! [`crate::tplqt::tplqt`]) reports into a
+//! [`crate::tslq::tslq_blocks`] — and so [`crate::lq::lq_factor`] —
+//! [`crate::tplqt::tplqt`], and the tensor crate's `ttm`, one `"ttm"` frame
+//! of `2·R·I_n·cols` flops per call, every mode) reports into a
 //! *thread-local* collector, and the caller that owns a rank thread (e.g.
 //! `tucker-core`'s ST-HOSVD driver) calls [`enable`] before the computation
 //! and [`drain`] after, folding the totals into its own metrics registry.
@@ -23,8 +24,8 @@
 //!   outermost frame records the full logical call once, whichever thread
 //!   ran which item — which holds because every item body that reaches an
 //!   instrumented kernel does so under such a frame (tiled `gemm_into`,
-//!   `gemm_par`, the leaves of `tslq_blocks`); the items of a general-mode
-//!   TTM and of a column-panel SYRK call uninstrumented drivers.
+//!   `gemm_par`, the leaves of `tslq_blocks`); the pieces of a TTM and the
+//!   items of a column-panel SYRK call uninstrumented bodies.
 //! * **Zero cost when disabled** — the fast path is a single thread-local
 //!   `Option` check; no map is touched.
 //!
@@ -73,8 +74,9 @@ pub fn drain() -> Option<BTreeMap<&'static str, KernelStat>> {
 
 /// Run `f`, attributing `flops` and `pack_bytes` to `site` when this is the
 /// outermost instrumented frame on a collecting thread. See the module docs
-/// for the attribution rules.
-pub(crate) fn with_kernel<R>(
+/// for the attribution rules. Public for the kernels of the crates above
+/// this one (the TTM).
+pub fn with_kernel<R>(
     site: &'static str,
     flops: u64,
     pack_bytes: u64,

@@ -6,6 +6,7 @@
 //! workspace is written once over `T: Scalar` and machine epsilon enters only
 //! through `T::EPSILON`.
 
+use crate::kernel::KC;
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -158,6 +159,17 @@ pub trait Scalar:
     /// Panics if either slice is too short for its tile.
     fn transpose_tile(src: &[Self], ss: usize, dst: &mut [Self], ds: usize);
 
+    /// One tile of a TTM ([`TtmTile`] has its shape): every entry `(j, c)`
+    /// of the tile, `y[j·yj + c]`, is written as the GEMM engine's sum of
+    /// `v[l·vs + c] · b[j·bj + l·bl]` over `l < k`: per `KC`-deep slab one
+    /// fused multiply-add chain in ascending `l` from `+0`, each slab's sum
+    /// added in order onto `+0`. So no body, tile or orientation shows in
+    /// the bits, and `y` is written, never read, in the first slab. The
+    /// `lanes` run in up to three registers, the last one masked; the `n`
+    /// entries of `b` are broadcast. Panics if an operand is too short for
+    /// the tile.
+    fn ttm_tile(tile: TtmTile, v: &[Self], b: &[Self], y: &mut [Self]);
+
     /// Run `f` with two initialized pack buffers of the given lengths, each
     /// starting on a cache line, reusing a thread-local allocation across
     /// calls (the pack scratch of the blocked GEMM — per-call `vec!`s would
@@ -179,10 +191,31 @@ pub trait Scalar:
 /// carries: two accumulator registers each, 16 of the 32 zmm.
 pub const STREAM_ROWS: usize = 8;
 
+/// Most entries a TTM tile broadcasts per step ([`Scalar::ttm_tile`]): with
+/// three vectors, 24 accumulators of the 32 zmm, so a step is 24 fused
+/// multiply-adds for 11 loads.
+pub const TTM_TILE: usize = 8;
+
+/// The shape of one TTM tile ([`Scalar::ttm_tile`]): `n ≤ TTM_TILE`
+/// broadcast entries by `lanes ≤ 3·MR` vector lanes, `k` deep, and the
+/// strides of its operands — `v` steps `vs` per `l`, `b` steps `bj` per
+/// broadcast and `bl` per `l`, `y` steps `yj` per broadcast.
+#[derive(Clone, Copy, Debug)]
+#[allow(missing_docs)]
+pub struct TtmTile {
+    pub k: usize,
+    pub n: usize,
+    pub lanes: usize,
+    pub vs: usize,
+    pub bj: usize,
+    pub bl: usize,
+    pub yj: usize,
+}
+
 macro_rules! impl_scalar {
     ($t:ty, $name:expr, $mr:expr, $ukr512:ident, $ukr:ident, $dot:ident, $axpy:ident,
      $tr512:ident, $tr:ident, $axpy512:ident, $scale512:ident, $dot_rows512:ident,
-     $axpy_dot_rows512:ident) => {
+     $axpy_dot_rows512:ident, $ttm512:ident) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -346,6 +379,17 @@ macro_rules! impl_scalar {
                 transpose_portable::<$t, $mr>(src, ss, dst, ds)
             }
 
+            fn ttm_tile(tile: TtmTile, v: &[Self], b: &[Self], y: &mut [Self]) {
+                #[cfg(target_arch = "x86_64")]
+                if simd::have_avx512f() {
+                    // SAFETY: the required target feature was just verified
+                    // at runtime; the body asserts the operands' extents
+                    // before any raw-pointer access.
+                    return unsafe { simd::$ttm512(tile, v, b, y) };
+                }
+                ttm_tile_portable(tile, v, b, y, <$t>::mul_add)
+            }
+
             fn with_pack_scratch<R>(
                 a_len: usize,
                 b_len: usize,
@@ -400,9 +444,9 @@ macro_rules! impl_scalar {
 // four columns, not the whole tile), the portable body every dead column.
 // Every body returns the same bits.
 impl_scalar!(f32, "single", 16, ukr512_f32, ukr_f32, dot_f32, axpy_f32, transpose512_f32, transpose_f32,
-             axpy512_f32, scale512_f32, dot_rows512_f32, axpy_dot_rows512_f32);
+             axpy512_f32, scale512_f32, dot_rows512_f32, axpy_dot_rows512_f32, ttm512_f32);
 impl_scalar!(f64, "double", 8, ukr512_f64, ukr_f64, dot_f64, axpy_f64, transpose512_f64, transpose_f64,
-             axpy512_f64, scale512_f64, dot_rows512_f64, axpy_dot_rows512_f64);
+             axpy512_f64, scale512_f64, dot_rows512_f64, axpy_dot_rows512_f64, ttm512_f64);
 
 /// `s` seen as a slice of `T` when `S` and `T` are the same type: lets a
 /// kernel generic over a source and a destination precision take a
@@ -528,10 +572,46 @@ fn axpy_portable<T: Scalar>(alpha: T, x: &[T], y: &mut [T], fma: fn(T, T, T) -> 
     }
 }
 
+/// Asserts that `v`, `b` and `y` (of these lengths) hold every entry the
+/// TTM `tile` reads or writes.
+#[inline(always)]
+fn assert_ttm_tile<T: Scalar>(t: TtmTile, v: usize, b: usize, y: usize) {
+    // One past the last index at `first + Σ count·stride`, if it fits.
+    let end = |first: usize, steps: [(usize, usize); 2]| {
+        steps.iter().try_fold(first, |e, &(count, stride)| count.checked_mul(stride)?.checked_add(e))
+    };
+    let fits = |len: usize, first, steps| end(first, steps).is_some_and(|e| e <= len);
+    assert!(
+        t.k > 0
+            && (1..=TTM_TILE).contains(&t.n)
+            && (1..=3 * T::MR).contains(&t.lanes)
+            && fits(v, t.lanes, [(t.k - 1, t.vs), (0, 0)])
+            && fits(b, 1, [(t.n - 1, t.bj), (t.k - 1, t.bl)])
+            && fits(y, t.lanes, [(t.n - 1, t.yj), (0, 0)]),
+        "ttm_tile: operands too short for {t:?}"
+    );
+}
+
+/// Portable body of [`Scalar::ttm_tile`], entry by entry; `fma` as in
+/// [`ukr_portable`].
+fn ttm_tile_portable<T: Scalar>(t: TtmTile, v: &[T], b: &[T], y: &mut [T], fma: fn(T, T, T) -> T) {
+    assert_ttm_tile::<T>(t, v.len(), b.len(), y.len());
+    for j in 0..t.n {
+        for c in 0..t.lanes {
+            let mut sum = T::ZERO;
+            for p0 in (0..t.k).step_by(KC) {
+                sum += (p0..t.k.min(p0 + KC)).fold(T::ZERO, |s, l| fma(v[l * t.vs + c], b[j * t.bj + l * t.bl], s));
+            }
+            y[j * t.yj + c] = sum;
+        }
+    }
+}
+
 /// Explicit-SIMD microkernels and streams. The tile bodies compute what
 /// [`ukr_portable`] computes, to the bit: the same fused chain per element.
 #[cfg(target_arch = "x86_64")]
 mod simd {
+    use crate::kernel::KC;
     use std::arch::x86_64::*;
 
     /// True when the AVX2+FMA microkernels may be used. `std` caches the
@@ -1125,6 +1205,90 @@ mod simd {
                 dot_pass_f32, axpy_dot_pass_f32,
                 _mm512_loadu_ps, _mm512_storeu_ps, _mm512_setzero_ps, _mm512_set1_ps, _mm512_fmadd_ps,
                 _mm512_mul_ps);
+
+    /// The AVX-512F body of `Scalar::ttm_tile` for one precision (`$w`
+    /// lanes of mask type `$mask` per zmm): `$tile::<N, V>` keeps the tile's
+    /// `N·V` accumulators in registers across a `KC` slab, chosen by the
+    /// broadcast count and the vector count so an edge tile computes no
+    /// dead broadcast or vector. The last vector loads and stores under a
+    /// lane mask. Each lane is the portable body's fused chain.
+    macro_rules! ttm512 {
+        ($t:ty, $w:expr, $mask:ty, $ttm512:ident, $tile:ident,
+         $zero:ident, $set1:ident, $fma:ident, $add:ident, $loadm:ident, $storem:ident) => {
+            /// # Safety
+            /// Caller must verify AVX-512F support (see [`have_avx512f`]).
+            #[target_feature(enable = "avx512f")]
+            pub(super) unsafe fn $ttm512(t: super::TtmTile, v: &[$t], b: &[$t], y: &mut [$t]) {
+                super::assert_ttm_tile::<$t>(t, v.len(), b.len(), y.len());
+                let m = lane_masks(t.lanes, $w).map(|bits| bits as $mask);
+                let (vp, bp, yp) = (v.as_ptr(), b.as_ptr(), y.as_mut_ptr());
+                // SAFETY: the tile reads and writes the live lanes of the
+                // entries the assertion covers.
+                unsafe {
+                    match t.lanes.div_ceil($w) {
+                        1 => by_rows!(t.n, $tile, [, 1], (t, vp, bp, yp, m)),
+                        2 => by_rows!(t.n, $tile, [, 2], (t, vp, bp, yp, m)),
+                        _ => by_rows!(t.n, $tile, [, 3], (t, vp, bp, yp, m)),
+                    }
+                }
+            }
+
+            /// `N` broadcasts by `V` vectors of `$ttm512`.
+            ///
+            /// # Safety
+            /// AVX-512F is available, `N == t.n`, `V` vectors hold
+            /// `t.lanes` (the last one under `m`), and the pointers address
+            /// operands `$ttm512` checked.
+            #[target_feature(enable = "avx512f")]
+            #[inline]
+            unsafe fn $tile<const N: usize, const V: usize>(
+                t: super::TtmTile,
+                vp: *const $t,
+                bp: *const $t,
+                yp: *mut $t,
+                m: [$mask; 3],
+            ) {
+                let super::TtmTile { k, vs, bj, bl, yj, .. } = t;
+                // SAFETY: the caller's.
+                unsafe {
+                    for p0 in (0..k).step_by(KC) {
+                        let mut acc = [[$zero(); V]; N];
+                        for l in p0..k.min(p0 + KC) {
+                            let mut x = [$zero(); V];
+                            for (c, xc) in x.iter_mut().enumerate() {
+                                *xc = $loadm(m[c], vp.add(l * vs + c * $w));
+                            }
+                            for (j, aj) in acc.iter_mut().enumerate() {
+                                let b = $set1(*bp.add(j * bj + l * bl));
+                                for (a, &xc) in aj.iter_mut().zip(&x) {
+                                    *a = $fma(xc, b, *a);
+                                }
+                            }
+                        }
+                        // The first slab lands as `a + 0`, the rest onto
+                        // what the slabs before them left.
+                        for (j, aj) in acc.iter().enumerate() {
+                            for (c, &a) in aj.iter().enumerate() {
+                                let dst = yp.add(j * yj + c * $w);
+                                let prev = if p0 == 0 { $zero() } else { $loadm(m[c], dst) };
+                                $storem(dst, m[c], $add(prev, a));
+                            }
+                        }
+                    }
+                }
+            }
+        };
+    }
+    ttm512!(f64, 8, __mmask8, ttm512_f64, ttm_tile_f64, _mm512_setzero_pd, _mm512_set1_pd, _mm512_fmadd_pd,
+            _mm512_add_pd, _mm512_maskz_loadu_pd, _mm512_mask_storeu_pd);
+    ttm512!(f32, 16, __mmask16, ttm512_f32, ttm_tile_f32, _mm512_setzero_ps, _mm512_set1_ps, _mm512_fmadd_ps,
+            _mm512_add_ps, _mm512_maskz_loadu_ps, _mm512_mask_storeu_ps);
+
+    /// The masks of a TTM tile's three `w`-lane vectors over its first
+    /// `live` lanes.
+    fn lane_masks(live: usize, w: usize) -> [u32; 3] {
+        [0, 1, 2].map(|v| (1u32 << live.saturating_sub(v * w).min(w)) - 1)
+    }
 }
 
 #[cfg(test)]
@@ -1453,6 +1617,69 @@ mod tests {
         let (bodies64, bodies32) = (Vec::new(), Vec::new());
         check_transpose_bodies::<f64, 8>(f64::from_bits, f64::to_bits, &bodies64);
         check_transpose_bodies::<f32, 16>(|b| f32::from_bits(b as u32), |v| v.to_bits().into(), &bodies32);
+    }
+
+    type TtmBody<T> = unsafe fn(TtmTile, &[T], &[T], &mut [T]);
+
+    /// The AVX-512F TTM body against the portable one, called directly, at
+    /// every lane count of its three vectors (so every mask width) and every
+    /// broadcast count, and one slab, two slabs and a slab edge deep, with the
+    /// strides of both orientations (`ttm`'s mode 0: vectors down a packed
+    /// `op(U)`, broadcasts down columns of `x`; its row-major blocks:
+    /// vectors along a row of `x`, broadcasts down a packed column): the
+    /// same bits in every entry of the tile, and every entry outside it —
+    /// the gaps between its rows and the slice's tail, NaN — untouched.
+    fn check_ttm_bodies<T: Scalar>(fma: fn(T, T, T) -> T, avx512: Option<TtmBody<T>>) {
+        let draw = |i: usize, salt: f64| T::from_f64(((i as f64 + salt) * 0.7391).sin());
+        let bits = |v: &[T]| v.iter().map(|e| e.to_f64().to_bits()).collect::<Vec<u64>>();
+        let w = T::MR;
+        // Every lane and broadcast count shallow; the slab edges at the
+        // edges of one vector and of all three.
+        let shallow = [1usize, 3].into_iter().flat_map(|k| (1..=3 * w).map(move |lanes| (k, lanes, 1..=TTM_TILE)));
+        let deep = [KC, KC + 1, 2 * KC + 5]
+            .into_iter()
+            .flat_map(|k| [1, w - 1, w, w + 1, 3 * w].map(|lanes| (k, lanes, TTM_TILE - 1..=TTM_TILE)));
+        for (k, lanes, counts) in shallow.chain(deep) {
+            for n in counts {
+                let (rp, m) = (3 * w + 5, 3 * w + 2);
+                for (vs, bj, bl) in [(rp, k, 1), (m, 1, rp)] {
+                    let t = TtmTile { k, n, lanes, vs, bj, bl, yj: lanes + 3 };
+                    let v: Vec<T> = (0..(k - 1) * vs + lanes).map(|i| draw(i, 0.5)).collect();
+                    let b: Vec<T> = (0..(n - 1) * bj + (k - 1) * bl + 1).map(|i| draw(i, 9.25)).collect();
+                    let run = |body: &dyn Fn(&mut [T])| {
+                        let mut y = vec![T::from_f64(f64::NAN); n * t.yj + 2];
+                        body(&mut y);
+                        y
+                    };
+                    let want = run(&|y| ttm_tile_portable(t, &v, &b, y, fma));
+                    for (at, w) in want.iter().enumerate() {
+                        let inside = at % t.yj < lanes && at / t.yj < n;
+                        assert_eq!(w.is_finite(), inside, "portable {t:?}, entry {at}");
+                    }
+                    let what = format!("{} {t:?}", T::PRECISION_NAME);
+                    assert_eq!(bits(&run(&|y| T::ttm_tile(t, &v, &b, y))), bits(&want), "dispatch {what}");
+                    if let Some(body) = avx512 {
+                        // SAFETY: the caller passes only a body the host runs.
+                        let got = run(&|y| unsafe { body(t, &v, &b, y) });
+                        assert_eq!(bits(&got), bits(&want), "AVX-512F {what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_ttm_body_has_the_portable_bits() {
+        #[cfg(target_arch = "x86_64")]
+        let (body64, body32) = if simd::have_avx512f() {
+            (Some(simd::ttm512_f64 as TtmBody<f64>), Some(simd::ttm512_f32 as TtmBody<f32>))
+        } else {
+            (None, None)
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let (body64, body32) = (None, None);
+        check_ttm_bodies::<f64>(f64::mul_add, body64);
+        check_ttm_bodies::<f32>(f32::mul_add, body32);
     }
 
     #[test]

@@ -494,20 +494,18 @@ fn parallel_paths_bitwise_across_pools() {
     // the same matrix are serial; they ride along as a determinism check.
     let sq = seeded::<f64>(400, 400, 103);
     check_bitwise_across_pools(&sq);
-    // Middle-mode TTMs whose blocks run through the engine in runs, and the
-    // serve tier's TTMs, whose items the calling thread now shares with the
-    // pool: an element query's one-row factor over its [1, 24, 24] partial
-    // (24 one-column blocks), a slab's 96 rows over [32, 24, 24] (24 blocks
-    // of 96 × 32), and the big slab's last mode (one tiled 4096 × 24 × 32
-    // `gemm_into`).
+    // Middle-mode TTMs, whose blocks the streaming kernel cuts into pieces
+    // on the pool, and the serve tier's TTMs: an element query's one-row
+    // factor over its [1, 24, 24] partial (the column orientation), a
+    // slab's 96 rows over [32, 24, 24] (24 blocks of 96 × 32), and a last
+    // mode (one block, its rows split between the pool's threads).
     check_ttm_across_pools::<f64>();
     check_ttm_across_pools::<f32>();
 }
 
 fn check_ttm_across_pools<T: Scalar>() {
-    // Middle modes whose blocks are 1, 3, 19 and 513 columns wide go to the
-    // engine in runs of 40 (all of them), 64, 26 and 1 blocks: each block
-    // must have the bits of its own `gemm`, whatever run it falls in.
+    // Middle modes whose blocks are 1, 3, 19 and 513 columns wide: each
+    // block must have the bits of its own `gemm`, whatever piece it falls in.
     let middle = [([1, 24, 40], 1, 5), ([3, 20, 700], 1, 7), ([19, 48, 60], 1, 20), ([513, 9, 4], 1, 6)];
     let serve = [([1, 24, 24], 1, 1), ([32, 24, 24], 1, 96), ([128, 32, 24], 2, 32)];
     for (dims, mode, rows) in middle.into_iter().chain(serve) {
@@ -538,7 +536,7 @@ fn check_ttm_across_pools<T: Scalar>() {
 /// Items a call drains on its own thread run inside the call's outermost
 /// perf frame, and the pool's workers never collect: each logical kernel
 /// records once, whichever thread ran which item. A general-mode `ttm`
-/// (its blocks run uninstrumented `gemm_prepacked`), a tiled `gemm_into`
+/// (one `ttm` frame over pieces of blocks on the pool), a tiled `gemm_into`
 /// (tiles are nested `gemm` frames), a column-panel `syrk`, and a
 /// multi-leaf `syrk_lower_panels` over row-major blocks (leaves run the
 /// uninstrumented driver, one of them on a worker at two threads), a
@@ -570,13 +568,14 @@ fn kernel_counters_equal_across_pools() {
         })
     };
     let one = totals(1);
-    assert_eq!((one["gemm"].calls, one["syrk"].calls, one["lq"].calls), (1, 2, 2));
+    assert_eq!((one["gemm"].calls, one["syrk"].calls, one["lq"].calls, one["ttm"].calls), (1, 2, 2, 1));
+    assert_eq!(one["ttm"].flops, 2 * 96 * 24 * 32 * 24, "the ttm frame carries 2·R·I_n·cols");
     let syrk = 130 * 130 * 256 + rows * rows * width * count;
     assert_eq!(one["syrk"].flops, syrk as u64, "the syrk frames carry the model count");
     let lq = perf::lq_flops(rows as f64, (width * count) as f64) as u64
         + perf::lq_flops(rows as f64, wide.cols() as f64) as u64;
     assert_eq!(one["lq"].flops, lq, "the LQ frames carry the model count");
-    assert_eq!(one.len(), 3, "ttm's blocks record nothing: {one:?}");
+    assert_eq!(one.len(), 4, "four sites: {one:?}");
     assert_eq!(totals(2), one);
 }
 

@@ -120,7 +120,7 @@ impl<T: IoScalar> TuckerStore<T> {
                 .collect();
             if jobs.len() == 1 {
                 let (b, c) = &mut jobs[0];
-                gemm_prepacked(T::ONE, &self.packed_core_t, std::slice::from_ref(b), std::slice::from_mut(c));
+                gemm_prepacked(T::ONE, &self.packed_core_t, *b, c);
             } else {
                 gemm_prepacked_batch(T::ONE, &self.packed_core_t, &mut jobs);
             }

@@ -25,6 +25,7 @@
 //! queries that do not touch the appended range reproduce exactly.
 
 use crate::error::{StreamError, StreamResult};
+use std::borrow::Cow;
 use tucker_core::mode_loop::RankRule;
 use tucker_core::{
     read_tucker, read_tucker_header, sthosvd, write_tucker_atomic, SthosvdConfig, TuckerTensor,
@@ -33,7 +34,7 @@ use tucker_linalg::{
     gemm_into, randomized_svd_left_blocked, svd::svd, svd_left, LinalgError, Matrix, Scalar, Trans,
 };
 use tucker_tensor::io::IoScalar;
-use tucker_tensor::{prod_before, ttm, Tensor, Unfolding};
+use tucker_tensor::{prod_after, prod_before, ttm, Tensor, Unfolding};
 
 /// Configuration of the streaming update policy.
 #[derive(Clone, Debug)]
@@ -134,12 +135,46 @@ pub struct UpdateReport {
     pub ranks: Vec<usize>,
 }
 
+/// The retained raw history: the tensor densified so far and the slabs
+/// appended since, concatenated along the time mode, in one pass, only when
+/// a whole tensor is needed (the Full path, [`StreamState::recompute`],
+/// [`StreamState::history`]). An append copies its slab, not the history.
+struct History<T> {
+    dense: Tensor<T>,
+    pending: Vec<Tensor<T>>,
+}
+
+impl<T: Scalar> History<T> {
+    fn new(dense: Tensor<T>) -> Self {
+        History { dense, pending: Vec::new() }
+    }
+
+    /// The whole history along mode `n`, without keeping the concatenation.
+    fn whole(&self, n: usize) -> Cow<'_, Tensor<T>> {
+        if self.pending.is_empty() {
+            Cow::Borrowed(&self.dense)
+        } else {
+            let parts: Vec<&Tensor<T>> = std::iter::once(&self.dense).chain(&self.pending).collect();
+            Cow::Owned(concat_dense(&parts, n))
+        }
+    }
+
+    /// The whole history along mode `n`, kept as the new dense part.
+    fn densify(&mut self, n: usize) -> &Tensor<T> {
+        if let Cow::Owned(whole) = self.whole(n) {
+            self.dense = whole;
+            self.pending.clear();
+        }
+        &self.dense
+    }
+}
+
 /// A live, incrementally maintained Tucker decomposition.
 pub struct StreamState<T> {
     cfg: StreamConfig,
     tucker: TuckerTensor<T>,
     generation: u64,
-    history: Option<Tensor<T>>,
+    history: Option<History<T>>,
     /// Set once `append_extend` has run: the time factor is no longer
     /// orthonormal, so subsequent incremental paths are invalid.
     extended: bool,
@@ -150,7 +185,7 @@ impl<T: Scalar> StreamState<T> {
     pub fn from_initial(x: &Tensor<T>, cfg: StreamConfig) -> StreamResult<Self> {
         check_config::<T>(&cfg, x.ndims())?;
         let tucker = sthosvd(x, &cfg.svd)?;
-        let history = cfg.keep_history.then(|| x.clone());
+        let history = cfg.keep_history.then(|| History::new(x.clone()));
         Ok(StreamState { cfg, tucker, generation: 0, history, extended: false })
     }
 
@@ -175,7 +210,7 @@ impl<T: Scalar> StreamState<T> {
                 });
             }
         }
-        Ok(StreamState { cfg, tucker, generation, history, extended: false })
+        Ok(StreamState { cfg, tucker, generation, history: history.map(History::new), extended: false })
     }
 
     /// The current decomposition.
@@ -198,9 +233,10 @@ impl<T: Scalar> StreamState<T> {
         self.tucker.original_dims()
     }
 
-    /// The retained raw history, if any.
-    pub fn history(&self) -> Option<&Tensor<T>> {
-        self.history.as_ref()
+    /// The retained raw history, if any: borrowed when no slab arrived
+    /// since it was last densified, else concatenated for the caller.
+    pub fn history(&self) -> Option<Cow<'_, Tensor<T>>> {
+        self.history.as_ref().map(|h| h.whole(self.cfg.time_mode))
     }
 
     fn check_slab(&self, slab: &Tensor<T>) -> StreamResult<()> {
@@ -244,8 +280,8 @@ impl<T: Scalar> StreamState<T> {
 
     fn absorb_history(&mut self, slab: &Tensor<T>) {
         if self.cfg.keep_history {
-            if let Some(h) = &self.history {
-                self.history = Some(append_dense(h, slab, self.cfg.time_mode));
+            if let Some(h) = &mut self.history {
+                h.pending.push(slab.clone());
             }
         }
     }
@@ -265,9 +301,9 @@ impl<T: Scalar> StreamState<T> {
             self.refresh(slab)?;
             UpdatePath::Refresh
         } else {
-            match &self.history {
+            match &mut self.history {
                 Some(h) => {
-                    self.tucker = sthosvd(h, &self.cfg.svd)?;
+                    self.tucker = sthosvd(h.densify(self.cfg.time_mode), &self.cfg.svd)?;
                     self.extended = false;
                     UpdatePath::Full
                 }
@@ -445,7 +481,7 @@ impl<T: Scalar> StreamState<T> {
     /// the baseline the incremental paths are benchmarked against.
     pub fn recompute(&self) -> StreamResult<TuckerTensor<T>> {
         match &self.history {
-            Some(h) => Ok(sthosvd(h, &self.cfg.svd)?),
+            Some(h) => Ok(sthosvd(&h.whole(self.cfg.time_mode), &self.cfg.svd)?),
             None => Err(StreamError::ShapeMismatch {
                 what: "recompute",
                 details: "no raw history retained (StreamConfig::history(false))".into(),
@@ -488,22 +524,28 @@ fn check_config<T: Scalar>(cfg: &StreamConfig, nmodes: usize) -> StreamResult<()
 
 /// Concatenate two tensors along mode `n` (all other dims must agree).
 pub fn append_dense<T: Scalar>(x: &Tensor<T>, y: &Tensor<T>, n: usize) -> Tensor<T> {
-    assert_eq!(x.ndims(), y.ndims(), "append_dense: rank mismatch");
-    for m in 0..x.ndims() {
-        if m != n {
-            assert_eq!(x.dims()[m], y.dims()[m], "append_dense: dim mismatch in mode {m}");
+    concat_dense(&[x, y], n)
+}
+
+/// Concatenate tensors along mode `n` in one pass (all other dims must
+/// agree): the bits of chained [`append_dense`] calls.
+fn concat_dense<T: Scalar>(parts: &[&Tensor<T>], n: usize) -> Tensor<T> {
+    let mut dims = parts[0].dims().to_vec();
+    dims[n] = 0;
+    for p in parts {
+        assert_eq!(p.ndims(), dims.len(), "append_dense: rank mismatch");
+        for m in (0..dims.len()).filter(|&m| m != n) {
+            assert_eq!(p.dims()[m], dims[m], "append_dense: dim mismatch in mode {m}");
         }
+        dims[n] += p.dims()[n];
     }
-    let mut dims = x.dims().to_vec();
-    dims[n] += y.dims()[n];
-    let before = prod_before(x.dims(), n);
-    let bx = before * x.dims()[n];
-    let by = before * y.dims()[n];
-    let after = x.data().len() / bx;
-    let mut data = Vec::with_capacity(x.data().len() + y.data().len());
-    for a in 0..after {
-        data.extend_from_slice(&x.data()[a * bx..(a + 1) * bx]);
-        data.extend_from_slice(&y.data()[a * by..(a + 1) * by]);
+    let before = prod_before(&dims, n);
+    let mut data = Vec::with_capacity(dims.iter().product());
+    for a in 0..prod_after(&dims, n) {
+        for p in parts {
+            let b = before * p.dims()[n];
+            data.extend_from_slice(&p.data()[a * b..(a + 1) * b]);
+        }
     }
     Tensor::from_data(&dims, data)
 }
@@ -597,6 +639,60 @@ mod tests {
             assert_eq!(z.get(&idx), x.get(&[1, 2, 1]));
             idx[n] += x.dims()[n];
             assert_eq!(z.get(&idx), y.get(&[1, 2, 1]));
+        }
+    }
+
+    /// The history after 1, 2 and 9 appends — Fast or Refresh, time mode
+    /// first or last — is the old per-append `append_dense` chain bit for
+    /// bit, whether it was last densified by a Full append or not at all;
+    /// `recompute()` reads it whole.
+    #[test]
+    fn history_is_the_append_chain() {
+        for (time_mode, fast) in [(0, true), (2, true), (0, false), (2, false)] {
+            let (initial, slab) = if time_mode == 0 { ([6, 5, 4], [2, 5, 4]) } else { ([6, 5, 4], [6, 5, 2]) };
+            let draw = |dims: &[usize; 3], salt: usize| {
+                Tensor::from_fn(dims, |i| ((i[0] * 31 + i[1] * 7 + i[2] * 3 + salt) as f64 * 0.37).sin())
+            };
+            let svd = SthosvdConfig::with_ranks(vec![3, 3, 3]).method(SvdMethod::Gram);
+            // Bounds every drift (in [0, 1]) falls under: Fast, or Refresh.
+            let (fast_drift, full_drift) = if fast { (2.0, 3.0) } else { (-1.0, 2.0) };
+            let cfg = StreamConfig::new(time_mode, svd.clone()).fast_drift(fast_drift).full_drift(full_drift);
+            let x = draw(&initial, 0);
+            let mut st = StreamState::from_initial(&x, cfg).unwrap();
+            let mut chain = x.clone();
+            for k in 1..=9 {
+                let s = draw(&slab, 100 * k);
+                let rep = st.append(&s).unwrap();
+                assert_eq!(rep.path, if fast { UpdatePath::Fast } else { UpdatePath::Refresh });
+                chain = append_dense(&chain, &s, time_mode);
+                if [1, 2, 9].contains(&k) {
+                    let h = st.history().unwrap();
+                    assert_eq!(h.dims(), chain.dims());
+                    assert!(h.data() == chain.data(), "history after {k} appends, time mode {time_mode}");
+                }
+            }
+            if fast {
+                let got = st.recompute().unwrap();
+                let want = sthosvd(&chain, &svd).unwrap();
+                assert!(got.core.data() == want.core.data(), "recompute reads the whole history");
+                assert!(got.factors.iter().zip(&want.factors).all(|(a, b)| a.data() == b.data()));
+            }
+        }
+    }
+
+    /// A Full append densifies the history and keeps appending after it.
+    #[test]
+    fn full_append_densifies_the_history() {
+        let x = smooth_tensor(&[10, 8, 12], 0);
+        let cfg = cfg3().fast_drift(-1.0).full_drift(-1.0);
+        let mut st = StreamState::from_initial(&x, cfg).unwrap();
+        let mut chain = x.clone();
+        for k in 0..3 {
+            let slab = Tensor::from_fn(&[10, 8, 3], |idx| ((idx[0] * 7 + idx[1] * 3 + idx[2] + k) as f64 * 2.17).sin());
+            assert_eq!(st.append(&slab).unwrap().path, UpdatePath::Full);
+            chain = append_dense(&chain, &slab, 2);
+            assert!(matches!(st.history(), Some(Cow::Borrowed(_))), "densified in place");
+            assert!(st.history().unwrap().data() == chain.data());
         }
     }
 

@@ -1,26 +1,29 @@
 //! Tensor-times-matrix (TTM): `Y = X ×_n U`, defined by `Y_(n) = U · X_(n)`.
 //!
 //! This is the truncation kernel of ST-HOSVD (Alg. 1 line 7, with `U = U_nᵀ`)
-//! and reuses the unfolding block structure: every row-major column block of
-//! `Y_(n)` is the product `U · X_(n)[j]` (the role of [6, Alg. 3] in
-//! TuckerMPI). Mode 0 is one GEMM over the column-major unfolding, the last
-//! mode one GEMM on its transpose; a middle mode packs `U` once and hands
-//! consecutive blocks to the engine as runs of about `NC` columns (at most
-//! 64 blocks), one packed GEMM per run, the runs on the rayon pool. A
-//! block's entries have the bits of its own GEMM whatever run it falls in.
+//! and reuses the unfolding block structure: `X_(n)` is `after` row-major
+//! `I_n × before` blocks, and the same block of `Y_(n)` is `op(U)` times it
+//! (the role of [6, Alg. 3] in TuckerMPI). `op(U)` is a few dozen rows, `X`
+//! millions of entries, so the product is one streaming kernel of its own
+//! rather than the GEMM engine (which would copy all of `X` into packed
+//! slabs to feed a square tile): `op(U)` is packed once into the pack
+//! scratch, where it stays in L1, and `X` is read where it lies, once, by
+//! tiles that are tall in whichever direction is long ([`Scalar::ttm_tile`]:
+//! up to three registers by 8 broadcasts). With `before == 1` (mode 0, or
+//! any mode whose preceding extents are 1) the unfolding is one column-major
+//! matrix, and the vectors run down `op(U)`'s packed columns, 8 columns of
+//! `X` broadcast per tile (`cols`); otherwise they run along a block's
+//! rows, 8 entries of `op(U)` broadcast (`rows`). Either way every entry
+//! has the bits of `gemm` on its block, for any pool size.
 
 use crate::dense::Tensor;
 use crate::dims::{prod_after, prod_before};
 use rayon::prelude::*;
-use tucker_linalg::kernel::NC;
-use tucker_linalg::{gemm_into, gemm_prepacked, MatMut, MatRef, PackedA, Scalar, Trans};
+use tucker_linalg::scalar::{TtmTile, TTM_TILE};
+use tucker_linalg::{perf, MatRef, Scalar};
 
-/// Most blocks of a general-mode TTM in one packed GEMM: a run of `NC`
-/// columns only when blocks are at least `NC / MAX_RUN` = 8 wide. Every
-/// run keeps its views in two arrays of this length on the stack, which
-/// are filled anew per run, so the bound keeps that cheap beside the run's
-/// arithmetic.
-const MAX_RUN: usize = 64;
+/// Products below this many flops run on the calling thread.
+const PAR_FLOPS: usize = 1 << 22;
 
 /// `Y = X ×_n op(U)` with `op(U) = Uᵀ` when `transpose` is set.
 ///
@@ -38,61 +41,87 @@ pub fn ttm<T: Scalar>(x: &Tensor<T>, n: usize, u: MatRef<'_, T>, transpose: bool
 
     let mut ydims = x.dims().to_vec();
     ydims[n] = r;
-
-    if n == 0 {
-        // Mode 0: the whole unfolding is one column-major matrix; a single
-        // (possibly rayon-parallel) GEMM covers it, and the column-major
-        // result is exactly the output tensor layout.
-        let xm = MatRef::col_major(x.data(), i_n, after);
-        let y = gemm_into(op, Trans::No, xm, Trans::No);
-        return Tensor::from_data(&ydims, y.into_data());
+    let mut y = vec![T::ZERO; r * before * after];
+    // Degenerate shapes (some mode has zero extent, e.g. an empty block of a
+    // distributed tensor whose truncation rank is below the grid size) are
+    // the zeros above.
+    if y.is_empty() || i_n == 0 {
+        return Tensor::from_data(&ydims, y);
     }
-    if after == 1 {
-        // Last mode: one row-major block. Compute Yᵀ = X_(n)ᵀ · op(U)ᵀ as a
-        // column-major GEMM; its buffer is the row-major Y (= output layout).
-        let xm = MatRef::row_major(x.data(), i_n, before);
-        let yt = gemm_into(xm, Trans::Yes, op, Trans::Yes);
-        return Tensor::from_data(&ydims, yt.into_data());
-    }
-
-    // General mode: independent GEMM per row-major block.
-    let in_blk = i_n * before;
-    let out_blk = r * before;
-    if out_blk == 0 || after == 0 || in_blk == 0 {
-        // Degenerate (some mode has zero extent, e.g. an empty block of a
-        // distributed tensor whose truncation rank is below the grid size).
-        return Tensor::zeros(&ydims);
-    }
-    // The same small factor multiplies every one of the `after` blocks: pack
-    // it once and reuse the packed panels across all of them (and across
-    // rayon tasks — the pack is read-only after construction). Consecutive
-    // blocks go to the engine as one run of about `NC` columns (at most
-    // `MAX_RUN` blocks) or one block, a function of the shape alone, one
-    // call per run on the pool. Each block has the bits of its own `gemm`,
-    // whatever run it falls in.
-    //
-    // A run's views live on the stack. On the heap — a pair of `Vec`s per
-    // run, or one pair for the whole call — they moved where later tensors
-    // land, and the benchmark's peak RSS rose by up to 9% (two ranks) or
-    // 45% (`hcci_qr_f32`).
-    let packed = PackedA::new(op);
-    let run = (NC / before).clamp(1, MAX_RUN);
-    let mut ydata = vec![T::ZERO; out_blk * after];
-    ydata
-        .par_chunks_mut(out_blk * run)
-        .zip(x.data().par_chunks(in_blk * run))
-        .for_each(|(ys, xs)| {
-            let mut xv = [MatRef::row_major(&[], 0, 0); MAX_RUN];
-            let mut yv: [MatMut<'_, T>; MAX_RUN] = std::array::from_fn(|_| MatMut::row_major(&mut [], 0, 0));
-            let blocks = xs.chunks(in_blk).zip(ys.chunks_mut(out_blk));
-            for ((xb, yb), (xview, yview)) in blocks.zip(xv.iter_mut().zip(yv.iter_mut())) {
-                *xview = MatRef::row_major(xb, i_n, before);
-                *yview = MatMut::row_major(yb, r, before);
+    let flops = 2usize.saturating_mul(r).saturating_mul(i_n).saturating_mul(before * after);
+    let threads = if flops < PAR_FLOPS { 1 } else { rayon::current_num_threads() };
+    // Four pieces per thread: enough for the queue to even out a slow one.
+    let pieces = 4 * threads;
+    // Whole registers per packed column, so each starts on a cache line.
+    let rp = r.next_multiple_of(T::MR);
+    perf::with_kernel("ttm", flops as u64, 0, || {
+        T::with_pack_scratch(0, rp * i_n, |_, pack| {
+            for (l, col) in pack.chunks_exact_mut(rp).enumerate() {
+                for (i, v) in col.iter_mut().enumerate() {
+                    *v = if i < r { op.get(i, l) } else { T::ZERO };
+                }
             }
-            let count = xs.len() / in_blk;
-            gemm_prepacked(T::ONE, &packed, &xv[..count], &mut yv[..count]);
-        });
-    Tensor::from_data(&ydims, ydata)
+            let (pack, x) = (&*pack, x.data());
+            if threads == 1 {
+                // Without a pool call: its set-up alone can cost more than a
+                // serve query's TTM.
+                if before == 1 {
+                    cols(pack, rp, r, x, i_n, &mut y)
+                } else {
+                    rows(pack, rp, r, x, i_n, before, &mut y)
+                }
+            } else if before == 1 {
+                // Pieces of whole column tiles.
+                let width = after.div_ceil(pieces).next_multiple_of(TTM_TILE);
+                y.par_chunks_mut(r * width)
+                    .zip(x.par_chunks(i_n * width))
+                    .for_each(|(y, x)| cols(pack, rp, r, x, i_n, y));
+            } else if after > 1 {
+                let blocks = after.div_ceil(pieces);
+                y.par_chunks_mut(r * before * blocks)
+                    .zip(x.par_chunks(i_n * before * blocks))
+                    .for_each(|(y, x)| rows(pack, rp, r, x, i_n, before, y));
+            } else {
+                // One block (the last mode): one piece of `op(U)`'s rows per
+                // thread, each reading all of `X`.
+                let height = r.div_ceil(threads.min(r));
+                y.par_chunks_mut(height * before).enumerate().for_each(|(p, y)| {
+                    rows(&pack[p * height..], rp, y.len() / before, x, i_n, before, y)
+                });
+            }
+        })
+    });
+    Tensor::from_data(&ydims, y)
+}
+
+/// `y = op(U) · x` for the column-major `k`-row `x` and `r`-row `y`, `op(U)`
+/// packed column by column `rp` apart: tiles of up to three registers of
+/// `op(U)`'s rows by `TTM_TILE` columns, each column tile read from memory
+/// once.
+fn cols<T: Scalar>(pack: &[T], rp: usize, r: usize, x: &[T], k: usize, y: &mut [T]) {
+    let (n, w) = (x.len() / k, 3 * T::MR);
+    for c0 in (0..n).step_by(TTM_TILE) {
+        for i0 in (0..r).step_by(w) {
+            let tile = TtmTile { k, n: TTM_TILE.min(n - c0), lanes: w.min(r - i0), vs: rp, bj: k, bl: 1, yj: r };
+            T::ttm_tile(tile, &pack[i0..], &x[c0 * k..], &mut y[c0 * r + i0..]);
+        }
+    }
+}
+
+/// `y_b = op(U) · x_b` for each row-major `k × m` block of `x` and `r × m`
+/// block of `y`, `op(U)` packed as for `cols`: tiles of up to three
+/// registers of a block's row by `TTM_TILE` rows of `op(U)`, each stretch of
+/// a row read from memory once.
+fn rows<T: Scalar>(pack: &[T], rp: usize, r: usize, x: &[T], k: usize, m: usize, y: &mut [T]) {
+    let w = 3 * T::MR;
+    for (yb, xb) in y.chunks_exact_mut(r * m).zip(x.chunks_exact(k * m)) {
+        for c0 in (0..m).step_by(w) {
+            for i0 in (0..r).step_by(TTM_TILE) {
+                let tile = TtmTile { k, n: TTM_TILE.min(r - i0), lanes: w.min(m - c0), vs: m, bj: 1, bl: rp, yj: m };
+                T::ttm_tile(tile, &xb[c0..], &pack[i0..], &mut yb[i0 * m + c0..]);
+            }
+        }
+    }
 }
 
 /// Chain of TTMs `X ×_0 op(U_0) ×_1 op(U_1) ··· ×_{N-1} op(U_{N-1})`
@@ -116,6 +145,7 @@ pub fn ttm_chain<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dims::prod_after;
     use crate::unfold::Unfolding;
     use tucker_linalg::Matrix;
 
@@ -228,6 +258,120 @@ mod tests {
         let x = test_tensor(&[2, 3]);
         let y = ttm_chain(&x, &[None, None], false);
         assert_eq!(y, x);
+    }
+
+    /// The GEMM engine's sum, element by element: per `KC`-deep slab of `l`
+    /// one fused chain in ascending `l` from `+0`, each slab's sum added in
+    /// order onto `+0`.
+    fn oracle<T: Scalar>(x: &Tensor<T>, n: usize, op: MatRef<'_, T>, fma: fn(T, T, T) -> T) -> Vec<T> {
+        let (i_n, r) = (x.dims()[n], op.rows());
+        let (before, after) = (prod_before(x.dims(), n), prod_after(x.dims(), n));
+        let mut y = vec![T::ZERO; r * before * after];
+        for a in 0..after {
+            for i in 0..r {
+                for c in 0..before {
+                    let y = &mut y[(a * r + i) * before + c];
+                    for p0 in (0..i_n).step_by(tucker_linalg::kernel::KC) {
+                        let slab = (p0..i_n.min(p0 + tucker_linalg::kernel::KC))
+                            .fold(T::ZERO, |s, l| fma(op.get(i, l), x.data()[(a * i_n + l) * before + c], s));
+                        *y += slab;
+                    }
+                }
+            }
+        }
+        y
+    }
+
+    /// `ttm` of a `[before, I_n, after]` tensor against [`oracle`], bit for
+    /// bit, at {1, 2, 7} tasks, with `op(U)` `R × I_n` as the truncation
+    /// passes it (an `I_n × R` factor, transposed), row-major, or stepped
+    /// through a larger factor as the serve tier's `factor_rows` makes it.
+    fn check_oracle<T: Scalar>(dims: [usize; 3], n: usize, r: usize, variant: usize, fma: fn(T, T, T) -> T) {
+        let draw = |i: usize, salt: f64| T::from_f64(((i as f64 + salt) * 0.7391).sin());
+        let x = Tensor::from_data(&dims, (0..dims.iter().product()).map(|i| draw(i, 0.25)).collect());
+        let i_n = dims[n];
+        let (step, rows) = (3, 3 * r + 2);
+        let u: Vec<T> = (0..rows.max(i_n) * r.max(i_n)).map(|i| draw(i, 40.5)).collect();
+        let (u, transpose) = match variant % 3 {
+            0 => (MatRef::col_major(&u[..i_n * r], i_n, r), true),
+            1 => (MatRef::row_major(&u[..r * i_n], r, i_n), false),
+            _ => (MatRef::strided(&u[1..], r, i_n, step, rows), false),
+        };
+        let op = if transpose { u.t() } else { u };
+        let want: Vec<u64> = oracle(&x, n, op, fma).iter().map(|v| v.to_f64().to_bits()).collect();
+        for tasks in [1, 2, 7] {
+            let prev = rayon::current_thread_limit();
+            rayon::set_current_thread_limit(Some(tasks));
+            let y = ttm(&x, n, u, transpose);
+            rayon::set_current_thread_limit(prev);
+            let got: Vec<u64> = y.data().iter().map(|v| v.to_f64().to_bits()).collect();
+            assert!(
+                got == want,
+                "{} ttm of {dims:?} ×{n}, R = {r}, op(U) variant {}, {tasks} tasks: not the engine's bits",
+                T::PRECISION_NAME,
+                variant % 3
+            );
+        }
+    }
+
+    fn check_oracle_shapes<T: Scalar>(fma: fn(T, T, T) -> T) {
+        let befores = [1usize, 2, 7, 8, 9, 19, 33, 513];
+        let ranks = [1usize, 3, 8, 19, 24, 25, 33, 96];
+        let inner = [1usize, 5, 48, 255, 256, 257, 300, 513];
+        let mut case = 0;
+        let mut check = |dims: [usize; 3], n: usize, r: usize| {
+            check_oracle::<T>(dims, n, r, case, fma);
+            case += 1;
+        };
+        // Middle modes: every `before` (each mask width at the row's end in
+        // both precisions) against every `R` (each tile height).
+        for &before in &befores {
+            for &r in &ranks {
+                check([before, 5, 2], 1, r);
+            }
+        }
+        // Every inner dimension, one and two `KC` slabs, in both
+        // orientations.
+        for &i_n in &inner {
+            for (before, r) in [(1, 19), (1, 96), (9, 25), (33, 8)] {
+                check([before, i_n, 3], 1, r);
+            }
+        }
+        // Mode 0 over column counts around the broadcast tile, and last
+        // modes (one block).
+        for &r in &ranks {
+            for cols in [1, 7, 8, 9, 17] {
+                check([48, cols, 1], 0, r);
+            }
+            check([19, 48, 1], 1, r);
+        }
+        // Shapes large enough for the pool: mode 0, a middle mode, and a
+        // last mode whose rows the threads split.
+        check([48, 20_000, 1], 0, 19);
+        check([19, 48, 600], 1, 20);
+        check([513, 300, 1], 1, 33);
+    }
+
+    #[test]
+    fn every_shape_has_the_engines_bits() {
+        check_oracle_shapes::<f64>(f64::mul_add);
+        check_oracle_shapes::<f32>(f32::mul_add);
+    }
+
+    /// Products that round to `−0` leave a slab's chain at `−0`; the engine
+    /// adds it onto `+0`, so the entry is `+0`, in one slab and in two.
+    #[test]
+    fn a_negative_zero_chain_lands_as_positive_zero() {
+        fn check<T: Scalar>(tiny: f64) {
+            for (dims, n) in [([1, 40, 9], 1), ([20, 40, 3], 1), ([300, 9, 1], 0), ([7, 300, 2], 1)] {
+                let x = Tensor::<T>::from_data(&dims, vec![T::from_f64(-tiny); dims.iter().product()]);
+                let u = Matrix::<T>::from_fn(dims[n], 5, |_, _| T::from_f64(tiny));
+                let y = ttm(&x, n, u.as_ref(), true);
+                assert!(y.data().iter().all(|v| v.to_f64().to_bits() == 0), "{} {dims:?} ×{n}", T::PRECISION_NAME);
+            }
+        }
+        check::<f64>(1e-200);
+        check::<f32>(1e-30);
     }
 
     #[test]

@@ -17,7 +17,11 @@
 //! cut into leaves on the pool by the Gram and the LQ, and the TTM splits
 //! its output over the pool, so the ratio shows what each mode gains from
 //! the second task — and, on a host whose second core comes and goes,
-//! whether it was there. The Gram (at the pool) and the TTM (at one task)
+//! whether it was there. The TTM line ends with its one-task time over the
+//! Gram's: both stream the same operand once, at `2·R_n` flops per entry
+//! against the Gram's `I_n` — no more on these modes — so the ratio reads
+//! at most 1 when the TTM runs at the SYRK's rate. The
+//! Gram (at the pool) and the TTM (at one task)
 //! also print the rate at which they read their operand, to hold against
 //! the memory roof of the first line: `f64` sum,
 //! copy and triad streams over four times the last-level cache (read from
@@ -165,11 +169,12 @@ fn probe<T: Scalar>(x64: &Tensor<f64>) {
         );
         println!(
             "  {:>26}  TTM  {apply_one:>6.2} ms at 1 / {apply:>6.2} ms at {pool} \
-             ({:>4.2}x, {:>4.1} GF/s, reads {:>4.1} GB/s at 1)",
+             ({:>4.2}x, {:>4.1} GF/s, reads {:>4.1} GB/s at 1; TTM / Gram at 1: {:>4.2})",
             "",
             apply_one / apply,
             gflop(2 * u.cols() * rows, apply),
             reads(apply_one),
+            apply_one / gram_one,
         );
         y = ttm(&y, n, u.as_ref(), true);
     }

@@ -471,6 +471,23 @@ EOF
     exit 1
 }
 echo "lq gate: QR stores match their recorded digests OK"
+# The TTM's bits are pinned the same way (DESIGN.md §10): the `f64` Gram
+# store (truncation, `op(U) = U_nᵀ`) and the reconstruction of the `f64` QR
+# store (`decompress`, `op(U) = U_n`).
+"$tucker" decompress "$ckpt/tree_f64_qr_1.tkr" "$ckpt/tree_f64_qr_1.tns" >/dev/null
+sha256sum --check --quiet - <<EOF || {
+76e44eedc54717e1f0e0f4360e5f42645e08e18838283b411cafa1d874aa6b95  $ckpt/tree_f64_gram_1.tkr
+016d66276ccabfd89d5f09a3a1416092434b37a2e7cd661998715d7b672ba62f  $ckpt/tree_f64_qr_1.tns
+EOF
+    echo "ttm gate: the f64 Gram store or the QR reconstruction of the tree tensor moved" >&2
+    exit 1
+}
+# One TTM path: the streaming kernel, never the GEMM engine.
+if grep -nE 'gemm_into|gemm_prepacked|PackedA|MAX_RUN' crates/tensor/src/ttm.rs; then
+    echo "ttm gate: ttm.rs reaches for the GEMM engine again" >&2
+    exit 1
+fi
+echo "ttm gate: Gram store and QR reconstruction match their digests, one TTM path OK"
 
 # One serial SVD (DESIGN.md §13): the small SVD of L is the unblocked
 # Golub–Kahan reduction and an implicit-QR sweep that rotates U/V in place;
