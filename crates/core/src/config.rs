@@ -97,7 +97,8 @@ pub struct SthosvdConfig {
     pub mode_order: ModeOrder,
     /// Truncation criterion.
     pub truncation: Truncation,
-    /// Flat-tree LQ options (sequential QR path).
+    /// Flat-tree LQ options (none: the type is what `lq_of_unfolding` and
+    /// `parallel_tensor_lq` take).
     pub tslq: TslqOptions,
     /// TSQR reduction tree (parallel QR path).
     pub tree: ReductionTree,
@@ -113,7 +114,7 @@ impl SthosvdConfig {
             method: SvdMethod::Qr,
             mode_order: ModeOrder::Forward,
             truncation: Truncation::Tolerance(eps),
-            tslq: TslqOptions::default(),
+            tslq: TslqOptions,
             tree: ReductionTree::Butterfly,
             randomized: RandomizedSvdConfig::default(),
         }
@@ -147,12 +148,6 @@ impl SthosvdConfig {
         self
     }
 
-    /// Set flat-tree LQ coalescing.
-    pub fn tslq(mut self, t: TslqOptions) -> Self {
-        self.tslq = t;
-        self
-    }
-
     /// Set the randomized-SVD parameters.
     pub fn randomized(mut self, r: RandomizedSvdConfig) -> Self {
         self.randomized = r;
@@ -173,8 +168,8 @@ impl SthosvdConfig {
         }
     }
 
-    /// Validate the knobs of the configured method — the flat-tree LQ's
-    /// for QR, the randomized method's for randomized — with typed errors
+    /// Validate the knobs of the configured method — the randomized
+    /// method's, the only one that has any — with typed errors
     /// instead of silently clamping out-of-range values or panicking in a
     /// kernel. Called by the mode loop's `init` (and the checkpointed
     /// driver's resume) before any work starts.
@@ -182,13 +177,6 @@ impl SthosvdConfig {
     /// The per-mode *algorithmic* cap (sketch width at `min(I_n, I^*/I_n)`)
     /// is not a configuration error and is still applied inside the drivers.
     pub fn validate(&self) -> Result<(), LinalgError> {
-        if self.method == SvdMethod::Qr && self.tslq.coalesce == 0 {
-            return Err(LinalgError::InvalidConfig {
-                param: "tslq.coalesce",
-                value: "0".to_string(),
-                expected: "at least 1 block per flat-tree group",
-            });
-        }
         let r = &self.randomized;
         if self.method != SvdMethod::Randomized {
             return Ok(());
@@ -270,15 +258,6 @@ mod tests {
         assert!(matches!(e, LinalgError::InvalidConfig { param: "oversampling", .. }), "{e}");
         let e = bad(RandomizedSvdConfig { power_iterations: 11, ..Default::default() });
         assert!(matches!(e, LinalgError::InvalidConfig { param: "power_iterations", .. }), "{e}");
-    }
-
-    #[test]
-    fn validate_rejects_an_empty_flat_tree_group() {
-        let cfg = SthosvdConfig::with_tolerance(1e-3).tslq(TslqOptions { coalesce: 0 });
-        let e = cfg.validate().unwrap_err();
-        assert!(matches!(e, LinalgError::InvalidConfig { param: "tslq.coalesce", .. }), "{e}");
-        // Only the QR method folds flat-tree groups.
-        assert!(cfg.method(SvdMethod::Gram).validate().is_ok());
     }
 
     #[test]

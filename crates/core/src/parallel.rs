@@ -285,23 +285,6 @@ mod tests {
         }
     }
 
-    /// A flat-tree group of zero blocks is a typed refusal from both drivers,
-    /// before any kernel could panic on it.
-    #[test]
-    fn zero_coalesce_is_refused_by_both_drivers() {
-        use tucker_linalg::tslq::TslqOptions;
-        let x = low_rank_tensor(&[6, 8, 4], &[2, 3, 2], 1e-4);
-        let cfg = SthosvdConfig::with_tolerance(1e-3).tslq(TslqOptions { coalesce: 0 });
-        let refusals = [
-            crate::sthosvd::sthosvd(&x, &cfg).err(),
-            run_parallel_full(&x, &[1, 1, 1], &cfg).err(),
-            run_parallel_full(&x, &[2, 1, 1], &cfg).err(),
-        ];
-        for e in refusals {
-            assert!(matches!(e, Some(LinalgError::InvalidConfig { param: "tslq.coalesce", .. })), "{e:?}");
-        }
-    }
-
     /// The contract of the all-ones grid: the distributed backend's local
     /// phase *is* the dense backend, so the run returns `sthosvd`'s bits.
     fn assert_one_rank_grid_is_sequential<T: Scalar>(x: &Tensor<T>, cfg: &SthosvdConfig) {

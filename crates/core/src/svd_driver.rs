@@ -116,7 +116,7 @@ mod tests {
     fn lq_gram_invariant_all_modes() {
         let y = test_tensor(&[4, 5, 3]);
         for n in 0..3 {
-            let l = lq_of_unfolding(&y, n, TslqOptions::default());
+            let l = lq_of_unfolding(&y, n, TslqOptions);
             let llt = tucker_linalg::gemm::gemm_into(
                 l.as_ref(),
                 tucker_linalg::Trans::No,

@@ -21,10 +21,7 @@
 //! * [`ttm`] — parallel TTM truncation: local TTM + fiber reduce-scatter.
 //! * [`guard`] — NaN/Inf guards at the kernel boundaries; surface a typed
 //!   [`NumericalFault`] naming rank, phase and first offending index.
-//! * [`append`] — grow a mode in place: re-balance block boundaries with a
-//!   fiber all-to-all and splice in the appended slab (streaming updates).
 
-pub mod append;
 pub mod dist;
 pub mod grid;
 pub mod gram;
@@ -34,7 +31,6 @@ pub mod redistribute;
 pub mod sketch;
 pub mod ttm;
 
-pub use append::append_mode;
 pub use dist::{block_owner, block_range, DistTensor};
 pub use gram::{parallel_gram, parallel_gram_mixed};
 pub use grid::ProcessorGrid;

@@ -234,7 +234,7 @@ mod tests {
         let out = Simulator::new(p).with_cost(CostModel::zero()).run(|ctx| {
             let dt = DistTensor::scatter_from(&x, &ProcessorGrid::new(grid_dims), ctx.rank());
             let mut world = Comm::world(ctx);
-            parallel_tensor_lq(ctx, &mut world, &dt, n, tree, TslqOptions::default()).unwrap()
+            parallel_tensor_lq(ctx, &mut world, &dt, n, tree, TslqOptions).unwrap()
         });
         // L Lᵀ must equal the Gram matrix of the global unfolding, and all
         // ranks must hold the identical L.
@@ -308,7 +308,7 @@ mod tests {
             .run_result(|ctx| {
                 let dt = DistTensor::scatter_from(&x, &ProcessorGrid::new(&[2, 1, 1]), ctx.rank());
                 let mut world = Comm::world(ctx);
-                parallel_tensor_lq(ctx, &mut world, &dt, 0, ReductionTree::Butterfly, TslqOptions::default())
+                parallel_tensor_lq(ctx, &mut world, &dt, 0, ReductionTree::Butterfly, TslqOptions)
             })
             .unwrap_err();
         match err {
@@ -327,7 +327,7 @@ mod tests {
         let out = Simulator::new(4).with_cost(CostModel::zero()).run(|ctx| {
             let dt = DistTensor::scatter_from(&x32, &ProcessorGrid::new(&[2, 2, 1]), ctx.rank());
             let mut world = Comm::world(ctx);
-            parallel_tensor_lq(ctx, &mut world, &dt, 0, ReductionTree::Butterfly, TslqOptions::default())
+            parallel_tensor_lq(ctx, &mut world, &dt, 0, ReductionTree::Butterfly, TslqOptions)
                 .unwrap()
         });
         let want = syrk_lower(Unfolding::new(&x32, 0).to_matrix().as_ref());

@@ -22,8 +22,8 @@
 //! on which row/column block of a larger matrix the call covers. Computing
 //! any sub-rectangle of C with the same full inner dimension therefore
 //! produces bit-identical values to computing all of C at once — which is
-//! what makes the 2D-parallel drivers in `gemm.rs`/`syrk.rs` bit-identical
-//! to their serial paths, for any thread count.
+//! what makes `gemm`'s column-panel pool split and the pre-packed calls
+//! bit-identical to one serial call, for any thread count.
 
 use crate::scalar::{same_precision, Scalar};
 use crate::view::{MatMut, MatRef};
@@ -269,8 +269,8 @@ fn macro_kernel<T: Scalar>(
     }
 }
 
-/// Serial blocked driver: `C += alpha · A · B`. Assumes the caller already
-/// applied `beta` to C and that no dimension is zero.
+/// Serial blocked driver: `C += alpha · A · B`; a zero dimension or a zero
+/// `alpha` leaves `C` as it is.
 pub(crate) fn gemm_blocked<T: Scalar>(
     alpha: T,
     a: MatRef<'_, T>,
@@ -458,24 +458,6 @@ pub fn gemm_prepacked<T: Scalar>(alpha: T, a: &PackedA<T>, b: MatRef<'_, T>, c: 
     });
 }
 
-/// Batched `C_i += alpha · A · B_i` with one shared pre-packed A — the
-/// partial-TTM entry point for the serving layer: many concurrent queries
-/// select different factor-row blocks (different B/C pairs) but contract
-/// against the same packed core operand. Jobs run in parallel on the rayon
-/// pool; each job individually is bit-identical to a solo
-/// [`gemm_prepacked`] call on the same operands, since jobs share no output.
-pub fn gemm_prepacked_batch<T: Scalar>(
-    alpha: T,
-    a: &PackedA<T>,
-    jobs: &mut [(MatRef<'_, T>, MatMut<'_, T>)],
-) {
-    use rayon::prelude::*;
-    jobs.par_chunks_mut(1).for_each(|job| {
-        let (b, c) = &mut job[0];
-        gemm_prepacked(alpha, a, *b, c);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -617,26 +599,6 @@ mod tests {
         // the strided-B path produced finite, nonzero output.
         assert!(c2.data().iter().all(|v| v.is_finite()));
         assert!(c1.data().iter().any(|&v| v != 0.0));
-    }
-
-    #[test]
-    fn batch_matches_solo_calls_bitwise() {
-        let a = pseudo_matrix(90, 140, 8);
-        let packed = PackedA::new(a.as_ref());
-        let bs: Vec<Matrix<f64>> = (0..7).map(|s| pseudo_matrix(140, 10 + s, 20 + s as u64)).collect();
-        let mut solo: Vec<Matrix<f64>> = bs.iter().map(|b| Matrix::zeros(90, b.cols())).collect();
-        for (b, c) in bs.iter().zip(&mut solo) {
-            gemm_prepacked(1.0, &packed, b.as_ref(), &mut c.as_mut());
-        }
-        let mut batched: Vec<Matrix<f64>> = bs.iter().map(|b| Matrix::zeros(90, b.cols())).collect();
-        {
-            let mut jobs: Vec<_> =
-                bs.iter().zip(&mut batched).map(|(b, c)| (b.as_ref(), c.as_mut())).collect();
-            gemm_prepacked_batch(1.0, &packed, &mut jobs);
-        }
-        for (s, b) in solo.iter().zip(&batched) {
-            assert_eq!(s.data(), b.data());
-        }
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!
 //! Kernel inventory (LAPACK analogue in parentheses):
 //!
-//! * [`gemm`] — general matrix multiply over strided views (`gemm`)
+//! * [`gemm`] — general matrix multiply over strided views (`gemm`): the one
+//!   GEMM, `C += α·A·B`, with the crate's only GEMM pool split; [`gemm_into`]
+//!   is it onto zeros, [`gemm_prepacked`] one panel against a pre-packed `A`
 //! * [`syrk_lower`] — symmetric rank-k update `C = A·Aᵀ` (`syrk`), the Gram kernel
 //! * [`qr::geqrf`] — unblocked Householder QR (`geqr`) in place: the
 //!   randomized range finder's bases and the random orthogonal factors
@@ -65,8 +67,8 @@ pub use error::{LinalgError, Result};
 pub use scalar::Scalar;
 pub use matrix::Matrix;
 pub use view::{MatMut, MatRef};
-pub use gemm::{gemm, gemm_into, gemm_par, gemm_reference, Trans};
-pub use kernel::{gemm_prepacked, gemm_prepacked_batch, PackedA};
+pub use gemm::{gemm, gemm_into, gemm_reference, Trans};
+pub use kernel::{gemm_prepacked, PackedA};
 pub use syrk::{syrk_lower, syrk_lower_panels};
 pub use svd::{svd_left, SvdOutput};
 pub use gram_svd::gram_svd;

@@ -28,7 +28,7 @@ use crate::view::MatRef;
 /// with the model count of the whole factorization; the folds' own frames
 /// nest under it.
 pub fn lq_factor<T: Scalar>(a: MatRef<'_, T>) -> Matrix<T> {
-    tslq_blocks(a.rows(), std::iter::once(a), TslqOptions::default())
+    tslq_blocks(a.rows(), std::iter::once(a), TslqOptions)
 }
 
 #[cfg(test)]

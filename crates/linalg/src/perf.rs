@@ -3,7 +3,7 @@
 //! The simulated MPI runtime cannot observe what happens inside the linalg
 //! kernels (and this crate must not depend on `tucker-mpisim`), so the
 //! instrumentation is inverted: each top-level kernel entry point
-//! ([`crate::gemm::gemm`], [`crate::gemm::gemm_into`],
+//! ([`crate::gemm::gemm`], and so [`crate::gemm::gemm_into`],
 //! [`crate::syrk::syrk_lower`], [`crate::qr::geqrf`],
 //! [`crate::tslq::tslq_blocks`] — and so [`crate::lq::lq_factor`] —
 //! [`crate::tplqt::tplqt`], and the tensor crate's `ttm`, one `"ttm"` frame
@@ -15,17 +15,17 @@
 //! Attribution rules:
 //!
 //! * **Depth guard** — nested kernel calls (`tslq_blocks` → `tplqt` →
-//!   `gemm_par`, `gemm_into` → `gemm`) record only at the outermost
-//!   instrumented frame, so one logical kernel invocation is one record.
+//!   `gemm`) record only at the outermost instrumented frame, so one
+//!   logical kernel invocation is one record.
 //! * **Thread locality** — a parallel call's items run on the calling thread
 //!   and on pool workers. The items the caller drains itself run inside its
 //!   outermost frame, so the depth guard drops their nested records; the
 //!   workers never enable a collector, so theirs go nowhere. Either way the
 //!   outermost frame records the full logical call once, whichever thread
 //!   ran which item — which holds because every item body that reaches an
-//!   instrumented kernel does so under such a frame (tiled `gemm_into`,
-//!   `gemm_par`, the leaves of `tslq_blocks`); the pieces of a TTM and the
-//!   items of a column-panel SYRK call uninstrumented bodies.
+//!   instrumented kernel does so under such a frame (the leaves of
+//!   `tslq_blocks`); the column panels of a `gemm`, the pieces of a TTM and
+//!   the items of a column-panel SYRK call uninstrumented bodies.
 //! * **Zero cost when disabled** — the fast path is a single thread-local
 //!   `Option` check; no map is touched.
 //!
@@ -188,7 +188,7 @@ mod tests {
         let _ = matmul(&pseudo(7, 5, 1), &pseudo(5, 9, 2));
         let stats = drain().expect("enabled");
         let g = stats["gemm"];
-        assert_eq!(g.calls, 1, "gemm_into's nested serial gemm must not double-count");
+        assert_eq!(g.calls, 1, "gemm_into is one gemm frame");
         assert_eq!(g.flops, 2 * 7 * 5 * 9);
         assert!(g.pack_bytes > 0);
         assert!(drain().is_none(), "drain disables the collector");
@@ -199,7 +199,7 @@ mod tests {
         enable();
         // One logical LQ is one frame: the flat tree's `tplqt` steps (6 x
         // 3000 is three panels) nest under it, and so do the fold's
-        // `gemm_par` products (300 rows cross their parallel line).
+        // `gemm` products (300 rows cross their pool split's line).
         let _ = lq_factor(pseudo(6, 3000, 3).as_ref());
         let _ = lq_factor(pseudo(300, 1024, 4).as_ref());
         let stats = drain().expect("enabled");
@@ -220,7 +220,7 @@ mod tests {
         let (one, two) = (8 + 3 * PANEL_COLS, 8 + 16 * PANEL_COLS);
         for cols in [one, two] {
             let a = pseudo(8, cols, 9);
-            let _ = tslq_blocks(8, a.as_ref().col_panels(4), TslqOptions::default());
+            let _ = tslq_blocks(8, a.as_ref().col_panels(4), TslqOptions);
         }
         let stats = drain().expect("enabled");
         assert_eq!(stats["lq"].calls, 2);
@@ -233,8 +233,8 @@ mod tests {
         enable();
         let a = pseudo(8, 600, 4);
         let _ = syrk_lower(a.as_ref());
-        // Large enough for gemm_into's parallel path: the tiles this thread
-        // runs are nested frames, the workers' go unrecorded, and the
+        // Large enough for gemm's pool split: the panels run the
+        // uninstrumented engine on this thread and the workers, and the
         // top-level call records exactly once.
         let b = pseudo(600, 2000, 5);
         let big = pseudo(200, 600, 6);

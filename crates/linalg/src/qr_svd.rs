@@ -43,7 +43,7 @@ mod tests {
         let sv = [2.0, 1.0, 0.5, 0.25, 0.125];
         let a = matrix_with_singular_values_seeded::<f64>(&sv, 60, 2);
         let (_, s1) = qr_svd(a.as_ref()).unwrap();
-        let l = tslq_blocks(5, a.as_ref().col_panels(7), TslqOptions::default());
+        let l = tslq_blocks(5, a.as_ref().col_panels(7), TslqOptions);
         let (_, s2) = svd_left(l.as_ref()).unwrap();
         for (x, y) in s1.iter().zip(&s2) {
             assert!((x - y).abs() < 1e-12);

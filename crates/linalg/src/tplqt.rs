@@ -28,7 +28,7 @@
 //! [`Scalar::dot_rows`] pass per column of `T`). Every dot and update has
 //! the bits of one [`Scalar::dot`] / [`Scalar::axpy`] call, so `L` is the
 //! one the reflector-at-a-time loop computes. The rows `R` below the block
-//! are then updated once, by two calls into [`gemm_par`]:
+//! are then updated once, by two calls into [`gemm`]:
 //!
 //! ```text
 //! Wᵀ = L[R,I]ᵀ + B_I·B_Rᵀ,   Wᵀ ← Tᵀ·Wᵀ,   L[R,I] −= W,   B_Rᵀ −= B_Iᵀ·Wᵀ
@@ -38,16 +38,15 @@
 //! column-contiguous (`Wᵀ` is a small column-major matrix; `B_Rᵀ` of a
 //! row-contiguous `B` is `k × |R|` with leading dimension `k`) and the GEMM
 //! engine writes back through column slices; the second product's `A = B_Iᵀ`
-//! packs by `memcpy`. `gemm_par` splits `C` into fixed 256-column panels
-//! over the pool once more than 256 rows lie below the block (`|R| > 256`,
-//! so only on triangles above 272 rows) and the product passes 2²² flops,
-//! and is the serial `gemm` otherwise; either way its bits are the serial
-//! call's. Everything else is serial and in a fixed order, so the bits of
+//! packs by `memcpy`. `gemm` splits `C` into fixed 256-column panels over
+//! the pool once more than 256 rows lie below the block (`|R| > 256`, so
+//! only on triangles above 272 rows) and the product passes 2²² flops, and
+//! runs serially otherwise; either way its bits are the serial engine's. Everything else is serial and in a fixed order, so the bits of
 //! `L` depend on the values of `[L B]` alone — not on `B`'s layout, nor on
 //! the thread budget, nor on which thread runs the call (a leaf of
 //! `tslq_blocks` may run on a pool worker).
 
-use crate::gemm::gemm_par;
+use crate::gemm::gemm;
 use crate::householder::norm2;
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
@@ -127,7 +126,7 @@ fn fold_blocks<T: Scalar>(
             }
         }
         let (bi, br) = b[i0 * ld..].split_at_mut(nb * ld);
-        gemm_par(
+        gemm(
             T::ONE,
             MatRef::strided(bi, nb, k, ld, 1),
             MatRef::strided(br, k, nr, 1, ld),
@@ -145,7 +144,7 @@ fn fold_blocks<T: Scalar>(
             }
         }
         // B_Rᵀ −= B_Iᵀ·Wᵀ.
-        gemm_par(
+        gemm(
             -T::ONE,
             MatRef::strided(bi, k, nb, 1, ld),
             MatRef::col_major(wt, nb, nr),

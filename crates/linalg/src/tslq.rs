@@ -17,7 +17,6 @@
 //! [`PANEL_COLS`] are cut into panels of that width and narrower ones are
 //! gathered until a group holds at least that many columns, so a whole view
 //! and an unfolding of 19-column blocks fold the same cache-sized panels.
-//! The `coalesce` option is a further floor in blocks per group.
 //!
 //! The tree is a function of the input alone: the leaf count
 //! ([`leaf_count`]) reads the group count and the row count, never the
@@ -55,18 +54,11 @@ const MIN_LEAF_GROUPS: usize = 8;
 /// 1/32 ≈ 3% of the LQ's model flops at any height.
 const MIN_LEAF_COLS_PER_ROW: usize = 32;
 
-/// Options for the flat-tree LQ.
-#[derive(Clone, Copy, Debug)]
-pub struct TslqOptions {
-    /// Least number of column blocks annihilated per `tplqt` call (≥ 1).
-    pub coalesce: usize,
-}
-
-impl Default for TslqOptions {
-    fn default() -> Self {
-        TslqOptions { coalesce: 1 }
-    }
-}
+/// Options for the flat-tree LQ. It has none: the groups and the tree are
+/// set by the input alone. The type stays as the parameter of the drivers
+/// that pass a configuration's options through.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct TslqOptions;
 
 /// Tall-skinny LQ over a sequence of column blocks, all with `m` rows.
 ///
@@ -75,11 +67,10 @@ impl Default for TslqOptions {
 /// count is below `m` (see the padding note in the body). One `"lq"` perf
 /// frame with the model count of the whole factorization: the folds and
 /// the pair merges nest under it, on whichever thread they ran.
-pub fn tslq_blocks<'a, T: Scalar, I>(m: usize, blocks: I, opts: TslqOptions) -> Matrix<T>
+pub fn tslq_blocks<'a, T: Scalar, I>(m: usize, blocks: I, _opts: TslqOptions) -> Matrix<T>
 where
     I: IntoIterator<Item = MatRef<'a, T>>,
 {
-    assert!(opts.coalesce >= 1, "tslq: coalesce must be >= 1");
     let panels: Vec<MatRef<'a, T>> = blocks
         .into_iter()
         .flat_map(|b| {
@@ -89,12 +80,12 @@ where
         .collect();
     let n: usize = panels.iter().map(|p| p.cols()).sum();
 
-    // Groups of at least `coalesce` panels and `PANEL_COLS` columns.
+    // Groups of at least `PANEL_COLS` columns.
     let mut groups: Vec<Range<usize>> = Vec::new();
     let mut start = 0;
     while start < panels.len() {
         let (mut end, mut cols) = (start, 0);
-        while end < panels.len() && (end - start < opts.coalesce || cols < PANEL_COLS) {
+        while end < panels.len() && cols < PANEL_COLS {
             cols += panels[end].cols();
             end += 1;
         }
@@ -209,8 +200,8 @@ mod tests {
         gemm_into(l.as_ref(), Trans::No, l.as_ref(), Trans::Yes)
     }
 
-    fn check_against_dense(a: &Matrix<f64>, block_cols: usize, coalesce: usize, tol: f64) {
-        let l_tree = tslq_blocks(a.rows(), a.as_ref().col_panels(block_cols), TslqOptions { coalesce });
+    fn check_against_dense(a: &Matrix<f64>, block_cols: usize, tol: f64) {
+        let l_tree = tslq_blocks(a.rows(), a.as_ref().col_panels(block_cols), TslqOptions);
         let l_dense = lq_factor(a.as_ref());
         assert!(gram(&l_tree).max_abs_diff(&gram(&l_dense)) < tol);
         // Also against the direct Gram matrix.
@@ -219,34 +210,28 @@ mod tests {
 
     #[test]
     fn narrow_blocks() {
-        check_against_dense(&pseudo_matrix(6, 50, 1), 2, 1, 1e-12);
+        check_against_dense(&pseudo_matrix(6, 50, 1), 2, 1e-12);
     }
 
     #[test]
     fn blocks_wider_than_rows() {
-        check_against_dense(&pseudo_matrix(6, 50, 2), 10, 1, 1e-12);
-    }
-
-    #[test]
-    fn coalescing_blocks() {
-        check_against_dense(&pseudo_matrix(8, 64, 3), 2, 4, 1e-12);
-        check_against_dense(&pseudo_matrix(8, 64, 3), 2, 100, 1e-12);
+        check_against_dense(&pseudo_matrix(6, 50, 2), 10, 1e-12);
     }
 
     #[test]
     fn uneven_final_block() {
-        check_against_dense(&pseudo_matrix(5, 33, 4), 4, 1, 1e-12);
+        check_against_dense(&pseudo_matrix(5, 33, 4), 4, 1e-12);
     }
 
     #[test]
     fn single_block_short_fat() {
-        check_against_dense(&pseudo_matrix(4, 20, 5), 20, 1, 1e-13);
+        check_against_dense(&pseudo_matrix(4, 20, 5), 20, 1e-13);
     }
 
     #[test]
     fn total_columns_below_rows_pads() {
         let a = pseudo_matrix(10, 6, 6);
-        let l = tslq_blocks(10, a.as_ref().col_panels(2), TslqOptions::default());
+        let l = tslq_blocks(10, a.as_ref().col_panels(2), TslqOptions);
         assert_eq!(l.shape(), (10, 10));
         assert!(gram(&l).max_abs_diff(&syrk_lower(a.as_ref())) < 1e-12);
     }
@@ -259,7 +244,7 @@ mod tests {
         let mut a = pseudo_matrix(6, 2, 9);
         a[(0, 0)] = 0.0;
         a[(0, 1)] = 0.0;
-        let l = tslq_blocks(6, std::iter::once(a.as_ref()), TslqOptions::default());
+        let l = tslq_blocks(6, std::iter::once(a.as_ref()), TslqOptions);
         assert!(gram(&l).max_abs_diff(&syrk_lower(a.as_ref())) < 1e-12);
     }
 
@@ -267,7 +252,7 @@ mod tests {
     fn width_one_blocks() {
         // Degenerate flat tree: one column at a time (the n=0 special case of
         // mode-0 unfoldings, columns of a column-major matrix).
-        check_against_dense(&pseudo_matrix(4, 17, 7), 1, 1, 1e-12);
+        check_against_dense(&pseudo_matrix(4, 17, 7), 1, 1e-12);
     }
 
     #[test]
@@ -276,7 +261,7 @@ mod tests {
         // of the head group) and every later one run the blocked compact-WY
         // path; the tree must still agree with the dense factorization.
         let m = 80;
-        check_against_dense(&pseudo_matrix(m, 3 * m, 8), m / 2, 1, 1e-10);
+        check_against_dense(&pseudo_matrix(m, 3 * m, 8), m / 2, 1e-10);
     }
 
     #[test]
@@ -313,14 +298,14 @@ mod tests {
 
     #[test]
     fn empty_input_gives_zero() {
-        let l = tslq_blocks::<f64, _>(3, std::iter::empty(), TslqOptions::default());
+        let l = tslq_blocks::<f64, _>(3, std::iter::empty(), TslqOptions);
         assert_eq!(l, Matrix::zeros(3, 3));
     }
 
     #[test]
     fn single_precision() {
         let a = Matrix::<f32>::from_fn(5, 40, |i, j| ((2 * i + 3 * j) as f32).sin());
-        let l = tslq_blocks(5, a.as_ref().col_panels(4), TslqOptions::default());
+        let l = tslq_blocks(5, a.as_ref().col_panels(4), TslqOptions);
         let g = gemm_into(l.as_ref(), Trans::No, l.as_ref(), Trans::Yes);
         let aat = syrk_lower(a.as_ref());
         assert!(g.max_abs_diff(&aat) < 1e-3 * aat.max_abs());

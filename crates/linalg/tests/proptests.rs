@@ -94,9 +94,8 @@ proptest! {
     fn tslq_matches_dense_lq(
         a in matrix_strategy(8),
         block in 1usize..6,
-        coalesce in 1usize..4,
     ) {
-        let l_tree = tslq_blocks(a.rows(), a.as_ref().col_panels(block), TslqOptions { coalesce });
+        let l_tree = tslq_blocks(a.rows(), a.as_ref().col_panels(block), TslqOptions);
         let g_tree = gemm_into(l_tree.as_ref(), Trans::No, l_tree.as_ref(), Trans::Yes);
         let want = syrk_lower(a.as_ref());
         prop_assert!(g_tree.max_abs_diff(&want) < 1e-10 * want.max_abs().max(1.0));
@@ -160,14 +159,14 @@ fn seeded<T: Scalar>(rows: usize, cols: usize, seed: u64) -> Matrix<T> {
     })
 }
 
-/// Naive triple-loop `alpha·A·B + beta·C` — independently coded oracle.
-fn naive_gemm<T: Scalar>(alpha: T, a: &Matrix<T>, b: &Matrix<T>, beta: T, c0: &Matrix<T>) -> Matrix<T> {
+/// Naive triple-loop `C + alpha·A·B` — independently coded oracle.
+fn naive_gemm<T: Scalar>(alpha: T, a: &Matrix<T>, b: &Matrix<T>, c0: &Matrix<T>) -> Matrix<T> {
     Matrix::from_fn(c0.rows(), c0.cols(), |i, j| {
         let mut acc = T::ZERO;
         for l in 0..a.cols() {
             acc += a[(i, l)] * b[(l, j)];
         }
-        alpha * acc + beta * c0[(i, j)]
+        alpha * acc + c0[(i, j)]
     })
 }
 
@@ -208,32 +207,31 @@ impl<T: Scalar> Viewed<T> {
     }
 }
 
-/// Coefficient pairs covering the beta==0 clear, beta==1 accumulate, and
-/// general-scaling paths.
-const COEFS: [(f64, f64); 4] = [(1.0, 0.0), (1.0, 1.0), (-0.5, 0.25), (2.0, -1.0)];
+/// Alphas covering the plain add of the write-back (`1`), the fused
+/// scaling (`-0.5`, `2`) and the untouched `C` (`0`).
+const ALPHAS: [f64; 4] = [1.0, 0.0, -0.5, 2.0];
 
 #[allow(clippy::too_many_arguments)]
-fn check_gemm<T: Scalar>(m: usize, k: usize, n: usize, seed: u64, ak: u8, bk: u8, coef: usize, tol: f64) {
+fn check_gemm<T: Scalar>(m: usize, k: usize, n: usize, seed: u64, ak: u8, bk: u8, alpha: usize, tol: f64) {
     let a = seeded::<T>(m, k, seed);
     let b = seeded::<T>(k, n, seed ^ 0x5555_5555);
     let c0 = seeded::<T>(m, n, seed ^ 0xaaaa_aaaa);
-    let (alpha, beta) = COEFS[coef % COEFS.len()];
-    let (alpha, beta) = (T::from_f64(alpha), T::from_f64(beta));
+    let alpha = T::from_f64(ALPHAS[alpha % ALPHAS.len()]);
     let (av, bv) = (Viewed::new(&a, ak), Viewed::new(&b, bk));
 
     let mut c = c0.clone();
-    gemm(alpha, av.view(), bv.view(), beta, &mut c.as_mut());
-    let want = naive_gemm(alpha, &a, &b, beta, &c0);
+    gemm(alpha, av.view(), bv.view(), &mut c.as_mut());
+    let want = naive_gemm(alpha, &a, &b, &c0);
     let scale = (k as f64) * want.max_abs().to_f64().max(1.0);
     prop_assert!(
         c.max_abs_diff(&want).to_f64() <= tol * scale,
-        "gemm({m}x{k}x{n}, views {ak}/{bk}, coef {coef}) diverged from the naive oracle"
+        "gemm({m}x{k}x{n}, views {ak}/{bk}, alpha {alpha}) diverged from the naive oracle"
     );
 
     // Packing reads logical elements in a layout-independent order, so the
     // result must be bit-identical to the dense-view call, not just close.
     let mut dense = c0.clone();
-    gemm(alpha, a.as_ref(), b.as_ref(), beta, &mut dense.as_mut());
+    gemm(alpha, a.as_ref(), b.as_ref(), &mut dense.as_mut());
     prop_assert_eq!(c.data(), dense.data(), "strided views changed the bit pattern");
 }
 
@@ -265,17 +263,17 @@ proptest! {
     #[test]
     fn gemm_matches_naive_f64(
         m in 1usize..24, k in 1usize..24, n in 1usize..24,
-        seed in any::<u64>(), ak in 0u8..3, bk in 0u8..3, coef in 0usize..4,
+        seed in any::<u64>(), ak in 0u8..3, bk in 0u8..3, alpha in 0usize..4,
     ) {
-        check_gemm::<f64>(m, k, n, seed, ak, bk, coef, 1e-14);
+        check_gemm::<f64>(m, k, n, seed, ak, bk, alpha, 1e-14);
     }
 
     #[test]
     fn gemm_matches_naive_f32(
         m in 1usize..24, k in 1usize..24, n in 1usize..24,
-        seed in any::<u64>(), ak in 0u8..3, bk in 0u8..3, coef in 0usize..4,
+        seed in any::<u64>(), ak in 0u8..3, bk in 0u8..3, alpha in 0usize..4,
     ) {
-        check_gemm::<f32>(m, k, n, seed, ak, bk, coef, 1e-5);
+        check_gemm::<f32>(m, k, n, seed, ak, bk, alpha, 1e-5);
     }
 
     #[test]
@@ -477,7 +475,7 @@ proptest! {
 }
 
 /// Deterministic large-shape determinism check: sizes chosen so the
-/// *parallel* code paths actually engage — `gemm_par` inside the `tplqt`
+/// *parallel* code paths actually engage — `gemm`'s pool split inside the `tplqt`
 /// fold needs more than 256 rows below a block and ≥ 2²² flops.
 /// Proptest-sized inputs stay on the serial fast paths, so this case is
 /// pinned explicitly.
@@ -490,7 +488,7 @@ fn parallel_paths_bitwise_across_pools() {
     let a32 = seeded::<f32>(48, 6000, 101);
     check_bitwise_across_pools(&a32);
     // 400 × 400: the fold's rank-16 products over up to 384 rows below the
-    // block fan out over `gemm_par`'s 256-column panels. The QR and SVD of
+    // block fan out over `gemm`'s 256-column panels. The QR and SVD of
     // the same matrix are serial; they ride along as a determinism check.
     let sq = seeded::<f64>(400, 400, 103);
     check_bitwise_across_pools(&sq);
@@ -518,7 +516,7 @@ fn check_ttm_across_pools<T: Scalar>() {
             let mut blocks = vec![T::ZERO; rows * before * dims[2]];
             for (yb, xb) in blocks.chunks_mut(rows * before).zip(x.data().chunks(i_n * before)) {
                 let mut y = MatMut::row_major(yb, rows, before);
-                gemm(T::ONE, u.as_ref(), MatRef::row_major(xb, i_n, before), T::ZERO, &mut y);
+                gemm(T::ONE, u.as_ref(), MatRef::row_major(xb, i_n, before), &mut y);
             }
             assert!(want.data() == &blocks[..], "ttm of {dims:?} ×1 differs from its per-block gemms");
         }
@@ -536,8 +534,8 @@ fn check_ttm_across_pools<T: Scalar>() {
 /// Items a call drains on its own thread run inside the call's outermost
 /// perf frame, and the pool's workers never collect: each logical kernel
 /// records once, whichever thread ran which item. A general-mode `ttm`
-/// (one `ttm` frame over pieces of blocks on the pool), a tiled `gemm_into`
-/// (tiles are nested `gemm` frames), a column-panel `syrk`, and a
+/// (one `ttm` frame over pieces of blocks on the pool), a `gemm_into` (one
+/// `gemm` frame), a column-panel `syrk`, and a
 /// multi-leaf `syrk_lower_panels` over row-major blocks (leaves run the
 /// uninstrumented driver, one of them on a worker at two threads), a
 /// multi-leaf `tslq_blocks` over the same blocks and `lq_factor` over a
@@ -562,7 +560,7 @@ fn kernel_counters_equal_across_pools() {
             let _ = gemm_into(a.as_ref(), Trans::No, b.as_ref(), Trans::No);
             let _ = syrk_lower(s.as_ref());
             let _: Matrix<f64> = syrk_lower_panels(rows, &blocks().collect::<Vec<_>>());
-            let _ = tslq_blocks(rows, blocks(), TslqOptions::default());
+            let _ = tslq_blocks(rows, blocks(), TslqOptions);
             let _ = lq_factor(wide.as_ref());
             perf::drain().expect("enabled")
         })
@@ -628,7 +626,7 @@ fn check_lq_factor_table<T: Scalar>() {
 /// `lq_factor` on both sides of every line it draws: the fold's 16-row
 /// block boundary (64 and 65 rows), the flat tree's 1024-column panel
 /// boundary, the `cols < rows` padding, and at 300 rows the parallel branch
-/// of the fold's `gemm_par` products.
+/// of the fold's `gemm` products.
 #[test]
 fn lq_factor_on_both_sides_of_every_line() {
     check_lq_factor_table::<f64>();
@@ -831,7 +829,7 @@ fn check_leaf_line<T: Scalar>(m: usize, groups: usize, rel: f64) {
         let w = 1024.min(cols - j0);
         MatRef::row_major(&buf[m * j0..m * (j0 + w)], m, w)
     });
-    let got = with_tasks(1, || tslq_blocks(m, blocks, TslqOptions::default()));
+    let got = with_tasks(1, || tslq_blocks(m, blocks, TslqOptions));
     assert_eq!(got, l, "{what}: 1024-column blocks");
 
     for tasks in [2, 7] {
@@ -890,7 +888,7 @@ fn leaf_sum(a: &Matrix<f64>, groups: usize, leaves: usize) -> Matrix<f64> {
         let w = ((i + 1) * groups / leaves * 1024).min(n) - j0;
         let leaf = a.as_ref().submatrix(0, j0, m, w);
         let mut part = Matrix::<f64>::zeros(m, m);
-        gemm(1.0, leaf, leaf.t(), 0.0, &mut part.as_mut());
+        gemm(1.0, leaf, leaf.t(), &mut part.as_mut());
         for j in 0..m {
             for r in j..m {
                 want[(r, j)] = if i == 0 { part[(r, j)] } else { want[(r, j)] + part[(r, j)] };

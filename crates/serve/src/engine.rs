@@ -196,8 +196,9 @@ impl<T: IoScalar> Engine<T> {
     }
 
     /// Answer a batch of queries, computing each distinct mode-0 partial
-    /// once (one batched GEMM against the packed core) and sharing it
-    /// across the batch — and across future batches via the cache.
+    /// once (one [`TuckerStore::contract_mode0`] against the packed core,
+    /// on the calling thread) and sharing it across the batch — and across
+    /// future batches via the cache.
     pub fn execute_batch(&mut self, qs: &[Query]) -> Result<BatchOutput<T>, ServeError> {
         if self.record_spans {
             self.spans.clear();
@@ -238,7 +239,7 @@ impl<T: IoScalar> Engine<T> {
             spec_of.push(idx);
         }
 
-        // Resolve each distinct partial: cache hit, or batched contraction.
+        // Resolve each distinct partial: cache hit, or one contraction.
         let caching = self.cfg.cache_budget > 0;
         let mut partials: Vec<Option<Arc<Tensor<T>>>> = vec![None; distinct.len()];
         if caching {
@@ -261,20 +262,16 @@ impl<T: IoScalar> Engine<T> {
         let missing: Vec<usize> =
             (0..distinct.len()).filter(|&i| partials[i].is_none()).collect();
         let mut shared_flops = 0.0;
-        if !missing.is_empty() {
-            let specs: Vec<SlabSel> = missing.iter().map(|&i| distinct[i]).collect();
-            let computed = self.store.contract_mode0_batch(&specs);
-            for (&i, tensor) in missing.iter().zip(computed) {
-                let spec = distinct[i];
-                shared_flops += 2.0 * spec.2 as f64 * ranks[0] as f64 * rest as f64;
-                let value = Arc::new(tensor);
-                if caching {
-                    let key = PartialKey { mode: 0, start: spec.0, end: spec.0 + spec.2 };
-                    let bytes = value.len() * sb;
-                    self.cache.insert(key, Arc::clone(&value), bytes);
-                }
-                partials[i] = Some(value);
+        for &i in &missing {
+            let spec = distinct[i];
+            shared_flops += 2.0 * spec.2 as f64 * ranks[0] as f64 * rest as f64;
+            let value = Arc::new(self.store.contract_mode0(spec));
+            if caching {
+                let key = PartialKey { mode: 0, start: spec.0, end: spec.0 + spec.2 };
+                let bytes = value.len() * sb;
+                self.cache.insert(key, Arc::clone(&value), bytes);
             }
+            partials[i] = Some(value);
         }
         let shared_seconds = if missing.is_empty() {
             0.0

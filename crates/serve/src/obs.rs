@@ -187,9 +187,9 @@ pub enum EngineStep {
         /// One past the last mode-0 row of the partial.
         end: usize,
     },
-    /// The batched shared mode-0 GEMM (`gemm/mode0 shared xN`).
+    /// The mode-0 contractions a batch shares (`gemm/mode0 shared xN`).
     Gemm {
-        /// Distinct partials the shared call computed.
+        /// Distinct partials computed for the batch.
         shared: usize,
     },
     /// One TTM plan step (`ttm/mode{n}`).

@@ -21,7 +21,7 @@
 use crate::error::ServeError;
 use tucker_core::tucker_io::{read_tucker, read_tucker_header, TuckerIoError};
 use tucker_core::TuckerTensor;
-use tucker_linalg::{gemm_prepacked, gemm_prepacked_batch, MatMut, MatRef, Matrix, PackedA};
+use tucker_linalg::{gemm_prepacked, MatRef, Matrix, PackedA};
 use tucker_tensor::io::IoScalar;
 use tucker_tensor::{SlabSel, Tensor};
 
@@ -97,55 +97,31 @@ impl<T: IoScalar> TuckerStore<T> {
     }
 
     /// Contract mode 0 with the selected factor rows through the cached
-    /// packed core: returns `G ×_0 U_0[sel]`, dims `[count, R_1, …]`.
-    /// Bit-identical to the same rows of `ttm(core, 0, U_0, false)`.
+    /// packed core — one [`gemm_prepacked`] call on the calling thread:
+    /// returns `G ×_0 U_0[sel]`, dims `[count, R_1, …]`. Bit-identical to
+    /// the same rows of `ttm(core, 0, U_0, false)`. A batch of queries
+    /// shares a partial by making this call once per distinct selection.
     pub fn contract_mode0(&self, sel: SlabSel) -> Tensor<T> {
-        let mut out = self.contract_mode0_batch(&[sel]);
-        out.pop().expect("batch of one")
-    }
-
-    /// Batched mode-0 contraction: many row selections against the one
-    /// packed core operand in a single [`gemm_prepacked_batch`] call — the
-    /// serving loop's shared-work path. Each result is bit-identical to a
-    /// solo [`TuckerStore::contract_mode0`] call.
-    pub fn contract_mode0_batch(&self, sels: &[SlabSel]) -> Vec<Tensor<T>> {
+        let count = sel.2;
         let rest: usize = self.ranks.iter().skip(1).product();
-        let mut cts: Vec<Matrix<T>> =
-            sels.iter().map(|&(_, _, count)| Matrix::zeros(rest, count)).collect();
-        {
-            let mut jobs: Vec<(MatRef<'_, T>, MatMut<'_, T>)> = sels
-                .iter()
-                .zip(&mut cts)
-                .map(|(&sel, ct)| (self.factor_rows(0, sel).t(), ct.as_mut()))
-                .collect();
-            if jobs.len() == 1 {
-                let (b, c) = &mut jobs[0];
-                gemm_prepacked(T::ONE, &self.packed_core_t, *b, c);
-            } else {
-                gemm_prepacked_batch(T::ONE, &self.packed_core_t, &mut jobs);
-            }
-        }
+        let mut ct = Matrix::zeros(rest, count);
+        gemm_prepacked(T::ONE, &self.packed_core_t, self.factor_rows(0, sel).t(), &mut ct.as_mut());
         // Transpose-copy Cᵀ (rest × count, col-major) into tensor layout
         // [count, R_1, …] — a pure permutation of bits.
-        sels.iter()
-            .zip(cts)
-            .map(|(&(_, _, count), ct)| {
-                let mut ydims = self.ranks.clone();
-                if ydims.is_empty() {
-                    ydims = vec![count];
-                } else {
-                    ydims[0] = count;
-                }
-                let src = ct.data();
-                let mut data = Vec::with_capacity(count * rest);
-                for j in 0..rest {
-                    for i in 0..count {
-                        data.push(src[j + rest * i]);
-                    }
-                }
-                Tensor::from_data(&ydims, data)
-            })
-            .collect()
+        let mut ydims = self.ranks.clone();
+        if ydims.is_empty() {
+            ydims = vec![count];
+        } else {
+            ydims[0] = count;
+        }
+        let src = ct.data();
+        let mut data = Vec::with_capacity(count * rest);
+        for j in 0..rest {
+            for i in 0..count {
+                data.push(src[j + rest * i]);
+            }
+        }
+        Tensor::from_data(&ydims, data)
     }
 
     /// Approximate resident bytes of the store (decomposition + pack).
@@ -209,17 +185,6 @@ mod tests {
         let sel = st.contract_mode0((1, 3, 3));
         let want = hyperslab(&full, &[(1, 3, 3), (0, 1, 3), (0, 1, 5)]);
         assert_eq!(sel.data(), want.data());
-    }
-
-    #[test]
-    fn batch_matches_solo_bitwise() {
-        let st = sample_store();
-        let sels = [(0usize, 1usize, 9usize), (2, 2, 3), (4, 1, 1), (0, 4, 3)];
-        let batch = st.contract_mode0_batch(&sels);
-        for (&sel, got) in sels.iter().zip(&batch) {
-            let solo = st.contract_mode0(sel);
-            assert_eq!(got.data(), solo.data());
-        }
     }
 
     #[test]

@@ -218,7 +218,7 @@ mod tests {
             let g64 = Matrix::from_fn(u.rows(), u.rows(), |i, j| T::from_f64(g64[(i, j)]));
             assert!(g64.max_abs_diff(&want) <= tol, "{what}: f64-accumulated gram");
 
-            let l = u.lq(TslqOptions::default());
+            let l = u.lq(TslqOptions);
             assert_eq!(l.shape(), (u.rows(), u.rows()), "{what}");
             for j in 0..l.cols() {
                 for i in 0..j {
@@ -226,7 +226,7 @@ mod tests {
                 }
             }
             assert!(llt(&l).max_abs_diff(&want) <= tol, "{what}: L Lᵀ");
-            let walked = tslq_blocks(u.rows(), u.blocks(), TslqOptions::default());
+            let walked = tslq_blocks(u.rows(), u.blocks(), TslqOptions);
             assert!(llt(&walked).max_abs_diff(&llt(&l)) <= tol, "{what}: whole view vs blocks");
         }
     }

@@ -518,6 +518,16 @@ if grep -rnE 'thread::(scope|spawn)' crates/{linalg,tensor,dtensor,core,serve,st
 fi
 echo "pool gate: one pool start, no thread per call OK"
 
+# One GEMM (DESIGN.md §10): `gemm` accumulates and owns the only GEMM pool
+# split; `gemm_into` is it onto zeros, `gemm_prepacked` one panel against a
+# pre-packed `A`. The deleted second and third schedules, the batch path
+# over the pool and the unused distributed append stay gone.
+if grep -rnE 'gemm_par|gemm_into_tiled|gemm_prepacked_batch|contract_mode0_batch|split_ranges|append_mode' crates src tests examples; then
+    echo "gemm gate: a deleted GEMM entry point or schedule is back" >&2
+    exit 1
+fi
+echo "gemm gate: one GEMM, one pool schedule OK"
+
 # One syrk per Gram (DESIGN.md §10): an unfolding's row-major blocks reach
 # the kernel as one panel sequence — its slabs run across block boundaries —
 # so nothing outside crates/linalg loops over `.blocks()` to call syrk, and

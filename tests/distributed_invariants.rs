@@ -77,7 +77,7 @@ proptest! {
         let out = Simulator::new(p).with_cost(CostModel::zero()).run(|ctx| {
             let dt = DistTensor::scatter_from(&x, &g, ctx.rank());
             let mut world = Comm::world(ctx);
-            parallel_tensor_lq(ctx, &mut world, &dt, n, ReductionTree::Butterfly, TslqOptions::default())
+            parallel_tensor_lq(ctx, &mut world, &dt, n, ReductionTree::Butterfly, TslqOptions)
                 .unwrap()
         });
         let l0 = &out.results[0];
