@@ -82,7 +82,7 @@ fn simulate_noise<T: Scalar>(
                 dims: vec![d; grid.len()],
                 ranks: ranks.clone(),
                 grid: grid.to_vec(),
-                order: cfg.mode_order.resolve(grid.len()),
+                order: cfg.resolved_order(&vec![d; grid.len()], T::BYTES).expect("valid config"),
                 method: cfg.method,
                 tree: cfg.tree,
                 bytes: T::BYTES,

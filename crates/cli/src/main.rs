@@ -3,7 +3,7 @@
 //! ```text
 //! tucker generate <out.tns> --kind hcci|sp|video|random --dims 40x40x33x40 [--seed N] [--f32]
 //! tucker compress <in.tns> <out.tkr> [--tol 1e-4 | --ranks 5x5x3x5]
-//!                 [--method qr|gram|gram-mixed|randomized] [--order forward|backward]
+//!                 [--method qr|gram|gram-mixed|randomized] [--order forward|backward|auto]
 //! tucker decompress <in.tkr> <out.tns>
 //! tucker info <file.tns|file.tkr>
 //! tucker error <original.tns> <reconstruction.tns>

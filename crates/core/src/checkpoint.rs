@@ -219,7 +219,7 @@ fn read_state<T: Scalar + IoScalar>(
     )?;
     let order = r.usizes(nmodes)?;
     ensure(
-        order == cfg.mode_order.resolve(nmodes),
+        order == cfg.resolved_order(x.global_dims(), T::BYTES)?,
         "checkpoint mode order differs from the current config",
     )?;
     let norm_x = r.scalars::<T>(1)?[0];

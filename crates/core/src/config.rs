@@ -1,10 +1,12 @@
 //! Configuration of an ST-HOSVD run: SVD algorithm, mode ordering,
 //! truncation criterion, and the tuning knobs of §4.2.
 
+use crate::order::{optimize_mode_order, OrderSearch};
 use tucker_dtensor::ReductionTree;
 use tucker_linalg::randomized::RandomizedSvdConfig;
 use tucker_linalg::tslq::TslqOptions;
 use tucker_linalg::LinalgError;
+use tucker_mpisim::CostModel;
 
 /// Which SVD algorithm factors each unfolding (the paper's central choice).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,7 +44,8 @@ impl SvdMethod {
 }
 
 /// Order in which ST-HOSVD processes the modes (§4.2.3: the paper considers
-/// the forward and backward orderings of the storage order).
+/// the forward and backward orderings of the storage order, and ordering by
+/// cost whenever the ranks are known).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ModeOrder {
     /// `0, 1, ..., N-1`.
@@ -51,6 +54,9 @@ pub enum ModeOrder {
     Backward,
     /// Explicit permutation of `0..N`.
     Custom(Vec<usize>),
+    /// The cheapest order under the cost model when the ranks are fixed,
+    /// `Forward` otherwise; see [`SthosvdConfig::resolved_order`].
+    Auto,
 }
 
 impl ModeOrder {
@@ -62,15 +68,17 @@ impl ModeOrder {
         p.len() == n && p.iter().all(|&m| m < n && !std::mem::replace(&mut seen[m], true))
     }
 
-    /// Resolve to an explicit permutation for `n` modes. Panics unless
-    /// [`ModeOrder::is_permutation_of`] holds; the drivers check that first
-    /// and return a typed error.
+    /// Resolve an explicit order to its permutation of `n` modes. Panics
+    /// unless [`ModeOrder::is_permutation_of`] holds, and on `Auto`, which
+    /// needs the tensor and the ranks: a run's order comes from
+    /// [`SthosvdConfig::resolved_order`], which returns typed errors.
     pub fn resolve(&self, n: usize) -> Vec<usize> {
         assert!(self.is_permutation_of(n), "mode order {self:?} must be a permutation of 0..{n}");
         match self {
             ModeOrder::Forward => (0..n).collect(),
             ModeOrder::Backward => (0..n).rev().collect(),
             ModeOrder::Custom(p) => p.clone(),
+            ModeOrder::Auto => unreachable!("Auto is resolved against dims and ranks"),
         }
     }
 }
@@ -120,9 +128,14 @@ impl SthosvdConfig {
         }
     }
 
-    /// Fixed-rank config with defaults.
+    /// Fixed-rank config with defaults: QR-SVD, and the mode order the cost
+    /// model picks for these ranks ([`ModeOrder::Auto`]).
     pub fn with_ranks(ranks: Vec<usize>) -> Self {
-        SthosvdConfig { truncation: Truncation::Ranks(ranks), ..Self::with_tolerance(0.0) }
+        SthosvdConfig {
+            mode_order: ModeOrder::Auto,
+            truncation: Truncation::Ranks(ranks),
+            ..Self::with_tolerance(0.0)
+        }
     }
 
     /// No-truncation config (full HOSVD; singular-value probes).
@@ -168,6 +181,62 @@ impl SthosvdConfig {
         }
     }
 
+    /// The mode-processing order of a run on a tensor of `dims` in a
+    /// `bytes`-wide scalar: the configured permutation, or for
+    /// [`ModeOrder::Auto`] with fixed ranks the cheapest order under the cost
+    /// model (exhaustive up to 6 modes, greedy beyond) on `min(R_n, I_n)`, a
+    /// 1×…×1 grid, the method and `bytes`. The grid is fixed so that one
+    /// input and one config give one order — and one set of bits — on every
+    /// grid. `Auto` without fixed ranks is `Forward`. The mode loop, the
+    /// checkpoint reader and the CLI all resolve through here.
+    pub fn resolved_order(&self, dims: &[usize], bytes: usize) -> Result<Vec<usize>, LinalgError> {
+        let n = dims.len();
+        if !self.mode_order.is_permutation_of(n) {
+            return Err(LinalgError::InvalidConfig {
+                param: "mode_order",
+                value: format!("{:?} for a {n}-mode tensor", self.mode_order),
+                expected: "each mode exactly once",
+            });
+        }
+        match (&self.mode_order, &self.truncation) {
+            (ModeOrder::Auto, Truncation::Ranks(r)) if n > 0 => {
+                check_ranks(r, n)?;
+                let ranks: Vec<usize> = r.iter().zip(dims).map(|(&r, &d)| r.min(d)).collect();
+                let search = if n <= 6 { OrderSearch::Exhaustive } else { OrderSearch::Greedy };
+                let (order, _) = optimize_mode_order(
+                    dims,
+                    &ranks,
+                    &vec![1; n],
+                    self.method,
+                    bytes,
+                    CostModel::andes(),
+                    search,
+                );
+                Ok(order.resolve(n))
+            }
+            (ModeOrder::Auto, _) => Ok(ModeOrder::Forward.resolve(n)),
+            (order, _) => Ok(order.resolve(n)),
+        }
+    }
+
+    /// Does the QR method take mode `n`'s singular vectors from a thin SVD
+    /// of its `rows × cols` unfolding instead of an LQ padded to a
+    /// `rows × rows` triangle? Only when the unfolding is tall
+    /// (`cols < rows`) and the rank rule cannot need more than `cols`
+    /// columns: a tolerance, or a fixed `min(R_n, rows) ≤ cols`. The
+    /// singular values past `cols` are exact zeros either way.
+    pub fn thin_svd(&self, n: usize, rows: usize, cols: usize) -> bool {
+        // The columns the rank rule needs the SVD to offer: none in
+        // particular for a tolerance (it cuts whatever profile it gets), a
+        // fixed rank its cap, every row without truncation.
+        let need = match &self.truncation {
+            Truncation::Tolerance(_) => 0,
+            Truncation::Ranks(r) => r.get(n).map_or(rows, |&r| r.min(rows)),
+            Truncation::None => rows,
+        };
+        thin_qr(self.method, rows, cols, need)
+    }
+
     /// Validate the knobs of the configured method — the randomized
     /// method's, the only one that has any — with typed errors
     /// instead of silently clamping out-of-range values or panicking in a
@@ -200,6 +269,29 @@ impl SthosvdConfig {
     }
 }
 
+/// Does a mode of `rows × cols` unfolding whose rank rule keeps at most
+/// `rank` columns take QR-SVD's thin path? Only QR-SVD, only a tall
+/// unfolding, and only a rank that fits in `cols`. The one copy of the
+/// rule: [`SthosvdConfig::thin_svd`] asks it before the SVD, and the model
+/// and `--model-check` ask it with the rank the run kept, which is the same
+/// decision.
+pub fn thin_qr(method: SvdMethod, rows: usize, cols: usize, rank: usize) -> bool {
+    method == SvdMethod::Qr && cols < rows && rank <= cols
+}
+
+/// Fixed ranks must name every one of `nmodes` modes with a rank of at
+/// least one.
+pub(crate) fn check_ranks(r: &[usize], nmodes: usize) -> Result<(), LinalgError> {
+    if r.len() != nmodes || r.contains(&0) {
+        return Err(LinalgError::InvalidConfig {
+            param: "ranks",
+            value: format!("{r:?} for a {nmodes}-mode tensor"),
+            expected: "one rank of at least 1 per mode",
+        });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,6 +321,39 @@ mod tests {
         assert_eq!(cfg.method, SvdMethod::Gram);
         assert_eq!(cfg.mode_order, ModeOrder::Backward);
         assert_eq!(cfg.truncation, Truncation::Tolerance(1e-4));
+    }
+
+    #[test]
+    fn auto_is_the_fixed_rank_default_and_resolves_once() {
+        let ranks = SthosvdConfig::with_ranks(vec![20, 20, 2]);
+        assert_eq!(ranks.mode_order, ModeOrder::Auto);
+        assert_eq!(SthosvdConfig::with_tolerance(1e-3).mode_order, ModeOrder::Forward);
+        assert_eq!(SthosvdConfig::no_truncation().mode_order, ModeOrder::Forward);
+        // Mode 2 truncates 100 → 2: the cost model processes it first.
+        let order = ranks.clone().resolved_order(&[40, 40, 100], 8).unwrap();
+        assert_eq!(order[0], 2, "{order:?}");
+        // Ranks past a dimension are capped before the search.
+        let at = SthosvdConfig::with_ranks(vec![40, 20, 2]).resolved_order(&[40, 40, 100], 8);
+        let past = SthosvdConfig::with_ranks(vec![99, 20, 2]).resolved_order(&[40, 40, 100], 8);
+        assert_eq!(at.unwrap(), past.unwrap());
+        // Without fixed ranks Auto is Forward, and an explicit order is kept.
+        let tol = SthosvdConfig::with_tolerance(1e-3).order(ModeOrder::Auto);
+        assert_eq!(tol.resolved_order(&[40, 40, 100], 8).unwrap(), [0, 1, 2]);
+        let back = ranks.order(ModeOrder::Backward);
+        assert_eq!(back.resolved_order(&[40, 40, 100], 8).unwrap(), [2, 1, 0]);
+    }
+
+    #[test]
+    fn thin_svd_only_where_the_rank_rule_fits_the_columns() {
+        // A 40 × 30 unfolding is tall; a 30 × 40 one is not.
+        let qr = |t: Truncation| SthosvdConfig { truncation: t, ..SthosvdConfig::no_truncation() };
+        assert!(qr(Truncation::Tolerance(1e-3)).thin_svd(0, 40, 30));
+        assert!(!qr(Truncation::Tolerance(1e-3)).thin_svd(0, 30, 40));
+        assert!(qr(Truncation::Ranks(vec![30, 1])).thin_svd(0, 40, 30));
+        assert!(!qr(Truncation::Ranks(vec![31, 1])).thin_svd(0, 40, 30));
+        assert!(!qr(Truncation::None).thin_svd(0, 40, 30));
+        let gram = qr(Truncation::Tolerance(1e-3)).method(SvdMethod::Gram);
+        assert!(!gram.thin_svd(0, 40, 30), "only QR-SVD factors thin");
     }
 
     #[test]

@@ -20,11 +20,11 @@
 //! include their nested children (redistribution, all-reduce, TSQR tree),
 //! so the three labels cover each mode's full cost.
 
-use crate::config::SvdMethod;
+use crate::config::{thin_qr, SvdMethod};
 use tucker_dtensor::{
     lq_flops, prev_power_of_two, sketch_cols, sketch_qr_flops, slab_exchange_counts, ReductionTree,
 };
-use tucker_linalg::perf::svd_flops;
+use tucker_linalg::perf::{svd_flops, thin_svd_flops};
 use tucker_linalg::randomized::{sketch_block_count, RandomizedSvdConfig};
 use tucker_mpisim::{json_f64 as jf, MetricsRegistry, PhaseStat, RankStats};
 
@@ -191,17 +191,28 @@ fn predict_counts(cfg: &CheckConfig) -> Vec<(usize, Predicted)> {
         let p_n = cfg.grid[n] as f64;
         let r_n = cfg.ranks[n] as f64;
         let tri = m * (m + 1.0) / 2.0; // packed triangle words
+        let cols = ju.iter().product::<usize>() / ju[n];
+        let thin = thin_qr(cfg.method, ju[n], cols, cfg.ranks[n]);
         let mut pr = Predicted::default();
 
         // Fiber redistribution (skipped when P_n = 1): every rank sends
         // (P_n−1)/P_n of its J*/P local words. The randomized method does a
-        // slab all-to-all instead, predicted in its own arm below.
-        if cfg.method != SvdMethod::Randomized && cfg.grid[n] > 1 {
+        // slab all-to-all instead, predicted in its own arm below; a thin QR
+        // mode gathers the whole tensor instead.
+        if cfg.method != SvdMethod::Randomized && !thin && cfg.grid[n] > 1 {
             pr.bytes += jstar * (p_n - 1.0) / p_n * w;
             pr.msgs += (p * (cfg.grid[n] - 1)) as u64;
         }
 
         match cfg.method {
+            SvdMethod::Qr if thin => {
+                // Ring allgather of the working tensor: every block travels
+                // P−1 hops, one message per rank per step.
+                pr.bytes += (pf - 1.0) * jstar * w;
+                pr.msgs += (p * (p - 1)) as u64;
+                // Redundant thin SVD of the tall unfolding on every rank.
+                pr.flops += pf * thin_svd_flops(ju[n], cols);
+            }
             SvdMethod::Gram | SvdMethod::GramMixed => {
                 // Local syrk totals J_n·J* raw flops machine-wide (the
                 // column counts tile the unfolding exactly, even unevenly).

@@ -10,7 +10,7 @@
 //! "build a backend, run [`run`]"; classic HOSVD reuses [`factor_mode`]
 //! under another schedule.
 
-use crate::config::{SthosvdConfig, Truncation};
+use crate::config::{check_ranks, SthosvdConfig, Truncation};
 use crate::truncate::{choose_rank, estimated_error, mode_threshold};
 use tucker_linalg::{LinalgError, Matrix, Result, Scalar};
 
@@ -25,8 +25,10 @@ pub trait ModeBackend<T: Scalar> {
     /// Global dimensions of a working tensor.
     fn dims<'a>(&'a self, y: &'a Self::Tensor) -> &'a [usize];
 
-    /// Left singular vectors (`I_n × k`, `k ≤ I_n`) and their `k` singular
-    /// values (descending) of the mode-`n` unfolding of `y`, by `cfg.method`.
+    /// Left singular vectors (`I_n × k`, `k ≤ I_n`) and the singular values
+    /// (descending) of the mode-`n` unfolding of `y`, by `cfg.method`: `k`
+    /// of them, or `I_n` with exact zeros past `k` where QR-SVD took a thin
+    /// SVD of a tall unfolding ([`SthosvdConfig::thin_svd`]).
     fn mode_factor(
         &mut self,
         y: &Self::Tensor,
@@ -69,14 +71,11 @@ impl<T: Scalar> RankRule<T> {
                 })
             }
             Truncation::Tolerance(eps) => mode_threshold(*eps, norm, nmodes),
-            Truncation::Ranks(r) if r.len() != nmodes || r.contains(&0) => {
-                return Err(LinalgError::InvalidConfig {
-                    param: "ranks",
-                    value: format!("{r:?} for a {nmodes}-mode tensor"),
-                    expected: "one rank of at least 1 per mode",
-                })
+            Truncation::Ranks(r) => {
+                check_ranks(r, nmodes)?;
+                T::ZERO
             }
-            Truncation::Ranks(_) | Truncation::None => T::ZERO,
+            Truncation::None => T::ZERO,
         };
         Ok(RankRule { truncation: truncation.clone(), threshold })
     }
@@ -113,6 +112,11 @@ pub struct ModeStep<T> {
     pub tail_sq: T,
 }
 
+/// Width `I^*/I_n` of the mode-`n` unfolding of a tensor of `dims`.
+pub fn unfolding_cols(dims: &[usize], n: usize) -> usize {
+    dims.iter().enumerate().filter(|&(m, _)| m != n).map(|(_, &d)| d).product()
+}
+
 /// Factor the mode-`n` unfolding of `y`, pick `R_n`, cut `U` to it.
 pub fn factor_mode<T: Scalar, B: ModeBackend<T>>(
     b: &mut B,
@@ -121,7 +125,7 @@ pub fn factor_mode<T: Scalar, B: ModeBackend<T>>(
     rule: &RankRule<T>,
     cfg: &SthosvdConfig,
 ) -> Result<ModeStep<T>> {
-    let cols = b.dims(y).iter().enumerate().filter(|&(m, _)| m != n).map(|(_, &d)| d).product();
+    let cols = unfolding_cols(b.dims(y), n);
     let (u, sigma) = b.mode_factor(y, n, cfg)?;
     let r_n = rule.rank(&sigma, n);
     let tail_sq = sigma[r_n..].iter().map(|&s| s * s).sum();
@@ -173,8 +177,9 @@ pub struct LoopOutput<T, Y> {
 }
 
 impl<T: Scalar, Y: Clone> LoopState<T, Y> {
-    /// Validate the config against `x`, resolve the mode order and compute
-    /// the input norm and the rank rule.
+    /// Validate the config against `x`, resolve the mode order
+    /// ([`SthosvdConfig::resolved_order`]) and compute the input norm and the
+    /// rank rule.
     pub fn init<B: ModeBackend<T, Tensor = Y>>(
         b: &mut B,
         x: &Y,
@@ -190,16 +195,10 @@ impl<T: Scalar, Y: Clone> LoopState<T, Y> {
                 expected: "every extent at least 1 (an empty tensor has nothing to decompose)",
             });
         }
-        if !cfg.mode_order.is_permutation_of(nmodes) {
-            return Err(LinalgError::InvalidConfig {
-                param: "mode_order",
-                value: format!("{:?} for a {nmodes}-mode tensor", cfg.mode_order),
-                expected: "each mode exactly once",
-            });
-        }
+        let order = cfg.resolved_order(dims, T::BYTES)?;
         let norm_x = b.norm(x);
         Ok(LoopState {
-            order: cfg.mode_order.resolve(nmodes),
+            order,
             done: 0,
             norm_x,
             rule: RankRule::new(&cfg.truncation, norm_x, nmodes)?,

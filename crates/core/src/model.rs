@@ -9,8 +9,8 @@
 //! The simulated runtime charges the same formulas operation by operation;
 //! `tests` cross-check the two on small configurations.
 
-use crate::config::SvdMethod;
-use tucker_linalg::perf::svd_flops;
+use crate::config::{thin_qr, SvdMethod};
+use tucker_linalg::perf::{svd_flops, thin_svd_flops};
 use tucker_mpisim::CostModel;
 
 /// Configuration of a modeled run.
@@ -101,13 +101,21 @@ pub fn predict(cfg: &ModelConfig) -> ModelOutput {
         let _ = c_loc;
         let p_n = cfg.grid[n] as f64;
         let mut mc = ModeCost { mode: n, ..Default::default() };
+        let cols = (jstar / jn) as usize;
+        let thin = thin_qr(cfg.method, jn as usize, cols, cfg.ranks[n]);
 
         // Fiber redistribution (skipped when P_n = 1): β·J*/P* + α·(P_n−1).
-        if cfg.grid[n] > 1 {
+        if cfg.grid[n] > 1 && !thin {
             mc.redistribute = beta * local * bytes + alpha * (p_n - 1.0);
         }
 
         match cfg.method {
+            SvdMethod::Qr if thin => {
+                // Ring allgather of the whole (tall) unfolding, then the
+                // redundant thin SVD of it.
+                mc.factor = (p_total as f64 - 1.0) * (alpha + beta * local * bytes);
+                mc.small_svd = gamma * thin_svd_flops(jn as usize, cols);
+            }
             SvdMethod::Gram => {
                 // Local syrk: γ·J_n·J*/P* (eq. 11), derated per the paper's
                 // measured syrk efficiency (see CostModel::syrk_derate).
@@ -163,7 +171,11 @@ pub fn predict(cfg: &ModelConfig) -> ModelOutput {
         let local = jstar / p_total as f64;
         let cols_loc = jstar / (jn * p_total as f64);
         let r_n = cfg.ranks[n] as f64;
+        let cols = (jstar / jn) as usize;
         match cfg.method {
+            SvdMethod::Qr if thin_qr(cfg.method, jn as usize, cols, cfg.ranks[n]) => {
+                out.flops_per_rank += thin_svd_flops(jn as usize, cols);
+            }
             SvdMethod::Gram => {
                 out.flops_per_rank += jn * jstar / p_total as f64 + svd_flops(jn as usize);
             }

@@ -164,6 +164,33 @@ mod tests {
         assert!(best < worst, "no spread found: best {best}, worst {worst}");
     }
 
+    /// The stream's Full recompute shape: on [456, 64, 64] with ranks 12³
+    /// the default fixed-rank order is no dearer than Forward under the
+    /// model and processes the tall time mode last, where QR-SVD factors
+    /// its 456 × 144 unfolding thin.
+    #[test]
+    fn auto_processes_the_long_mode_last_on_the_stream_shape() {
+        use crate::config::SthosvdConfig;
+        let dims = [456, 64, 64];
+        let cfg = SthosvdConfig::with_ranks(vec![12; 3]);
+        let auto = cfg.resolved_order(&dims, 8).unwrap();
+        assert_eq!(auto.last(), Some(&0), "{auto:?}");
+        let cost = |order: Vec<usize>| {
+            predict(&ModelConfig {
+                dims: dims.to_vec(),
+                ranks: vec![12; 3],
+                grid: vec![1; 3],
+                order,
+                method: SvdMethod::Qr,
+                bytes: 8,
+                cost: CostModel::andes(),
+            })
+            .total
+        };
+        let (auto_s, forward_s) = (cost(auto), cost(vec![0, 1, 2]));
+        assert!(auto_s <= forward_s, "auto {auto_s} vs forward {forward_s}");
+    }
+
     #[test]
     fn single_mode_trivial() {
         let (order, _) = optimize_mode_order(

@@ -4,16 +4,20 @@
 //! Per mode: the SVD of the distributed unfolding is computed either by the
 //! parallel Gram algorithm (local `syrk` after fiber redistribution + world
 //! all-reduce, then a redundant eigendecomposition) or by the parallel
-//! butterfly-TSQR LQ (Alg. 3, then a redundant SVD of the triangle); the
-//! truncation TTM is the reduce-scatter algorithm of `tucker-dtensor`.
-//! All ranks make identical rank decisions because both paths leave the
-//! reduced matrix (Gram matrix or triangle) bit-identical everywhere.
+//! butterfly-TSQR LQ (Alg. 3, then a redundant SVD of the triangle) — or,
+//! on a tall mode QR-SVD factors thin, by an allgather of the unfolding and
+//! a redundant SVD of it; the truncation TTM is the reduce-scatter
+//! algorithm of `tucker-dtensor`. All ranks make identical rank decisions
+//! because every path leaves the reduced matrix (Gram matrix, triangle or
+//! unfolding) bit-identical everywhere.
 //!
 //! Phase timers label the paper's breakdown categories: `LQ`/`Gram`,
-//! `SVD`/`EVD`, `TTM` (plus the nested `Redistribute`).
+//! `SVD`/`EVD`, `TTM` (plus the nested `Redistribute`, and `SVD/gather` on
+//! a thin mode).
 
 use crate::config::{SthosvdConfig, SvdMethod};
-use crate::mode_loop::{self, LoopOutput, LoopState, ModeBackend, ModeStep};
+use crate::mode_loop::{self, unfolding_cols, LoopOutput, LoopState, ModeBackend, ModeStep};
+use crate::svd_driver::{thin_svd, with_unfolding};
 use crate::tucker::TuckerTensor;
 use tucker_dtensor::{
     parallel_gram, parallel_gram_mixed, parallel_sketch_svd, parallel_tensor_lq, parallel_ttm,
@@ -21,7 +25,7 @@ use tucker_dtensor::{
 };
 use tucker_linalg::gram_svd::gram_svd_from_gram;
 use tucker_linalg::mixed::gram_svd_mixed_from_gram;
-use tucker_linalg::perf::svd_flops;
+use tucker_linalg::perf::{svd_flops, thin_svd_flops};
 use tucker_linalg::randomized::sketch_block_count;
 use tucker_linalg::svd::svd_left;
 use tucker_linalg::{LinalgError, Matrix, Result, Scalar};
@@ -167,6 +171,18 @@ impl<T: Scalar> ModeBackend<T> for DistBackend<'_> {
                 let rank = cfg.fixed_ranks()?[n].min(m);
                 mode_phase(ctx, "Sketch", n, |c| {
                     parallel_sketch_svd(c, world, y, n, rank, &cfg.randomized)
+                })
+            }
+            // A thin mode allgathers the working tensor — its whole
+            // `I_n × I^*/I_n` unfolding, fewer words than an `I_n × I_n`
+            // square — and every rank runs the dense backend's call on it:
+            // the same bits on every grid.
+            SvdMethod::Qr if cfg.thin_svd(n, m, unfolding_cols(y.global_dims(), n)) => {
+                mode_phase(ctx, "SVD", n, |c| {
+                    let whole = c.phase("SVD/gather", |c| y.gather(c, world));
+                    let cols = whole.len() / m;
+                    c.charge_flops(thin_svd_flops(m, cols), T::BYTES);
+                    with_unfolding(&whole, n, thin_svd)
                 })
             }
             SvdMethod::Qr => {
@@ -352,6 +368,68 @@ mod tests {
                     assert_one_rank_grid_is_sequential(&x32, &cfg);
                 }
             }
+        }
+    }
+
+    /// A tall mode's thin SVD is the dense backend's call on the gathered
+    /// unfolding: factor and σ carry the dense bits on every grid, whichever
+    /// mode the grid splits, in both precisions.
+    #[test]
+    fn thin_mode_factor_has_the_dense_bits_on_every_grid() {
+        fn check<T: Scalar>(x: &Tensor<T>, n: usize) {
+            let cfg = SthosvdConfig::with_tolerance(1e-3);
+            let bits = |v: &[T]| -> Vec<u64> { v.iter().map(|s| s.to_f64().to_bits()).collect() };
+            let (u, s) = crate::svd_driver::DenseBackend.mode_factor(x, n, &cfg).unwrap();
+            for grid in [[1usize, 1, 1], [2, 1, 1], [1, 2, 1]] {
+                let p = grid.iter().product();
+                let out = Simulator::new(p).with_cost(CostModel::zero()).run(|ctx| {
+                    let dt = DistTensor::scatter_from(x, &ProcessorGrid::new(&grid), ctx.rank());
+                    let mut world = Comm::world(ctx);
+                    DistBackend { ctx, world: &mut world }.mode_factor(&dt, n, &cfg).unwrap()
+                });
+                for (u_p, s_p) in &out.results {
+                    let what = format!("{}-byte mode {n} grid {grid:?}", T::BYTES);
+                    assert_eq!(bits(u_p.data()), bits(u.data()), "{what}: factor bits");
+                    assert_eq!(bits(s_p), bits(&s), "{what}: sigma bits");
+                }
+            }
+        }
+        for (n, dims) in [[24usize, 3, 2], [3, 24, 2], [3, 2, 24]].iter().enumerate() {
+            let x = low_rank_tensor(dims, &[2, 2, 2], 1e-3);
+            check(&x, n);
+            check(&x.cast::<f32>(), n);
+        }
+    }
+
+    /// Whole runs on a shape where every mode is tall in forward order
+    /// ([64, 12, 5] → [2, 12, 5] → [2, 2, 5]): a 1×1×1 grid returns
+    /// `sthosvd`'s bits under fixed ranks (forward and the cost-model
+    /// order) and a tolerance; on split grids the ranks agree, the first
+    /// factor and its σ keep the sequential bits (later modes read a tensor
+    /// the fiber reduce-scatter of the TTM summed in another order) and the
+    /// error agrees to rounding.
+    #[test]
+    fn thin_modes_keep_the_sequential_answer_on_every_grid() {
+        let x = low_rank_tensor(&[64, 12, 5], &[2, 2, 2], 1e-3);
+        let ranks = SthosvdConfig::with_ranks(vec![2, 2, 2]);
+        for cfg in [
+            ranks.clone().order(ModeOrder::Forward),
+            ranks.clone(),
+            SthosvdConfig::with_tolerance(1e-2),
+        ] {
+            assert_one_rank_grid_is_sequential(&x, &cfg);
+            assert_one_rank_grid_is_sequential(&x.cast::<f32>(), &cfg);
+        }
+        let cfg = ranks.order(ModeOrder::Forward);
+        let seq = sthosvd_with_info(&x, &cfg).unwrap();
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|s| s.to_bits()).collect() };
+        for grid in [[2usize, 1, 1], [1, 2, 1]] {
+            let par = run_parallel_full(&x, &grid, &cfg).unwrap();
+            assert_eq!(par.tucker.ranks(), seq.tucker.ranks(), "grid {grid:?}");
+            assert_eq!(bits(par.tucker.factors[0].data()), bits(seq.tucker.factors[0].data()));
+            assert_eq!(bits(&par.singular_values[0]), bits(&seq.singular_values[0]));
+            let (e_par, e_seq) = (par.tucker.relative_error(&x), seq.tucker.relative_error(&x));
+            assert!((e_par - e_seq).abs() < 1e-12, "grid {grid:?}: {e_par} vs {e_seq}");
         }
     }
 

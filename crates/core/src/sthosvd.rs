@@ -251,4 +251,39 @@ mod tests {
             qr.ranks()
         );
     }
+
+    /// FNV-1a over the little-endian bytes of a run's core, factors and σ
+    /// profiles.
+    fn store_hash(out: &SthosvdOutput<f64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let tk = &out.tucker;
+        let words = tk.core.data().iter().chain(tk.factors.iter().flat_map(|u| u.data()));
+        for v in words.chain(out.singular_values.iter().flatten()) {
+            let bits = v.to_bits();
+            for k in 0..8 {
+                h = (h ^ ((bits >> (8 * k)) & 0xff)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Where the rank rule may need more columns than a tall unfolding
+    /// has — no truncation, or a fixed `R_n > I^*/I_n` — QR-SVD keeps the
+    /// padded LQ path: these hashes were recorded before the thin path
+    /// existed.
+    #[test]
+    fn padded_tall_modes_keep_their_bits() {
+        let x = low_rank_tensor(&[24, 4, 3], &[3, 2, 2], 1e-3);
+        for (cfg, want) in [
+            (SthosvdConfig::no_truncation(), 0xd54e_e44b_0303_18fe),
+            (
+                SthosvdConfig::with_ranks(vec![16, 2, 2]).order(ModeOrder::Forward),
+                0x4763_8d1a_833b_54df,
+            ),
+        ] {
+            let out = sthosvd_with_info(&x, &cfg).unwrap();
+            assert_eq!(store_hash(&out), want, "{:?}", cfg.truncation);
+        }
+    }
+
 }

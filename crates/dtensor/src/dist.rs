@@ -115,8 +115,9 @@ impl<T: Scalar> DistTensor<T> {
         total[0].sqrt()
     }
 
-    /// Reassemble the global tensor on every rank (verification only —
-    /// all-gathers the full data).
+    /// Reassemble the global tensor on every rank (all-gathers the full
+    /// data): verification, and QR-SVD's thin modes, whose working tensor is
+    /// smaller than the `I_n × I_n` square of its mode.
     pub fn gather(&self, ctx: &mut Ctx, world: &mut Comm) -> Tensor<T> {
         // Shared allgather: each rank reads every block through the
         // originator's allocation instead of deep-copying it out first.

@@ -142,7 +142,16 @@ pub fn lq_flops(m: f64, n: f64) -> f64 {
 /// `tucker-core`'s charges, model and `--model-check` and `tucker-dtensor`'s
 /// sketch charge all count with it.
 pub fn svd_flops(m: usize) -> f64 {
-    12.0 * (m as f64).powi(3)
+    thin_svd_flops(m, m)
+}
+
+/// Heuristic flop count of the SVD of a tall `m x n` (`m ≥ n`) matrix with
+/// its `m x n` left singular vectors — QR-SVD's thin path on a tall
+/// unfolding: `12·m·n²`, the square count scaled by the rows. The one copy:
+/// the dense and distributed charges, the model and `--model-check` count
+/// with it.
+pub fn thin_svd_flops(m: usize, n: usize) -> f64 {
+    12.0 * m as f64 * (n as f64).powi(2)
 }
 
 /// Householder QR flop count for an `m x n` factorization: the LQ count of

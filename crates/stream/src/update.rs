@@ -772,6 +772,35 @@ mod tests {
         assert!((err - scratch).abs() < 1e-10, "full path must equal scratch");
     }
 
+    /// The Full path under the fixed-rank default order: the cost model
+    /// puts the long time mode last, where QR-SVD factors its 48 × 9
+    /// unfolding thin, and the answer stays within the stream's 1.1× oracle
+    /// of a forward-order recompute of the same history.
+    #[test]
+    fn full_append_under_auto_stays_within_the_recompute_oracle() {
+        let svd = SthosvdConfig::with_ranks(vec![3, 3, 3]);
+        assert_eq!(svd.mode_order, tucker_core::ModeOrder::Auto);
+        let x = Tensor::from_fn(&[36, 6, 6], |idx| {
+            let (t, i, j) = (idx[0] as f64, idx[1] as f64, idx[2] as f64);
+            (0.05 * t).cos() * (0.5 * i).sin() * (0.3 * j).cos()
+                + 0.5 * (0.04 * t).sin() * (0.2 * i).cos() * (0.7 * j).sin()
+                + 1e-3 * ((t * 31.0 + i * 7.0 + j * 3.0) * 0.37).sin()
+        });
+        let cfg = StreamConfig::new(0, svd.clone()).fast_drift(1e-6).full_drift(1e-3);
+        let mut st = StreamState::from_initial(&x, cfg).unwrap();
+        let slab = Tensor::from_fn(&[12, 6, 6], |idx| {
+            ((idx[0] * 7 + idx[1] * 3 + idx[2]) as f64 * 2.17).sin()
+        });
+        let rep = st.append(&slab).unwrap();
+        assert_eq!(rep.path, UpdatePath::Full, "drift {:.3e}", rep.drift);
+        let full = append_dense(&x, &slab, 0);
+        assert_eq!(svd.resolved_order(full.dims(), 8).unwrap().last(), Some(&0));
+        let err = st.tucker().relative_error(&full);
+        let forward = sthosvd(&full, &svd.order(tucker_core::ModeOrder::Forward)).unwrap();
+        let oracle = forward.relative_error(&full);
+        assert!(err <= 1.1 * oracle, "auto {err} vs forward {oracle}");
+    }
+
     #[test]
     fn wild_drift_without_history_is_a_typed_error() {
         let x = smooth_tensor(&[10, 8, 12], 0);

@@ -27,15 +27,19 @@
 //! copy and triad streams over four times the last-level cache (read from
 //! sysfs, 32 MiB if that fails), at one task and at the pool's size.
 //!
-//! The last lines time `lq_factor` on the tall `f64` triangles of
-//! `stream_append`'s full refresh, 456 × 4096 and 512 × 4096 column-major,
-//! at one task and at the pool's size.
+//! The next lines time `lq_factor` on the tall `f64` triangles of
+//! `stream_append`'s full refresh under forward order, 456 × 4096 and
+//! 512 × 4096 column-major, at one task and at the pool's size. The last
+//! two time that refresh's compress itself — `sthosvd` on [456, 64, 64],
+//! ranks 12³, QR — under `ModeOrder::Forward` and under the cost-model
+//! order (`ModeOrder::Auto`, the fixed-rank default), which processes the
+//! time mode last and factors its 456 × 144 unfolding thin.
 
 use rayon::prelude::*;
 use std::hint::black_box;
 use std::time::Instant;
 use tucker_rs::core::svd_driver::{gram_of_unfolding, lq_of_unfolding};
-use tucker_rs::core::{sthosvd, SthosvdConfig, SvdMethod};
+use tucker_rs::core::{sthosvd, ModeOrder, SthosvdConfig, SvdMethod};
 use tucker_rs::data::hcci_surrogate;
 use tucker_rs::linalg::lq::lq_factor;
 use tucker_rs::linalg::{Matrix, Scalar};
@@ -192,10 +196,25 @@ fn tall_lq() {
     }
 }
 
+/// `stream_append`'s Full recompute — [456, 64, 64] to ranks 12³, QR,
+/// `f64` — under forward order and under the cost-model order.
+fn stream_full() {
+    let x = Tensor::<f64>::from_fn(&[456, 64, 64], |i| {
+        ((i[0] * 4096 + i[1] * 64 + i[2]) as f64 * 0.618).sin()
+    });
+    for order in [ModeOrder::Forward, ModeOrder::Auto] {
+        let cfg = SthosvdConfig::with_ranks(vec![12; 3]).order(order);
+        let resolved = cfg.resolved_order(x.dims(), 8).expect("valid config");
+        let ms = best_ms(|| sthosvd(&x, &cfg).expect("compress"));
+        println!("double compress [456, 64, 64] -> 12^3, order {resolved:?}: {ms:>7.2} ms");
+    }
+}
+
 fn main() {
     memory_roof();
     let x = hcci_surrogate::<f64>(&[48, 48, 33, 48], 7);
     probe::<f64>(&x);
     probe::<f32>(&x);
     tall_lq();
+    stream_full();
 }

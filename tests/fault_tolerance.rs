@@ -7,10 +7,10 @@
 
 use std::path::PathBuf;
 use std::time::Duration;
-use tucker_rs::core::checkpoint::{latest_step, save_step};
+use tucker_rs::core::checkpoint::{latest_step, load_step, save_step};
 use tucker_rs::core::{
     sthosvd_parallel, sthosvd_parallel_checkpointed, CheckpointOptions, DistBackend, HosvdState,
-    SthosvdConfig, SvdMethod,
+    ModeOrder, SthosvdConfig, SvdMethod,
 };
 use tucker_rs::dtensor::{DistTensor, ProcessorGrid};
 use tucker_rs::linalg::LinalgError;
@@ -159,6 +159,50 @@ fn crash_then_resume_is_bit_identical_to_uninterrupted() {
         bits_of(ctx, &po)
     });
     assert_eq!(resumed.results, want, "resumed run differs from the uninterrupted one");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The cost-model order (the fixed-rank default) is resolved once per run
+/// and checkpointed as its permutation: a resume lands on the uninterrupted
+/// bits, and a resume whose config resolves to another order is refused.
+#[test]
+fn auto_order_resumes_bit_identically_and_refuses_another_order() {
+    let dims = [6usize, 5, 16];
+    let mut lin = 0usize;
+    let x = Tensor::from_fn(&dims, |_| {
+        lin += 1;
+        tucker_rs::data::hash_noise(13, lin)
+    });
+    let cfg = SthosvdConfig::with_ranks(vec![2, 2, 2]);
+    let order = cfg.resolved_order(&dims, 8).unwrap();
+    assert_ne!(order, [0, 1, 2], "the cost model should not pick the storage order here");
+    let want = reference_bits(&x, &cfg);
+    let dir = tmp_dir("auto");
+    let run = |cfg: &SthosvdConfig, resume: bool| {
+        Simulator::new(4).with_cost(CostModel::andes()).run(|ctx| {
+            let dt = DistTensor::scatter_from(&x, &ProcessorGrid::new(&GRID), ctx.rank());
+            let opts = CheckpointOptions::new(&dir).resume(resume);
+            sthosvd_parallel_checkpointed(ctx, &dt, cfg, &opts)
+                .map(|po| bits_of(ctx, &po))
+                .map_err(|e| e.to_string())
+        })
+    };
+    let fresh = run(&cfg, false).results;
+    assert_eq!(fresh.into_iter().map(Result::unwrap).collect::<Vec<_>>(), want);
+    for rank in 0..4 {
+        let dt = DistTensor::scatter_from(&x, &ProcessorGrid::new(&GRID), rank);
+        assert_eq!(load_step(&dir, 1, rank, 4, &dt, &cfg).unwrap().order, order, "rank {rank}");
+    }
+    // Un-commit the last two steps: the resume starts after the first mode.
+    for step in 2..=3 {
+        std::fs::remove_file(dir.join(format!("step{step}.commit"))).unwrap();
+    }
+    let resumed = run(&cfg, true).results;
+    assert_eq!(resumed.into_iter().map(Result::unwrap).collect::<Vec<_>>(), want);
+    for r in run(&cfg.clone().order(ModeOrder::Forward), true).results {
+        let e = r.unwrap_err();
+        assert!(e.contains("checkpoint mode order differs from the current config"), "{e}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
