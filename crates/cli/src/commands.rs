@@ -1246,6 +1246,17 @@ mod tests {
         std::fs::remove_dir_all(dir).ok();
     }
 
+    /// A 2x1x1 grid over 40x6x5 leaves the later modes' blocks 2 and 1
+    /// rows high: the QR local LQ is predicted over each rank's own stripe,
+    /// so the conformance check holds at 1e-9 on the uneven split too.
+    #[test]
+    fn uneven_split_passes_a_tight_model_check() {
+        cli("simulate --kind random --dims 40x6x5 --ranks 3x3x3 --order forward --grid 2x1x1 \
+             --model-check --model-tol 1e-9"
+            .into())
+        .unwrap();
+    }
+
     #[test]
     fn simulate_eight_ranks_emits_chrome_trace_with_phase_spans() {
         let dir = tmpdir("sim8");

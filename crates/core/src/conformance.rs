@@ -10,8 +10,10 @@
 //! and the closed-form model agree; a failing one localizes the divergence
 //! to a mode and a quantity.
 //!
-//! The analytic counts assume every block split is even (`P_n | J_n` etc.);
-//! the configured tolerance absorbs the remainder terms of uneven splits.
+//! The analytic counts assume every block split is even (`P_n | J_n` etc.)
+//! — except the QR path's local LQ, summed over every rank's actual stripe
+//! — and the configured tolerance absorbs the remainder terms of uneven
+//! splits.
 //! On an even configuration the formulas are exact and the check passes at
 //! tolerances as tight as 1e-9.
 //!
@@ -22,7 +24,8 @@
 
 use crate::config::{thin_qr, SvdMethod};
 use tucker_dtensor::{
-    lq_flops, prev_power_of_two, sketch_cols, sketch_qr_flops, slab_exchange_counts, ReductionTree,
+    block_range, lq_flops, prev_power_of_two, sketch_cols, sketch_qr_flops, slab_exchange_counts,
+    ProcessorGrid, ReductionTree,
 };
 use tucker_linalg::perf::{svd_flops, thin_svd_flops};
 use tucker_linalg::randomized::{sketch_block_count, RandomizedSvdConfig};
@@ -175,6 +178,25 @@ struct Predicted {
     msgs: u64,
 }
 
+/// The column count of each rank's local mode-`n` stripe on a tensor of
+/// `dims` over `grid`: its block's unfolding columns, cut once more by the
+/// fiber redistribution when `P_n > 1` (`dtensor::redistribute`).
+fn stripe_cols<'a>(
+    dims: &'a [usize],
+    grid: &'a [usize],
+    n: usize,
+) -> impl Iterator<Item = usize> + 'a {
+    let pg = ProcessorGrid::new(grid);
+    (0..pg.total()).map(move |rank| {
+        let coords = pg.coords(rank);
+        let block_cols: usize = (0..dims.len())
+            .filter(|&k| k != n)
+            .map(|k| block_range(dims[k], grid[k], coords[k]).len())
+            .product();
+        block_range(block_cols, grid[n], coords[n]).len()
+    })
+}
+
 /// Evaluate the per-mode analytic counts for `cfg`, in processing order.
 fn predict_counts(cfg: &CheckConfig) -> Vec<(usize, Predicted)> {
     let p: usize = cfg.grid.iter().product();
@@ -228,8 +250,10 @@ fn predict_counts(cfg: &CheckConfig) -> Vec<(usize, Predicted)> {
                 pr.flops += pf * svd_flops(m as usize);
             }
             SvdMethod::Qr => {
-                // Local LQ of the J_n × J*/(J_n·P) stripe on every rank.
-                pr.flops += pf * lq_flops(m, jstar / (m * pf));
+                // Local LQ of every rank's own stripe: exact for uneven
+                // splits, where the stripes differ in width.
+                pr.flops +=
+                    stripe_cols(&ju, &cfg.grid, n).map(|c| lq_flops(m, c as f64)).sum::<f64>();
                 // TSQR tree over packed triangles on the world comm.
                 let f = prev_power_of_two(p);
                 let (tree_msgs, merges) = match cfg.tree {

@@ -433,6 +433,43 @@ mod tests {
         }
     }
 
+    /// The distributed bits, pinned: factors, σ and the gathered core of
+    /// whole runs whose split modes go through the fiber redistribution and
+    /// the TTM's reduce-scatter — a mode-0 split (one-run buckets), a
+    /// middle-mode split (buckets cut from row-major blocks) and an uneven
+    /// 3×2 split. The hashes were recorded from the element-wise exchanges;
+    /// filling the buckets another way must not move a bit.
+    #[test]
+    fn split_grids_keep_their_bits() {
+        fn hash(out: &SthosvdOutput<f64>) -> u64 {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            let tk = &out.tucker;
+            let words = tk.core.data().iter().chain(tk.factors.iter().flat_map(|u| u.data()));
+            for v in words.chain(out.singular_values.iter().flatten()) {
+                let bits = v.to_bits();
+                for k in 0..8 {
+                    h = (h ^ ((bits >> (8 * k)) & 0xff)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+            h
+        }
+        let x = low_rank_tensor(&[12, 10, 9], &[3, 3, 3], 1e-3);
+        let cases: [(SvdMethod, [usize; 3], u64); 6] = [
+            (SvdMethod::Qr, [2, 1, 1], 0xa71f_73c6_0d6d_be42),
+            (SvdMethod::Qr, [1, 2, 1], 0x8dbc_8280_7d32_8374),
+            (SvdMethod::Qr, [3, 2, 1], 0x192d_0588_a8dd_5826),
+            (SvdMethod::Gram, [2, 1, 1], 0x6251_23fa_512d_4738),
+            (SvdMethod::Gram, [1, 2, 1], 0xaf17_c549_3b0f_bd93),
+            (SvdMethod::Gram, [3, 2, 1], 0x41b5_01e0_37d3_f940),
+        ];
+        for (method, grid, want) in cases {
+            let cfg = SthosvdConfig::with_tolerance(1e-2).method(method);
+            let out = run_parallel_full(&x, &grid, &cfg).unwrap();
+            assert_eq!(out.tucker.ranks(), [2, 3, 2], "{method:?} grid {grid:?}");
+            assert_eq!(hash(&out), want, "{method:?} grid {grid:?}: {:#x}", hash(&out));
+        }
+    }
+
     /// A guard that needs no clock: on an all-ones grid every mode's local
     /// Gram is one `syrk` call on the whole unfolding, whatever its layout —
     /// for 16³ → 4³ that is 3 calls (not 1 + 16 + 1 per contiguous view, nor

@@ -35,6 +35,49 @@ pub fn block_owner(global: usize, parts: usize, index: usize) -> usize {
     }
 }
 
+/// The global index ranges of the block at grid coordinates `coords`.
+fn block_ranges(
+    global_dims: &[usize],
+    grid: &ProcessorGrid,
+    coords: &[usize],
+) -> Vec<Range<usize>> {
+    (0..grid.ndims()).map(|n| block_range(global_dims[n], grid.dims()[n], coords[n])).collect()
+}
+
+/// Walk the mode-0 fibers of the block `ranges` of a `global_dims` tensor
+/// in local order: `f(local_offset, global_offset, len)` once per fiber, so
+/// a block moves by contiguous runs of `len = ranges[0].len()` elements.
+fn for_each_fiber(
+    global_dims: &[usize],
+    ranges: &[Range<usize>],
+    mut f: impl FnMut(usize, usize, usize),
+) {
+    let len = ranges[0].len();
+    let fibers: usize = ranges[1..].iter().map(|r| r.len()).product();
+    if len == 0 || fibers == 0 {
+        return;
+    }
+    let mut stride = vec![1usize; global_dims.len()];
+    for k in 1..global_dims.len() {
+        stride[k] = stride[k - 1] * global_dims[k - 1];
+    }
+    let mut g: usize = ranges.iter().zip(&stride).map(|(r, s)| r.start * s).sum();
+    let mut idx = vec![0usize; ranges.len()];
+    for j in 0..fibers {
+        f(j * len, g, len);
+        // Odometer over modes 1..: step the global offset with the index.
+        for k in 1..ranges.len() {
+            idx[k] += 1;
+            g += stride[k];
+            if idx[k] < ranges[k].len() {
+                break;
+            }
+            idx[k] = 0;
+            g -= ranges[k].len() * stride[k];
+        }
+    }
+}
+
 /// A block-distributed tensor: this rank's local block plus global metadata.
 #[derive(Clone, Debug)]
 pub struct DistTensor<T> {
@@ -58,8 +101,7 @@ impl<T: Scalar> DistTensor<T> {
     ) -> Self {
         assert_eq!(global_dims.len(), grid.ndims(), "grid/tensor mode count mismatch");
         let coords = grid.coords(rank);
-        let ranges: Vec<Range<usize>> =
-            (0..grid.ndims()).map(|n| block_range(global_dims[n], grid.dims()[n], coords[n])).collect();
+        let ranges = block_ranges(global_dims, grid, &coords);
         let local_dims: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
         let starts: Vec<usize> = ranges.iter().map(|r| r.start).collect();
         let mut gidx = vec![0usize; global_dims.len()];
@@ -73,9 +115,18 @@ impl<T: Scalar> DistTensor<T> {
     }
 
     /// Distribute an existing global tensor (test/verification path: every
-    /// rank slices out its own block).
+    /// rank slices out its own block, one mode-0 fiber at a time).
     pub fn scatter_from(x: &Tensor<T>, grid: &ProcessorGrid, rank: usize) -> Self {
-        Self::from_fn(x.dims(), grid, rank, |g| x.get(g))
+        assert_eq!(x.ndims(), grid.ndims(), "grid/tensor mode count mismatch");
+        let coords = grid.coords(rank);
+        let ranges = block_ranges(x.dims(), grid, &coords);
+        let local_dims: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
+        let mut data = Vec::with_capacity(local_dims.iter().product());
+        for_each_fiber(x.dims(), &ranges, |_, g, len| {
+            data.extend_from_slice(&x.data()[g..g + len]);
+        });
+        let local = Tensor::from_data(&local_dims, data);
+        DistTensor { global_dims: x.dims().to_vec(), grid: grid.clone(), coords, local }
     }
 
     /// Global tensor dimensions.
@@ -123,28 +174,12 @@ impl<T: Scalar> DistTensor<T> {
         // originator's allocation instead of deep-copying it out first.
         let datas = world.allgather_shared(ctx, self.local.data().to_vec());
         let mut out = Tensor::zeros(&self.global_dims);
+        let whole = out.data_mut();
         for (rank, data) in datas.iter().enumerate() {
-            let coords = self.grid.coords(rank);
-            let ranges: Vec<Range<usize>> = (0..self.grid.ndims())
-                .map(|n| block_range(self.global_dims[n], self.grid.dims()[n], coords[n]))
-                .collect();
-            let local_dims: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-            let block = Tensor::from_data(&local_dims, data.to_vec());
-            // Copy block into the global tensor.
-            let total = block.len();
-            let mut lidx = vec![0usize; local_dims.len()];
-            let mut gidx = vec![0usize; local_dims.len()];
-            for lin in 0..total {
-                let mut r = lin;
-                for (k, &d) in local_dims.iter().enumerate() {
-                    lidx[k] = r % d;
-                    r /= d;
-                }
-                for k in 0..local_dims.len() {
-                    gidx[k] = ranges[k].start + lidx[k];
-                }
-                out.set(&gidx, block.data()[lin]);
-            }
+            let ranges = block_ranges(&self.global_dims, &self.grid, &self.grid.coords(rank));
+            for_each_fiber(&self.global_dims, &ranges, |l, g, len| {
+                whole[g..g + len].copy_from_slice(&data[l..l + len]);
+            });
         }
         out
     }
@@ -222,6 +257,27 @@ mod tests {
             assert_eq!(g, x);
         }
         let _ = grid;
+    }
+
+    /// Uneven splits in every mode, one of them of a single index per rank:
+    /// the fiber copies of `scatter_from` agree with `from_fn` block by
+    /// block, and `gather` puts every block back.
+    #[test]
+    fn uneven_four_mode_scatter_gather() {
+        let dims = [5, 3, 7, 4];
+        let x =
+            Tensor::<f64>::from_fn(&dims, |i| (i[0] + 10 * i[1] + 100 * i[2] + 1000 * i[3]) as f64);
+        let grid = ProcessorGrid::new(&[2, 3, 1, 3]);
+        let out = Simulator::new(grid.total()).with_cost(CostModel::zero()).run(|ctx| {
+            let dt = DistTensor::scatter_from(&x, &grid, ctx.rank());
+            let want = DistTensor::from_fn(&dims, &grid, ctx.rank(), |g| x.get(g));
+            assert_eq!(dt.local(), want.local(), "rank {}", ctx.rank());
+            let mut world = Comm::world(ctx);
+            dt.gather(ctx, &mut world)
+        });
+        for g in out.results {
+            assert_eq!(g, x);
+        }
     }
 
     #[test]

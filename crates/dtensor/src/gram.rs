@@ -11,7 +11,7 @@
 
 use crate::dist::DistTensor;
 use crate::guard::{check_finite, NumericalFault};
-use crate::redistribute::redistribute_to_columns;
+use crate::redistribute::redistribute;
 use tucker_linalg::{syrk_lower_panels, Matrix, Scalar};
 use tucker_mpisim::{Comm, Ctx};
 use tucker_tensor::Unfolding;
@@ -60,8 +60,7 @@ fn gram_in<T: Scalar, A: Scalar>(
         ctx.charge_syrk_flops(m as f64 * m as f64 * unf.cols() as f64, A::BYTES);
         unf.gram()
     } else {
-        let z = ctx.phase("Redistribute", |c| redistribute_to_columns(c, dt, n));
-        check_finite(ctx.rank(), "Gram/redistribute", n, z.data())?;
+        let z = ctx.phase("Redistribute", |c| redistribute(c, dt, n, Some("Gram/redistribute")))?;
         ctx.charge_syrk_flops(m as f64 * m as f64 * z.cols() as f64, A::BYTES);
         syrk_lower_panels(m, &[z.as_ref()])
     };

@@ -18,7 +18,7 @@
 
 use crate::dist::DistTensor;
 use crate::guard::{check_finite, NumericalFault};
-use crate::redistribute::redistribute_to_columns;
+use crate::redistribute::redistribute;
 use tucker_linalg::lq::lq_factor;
 use tucker_linalg::perf::lq_flops;
 use tucker_linalg::tplqt::tplqt_pair;
@@ -61,8 +61,7 @@ pub fn parallel_tensor_lq<T: Scalar>(
         ctx.charge_flops(lq_flops(m as f64, unf.cols() as f64), T::BYTES);
         unf.lq(tslq_opts)
     } else {
-        let z = ctx.phase("Redistribute", |c| redistribute_to_columns(c, dt, n));
-        check_finite(ctx.rank(), "LQ/redistribute", n, z.data())?;
+        let z = ctx.phase("Redistribute", |c| redistribute(c, dt, n, Some("LQ/redistribute")))?;
         ctx.charge_flops(lq_flops(m as f64, z.cols() as f64), T::BYTES);
         lq_factor(z.as_ref())
     };

@@ -8,6 +8,13 @@
 //! the partials and leaves each rank with its block row of the output —
 //! restoring the block distribution with the mode-`n` dimension shrunk to
 //! `R_n`.
+//!
+//! Bucket layout: the partial is `I_n^<` × `R_n` × `I_n^>` (first index
+//! fastest), so fiber rank `q`'s output rows `block_range(R_n, P_n, q)` are
+//! one contiguous run of every one of the `I_n^>` output blocks, and its
+//! chunk is those runs back to back — already the layout of its output
+//! block. `reduce_scatter_vec` sums the chunks in fiber-member order, so the
+//! bits do not depend on how a chunk was filled.
 
 use crate::dist::{block_range, DistTensor};
 use crate::guard::{check_finite, NumericalFault};
@@ -74,22 +81,23 @@ pub fn parallel_ttm_op<T: Scalar>(
     }
 
     // Split the partial along mode n into per-fiber-rank chunks and
-    // reduce-scatter within the fiber.
+    // reduce-scatter within the fiber. Output rows `rows` of block `blk`
+    // are one contiguous run of the partial, so a chunk is `after` copies.
     let pdims = partial.dims();
     let before = prod_before(pdims, n);
     let after = prod_after(pdims, n);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(p_n);
-    for q in 0..p_n {
-        let rows = block_range(r, p_n, q);
-        let mut buf = Vec::with_capacity(rows.len() * before * after);
-        for blk in 0..after {
-            let base = blk * r * before;
-            for i in rows.clone() {
-                buf.extend_from_slice(&partial.data()[base + i * before..base + (i + 1) * before]);
+    let chunks: Vec<Vec<T>> = (0..p_n)
+        .map(|q| {
+            let rows = block_range(r, p_n, q);
+            let run = rows.len() * before;
+            let mut buf = Vec::with_capacity(run * after);
+            for blk in 0..after {
+                let first = (blk * r + rows.start) * before;
+                buf.extend_from_slice(&partial.data()[first..first + run]);
             }
-        }
-        chunks.push(buf);
-    }
+            buf
+        })
+        .collect();
     let fiber = dt.grid().fiber(dt.coords(), n);
     let mut comm = Comm::subset(ctx, fiber);
     let mine = ctx.phase("TTM/reduce_scatter", |c| comm.reduce_scatter_vec(c, chunks));
@@ -156,6 +164,13 @@ mod tests {
     fn uneven_everything() {
         // 7 rows over 3 ranks, truncating to rank 4 over 3 ranks → 2,1,1.
         check(&[7, 4, 3], &[3, 1, 2], 0, 4);
+    }
+
+    /// A middle mode split three ways: every chunk is one run per output
+    /// block of `before = 4` columns, the output rows 5 → 2, 2, 1.
+    #[test]
+    fn middle_mode_over_three_ranks() {
+        check(&[4, 7, 3], &[1, 3, 2], 1, 5);
     }
 
     #[test]

@@ -72,6 +72,10 @@ PY
 # all-ones grid's syrk calls).
 "$tucker" simulate --grid 1x2x2 --kind random --dims 16x16x16 \
     --ranks 4x4x4 --svd qr --model-check
+# An uneven split: 40x6x5 over 2x1x1 leaves the later modes' blocks 2 and
+# 1 rows high, and the local LQ is predicted per stripe, so it is exact.
+"$tucker" simulate --grid 2x1x1 --kind random --dims 40x6x5 \
+    --ranks 3x3x3 --order forward --model-check --model-tol 1e-9
 
 # Serve smoke: build a store, serve three verified queries from it (each
 # checked bit-exact against a full reconstruction in-process), and stream
